@@ -81,9 +81,12 @@ def automorphism_group(graph: Graph, max_n: int = 64) -> AutResult:
                 frontier = nxt
         order *= len(orbit)
     group = PermGroup(n, reduce_generators(n, gens))
-    assert group.order() == order
+    if group.order() != order:
+        raise RuntimeError(f"generators reduce to a group of order "
+                           f"{group.order()}, expected {order}")
     for g in group.generators:
-        assert graph.is_automorphism(g)
+        if not graph.is_automorphism(g):
+            raise RuntimeError(f"generator {g} is not an automorphism")
     return AutResult(group=group, order=order,
                      stats={"transporter_searches": searches})
 

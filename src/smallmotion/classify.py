@@ -139,7 +139,8 @@ def _restricted_orbits(group, block: tuple[int, ...]):
         if v in seen:
             continue
         orb = z.orbit(v)
-        assert orb <= blockset
+        if not orb <= blockset:
+            raise RuntimeError(f"orbit of {v} leaves the block {block}")
         orbits.append(tuple(sorted(orb)))
         seen |= orb
     return orbits

@@ -19,7 +19,7 @@ from .graphcore import (Graph, InfParams, circulant_graph, from_graph6,
                         inf_graph, lex_product, parse_graph, to_graph6)
 from .grouptables import TABLE1, TABLE2, check_table_row, \
     enumerate_small_subgroup_pairs
-from .permcore import CapExceededError, format_cycles
+from .permcore import CapExceededError, element_cap, format_cycles
 
 SCHEMA_VERSION = 1
 
@@ -276,6 +276,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        element_cap()  # an invalid SMALLMOTION_CAP is invalid input
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)

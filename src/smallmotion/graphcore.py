@@ -40,6 +40,9 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside "
+                                 f"0..{n - 1}")
             if u == v:
                 raise ValueError("loops are not allowed")
             adj[u] |= 1 << v

@@ -863,7 +863,8 @@ def _all_subgroups(elements: list[Permutation], degree: int,
                         seen.add(e)
                         nxt.append(e)
             frontier = nxt
-        assert seen <= elemset
+        if not seen <= elemset:
+            raise RuntimeError("subgroup closure leaves the element set")
         return frozenset(seen)
 
     subgroups = {closure_set([g]) for g in elements}

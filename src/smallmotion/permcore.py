@@ -3,18 +3,39 @@
 Points are 0-indexed internally; the text interchange format is 1-indexed.
 The right-action convention is used throughout: ``i^(p*q) = (i^p)^q``,
 i.e. ``p*q`` means "apply p first, then q".
+
+Only outside input is validated: ``Permutation(images)`` checks that the
+images form a bijection.  Products, inverses, powers and identities of
+validated permutations are bijections by construction, so they are built
+by the unchecked ``_trusted`` constructor.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-# default cap on element enumeration, overridable via the environment
-DEFAULT_CAP = int(os.environ.get("SMALLMOTION_CAP", 10**6))
+CAP_VARIABLE = "SMALLMOTION_CAP"
+DEFAULT_CAP = 10**6
+
+
+def element_cap() -> int:
+    """The element-enumeration cap: ``SMALLMOTION_CAP`` or ``DEFAULT_CAP``."""
+    raw = os.environ.get(CAP_VARIABLE)
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(f"{CAP_VARIABLE} must be a positive integer, "
+                         f"got {raw!r}")
+    return cap
 
 
 class CapExceededError(RuntimeError):
@@ -36,6 +57,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _then(images: tuple):
+    """A map sending the images of q to those of p*q, for p = ``images``.
+
+    ``itemgetter`` with one argument returns a scalar, so degrees 0 and 1,
+    where every permutation is the identity, map q to itself.
+    """
+    return itemgetter(*images) if len(images) > 1 else tuple
+
+
 class Permutation:
     """A bijection of {0, ..., n-1} stored as an image array."""
 
@@ -53,7 +83,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        return _trusted(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -74,15 +104,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: apply self first, then other."""
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Permutation(other.images[i] for i in self.images)
+        return _trusted(_then(self.images)(other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
+        inv = [0] * len(self.images)
         for i, img in enumerate(self.images):
             inv[img] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -145,6 +175,13 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_cycles(self)
+
+
+def _trusted(images: tuple) -> Permutation:
+    """A Permutation from an image tuple known to be a bijection."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
 
 
 def classify_element(p: Permutation):
@@ -245,29 +282,51 @@ class StabilizerChain:
     ``_gens[l]`` holds the strong generators that fix base[0..l-1] pointwise
     and move base[l]; the level-l stabilizer is generated by the union of
     ``_gens[l:]``.  The base extends through ``base_order`` (0, 1, 2, ...
-    unless an adapted order is requested).
+    unless an adapted order is requested).  ``_transversal[l]`` maps each
+    point x of the level-l basic orbit to the images of an element sending
+    base[l] to x, and ``_inverses[l]`` to the images of its inverse.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  base_order: Optional[Sequence[int]] = None):
         self.degree = degree
         self._base_order = list(base_order) if base_order is not None else list(range(degree))
+        self._identity = tuple(range(degree))
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
-        self._transversal: list[dict[int, Permutation]] = []
+        self._transversal: list[dict[int, tuple]] = []
+        self._inverses: list[dict[int, tuple]] = []
         if base_order is not None and degree > 0:
             # an adapted order pins its first point as the first base point,
             # even when some generators fix it (point-stabilizer chains
             # rely on base[0] being exactly that point)
-            self.base.append(self._base_order[0])
-            self._gens.append([])
-            self._transversal.append({})
+            self._add_level(self._base_order[0])
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
             if not g.is_identity():
                 self._insert(g)
-        self._schreier_sims()
+        self._schreier_sims(len(self.base) - 1)
+
+    def extend(self, g: Permutation) -> bool:
+        """Add g unless it is already a member; return whether it was added.
+
+        g's residue is filed at some level; only that level and the ones
+        below it are closed again, as the chain above it is unchanged.
+        """
+        if g.degree != self.degree:
+            raise ValueError("generator degree mismatch")
+        residue = self._strip(g.images, 0)
+        if residue == self._identity:
+            return False
+        self._schreier_sims(self._insert(_trusted(residue)))
+        return True
+
+    def _add_level(self, point: int) -> None:
+        self.base.append(point)
+        self._gens.append([])
+        self._transversal.append({})
+        self._inverses.append({})
 
     def _insert(self, g: Permutation) -> int:
         """File g at the level equal to the base prefix it fixes."""
@@ -275,12 +334,7 @@ class StabilizerChain:
         while lvl < len(self.base) and g(self.base[lvl]) == self.base[lvl]:
             lvl += 1
         if lvl == len(self.base):
-            for b in self._base_order:
-                if g(b) != b:
-                    self.base.append(b)
-                    break
-            self._gens.append([])
-            self._transversal.append({})
+            self._add_level(next(b for b in self._base_order if g(b) != b))
         self._gens[lvl].append(g)
         return lvl
 
@@ -289,43 +343,57 @@ class StabilizerChain:
 
     def _recompute_transversal(self, level: int) -> None:
         b = self.base[level]
-        gens = self._level_gens(level)
-        trans = {b: Permutation.identity(self.degree)}
+        level_gens = self._level_gens(level)
+        gens = [g.images for g in level_gens]
+        # (t * s)^-1 = s^-1 * t^-1
+        left_inv = [_then(g.inverse().images) for g in level_gens]
+        trans = {b: self._identity}
+        inverses = {b: self._identity}
         frontier = [b]
         while frontier:
             nxt = []
             for x in frontier:
-                for s in gens:
-                    y = s(x)
+                then_x = _then(trans[x])
+                inv_x = inverses[x]
+                for s, s_inv_then in zip(gens, left_inv):
+                    y = s[x]
                     if y not in trans:
-                        trans[y] = trans[x] * s
+                        trans[y] = then_x(s)
+                        inverses[y] = s_inv_then(inv_x)
                         nxt.append(y)
             frontier = nxt
         self._transversal[level] = trans
+        self._inverses[level] = inverses
 
-    def _strip(self, g: Permutation, level: int) -> tuple[Permutation, int]:
-        for i in range(level, len(self.base)):
-            x = g(self.base[i])
-            t = self._transversal[i].get(x)
-            if t is None:
-                return g, i
-            g = g * t.inverse()
-        return g, len(self.base)
+    def _strip(self, g: tuple, level: int) -> tuple:
+        """The residue of the images g sifted through the levels from
+        ``level`` on; the identity iff g is in that level's stabilizer."""
+        base, inverses = self.base, self._inverses
+        for i in range(level, len(base)):
+            t_inv = inverses[i].get(g[base[i]])
+            if t_inv is None:
+                return g
+            g = _then(g)(t_inv)
+        return g
 
-    def _schreier_sims(self) -> None:
-        i = len(self.base) - 1
+    def _schreier_sims(self, level: int) -> None:
+        """Close the chain from ``level`` down to 0; the levels above it
+        must already be closed."""
+        i = level
         while i >= 0:
             self._recompute_transversal(i)
-            gens = self._level_gens(i)
-            trans = self._transversal[i]
+            gens = [g.images for g in self._level_gens(i)]
+            then_gens = [_then(s) for s in gens]
+            trans, inverses = self._transversal[i], self._inverses[i]
             new_level = None
             for x in sorted(trans):
-                tx = trans[x]
-                for s in gens:
-                    schreier = tx * s * trans[s(x)].inverse()
-                    residue, _ = self._strip(schreier, i + 1)
-                    if not residue.is_identity():
-                        new_level = self._insert(residue)
+                then_x = _then(trans[x])
+                for s, then_s in zip(gens, then_gens):
+                    # the Schreier generator t_x * s * t_{x^s}^-1
+                    schreier = then_x(then_s(inverses[s[x]]))
+                    residue = self._strip(schreier, i + 1)
+                    if residue != self._identity:
+                        new_level = self._insert(_trusted(residue))
                         break
                 if new_level is not None:
                     break
@@ -343,25 +411,35 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._strip(g, 0)
-        return residue.is_identity()
+        return self._strip(g.images, 0) == self._identity
 
     def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        """All group elements, in a deterministic order."""
+        """All group elements, in a deterministic order.
+
+        Element ``t_{k-1} * ... * t_1 * t_0`` (t_l from the level-l
+        transversal in point order) comes before any element with a later
+        t_{k-1}, ties broken by t_{k-2} and so on.  The transversals are
+        walked depth first, one product per tree node.
+        """
         if cap is not None and self.order() > cap:
             raise CapExceededError(f"group order {self.order()} exceeds cap {cap}")
         levels = [
-            [trans[x] for x in sorted(trans)] for trans in self._transversal
+            [trans[x] for x in sorted(trans)] for trans in reversed(self._transversal)
         ]
-        ident = Permutation.identity(self.degree)
         if not levels:
-            yield ident
+            yield Permutation.identity(self.degree)
             return
-        for combo in itertools.product(*reversed(levels)):
-            g = ident
-            for t in combo:
-                g = g * t
-            yield g
+        last = len(levels) - 1
+
+        def walk(prefix: tuple, depth: int) -> Iterator[Permutation]:
+            then = _then(prefix)
+            if depth == last:
+                yield from map(_trusted, map(then, levels[depth]))
+            else:
+                for t in levels[depth]:
+                    yield from walk(then(t), depth + 1)
+
+        yield from walk(self._identity, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +502,7 @@ class PermGroup:
     """A finitely generated permutation group on {0, ..., degree-1}."""
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
-                 cap: int = DEFAULT_CAP):
+                 cap: Optional[int] = None):
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         for g in self.generators:
@@ -451,7 +529,11 @@ class PermGroup:
         return self.chain.contains(g)
 
     def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        return self.chain.elements(self.cap if cap is None else cap)
+        """All elements; the cap is ``cap``, else the group's, else
+        ``element_cap()``."""
+        if cap is None:
+            cap = element_cap() if self.cap is None else self.cap
+        return self.chain.elements(cap)
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -587,14 +669,20 @@ class PermGroup:
     def minimal_block_system(self) -> Optional[BlockSystem]:
         """A system of minimal blocks, or None iff the group is primitive.
 
-        Deterministic: seeds {0, beta} are scanned for beta = 1, 2, ... and
-        the first proper minimal block found wins.
+        Deterministic: seeds {0, beta} are scanned for beta = 1, 2, ...
+        until one closes to a proper block B.  B can contain a smaller
+        block, which is then the closure of {0, gamma} for some gamma in B;
+        the smallest such closure (first gamma on ties) is minimal.
         """
         if not self.is_transitive():
             raise ValueError("group is not transitive")
         for beta in range(1, self.degree):
             block = self.minimal_block_containing(0, beta)
             if len(block) < self.degree:
+                for gamma in sorted(block - {0, beta}):
+                    inner = self.minimal_block_containing(0, gamma)
+                    if len(inner) < len(block):
+                        block = inner
                 return self.block_system_from(block)
         return None
 
@@ -699,38 +787,20 @@ class PermGroup:
             raise ValueError("degree mismatch")
         gens: list[Permutation] = []
         sub = StabilizerChain(self.degree, [])
-        queue = [x]
+        queue = deque([x])
         while queue:
-            h = queue.pop(0)
-            if sub.contains(h):
+            h = queue.popleft()
+            if not sub.extend(h):
                 continue
             gens.append(h)
-            sub = StabilizerChain(self.degree, gens)
             for g in self.generators:
                 queue.append(h.conjugate(g))
-            # conjugates of the new generator by existing closure generators
-            # are covered since the closure is normalized by G's generators.
-        # fixed-point check: closure must be invariant under conjugation
+        # every conjugate of a kept generator was queued, so each is in sub
         for g in self.generators:
             for h in gens:
                 if not sub.contains(h.conjugate(g)):
-                    # not yet closed; iterate once more
-                    return self._normal_closure_fixpoint(gens)
-        return PermGroup(self.degree, gens, cap=self.cap)
-
-    def _normal_closure_fixpoint(self, seed: list[Permutation]) -> "PermGroup":
-        gens = list(seed)
-        sub = StabilizerChain(self.degree, gens)
-        changed = True
-        while changed:
-            changed = False
-            for h in list(gens):
-                for g in self.generators:
-                    c = h.conjugate(g)
-                    if not sub.contains(c):
-                        gens.append(c)
-                        sub = StabilizerChain(self.degree, gens)
-                        changed = True
+                    raise RuntimeError("normal closure is not normalized "
+                                       "by the group's generators")
         return PermGroup(self.degree, gens, cap=self.cap)
 
     def minimal_degree(self) -> int:
@@ -760,19 +830,15 @@ class PermGroup:
 
 def reduce_generators(degree: int, elements: Iterable[Permutation]) -> list[Permutation]:
     """Greedily pick a small generating set from a collection of elements."""
-    gens: list[Permutation] = []
     chain = StabilizerChain(degree, [])
-    for e in sorted(set(elements)):
-        if e.is_identity() or chain.contains(e):
-            continue
-        gens.append(e)
-        chain = StabilizerChain(degree, gens)
-    return gens
+    return [e for e in sorted(set(elements)) if chain.extend(e)]
 
 
 def closure(degree: int, generators: Sequence[Permutation],
-            cap: int = DEFAULT_CAP) -> set[Permutation]:
+            cap: Optional[int] = None) -> set[Permutation]:
     """Exhaustive closure of a generating set (oracle for chain orders)."""
+    if cap is None:
+        cap = element_cap()
     ident = Permutation.identity(degree)
     seen = {ident}
     frontier = [ident]

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import smallmotion
 from smallmotion.cli import (EXIT_CAP, EXIT_INVALID, EXIT_OK, SCHEMA_VERSION,
                              main)
 from smallmotion.graphcore import cycle_graph, path_graph, to_graph6
@@ -77,6 +82,28 @@ class TestMotion:
     def test_garbage_graph_is_invalid_input(self, capsys):
         code, _, _ = run(capsys, "motion", "!!not-a-graph!!")
         assert code == EXIT_INVALID
+
+    def test_out_of_range_vertex_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "motion", "n 3\n1 5")
+        assert code == EXIT_INVALID
+        assert "outside" in err
+
+    def test_negative_vertex_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "motion", "n 3\n0 2")
+        assert code == EXIT_INVALID
+        assert "outside" in err
+
+
+class TestCapVariable:
+    def test_invalid_cap_is_invalid_input(self):
+        src = str(Path(smallmotion.__file__).resolve().parents[1])
+        env = dict(os.environ, SMALLMOTION_CAP="abc", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallmotion.cli", "motion", "cycle:5"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID
+        assert "Traceback" not in proc.stderr
+        assert "SMALLMOTION_CAP" in proc.stderr and "'abc'" in proc.stderr
 
 
 class TestClassify:

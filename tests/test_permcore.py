@@ -4,14 +4,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallmotion.grouptables import agl1, sym_group
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, classify_element, closure,
-                                  format_cycles, is_2_transitive, is_two_two,
-                                  parse_cycles, parse_group,
-                                  permutation_isomorphic, reduce_generators)
+                                  Permutation, StabilizerChain,
+                                  classify_element, closure, format_cycles,
+                                  is_2_transitive, is_two_two, parse_cycles,
+                                  parse_group, permutation_isomorphic,
+                                  reduce_generators)
+from smallmotion.wreath import wreath_product
 
 
 def random_perm(rng, n):
@@ -24,6 +27,68 @@ def random_group(rng, n, ngens=2):
 
 perms = st.integers(3, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
+
+
+@st.composite
+def small_groups(draw):
+    """A degree-<=8 group from 1-3 random generators, and a few elements."""
+    n = draw(st.integers(1, 8))
+    perm = st.permutations(range(n)).map(Permutation)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    extra = draw(st.lists(perm, max_size=5))
+    return PermGroup(n, gens), extra
+
+
+def reference_elements(chain):
+    """Element order of the level-by-level product loop."""
+    levels = [[Permutation(trans[x]) for x in sorted(trans)]
+              for trans in chain._transversal]
+    ident = Permutation.identity(chain.degree)
+    for combo in itertools.product(*reversed(levels)):
+        g = ident
+        for t in combo:
+            g = g * t
+        yield g
+
+
+def reference_reduce_generators(degree, elements):
+    """Greedy generator choice with a chain rebuilt for every generator."""
+    gens = []
+    for e in sorted(set(elements)):
+        if e.is_identity() or StabilizerChain(degree, gens).contains(e):
+            continue
+        gens.append(e)
+    return gens
+
+
+def reference_normal_closure(grp, x):
+    """Normal-closure generators with a chain rebuilt for every generator."""
+    gens = []
+    queue = [x]
+    while queue:
+        h = queue.pop(0)
+        if StabilizerChain(grp.degree, gens).contains(h):
+            continue
+        gens.append(h)
+        queue.extend(h.conjugate(g) for g in grp.generators)
+    return gens
+
+
+def is_block(grp, points):
+    """Oracle: the images of the set under the group are equal or disjoint."""
+    start = frozenset(points)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for blk in frontier:
+            for g in grp.generators:
+                img = frozenset(g(v) for v in blk)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return all(a == b or not a & b for a in seen for b in seen)
 
 
 @st.composite
@@ -67,6 +132,34 @@ class TestPermutation:
     @given(perms)
     def test_cycle_notation_roundtrip(self, p):
         assert parse_cycles(format_cycles(p), p.degree) == p
+
+    def test_degree_zero_and_one(self):
+        for n in (0, 1):
+            e = Permutation(range(n))
+            for p in (e * e, e.inverse(), e ** 5, e ** -3,
+                      Permutation.identity(n), e.conjugate(e)):
+                assert p == e and type(p.images) is tuple
+            grp = PermGroup(n, [e])
+            assert grp.order() == 1
+            assert list(grp.elements()) == [e]
+            assert e in grp
+        assert list(PermGroup(1, []).chain_with_base([0]).elements()) == \
+            [Permutation([0])]
+
+    def test_outside_input_is_validated(self):
+        for bad in ([0, 0, 1], [1, 2, 3], [-1, 0]):
+            with pytest.raises(ValueError):
+                Permutation(bad)
+        with pytest.raises(ValueError):
+            Permutation([0, 1]) * Permutation([0, 1, 2])
+
+    @given(perm_pairs())
+    def test_products_are_bijections(self, pq):
+        p, q = pq
+        for r in (p * q, p.inverse(), p ** 3, p ** -2, p.conjugate(q)):
+            assert type(r.images) is tuple
+            assert Permutation(r.images) == r
+        assert (p * q).images == tuple(q(p(i)) for i in range(p.degree))
 
     def test_cycle_type(self):
         p = Permutation.from_cycles(7, [[0, 1, 2], [3, 4]])
@@ -119,6 +212,38 @@ class TestStabilizerChain:
             n = rng.randint(3, 6)
             grp = random_group(rng, n)
             assert set(grp.elements()) == closure(n, grp.generators)
+
+    @pytest.mark.parametrize("grp", [
+        sym_group(5),
+        wreath_product(sym_group(3), sym_group(2)),
+        agl1(7),
+    ], ids=["S5", "S3wrS2", "AGL1(7)"])
+    def test_elements_order_matches_product_loop(self, grp):
+        want = list(reference_elements(grp.chain))
+        assert list(grp.elements()) == want
+        assert len(want) == grp.order()
+        base = [2] + [v for v in range(grp.degree) if v != 2]
+        chain = grp.chain_with_base(base)
+        assert list(chain.elements()) == list(reference_elements(chain))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_incremental_chain_matches_rebuilt_chains(self, sample):
+        grp, extra = sample
+        n = grp.degree
+        elems = list(grp.generators) + extra
+        assert reduce_generators(n, elems) == \
+            reference_reduce_generators(n, elems)
+        for x in extra[:2] + list(grp.generators[:1]):
+            assert list(grp.normal_closure(x).generators) == \
+                reference_normal_closure(grp, x)
+        chain = StabilizerChain(n, [])
+        grown = [chain.extend(g) for g in grp.generators]
+        assert chain.order() == len(closure(n, grp.generators))
+        assert not grown or grown[0]
+        for g in grp.generators:
+            assert not chain.extend(g)
+        assert chain.order() == grp.order()
 
     def test_elements_cap(self):
         grp = PermGroup(7, [Permutation.from_cycles(7, [[0, 1]]),
@@ -176,6 +301,32 @@ class TestOrbitsAndBlocks:
         assert sym5.is_primitive()
         c6 = PermGroup(6, [Permutation.from_cycles(6, [list(range(6))])])
         assert not c6.is_primitive()
+
+    def test_minimal_block_system_is_minimal(self):
+        # {0, 1} closes to the block {0, 1, 6, 7}, which contains {0, 7}
+        grp = PermGroup(8, [Permutation((0, 6, 3, 4, 5, 2, 1, 7)),
+                            Permutation((3, 4, 1, 7, 6, 0, 2, 5))])
+        assert grp.minimal_block_system().blocks == \
+            ((0, 7), (1, 6), (2, 4), (3, 5))
+
+    def test_minimal_blocks_of_random_imprimitive_groups(self):
+        rng = random.Random(90)
+        tested = 0
+        while tested < 200:
+            n = rng.choice([4, 6, 8, 9, 10])
+            grp = PermGroup(n, [random_perm(rng, n) for _ in range(2)])
+            if not grp.is_transitive():
+                continue
+            bs = grp.minimal_block_system()
+            if bs is None:
+                continue
+            tested += 1
+            block = bs.blocks[bs.block_of[0]]
+            assert is_block(grp, block)
+            rest = [v for v in block if v != 0]
+            for size in range(1, len(rest)):
+                for sub in itertools.combinations(rest, size):
+                    assert not is_block(grp, (0,) + sub)
 
     def test_block_system_validation(self):
         with pytest.raises(ValueError):
@@ -295,6 +446,23 @@ class TestPermutationIsomorphic:
             fw, phi = result
             for g in grp.generators:
                 assert g.conjugate(fw) in conj
+
+
+class TestCapVariable:
+    def test_environment_cap_is_read_when_needed(self, monkeypatch):
+        sym4 = sym_group(4)
+        monkeypatch.setenv("SMALLMOTION_CAP", "5")
+        with pytest.raises(CapExceededError):
+            list(sym4.elements())
+        assert len(list(sym4.elements(cap=24))) == 24
+        assert len(list(PermGroup(4, sym4.generators, cap=24).elements())) \
+            == 24
+
+    def test_invalid_environment_cap(self, monkeypatch):
+        for bad in ("abc", "0", "-3", ""):
+            monkeypatch.setenv("SMALLMOTION_CAP", bad)
+            with pytest.raises(ValueError, match="SMALLMOTION_CAP"):
+                list(sym_group(3).elements())
 
 
 class TestTextFormats:
