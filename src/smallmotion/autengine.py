@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .graphcore import Graph, PairPartition, isomorphism_with_colors
 from .permcore import (CapExceededError, PermGroup, Permutation,
-                       _is_prime, reduce_generators)
+                       _is_prime, orbit, reduce_generators)
 
 GROUP_SCAN_LIMIT = 200_000
 MAX_SUPPORT_SEARCH = 10
@@ -49,19 +50,9 @@ def automorphism_group(graph: Graph, max_n: int = 64) -> AutResult:
     searches = 0
     for v in range(n):
         level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in level_gens:
-                    y = g(x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        reached = set(orbit(v, level_gens))
         for w in range(v + 1, n):
-            if w in orbit:
+            if w in reached:
                 continue
             searches += 1
             t = _transporter(graph, v, v, w)
@@ -69,17 +60,8 @@ def automorphism_group(graph: Graph, max_n: int = 64) -> AutResult:
                 continue
             gens.append(t)
             level_gens.append(t)
-            frontier = list(orbit)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in level_gens:
-                        y = g(x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-        order *= len(orbit)
+            reached = set(orbit(v, level_gens))
+        order *= len(reached)
     group = PermGroup(n, reduce_generators(n, gens))
     if group.order() != order:
         raise RuntimeError(f"generators reduce to a group of order "
@@ -172,18 +154,22 @@ def _min_support_automorphism(graph: Graph, s: int):
     return None
 
 
-def motion_witness(graph: Graph) -> tuple[int, Permutation]:
+def motion_witness(graph: Graph, aut: Optional[AutResult] = None
+                   ) -> tuple[int, Permutation]:
     """(motion, a minimal-support automorphism).
 
     Fast path: a twin pair decides motion 2 immediately.  Otherwise the
     automorphism group is scanned when small enough, else automorphisms of
-    ascending support size are searched directly.
+    ascending support size are searched directly.  ``aut`` is the graph's
+    ``automorphism_group`` result when the caller has it; it is computed
+    only when the twin path does not decide.
     """
     twins = find_twins(graph)
     if twins:
         a, b = twins.all_pairs()[0]
         return 2, Permutation.from_cycles(graph.n, [[a, b]])
-    aut = automorphism_group(graph)
+    if aut is None:
+        aut = automorphism_group(graph)
     if aut.order == 1:
         raise ValueError("trivial automorphism group: motion is undefined")
     if aut.order <= GROUP_SCAN_LIMIT:
@@ -221,10 +207,18 @@ def aut_preserving_partition(sigma: Graph, pairs: PairPartition,
     return PermGroup(sigma.n, reduce_generators(sigma.n, keep))
 
 
-def is_vertex_transitive(graph: Graph) -> bool:
-    if graph.n == 0:
-        return False
-    if not graph.is_regular():
-        return False
-    aut = automorphism_group(graph)
-    return len(aut.group.orbit(0)) == graph.n
+def transitivity_aut(graph: Graph) -> Optional[AutResult]:
+    """``automorphism_group(graph)`` if the graph can be vertex-transitive,
+    that is, if it is regular with a vertex; else None."""
+    if graph.n == 0 or not graph.is_regular():
+        return None
+    return automorphism_group(graph)
+
+
+def is_vertex_transitive(graph: Graph,
+                         aut: Optional[AutResult] = None) -> bool:
+    """Is Aut(graph) transitive on the vertices?  ``aut`` is
+    ``transitivity_aut(graph)`` when the caller has it, else computed."""
+    if aut is None:
+        aut = transitivity_aut(graph)
+    return aut is not None and len(aut.group.orbit(0)) == graph.n

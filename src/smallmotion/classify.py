@@ -15,14 +15,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .autengine import (aut_preserving_partition, automorphism_group,
-                        find_twins, is_vertex_transitive, motion_witness)
+from .autengine import (AutResult, aut_preserving_partition, find_twins,
+                        is_vertex_transitive, motion_witness,
+                        transitivity_aut)
 from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         antipodal_matching, are_isomorphic, circulant_graph,
                         complete_graph, cycle_graph, empty_graph, inf_graph,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
-from .permcore import (BlockSystem, CapExceededError, Permutation,
+from .permcore import (BlockSystem, CapExceededError, PermGroup, Permutation,
                        _is_prime)
 
 FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
@@ -74,27 +75,16 @@ class ClassificationReport:
 # motion 2: twin-class decomposition
 
 def _classes_from_pairs(n: int, pairs) -> list[tuple[int, ...]]:
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(find(v), []).append(v)
-    return sorted(tuple(c) for c in cells.values())
+    """The orbits of the group generated by the pairs' transpositions."""
+    group = PermGroup(n, [Permutation.from_cycles(n, [p]) for p in pairs])
+    return sorted(tuple(sorted(o)) for o in group.orbits())
 
 
-def decompose_motion2(graph: Graph) -> ClassificationReport:
-    """Decompose a vertex-transitive motion-2 graph over its twin classes."""
-    if not is_vertex_transitive(graph):
+def decompose_motion2(graph: Graph,
+                      aut: Optional[AutResult] = None) -> ClassificationReport:
+    """Decompose a vertex-transitive motion-2 graph over its twin classes.
+    ``aut`` is ``transitivity_aut(graph)`` when the caller has it."""
+    if not is_vertex_transitive(graph, aut=aut):
         raise NotVertexTransitiveError("input graph is not vertex-transitive")
     twins = find_twins(graph)
     if not twins:
@@ -218,8 +208,8 @@ def _try_inf_form(graph: Graph, bs, aut) -> Optional[ClassificationReport]:
         lam=lam, kap=kap, reconstruction=reconstruction, verified=True)
 
 
-def decompose_motion4(graph: Graph,
-                      motion_value: Optional[int] = None) -> ClassificationReport:
+def decompose_motion4(graph: Graph, motion_value: Optional[int] = None,
+                      aut: Optional[AutResult] = None) -> ClassificationReport:
     """Decompose a vertex-transitive motion-4 graph.
 
     Lex forms (C5 / prism / co-prism fibres) are attempted over every
@@ -227,47 +217,55 @@ def decompose_motion4(graph: Graph,
     pointwise stabilizer is transitive on the block; failing that, the
     paired-fibre structure is recovered from a block whose induced graph
     determines the two parameter bits.  An unclassified result carries a
-    full diagnostic dump.
+    full diagnostic dump.  ``aut`` is ``transitivity_aut(graph)`` when
+    the caller has it; else it is computed here, once for all the steps.
     """
-    if not is_vertex_transitive(graph):
+    if aut is None:
+        aut = transitivity_aut(graph)
+    if not is_vertex_transitive(graph, aut=aut):
         raise NotVertexTransitiveError("input graph is not vertex-transitive")
-    mu = motion_witness(graph)[0] if motion_value is None else motion_value
+    mu = motion_witness(graph, aut=aut)[0] if motion_value is None \
+        else motion_value
     if mu != 4:
         raise ValueError(f"motion is {mu}, not 4")
-    aut = automorphism_group(graph).group
-    systems = aut.block_systems()
+    group = aut.group
+    systems = group.block_systems()
     # the whole vertex set acts as a single block for the degenerate lex
     # products over a one-vertex quotient (e.g. C5 itself)
     whole = BlockSystem.from_blocks(graph.n, [range(graph.n)]) \
         if graph.n >= 2 else None
     candidates = systems + ([whole] if whole is not None else [])
     for bs in candidates:
-        report = _try_lex_form(graph, bs, aut)
+        report = _try_lex_form(graph, bs, group)
         if report is not None:
             return report
     for bs in candidates:
-        report = _try_inf_form(graph, bs, aut)
+        report = _try_inf_form(graph, bs, group)
         if report is not None:
             return report
     return ClassificationReport(
         motion=4, form="unclassified", verified=False,
         diagnostics={
             "graph6": to_graph6(graph),
-            "aut_order": aut.order(),
-            "aut_generators": [str(g) for g in aut.generators],
+            "aut_order": group.order(),
+            "aut_generators": [str(g) for g in group.generators],
             "block_systems": [[list(b) for b in bs.blocks]
                               for bs in systems],
         })
 
 
-def decompose(graph: Graph,
-              motion_value: Optional[int] = None) -> ClassificationReport:
-    """Dispatch on the motion value (2 or 4)."""
-    mu = motion_witness(graph)[0] if motion_value is None else motion_value
+def decompose(graph: Graph, motion_value: Optional[int] = None,
+              aut: Optional[AutResult] = None) -> ClassificationReport:
+    """Dispatch on the motion value (2 or 4).  ``aut`` is
+    ``transitivity_aut(graph)`` when the caller has it, else computed."""
+    if aut is None:
+        aut = transitivity_aut(graph)
+    mu = motion_witness(graph, aut=aut)[0] if motion_value is None \
+        else motion_value
     if mu == 2:
-        return decompose_motion2(graph)
+        return decompose_motion2(graph, aut=aut)
     if mu == 4:
-        return decompose_motion4(graph, motion_value=4)
+        return decompose_motion4(graph, motion_value=4, aut=aut)
     raise ValueError(f"no decomposition for motion {mu}")
 
 
@@ -334,22 +332,20 @@ class CorpusSpec:
     dedup: bool = True
 
 
+_FAMILIES = {"complete": complete_graph, "empty": empty_graph,
+             "cycle": cycle_graph, "prism": prism_graph}
+
+
 def named_graph(token: str) -> Graph:
     """Build a graph from a family token like "cycle:6" or "prism:3"."""
-    parts = token.split(":")
-    name = parts[0]
-    if name == "complete":
-        return complete_graph(int(parts[1]))
-    if name == "empty":
-        return empty_graph(int(parts[1]))
-    if name == "cycle":
-        return cycle_graph(int(parts[1]))
-    if name == "prism":
-        return prism_graph(int(parts[1]))
-    if name == "circulant":
-        n = int(parts[1])
-        conn = [int(d) for d in parts[2].split("-")] if len(parts) > 2 else []
-        return circulant_graph(n, conn)
+    name, *fields = token.split(":")
+    if name in _FAMILIES and len(fields) == 1:
+        return _FAMILIES[name](int(fields[0]))
+    if name == "circulant" and len(fields) in (1, 2):
+        conn = [int(d) for d in fields[1].split("-")] if len(fields) > 1 else []
+        return circulant_graph(int(fields[0]), conn)
+    if name in _FAMILIES or name == "circulant":
+        raise ValueError(f"wrong number of fields in graph token {token!r}")
     raise ValueError(f"unknown graph family token {token!r}")
 
 
@@ -488,11 +484,12 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
     """The per-graph verification step: motion, decomposition, round-trip."""
     label, graph = item
     g6 = to_graph6(graph)
-    if not is_vertex_transitive(graph):
+    aut = transitivity_aut(graph)
+    if not is_vertex_transitive(graph, aut=aut):
         return GraphRecord(label, g6, False)
     rec = GraphRecord(label, g6, True)
     try:
-        mu = motion_witness(graph)[0]
+        mu = motion_witness(graph, aut=aut)[0]
     except ValueError:
         # trivial automorphism group: motion undefined (n = 1)
         rec.error = "motion undefined"
@@ -502,7 +499,7 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
         return rec
     rec.motion = mu
     if mu in (2, 4):
-        report = decompose(graph, motion_value=mu)
+        report = decompose(graph, motion_value=mu, aut=aut)
         rec.form = report.form
         rec.verified = report.verified
     return rec

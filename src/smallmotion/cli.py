@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .autengine import is_vertex_transitive, motion_witness
+from .autengine import is_vertex_transitive, motion_witness, transitivity_aut
 from .classify import (CorpusSpec, NotVertexTransitiveError, decompose,
                        named_graph, sigma_matchings, verify_corpus)
 from .graphcore import (Graph, InfParams, circulant_graph, from_graph6,
@@ -55,7 +55,15 @@ def _read_graphs(args) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # construct
 
+_REQUIRED_OPTIONS = {"circulant": ("n",), "lex": ("delta", "theta"),
+                     "inf": ("sigma",)}
+
+
 def _construct_graph(args) -> Graph:
+    missing = [f"--{opt}" for opt in _REQUIRED_OPTIONS.get(args.family, ())
+               if getattr(args, opt) is None]
+    if missing:
+        raise ValueError(f"{args.family} needs {' and '.join(missing)}")
     if args.family == "circulant":
         conn = [int(d) for d in args.set.split(",")] if args.set else []
         return circulant_graph(args.n, conn)
@@ -115,16 +123,17 @@ def cmd_classify(args) -> int:
     results = []
     lines = []
     for graph in _read_graphs(args):
-        if not is_vertex_transitive(graph):
+        aut = transitivity_aut(graph)
+        if not is_vertex_transitive(graph, aut=aut):
             raise NotVertexTransitiveError(
                 "input graph is not vertex-transitive")
-        mu = motion_witness(graph)[0]
+        mu = motion_witness(graph, aut=aut)[0]
         if mu not in (2, 4):
             results.append({"graph6": to_graph6(graph), "motion": mu,
                             "note": "no motion-2/4 form"})
             lines.append(f"motion {mu} (no motion-2/4 form)")
             continue
-        report = decompose(graph, motion_value=mu)
+        report = decompose(graph, motion_value=mu, aut=aut)
         entry = report.as_dict()
         entry["graph6"] = to_graph6(graph)
         results.append(entry)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .permcore import PermGroup, Permutation
+from .permcore import PermGroup, Permutation, orbit
 
 
 class Graph:
@@ -365,7 +365,7 @@ def spx_graph(r: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# named construction dispatch (shared by the CLI)
+# named construction dispatch
 
 def construction(name: str, params: dict) -> Graph:
     """Build a named family member; raises ValueError on bad input."""
@@ -401,25 +401,17 @@ def construction(name: str, params: dict) -> Graph:
 def invariant_graphs_under(z: PermGroup, max_orbits: int = 20) -> list[Graph]:
     """One graph per union of orbits of the group on unordered vertex pairs."""
     n = z.degree
+    maps = [lambda pair, g=g: tuple(sorted(map(g, pair)))
+            for g in z.generators]
     orbit_of = {}
     orbits = []
     for pair in itertools.combinations(range(n), 2):
         if pair in orbit_of:
             continue
-        orb = {pair}
-        frontier = [pair]
-        while frontier:
-            nxt = []
-            for (a, b) in frontier:
-                for g in z.generators:
-                    img = tuple(sorted((g(a), g(b))))
-                    if img not in orb:
-                        orb.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orb = sorted(orbit(pair, maps))
         for p in orb:
             orbit_of[p] = len(orbits)
-        orbits.append(sorted(orb))
+        orbits.append(orb)
     if len(orbits) > max_orbits:
         raise ValueError(f"{len(orbits)} pair-orbits exceed cap {max_orbits}")
     out = []

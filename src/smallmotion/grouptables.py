@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .permcore import (CapExceededError, PermGroup, Permutation,
-                       is_2_transitive, is_two_two, permutation_isomorphic,
-                       reduce_generators, _is_prime)
+from .permcore import (CapExceededError, PermGroup, Permutation, closure,
+                       is_2_transitive, is_two_two, orbit,
+                       permutation_isomorphic, reduce_generators, _is_prime)
 from .wreath import wreath_product
 
 
@@ -463,23 +463,13 @@ class RowCheck:
 def _two_two_classes(y: PermGroup, cap: int = 10 ** 6) -> list[list[Permutation]]:
     """Conjugacy classes of order-2 support-4 elements of y."""
     elems = [g for g in y.elements(cap) if is_two_two(g)]
+    maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
     remaining = set(elems)
     classes = []
     while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in y.generators:
-                    c = h.conjugate(g)
-                    if c not in orbit:
-                        orbit.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        classes.append(sorted(orbit))
-        remaining -= orbit
+        cls = sorted(orbit(min(remaining), maps))
+        classes.append(cls)
+        remaining.difference_update(cls)
     return classes
 
 
@@ -852,17 +842,7 @@ def _all_subgroups(elements: list[Permutation], degree: int,
     elemset = set(elements)
 
     def closure_set(gens):
-        seen = {Permutation.identity(degree)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    e = h * g
-                    if e not in seen:
-                        seen.add(e)
-                        nxt.append(e)
-            frontier = nxt
+        seen = closure(degree, gens, cap=len(elemset))
         if not seen <= elemset:
             raise RuntimeError("subgroup closure leaves the element set")
         return frozenset(seen)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -205,13 +206,44 @@ def classify_element(p: Permutation):
     return ("other", None)
 
 
-def is_p_cycle(p: Permutation, length: int) -> bool:
-    """True iff p is a single cycle of the given prime length (2-cycles count)."""
-    return p.cycle_type() == (length,) and _is_prime(length)
-
-
 def is_two_two(p: Permutation) -> bool:
     return p.cycle_type() == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# breadth-first orbits
+
+def orbit(seed, maps: Sequence, key=None) -> Iterator:
+    """The orbit of seed under the callables in maps, breadth first.
+
+    Yields seed, then each image ``f(x)`` (f in maps, x yielded before)
+    whose key (the item itself unless ``key`` is given) is new, in the
+    discovery order of the breadth-first Schreier tree (Seress,
+    Permutation Group Algorithms, section 4.1).
+    """
+    seen = {seed if key is None else key(seed)}
+    yield seed
+    queue = [seed]
+    for x in queue:
+        for f in maps:
+            y = f(x)
+            k = y if key is None else key(y)
+            if k not in seen:
+                seen.add(k)
+                yield y
+                queue.append(y)
+
+
+def transversal(identity: Permutation, generators: Sequence[Permutation],
+                key) -> dict:
+    """{key(h): h} for the first h found per key among the products
+    ``identity * g1 * g2 * ...`` of generators, breadth first.
+
+    With ``key(h) = h(a)`` this is the Schreier-tree transversal of the
+    orbit of a: each element maps a to its key.
+    """
+    maps = [lambda h, g=g: h * g for g in generators]
+    return {key(h): h for h in orbit(identity, maps, key)}
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +522,10 @@ class InducedAction:
 
     ``index_map[i]`` is the original label of new point i (for actions on a
     block) or the block with new index i (for actions on a block system).
-    ``kernel`` generates the kernel of the restriction, when computed.
     """
 
     group: "PermGroup"
     index_map: tuple
-    kernel: Optional["PermGroup"] = None
 
 
 class PermGroup:
@@ -547,18 +577,7 @@ class PermGroup:
     # -- orbits and transitivity -----------------------------------------
 
     def orbit(self, point: int) -> frozenset:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g(x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(orbit(point, self.generators))
 
     def orbits(self) -> list[frozenset]:
         remaining = set(range(self.degree))
@@ -574,22 +593,8 @@ class PermGroup:
 
     def transporter(self, a: int, b: int) -> Optional[Permutation]:
         """Some group element mapping a to b (BFS, deterministic), or None."""
-        if a == b:
-            return self.identity()
-        reps = {a: self.identity()}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g(x)
-                    if y not in reps:
-                        reps[y] = reps[x] * g
-                        if y == b:
-                            return reps[y]
-                        nxt.append(y)
-            frontier = nxt
-        return None
+        return transversal(self.identity(), self.generators,
+                           key=lambda h: h(a)).get(b)
 
     # -- blocks -----------------------------------------------------------
 
@@ -688,19 +693,10 @@ class PermGroup:
 
     def block_system_from(self, block: Iterable[int]) -> BlockSystem:
         """The orbit of the given block under the group, as a block system."""
-        start = tuple(sorted(block))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for blk in frontier:
-                for g in self.generators:
-                    img = tuple(sorted(g(v) for v in blk))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return BlockSystem.from_blocks(self.degree, seen)
+        maps = [lambda blk, g=g: tuple(sorted(map(g, blk)))
+                for g in self.generators]
+        return BlockSystem.from_blocks(
+            self.degree, orbit(tuple(sorted(block)), maps))
 
     def is_primitive(self) -> bool:
         if not self.is_transitive():
@@ -728,34 +724,18 @@ class PermGroup:
         group = PermGroup(k, gens, cap=self.cap)
         return InducedAction(group=group, index_map=bs.blocks)
 
-    def action_on_block(self, block: Iterable[int],
-                        with_kernel: bool = False) -> InducedAction:
+    def action_on_block(self, block: Iterable[int]) -> InducedAction:
         """The setwise stabilizer of the block, restricted to the block."""
         blk = tuple(sorted(block))
-        setwise, pointwise = self.stabilizers(blk)
         pos = {v: i for i, v in enumerate(blk)}
         gens = []
-        for g in setwise.generators:
+        for g in self.setwise_stabilizer(blk).generators:
             gens.append(Permutation([pos[g(v)] for v in blk]))
         group = PermGroup(len(blk), gens, cap=self.cap)
-        kernel = pointwise if with_kernel else None
-        return InducedAction(group=group, index_map=blk, kernel=kernel)
-
-    def induced_action(self, domain) -> InducedAction:
-        """Induced action on a block system, or of a block's setwise stabilizer."""
-        if isinstance(domain, BlockSystem):
-            return self.action_on_blocks(domain)
-        return self.action_on_block(domain, with_kernel=True)
-
-    def stabilizers(self, points: Iterable[int]) -> tuple["PermGroup", "PermGroup"]:
-        """(setwise, pointwise) stabilizer of the point set.
-
-        The pointwise stabilizer comes from iterated one-point stabilizers on
-        the chain; the setwise stabilizer by exhaustive scan under the cap.
-        """
-        return self.setwise_stabilizer(points), self.pointwise_stabilizer(points)
+        return InducedAction(group=group, index_map=blk)
 
     def setwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
+        """The setwise stabilizer, by exhaustive scan under the cap."""
         ptset = set(points)
         elems = [g for g in self.elements()
                  if {g(v) for v in ptset} == ptset]
@@ -839,21 +819,12 @@ def closure(degree: int, generators: Sequence[Permutation],
     """Exhaustive closure of a generating set (oracle for chain orders)."""
     if cap is None:
         cap = element_cap()
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                e = h * g
-                if e not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"closure exceeds cap {cap}")
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
+    # left products of image tuples: the same set as right products
+    maps = [_then(g.images) for g in generators]
+    images = set(islice(orbit(tuple(range(degree)), maps), cap + 1))
+    if len(images) > cap:
+        raise CapExceededError(f"closure exceeds cap {cap}")
+    return set(map(_trusted, images))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .permcore import (BlockSystem, PermGroup, Permutation,
-                       reduce_generators)
+                       reduce_generators, transversal)
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,11 @@ def wreath_product(inner: PermGroup, outer: PermGroup) -> PermGroup:
     """
     m, k = inner.degree, outer.degree
     lab = WreathLabeling(m, k)
-    n = m * k
-    gens = []
-    for g in inner.generators:
-        for lam in range(k):
-            images = list(range(n))
-            for delta in range(m):
-                images[lab.flat(delta, lam)] = lab.flat(g(delta), lam)
-            gens.append(Permutation(images))
-    for h in outer.generators:
-        images = list(range(n))
-        for lam in range(k):
-            for delta in range(m):
-                images[lab.flat(delta, lam)] = lab.flat(delta, h(lam))
-        gens.append(Permutation(images))
-    return PermGroup(n, gens)
+    one = Permutation.identity(m)
+    gens = [base_group_element(lab, [g if i == lam else one for i in range(k)])
+            for g in inner.generators for lam in range(k)]
+    gens += [top_group_element(lab, h) for h in outer.generators]
+    return PermGroup(m * k, gens)
 
 
 def base_group_element(lab: WreathLabeling, parts: list[Permutation]) -> Permutation:
@@ -114,19 +104,9 @@ class Embedding:
 def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
     """For each block, a group element mapping block 0 onto it (BFS order)."""
     k = len(bs.blocks)
-    first = {blk[0] for blk in bs.blocks}
-    reps: dict[int, Permutation] = {0: group.identity()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            anchor = bs.blocks[j][0]
-            for g in group.generators:
-                tj = bs.block_of[g(anchor)]
-                if tj not in reps:
-                    reps[tj] = reps[j] * g
-                    nxt.append(tj)
-        frontier = nxt
+    anchor = bs.blocks[0][0]
+    reps = transversal(group.identity(), group.generators,
+                       key=lambda h: bs.block_of[h(anchor)])
     if len(reps) != k:
         raise ValueError("group is not transitive on the blocks")
     return [reps[j] for j in range(k)]

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from smallmotion import autengine, classify, cli
 from smallmotion.autengine import is_vertex_transitive, motion
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   corpus_generators, decompose,
@@ -108,6 +109,38 @@ class TestMotion4Decomposition:
             decompose(cycle_graph(7))
 
 
+class TestOneAutPerGraph:
+    """A verdict on one graph computes its automorphism group once."""
+
+    @pytest.fixture
+    def aut_calls(self, monkeypatch):
+        calls = []
+        original = autengine.automorphism_group
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return original(graph, *args, **kwargs)
+
+        for module in (autengine, classify, cli):
+            if hasattr(module, "automorphism_group"):
+                monkeypatch.setattr(module, "automorphism_group", counting)
+        return calls
+
+    def test_verify_graph(self, aut_calls):
+        rec = verify_graph(("prism:3", prism_graph(3)))
+        assert rec.motion == 4 and rec.form == "lex_prism" and rec.verified
+        assert len(aut_calls) == 1
+
+    def test_decompose_motion4(self, aut_calls):
+        assert decompose_motion4(prism_graph(3)).form == "lex_prism"
+        assert len(aut_calls) == 1
+
+    def test_cli_classify(self, aut_calls, capsys):
+        assert cli.main(["classify", "prism:3"]) == cli.EXIT_OK
+        assert "lex_prism" in capsys.readouterr().out
+        assert len(aut_calls) == 1
+
+
 class TestInfIdentities:
     def test_complement_identity(self):
         # vertex-indexed equality, not just isomorphism
@@ -180,8 +213,9 @@ class TestCorpus:
         assert named_graph("complete:4") == complete_graph(4)
         assert named_graph("cycle:6") == cycle_graph(6)
         assert named_graph("circulant:7:1-2").num_edges() == 14
-        with pytest.raises(ValueError):
-            named_graph("widget:3")
+        for token in ("widget:3", "cycle", "prism:3:1", "circulant:7:1:2"):
+            with pytest.raises(ValueError):
+                named_graph(token)
 
     def test_corpus_is_deterministic(self):
         spec = CorpusSpec(circulant_max=8)

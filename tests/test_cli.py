@@ -59,6 +59,21 @@ class TestConstruct:
         assert code == EXIT_INVALID
         assert "error" in err
 
+    def test_token_without_size_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "construct", "cycle")
+        assert code == EXIT_INVALID
+        assert "fields" in err
+
+    def test_circulant_without_order_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "construct", "circulant")
+        assert code == EXIT_INVALID
+        assert "--n" in err
+
+    def test_lex_without_base_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "construct", "lex", "--delta", "cycle:5")
+        assert code == EXIT_INVALID
+        assert "--theta" in err
+
 
 class TestMotion:
     def test_token_input(self, capsys):
@@ -78,6 +93,11 @@ class TestMotion:
         code, _, err = run(capsys, "motion", "cycle:200")
         assert code == EXIT_CAP
         assert "cap" in err
+
+    def test_token_with_extra_field_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "motion", "circulant:7:1:2")
+        assert code == EXIT_INVALID
+        assert "fields" in err
 
     def test_garbage_graph_is_invalid_input(self, capsys):
         code, _, _ = run(capsys, "motion", "!!not-a-graph!!")

@@ -74,6 +74,27 @@ def reference_normal_closure(grp, x):
     return gens
 
 
+def reference_transporter(grp, a, b):
+    """Breadth-first search over points, extending the representatives
+    one generator at a time, stopping at b."""
+    if a == b:
+        return grp.identity()
+    reps = {a: grp.identity()}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in grp.generators:
+                y = g(x)
+                if y not in reps:
+                    reps[y] = reps[x] * g
+                    if y == b:
+                        return reps[y]
+                    nxt.append(y)
+        frontier = nxt
+    return None
+
+
 def is_block(grp, points):
     """Oracle: the images of the set under the group are equal or disjoint."""
     start = frozenset(points)
@@ -206,6 +227,16 @@ class TestStabilizerChain:
                 p = Permutation(images)
                 assert (p in grp) == (p in elems)
 
+    def test_closure_cap_is_the_group_order(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            grp = random_group(rng, n)
+            order = grp.order()
+            assert len(closure(n, grp.generators, cap=order)) == order
+            with pytest.raises(CapExceededError):
+                closure(n, grp.generators, cap=order - 1)
+
     def test_elements_enumeration(self):
         rng = random.Random(9)
         for _ in range(10):
@@ -266,6 +297,14 @@ class TestOrbitsAndBlocks:
             for b in grp.orbit(a):
                 t = grp.transporter(a, b)
                 assert t is not None and t(a) == b and t in grp
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_transporter_matches_bfs_reference(self, sample):
+        grp, _ = sample
+        for a in range(grp.degree):
+            for b in range(grp.degree):
+                assert grp.transporter(a, b) == reference_transporter(grp, a, b)
 
     def test_minimal_block_scan_order(self):
         c6 = PermGroup(6, [Permutation.from_cycles(6, [list(range(6))])])
