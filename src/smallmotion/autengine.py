@@ -13,12 +13,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphcore import Graph, PairPartition, isomorphism_with_colors
-from .permcore import (CapExceededError, PermGroup, Permutation,
-                       _is_prime, orbit, reduce_generators)
+from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
+                        isomorphism_with_colors)
+from .permcore import (CapExceededError, PermGroup, Permutation, orbit,
+                       reduce_generators)
 
 GROUP_SCAN_LIMIT = 200_000
 MAX_SUPPORT_SEARCH = 10
+PARTITION_SCAN_LIMIT = 100_000
 
 
 @dataclass
@@ -40,10 +42,11 @@ def _transporter(graph: Graph, fixed: int, v: int, w: int):
     return isomorphism_with_colors(graph, src, graph, dst)
 
 
-def automorphism_group(graph: Graph, max_n: int = 64) -> AutResult:
+def automorphism_group(graph: Graph) -> AutResult:
     """Generators and exact order of the full automorphism group."""
-    if graph.n > max_n:
-        raise CapExceededError(f"graph size {graph.n} exceeds cap {max_n}")
+    if graph.n > MAX_GRAPH_ORDER:
+        raise CapExceededError(f"graph size {graph.n} exceeds cap "
+                               f"{MAX_GRAPH_ORDER}")
     n = graph.n
     gens: list[Permutation] = []
     order = 1
@@ -173,13 +176,7 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
     if aut.order == 1:
         raise ValueError("trivial automorphism group: motion is undefined")
     if aut.order <= GROUP_SCAN_LIMIT:
-        best = None
-        for g in aut.group.elements(cap=GROUP_SCAN_LIMIT):
-            if g.is_identity() or not _is_prime(g.order()):
-                continue
-            if best is None or len(g.support()) < len(best.support()):
-                best = g
-        return len(best.support()), best
+        return aut.group.minimal_degree_witness(cap=GROUP_SCAN_LIMIT)
     for s in range(3, min(graph.n, MAX_SUPPORT_SEARCH) + 1):
         g = _min_support_automorphism(graph, s)
         if g is not None:
@@ -196,13 +193,14 @@ def motion(graph: Graph) -> int:
 # ---------------------------------------------------------------------------
 # partition-preserving automorphisms and transitivity
 
-def aut_preserving_partition(sigma: Graph, pairs: PairPartition,
-                             cap: int = 100_000) -> PermGroup:
+def aut_preserving_partition(sigma: Graph,
+                             pairs: PairPartition) -> PermGroup:
     """The subgroup of Aut(sigma) whose elements map pairs to pairs."""
     aut = automorphism_group(sigma)
-    if aut.order > cap:
-        raise CapExceededError(f"|Aut| = {aut.order} exceeds cap {cap}")
-    keep = [g for g in aut.group.elements(cap=cap)
+    if aut.order > PARTITION_SCAN_LIMIT:
+        raise CapExceededError(f"|Aut| = {aut.order} exceeds cap "
+                               f"{PARTITION_SCAN_LIMIT}")
+    keep = [g for g in aut.group.elements(cap=PARTITION_SCAN_LIMIT)
             if pairs.is_preserved_by(g)]
     return PermGroup(sigma.n, reduce_generators(sigma.n, keep))
 

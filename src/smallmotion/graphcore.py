@@ -13,7 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .permcore import PermGroup, Permutation, orbit
+from .permcore import CapExceededError, PermGroup, Permutation, orbit
+
+MAX_GRAPH_ORDER = 64
+MAX_PAIR_ORBITS = 20
 
 
 class Graph:
@@ -221,6 +224,8 @@ def canonical_connection_set(n: int, s: Iterable[int]) -> frozenset:
 
 
 def circulant_graph(n: int, s: Iterable[int]) -> Graph:
+    if n < 1:
+        raise ValueError(f"circulant order must be at least 1, got {n}")
     conn = canonical_connection_set(n, s)
     return Graph.from_edges(
         n, [(i, (i + d) % n) for i in range(n) for d in conn])
@@ -365,40 +370,9 @@ def spx_graph(r: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# named construction dispatch
-
-def construction(name: str, params: dict) -> Graph:
-    """Build a named family member; raises ValueError on bad input."""
-    name = name.lower()
-    if name == "complete":
-        return complete_graph(params["n"])
-    if name == "empty":
-        return empty_graph(params["n"])
-    if name == "cycle":
-        return cycle_graph(params["n"])
-    if name == "path":
-        return path_graph(params["n"])
-    if name == "circulant":
-        return circulant_graph(params["n"], params["set"])
-    if name == "complete_bipartite":
-        return complete_bipartite(params["m"], params["m"])
-    if name == "matching":
-        return matching_graph(params["m"])
-    if name == "prism":
-        return prism_graph(params["m"])
-    if name == "petersen":
-        return petersen_graph()
-    if name == "px":
-        return px_graph(params["r"])
-    if name == "spx":
-        return spx_graph(params["r"])
-    raise ValueError(f"unknown construction {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # invariant graphs of a permutation group
 
-def invariant_graphs_under(z: PermGroup, max_orbits: int = 20) -> list[Graph]:
+def invariant_graphs_under(z: PermGroup) -> list[Graph]:
     """One graph per union of orbits of the group on unordered vertex pairs."""
     n = z.degree
     maps = [lambda pair, g=g: tuple(sorted(map(g, pair)))
@@ -412,8 +386,9 @@ def invariant_graphs_under(z: PermGroup, max_orbits: int = 20) -> list[Graph]:
         for p in orb:
             orbit_of[p] = len(orbits)
         orbits.append(orb)
-    if len(orbits) > max_orbits:
-        raise ValueError(f"{len(orbits)} pair-orbits exceed cap {max_orbits}")
+    if len(orbits) > MAX_PAIR_ORBITS:
+        raise CapExceededError(f"{len(orbits)} pair-orbits exceed cap "
+                               f"{MAX_PAIR_ORBITS}")
     out = []
     for subset in range(1 << len(orbits)):
         edges = []
@@ -472,8 +447,7 @@ def _color_cells(colors: list[int]) -> dict[int, list[int]]:
     return cells
 
 
-def are_isomorphic(g1: Graph, g2: Graph,
-                   max_n: int = 64) -> Optional[Permutation]:
+def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """A vertex bijection taking g1 to g2, or None.
 
     Backtracking with iterated equitable refinement; branch on the lowest-
@@ -481,8 +455,9 @@ def are_isomorphic(g1: Graph, g2: Graph,
     """
     if g1.n != g2.n:
         return None
-    if g1.n > max_n:
-        raise ValueError(f"isomorphism cap exceeded: {g1.n} > {max_n}")
+    if g1.n > MAX_GRAPH_ORDER:
+        raise CapExceededError(f"isomorphism cap exceeded: "
+                               f"{g1.n} > {MAX_GRAPH_ORDER}")
     if g1.num_edges() != g2.num_edges():
         return None
     return isomorphism_with_colors(g1, [0] * g1.n, g2, [0] * g2.n)

@@ -14,10 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .permcore import (CapExceededError, PermGroup, Permutation, closure,
-                       is_2_transitive, is_two_two, orbit,
-                       permutation_isomorphic, reduce_generators, _is_prime)
+from .permcore import (MAX_ISOMORPHISM_DEGREE, CapExceededError, PermGroup,
+                       Permutation, closure, is_2_transitive, is_two_two,
+                       orbit, permutation_isomorphic, reduce_generators,
+                       _is_prime)
 from .wreath import wreath_product
+
+SUBGROUP_LATTICE_LIMIT = 200
 
 
 class NotConstructibleError(ValueError):
@@ -432,7 +435,7 @@ def recognize_family(group: PermGroup) -> Optional[GroupSpec]:
     confirm with a permutation-isomorphism witness.  Returns None when
     nothing matches (the caller reports the group verbatim).
     """
-    if group.degree > 16 or not group.is_transitive():
+    if group.degree > MAX_ISOMORPHISM_DEGREE or not group.is_transitive():
         return None
     order = group.order()
     prim = group.is_primitive()
@@ -460,9 +463,9 @@ class RowCheck:
     details: list = field(default_factory=list)
 
 
-def _two_two_classes(y: PermGroup, cap: int = 10 ** 6) -> list[list[Permutation]]:
+def _two_two_classes(y: PermGroup) -> list[list[Permutation]]:
     """Conjugacy classes of order-2 support-4 elements of y."""
-    elems = [g for g in y.elements(cap) if is_two_two(g)]
+    elems = [g for g in y.elements() if is_two_two(g)]
     maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
     remaining = set(elems)
     classes = []
@@ -564,16 +567,11 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
     return best
 
 
-def _restrict(perm: Permutation, block: tuple[int, ...]) -> Permutation:
-    pos = {v: i for i, v in enumerate(block)}
-    return Permutation([pos[perm(v)] for v in block])
-
-
 def _block_system_containing_support(group: PermGroup, supp: frozenset):
     """A minimal block system with one block containing the support."""
     pts = sorted(supp)
     for beta in pts[1:]:
-        block = group.minimal_block_containing(pts[0], beta)
+        block = group.minimal_block_spanning((pts[0], beta))
         if len(block) < group.degree and supp <= block:
             return group.block_system_from(block)
     return None
@@ -625,16 +623,14 @@ def classify_p_cycle_group(group: PermGroup,
     block = next(b for b in bs.blocks if supp <= set(b))
     m, k = len(block), len(bs.blocks)
     g_block = group.setwise_stabilizer(block)
-    x_big = g_block.normal_closure(x)
-    x_grp = PermGroup(m, [_restrict(g, block) for g in x_big.generators])
-    y_grp = group.action_on_block(block).group
+    x_grp = g_block.normal_closure(x).restriction(block)
+    y_grp = g_block.restriction(block)
     x_fam = recognize_family(x_grp)
     y_fam = recognize_family(y_grp)
     # condition (C): pointwise stabilizer of everything outside the block,
     # restricted to the block, is permutation isomorphic to X
     outside = [v for v in range(group.degree) if v not in block]
-    fix = group.pointwise_stabilizer(outside)
-    fix_restricted = PermGroup(m, [_restrict(g, block) for g in fix.generators])
+    fix_restricted = group.pointwise_stabilizer(outside).restriction(block)
     cond_c = permutation_isomorphic(fix_restricted, x_grp) is not None
     row, predicted = _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c)
     notes = []
@@ -702,12 +698,12 @@ def _size2_system_pairing(group: PermGroup, x: Permutation):
     """
     (a1, a2), (b1, b2) = x.cycles()
     for seed_b, other_b in ((b1, b2), (b2, b1)):
-        block = group.minimal_block_containing(a1, seed_b)
+        block = group.minimal_block_spanning((a1, seed_b))
         if len(block) == 2:
             bs = group.block_system_from(block)
             if tuple(sorted((a2, other_b))) in bs.blocks:
                 return bs, "crosswise"
-    block = group.minimal_block_containing(a1, a2)
+    block = group.minimal_block_spanning((a1, a2))
     if len(block) == 2:
         bs = group.block_system_from(block)
         if tuple(sorted((b1, b2))) in bs.blocks:
@@ -742,9 +738,8 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
         else:
             m, k = len(block), len(bs.blocks)
             g_block = group.setwise_stabilizer(block)
-            x_big = g_block.normal_closure(x)
-            x_grp = PermGroup(m, [_restrict(g, block) for g in x_big.generators])
-            y_grp = group.action_on_block(block).group
+            x_grp = g_block.normal_closure(x).restriction(block)
+            y_grp = g_block.restriction(block)
         x_fam = recognize_family(x_grp)
         y_fam = recognize_family(y_grp)
         row = _match_table2_row(m, x_fam, y_fam)
@@ -800,14 +795,14 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     # hard case: size-2 minimal blocks with a coarser system
     bs_min = group.minimal_block_system()
     if bs_min is not None and bs_min.block_size == 2:
-        top = group.action_on_blocks(bs_min).group
+        top = group.action_on_blocks(bs_min)
         top_bs = top.minimal_block_system()
         if top_bs is not None:
             coarse = tuple(sorted(
                 tuple(sorted(v for j in blk for v in bs_min.blocks[j]))
                 for blk in top_bs.blocks))
             d_block = coarse[0]
-            y_grp = group.action_on_block(d_block).group
+            y_grp = group.action_on_block(d_block)
             m = len(d_block) // 2
             return TwoTwoReport(
                 tag="case_cross", m=m, k=len(coarse), y_group=y_grp,
@@ -834,11 +829,12 @@ class PairEnumeration:
     table4_row2_matched: bool        # (E+ : Sym(m), full Y) observed
 
 
-def _all_subgroups(elements: list[Permutation], degree: int,
-                   cap: int = 200) -> list[frozenset]:
+def _all_subgroups(elements: list[Permutation],
+                   degree: int) -> list[frozenset]:
     """All subgroups of a small group: pairwise joins of cyclic subgroups."""
-    if len(elements) > cap:
-        raise CapExceededError(f"group order {len(elements)} exceeds cap {cap}")
+    if len(elements) > SUBGROUP_LATTICE_LIMIT:
+        raise CapExceededError(f"group order {len(elements)} exceeds cap "
+                               f"{SUBGROUP_LATTICE_LIMIT}")
     elemset = set(elements)
 
     def closure_set(gens):

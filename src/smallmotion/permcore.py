@@ -17,11 +17,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 CAP_VARIABLE = "SMALLMOTION_CAP"
 DEFAULT_CAP = 10**6
+MAX_ISOMORPHISM_DEGREE = 16
 
 
 def element_cap() -> int:
@@ -306,33 +307,31 @@ def format_group(g: "PermGroup") -> str:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (deterministic Schreier-Sims, base 0,1,2,... by default)
+# stabilizer chain (deterministic Schreier-Sims, base prefix then 0,1,2,...)
 
 class StabilizerChain:
     """Base and strong generators for a permutation group.
 
     ``_gens[l]`` holds the strong generators that fix base[0..l-1] pointwise
     and move base[l]; the level-l stabilizer is generated by the union of
-    ``_gens[l:]``.  The base extends through ``base_order`` (0, 1, 2, ...
-    unless an adapted order is requested).  ``_transversal[l]`` maps each
-    point x of the level-l basic orbit to the images of an element sending
-    base[l] to x, and ``_inverses[l]`` to the images of its inverse.
+    ``_gens[l:]``.  The base starts with the ``prefix`` points, pinned even
+    when every generator fixes them, so the levels below the prefix generate
+    its pointwise stabilizer; further base points follow in the order
+    0, 1, 2, ...  ``_transversal[l]`` maps each point x of the level-l basic
+    orbit to the images of an element sending base[l] to x, and
+    ``_inverses[l]`` to the images of its inverse.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 base_order: Optional[Sequence[int]] = None):
+                 prefix: Sequence[int] = ()):
         self.degree = degree
-        self._base_order = list(base_order) if base_order is not None else list(range(degree))
         self._identity = tuple(range(degree))
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
         self._transversal: list[dict[int, tuple]] = []
         self._inverses: list[dict[int, tuple]] = []
-        if base_order is not None and degree > 0:
-            # an adapted order pins its first point as the first base point,
-            # even when some generators fix it (point-stabilizer chains
-            # rely on base[0] being exactly that point)
-            self._add_level(self._base_order[0])
+        for point in prefix:
+            self._add_level(point)
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
@@ -366,7 +365,7 @@ class StabilizerChain:
         while lvl < len(self.base) and g(self.base[lvl]) == self.base[lvl]:
             lvl += 1
         if lvl == len(self.base):
-            self._add_level(next(b for b in self._base_order if g(b) != b))
+            self._add_level(next(b for b in range(self.degree) if g(b) != b))
         self._gens[lvl].append(g)
         return lvl
 
@@ -516,29 +515,15 @@ class BlockSystem:
         return len(self.blocks)
 
 
-@dataclass
-class InducedAction:
-    """An induced permutation action together with its re-indexing map.
-
-    ``index_map[i]`` is the original label of new point i (for actions on a
-    block) or the block with new index i (for actions on a block system).
-    """
-
-    group: "PermGroup"
-    index_map: tuple
-
-
 class PermGroup:
     """A finitely generated permutation group on {0, ..., degree-1}."""
 
-    def __init__(self, degree: int, generators: Iterable[Permutation],
-                 cap: Optional[int] = None):
+    def __init__(self, degree: int, generators: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         for g in self.generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        self.cap = cap
         self._chain: Optional[StabilizerChain] = None
 
     # -- chain plumbing ---------------------------------------------------
@@ -549,8 +534,10 @@ class PermGroup:
             self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
-    def chain_with_base(self, base_order: Sequence[int]) -> StabilizerChain:
-        return StabilizerChain(self.degree, self.generators, base_order)
+    def chain_with_base(self, prefix: Sequence[int]) -> StabilizerChain:
+        """A chain whose base starts with the prefix points, then follows
+        the order 0, 1, 2, ..."""
+        return StabilizerChain(self.degree, self.generators, prefix)
 
     def order(self) -> int:
         return self.chain.order()
@@ -559,11 +546,8 @@ class PermGroup:
         return self.chain.contains(g)
 
     def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        """All elements; the cap is ``cap``, else the group's, else
-        ``element_cap()``."""
-        if cap is None:
-            cap = element_cap() if self.cap is None else self.cap
-        return self.chain.elements(cap)
+        """All elements; the cap is ``cap``, else ``element_cap()``."""
+        return self.chain.elements(element_cap() if cap is None else cap)
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -597,10 +581,6 @@ class PermGroup:
                            key=lambda h: h(a)).get(b)
 
     # -- blocks -----------------------------------------------------------
-
-    def minimal_block_containing(self, alpha: int, beta: int) -> frozenset:
-        """Smallest block containing {alpha, beta}; whole set iff no proper one."""
-        return self.minimal_block_spanning((alpha, beta))
 
     def minimal_block_spanning(self, points: Iterable[int]) -> frozenset:
         """Smallest block containing the given points (whole set if none)."""
@@ -652,7 +632,7 @@ class PermGroup:
             raise ValueError("group is not transitive")
         blocks = set()
         for beta in range(1, self.degree):
-            b = self.minimal_block_containing(0, beta)
+            b = self.minimal_block_spanning((0, beta))
             if 1 < len(b) < self.degree:
                 blocks.add(b)
         frontier = set(blocks)
@@ -682,10 +662,10 @@ class PermGroup:
         if not self.is_transitive():
             raise ValueError("group is not transitive")
         for beta in range(1, self.degree):
-            block = self.minimal_block_containing(0, beta)
+            block = self.minimal_block_spanning((0, beta))
             if len(block) < self.degree:
                 for gamma in sorted(block - {0, beta}):
-                    inner = self.minimal_block_containing(0, gamma)
+                    inner = self.minimal_block_spanning((0, gamma))
                     if len(inner) < len(block):
                         block = inner
                 return self.block_system_from(block)
@@ -712,52 +692,48 @@ class PermGroup:
 
     # -- induced actions and stabilizers ---------------------------------
 
-    def action_on_blocks(self, bs: BlockSystem) -> InducedAction:
-        """The action of the group on the blocks of a block system."""
+    def restriction(self, points: Sequence[int]) -> "PermGroup":
+        """The action on a set of points that the generators preserve;
+        new point i is ``points[i]``."""
+        pos = {v: i for i, v in enumerate(points)}
+        return PermGroup(len(points), [Permutation([pos[g(v)] for v in points])
+                                       for g in self.generators])
+
+    def action_on_blocks(self, bs: BlockSystem) -> "PermGroup":
+        """The action of the group on the blocks of a block system; new
+        point i is block ``bs.blocks[i]``."""
         if not self.is_invariant_partition(bs):
             raise ValueError("partition is not invariant")
-        k = len(bs.blocks)
         gens = []
         for g in self.generators:
             images = [bs.block_of[g(blk[0])] for blk in bs.blocks]
             gens.append(Permutation(images))
-        group = PermGroup(k, gens, cap=self.cap)
-        return InducedAction(group=group, index_map=bs.blocks)
+        return PermGroup(len(bs.blocks), gens)
 
-    def action_on_block(self, block: Iterable[int]) -> InducedAction:
-        """The setwise stabilizer of the block, restricted to the block."""
+    def action_on_block(self, block: Iterable[int]) -> "PermGroup":
+        """The setwise stabilizer of the block, restricted to the block;
+        new point i is the i-th smallest point of the block."""
         blk = tuple(sorted(block))
-        pos = {v: i for i, v in enumerate(blk)}
-        gens = []
-        for g in self.setwise_stabilizer(blk).generators:
-            gens.append(Permutation([pos[g(v)] for v in blk]))
-        group = PermGroup(len(blk), gens, cap=self.cap)
-        return InducedAction(group=group, index_map=blk)
+        return self.setwise_stabilizer(blk).restriction(blk)
 
     def setwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The setwise stabilizer, by exhaustive scan under the cap."""
         ptset = set(points)
         elems = [g for g in self.elements()
                  if {g(v) for v in ptset} == ptset]
-        return PermGroup(self.degree, reduce_generators(self.degree, elems),
-                         cap=self.cap)
-
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a single point, via Schreier generators on a chain."""
-        if all(g(point) == point for g in self.generators):
-            return self
-        base_order = [point] + [v for v in range(self.degree) if v != point]
-        chain = self.chain_with_base(base_order)
-        gens = [g for lvl in range(1, len(chain.base))
-                for g in chain._gens[lvl]]
-        gens = reduce_generators(self.degree, gens)
-        return PermGroup(self.degree, gens, cap=self.cap)
+        return PermGroup(self.degree, reduce_generators(self.degree, elems))
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        h = self
-        for p in sorted(set(points)):
-            h = h.point_stabilizer(p)
-        return h
+        """The elements fixing every given point: the reduced strong
+        generators of the levels below the points in one chain whose base
+        starts with them.  The group itself when its generators fix them."""
+        prefix = sorted(set(points))
+        if all(g(p) == p for g in self.generators for p in prefix):
+            return self
+        chain = self.chain_with_base(prefix)
+        gens = [g for lvl in range(len(prefix), len(chain.base))
+                for g in chain._gens[lvl]]
+        return PermGroup(self.degree, reduce_generators(self.degree, gens))
 
     # -- closures and minimal degree -------------------------------------
 
@@ -781,24 +757,30 @@ class PermGroup:
                 if not sub.contains(h.conjugate(g)):
                     raise RuntimeError("normal closure is not normalized "
                                        "by the group's generators")
-        return PermGroup(self.degree, gens, cap=self.cap)
+        return PermGroup(self.degree, gens)
 
-    def minimal_degree(self) -> int:
-        """min |supp(x)| over non-identity x; error on the trivial group.
+    def minimal_degree_witness(self, cap: Optional[int] = None
+                               ) -> tuple[int, Permutation]:
+        """(min |supp(x)| over non-identity x, the first element of prime
+        order in ``elements(cap)`` order with that support size).
 
-        The scan is restricted to elements of prime order, which is
-        sufficient because supp(x^k) is contained in supp(x).
+        Elements of prime order suffice because supp(x^k) is contained in
+        supp(x); an element's order is computed only when its support beats
+        the best so far.  Error on the trivial group.
         """
         if self.is_trivial():
             raise ValueError("minimal degree of the trivial group is undefined")
-        best = self.degree + 1
-        for g in self.elements():
-            if g.is_identity():
-                continue
-            if not _is_prime(g.order()):
-                continue
-            best = min(best, len(g.support()))
-        return best
+        identity = self.identity().images
+        best, witness = self.degree + 1, None
+        for g in self.elements(cap):
+            moved = sum(map(ne, g.images, identity))
+            if 0 < moved < best and _is_prime(g.order()):
+                best, witness = moved, g
+        return best, witness
+
+    def minimal_degree(self) -> int:
+        """min |supp(x)| over non-identity x; error on the trivial group."""
+        return self.minimal_degree_witness()[0]
 
     def minimal_degree_full_scan(self) -> int:
         """Oracle variant: scan every non-identity element."""
@@ -838,8 +820,7 @@ def _transporter_counts(elements: Sequence[Permutation], degree: int):
     return counts
 
 
-def permutation_isomorphic(g1: PermGroup, g2: PermGroup,
-                           max_degree: int = 16):
+def permutation_isomorphic(g1: PermGroup, g2: PermGroup):
     """A point bijection f with f^-1 G1 f = G2, plus generator images.
 
     Returns (f, phi) where f is a Permutation and phi maps each generator x
@@ -849,8 +830,9 @@ def permutation_isomorphic(g1: PermGroup, g2: PermGroup,
     if g1.degree != g2.degree:
         return None
     n = g1.degree
-    if n > max_degree:
-        raise CapExceededError(f"degree {n} exceeds isomorphism cap {max_degree}")
+    if n > MAX_ISOMORPHISM_DEGREE:
+        raise CapExceededError(f"degree {n} exceeds isomorphism cap "
+                               f"{MAX_ISOMORPHISM_DEGREE}")
     if g1.order() != g2.order():
         return None
     elems2 = set(g2.elements())
@@ -896,6 +878,6 @@ def is_2_transitive(g: PermGroup) -> bool:
         return False
     if g.degree < 2:
         return False
-    stab = g.point_stabilizer(0)
+    stab = g.pointwise_stabilizer([0])
     orbs = [o for o in stab.orbits() if 0 not in o]
     return len(orbs) == 1 and len(orbs[0]) == g.degree - 1

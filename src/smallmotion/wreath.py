@@ -10,10 +10,8 @@ function objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .permcore import (BlockSystem, PermGroup, Permutation,
-                       reduce_generators, transversal)
+from .permcore import BlockSystem, PermGroup, Permutation, transversal
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,8 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     block0 = bs.blocks[0]
     m = len(block0)
     k = len(bs.blocks)
-    inner_act = group.action_on_block(block0)
-    inner = inner_act.group
-    outer = group.action_on_blocks(bs).group
+    inner = group.action_on_block(block0)
+    outer = group.action_on_blocks(bs)
     lab = WreathLabeling(m, k)
     trans = _block_transversal(group, bs)
     pos = {v: i for i, v in enumerate(block0)}

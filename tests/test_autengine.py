@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from smallmotion.autengine import (automorphism_group,
+from smallmotion.autengine import (GROUP_SCAN_LIMIT, automorphism_group,
                                    automorphism_group_brute, find_twins,
                                    is_vertex_transitive, motion,
                                    motion_witness)
+from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.graphcore import (Graph, circulant_graph, complete_graph,
                                    cycle_graph, empty_graph, lex_product,
                                    path_graph, petersen_graph, prism_graph,
                                    spx_graph)
-from smallmotion.permcore import Permutation
+from smallmotion.permcore import PermGroup, Permutation, _is_prime
 
 
 def random_graph(rng, n, p=0.5):
@@ -121,6 +122,46 @@ class TestMotion:
         assert automorphism_group(rigid).order == 1
         with pytest.raises(ValueError):
             motion(rigid)
+
+
+def reference_scan(group):
+    """The element scan motion_witness ran itself before it called
+    minimal_degree_witness: the first element of prime order whose
+    support is smallest."""
+    best = None
+    for g in group.elements(cap=GROUP_SCAN_LIMIT):
+        if g.is_identity() or not _is_prime(g.order()):
+            continue
+        if best is None or len(g.support()) < len(best.support()):
+            best = g
+    return len(best.support()), best
+
+
+class TestMinimalDegreeWitness:
+    def test_random_groups_match_reference_scan(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            grp = PermGroup(n, [Permutation(rng.sample(range(n), n))
+                                for _ in range(rng.randint(1, 3))])
+            if grp.is_trivial():
+                continue
+            assert grp.minimal_degree_witness() == reference_scan(grp)
+            assert grp.minimal_degree() == grp.minimal_degree_full_scan()
+
+    def test_quick_corpus_auts_match_reference_scan(self):
+        # the corpus of `smallmotion verify graphs --quick`
+        spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
+                          inf_ms=(2,), lex_thetas=("complete:2",))
+        checked = 0
+        for _, graph in corpus_generators(spec):
+            aut = automorphism_group(graph)
+            if aut.order == 1 or aut.order > GROUP_SCAN_LIMIT:
+                continue
+            assert aut.group.minimal_degree_witness(cap=GROUP_SCAN_LIMIT) \
+                == reference_scan(aut.group)
+            checked += 1
+        assert checked >= 30
 
 
 class TestVertexTransitive:

@@ -69,6 +69,12 @@ class TestConstruct:
         assert code == EXIT_INVALID
         assert "--n" in err
 
+    def test_circulant_of_order_zero_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "construct", "circulant",
+                           "--n", "0", "--set", "1")
+        assert code == EXIT_INVALID
+        assert "at least 1" in err
+
     def test_lex_without_base_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "construct", "lex", "--delta", "cycle:5")
         assert code == EXIT_INVALID
@@ -98,6 +104,11 @@ class TestMotion:
         code, _, err = run(capsys, "motion", "circulant:7:1:2")
         assert code == EXIT_INVALID
         assert "fields" in err
+
+    def test_circulant_token_of_order_zero_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "motion", "circulant:0:1")
+        assert code == EXIT_INVALID
+        assert "at least 1" in err
 
     def test_garbage_graph_is_invalid_input(self, capsys):
         code, _, _ = run(capsys, "motion", "!!not-a-graph!!")

@@ -13,7 +13,7 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
                                    complete_bipartite, complete_graph,
-                                   construction, cycle_graph, empty_graph,
+                                   cycle_graph, empty_graph,
                                    from_edge_list, from_graph6, inf_graph,
                                    invariant_graphs_under, lex_product,
                                    matching_graph, parse_graph,
@@ -21,7 +21,7 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    quotient_graph, spx_graph, to_edge_list,
                                    to_graph6)
 from smallmotion.grouptables import tau_cross_sym
-from smallmotion.permcore import Permutation
+from smallmotion.permcore import CapExceededError, PermGroup, Permutation
 
 
 def random_graph(rng, n, p=0.5):
@@ -111,6 +111,10 @@ class TestNamedFamilies:
             circulant_graph(6, [0])
         with pytest.raises(ValueError):
             circulant_graph(6, [6])
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                circulant_graph(n, [1])
+        assert circulant_graph(1, []).n == 1
 
     def test_complete_bipartite_and_matching(self):
         k33 = complete_bipartite(3, 3)
@@ -230,12 +234,6 @@ class TestInfGraphs:
             assert are_isomorphic(px_graph(r),
                                   lex_product(empty_graph(2), cycle_graph(r)))
 
-    def test_construction_dispatch(self):
-        g = construction("circulant", {"n": 7, "set": [1, 2]})
-        assert g == circulant_graph(7, [1, 2])
-        with pytest.raises(ValueError):
-            construction("nonsense", {})
-
 
 class TestInvariantGraphs:
     def test_orbits_give_distinct_graphs(self):
@@ -251,6 +249,11 @@ class TestInvariantGraphs:
         # unmatched cross -> 2^3 graphs including empty and complete
         z = tau_cross_sym(3)
         assert len(invariant_graphs_under(z)) == 8
+
+    def test_pair_orbit_cap(self):
+        # the trivial group on 7 points has 21 pair orbits
+        with pytest.raises(CapExceededError, match="pair-orbits"):
+            invariant_graphs_under(PermGroup(7, []))
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      one_cross_sym, pair_projection, pgl2,
                                      pgl3_2, psl2, recognize_family,
                                      superflip, sym_group, tau_cross_sym)
-from smallmotion.permcore import (Permutation, is_2_transitive,
+from smallmotion.permcore import (PermGroup, Permutation, is_2_transitive,
                                   permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
@@ -157,6 +157,19 @@ class TestRowChecks:
         assert check.status == "pass"
 
 
+def count_setwise_scans(monkeypatch):
+    """Count the calls of PermGroup.setwise_stabilizer from now on."""
+    calls = []
+    original = PermGroup.setwise_stabilizer
+
+    def counting(self, points):
+        calls.append(tuple(sorted(points)))
+        return original(self, points)
+
+    monkeypatch.setattr(PermGroup, "setwise_stabilizer", counting)
+    return calls
+
+
 class TestPCycleClassifier:
     def test_cyclic_wreath(self):
         g = wreath_product(cyclic_group(5), sym_group(2))
@@ -180,9 +193,16 @@ class TestPCycleClassifier:
         assert rep.row is TABLE1[1]
         assert rep.predicted_mindeg_is_p == (g.minimal_degree() == 3)
 
+    def test_one_setwise_scan_per_block(self, monkeypatch):
+        g = wreath_product(sym_group(3), sym_group(2))
+        calls = count_setwise_scans(monkeypatch)
+        rep = classify_p_cycle_group(g, 2)
+        assert rep.k == 2 and rep.row is TABLE1[0]
+        assert len(calls) == 1
+
     def test_rejects_intransitive(self):
         g = wreath_product(cyclic_group(5), sym_group(2))
-        sub = g.point_stabilizer(0)
+        sub = g.pointwise_stabilizer([0])
         with pytest.raises(ValueError):
             classify_p_cycle_group(sub)
 
@@ -200,6 +220,13 @@ class TestTwoTwoClassifier:
         assert rep.m == 6 and rep.k == 2
         assert rep.row is TABLE2[2]
         assert permutation_isomorphic(rep.x_group, psl2(5)) is not None
+
+    def test_one_setwise_scan_per_block(self, monkeypatch):
+        g = wreath_product(psl2(5), sym_group(2))
+        calls = count_setwise_scans(monkeypatch)
+        rep = classify_22_group(g)
+        assert rep.tag == "case_prim" and rep.k == 2
+        assert len(calls) == 1
 
     def test_paired_blocks_branch_tau_cross(self):
         rep = classify_22_group(tau_cross_sym(3))
