@@ -375,6 +375,16 @@ class TestOrbitsAndBlocks:
 
 
 class TestStabilizers:
+    def test_point_stabilizer_oracle(self):
+        rng = random.Random(12)
+        for _ in range(25):
+            n = rng.randint(3, 7)
+            grp = random_group(rng, n)
+            elems = closure(n, grp.generators)
+            pt = rng.randrange(n)
+            want = sorted(e for e in elems if e(pt) == pt)
+            assert sorted(grp.pointwise_stabilizer([pt]).elements()) == want
+
     def test_pointwise_stabilizer_oracle(self):
         rng = random.Random(13)
         for _ in range(30):
