@@ -5,6 +5,12 @@ order 0, 1, 2, ...: at each level every candidate image of the next base
 vertex is either reached by already-found generators or settled by a
 complete individualization-refinement search, so the returned generators
 generate the full group and the order is exact.
+
+The motion of a graph without twins is the minimal degree of that group,
+found by one depth-first search over its stabilizer chain that prunes a
+coset once it must move more points than the smallest support so far (at
+most ``SMALLMOTION_CAP`` nodes); the witness is the first automorphism of
+prime order with that support in the group's ``elements()`` order.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
 from .permcore import (CapExceededError, PermGroup, Permutation, orbit,
                        reduce_generators)
 
-GROUP_SCAN_LIMIT = 200_000
-MAX_SUPPORT_SEARCH = 10
 PARTITION_SCAN_LIMIT = 100_000
 
 
@@ -120,52 +124,17 @@ def find_twins(graph: Graph) -> TwinInfo:
 # ---------------------------------------------------------------------------
 # motion
 
-def _support_patterns(s: int) -> list[tuple[int, ...]]:
-    """Permutations of 0..s-1 without fixed points (candidate support images)."""
-    return [p for p in itertools.permutations(range(s))
-            if all(p[i] != i for i in range(s))]
-
-
-def _min_support_automorphism(graph: Graph, s: int):
-    """An automorphism with support of size exactly s, or None."""
-    n = graph.n
-    patterns = _support_patterns(s)
-    for supp in itertools.combinations(range(n), s):
-        mask = sum(1 << v for v in supp)
-        outside = [graph.adj[v] & ~mask for v in supp]
-        for pat in patterns:
-            ok = True
-            for i in range(s):
-                if outside[i] != outside[pat[i]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for i in range(s):
-                for j in range(i + 1, s):
-                    if graph.has_edge(supp[i], supp[j]) != \
-                       graph.has_edge(supp[pat[i]], supp[pat[j]]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                images = list(range(n))
-                for i in range(s):
-                    images[supp[i]] = supp[pat[i]]
-                return Permutation(images)
-    return None
-
-
 def motion_witness(graph: Graph, aut: Optional[AutResult] = None
                    ) -> tuple[int, Permutation]:
     """(motion, a minimal-support automorphism).
 
-    Fast path: a twin pair decides motion 2 immediately.  Otherwise the
-    automorphism group is scanned when small enough, else automorphisms of
-    ascending support size are searched directly.  ``aut`` is the graph's
-    ``automorphism_group`` result when the caller has it; it is computed
-    only when the twin path does not decide.
+    A twin pair decides motion 2 at once, witnessed by the transposition
+    of the first pair of ``find_twins``.  Otherwise the motion is the
+    minimal degree of the automorphism group and the witness the first
+    automorphism of prime order with that support in ``elements()`` order,
+    both from the pruned search of ``PermGroup.minimal_degree_witness``.
+    ``aut`` is the graph's ``automorphism_group`` result when the caller
+    has it; it is computed only when the twin path does not decide.
     """
     twins = find_twins(graph)
     if twins:
@@ -175,15 +144,7 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
         aut = automorphism_group(graph)
     if aut.order == 1:
         raise ValueError("trivial automorphism group: motion is undefined")
-    if aut.order <= GROUP_SCAN_LIMIT:
-        return aut.group.minimal_degree_witness(cap=GROUP_SCAN_LIMIT)
-    for s in range(3, min(graph.n, MAX_SUPPORT_SEARCH) + 1):
-        g = _min_support_automorphism(graph, s)
-        if g is not None:
-            return s, g
-    raise CapExceededError(
-        f"motion exceeds support-search bound {MAX_SUPPORT_SEARCH} "
-        f"on a group of order {aut.order}")
+    return aut.group.minimal_degree_witness()
 
 
 def motion(graph: Graph) -> int:

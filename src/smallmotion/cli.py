@@ -3,7 +3,8 @@ and run batch verifications.
 
 Every command produces a single structured document (JSON with a schema
 version); the human-readable text output is derived from it.  Exit codes:
-0 success/verified, 1 falsification, 2 invalid input, 3 cap exceeded.
+0 success/verified, 1 falsification, 2 invalid input, 3 cap exceeded,
+4 internal error (any other exception; a crash never exits with 1).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

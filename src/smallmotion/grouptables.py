@@ -465,9 +465,8 @@ class RowCheck:
 
 def _two_two_classes(y: PermGroup) -> list[list[Permutation]]:
     """Conjugacy classes of order-2 support-4 elements of y."""
-    elems = [g for g in y.elements() if is_two_two(g)]
+    remaining = set(filter(is_two_two, y.small_support_elements(4)))
     maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
-    remaining = set(elems)
     classes = []
     while remaining:
         cls = sorted(orbit(min(remaining), maps))
@@ -557,14 +556,14 @@ class PCycleReport:
 
 
 def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
-    best = None
-    for g in group.elements():
-        ct = g.cycle_type()
-        if len(ct) == 1 and _is_prime(ct[0]) and (p is None or ct[0] == p):
-            if best is None or (ct[0], g.images) < \
-                    (best.cycle_type()[0], best.images):
-                best = g
-    return best
+    """The least p-cycle by images; for p None, of the least such prime."""
+    lengths = range(2, group.degree + 1) if p is None else (p,)
+    for q in filter(_is_prime, lengths):
+        cycles = [g for g in group.small_support_elements(q)
+                  if g.cycle_type() == (q,)]
+        if cycles:
+            return min(cycles)
+    return None
 
 
 def _block_system_containing_support(group: PermGroup, supp: frozenset):
@@ -665,14 +664,6 @@ class TwoTwoReport:
     notes: list = field(default_factory=list)
 
 
-def _find_two_two(group: PermGroup) -> Optional[Permutation]:
-    best = None
-    for g in group.elements():
-        if is_two_two(g) and (best is None or g.images < best.images):
-            best = g
-    return best
-
-
 def _match_table2_row(m, x_fam, y_fam):
     if x_fam is None or y_fam is None:
         return None
@@ -716,15 +707,12 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     case, the paired-blocks case, or a smaller-minimal-degree witness."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
-    x = _find_two_two(group)
+    at_most_four = group.small_support_elements(4)
+    x = min(filter(is_two_two, at_most_four), default=None)
     if x is None:
         raise ValueError("no order-2 support-4 element found")
     # a transposition or 3-cycle witnesses minimal degree < 4
-    small = None
-    for g in group.elements():
-        if g.cycle_type() in ((2,), (3,)):
-            small = g
-            break
+    small = next((g for g in at_most_four if len(g.support()) < 4), None)
     if small is not None:
         return TwoTwoReport(tag="small_mindeg", witness=small,
                             notes=[f"support size {len(small.support())}"])

@@ -472,6 +472,55 @@ class StabilizerChain:
 
         yield from walk(self._identity, 0)
 
+    def _small_supports(self, bound: int, falling: bool) -> list[Permutation]:
+        """The non-identity elements moving at most ``bound`` points, in
+        ``elements()`` order; with ``falling`` the bound drops to the
+        smallest support found so far and only its elements are returned.
+
+        A depth-first backtrack over base images (Seress, Permutation Group
+        Algorithms, ch. 9; Leon, "Permutation group algorithms based on
+        partitions, I").  The node ``h = t_{d-1} * ... * t_0`` (t_l sends
+        base[l] to x_l) is the coset ``G_d * h`` of the level-d stabilizer;
+        each element of it moves every q with h(q) outside q's G_d-orbit,
+        and more than ``bound`` such q prune the node.  Levels try base[d]
+        (the identity branch) first; leaves are sorted by (x_{k-1}, ...,
+        x_0).  Visiting over ``element_cap()`` nodes raises CapExceededError.
+        """
+        cap = element_cap()
+        depth = len(self.base)
+        levels = []     # (steps, identity branch first; orbit ids of G_{d+1})
+        for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
+            orbits = PermGroup(self.degree, self._level_gens(d + 1)).orbits()
+            index = {q: i for i, o in enumerate(orbits) for q in o}
+            levels.append(([(x, _then(trans[x])) for x in
+                            [b] + sorted(set(trans) - {b})],
+                           tuple(index[q] for q in range(self.degree))))
+        found, nodes = [], 0
+
+        def visit(h: tuple, d: int, points: tuple) -> None:
+            nonlocal bound, found, nodes
+            steps, oid = levels[d]
+            nodes += len(steps)
+            if nodes > cap:
+                raise CapExceededError(f"minimal-support search exceeds "
+                                       f"cap {CAP_VARIABLE}={cap} nodes")
+            h_oid = tuple(map(oid.__getitem__, h))
+            for x, then_t in steps:
+                child = then_t(h)
+                moved = sum(map(ne, then_t(h_oid), oid))
+                if moved > bound:
+                    continue
+                if d + 1 < depth:
+                    visit(child, d + 1, (x,) + points)
+                elif moved:
+                    if falling and moved < bound:
+                        bound, found = moved, []
+                    found.append(((x,) + points, child))
+
+        if depth:
+            visit(self._identity, 0, ())
+        return [_trusted(h) for _, h in sorted(found)]
+
 
 # ---------------------------------------------------------------------------
 # block systems
@@ -586,6 +635,10 @@ class PermGroup:
         """Smallest block containing the given points (whole set if none)."""
         if not self.is_transitive():
             raise ValueError("group is not transitive")
+        return self._block_closure(points)
+
+    def _block_closure(self, points: Iterable[int]) -> frozenset:
+        """``minimal_block_spanning`` for callers that checked transitivity."""
         pts = sorted(set(points))
         if not pts:
             raise ValueError("need at least one point")
@@ -598,11 +651,9 @@ class PermGroup:
             return v
 
         def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
+            ra, rb = sorted((find(a), find(b)))
+            parent[rb] = ra
+            return ra != rb
 
         for p in pts[1:]:
             union(pts[0], p)
@@ -612,12 +663,9 @@ class PermGroup:
             for g in self.generators:
                 anchor = {}
                 for v in range(self.degree):
-                    c = find(v)
-                    if c in anchor:
-                        if union(g(anchor[c]), g(v)):
-                            changed = True
-                    else:
-                        anchor[c] = v
+                    a = anchor.setdefault(find(v), v)
+                    if a != v and union(g(a), g(v)):
+                        changed = True
         root = find(pts[0])
         return frozenset(v for v in range(self.degree) if find(v) == root)
 
@@ -632,7 +680,7 @@ class PermGroup:
             raise ValueError("group is not transitive")
         blocks = set()
         for beta in range(1, self.degree):
-            b = self.minimal_block_spanning((0, beta))
+            b = self._block_closure((0, beta))
             if 1 < len(b) < self.degree:
                 blocks.add(b)
         frontier = set(blocks)
@@ -642,7 +690,7 @@ class PermGroup:
                 for b2 in blocks:
                     if b1 <= b2 or b2 <= b1:
                         continue
-                    j = self.minimal_block_spanning(b1 | b2)
+                    j = self._block_closure(b1 | b2)
                     if len(j) < self.degree and j not in blocks:
                         new.add(j)
             blocks |= new
@@ -662,10 +710,10 @@ class PermGroup:
         if not self.is_transitive():
             raise ValueError("group is not transitive")
         for beta in range(1, self.degree):
-            block = self.minimal_block_spanning((0, beta))
+            block = self._block_closure((0, beta))
             if len(block) < self.degree:
                 for gamma in sorted(block - {0, beta}):
-                    inner = self.minimal_block_spanning((0, gamma))
+                    inner = self._block_closure((0, gamma))
                     if len(inner) < len(block):
                         block = inner
                 return self.block_system_from(block)
@@ -679,8 +727,7 @@ class PermGroup:
             self.degree, orbit(tuple(sorted(block)), maps))
 
     def is_primitive(self) -> bool:
-        if not self.is_transitive():
-            raise ValueError("primitivity requires transitivity")
+        """No block system; error on an intransitive group."""
         return self.minimal_block_system() is None
 
     def is_invariant_partition(self, bs: BlockSystem) -> bool:
@@ -759,24 +806,22 @@ class PermGroup:
                                        "by the group's generators")
         return PermGroup(self.degree, gens)
 
-    def minimal_degree_witness(self, cap: Optional[int] = None
-                               ) -> tuple[int, Permutation]:
-        """(min |supp(x)| over non-identity x, the first element of prime
-        order in ``elements(cap)`` order with that support size).
+    def small_support_elements(self, bound: int) -> list[Permutation]:
+        """The non-identity elements moving at most ``bound`` points, in
+        ``elements()`` order, by the pruned search of the chain."""
+        return self.chain._small_supports(bound, falling=False)
 
-        Elements of prime order suffice because supp(x^k) is contained in
-        supp(x); an element's order is computed only when its support beats
-        the best so far.  Error on the trivial group.
-        """
+    def minimal_degree_witness(self) -> tuple[int, Permutation]:
+        """(min |supp(x)| over non-identity x, the first element of prime
+        order in ``elements()`` order with that support size), by one pruned
+        search of the chain whose bound falls to the smallest support found
+        so far.  Elements of prime order suffice because supp(x^k) is
+        contained in supp(x).  Error on the trivial group."""
         if self.is_trivial():
             raise ValueError("minimal degree of the trivial group is undefined")
-        identity = self.identity().images
-        best, witness = self.degree + 1, None
-        for g in self.elements(cap):
-            moved = sum(map(ne, g.images, identity))
-            if 0 < moved < best and _is_prime(g.order()):
-                best, witness = moved, g
-        return best, witness
+        found = self.chain._small_supports(self.degree, falling=True)
+        witness = next(g for g in found if _is_prime(g.order()))
+        return len(witness.support()), witness
 
     def minimal_degree(self) -> int:
         """min |supp(x)| over non-identity x; error on the trivial group."""

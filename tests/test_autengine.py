@@ -1,15 +1,19 @@
 """Automorphism groups, twins, motion, all cross-checked by brute force."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smallmotion.autengine import (GROUP_SCAN_LIMIT, automorphism_group,
+from smallmotion.autengine import (automorphism_group,
                                    automorphism_group_brute, find_twins,
                                    is_vertex_transitive, motion,
                                    motion_witness)
 from smallmotion.classify import CorpusSpec, corpus_generators
-from smallmotion.graphcore import (Graph, circulant_graph, complete_graph,
+from smallmotion.graphcore import (Graph, cartesian_product,
+                                   circulant_graph, complete_graph,
                                    cycle_graph, empty_graph, lex_product,
                                    path_graph, petersen_graph, prism_graph,
                                    spx_graph)
@@ -115,6 +119,15 @@ class TestMotion:
         assert motion(circulant_graph(7, [1, 2])) == 6
         assert motion(spx_graph(3)) == 4
 
+    def test_rook_graph_motion_without_enumeration(self):
+        # K6 x K6 (Cartesian): 36 vertices, no twins, |Aut| = 1,036,800
+        graph = cartesian_product(complete_graph(6), complete_graph(6))
+        start = time.perf_counter()
+        mu, w = motion_witness(graph)
+        assert time.perf_counter() - start < 5
+        assert mu == 12 and len(w.support()) == 12
+        assert graph.is_automorphism(w)
+
     def test_rigid_graph_rejected(self):
         # smallest rigid graph has 6 vertices; motion is undefined there
         rigid = Graph.from_edges(6, [(0, 3), (1, 2), (1, 3), (1, 5), (2, 3),
@@ -124,12 +137,16 @@ class TestMotion:
             motion(rigid)
 
 
+# the reference scan enumerates at most this many elements
+REFERENCE_SCAN_LIMIT = 200_000
+
+
 def reference_scan(group):
     """The element scan motion_witness ran itself before it called
     minimal_degree_witness: the first element of prime order whose
     support is smallest."""
     best = None
-    for g in group.elements(cap=GROUP_SCAN_LIMIT):
+    for g in group.elements(cap=REFERENCE_SCAN_LIMIT):
         if g.is_identity() or not _is_prime(g.order()):
             continue
         if best is None or len(g.support()) < len(best.support()):
@@ -149,6 +166,17 @@ class TestMinimalDegreeWitness:
             assert grp.minimal_degree_witness() == reference_scan(grp)
             assert grp.minimal_degree() == grp.minimal_degree_full_scan()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(Permutation), min_size=1,
+        max_size=3)))
+    def test_search_matches_reference_scan(self, gens):
+        grp = PermGroup(gens[0].degree, gens)
+        if grp.is_trivial():
+            return
+        assert grp.minimal_degree_witness() == reference_scan(grp)
+        assert grp.minimal_degree() == grp.minimal_degree_full_scan()
+
     def test_quick_corpus_auts_match_reference_scan(self):
         # the corpus of `smallmotion verify graphs --quick`
         spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
@@ -156,9 +184,9 @@ class TestMinimalDegreeWitness:
         checked = 0
         for _, graph in corpus_generators(spec):
             aut = automorphism_group(graph)
-            if aut.order == 1 or aut.order > GROUP_SCAN_LIMIT:
+            if aut.order == 1:
                 continue
-            assert aut.group.minimal_degree_witness(cap=GROUP_SCAN_LIMIT) \
+            assert aut.group.minimal_degree_witness() \
                 == reference_scan(aut.group)
             checked += 1
         assert checked >= 30

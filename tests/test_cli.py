@@ -3,14 +3,20 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import smallmotion
-from smallmotion.cli import (EXIT_CAP, EXIT_INVALID, EXIT_OK, SCHEMA_VERSION,
-                             main)
-from smallmotion.graphcore import cycle_graph, path_graph, to_graph6
+from smallmotion import cli
+from smallmotion.cli import (EXIT_CAP, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK,
+                             SCHEMA_VERSION, main)
+from smallmotion.graphcore import (Graph, cartesian_product, complete_graph,
+                                   cycle_graph, path_graph, to_graph6)
 
 
 def run(capsys, *argv):
@@ -123,6 +129,72 @@ class TestMotion:
         code, _, err = run(capsys, "motion", "n 3\n0 2")
         assert code == EXIT_INVALID
         assert "outside" in err
+
+
+def random_graph6(seed, n):
+    rng = random.Random(seed)
+    return to_graph6(Graph.from_edges(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if rng.random() < 0.5]))
+
+
+@st.composite
+def mangled_graph6(draw):
+    """A graph6 string of a random graph, truncated or with characters
+    replaced."""
+    text = random_graph6(draw(st.integers(0, 2**32)), draw(st.integers(0, 10)))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if text:
+            i = draw(st.integers(0, len(text) - 1))
+            c = draw(st.characters(min_codepoint=32, max_codepoint=126))
+            text = text[:i] + c + text[i + 1:]
+    return text
+
+
+@st.composite
+def mangled_edge_lists(draw):
+    """Edge-list texts with out-of-range, non-numeric, missing and extra
+    fields."""
+    field = st.one_of(st.integers(-3, 14).map(str),
+                      st.sampled_from(["x", "1.5", "", "n", "#"]))
+    header = draw(st.one_of(
+        st.integers(-2, 12).map(lambda n: f"n {n}"),
+        st.lists(field, max_size=3).map(lambda fs: " ".join(["n"] + fs))))
+    lines = draw(st.lists(st.lists(field, max_size=3).map(" ".join),
+                          max_size=8))
+    return "\n".join([header] + lines)
+
+
+class TestMotionFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.builds(random_graph6, st.integers(0, 2**32), st.integers(0, 10)),
+        mangled_graph6(), mangled_edge_lists()))
+    def test_motion_never_crashes(self, text):
+        # a leading "-" would be read as an option or as stdin
+        assume(not text.strip().startswith("-"))
+        assert main(["motion", text]) in (EXIT_OK, EXIT_INVALID, EXIT_CAP)
+
+
+class TestExitCodes:
+    def test_crash_is_internal_error_not_falsification(self, capsys,
+                                                       monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(cli, "motion_witness", crash)
+        code, _, err = run(capsys, "motion", "cycle:5")
+        assert code == EXIT_INTERNAL
+        assert "RuntimeError" in err and "planted failure" in err
+
+    def test_search_cap_exits_3(self, capsys, monkeypatch):
+        rook = cartesian_product(complete_graph(6), complete_graph(6))
+        monkeypatch.setenv("SMALLMOTION_CAP", "100")
+        code, _, err = run(capsys, "motion", to_graph6(rook))
+        assert code == EXIT_CAP
+        assert "SMALLMOTION_CAP=100" in err
 
 
 class TestCapVariable:

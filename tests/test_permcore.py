@@ -367,6 +367,21 @@ class TestOrbitsAndBlocks:
                 for sub in itertools.combinations(rest, size):
                     assert not is_block(grp, (0,) + sub)
 
+    def test_one_transitivity_check_per_block_question(self, monkeypatch):
+        grp = wreath_product(wreath_product(sym_group(2), sym_group(3)),
+                             sym_group(2))
+        calls = []
+        original = PermGroup.is_transitive
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PermGroup, "is_transitive", counting)
+        systems = grp.block_systems()
+        assert len(calls) == 1
+        assert systems and all(grp.is_invariant_partition(s) for s in systems)
+
     def test_block_system_validation(self):
         with pytest.raises(ValueError):
             BlockSystem.from_blocks(6, [(0, 1), (2, 3)])        # not covering
@@ -485,6 +500,20 @@ class TestMinimalDegree:
         assert alt5.minimal_degree() == 3
         c5 = PermGroup(5, [Permutation.from_cycles(5, [list(range(5))])])
         assert c5.minimal_degree() == 5
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups(), st.integers(0, 8))
+    def test_small_support_elements_match_filtered_elements(self, sample,
+                                                            bound):
+        grp, _ = sample
+        want = [g for g in grp.elements() if 0 < len(g.support()) <= bound]
+        assert grp.small_support_elements(bound) == want
+
+    def test_search_nodes_are_capped(self, monkeypatch):
+        monkeypatch.setenv("SMALLMOTION_CAP", "100")
+        with pytest.raises(CapExceededError, match="SMALLMOTION_CAP=100"):
+            sym_group(8).minimal_degree()
 
 
 class TestPermutationIsomorphic:
