@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
                         isomorphism_with_colors)
 from .permcore import (CapExceededError, PermGroup, Permutation, orbit,
                        reduce_generators)
-
-PARTITION_SCAN_LIMIT = 100_000
 
 
 @dataclass
@@ -36,33 +34,35 @@ class AutResult:
     stats: dict = field(default_factory=dict)
 
 
-def _transporter(graph: Graph, fixed: int, v: int, w: int):
-    """An automorphism fixing 0..fixed-1 pointwise and sending v to w."""
-    colors = list(range(1, fixed + 1)) + [0] * (graph.n - fixed)
-    src = list(colors)
-    dst = list(colors)
-    src[v] = -1
-    dst[w] = -1
-    return isomorphism_with_colors(graph, src, graph, dst)
-
-
-def automorphism_group(graph: Graph) -> AutResult:
-    """Generators and exact order of the full automorphism group."""
-    if graph.n > MAX_GRAPH_ORDER:
-        raise CapExceededError(f"graph size {graph.n} exceeds cap "
-                               f"{MAX_GRAPH_ORDER}")
+def automorphism_group(graph: Graph,
+                       colors: Optional[Sequence] = None) -> AutResult:
+    """Generators and exact order of the automorphisms keeping the vertex
+    colouring ``colors`` (all vertices alike when None).  At level v each
+    w > v of v's colour not yet reached is settled by one isomorphism
+    search seeded with ``colors``, 0..v-1 pinned and v sent to w."""
     n = graph.n
+    if n > MAX_GRAPH_ORDER:
+        raise CapExceededError(f"graph size {n} exceeds cap "
+                               f"{MAX_GRAPH_ORDER}")
+    # seed labels: (0, colour), (1, pinned vertex), (2,) for the mark
+    base = [(0, c) for c in ([0] * n if colors is None else colors)]
+    if len(base) != n:
+        raise ValueError(f"{len(base)} colours for {n} vertices")
     gens: list[Permutation] = []
     order = 1
     searches = 0
     for v in range(n):
         level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
         reached = set(orbit(v, level_gens))
+        pinned = [(1, u) for u in range(v)]
         for w in range(v + 1, n):
-            if w in reached:
+            if w in reached or base[w] != base[v]:
                 continue
             searches += 1
-            t = _transporter(graph, v, v, w)
+            src = pinned + [(2,)] + base[v + 1:]
+            dst = pinned + base[v:]
+            dst[w] = (2,)
+            t = isomorphism_with_colors(graph, src, graph, dst)
             if t is None:
                 continue
             gens.append(t)
@@ -74,7 +74,8 @@ def automorphism_group(graph: Graph) -> AutResult:
         raise RuntimeError(f"generators reduce to a group of order "
                            f"{group.order()}, expected {order}")
     for g in group.generators:
-        if not graph.is_automorphism(g):
+        if not graph.is_automorphism(g) or \
+                any(base[g(u)] != base[u] for u in range(n)):
             raise RuntimeError(f"generator {g} is not an automorphism")
     return AutResult(group=group, order=order,
                      stats={"transporter_searches": searches})
@@ -156,14 +157,24 @@ def motion(graph: Graph) -> int:
 
 def aut_preserving_partition(sigma: Graph,
                              pairs: PairPartition) -> PermGroup:
-    """The subgroup of Aut(sigma) whose elements map pairs to pairs."""
-    aut = automorphism_group(sigma)
-    if aut.order > PARTITION_SCAN_LIMIT:
-        raise CapExceededError(f"|Aut| = {aut.order} exceeds cap "
-                               f"{PARTITION_SCAN_LIMIT}")
-    keep = [g for g in aut.group.elements(cap=PARTITION_SCAN_LIMIT)
-            if pairs.is_preserved_by(g)]
-    return PermGroup(sigma.n, reduce_generators(sigma.n, keep))
+    """The automorphisms of sigma that map pairs to pairs: Aut of sigma
+    plus one vertex per pair, joined to both ends of its pair and coloured
+    apart, restricted to sigma's vertices; each generator is re-checked.
+    sigma may have at most two thirds of ``MAX_GRAPH_ORDER`` vertices."""
+    n, k = sigma.n, len(pairs.pairs)
+    if pairs.n != n:
+        raise ValueError(f"pairs on {pairs.n} points for a graph of order {n}")
+    if n > MAX_GRAPH_ORDER * 2 // 3:
+        raise CapExceededError(f"pair-preserving automorphisms: graph order "
+                               f"{n} exceeds cap {MAX_GRAPH_ORDER * 2 // 3}")
+    marked = Graph.from_edges(n + k, sigma.edges() + [
+        (v, n + i) for i, pair in enumerate(pairs.pairs) for v in pair])
+    aut = automorphism_group(marked, [0] * n + [1] * k)
+    group = aut.group.restriction(range(n))
+    for g in group.generators:
+        if not (sigma.is_automorphism(g) and pairs.is_preserved_by(g)):
+            raise RuntimeError(f"{g} is not a pair-preserving automorphism")
+    return group
 
 
 def transitivity_aut(graph: Graph) -> Optional[AutResult]:

@@ -12,6 +12,7 @@ unclassified with full diagnostics, never silently dropped.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -533,13 +534,14 @@ def verify_corpus(spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:
     """Run the motion and decomposition checks over a corpus.
 
     Failures are data: odd-prime motions and unverified decompositions
-    are collected, never raised.  With jobs > 1 the per-graph work is
-    distributed over processes; the record order is unchanged.
+    are collected, never raised.  With jobs > 1 the work goes to at most
+    min(jobs, items, CPUs) processes; the record order is unchanged.
     """
     items = list(corpus_generators(spec))
-    if jobs > 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             records = pool.map(verify_graph, items)
     else:
         records = [verify_graph(item) for item in items]

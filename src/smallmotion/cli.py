@@ -213,6 +213,8 @@ def _verify_graphs(args) -> tuple[dict, list[str], bool]:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     doc = {"schema": SCHEMA_VERSION, "command": "verify", "suite": args.suite}
     lines = []
     ok = True

@@ -621,7 +621,7 @@ def classify_p_cycle_group(group: PermGroup,
             notes=["support not contained in any proper block"])
     block = next(b for b in bs.blocks if supp <= set(b))
     m, k = len(block), len(bs.blocks)
-    g_block = group.setwise_stabilizer(block)
+    g_block = group.block_stabilizer(block)
     x_grp = g_block.normal_closure(x).restriction(block)
     y_grp = g_block.restriction(block)
     x_fam = recognize_family(x_grp)
@@ -717,17 +717,11 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
         return TwoTwoReport(tag="small_mindeg", witness=small,
                             notes=[f"support size {len(small.support())}"])
 
-    def prim_report(block, bs) -> TwoTwoReport:
-        if bs is None:
-            y_grp = group
-            m, k = group.degree, 1
-            x_big = group.normal_closure(x)
-            x_grp = PermGroup(m, list(x_big.generators))
-        else:
-            m, k = len(block), len(bs.blocks)
-            g_block = group.setwise_stabilizer(block)
-            x_grp = g_block.normal_closure(x).restriction(block)
-            y_grp = g_block.restriction(block)
+    def prim_report(block, k) -> TwoTwoReport:
+        m = len(block)
+        g_block = group.block_stabilizer(block)
+        x_grp = g_block.normal_closure(x).restriction(block)
+        y_grp = g_block.restriction(block)
         x_fam = recognize_family(x_grp)
         y_fam = recognize_family(y_grp)
         row = _match_table2_row(m, x_fam, y_fam)
@@ -741,9 +735,9 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     bs = _block_system_containing_support(group, x.support())
     if bs is not None:
         block = next(b for b in bs.blocks if x.support() <= set(b))
-        return prim_report(block, bs)
+        return prim_report(block, len(bs.blocks))
     if group.is_primitive():
-        return prim_report(None, None)
+        return prim_report(range(group.degree), 1)
 
     # support spans two blocks; look for a size-2 system organizing the
     # transpositions of x (the paired-blocks case)
@@ -790,7 +784,7 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
                 tuple(sorted(v for j in blk for v in bs_min.blocks[j]))
                 for blk in top_bs.blocks))
             d_block = coarse[0]
-            y_grp = group.action_on_block(d_block)
+            y_grp = group.block_stabilizer(d_block).restriction(d_block)
             m = len(d_block) // 2
             return TwoTwoReport(
                 tag="case_cross", m=m, k=len(coarse), y_group=y_grp,

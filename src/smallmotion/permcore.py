@@ -757,18 +757,20 @@ class PermGroup:
             gens.append(Permutation(images))
         return PermGroup(len(bs.blocks), gens)
 
-    def action_on_block(self, block: Iterable[int]) -> "PermGroup":
-        """The setwise stabilizer of the block, restricted to the block;
-        new point i is the i-th smallest point of the block."""
-        blk = tuple(sorted(block))
-        return self.setwise_stabilizer(blk).restriction(blk)
-
-    def setwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """The setwise stabilizer, by exhaustive scan under the cap."""
-        ptset = set(points)
-        elems = [g for g in self.elements()
-                 if {g(v) for v in ptset} == ptset]
-        return PermGroup(self.degree, reduce_generators(self.degree, elems))
+    def block_stabilizer(self, block: Iterable[int]) -> "PermGroup":
+        """G_B for a block B (ValueError unless B is its own block closure):
+        with b0 = min(B), G_B = <G_{b0}, u_b : b in B>, u_b sending b0 to b,
+        read off the levels and the first transversal of one chain whose
+        base starts with b0 (Seress, Permutation Group Algorithms)."""
+        blk = frozenset(block)
+        if self._block_closure(blk) != blk:
+            raise ValueError(f"{sorted(blk)} is not a block of the group")
+        b0 = min(blk)
+        chain = self.chain_with_base([b0])
+        trans = chain._transversal[0]
+        gens = chain._level_gens(1)
+        gens += [_trusted(trans[b]) for b in sorted(blk) if b in trans]
+        return PermGroup(self.degree, reduce_generators(self.degree, gens))
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the reduced strong
@@ -778,8 +780,7 @@ class PermGroup:
         if all(g(p) == p for g in self.generators for p in prefix):
             return self
         chain = self.chain_with_base(prefix)
-        gens = [g for lvl in range(len(prefix), len(chain.base))
-                for g in chain._gens[lvl]]
+        gens = chain._level_gens(len(prefix))
         return PermGroup(self.degree, reduce_generators(self.degree, gens))
 
     # -- closures and minimal degree -------------------------------------

@@ -90,14 +90,6 @@ class Embedding:
     outer: PermGroup
     verified: bool
 
-    def as_text(self) -> str:
-        lines = ["embedding report", f"verified {str(self.verified).lower()}"]
-        lines.append("point bijection (1-indexed): " + " ".join(
-            str(self.f(v) + 1) for v in range(self.f.degree)))
-        for g, img in sorted(self.phi.items(), key=lambda kv: kv[0].images):
-            lines.append(f"generator {g} -> {img}")
-        return "\n".join(lines) + "\n"
-
 
 def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
     """For each block, a group element mapping block 0 onto it (BFS order)."""
@@ -118,11 +110,9 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     if not group.is_transitive():
         raise ValueError("group must be transitive")
     block0 = bs.blocks[0]
-    m = len(block0)
-    k = len(bs.blocks)
-    inner = group.action_on_block(block0)
+    inner = group.block_stabilizer(block0).restriction(block0)
     outer = group.action_on_blocks(bs)
-    lab = WreathLabeling(m, k)
+    lab = WreathLabeling(len(block0), len(bs.blocks))
     trans = _block_transversal(group, bs)
     pos = {v: i for i, v in enumerate(block0)}
 
@@ -164,10 +154,10 @@ def verify_sandwich(group: PermGroup, bs: BlockSystem,
                     x: Permutation) -> SandwichReport:
     """Check the sandwich given an element supported inside one block.
 
-    X is the closure of x under conjugation by the setwise stabilizer of
-    that block; one copy of X per block is materialized via a block
-    transversal, and every copy generator is tested for membership in the
-    group.  The wreath embedding is verified independently.
+    X is the closure of x under conjugation by the block's stabilizer, from
+    one stabilizer chain (``PermGroup.block_stabilizer``); one copy of X per
+    block is materialized via a block transversal, and every copy generator
+    is tested for membership in the group.  The embedding is checked too.
     """
     supp = x.support()
     holders = {bs.block_of[v] for v in supp}
@@ -175,7 +165,7 @@ def verify_sandwich(group: PermGroup, bs: BlockSystem,
         raise ValueError("support must lie inside a single block")
     j0 = holders.pop()
     block = bs.blocks[j0]
-    g_block = group.setwise_stabilizer(block)
+    g_block = group.block_stabilizer(block)
     x_group = g_block.normal_closure(x)
     failures = []
     trans = _block_transversal(group, bs)

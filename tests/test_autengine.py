@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallmotion.autengine import (automorphism_group,
+from smallmotion.autengine import (aut_preserving_partition,
+                                   automorphism_group,
                                    automorphism_group_brute, find_twins,
                                    is_vertex_transitive, motion,
                                    motion_witness)
-from smallmotion.classify import CorpusSpec, corpus_generators
-from smallmotion.graphcore import (Graph, cartesian_product,
-                                   circulant_graph, complete_graph,
-                                   cycle_graph, empty_graph, lex_product,
-                                   path_graph, petersen_graph, prism_graph,
-                                   spx_graph)
-from smallmotion.permcore import PermGroup, Permutation, _is_prime
+from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
+                                  sigma_matchings)
+from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
+                                   cartesian_product, circulant_graph,
+                                   complete_graph, cycle_graph, empty_graph,
+                                   lex_product, path_graph, petersen_graph,
+                                   prism_graph, spx_graph)
+from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
+                                  _is_prime)
 
 
 def random_graph(rng, n, p=0.5):
@@ -54,6 +57,18 @@ class TestAutomorphismGroup:
             a2 = automorphism_group(g.complement())
             assert a1.order == a2.order
             assert all(h in a2.group for h in a1.group.generators)
+
+    def test_colours_match_brute_force(self):
+        rng = random.Random(26)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            g = random_graph(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
+            colors = [rng.choice("ab") for _ in range(n)]
+            fast = automorphism_group(g, colors)
+            want = [h for h in automorphism_group_brute(g).elements()
+                    if all(colors[h(v)] == colors[v] for v in range(n))]
+            assert fast.order == len(want)
+            assert set(fast.group.generators) <= set(want)
 
 
 class TestTwins:
@@ -206,3 +221,52 @@ class TestVertexTransitive:
             g = random_graph(rng, rng.randint(2, 7))
             brute = automorphism_group_brute(g)
             assert is_vertex_transitive(g) == brute.is_transitive()
+
+
+def reference_pair_preserving(sigma, pairs):
+    """Oracle: scan Aut(sigma) for the elements mapping pairs to pairs."""
+    return sorted(g for g in automorphism_group(sigma).group.elements()
+                  if pairs.is_preserved_by(g))
+
+
+class TestPairPreservingAutomorphisms:
+    def test_inf_grid_matches_scan(self):
+        for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
+            sigma = named_graph(token)
+            for _, pairs in sigma_matchings(token):
+                got = aut_preserving_partition(sigma, pairs)
+                assert sorted(got.elements()) == \
+                    reference_pair_preserving(sigma, pairs)
+
+    def test_random_graphs_match_scan(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            n = rng.choice([2, 4, 6, 8])
+            sigma = random_graph(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
+            order = rng.sample(range(n), n)
+            pairs = PairPartition.from_pairs(
+                n, [order[i:i + 2] for i in range(0, n, 2)])
+            got = aut_preserving_partition(sigma, pairs)
+            assert sorted(got.elements()) == \
+                reference_pair_preserving(sigma, pairs)
+
+    def test_complete_graph_without_a_scan(self):
+        """Aut(K10) has 10! elements; the alternate matching keeps
+        2^5 * 5! = 3,840 of them."""
+        start = time.perf_counter()
+        group = aut_preserving_partition(complete_graph(10),
+                                         alternate_matching(10))
+        assert time.perf_counter() - start < 5
+        assert group.order() == 3840
+
+    def test_partition_must_cover_sigma(self):
+        for n in (4, 8):
+            with pytest.raises(ValueError):
+                aut_preserving_partition(cycle_graph(6),
+                                         alternate_matching(n))
+
+    def test_sigma_order_limit(self):
+        assert aut_preserving_partition(
+            cycle_graph(42), alternate_matching(42)).order() == 42
+        with pytest.raises(CapExceededError, match="order 44 .*cap 42"):
+            aut_preserving_partition(cycle_graph(44), alternate_matching(44))

@@ -247,3 +247,34 @@ class TestCorpus:
         parallel = verify_corpus(spec, jobs=2)
         assert [r.as_dict() for r in serial.records] == \
                [r.as_dict() for r in parallel.records]
+
+    def test_workers_are_bounded(self, monkeypatch):
+        """At most min(jobs, items, CPUs) workers; the stand-in pool
+        records its size and runs the items in this process."""
+        import multiprocessing
+        spec = CorpusSpec(circulant_max=5, inf_sigmas=(), lex_deltas=(),
+                          lex_thetas=(), invariant_union_ms=())
+        items = len(list(corpus_generators(spec)))
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable):
+                return list(map(func, iterable))
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: items + 1)
+        serial = verify_corpus(spec, jobs=1)
+        assert verify_corpus(spec, jobs=10**6).records == serial.records
+        assert verify_corpus(spec, jobs=2).records == serial.records
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+        verify_corpus(spec, jobs=8)
+        assert requested == [items, 2]

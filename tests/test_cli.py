@@ -235,6 +235,12 @@ class TestClassify:
 
 
 class TestVerify:
+    def test_jobs_below_one_is_invalid_input(self, capsys):
+        for jobs in ("0", "-2"):
+            code, _, err = run(capsys, "verify", "tables", "--jobs", jobs)
+            assert code == EXIT_INVALID
+            assert "--jobs" in err
+
     def test_quick_graph_suite(self, capsys):
         code, out, _ = run(capsys, "--format", "structured",
                            "verify", "graphs", "--quick")

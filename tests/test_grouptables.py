@@ -1,6 +1,7 @@
 """Concrete group families, table data, and the two classifiers."""
 
 import math
+import time
 
 import pytest
 
@@ -157,16 +158,16 @@ class TestRowChecks:
         assert check.status == "pass"
 
 
-def count_setwise_scans(monkeypatch):
-    """Count the calls of PermGroup.setwise_stabilizer from now on."""
+def count_block_stabilizers(monkeypatch):
+    """Count the calls of PermGroup.block_stabilizer from now on."""
     calls = []
-    original = PermGroup.setwise_stabilizer
+    original = PermGroup.block_stabilizer
 
-    def counting(self, points):
-        calls.append(tuple(sorted(points)))
-        return original(self, points)
+    def counting(self, block):
+        calls.append(tuple(sorted(block)))
+        return original(self, block)
 
-    monkeypatch.setattr(PermGroup, "setwise_stabilizer", counting)
+    monkeypatch.setattr(PermGroup, "block_stabilizer", counting)
     return calls
 
 
@@ -195,10 +196,23 @@ class TestPCycleClassifier:
 
     def test_one_setwise_scan_per_block(self, monkeypatch):
         g = wreath_product(sym_group(3), sym_group(2))
-        calls = count_setwise_scans(monkeypatch)
+        calls = count_block_stabilizers(monkeypatch)
         rep = classify_p_cycle_group(g, 2)
         assert rep.k == 2 and rep.row is TABLE1[0]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("inner,top", [(5, 3), (2, 9)])
+    def test_large_sym_wreaths(self, inner, top):
+        """Sym(5) wr Sym(3) (order 10,368,000) and Sym(2) wr Sym(9): the
+        block stabilizer comes from the chain, not from the elements."""
+        g = wreath_product(sym_group(inner), sym_group(top))
+        start = time.perf_counter()
+        rep = classify_p_cycle_group(g)
+        assert time.perf_counter() - start < 5
+        assert rep.p == 2 and rep.m == inner and rep.k == top
+        assert rep.row is TABLE1[0] and rep.cond_c is True
+        assert rep.predicted_mindeg_is_p is True
+        assert rep.y_group.order() == math.factorial(inner)
 
     def test_rejects_intransitive(self):
         g = wreath_product(cyclic_group(5), sym_group(2))
@@ -223,7 +237,7 @@ class TestTwoTwoClassifier:
 
     def test_one_setwise_scan_per_block(self, monkeypatch):
         g = wreath_product(psl2(5), sym_group(2))
-        calls = count_setwise_scans(monkeypatch)
+        calls = count_block_stabilizers(monkeypatch)
         rep = classify_22_group(g)
         assert rep.tag == "case_prim" and rep.k == 2
         assert len(calls) == 1

@@ -112,6 +112,30 @@ def is_block(grp, points):
     return all(a == b or not a & b for a in seen for b in seen)
 
 
+def reference_setwise_stabilizer(elements, points):
+    """Oracle: the elements, in order, that map the set onto itself."""
+    pts = set(points)
+    return sorted(e for e in elements if {e(p) for p in pts} == pts)
+
+
+@st.composite
+def imprimitive_groups(draw):
+    """A group of degree <= 8: random generators, or random elements of
+    Sym(a) wr Sym(b) (ab <= 8, blocks {ia, ..., ia+a-1}) under a random
+    relabelling, so that most samples have blocks."""
+    a, b = draw(st.sampled_from([(1, 4), (1, 6), (2, 2), (2, 3), (2, 4),
+                                 (3, 2), (4, 2), (1, 7)]))
+    n = a * b
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.permutations(range(b)))
+        inner = [draw(st.permutations(range(a))) for _ in range(b)]
+        gens.append(Permutation([top[j] * a + inner[j][i]
+                                 for j in range(b) for i in range(a)]))
+    relabel = Permutation(draw(st.permutations(range(n))))
+    return PermGroup(n, [g.conjugate(relabel) for g in gens])
+
+
 @st.composite
 def perm_pairs(draw):
     n = draw(st.integers(3, 8))
@@ -443,16 +467,40 @@ class TestStabilizers:
         assert chain.base == [4, 3, 0]
         assert chain.order() == 3
 
-    def test_setwise_stabilizer_oracle(self):
+    @settings(max_examples=60, deadline=None)
+    @given(imprimitive_groups())
+    def test_setwise_stabilizer_oracle(self, grp):
+        """block_stabilizer against the setwise-stabilizer scan, on every
+        block of every block system, the singletons and the whole set."""
+        n = grp.degree
+        elems = closure(n, grp.generators)
+        blocks = [(v,) for v in range(n)] + [tuple(range(n))]
+        if grp.is_transitive():
+            blocks += [b for bs in grp.block_systems() for b in bs.blocks]
+        for blk in blocks:
+            stab = grp.block_stabilizer(blk)
+            assert stab.order() == len(reference_setwise_stabilizer(elems,
+                                                                    blk))
+            assert all(sorted(map(g, blk)) == sorted(blk)
+                       for g in stab.generators)
+
+    def test_non_blocks_are_rejected(self):
         rng = random.Random(14)
-        for _ in range(15):
-            n = rng.randint(4, 7)
-            grp = random_group(rng, n)
+        for _ in range(40):
+            n = rng.randint(3, 7)
+            grp = random_group(rng, n, ngens=rng.randint(1, 2))
             elems = closure(n, grp.generators)
-            pts = set(rng.sample(range(n), rng.randint(2, 3)))
-            want = sorted(e for e in elems
-                          if {e(p) for p in pts} == pts)
-            assert sorted(grp.setwise_stabilizer(pts).elements()) == want
+            pts = rng.sample(range(n), rng.randint(2, n - 1))
+            if is_block(grp, pts):
+                stab = grp.block_stabilizer(pts)
+                assert sorted(stab.elements()) == \
+                    reference_setwise_stabilizer(elems, pts)
+            else:
+                with pytest.raises(ValueError):
+                    grp.block_stabilizer(pts)
+        cyclic = PermGroup(4, [Permutation.from_cycles(4, [[0, 1, 2, 3]])])
+        with pytest.raises(ValueError):
+            cyclic.block_stabilizer([0, 1])
 
 
 class TestNormalClosure:
