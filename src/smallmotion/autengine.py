@@ -1,10 +1,15 @@
 """Graph automorphism groups, motion, twins, and vertex-transitivity.
 
 The automorphism group is built as a stabilizer chain over the vertex
-order 0, 1, 2, ...: at each level every candidate image of the next base
-vertex is either reached by already-found generators or settled by a
-complete individualization-refinement search, so the returned generators
-generate the full group and the order is exact.
+order 0, 1, 2, ...  Level v refines the colouring with 0..v-1
+individualised to its coarsest equitable partition, built from the
+previous level's by giving v-1 a fresh colour.  An automorphism fixing
+0..v-1 keeps that partition (McKay, "Practical graph isomorphism",
+1981), so only the w in v's refined cell can be images of v.  Each such
+w is either reached by already-found generators or settled by a complete
+individualization-refinement search, so the returned generators generate
+the full group and the order is exact.  Once the partition is discrete
+only the identity fixes 0..v-1, and the levels stop.
 
 The motion of a graph without twins is the minimal degree of that group,
 found by one depth-first search over its stabilizer chain that prunes a
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
-                        isomorphism_with_colors)
+                        equitable_refinement, isomorphism_with_colors)
 from .permcore import (CapExceededError, PermGroup, Permutation, orbit,
                        reduce_generators)
 
@@ -38,8 +43,10 @@ def automorphism_group(graph: Graph,
                        colors: Optional[Sequence] = None) -> AutResult:
     """Generators and exact order of the automorphisms keeping the vertex
     colouring ``colors`` (all vertices alike when None).  At level v each
-    w > v of v's colour not yet reached is settled by one isomorphism
-    search seeded with ``colors``, 0..v-1 pinned and v sent to w."""
+    w > v in v's cell of the refined colouring, with 0..v-1 individualised,
+    and not yet reached is settled by one isomorphism search seeded with
+    ``colors``, 0..v-1 pinned and v sent to w.  The levels stop at the
+    first discrete refined colouring."""
     n = graph.n
     if n > MAX_GRAPH_ORDER:
         raise CapExceededError(f"graph size {n} exceeds cap "
@@ -48,15 +55,20 @@ def automorphism_group(graph: Graph,
     base = [(0, c) for c in ([0] * n if colors is None else colors)]
     if len(base) != n:
         raise ValueError(f"{len(base)} colours for {n} vertices")
+    ids: dict = {}
+    cells = [ids.setdefault(c, len(ids)) for c in base]
     gens: list[Permutation] = []
     order = 1
     searches = 0
     for v in range(n):
+        cells = equitable_refinement(graph, cells)
+        if len(set(cells)) == n:   # only the identity fixes 0..v-1
+            break
         level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
         reached = set(orbit(v, level_gens))
         pinned = [(1, u) for u in range(v)]
         for w in range(v + 1, n):
-            if w in reached or base[w] != base[v]:
+            if w in reached or cells[w] != cells[v]:
                 continue
             searches += 1
             src = pinned + [(2,)] + base[v + 1:]
@@ -69,6 +81,7 @@ def automorphism_group(graph: Graph,
             level_gens.append(t)
             reached = set(orbit(v, level_gens))
         order *= len(reached)
+        cells[v] = n   # ids are below n: individualise v for level v+1
     group = PermGroup(n, reduce_generators(n, gens))
     if group.order() != order:
         raise RuntimeError(f"generators reduce to a group of order "

@@ -215,6 +215,9 @@ def _verify_graphs(args) -> tuple[dict, list[str], bool]:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.circulant_max < 2:
+        raise ValueError(f"--circulant-max must be at least 2, "
+                         f"got {args.circulant_max}")
     doc = {"schema": SCHEMA_VERSION, "command": "verify", "suite": args.suite}
     lines = []
     ok = True

@@ -417,6 +417,17 @@ def _refine_pass(graph: Graph, colors: list[int], key_ids: dict) -> list[int]:
     return new
 
 
+def equitable_refinement(graph: Graph, colors: list[int]) -> list[int]:
+    """The coarsest equitable partition finer than ``colors``, as colour
+    ids 0, 1, ...  A pass only splits cells, so the partition is stable
+    once a pass adds no colour."""
+    while True:
+        refined = _refine_pass(graph, colors, {})
+        if len(set(refined)) == len(set(colors)):
+            return refined
+        colors = refined
+
+
 def _partition_of(colors: list[int]) -> frozenset:
     return frozenset(frozenset(vs) for vs in _color_cells(colors).values())
 

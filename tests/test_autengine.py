@@ -1,11 +1,14 @@
 """Automorphism groups, twins, motion, all cross-checked by brute force."""
 
+import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group,
@@ -17,16 +20,88 @@ from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
 from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    cartesian_product, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
-                                   lex_product, path_graph, petersen_graph,
-                                   prism_graph, spx_graph)
+                                   equitable_refinement,
+                                   isomorphism_with_colors, lex_product,
+                                   path_graph, petersen_graph, prism_graph,
+                                   spx_graph)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  _is_prime)
+                                  _is_prime, orbit, reduce_generators)
+
+# the corpus of `smallmotion verify graphs --quick`
+QUICK_SPEC = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
+                        inf_ms=(2,), lex_thetas=("complete:2",))
 
 
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def coloured_graphs(draw, max_n):
+    """A graph on at most max_n vertices with None or a random 2-colouring."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    colors = draw(st.none() | st.lists(st.sampled_from("ab"), min_size=n,
+                                       max_size=n))
+    return Graph.from_edges(n, [e for e, b in zip(pairs, mask) if b]), colors
+
+
+def reference_automorphism_group(graph, colors=None):
+    """The level loop without the refined-cell filter: at level v every
+    w > v of v's seed colour not yet reached gets a search, and every
+    level runs.  Returns (reduced generators, order)."""
+    n = graph.n
+    base = [(0, c) for c in ([0] * n if colors is None else colors)]
+    gens = []
+    order = 1
+    for v in range(n):
+        level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
+        reached = set(orbit(v, level_gens))
+        pinned = [(1, u) for u in range(v)]
+        for w in range(v + 1, n):
+            if w in reached or base[w] != base[v]:
+                continue
+            src = pinned + [(2,)] + base[v + 1:]
+            dst = pinned + base[v:]
+            dst[w] = (2,)
+            t = isomorphism_with_colors(graph, src, graph, dst)
+            if t is None:
+                continue
+            gens.append(t)
+            level_gens.append(t)
+            reached = set(orbit(v, level_gens))
+        order *= len(reached)
+    return reduce_generators(n, gens), order
+
+
+def networkx_aut_order(graph, colors=None):
+    """Oracle: |Aut| from networkx's VF2 matcher by orbit-stabilizer, the
+    product over v of the number of w that an automorphism keeping
+    ``colors`` and fixing 0..v-1 sends v to.  (VF2 takes about 30 s to
+    list the 9! automorphisms of the empty graph on 9 vertices.)"""
+    n = graph.n
+    colors = [0] * n if colors is None else colors
+
+    def labelled(v, w):
+        # 0..v-1 pinned, v's image w marked, the rest by colour alone
+        h = nx.Graph(graph.edges())
+        h.add_nodes_from(range(n))
+        for u in range(n):
+            h.nodes[u]["label"] = (colors[u], u if u < v else
+                                   -1 if u == w else n)
+        return h
+
+    order = 1
+    for v in range(n):
+        src = labelled(v, v)
+        order *= sum(GraphMatcher(src, labelled(v, w), node_match=lambda a, b:
+                                  a["label"] == b["label"]).is_isomorphic()
+                     for w in range(v, n))
+    return order
 
 
 class TestAutomorphismGroup:
@@ -69,6 +144,58 @@ class TestAutomorphismGroup:
                     if all(colors[h(v)] == colors[v] for v in range(n))]
             assert fast.order == len(want)
             assert set(fast.group.generators) <= set(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coloured_graphs(max_n=9))
+    def test_order_matches_networkx_and_brute_force(self, case):
+        g, colors = case
+        order = automorphism_group(g, colors).order
+        assert order == networkx_aut_order(g, colors)
+        if g.n <= 8:
+            keep = colors or [0] * g.n
+            assert order == sum(
+                all(keep[h(v)] == keep[v] for v in range(g.n))
+                for h in automorphism_group_brute(g).elements())
+
+
+class TestSearchFilter:
+    """Searches start only in v's refined cell and stop at the first
+    discrete level; the generators are those of the unfiltered loop."""
+
+    @staticmethod
+    def assert_same_as_reference(g, colors=None):
+        aut = automorphism_group(g, colors)
+        gens, order = reference_automorphism_group(g, colors)
+        assert [h.images for h in aut.group.generators] == \
+            [h.images for h in gens]
+        assert aut.order == order
+
+    @settings(max_examples=80, deadline=None)
+    @given(coloured_graphs(max_n=10))
+    def test_random_graphs_match_reference(self, case):
+        self.assert_same_as_reference(*case)
+
+    def test_quick_corpus_matches_reference(self):
+        graphs = [graph for _, graph in corpus_generators(QUICK_SPEC)]
+        assert len(graphs) == 33
+        for graph in graphs:
+            self.assert_same_as_reference(graph)
+
+    def test_search_counts(self):
+        for graph, most in ((petersen_graph(), 6), (cycle_graph(12), 3),
+                            (circulant_graph(13, [1, 3, 4]), 4)):  # Paley13
+            aut = automorphism_group(graph)
+            assert aut.stats["transporter_searches"] <= most
+
+    def test_discrete_refinement_starts_no_search(self):
+        # a triangle 0 1 2 with pendant paths 0-3-5 and 1-4: no symmetry,
+        # and degree refinement alone tells every vertex apart
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4),
+                                 (3, 5)])
+        assert len(set(equitable_refinement(g, [0] * 6))) == 6
+        aut = automorphism_group(g)
+        assert aut.order == 1
+        assert aut.stats["transporter_searches"] == 0
 
 
 class TestTwins:
@@ -193,11 +320,8 @@ class TestMinimalDegreeWitness:
         assert grp.minimal_degree() == grp.minimal_degree_full_scan()
 
     def test_quick_corpus_auts_match_reference_scan(self):
-        # the corpus of `smallmotion verify graphs --quick`
-        spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
-                          inf_ms=(2,), lex_thetas=("complete:2",))
         checked = 0
-        for _, graph in corpus_generators(spec):
+        for _, graph in corpus_generators(QUICK_SPEC):
             aut = automorphism_group(graph)
             if aut.order == 1:
                 continue

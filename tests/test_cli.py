@@ -241,6 +241,15 @@ class TestVerify:
             assert code == EXIT_INVALID
             assert "--jobs" in err
 
+    def test_circulant_max_below_two_is_invalid_input(self, capsys):
+        # below 2 the corpus would hold no circulant at all
+        for value in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "graphs",
+                                 f"--circulant-max={value}")
+            assert code == EXIT_INVALID
+            assert "--circulant-max" in err
+            assert out == ""
+
     def test_quick_graph_suite(self, capsys):
         code, out, _ = run(capsys, "--format", "structured",
                            "verify", "graphs", "--quick")

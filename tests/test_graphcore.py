@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
+                                   _joint_refine, _partition_of,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
                                    complete_bipartite, complete_graph,
                                    cycle_graph, empty_graph,
-                                   from_edge_list, from_graph6, inf_graph,
+                                   equitable_refinement, from_edge_list,
+                                   from_graph6, inf_graph,
                                    invariant_graphs_under, lex_product,
                                    matching_graph, parse_graph,
                                    petersen_graph, prism_graph, px_graph,
@@ -296,3 +298,27 @@ class TestIsomorphism:
             f = are_isomorphic(g1, g2)
             assert f is not None
             assert g1.relabel(f) == g2
+
+
+class TestEquitableRefinement:
+    @given(graphs(max_n=12), st.data())
+    def test_equitable_and_same_as_joint(self, g, data):
+        colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n,
+                                    max_size=g.n))
+        refined = equitable_refinement(g, colors)
+        for u in range(g.n):
+            # refined cells lie inside the seed cells
+            assert all(colors[w] == colors[u] for w in range(g.n)
+                       if refined[w] == refined[u])
+            # equal colours see equal neighbour colour counts
+            for w in range(g.n):
+                if refined[w] == refined[u]:
+                    assert sorted(refined[x] for x in g.neighbors(u)) == \
+                        sorted(refined[x] for x in g.neighbors(w))
+        joint = _joint_refine(g, list(colors), g, list(colors))
+        assert _partition_of(refined) == _partition_of(joint[0])
+
+    def test_individualising_one_vertex_of_a_cycle(self):
+        # pinning 0 of C6 leaves the pairs at equal distance from it
+        colors = equitable_refinement(cycle_graph(6), [1, 0, 0, 0, 0, 0])
+        assert _partition_of(colors) == _partition_of([0, 1, 2, 3, 2, 1])
