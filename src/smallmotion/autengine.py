@@ -8,8 +8,12 @@ previous level's by giving v-1 a fresh colour.  An automorphism fixing
 1981), so only the w in v's refined cell can be images of v.  Each such
 w is either reached by already-found generators or settled by a complete
 individualization-refinement search, so the returned generators generate
-the full group and the order is exact.  Once the partition is discrete
-only the identity fixes 0..v-1, and the levels stop.
+the full group and the order is exact.  A search starts from the level's
+refined cells with v and w given one fresh colour, so it does not redo
+the level's refinement; its first refinement reaches the same partition
+as from the base colours with 0..v-1 pinned, and the same cells on both
+sides, so it walks the same tree.  Once the partition is discrete only
+the identity fixes 0..v-1, and the levels stop.
 
 The motion of a graph without twins is the minimal degree of that group,
 found by one depth-first search over its stabilizer chain that prunes a
@@ -45,14 +49,14 @@ def automorphism_group(graph: Graph,
     colouring ``colors`` (all vertices alike when None).  At level v each
     w > v in v's cell of the refined colouring, with 0..v-1 individualised,
     and not yet reached is settled by one isomorphism search seeded with
-    ``colors``, 0..v-1 pinned and v sent to w.  The levels stop at the
-    first discrete refined colouring."""
+    that level colouring, v on one side and w on the other given one
+    fresh colour.  The levels stop at the first discrete refined
+    colouring."""
     n = graph.n
     if n > MAX_GRAPH_ORDER:
         raise CapExceededError(f"graph size {n} exceeds cap "
                                f"{MAX_GRAPH_ORDER}")
-    # seed labels: (0, colour), (1, pinned vertex), (2,) for the mark
-    base = [(0, c) for c in ([0] * n if colors is None else colors)]
+    base = [0] * n if colors is None else list(colors)
     if len(base) != n:
         raise ValueError(f"{len(base)} colours for {n} vertices")
     ids: dict = {}
@@ -66,14 +70,12 @@ def automorphism_group(graph: Graph,
             break
         level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
         reached = set(orbit(v, level_gens))
-        pinned = [(1, u) for u in range(v)]
         for w in range(v + 1, n):
             if w in reached or cells[w] != cells[v]:
                 continue
             searches += 1
-            src = pinned + [(2,)] + base[v + 1:]
-            dst = pinned + base[v:]
-            dst[w] = (2,)
+            src, dst = list(cells), list(cells)
+            src[v] = dst[w] = n   # ids are below n: a fresh colour
             t = isomorphism_with_colors(graph, src, graph, dst)
             if t is None:
                 continue
@@ -81,7 +83,7 @@ def automorphism_group(graph: Graph,
             level_gens.append(t)
             reached = set(orbit(v, level_gens))
         order *= len(reached)
-        cells[v] = n   # ids are below n: individualise v for level v+1
+        cells[v] = n   # individualise v for level v+1
     group = PermGroup(n, reduce_generators(n, gens))
     if group.order() != order:
         raise RuntimeError(f"generators reduce to a group of order "

@@ -1,6 +1,7 @@
 """Simple undirected graphs: constructions, products, quotients, and I/O.
 
-Vertices are 0-indexed; adjacency is stored as one bitmask per vertex.
+Vertices are 0-indexed; adjacency is stored as one bitmask per vertex,
+and the neighbour lists that refinement reads are decoded once, on demand.
 Product indexing is fixed so that identity (not merely isomorphism) tests
 are possible: lexicographic products are indexed major on the second
 factor (vertex = gamma*|VD| + delta), the fibre construction major on the
@@ -22,9 +23,10 @@ MAX_PAIR_ORBITS = 20
 class Graph:
     """An undirected simple graph on {0, ..., n-1} with bitset adjacency."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_nbrs")
 
     def __init__(self, n: int, adj: Sequence[int]):
+        adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency length mismatch")
         for v, row in enumerate(adj):
@@ -32,12 +34,15 @@ class Graph:
                 raise ValueError("loops are not allowed")
             if row >> n:
                 raise ValueError("adjacency bit out of range")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if bool(adj[u] & (1 << v)) != bool(adj[v] & (1 << u)):
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                if not adj[low.bit_length() - 1] >> v & 1:
                     raise ValueError("adjacency must be symmetric")
+                row ^= low
         self.n = n
-        self.adj = tuple(adj)
+        self.adj = adj
+        self._nbrs = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -56,7 +61,15 @@ class Graph:
         return bool(self.adj[u] & (1 << v))
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
+        return list(self.neighbor_lists()[v])
+
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbours of every vertex, decoded on first use and
+        kept; graphs that are never searched (``invariant_graphs_under``
+        builds up to 2^20) never pay for them."""
+        if self._nbrs is None:
+            self._nbrs = tuple(tuple(_bits(row)) for row in self.adj)
+        return self._nbrs
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -98,12 +111,7 @@ class Graph:
         return Graph(len(verts), adj), verts
 
     def is_automorphism(self, perm: Permutation) -> bool:
-        if perm.degree != self.n:
-            return False
-        return all(
-            self.adj[perm(u)] == _apply_mask(self.adj[u], perm)
-            for u in range(self.n)
-        )
+        return perm.degree == self.n and _maps_onto(self, perm.images, self)
 
     def is_regular(self) -> bool:
         return len({self.degree(v) for v in range(self.n)}) <= 1
@@ -128,11 +136,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _apply_mask(mask: int, perm: Permutation) -> int:
-    out = 0
-    for v in _bits(mask):
-        out |= 1 << perm(v)
-    return out
+def _maps_onto(g1: Graph, images: Sequence[int], g2: Graph) -> bool:
+    """Is the bijection v -> images[v] an isomorphism from g1 onto g2?
+    Each neighbourhood of g1, mapped, must be the image's row in g2."""
+    bit = [1 << w for w in images]
+    adj2 = g2.adj
+    return all(adj2[images[u]] == sum(map(bit.__getitem__, nbrs))
+               for u, nbrs in enumerate(g1.neighbor_lists()))
 
 
 # ---------------------------------------------------------------------------
@@ -403,33 +413,31 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
 # equitable refinement and isomorphism
 
 def _refine_pass(graph: Graph, colors: list[int], key_ids: dict) -> list[int]:
-    """One refinement pass: new color = (color, sorted neighbor colors).
+    """One refinement pass: new color = (color, sorted neighbor colors),
+    read from the graph's cached neighbour lists.
 
     Keys are shared through key_ids so that two graphs refined against the
-    same dict within one pass get comparable color ids.
+    same dict within one pass get comparable color ids.  New ids follow
+    the first vertex of each key, source graph first, so once a pass has
+    run they depend only on the partition and not on the input ids.
     """
-    new = []
-    for v in range(graph.n):
-        key = (colors[v], tuple(sorted(colors[w] for w in _bits(graph.adj[v]))))
-        if key not in key_ids:
-            key_ids[key] = len(key_ids)
-        new.append(key_ids[key])
-    return new
+    get = colors.__getitem__
+    return [key_ids.setdefault((c, tuple(sorted(map(get, nbrs)))),
+                               len(key_ids))
+            for c, nbrs in zip(colors, graph.neighbor_lists())]
 
 
 def equitable_refinement(graph: Graph, colors: list[int]) -> list[int]:
     """The coarsest equitable partition finer than ``colors``, as colour
     ids 0, 1, ...  A pass only splits cells, so the partition is stable
     once a pass adds no colour."""
+    count = len(set(colors))
     while True:
-        refined = _refine_pass(graph, colors, {})
-        if len(set(refined)) == len(set(colors)):
-            return refined
-        colors = refined
-
-
-def _partition_of(colors: list[int]) -> frozenset:
-    return frozenset(frozenset(vs) for vs in _color_cells(colors).values())
+        key_ids: dict = {}
+        colors = _refine_pass(graph, colors, key_ids)
+        if len(key_ids) == count:
+            return colors
+        count = len(key_ids)
 
 
 def _joint_refine(g1: Graph, c1: list[int],
@@ -437,18 +445,20 @@ def _joint_refine(g1: Graph, c1: list[int],
     """Refine both colorings in lockstep until both partitions stabilize.
 
     Returns None as soon as the color histograms diverge (no isomorphism
-    can respect the colorings).
+    can respect the colorings).  A pass only splits cells, and with equal
+    histograms both sides hold the same colours, so the partitions are
+    stable once a pass leaves the number of colours unchanged.
     """
+    count = len(set(c1))
     while True:
         key_ids: dict = {}
         n1 = _refine_pass(g1, c1, key_ids)
         n2 = _refine_pass(g2, c2, key_ids)
         if sorted(n1) != sorted(n2):
             return None
-        if _partition_of(n1) == _partition_of(c1) and \
-           _partition_of(n2) == _partition_of(c2):
+        if len(key_ids) == count:
             return n1, n2
-        c1, c2 = n1, n2
+        c1, c2, count = n1, n2, len(key_ids)
 
 
 def _color_cells(colors: list[int]) -> dict[int, list[int]]:
@@ -496,11 +506,8 @@ def isomorphism_with_colors(g1: Graph, c1_init: Sequence[int],
         refined = _joint_refine(g1, c1, g2, c2)
         if refined is None:
             return None
-        c1, c2 = refined
+        c1, c2 = refined   # equal histograms: cells correspond by colour
         cells1, cells2 = _color_cells(c1), _color_cells(c2)
-        if sorted(cells1) != sorted(cells2) or any(
-                len(cells1[c]) != len(cells2[c]) for c in cells1):
-            return None
         target = None
         for c, vs in sorted(cells1.items()):
             if len(vs) > 1 and (target is None or len(vs) > len(cells1[target])):
@@ -509,10 +516,9 @@ def isomorphism_with_colors(g1: Graph, c1_init: Sequence[int],
             mapping = [0] * n
             for c, vs in cells1.items():
                 mapping[vs[0]] = cells2[c][0]
-            perm = Permutation(mapping)
-            return mapping if g1.relabel(perm) == g2 else None
+            return mapping if _maps_onto(g1, mapping, g2) else None
         v = min(cells1[target])
-        fresh = max(max(c1), max(c2)) + 1
+        fresh = len(cells1)
         for w in cells2[target]:
             d1, d2 = list(c1), list(c2)
             d1[v] = fresh

@@ -1,15 +1,18 @@
 """Graph containers, constructions, products, and serialization formats."""
 
 import itertools
+import pickle
 import random
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
-                                   _joint_refine, _partition_of,
+                                   _joint_refine, _maps_onto,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
@@ -17,7 +20,8 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    cycle_graph, empty_graph,
                                    equitable_refinement, from_edge_list,
                                    from_graph6, inf_graph,
-                                   invariant_graphs_under, lex_product,
+                                   invariant_graphs_under,
+                                   isomorphism_with_colors, lex_product,
                                    matching_graph, parse_graph,
                                    petersen_graph, prism_graph, px_graph,
                                    quotient_graph, spx_graph, to_edge_list,
@@ -41,11 +45,27 @@ def graphs(draw, min_n=1, max_n=10):
     return Graph.from_edges(n, [e for e, b in zip(all_pairs, mask) if b])
 
 
+def _partition_of(colors):
+    """A colouring as a set of cells, forgetting the colour ids."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return frozenset(frozenset(vs) for vs in cells.values())
+
+
 def to_nx(graph):
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
     g.add_edges_from(graph.edges())
     return g
+
+
+def shrikhande_graph():
+    """Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1); vertex 4a+b."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return Graph.from_edges(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                                 for a in range(4) for b in range(4)
+                                 for x, y in steps])
 
 
 class TestGraphBasics:
@@ -90,6 +110,61 @@ class TestGraphBasics:
         sub, verts = g.induced_subgraph([0, 1, 2])
         assert verts == (0, 1, 2)
         assert sub.edges() == [(0, 1), (1, 2)]
+
+
+class TestGraphValidation:
+    def test_rejects_a_loop_row(self):
+        with pytest.raises(ValueError, match="loops are not allowed"):
+            Graph(2, [0b01, 0])
+
+    def test_rejects_a_bit_out_of_range(self):
+        with pytest.raises(ValueError, match="adjacency bit out of range"):
+            Graph(2, [0b100, 0b000])
+
+    def test_rejects_an_asymmetric_row(self):
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            Graph(3, [0b010, 0b000, 0b000])
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                             max_size=n))))
+    def test_symmetry_check_matches_all_pairs(self, case):
+        n, rows = case
+        rows = [row & ~(1 << v) for v, row in enumerate(rows)]
+        symmetric = all(bool(rows[u] >> v & 1) == bool(rows[v] >> u & 1)
+                        for u in range(n) for v in range(n))
+        if symmetric:
+            assert Graph(n, rows).adj == tuple(rows)
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                Graph(n, rows)
+
+
+class TestNeighbourLists:
+    @given(graphs())
+    def test_lists_are_the_neighbours(self, g):
+        lists = g.neighbor_lists()
+        assert g.neighbor_lists() is lists   # decoded once
+        for v in range(g.n):
+            assert list(lists[v]) == g.neighbors(v) == \
+                [w for w in range(g.n) if g.has_edge(v, w)]
+
+    def test_derived_graphs_decode_their_own_lists(self):
+        g = petersen_graph()
+        g.neighbor_lists()
+        p = Permutation([(v + 3) % 10 for v in range(10)])
+        for h in (g.relabel(p), g.complement(), g.with_edge_removed(0, 1)):
+            assert h != g
+            assert [list(ns) for ns in h.neighbor_lists()] == \
+                [[w for w in range(h.n) if h.has_edge(v, w)]
+                 for v in range(h.n)]
+
+    def test_pickled_graph_with_lists_compares_equal(self):
+        g = cycle_graph(7)
+        lists = g.neighbor_lists()
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and hash(h) == hash(g)
+        assert h.neighbor_lists() == lists
 
 
 class TestNamedFamilies:
@@ -298,6 +373,57 @@ class TestIsomorphism:
             f = are_isomorphic(g1, g2)
             assert f is not None
             assert g1.relabel(f) == g2
+
+    def test_pairs_refinement_cannot_split(self):
+        # both pairs are regular with equal parameters, so refinement from
+        # one colour cannot split them: the search has to individualise
+        two_triangles = lex_product(complete_graph(3), empty_graph(2))
+        assert are_isomorphic(cycle_graph(6), two_triangles) is None
+        rook = cartesian_product(complete_graph(4), complete_graph(4))
+        assert are_isomorphic(rook, shrikhande_graph()) is None
+        assert are_isomorphic(rook, rook.relabel(
+            Permutation([(5 * v) % 16 for v in range(16)]))) is not None
+        assert automorphism_group(cycle_graph(6)).order == 12
+        assert automorphism_group(two_triangles).order == 72
+        assert automorphism_group(rook).order == 1152
+        assert automorphism_group(shrikhande_graph()).order == 192
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_coloured_search_against_networkx(self, data):
+        n = data.draw(st.integers(1, 9))
+        g1 = data.draw(graphs(min_n=n, max_n=n))
+        c1 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if data.draw(st.booleans()):   # a relabelled copy: isomorphic
+            p = data.draw(st.permutations(range(n)))
+            g2 = g1.relabel(Permutation(p))
+            c2 = [0] * n
+            for v in range(n):
+                c2[p[v]] = c1[v]
+        else:
+            g2 = data.draw(graphs(min_n=n, max_n=n))
+            c2 = data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                    max_size=n))
+        found = isomorphism_with_colors(g1, c1, g2, c2)
+        h1, h2 = to_nx(g1), to_nx(g2)
+        nx.set_node_attributes(h1, dict(enumerate(c1)), "c")
+        nx.set_node_attributes(h2, dict(enumerate(c2)), "c")
+        want = GraphMatcher(h1, h2, node_match=lambda a, b: a["c"] == b["c"]
+                            ).is_isomorphic()
+        assert (found is not None) == want
+        if found is not None:
+            assert g1.relabel(found) == g2
+            assert all(c2[found(v)] == c1[v] for v in range(n))
+
+    @given(graphs(max_n=8), st.data())
+    def test_leaf_check_is_relabel_equality(self, g1, data):
+        # a stable discrete leaf with equal histograms is always an
+        # isomorphism, so the search never fails this check: test it alone
+        images = data.draw(st.permutations(range(g1.n)))
+        g2 = data.draw(st.sampled_from([g1, g1.relabel(Permutation(images)),
+                                        g1.complement()]))
+        assert _maps_onto(g1, images, g2) == \
+            (g1.relabel(Permutation(images)) == g2)
 
 
 class TestEquitableRefinement:
