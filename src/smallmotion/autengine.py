@@ -18,8 +18,9 @@ the identity fixes 0..v-1, and the levels stop.
 The motion of a graph without twins is the minimal degree of that group,
 found by one depth-first search over its stabilizer chain that prunes a
 coset once it must move more points than the smallest support so far (at
-most ``SMALLMOTION_CAP`` nodes); the witness is the first automorphism of
-prime order with that support in the group's ``elements()`` order.
+most ``SMALLMOTION_CAP`` nodes).  The witness is the least automorphism of
+prime order and minimal support by image tuple, so no generating set or
+stabilizer chain of the group changes it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def automorphism_group(graph: Graph,
             reached = set(orbit(v, level_gens))
         order *= len(reached)
         cells[v] = n   # individualise v for level v+1
-    group = PermGroup(n, reduce_generators(n, gens))
+    group = reduce_generators(n, gens)
     if group.order() != order:
         raise RuntimeError(f"generators reduce to a group of order "
                            f"{group.order()}, expected {order}")
@@ -103,7 +104,7 @@ def automorphism_group_brute(graph: Graph, max_n: int = 8) -> PermGroup:
     auts = [Permutation(images)
             for images in itertools.permutations(range(graph.n))
             if graph.is_automorphism(Permutation(images))]
-    return PermGroup(graph.n, reduce_generators(graph.n, auts))
+    return reduce_generators(graph.n, auts)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +145,17 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
                    ) -> tuple[int, Permutation]:
     """(motion, a minimal-support automorphism).
 
-    A twin pair decides motion 2 at once, witnessed by the transposition
-    of the first pair of ``find_twins``.  Otherwise the motion is the
-    minimal degree of the automorphism group and the witness the first
-    automorphism of prime order with that support in ``elements()`` order,
-    both from the pruned search of ``PermGroup.minimal_degree_witness``.
+    The witness is the least automorphism of prime order and minimal
+    support by image tuple.  A twin pair decides motion 2 at once, with
+    the least twin transposition: largest u, then smallest v, of (u, v).
+    Otherwise both come from ``PermGroup.minimal_degree_witness``.
     ``aut`` is the graph's ``automorphism_group`` result when the caller
     has it; it is computed only when the twin path does not decide.
     """
     twins = find_twins(graph)
     if twins:
-        a, b = twins.all_pairs()[0]
-        return 2, Permutation.from_cycles(graph.n, [[a, b]])
+        return 2, min(Permutation.from_cycles(graph.n, [pair])
+                      for pair in twins.all_pairs())
     if aut is None:
         aut = automorphism_group(graph)
     if aut.order == 1:

@@ -567,10 +567,10 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
 
 
 def _block_system_containing_support(group: PermGroup, supp: frozenset):
-    """A minimal block system with one block containing the support."""
+    """A minimal block system, one block holding supp (group transitive)."""
     pts = sorted(supp)
     for beta in pts[1:]:
-        block = group.minimal_block_spanning((pts[0], beta))
+        block = group._block_closure((pts[0], beta))
         if len(block) < group.degree and supp <= block:
             return group.block_system_from(block)
     return None
@@ -681,7 +681,8 @@ def _match_table2_row(m, x_fam, y_fam):
 
 
 def _size2_system_pairing(group: PermGroup, x: Permutation):
-    """A size-2 block system organizing the support of x, if any.
+    """A size-2 block system of the transitive group organizing the support
+    of x, if any.
 
     Returns (system, kind) where kind is "crosswise" when the system's
     blocks pair points across the two transpositions of x, or "flips"
@@ -689,12 +690,12 @@ def _size2_system_pairing(group: PermGroup, x: Permutation):
     """
     (a1, a2), (b1, b2) = x.cycles()
     for seed_b, other_b in ((b1, b2), (b2, b1)):
-        block = group.minimal_block_spanning((a1, seed_b))
+        block = group._block_closure((a1, seed_b))
         if len(block) == 2:
             bs = group.block_system_from(block)
             if tuple(sorted((a2, other_b))) in bs.blocks:
                 return bs, "crosswise"
-    block = group.minimal_block_spanning((a1, a2))
+    block = group._block_closure((a1, a2))
     if len(block) == 2:
         bs = group.block_system_from(block)
         if tuple(sorted((b1, b2))) in bs.blocks:
@@ -712,7 +713,7 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     if x is None:
         raise ValueError("no order-2 support-4 element found")
     # a transposition or 3-cycle witnesses minimal degree < 4
-    small = next((g for g in at_most_four if len(g.support()) < 4), None)
+    small = min((g for g in at_most_four if len(g.support()) < 4), default=None)
     if small is not None:
         return TwoTwoReport(tag="small_mindeg", witness=small,
                             notes=[f"support size {len(small.support())}"])
@@ -885,8 +886,8 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
                 return name
         for name, ref in references.items():
             if len(ref) == len(elems):
-                g1 = PermGroup(2 * m, reduce_generators(2 * m, elems))
-                g2 = PermGroup(2 * m, reduce_generators(2 * m, ref))
+                g1 = reduce_generators(2 * m, elems)
+                g2 = reduce_generators(2 * m, ref)
                 if permutation_isomorphic(g1, g2) is not None:
                     return name + " (up to perm-iso)"
         return f"unrecognized (order {len(elems)})"
@@ -913,7 +914,7 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
                      if is_two_two(g) and projections[g].cycle_type() == (2,)]
         if not witnesses:
             continue
-        y_group = PermGroup(2 * m, reduce_generators(2 * m, y_elems))
+        y_group = reduce_generators(2 * m, y_elems)
         x_ids = set()
         for x in sorted(witnesses):
             x_grp = y_group.normal_closure(x)

@@ -473,18 +473,19 @@ class StabilizerChain:
         yield from walk(self._identity, 0)
 
     def _small_supports(self, bound: int, falling: bool) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points, in
-        ``elements()`` order; with ``falling`` the bound drops to the
-        smallest support found so far and only its elements are returned.
+        """The non-identity elements moving at most ``bound`` points, sorted
+        by image tuple, so no other chain of the group changes the list;
+        with ``falling`` the bound drops to the smallest support found so
+        far and only its elements are returned.
 
         A depth-first backtrack over base images (Seress, Permutation Group
         Algorithms, ch. 9; Leon, "Permutation group algorithms based on
         partitions, I").  The node ``h = t_{d-1} * ... * t_0`` (t_l sends
         base[l] to x_l) is the coset ``G_d * h`` of the level-d stabilizer;
         each element of it moves every q with h(q) outside q's G_d-orbit,
-        and more than ``bound`` such q prune the node.  Levels try base[d]
-        (the identity branch) first; leaves are sorted by (x_{k-1}, ...,
-        x_0).  Visiting over ``element_cap()`` nodes raises CapExceededError.
+        and more than ``bound`` such q prune the node; levels try base[d]
+        (the identity branch) first.  More than ``element_cap()`` nodes
+        raise CapExceededError.
         """
         cap = element_cap()
         depth = len(self.base)
@@ -492,12 +493,12 @@ class StabilizerChain:
         for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
             orbits = PermGroup(self.degree, self._level_gens(d + 1)).orbits()
             index = {q: i for i, o in enumerate(orbits) for q in o}
-            levels.append(([(x, _then(trans[x])) for x in
+            levels.append(([_then(trans[x]) for x in
                             [b] + sorted(set(trans) - {b})],
                            tuple(index[q] for q in range(self.degree))))
         found, nodes = [], 0
 
-        def visit(h: tuple, d: int, points: tuple) -> None:
+        def visit(h: tuple, d: int) -> None:
             nonlocal bound, found, nodes
             steps, oid = levels[d]
             nodes += len(steps)
@@ -505,21 +506,21 @@ class StabilizerChain:
                 raise CapExceededError(f"minimal-support search exceeds "
                                        f"cap {CAP_VARIABLE}={cap} nodes")
             h_oid = tuple(map(oid.__getitem__, h))
-            for x, then_t in steps:
+            for then_t in steps:
                 child = then_t(h)
                 moved = sum(map(ne, then_t(h_oid), oid))
                 if moved > bound:
                     continue
                 if d + 1 < depth:
-                    visit(child, d + 1, (x,) + points)
+                    visit(child, d + 1)
                 elif moved:
                     if falling and moved < bound:
                         bound, found = moved, []
-                    found.append(((x,) + points, child))
+                    found.append(child)
 
         if depth:
-            visit(self._identity, 0, ())
-        return [_trusted(h) for _, h in sorted(found)]
+            visit(self._identity, 0)
+        return [_trusted(h) for h in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +632,8 @@ class PermGroup:
 
     # -- blocks -----------------------------------------------------------
 
-    def minimal_block_spanning(self, points: Iterable[int]) -> frozenset:
-        """Smallest block containing the given points (whole set if none)."""
-        if not self.is_transitive():
-            raise ValueError("group is not transitive")
-        return self._block_closure(points)
-
     def _block_closure(self, points: Iterable[int]) -> frozenset:
-        """``minimal_block_spanning`` for callers that checked transitivity."""
+        """Smallest block holding the points, for a transitive group."""
         pts = sorted(set(points))
         if not pts:
             raise ValueError("need at least one point")
@@ -770,7 +765,7 @@ class PermGroup:
         trans = chain._transversal[0]
         gens = chain._level_gens(1)
         gens += [_trusted(trans[b]) for b in sorted(blk) if b in trans]
-        return PermGroup(self.degree, reduce_generators(self.degree, gens))
+        return reduce_generators(self.degree, gens)
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the reduced strong
@@ -780,13 +775,12 @@ class PermGroup:
         if all(g(p) == p for g in self.generators for p in prefix):
             return self
         chain = self.chain_with_base(prefix)
-        gens = chain._level_gens(len(prefix))
-        return PermGroup(self.degree, reduce_generators(self.degree, gens))
+        return reduce_generators(self.degree, chain._level_gens(len(prefix)))
 
     # -- closures and minimal degree -------------------------------------
 
     def normal_closure(self, x: Permutation) -> "PermGroup":
-        """The subgroup generated by all conjugates of x under the group."""
+        """The subgroup generated by all conjugates of x, on the chain grown."""
         if x.degree != self.degree:
             raise ValueError("degree mismatch")
         gens: list[Permutation] = []
@@ -805,19 +799,21 @@ class PermGroup:
                 if not sub.contains(h.conjugate(g)):
                     raise RuntimeError("normal closure is not normalized "
                                        "by the group's generators")
-        return PermGroup(self.degree, gens)
+        group = PermGroup(self.degree, gens)
+        group._chain = sub
+        return group
 
     def small_support_elements(self, bound: int) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points, in
-        ``elements()`` order, by the pruned search of the chain."""
+        """The non-identity elements moving at most ``bound`` points, sorted
+        by image tuple, by the pruned search of the chain."""
         return self.chain._small_supports(bound, falling=False)
 
     def minimal_degree_witness(self) -> tuple[int, Permutation]:
-        """(min |supp(x)| over non-identity x, the first element of prime
-        order in ``elements()`` order with that support size), by one pruned
-        search of the chain whose bound falls to the smallest support found
-        so far.  Elements of prime order suffice because supp(x^k) is
-        contained in supp(x).  Error on the trivial group."""
+        """(min |supp(x)| over non-identity x, the least element by image
+        tuple of prime order and that support): the first such in the
+        output, sorted by images, of one pruned search of the chain whose
+        bound falls to the smallest support found so far.  Elements of prime
+        order suffice as supp(x^k) lies in supp(x).  Error if trivial."""
         if self.is_trivial():
             raise ValueError("minimal degree of the trivial group is undefined")
         found = self.chain._small_supports(self.degree, falling=True)
@@ -836,10 +832,14 @@ class PermGroup:
                    if not g.is_identity())
 
 
-def reduce_generators(degree: int, elements: Iterable[Permutation]) -> list[Permutation]:
-    """Greedily pick a small generating set from a collection of elements."""
+def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup:
+    """The group of the elements, on generators picked greedily, with the
+    chain grown picking them."""
     chain = StabilizerChain(degree, [])
-    return [e for e in sorted(set(elements)) if chain.extend(e)]
+    group = PermGroup(degree, [e for e in sorted(set(elements))
+                               if chain.extend(e)])
+    group._chain = chain
+    return group
 
 
 def closure(degree: int, generators: Sequence[Permutation],

@@ -54,23 +54,22 @@ def wreath_product(inner: PermGroup, outer: PermGroup) -> PermGroup:
 
 
 def base_group_element(lab: WreathLabeling, parts: list[Permutation]) -> Permutation:
-    """The base-group element acting as parts[lam] in copy lam."""
-    m, k = lab.inner_degree, lab.outer_degree
-    images = list(range(m * k))
-    for lam, g in enumerate(parts):
-        for delta in range(m):
-            images[lab.flat(delta, lam)] = lab.flat(g(delta), lam)
-    return Permutation(images)
+    """The base-group element acting as parts[lam] in copy lam, one part
+    for each of the copies."""
+    if len(parts) != lab.outer_degree:
+        raise ValueError(f"{len(parts)} parts for {lab.outer_degree} copies")
+    return _pair_map(lab, lambda delta, lam: (parts[lam](delta), lam))
 
 
 def top_group_element(lab: WreathLabeling, h: Permutation) -> Permutation:
     """The top-group element permuting the copies by h."""
+    return _pair_map(lab, lambda delta, lam: (delta, h(lam)))
+
+
+def _pair_map(lab: WreathLabeling, image) -> Permutation:
+    """The permutation sending the pair (delta, lam) to image(delta, lam)."""
     m, k = lab.inner_degree, lab.outer_degree
-    images = list(range(m * k))
-    for lam in range(k):
-        for delta in range(m):
-            images[lab.flat(delta, lam)] = lab.flat(delta, h(lam))
-    return Permutation(images)
+    return Permutation([lab.flat(*image(*lab.pair(v))) for v in range(m * k)])
 
 
 @dataclass

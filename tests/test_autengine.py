@@ -25,7 +25,8 @@ from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    path_graph, petersen_graph, prism_graph,
                                    spx_graph)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  _is_prime, orbit, reduce_generators)
+                                  _is_prime, closure, orbit,
+                                  reduce_generators)
 
 # the corpus of `smallmotion verify graphs --quick`
 QUICK_SPEC = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
@@ -75,7 +76,7 @@ def reference_automorphism_group(graph, colors=None):
             level_gens.append(t)
             reached = set(orbit(v, level_gens))
         order *= len(reached)
-    return reduce_generators(n, gens), order
+    return reduce_generators(n, gens).generators, order
 
 
 def networkx_aut_order(graph, colors=None):
@@ -270,6 +271,26 @@ class TestMotion:
         assert mu == 12 and len(w.support()) == 12
         assert graph.is_automorphism(w)
 
+    def test_witness_matches_brute_force_rule(self):
+        """Twin and search paths alike give the least automorphism by
+        image tuple among those of prime order and smallest support."""
+        rng = random.Random(27)
+        graphs = [cycle_graph(n) for n in range(5, 9)] + \
+            [prism_graph(3), prism_graph(4), circulant_graph(8, [1, 4])]
+        graphs += [random_graph(rng, rng.randint(2, 8),
+                                p=rng.choice([0.3, 0.5, 0.7]))
+                   for _ in range(40)]
+        paths = {True: 0, False: 0}
+        for g in graphs:
+            auts = closure(g.n, automorphism_group_brute(g).generators)
+            if len(auts) == 1:
+                continue
+            want = min((len(h.support()), h) for h in auts
+                       if not h.is_identity() and _is_prime(h.order()))
+            assert motion_witness(g) == want
+            paths[bool(find_twins(g))] += 1
+        assert paths[True] >= 5 and paths[False] >= 5
+
     def test_rigid_graph_rejected(self):
         # smallest rigid graph has 6 vertices; motion is undefined there
         rigid = Graph.from_edges(6, [(0, 3), (1, 2), (1, 3), (1, 5), (2, 3),
@@ -284,14 +305,13 @@ REFERENCE_SCAN_LIMIT = 200_000
 
 
 def reference_scan(group):
-    """The element scan motion_witness ran itself before it called
-    minimal_degree_witness: the first element of prime order whose
-    support is smallest."""
+    """The witness rule by an element scan: the least element by image
+    tuple among the elements of prime order whose support is smallest."""
     best = None
     for g in group.elements(cap=REFERENCE_SCAN_LIMIT):
         if g.is_identity() or not _is_prime(g.order()):
             continue
-        if best is None or len(g.support()) < len(best.support()):
+        if best is None or (len(g.support()), g) < (len(best.support()), best):
             best = g
     return len(best.support()), best
 

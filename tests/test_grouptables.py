@@ -4,10 +4,13 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
-                                     agl1, agl_d2, alt_group, c2_wr_sym,
+                                     _find_p_cycle, agl1, agl_d2, alt_group,
+                                     c2_wr_sym,
                                      check_table_row, classify_22_group,
                                      classify_p_cycle_group, construct,
                                      cyclic_group, dihedral_group,
@@ -17,8 +20,39 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      pgl3_2, psl2, recognize_family,
                                      superflip, sym_group, tau_cross_sym)
 from smallmotion.permcore import (PermGroup, Permutation, is_2_transitive,
-                                  permutation_isomorphic)
+                                  is_two_two, permutation_isomorphic)
 from smallmotion.wreath import wreath_product
+
+SAMPLE_GROUPS = [dihedral_group(4), tau_cross_sym(3), even_flips_rtimes_sym(3),
+                 c2_wr_sym(2), agl1(5), psl2(5),
+                 wreath_product(cyclic_group(3), sym_group(2))]
+
+
+@st.composite
+def regenerated_groups(draw):
+    """A group of degree <= 8, and the same group on its generators
+    shuffled with one redundant product inserted."""
+    if draw(st.booleans()):
+        grp = draw(st.sampled_from(SAMPLE_GROUPS))
+    else:
+        n = draw(st.integers(2, 8))
+        grp = PermGroup(n, draw(st.lists(
+            st.permutations(range(n)).map(Permutation), min_size=1,
+            max_size=3)))
+    gens = draw(st.permutations(grp.generators))
+    if gens:
+        product = draw(st.sampled_from(gens)) * draw(st.sampled_from(gens))
+        gens.insert(draw(st.integers(0, len(gens))), product)
+    return grp, PermGroup(grp.degree, gens)
+
+
+def witnesses(grp):
+    """The minimal-degree, p-cycle and 2^2-classifier witnesses."""
+    out = [grp.minimal_degree_witness(), _find_p_cycle(grp, None)]
+    if grp.is_transitive() and \
+            any(map(is_two_two, grp.small_support_elements(4))):
+        out.append(classify_22_group(grp).witness)
+    return out
 
 
 class TestConstructors:
@@ -261,6 +295,16 @@ class TestTwoTwoClassifier:
         assert any("even_flips_rtimes_sym" in n for n in rep.notes)
 
 
+class TestGeneratorIndependence:
+    @settings(max_examples=60, deadline=None)
+    @given(regenerated_groups())
+    def test_witnesses_ignore_the_generating_set(self, pair):
+        grp, regenerated = pair
+        if grp.is_trivial():
+            return
+        assert witnesses(regenerated) == witnesses(grp)
+
+
 class TestPairEnumeration:
     def test_m2(self):
         enum = enumerate_small_subgroup_pairs(2)
@@ -279,11 +323,11 @@ class TestPairEnumeration:
         assert not enum.table3_row2_matched
 
     def test_every_x_is_normal_in_its_y(self):
-        from smallmotion.permcore import PermGroup, reduce_generators
+        from smallmotion.permcore import reduce_generators
         enum = enumerate_small_subgroup_pairs(2)
         for x_elems, y_elems in enum.pairs:
             assert x_elems <= y_elems
-            y = PermGroup(4, reduce_generators(4, y_elems))
+            y = reduce_generators(4, y_elems)
             for x in x_elems:
                 for g in y.generators:
                     assert x.conjugate(g) in x_elems

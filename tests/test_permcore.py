@@ -287,7 +287,7 @@ class TestStabilizerChain:
         grp, extra = sample
         n = grp.degree
         elems = list(grp.generators) + extra
-        assert reduce_generators(n, elems) == \
+        assert list(reduce_generators(n, elems).generators) == \
             reference_reduce_generators(n, elems)
         for x in extra[:2] + list(grp.generators[:1]):
             assert list(grp.normal_closure(x).generators) == \
@@ -517,6 +517,23 @@ class TestNormalClosure:
             want = closure(n, sorted(conj))
             assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_kept_chains_match_rebuilt_chains(self, sample):
+        """reduce_generators and normal_closure keep the chains they grew;
+        those answer order and membership like a chain built afresh."""
+        grp, extra = sample
+        n = grp.degree
+        kept = [reduce_generators(n, list(grp.generators) + extra)]
+        kept += [grp.normal_closure(x) for x in extra[:2]]
+        probes = extra + list(grp.generators) + \
+            list(itertools.islice(grp.elements(), 200))
+        for sub in kept:
+            assert sub._chain is not None
+            rebuilt = PermGroup(n, sub.generators)
+            assert sub.order() == rebuilt.order()
+            assert [h in sub for h in probes] == [h in rebuilt for h in probes]
+
     def test_closure_is_normalized(self):
         rng = random.Random(16)
         for _ in range(10):
@@ -555,7 +572,8 @@ class TestMinimalDegree:
     def test_small_support_elements_match_filtered_elements(self, sample,
                                                             bound):
         grp, _ = sample
-        want = [g for g in grp.elements() if 0 < len(g.support()) <= bound]
+        want = sorted(g for g in grp.elements()
+                      if 0 < len(g.support()) <= bound)
         assert grp.small_support_elements(bound) == want
 
     def test_search_nodes_are_capped(self, monkeypatch):
@@ -636,5 +654,5 @@ class TestTextFormats:
         for _ in range(10):
             n = rng.randint(3, 6)
             grp = random_group(rng, n, ngens=4)
-            reduced = PermGroup(n, reduce_generators(n, grp.elements()))
-            assert reduced.order() == grp.order()
+            reduced = reduce_generators(n, grp.elements())
+            assert PermGroup(n, reduced.generators).order() == grp.order()

@@ -63,6 +63,8 @@ class TestWreathProduct:
         h = top_group_element(lab, Permutation([1, 0]))
         assert h in w
         assert h(0) == 3 and h(4) == 1
+        with pytest.raises(ValueError):
+            base_group_element(lab, [Permutation([1, 0, 2])])
 
     def test_semidirect_relation(self):
         # conjugating a base element by a top element permutes the copies
