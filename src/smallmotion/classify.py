@@ -343,8 +343,8 @@ def named_graph(token: str) -> Graph:
     if name in _FAMILIES and len(fields) == 1:
         return _FAMILIES[name](int(fields[0]))
     if name == "circulant" and len(fields) in (1, 2):
-        conn = [int(d) for d in fields[1].split("-")] if len(fields) > 1 else []
-        return circulant_graph(int(fields[0]), conn)
+        conn = fields[1].split("-") if len(fields) > 1 and fields[1] else []
+        return circulant_graph(int(fields[0]), [int(d) for d in conn])
     if name in _FAMILIES or name == "circulant":
         raise ValueError(f"wrong number of fields in graph token {token!r}")
     raise ValueError(f"unknown graph family token {token!r}")

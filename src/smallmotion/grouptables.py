@@ -10,14 +10,13 @@ infinity at index p and the convention a/0 = infinity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .permcore import (MAX_ISOMORPHISM_DEGREE, CapExceededError, PermGroup,
                        Permutation, closure, is_2_transitive, is_two_two,
-                       orbit, permutation_isomorphic, reduce_generators,
-                       _is_prime)
+                       join_closure, orbit, permutation_isomorphic,
+                       reduce_generators, _is_prime)
 from .wreath import wreath_product
 
 SUBGROUP_LATTICE_LIMIT = 200
@@ -814,7 +813,7 @@ class PairEnumeration:
 
 def _all_subgroups(elements: list[Permutation],
                    degree: int) -> list[frozenset]:
-    """All subgroups of a small group: pairwise joins of cyclic subgroups."""
+    """All subgroups of a small group: the joins of its cyclic subgroups."""
     if len(elements) > SUBGROUP_LATTICE_LIMIT:
         raise CapExceededError(f"group order {len(elements)} exceeds cap "
                                f"{SUBGROUP_LATTICE_LIMIT}")
@@ -826,19 +825,8 @@ def _all_subgroups(elements: list[Permutation],
             raise RuntimeError("subgroup closure leaves the element set")
         return frozenset(seen)
 
-    subgroups = {closure_set([g]) for g in elements}
-    worklist = list(subgroups)
-    while worklist:
-        new = []
-        items = sorted(subgroups, key=lambda s: (len(s), sorted(p.images for p in s)))
-        for a, b in itertools.combinations(items, 2):
-            if a <= b or b <= a:
-                continue
-            j = closure_set(list(a | b))
-            if j not in subgroups:
-                subgroups.add(j)
-                new.append(j)
-        worklist = new
+    subgroups = join_closure({closure_set([g]) for g in elements},
+                             lambda a, b: closure_set(list(a | b)))
     return sorted(subgroups, key=lambda s: (len(s), sorted(p.images for p in s)))
 
 

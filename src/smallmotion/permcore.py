@@ -633,7 +633,11 @@ class PermGroup:
     # -- blocks -----------------------------------------------------------
 
     def _block_closure(self, points: Iterable[int]) -> frozenset:
-        """Smallest block holding the points, for a transitive group."""
+        """Smallest block holding the points, for a transitive group, by a
+        queue of merged pairs (Atkinson, "An algorithm for finding the
+        blocks of a permutation group", 1975): the seed pairs are queued,
+        and each pair that merges two classes queues its images under the
+        generators, so the classes end up G-invariant."""
         pts = sorted(set(points))
         if not pts:
             raise ValueError("need at least one point")
@@ -645,54 +649,32 @@ class PermGroup:
                 v = parent[v]
             return v
 
-        def union(a, b):
-            ra, rb = sorted((find(a), find(b)))
-            parent[rb] = ra
-            return ra != rb
-
-        for p in pts[1:]:
-            union(pts[0], p)
-        changed = True
-        while changed:
-            changed = False
-            for g in self.generators:
-                anchor = {}
-                for v in range(self.degree):
-                    a = anchor.setdefault(find(v), v)
-                    if a != v and union(g(a), g(v)):
-                        changed = True
+        gens = [g.images for g in self.generators]
+        queue = [(pts[0], p) for p in pts[1:]]
+        for a, b in queue:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+                queue.extend((g[a], g[b]) for g in gens)
         root = find(pts[0])
         return frozenset(v for v in range(self.degree) if find(v) == root)
 
     def block_systems(self) -> list[BlockSystem]:
         """All nontrivial block systems of a transitive group.
 
-        The blocks containing 0 form a lattice closed under joins; they are
-        reached by closing the minimal blocks {0, beta} under pairwise joins.
-        Systems are sorted by block size, then by their block lists.
+        The blocks holding 0 form a lattice under joins; each one of size
+        at least 2 is the join of the smallest blocks holding {0, beta} for
+        its points beta, so the join closure of those atoms reaches them
+        all.  Systems are sorted by block size, then by their block lists.
         """
         if not self.is_transitive():
             raise ValueError("group is not transitive")
-        blocks = set()
-        for beta in range(1, self.degree):
-            b = self._block_closure((0, beta))
-            if 1 < len(b) < self.degree:
-                blocks.add(b)
-        frontier = set(blocks)
-        while frontier:
-            new = set()
-            for b1 in frontier:
-                for b2 in blocks:
-                    if b1 <= b2 or b2 <= b1:
-                        continue
-                    j = self._block_closure(b1 | b2)
-                    if len(j) < self.degree and j not in blocks:
-                        new.add(j)
-            blocks |= new
-            frontier = new
-        systems = [self.block_system_from(b) for b in blocks]
-        uniq = {s.blocks: s for s in systems}
-        return sorted(uniq.values(), key=lambda s: (len(s.blocks[0]), s.blocks))
+        atoms = {self._block_closure((0, beta))
+                 for beta in range(1, self.degree)}
+        blocks = join_closure(atoms, lambda b, c: self._block_closure(b | c))
+        systems = [self.block_system_from(b) for b in blocks
+                   if len(b) < self.degree]
+        return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
 
     def minimal_block_system(self) -> Optional[BlockSystem]:
         """A system of minimal blocks, or None iff the group is primitive.
@@ -840,6 +822,23 @@ def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup
                                if chain.extend(e)])
     group._chain = chain
     return group
+
+
+def join_closure(atoms: Iterable[frozenset], join) -> set[frozenset]:
+    """The least family holding the atoms and closed under ``join`` of its
+    incomparable pairs (a comparable pair is its own join).  Each round
+    joins the members first found in the round before with every member
+    found earlier and with each other, so no pair is joined twice."""
+    family: list[frozenset] = []
+    fresh = set(atoms)
+    while fresh:
+        found = set()
+        for a in fresh:
+            found.update(join(a, b) for b in family
+                         if not (a <= b or b <= a))
+            family.append(a)
+        fresh = found.difference(family)
+    return set(family)
 
 
 def closure(degree: int, generators: Sequence[Permutation],

@@ -7,8 +7,9 @@ import pytest
 from smallmotion import autengine, classify, cli
 from smallmotion.autengine import is_vertex_transitive, motion
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
-                                  corpus_generators, decompose,
-                                  decompose_motion2, decompose_motion4,
+                                  circulant_corpus, corpus_generators,
+                                  decompose, decompose_motion2,
+                                  decompose_motion4,
                                   inf_is_vertex_transitive_predicted,
                                   inf_motion2_predicted, named_graph,
                                   pair_transposition_in_aut, sigma_matchings,
@@ -216,6 +217,12 @@ class TestCorpus:
         for token in ("widget:3", "cycle", "prism:3:1", "circulant:7:1:2"):
             with pytest.raises(ValueError):
                 named_graph(token)
+
+    def test_circulant_corpus_labels_parse_back(self):
+        # "circulant:N:" is the empty connection set, the edgeless graph
+        assert named_graph("circulant:5:") == empty_graph(5)
+        for label, graph in circulant_corpus(12, complement_reduced=False):
+            assert named_graph(label) == graph, label
 
     def test_corpus_is_deterministic(self):
         spec = CorpusSpec(circulant_max=8)

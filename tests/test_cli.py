@@ -111,6 +111,12 @@ class TestMotion:
         assert code == EXIT_INVALID
         assert "fields" in err
 
+    def test_circulant_token_with_empty_set_is_edgeless(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", "motion",
+                           "circulant:5:")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["motion"] == 2
+
     def test_circulant_token_of_order_zero_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "motion", "circulant:0:1")
         assert code == EXIT_INVALID
@@ -249,6 +255,14 @@ class TestVerify:
             assert code == EXIT_INVALID
             assert "--circulant-max" in err
             assert out == ""
+
+    def test_quick_suite_matches_golden_output(self, capsys):
+        # structured output changes only with a reason; refresh the file then
+        golden = Path(__file__).parent / "data" / "verify_all_quick.json"
+        code, out, _ = run(capsys, "--format", "structured",
+                           "verify", "all", "--quick")
+        assert code == EXIT_OK
+        assert out == golden.read_text()
 
     def test_quick_graph_suite(self, capsys):
         code, out, _ = run(capsys, "--format", "structured",

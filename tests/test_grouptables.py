@@ -1,5 +1,6 @@
 """Concrete group families, table data, and the two classifiers."""
 
+import itertools
 import math
 import time
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
-                                     _find_p_cycle, agl1, agl_d2, alt_group,
+                                     _all_subgroups, _find_p_cycle, agl1,
+                                     agl_d2, alt_group,
                                      c2_wr_sym,
                                      check_table_row, classify_22_group,
                                      classify_p_cycle_group, construct,
@@ -303,6 +305,35 @@ class TestGeneratorIndependence:
         if grp.is_trivial():
             return
         assert witnesses(regenerated) == witnesses(grp)
+
+
+def subgroups_by_subset_scan(elements):
+    """Oracle: every subset that holds the identity and is closed under
+    products."""
+    ident, rest = elements[0], elements[1:]
+    found = set()
+    for size in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, size):
+            subset = frozenset((ident,) + extra)
+            if all(g * h in subset for g in subset for h in subset):
+                found.add(subset)
+    return found
+
+
+class TestSubgroupLattice:
+    C2_CUBED = PermGroup(6, [Permutation.from_cycles(6, [[2 * i, 2 * i + 1]])
+                             for i in range(3)])
+
+    # A4's Klein subgroup is the join of two cyclic subgroups, not cyclic
+    @pytest.mark.parametrize("grp, total", [
+        (sym_group(3), 6), (dihedral_group(4), 10), (alt_group(4), 10),
+        (C2_CUBED, 16)])
+    def test_all_subgroups_match_subset_scan(self, grp, total):
+        elements = sorted(grp.elements())
+        assert elements[0].is_identity()
+        got = _all_subgroups(elements, grp.degree)
+        assert len(got) == len(set(got)) == total
+        assert set(got) == subgroups_by_subset_scan(elements)
 
 
 class TestPairEnumeration:

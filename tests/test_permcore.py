@@ -358,6 +358,38 @@ class TestOrbitsAndBlocks:
             got = {s.blocks for s in grp.block_systems()}
             assert want == got
 
+    def test_block_closure_matches_superset_scan(self):
+        """_block_closure against the smallest superset of the seeds that is
+        a block, over random transitive groups of degree <= 8 (random
+        elements of Sym(a) wr Sym(b), relabelled) and seeds of 2-4 points,
+        the sizes block_systems joins and block_stabilizer checks.  The
+        seeds come from the first k wreath blocks, so that most of them
+        close to a proper block."""
+        rng = random.Random(13)
+        tested = 0
+        while tested < 150:
+            a, b = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (1, 8)])
+            n = a * b
+            relabel = random_perm(rng, n)
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                top = rng.sample(range(b), b)
+                inner = [rng.sample(range(a), a) for _ in range(b)]
+                gens.append(Permutation([top[j] * a + inner[j][i] for j in
+                                         range(b) for i in range(a)]))
+            grp = PermGroup(n, [g.conjugate(relabel) for g in gens])
+            if not grp.is_transitive():
+                continue
+            tested += 1
+            pool = [relabel(v) for v in range(max(rng.randint(1, b) * a, 2))]
+            seeds = set(rng.sample(pool, rng.randint(2, min(4, len(pool)))))
+            rest = sorted(set(range(n)) - seeds)
+            want = next(seeds.union(extra)
+                        for size in range(len(rest) + 1)
+                        for extra in itertools.combinations(rest, size)
+                        if is_block(grp, seeds.union(extra)))
+            assert grp._block_closure(seeds) == want, (grp.generators, seeds)
+
     def test_primitive_iff_no_blocks(self):
         sym5 = PermGroup(5, [Permutation.from_cycles(5, [[0, 1]]),
                              Permutation.from_cycles(5, [list(range(5))])])
