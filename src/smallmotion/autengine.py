@@ -7,13 +7,16 @@ previous level's by giving v-1 a fresh colour.  An automorphism fixing
 0..v-1 keeps that partition (McKay, "Practical graph isomorphism",
 1981), so only the w in v's refined cell can be images of v.  Each such
 w is either reached by already-found generators or settled by a complete
-individualization-refinement search, so the returned generators generate
-the full group and the order is exact.  A search starts from the level's
-refined cells with v and w given one fresh colour, so it does not redo
-the level's refinement; its first refinement reaches the same partition
-as from the base colours with 0..v-1 pinned, and the same cells on both
-sides, so it walks the same tree.  Once the partition is discrete only
-the identity fixes 0..v-1, and the levels stop.
+individualization-refinement search, so each level's orbit is the full
+orbit of v under the automorphisms fixing 0..v-1, the order is exact, and
+the generators form a strong generating set for the base 0, 1, 2, ...
+They are filed level by level straight into the group's stabilizer
+chain, with no Schreier-Sims, and kept unreduced.  A search starts from
+the level's refined cells with v and w given one fresh colour, so it does
+not redo the level's refinement; its first refinement reaches the same
+partition as from the base colours with 0..v-1 pinned, and the same cells
+on both sides, so it walks the same tree.  Once the partition is discrete
+only the identity fixes 0..v-1, and the levels stop.
 
 The motion of a graph without twins is the minimal degree of that group,
 found by one depth-first search over its stabilizer chain that prunes a
@@ -25,14 +28,13 @@ stabilizer chain of the group changes it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
                         equitable_refinement, isomorphism_with_colors)
-from .permcore import (CapExceededError, PermGroup, Permutation, orbit,
-                       reduce_generators)
+from .permcore import (CapExceededError, PermGroup, Permutation,
+                       StabilizerChain, orbit)
 
 
 @dataclass
@@ -52,7 +54,8 @@ def automorphism_group(graph: Graph,
     and not yet reached is settled by one isomorphism search seeded with
     that level colouring, v on one side and w on the other given one
     fresh colour.  The levels stop at the first discrete refined
-    colouring."""
+    colouring.  The group keeps the found generators, unreduced, and the
+    chain they file into; its order and every generator are re-checked."""
     n = graph.n
     if n > MAX_GRAPH_ORDER:
         raise CapExceededError(f"graph size {n} exceeds cap "
@@ -85,9 +88,10 @@ def automorphism_group(graph: Graph,
             reached = set(orbit(v, level_gens))
         order *= len(reached)
         cells[v] = n   # individualise v for level v+1
-    group = reduce_generators(n, gens)
+    group = PermGroup(n, gens)
+    group._chain = StabilizerChain(n, gens, strong=True)
     if group.order() != order:
-        raise RuntimeError(f"generators reduce to a group of order "
+        raise RuntimeError(f"generators file into a chain of order "
                            f"{group.order()}, expected {order}")
     for g in group.generators:
         if not graph.is_automorphism(g) or \
@@ -95,16 +99,6 @@ def automorphism_group(graph: Graph,
             raise RuntimeError(f"generator {g} is not an automorphism")
     return AutResult(group=group, order=order,
                      stats={"transporter_searches": searches})
-
-
-def automorphism_group_brute(graph: Graph, max_n: int = 8) -> PermGroup:
-    """Oracle: the automorphism group by scanning all n! permutations."""
-    if graph.n > max_n:
-        raise CapExceededError(f"brute-force cap exceeded: {graph.n} > {max_n}")
-    auts = [Permutation(images)
-            for images in itertools.permutations(range(graph.n))
-            if graph.is_automorphism(Permutation(images))]
-    return reduce_generators(graph.n, auts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
 from .permcore import (BlockSystem, CapExceededError, PermGroup, Permutation,
-                       _is_prime)
+                       _is_prime, transversal)
 
 FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
              "inf", "unclassified")
@@ -121,25 +121,17 @@ def decompose_motion2(graph: Graph,
 
 def _restricted_orbits(group, block: tuple[int, ...]):
     """Orbits on the block of the pointwise stabilizer of its complement."""
-    outside = [v for v in range(group.degree) if v not in block]
-    z = group.pointwise_stabilizer(outside)
-    blockset = set(block)
-    seen = set()
-    orbits = []
-    for v in block:
-        if v in seen:
-            continue
-        orb = z.orbit(v)
-        if not orb <= blockset:
-            raise RuntimeError(f"orbit of {v} leaves the block {block}")
-        orbits.append(tuple(sorted(orb)))
-        seen |= orb
-    return orbits
+    blockset = frozenset(block)
+    z = group.pointwise_stabilizer(set(range(group.degree)) - blockset)
+    orbits = [o for o in z.orbits() if o & blockset]
+    if not all(o <= blockset for o in orbits):
+        raise RuntimeError(f"an orbit leaves the block {block}")
+    return [tuple(sorted(o)) for o in orbits]
 
 
-def _try_lex_form(graph: Graph, bs, aut) -> Optional[ClassificationReport]:
+def _try_lex_form(graph: Graph, bs, orbits) -> Optional[ClassificationReport]:
+    """``orbits``: ``_restricted_orbits`` of the first block of bs."""
     block = bs.blocks[0]
-    orbits = _restricted_orbits(aut, block)
     if len(orbits) != 1:
         return None             # block-complement stabilizer not transitive
     delta, _ = graph.induced_subgraph(block)
@@ -171,7 +163,9 @@ _INF_FORMS = ((1, 0, matching_graph),
               (0, 0, lambda m: prism_graph(m).complement()))
 
 
-def _try_inf_form(graph: Graph, bs, aut) -> Optional[ClassificationReport]:
+def _try_inf_form(graph: Graph, bs, aut,
+                  orbits) -> Optional[ClassificationReport]:
+    """``orbits``: ``_restricted_orbits`` of the first block of bs."""
     size = len(bs.blocks[0])
     if size < 4 or size % 2:
         return None
@@ -185,13 +179,17 @@ def _try_inf_form(graph: Graph, bs, aut) -> Optional[ClassificationReport]:
     if lam is None:
         return None
     # the fibres are the orbits, inside each block, of the pointwise
-    # stabilizer of that block's complement: expect two orbits of size m
+    # stabilizer of that block's complement: expect two orbits of size m.
+    # An element g mapping the first block onto another conjugates the
+    # stabilizers, so it maps the first block's orbits onto the other's.
+    if len(orbits) != 2 or any(len(o) != m for o in orbits):
+        return None
+    a = bs.blocks[0][0]
+    moves = transversal(aut.identity(), aut.generators, key=lambda h: h(a))
     fibres: list[tuple[int, ...]] = []
     for block in bs.blocks:
-        orbits = _restricted_orbits(aut, block)
-        if len(orbits) != 2 or any(len(o) != m for o in orbits):
-            return None
-        fibres.extend(sorted(orbits))
+        g = moves[block[0]]
+        fibres.extend(sorted(tuple(sorted(map(g, o))) for o in orbits))
     k2 = len(fibres)
     adj_sets = [sum(1 << v for v in f) for f in fibres]
     edges = []
@@ -236,12 +234,14 @@ def decompose_motion4(graph: Graph, motion_value: Optional[int] = None,
     whole = BlockSystem.from_blocks(graph.n, [range(graph.n)]) \
         if graph.n >= 2 else None
     candidates = systems + ([whole] if whole is not None else [])
+    restricted = []     # per block system, computed once for both forms
     for bs in candidates:
-        report = _try_lex_form(graph, bs, group)
+        restricted.append(_restricted_orbits(group, bs.blocks[0]))
+        report = _try_lex_form(graph, bs, restricted[-1])
         if report is not None:
             return report
-    for bs in candidates:
-        report = _try_inf_form(graph, bs, group)
+    for bs, orbits in zip(candidates, restricted):
+        report = _try_inf_form(graph, bs, group, orbits)
         if report is not None:
             return report
     return ClassificationReport(

@@ -11,6 +11,7 @@ infinity at index p and the convention a/0 = infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Optional
 
 from .permcore import (MAX_ISOMORPHISM_DEGREE, CapExceededError, PermGroup,
@@ -187,30 +188,17 @@ class GroupSpec:
 _METADATA_ONLY = {"M11", "M12", "M23", "M24", "PGammaL", "AGammaL", "AGL1_2a"}
 
 
+_CONSTRUCTORS = {"Sym": sym_group, "Alt": alt_group, "Cyclic": cyclic_group,
+                 "Dihedral": dihedral_group, "AGL1": agl1, "PSL2": psl2,
+                 "PGL2": pgl2, "PGL3_2": pgl3_2, "AGLd2": agl_d2}
+
+
 def construct(spec: GroupSpec) -> PermGroup:
-    fam = spec.family
-    if fam in _METADATA_ONLY:
+    if spec.family in _METADATA_ONLY:
         raise NotConstructibleError(
             f"{spec} is table metadata only and cannot be instantiated")
-    p = spec.params
-    if fam == "Sym":
-        return sym_group(p[0])
-    if fam == "Alt":
-        return alt_group(p[0])
-    if fam == "Cyclic":
-        return cyclic_group(p[0])
-    if fam == "Dihedral":
-        return dihedral_group(p[0])
-    if fam == "AGL1":
-        return agl1(p[0])
-    if fam == "PSL2":
-        return psl2(p[0])
-    if fam == "PGL2":
-        return pgl2(p[0])
-    if fam == "PGL3_2":
-        return pgl3_2()
-    if fam == "AGLd2":
-        return agl_d2(p[0])
+    if spec.family in _CONSTRUCTORS:
+        return _CONSTRUCTORS[spec.family](*spec.params)
     raise ValueError(f"unknown family {spec!r}")
 
 
@@ -405,10 +393,6 @@ def pair_projection(m: int, g: Permutation) -> Optional[Permutation]:
 
 # ---------------------------------------------------------------------------
 # family recognition
-
-_RECOGNIZABLE = ("Sym", "Alt", "Cyclic", "Dihedral", "AGL1", "PSL2", "PGL2",
-                 "PGL3_2", "AGLd2")
-
 
 def _candidate_specs(degree: int) -> list[GroupSpec]:
     out = [GroupSpec("Sym", (degree,)), GroupSpec("Alt", (degree,)),
@@ -813,20 +797,25 @@ class PairEnumeration:
 
 def _all_subgroups(elements: list[Permutation],
                    degree: int) -> list[frozenset]:
-    """All subgroups of a small group: the joins of its cyclic subgroups."""
+    """All subgroups of a small group: the joins of its cyclic subgroups.
+    Each subgroup keeps the generators it was first built from, and a
+    join is the closure of the union of its two sides' generators."""
     if len(elements) > SUBGROUP_LATTICE_LIMIT:
         raise CapExceededError(f"group order {len(elements)} exceeds cap "
                                f"{SUBGROUP_LATTICE_LIMIT}")
     elemset = set(elements)
+    built_from: dict[frozenset, list[Permutation]] = {}
 
     def closure_set(gens):
-        seen = closure(degree, gens, cap=len(elemset))
+        seen = frozenset(closure(degree, gens, cap=len(elemset)))
         if not seen <= elemset:
             raise RuntimeError("subgroup closure leaves the element set")
-        return frozenset(seen)
+        built_from.setdefault(seen, gens)
+        return seen
 
-    subgroups = join_closure({closure_set([g]) for g in elements},
-                             lambda a, b: closure_set(list(a | b)))
+    subgroups = join_closure(
+        {closure_set([g]) for g in elements},
+        lambda a, b: closure_set(built_from[a] + built_from[b]))
     return sorted(subgroups, key=lambda s: (len(s), sorted(p.images for p in s)))
 
 
@@ -883,9 +872,7 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     pairs = []
     matches = []
     kernels = []
-    msym_order = 1
-    for i in range(2, m + 1):
-        msym_order *= i
+    msym_order = factorial(m)
     for y_elems in subgroups:
         projections = {}
         for g in y_elems:

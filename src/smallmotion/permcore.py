@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
+from random import Random
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -307,7 +308,10 @@ def format_group(g: "PermGroup") -> str:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (deterministic Schreier-Sims, base prefix then 0,1,2,...)
+# stabilizer chains
+
+SIFT_LIMIT = 64     # sifts in a row with no residue before an order fails
+
 
 class StabilizerChain:
     """Base and strong generators for a permutation group.
@@ -316,20 +320,23 @@ class StabilizerChain:
     and move base[l]; the level-l stabilizer is generated by the union of
     ``_gens[l:]``.  The base starts with the ``prefix`` points, pinned even
     when every generator fixes them, so the levels below the prefix generate
-    its pointwise stabilizer; further base points follow in the order
-    0, 1, 2, ...  ``_transversal[l]`` maps each point x of the level-l basic
-    orbit to the images of an element sending base[l] to x, and
-    ``_inverses[l]`` to the images of its inverse.
+    its pointwise stabilizer; a generator that fixes the whole base adds
+    the least point it moves.  ``_transversal[l]`` maps each point x of the
+    level-l basic orbit to the images of an element sending base[l] to x,
+    and ``_inverses[l]`` to the images of its inverse.  The generators are
+    closed by deterministic Schreier-Sims, unless ``strong`` says they are
+    already a strong generating set for the base they file into.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 prefix: Sequence[int] = ()):
+                 prefix: Sequence[int] = (), strong: bool = False):
         self.degree = degree
         self._identity = tuple(range(degree))
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
         self._transversal: list[dict[int, tuple]] = []
         self._inverses: list[dict[int, tuple]] = []
+        self._tables: Optional[list] = None     # of _small_supports
         for point in prefix:
             self._add_level(point)
         for g in generators:
@@ -337,7 +344,45 @@ class StabilizerChain:
                 raise ValueError("generator degree mismatch")
             if not g.is_identity():
                 self._insert(g)
-        self._schreier_sims(len(self.base) - 1)
+        if strong:
+            for level in range(len(self.base)):
+                self._recompute_transversal(level)
+        else:
+            self._schreier_sims(len(self.base) - 1)
+
+    def random_element(self, rng) -> tuple:
+        """The images of a uniform random element: one random entry of
+        each transversal, multiplied up the levels."""
+        g = self._identity
+        for trans in self._transversal:
+            g = _then(trans[rng.choice(list(trans))])(g)
+        return g
+
+    def sift_to_order(self, source: "StabilizerChain", order: int) -> None:
+        """Fill the chain with the group of ``source``, of order ``order``,
+        by random Schreier-Sims with a known order (Seress, Permutation
+        Group Algorithms, section 4.3): file the residue of each random
+        element of ``source``, drawn with a fixed seed, until the basic
+        orbit sizes multiply to ``order``.  That product is at most the
+        order of the group filed, so reaching it proves the chain complete;
+        a product above it, or ``SIFT_LIMIT`` sifts in a row with no
+        residue, raises RuntimeError."""
+        rng, misses = Random(0), 0
+        while self.order() != order:
+            if self.order() > order or misses == SIFT_LIMIT:
+                raise RuntimeError(f"chain of order {self.order()} after "
+                                   f"{misses} idle sifts; claimed {order}")
+            residue = self._strip(source.random_element(rng), 0)
+            misses = misses + 1 if residue == self._identity else 0
+            if misses:
+                continue
+            filed = self._insert(_trusted(residue))
+            for level in range(filed, -1, -1):
+                # an orbit the residue maps into itself is still an orbit
+                trans = self._transversal[level]
+                if level == filed or any(residue[x] not in trans
+                                         for x in trans):
+                    self._recompute_transversal(level)
 
     def extend(self, g: Permutation) -> bool:
         """Add g unless it is already a member; return whether it was added.
@@ -361,6 +406,7 @@ class StabilizerChain:
 
     def _insert(self, g: Permutation) -> int:
         """File g at the level equal to the base prefix it fixes."""
+        self._tables = None
         lvl = 0
         while lvl < len(self.base) and g(self.base[lvl]) == self.base[lvl]:
             lvl += 1
@@ -401,6 +447,8 @@ class StabilizerChain:
         ``level`` on; the identity iff g is in that level's stabilizer."""
         base, inverses = self.base, self._inverses
         for i in range(level, len(base)):
+            if g[base[i]] == base[i]:    # the transversal's identity entry
+                continue
             t_inv = inverses[i].get(g[base[i]])
             if t_inv is None:
                 return g
@@ -489,13 +537,16 @@ class StabilizerChain:
         """
         cap = element_cap()
         depth = len(self.base)
-        levels = []     # (steps, identity branch first; orbit ids of G_{d+1})
-        for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
-            orbits = PermGroup(self.degree, self._level_gens(d + 1)).orbits()
-            index = {q: i for i, o in enumerate(orbits) for q in o}
-            levels.append(([_then(trans[x]) for x in
-                            [b] + sorted(set(trans) - {b})],
-                           tuple(index[q] for q in range(self.degree))))
+        if self._tables is None:    # per level: steps, orbit ids of G_{d+1}
+            self._tables = []
+            for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
+                orbits = PermGroup(self.degree,
+                                   self._level_gens(d + 1)).orbits()
+                index = {q: i for i, o in enumerate(orbits) for q in o}
+                self._tables.append(
+                    ([_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
+                     tuple(index[q] for q in range(self.degree))))
+        levels = self._tables
         found, nodes = [], 0
 
         def visit(h: tuple, d: int) -> None:
@@ -585,9 +636,12 @@ class PermGroup:
         return self._chain
 
     def chain_with_base(self, prefix: Sequence[int]) -> StabilizerChain:
-        """A chain whose base starts with the prefix points, then follows
-        the order 0, 1, 2, ..."""
-        return StabilizerChain(self.degree, self.generators, prefix)
+        """A chain whose base starts with the prefix points, filled by
+        sifting random elements of the group until it reaches the order of
+        ``chain`` (``StabilizerChain.sift_to_order``)."""
+        chain = StabilizerChain(self.degree, [], prefix)
+        chain.sift_to_order(self.chain, self.order())
+        return chain
 
     def order(self) -> int:
         return self.chain.order()
@@ -750,14 +804,14 @@ class PermGroup:
         return reduce_generators(self.degree, gens)
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """The elements fixing every given point: the reduced strong
-        generators of the levels below the points in one chain whose base
-        starts with them.  The group itself when its generators fix them."""
+        """The elements fixing every given point: the strong generators of
+        the levels below the points in one chain whose base starts with
+        them.  The group itself when its generators fix them."""
         prefix = sorted(set(points))
         if all(g(p) == p for g in self.generators for p in prefix):
             return self
         chain = self.chain_with_base(prefix)
-        return reduce_generators(self.degree, chain._level_gens(len(prefix)))
+        return PermGroup(self.degree, chain._level_gens(len(prefix)))
 
     # -- closures and minimal degree -------------------------------------
 
@@ -805,13 +859,6 @@ class PermGroup:
     def minimal_degree(self) -> int:
         """min |supp(x)| over non-identity x; error on the trivial group."""
         return self.minimal_degree_witness()[0]
-
-    def minimal_degree_full_scan(self) -> int:
-        """Oracle variant: scan every non-identity element."""
-        if self.is_trivial():
-            raise ValueError("minimal degree of the trivial group is undefined")
-        return min(len(g.support()) for g in self.elements()
-                   if not g.is_identity())
 
 
 def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup:

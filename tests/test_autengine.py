@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from oracles import automorphism_group_brute, minimal_degree_full_scan
 from smallmotion.autengine import (aut_preserving_partition,
-                                   automorphism_group,
-                                   automorphism_group_brute, find_twins,
+                                   automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
                                    motion_witness)
 from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
@@ -25,8 +25,7 @@ from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    path_graph, petersen_graph, prism_graph,
                                    spx_graph)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  _is_prime, closure, orbit,
-                                  reduce_generators)
+                                  StabilizerChain, _is_prime, closure, orbit)
 
 # the corpus of `smallmotion verify graphs --quick`
 QUICK_SPEC = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
@@ -54,7 +53,7 @@ def coloured_graphs(draw, max_n):
 def reference_automorphism_group(graph, colors=None):
     """The level loop without the refined-cell filter: at level v every
     w > v of v's seed colour not yet reached gets a search, and every
-    level runs.  Returns (reduced generators, order)."""
+    level runs.  Returns (generators in the order found, order)."""
     n = graph.n
     base = [(0, c) for c in ([0] * n if colors is None else colors)]
     gens = []
@@ -76,7 +75,7 @@ def reference_automorphism_group(graph, colors=None):
             level_gens.append(t)
             reached = set(orbit(v, level_gens))
         order *= len(reached)
-    return reduce_generators(n, gens).generators, order
+    return gens, order
 
 
 def networkx_aut_order(graph, colors=None):
@@ -181,6 +180,24 @@ class TestSearchFilter:
         assert len(graphs) == 33
         for graph in graphs:
             self.assert_same_as_reference(graph)
+
+    def test_quick_corpus_chains_match_schreier_sims(self):
+        """The chain Aut files its generators into, against a full
+        Schreier-Sims chain of them: order and membership."""
+        rng = random.Random(24)
+        for _, graph in corpus_generators(QUICK_SPEC):
+            aut = automorphism_group(graph)
+            kept = aut.group.chain
+            full = StabilizerChain(graph.n, aut.group.generators)
+            assert kept.order() == full.order() == aut.order
+            members = [Permutation(full.random_element(rng))
+                       for _ in range(10)]
+            probes = members + [Permutation(rng.sample(range(graph.n),
+                                                       graph.n))
+                                for _ in range(10)]
+            assert all(kept.contains(g) for g in members)
+            assert [kept.contains(g) for g in probes] == \
+                [full.contains(g) for g in probes]
 
     def test_search_counts(self):
         for graph, most in ((petersen_graph(), 6), (cycle_graph(12), 3),
@@ -326,7 +343,7 @@ class TestMinimalDegreeWitness:
             if grp.is_trivial():
                 continue
             assert grp.minimal_degree_witness() == reference_scan(grp)
-            assert grp.minimal_degree() == grp.minimal_degree_full_scan()
+            assert grp.minimal_degree() == minimal_degree_full_scan(grp)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8).flatmap(lambda n: st.lists(
@@ -337,7 +354,7 @@ class TestMinimalDegreeWitness:
         if grp.is_trivial():
             return
         assert grp.minimal_degree_witness() == reference_scan(grp)
-        assert grp.minimal_degree() == grp.minimal_degree_full_scan()
+        assert grp.minimal_degree() == minimal_degree_full_scan(grp)
 
     def test_quick_corpus_auts_match_reference_scan(self):
         checked = 0

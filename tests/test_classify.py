@@ -18,6 +18,7 @@ from smallmotion.graphcore import (InfParams, are_isomorphic, complete_graph,
                                    cycle_graph, empty_graph, inf_graph,
                                    lex_product, path_graph, prism_graph,
                                    spx_graph, to_graph6)
+from smallmotion.permcore import PermGroup
 
 
 def inf_grid():
@@ -102,6 +103,25 @@ class TestMotion4Decomposition:
             rep = decompose_motion4(g)
             assert rep.form != "unclassified", (token, mname, params)
             assert rep.verified, (token, mname, params)
+
+    def test_one_chain_per_block_system(self, monkeypatch):
+        """The restricted orbits of a paired-fibre graph are computed on one
+        block per block system, for both the lex and the inf forms."""
+        g = inf_graph(InfParams(0, 1, 3), cycle_graph(8),
+                      sigma_matchings("cycle:8")[0][1])
+        systems = autengine.automorphism_group(g).group.block_systems()
+        built = []
+        original = PermGroup.chain_with_base
+
+        def counting(self, prefix):
+            built.append(tuple(prefix))
+            return original(self, prefix)
+
+        monkeypatch.setattr(PermGroup, "chain_with_base", counting)
+        rep = decompose_motion4(g)
+        assert rep.form == "inf" and rep.verified
+        assert 0 < len(built) <= len(systems)
+        assert len(set(built)) == len(built)
 
     def test_dispatch(self):
         assert decompose(cycle_graph(4)).form == "lex_mK1"

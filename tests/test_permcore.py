@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallmotion.grouptables import agl1, sym_group
+from oracles import minimal_degree_full_scan
+from smallmotion.grouptables import _find_p_cycle, agl1, sym_group
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain,
                                   classify_element, closure, format_cycles,
@@ -499,6 +500,34 @@ class TestStabilizers:
         assert chain.base == [4, 3, 0]
         assert chain.order() == 3
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups(), st.randoms(use_true_random=False))
+    def test_known_order_chain_matches_schreier_sims(self, sample, rng):
+        """The sifted chain_with_base against a Schreier-Sims chain with
+        the same prefix: order, membership and the pinned prefix."""
+        grp, extra = sample
+        n = grp.degree
+        prefix = rng.sample(range(n), rng.randint(0, n))
+        sifted = grp.chain_with_base(prefix)
+        full = StabilizerChain(n, grp.generators, prefix)
+        assert sifted.base[:len(prefix)] == full.base[:len(prefix)] == prefix
+        assert sifted.order() == full.order() == grp.order()
+        members = [Permutation(full.random_element(rng)) for _ in range(10)]
+        probes = members + extra + [random_perm(rng, n) for _ in range(10)]
+        assert all(sifted.contains(g) for g in members)
+        assert [sifted.contains(g) for g in probes] == \
+            [full.contains(g) for g in probes]
+
+    def test_wrong_claimed_order_raises(self, monkeypatch):
+        grp = sym_group(4)
+        # basic orbits of Sym(4) have at most 4 points, so no product is 5
+        monkeypatch.setattr(PermGroup, "order", lambda self: 5)
+        with pytest.raises(RuntimeError, match="claimed 5"):
+            grp.chain_with_base([2])           # the product passes 5
+        monkeypatch.setattr(PermGroup, "order", lambda self: 48)
+        with pytest.raises(RuntimeError, match="64 idle sifts; claimed 48"):
+            grp.chain_with_base([2])           # 24 is reached, 48 never is
+
     @settings(max_examples=60, deadline=None)
     @given(imprimitive_groups())
     def test_setwise_stabilizer_oracle(self, grp):
@@ -586,7 +615,7 @@ class TestMinimalDegree:
             grp = random_group(rng, n)
             if grp.order() == 1:
                 continue
-            assert grp.minimal_degree() == grp.minimal_degree_full_scan()
+            assert grp.minimal_degree() == minimal_degree_full_scan(grp)
 
     def test_known_values(self):
         sym4 = PermGroup(4, [Permutation.from_cycles(4, [[0, 1]]),
@@ -607,6 +636,28 @@ class TestMinimalDegree:
         want = sorted(g for g in grp.elements()
                       if 0 < len(g.support()) <= bound)
         assert grp.small_support_elements(bound) == want
+
+    def test_search_tables_are_built_once_per_chain(self, monkeypatch):
+        """_find_p_cycle(p=None) tries the primes 2, 3, 5, 7 on C7 with one
+        build of the search tables (one orbits call per level); a chain
+        that grows drops them."""
+        c7 = PermGroup(7, [Permutation.from_cycles(7, [list(range(7))])])
+        calls = []
+        original = PermGroup.orbits
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PermGroup, "orbits", counting)
+        assert _find_p_cycle(c7, None).cycle_type() == (7,)
+        assert len(calls) == len(c7.chain.base) == 1
+        tables = c7.chain._tables
+        assert c7.small_support_elements(2) == []
+        assert c7.chain._tables is tables and len(calls) == 1
+        assert c7.chain.extend(Permutation.from_cycles(7, [[0, 1]]))
+        assert c7.chain._tables is None
+        assert len(c7.small_support_elements(2)) == 21   # Sym(7)
 
     def test_search_nodes_are_capped(self, monkeypatch):
         monkeypatch.setenv("SMALLMOTION_CAP", "100")
