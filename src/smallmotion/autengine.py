@@ -1,22 +1,19 @@
 """Graph automorphism groups, motion, twins, and vertex-transitivity.
 
-The automorphism group is built as a stabilizer chain over the vertex
-order 0, 1, 2, ...  Level v refines the colouring with 0..v-1
-individualised to its coarsest equitable partition, built from the
-previous level's by giving v-1 a fresh colour.  An automorphism fixing
-0..v-1 keeps that partition (McKay, "Practical graph isomorphism",
-1981), so only the w in v's refined cell can be images of v.  Each such
-w is either reached by already-found generators or settled by a complete
-individualization-refinement search, so each level's orbit is the full
-orbit of v under the automorphisms fixing 0..v-1, the order is exact, and
-the generators form a strong generating set for the base 0, 1, 2, ...
-They are filed level by level straight into the group's stabilizer
-chain, with no Schreier-Sims, and kept unreduced.  A search starts from
-the level's refined cells with v and w given one fresh colour, so it does
-not redo the level's refinement; its first refinement reaches the same
-partition as from the base colours with 0..v-1 pinned, and the same cells
-on both sides, so it walks the same tree.  Once the partition is discrete
-only the identity fixes 0..v-1, and the levels stop.
+The automorphism group is built as a stabilizer chain whose base is the
+graph's first path (``graphcore._SourcePath``): depth d refines the
+colouring with v_0..v_{d-1} individualised, and v_d is the least vertex
+of a largest cell, until the partition is discrete.  An automorphism
+fixing v_0..v_{d-1} keeps depth d's partition (McKay, "Practical graph
+isomorphism", 1981), so only the w in v_d's cell can be images of v_d.
+The levels run deepest first, as in nauty (McKay and Piperno, 2014), so
+every generator found so far fixes v_0..v_{d-1}: the w their orbits join
+to v_d need no search, and each other w is settled by a complete search
+of the target side against the shared path from depth d+1.  So each
+level's orbit and the order are exact, and the generators, deepest level
+first, form a strong generating set for the base.  They file straight
+into the group's chain, with no Schreier-Sims, and stay unreduced; as
+deeper ones prune the shallower levels, the lists are short.
 
 The motion of a graph without twins is the minimal degree of that group,
 found by one depth-first search over its stabilizer chain that prunes a
@@ -31,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphcore import (MAX_GRAPH_ORDER, Graph, PairPartition,
-                        equitable_refinement, isomorphism_with_colors)
+from .graphcore import MAX_GRAPH_ORDER, Graph, PairPartition, _SourcePath
 from .permcore import (CapExceededError, PermGroup, Permutation,
                        StabilizerChain, orbit)
 
@@ -49,13 +45,13 @@ class AutResult:
 def automorphism_group(graph: Graph,
                        colors: Optional[Sequence] = None) -> AutResult:
     """Generators and exact order of the automorphisms keeping the vertex
-    colouring ``colors`` (all vertices alike when None).  At level v each
-    w > v in v's cell of the refined colouring, with 0..v-1 individualised,
-    and not yet reached is settled by one isomorphism search seeded with
-    that level colouring, v on one side and w on the other given one
-    fresh colour.  The levels stop at the first discrete refined
-    colouring.  The group keeps the found generators, unreduced, and the
-    chain they file into; its order and every generator are re-checked."""
+    colouring ``colors`` (all vertices alike when None).  At each level of
+    the first path, deepest first, each w in v_d's cell outside v_d's
+    orbit under the generators found so far is settled by one search from
+    depth d+1, seeded with depth d's colours and w individualised.  The
+    group keeps the generators, unreduced, and the chain they file into;
+    its order and every generator are re-checked.  ``stats`` counts the
+    searches and their target-side nodes."""
     n = graph.n
     if n > MAX_GRAPH_ORDER:
         raise CapExceededError(f"graph size {n} exceeds cap "
@@ -64,32 +60,28 @@ def automorphism_group(graph: Graph,
     if len(base) != n:
         raise ValueError(f"{len(base)} colours for {n} vertices")
     ids: dict = {}
-    cells = [ids.setdefault(c, len(ids)) for c in base]
+    path = _SourcePath(graph, [ids.setdefault(c, len(ids)) for c in base])
+    points: list[int] = []    # the first path's branch vertices
+    while (v := path.level(len(points))[2]) is not None:
+        points.append(v)
     gens: list[Permutation] = []
-    order = 1
-    searches = 0
-    for v in range(n):
-        cells = equitable_refinement(graph, cells)
-        if len(set(cells)) == n:   # only the identity fixes 0..v-1
-            break
-        level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
-        reached = set(orbit(v, level_gens))
-        for w in range(v + 1, n):
+    order, searches = 1, 0
+    for d in reversed(range(len(points))):
+        _, cells, v, fresh = path.level(d)
+        reached = {v}   # all generators so far fix v; a find joins w's orbit
+        for w in range(n):
             if w in reached or cells[w] != cells[v]:
                 continue
             searches += 1
-            src, dst = list(cells), list(cells)
-            src[v] = dst[w] = n   # ids are below n: a fresh colour
-            t = isomorphism_with_colors(graph, src, graph, dst)
+            t = path.transport(graph, cells[:w] + [fresh] + cells[w + 1:],
+                               d + 1)
             if t is None:
                 continue
-            gens.append(t)
-            level_gens.append(t)
-            reached = set(orbit(v, level_gens))
+            gens.append(Permutation(t))
+            reached = set(orbit(v, gens))
         order *= len(reached)
-        cells[v] = n   # individualise v for level v+1
     group = PermGroup(n, gens)
-    group._chain = StabilizerChain(n, gens, strong=True)
+    group._chain = StabilizerChain(n, gens, points, strong=True)
     if group.order() != order:
         raise RuntimeError(f"generators file into a chain of order "
                            f"{group.order()}, expected {order}")
@@ -98,7 +90,8 @@ def automorphism_group(graph: Graph,
                 any(base[g(u)] != base[u] for u in range(n)):
             raise RuntimeError(f"generator {g} is not an automorphism")
     return AutResult(group=group, order=order,
-                     stats={"transporter_searches": searches})
+                     stats={"transporter_searches": searches,
+                            "search_nodes": path.nodes})
 
 
 # ---------------------------------------------------------------------------

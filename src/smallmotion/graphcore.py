@@ -412,68 +412,100 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # equitable refinement and isomorphism
 
-def _refine_pass(graph: Graph, colors: list[int], key_ids: dict) -> list[int]:
+def _refine_pass(graph: Graph, colors: list, key_ids: dict) -> list[int]:
     """One refinement pass: new color = (color, sorted neighbor colors),
-    read from the graph's cached neighbour lists.
-
-    Keys are shared through key_ids so that two graphs refined against the
-    same dict within one pass get comparable color ids.  New ids follow
-    the first vertex of each key, source graph first, so once a pass has
-    run they depend only on the partition and not on the input ids.
-    """
+    read from the graph's cached neighbour lists.  New ids follow the
+    first vertex of each key, so once a pass has run they depend only on
+    the partition and not on the input ids."""
     get = colors.__getitem__
     return [key_ids.setdefault((c, tuple(sorted(map(get, nbrs)))),
                                len(key_ids))
             for c, nbrs in zip(colors, graph.neighbor_lists())]
 
 
-def equitable_refinement(graph: Graph, colors: list[int]) -> list[int]:
-    """The coarsest equitable partition finer than ``colors``, as colour
-    ids 0, 1, ...  A pass only splits cells, so the partition is stable
-    once a pass adds no colour."""
-    count = len(set(colors))
-    while True:
-        key_ids: dict = {}
-        colors = _refine_pass(graph, colors, key_ids)
-        if len(key_ids) == count:
-            return colors
-        count = len(key_ids)
+class _SourcePath:
+    """The first path of a coloured graph's individualization-refinement
+    tree (McKay and Piperno, "Practical graph isomorphism, II", 2014),
+    each depth built once, when a search first reaches it.
 
-
-def _joint_refine(g1: Graph, c1: list[int],
-                  g2: Graph, c2: list[int]) -> Optional[tuple[list[int], list[int]]]:
-    """Refine both colorings in lockstep until both partitions stabilize.
-
-    Returns None as soon as the color histograms diverge (no isomorphism
-    can respect the colorings).  A pass only splits cells, and with equal
-    histograms both sides hold the same colours, so the partitions are
-    stable once a pass leaves the number of colours unchanged.
+    Depth 0 refines the seed colours; depth d+1 refines depth d's with
+    its branch vertex, the least vertex of a largest cell, given the
+    fresh colour ``len(cells)``.  A pass only splits cells, so the colours
+    are stable once a pass adds no colour.  A depth keeps each pass's key
+    table and sorted colours, so the target side of a search is refined by
+    looking its keys up: a missing key or another histogram means no
+    isomorphism keeps the colours.  ``nodes`` counts target-side nodes.
     """
-    count = len(set(c1))
-    while True:
-        key_ids: dict = {}
-        n1 = _refine_pass(g1, c1, key_ids)
-        n2 = _refine_pass(g2, c2, key_ids)
-        if sorted(n1) != sorted(n2):
-            return None
-        if len(key_ids) == count:
-            return n1, n2
-        c1, c2, count = n1, n2, len(key_ids)
+
+    def __init__(self, graph: Graph, colors: list):
+        self.graph = graph
+        self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
+        self.nodes = 0
+        self._seed = colors
+
+    def level(self, depth: int) -> tuple:
+        while len(self.levels) <= depth:
+            colors = self._seed
+            if self.levels:
+                _, stable, v, fresh = self.levels[-1]
+                colors = list(stable)
+                colors[v] = fresh
+            passes, count = [], len(set(colors))
+            while True:
+                key_ids: dict = {}
+                colors = _refine_pass(self.graph, colors, key_ids)
+                passes.append((key_ids, sorted(colors)))
+                if len(key_ids) == count:
+                    break
+                count = len(key_ids)
+            size = [0] * count
+            for c in colors:
+                size[c] += 1
+            big = max(size, default=1)
+            v = None if big == 1 else next(
+                u for u, c in enumerate(colors) if size[c] == big)
+            self.levels.append((passes, colors, v, count))
+        return self.levels[depth]
+
+    def transport(self, g2: Graph, colors: list[int],
+                  depth: int) -> Optional[list[int]]:
+        """The first isomorphism (as images) from the source onto g2 that
+        keeps the colours, searched from ``depth``: ``colors`` colours g2
+        in the ids of that depth's seed.  Only the target side branches,
+        on the vertices of the branch vertex's cell, in vertex order."""
+        self.nodes += 1
+        passes, stable, v, fresh = self.level(depth)
+        nbrs = g2.neighbor_lists()
+        for key_ids, hist in passes:
+            get = colors.__getitem__
+            colors = [key_ids.get((c, tuple(sorted(map(get, nb)))), -1)
+                      for c, nb in zip(colors, nbrs)]
+            if sorted(colors) != hist:   # a missing key sorts as -1
+                return None
+        if v is None:   # discrete: cells correspond by colour
+            at = [0] * len(colors)
+            for w, c in enumerate(colors):
+                at[c] = w
+            mapping = [at[c] for c in stable]
+            return mapping if _maps_onto(self.graph, mapping, g2) else None
+        for w, c in enumerate(colors):
+            if c == stable[v]:
+                branch = list(colors)
+                branch[w] = fresh
+                found = self.transport(g2, branch, depth + 1)
+                if found is not None:
+                    return found
+        return None
 
 
-def _color_cells(colors: list[int]) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
+def equitable_refinement(graph: Graph, colors: Sequence) -> list[int]:
+    """The coarsest equitable partition finer than ``colors``, as colour
+    ids 0, 1, ...: depth 0 of the graph's first path."""
+    return _SourcePath(graph, list(colors)).level(0)[1]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
-    """A vertex bijection taking g1 to g2, or None.
-
-    Backtracking with iterated equitable refinement; branch on the lowest-
-    index vertex of the largest non-singleton cell.
-    """
+    """A vertex bijection taking g1 to g2, or None."""
     if g1.n != g2.n:
         return None
     if g1.n > MAX_GRAPH_ORDER:
@@ -486,49 +518,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
 
 def isomorphism_with_colors(g1: Graph, c1_init: Sequence[int],
                             g2: Graph, c2_init: Sequence[int]) -> Optional[Permutation]:
-    """Color-respecting isomorphism search (same engine, seeded colors)."""
+    """A colour-respecting isomorphism from g1 onto g2, or None: the first
+    found by backtracking g2's side against one first path of g1."""
     if g1.n != g2.n:
         return None
-    n = g1.n
-    # seed colors must share an id space
-    base: dict = {}
-    c1 = []
-    for c in c1_init:
-        base.setdefault(c, len(base))
-        c1.append(base[c])
-    c2 = []
-    for c in c2_init:
-        if c not in base:
-            return None
-        c2.append(base[c])
-
-    def search(c1: list[int], c2: list[int]) -> Optional[list[int]]:
-        refined = _joint_refine(g1, c1, g2, c2)
-        if refined is None:
-            return None
-        c1, c2 = refined   # equal histograms: cells correspond by colour
-        cells1, cells2 = _color_cells(c1), _color_cells(c2)
-        target = None
-        for c, vs in sorted(cells1.items()):
-            if len(vs) > 1 and (target is None or len(vs) > len(cells1[target])):
-                target = c
-        if target is None:
-            mapping = [0] * n
-            for c, vs in cells1.items():
-                mapping[vs[0]] = cells2[c][0]
-            return mapping if _maps_onto(g1, mapping, g2) else None
-        v = min(cells1[target])
-        fresh = len(cells1)
-        for w in cells2[target]:
-            d1, d2 = list(c1), list(c2)
-            d1[v] = fresh
-            d2[w] = fresh
-            found = search(d1, d2)
-            if found is not None:
-                return found
+    ids: dict = {}    # seed colors must share an id space
+    c1 = [ids.setdefault(c, len(ids)) for c in c1_init]
+    if any(c not in ids for c in c2_init):
         return None
-
-    found = search(c1, c2)
+    found = _SourcePath(g1, c1).transport(g2, [ids[c] for c in c2_init], 0)
     return Permutation(found) if found is not None else None
 
 

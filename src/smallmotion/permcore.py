@@ -719,12 +719,16 @@ class PermGroup:
         The blocks holding 0 form a lattice under joins; each one of size
         at least 2 is the join of the smallest blocks holding {0, beta} for
         its points beta, so the join closure of those atoms reaches them
-        all.  Systems are sorted by block size, then by their block lists.
+        all.  An element h fixing 0 maps the block for beta onto the one
+        for h(beta), and onto the block of its system holding 0, itself;
+        so the least beta of each orbit of the stabilizer of 0 gives every
+        atom.  Systems are sorted by block size, then by their block lists.
         """
         if not self.is_transitive():
             raise ValueError("group is not transitive")
-        atoms = {self._block_closure((0, beta))
-                 for beta in range(1, self.degree)}
+        stab = self.pointwise_stabilizer([0])
+        atoms = {self._block_closure((0, min(o))) for o in stab.orbits()
+                 if 0 not in o}
         blocks = join_closure(atoms, lambda b, c: self._block_closure(b | c))
         systems = [self.block_system_from(b) for b in blocks
                    if len(b) < self.degree]
@@ -805,12 +809,15 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the strong generators of
-        the levels below the points in one chain whose base starts with
-        them.  The group itself when its generators fix them."""
+        the levels below the points in ``chain`` if its base starts with
+        them, else in one chain sifted with that base.  The group itself
+        when its generators fix them."""
         prefix = sorted(set(points))
         if all(g(p) == p for g in self.generators for p in prefix):
             return self
-        chain = self.chain_with_base(prefix)
+        chain = self.chain
+        if chain.base[:len(prefix)] != prefix:
+            chain = self.chain_with_base(prefix)
         return PermGroup(self.degree, chain._level_gens(len(prefix)))
 
     # -- closures and minimal degree -------------------------------------

@@ -2,7 +2,8 @@
 
 import itertools
 
-from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
+from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
+                                  Permutation, join_closure,
                                   reduce_generators)
 
 
@@ -22,3 +23,14 @@ def minimal_degree_full_scan(group: PermGroup) -> int:
         raise ValueError("minimal degree of the trivial group is undefined")
     return min(len(g.support()) for g in group.elements()
                if not g.is_identity())
+
+
+def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
+    """``PermGroup.block_systems`` with one atom per point: the join
+    closure of the smallest blocks holding {0, beta} for every beta."""
+    atoms = {group._block_closure((0, beta))
+             for beta in range(1, group.degree)}
+    blocks = join_closure(atoms, lambda b, c: group._block_closure(b | c))
+    systems = [group.block_system_from(b) for b in blocks
+               if len(b) < group.degree]
+    return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import automorphism_group_brute, minimal_degree_full_scan
+from oracles import (automorphism_group_brute, block_systems_all_beta,
+                     minimal_degree_full_scan)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -50,32 +51,50 @@ def coloured_graphs(draw, max_n):
     return Graph.from_edges(n, [e for e, b in zip(pairs, mask) if b]), colors
 
 
+def first_path(graph, colors=None):
+    """The first-path base, level by level: refine, and individualise the
+    least vertex of a largest cell, until the colouring is discrete."""
+    cells = equitable_refinement(graph, colors or [0] * graph.n)
+    points = []
+    while True:
+        size = [cells.count(c) for c in cells]   # of each vertex's cell
+        if max(size, default=1) == 1:
+            return points
+        v = size.index(max(size))
+        points.append(v)
+        cells = equitable_refinement(graph, [(c, u == v)
+                                             for u, c in enumerate(cells)])
+
+
 def reference_automorphism_group(graph, colors=None):
-    """The level loop without the refined-cell filter: at level v every
-    w > v of v's seed colour not yet reached gets a search, and every
-    level runs.  Returns (generators in the order found, order)."""
+    """The level loop over the first-path base, deepest level first,
+    without the refined-cell filter: at level d every w of v_d's seed
+    colour not yet in v_d's orbit under the generators found so far gets
+    a search, with v_0..v_{d-1} pinned.  Returns (base, generators in the
+    order found, order)."""
     n = graph.n
     base = [(0, c) for c in ([0] * n if colors is None else colors)]
+    points = first_path(graph, colors)
     gens = []
     order = 1
-    for v in range(n):
-        level_gens = [g for g in gens if all(g(i) == i for i in range(v))]
-        reached = set(orbit(v, level_gens))
-        pinned = [(1, u) for u in range(v)]
-        for w in range(v + 1, n):
+    for d in reversed(range(len(points))):
+        v = points[d]
+        pinned = {u: (1, u) for u in points[:d]}
+        reached = set(orbit(v, gens))
+        for w in range(n):
             if w in reached or base[w] != base[v]:
                 continue
-            src = pinned + [(2,)] + base[v + 1:]
-            dst = pinned + base[v:]
-            dst[w] = (2,)
+            src = [pinned.get(u, (2,) if u == v else base[u])
+                   for u in range(n)]
+            dst = [pinned.get(u, (2,) if u == w else base[u])
+                   for u in range(n)]
             t = isomorphism_with_colors(graph, src, graph, dst)
             if t is None:
                 continue
             gens.append(t)
-            level_gens.append(t)
-            reached = set(orbit(v, level_gens))
+            reached = set(orbit(v, gens))
         order *= len(reached)
-    return gens, order
+    return points, gens, order
 
 
 def networkx_aut_order(graph, colors=None):
@@ -159,16 +178,23 @@ class TestAutomorphismGroup:
 
 
 class TestSearchFilter:
-    """Searches start only in v's refined cell and stop at the first
-    discrete level; the generators are those of the unfiltered loop."""
+    """Searches start only in v's refined cell and run on the first path's
+    base; the generators are those of the unfiltered loop."""
 
     @staticmethod
     def assert_same_as_reference(g, colors=None):
         aut = automorphism_group(g, colors)
-        gens, order = reference_automorphism_group(g, colors)
+        points, gens, order = reference_automorphism_group(g, colors)
         assert [h.images for h in aut.group.generators] == \
             [h.images for h in gens]
         assert aut.order == order
+        assert aut.group.chain.base == points
+        # deepest level first; each generator fixes the base above its level
+        levels = [next(d for d, p in enumerate(points) if h(p) != p)
+                  for h in aut.group.generators]
+        assert levels == sorted(levels, reverse=True)
+        assert all(h(p) == p for h, d in zip(aut.group.generators, levels)
+                   for p in points[:d])
 
     @settings(max_examples=80, deadline=None)
     @given(coloured_graphs(max_n=10))
@@ -199,11 +225,37 @@ class TestSearchFilter:
             assert [kept.contains(g) for g in probes] == \
                 [full.contains(g) for g in probes]
 
+    def test_quick_corpus_block_systems_match_all_beta_oracle(self):
+        # every quick-corpus graph is vertex-transitive
+        for _, graph in corpus_generators(QUICK_SPEC):
+            group = automorphism_group(graph).group
+            assert group.block_systems() == block_systems_all_beta(group)
+
+    def test_point_stabilizer_reuses_the_aut_chain(self, monkeypatch):
+        group = automorphism_group(petersen_graph()).group
+        assert group.chain.base[0] == 0
+        built = []
+        monkeypatch.setattr(PermGroup, "chain_with_base",
+                            lambda self, prefix: built.append(prefix))
+        stab = group.pointwise_stabilizer([0])
+        assert not built and stab.order() == 12
+        assert all(g(0) == 0 for g in stab.generators)
+
     def test_search_counts(self):
-        for graph, most in ((petersen_graph(), 6), (cycle_graph(12), 3),
-                            (circulant_graph(13, [1, 3, 4]), 4)):  # Paley13
+        for graph, most in ((petersen_graph(), 3), (cycle_graph(12), 2),
+                            (circulant_graph(13, [1, 3, 4]), 3)):  # Paley13
             aut = automorphism_group(graph)
             assert aut.stats["transporter_searches"] <= most
+
+    def test_search_nodes(self):
+        # every search runs straight down to a leaf that is an
+        # automorphism, one node per depth: C12 searches from depths 2
+        # and 1 (base 0, 1), Petersen from depths 3, 2 and 1 (base 0, 2, 3)
+        for graph, searches, nodes in ((cycle_graph(12), 2, 3),
+                                       (petersen_graph(), 3, 6)):
+            stats = automorphism_group(graph).stats
+            assert (stats["transporter_searches"], stats["search_nodes"]) \
+                == (searches, nodes)
 
     def test_discrete_refinement_starts_no_search(self):
         # a triangle 0 1 2 with pendant paths 0-3-5 and 1-4: no symmetry,
@@ -214,6 +266,8 @@ class TestSearchFilter:
         aut = automorphism_group(g)
         assert aut.order == 1
         assert aut.stats["transporter_searches"] == 0
+        assert aut.stats["search_nodes"] == 0
+        assert aut.group.chain.base == []
 
 
 class TestTwins:

@@ -12,7 +12,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
-                                   _joint_refine, _maps_onto,
+                                   _maps_onto, _SourcePath,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
@@ -415,6 +415,43 @@ class TestIsomorphism:
             assert g1.relabel(found) == g2
             assert all(c2[found(v)] == c1[v] for v in range(n))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_coloured_search_on_near_copies_against_networkx(self, data):
+        """A relabelled copy is found, with edges and colours kept; a copy
+        with one vertex pair flipped, and one with two vertices' colours
+        swapped, get the verdict of networkx's coloured matcher."""
+        n = data.draw(st.integers(1, 10))
+        g1 = data.draw(graphs(min_n=n, max_n=n))
+        c1 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        p = Permutation(data.draw(st.permutations(range(n))))
+        g2 = g1.relabel(p)
+        c2 = [c1[v] for v in p.inverse().images]
+
+        def check(h2, d2, want):
+            found = isomorphism_with_colors(g1, c1, h2, d2)
+            assert (found is not None) == want
+            if found is not None:
+                assert g1.relabel(found) == h2
+                assert all(d2[found(v)] == c1[v] for v in range(n))
+
+        def coloured_nx(graph, colors):
+            h = to_nx(graph)
+            nx.set_node_attributes(h, dict(enumerate(colors)), "c")
+            return h
+
+        check(g2, c2, True)
+        u, v = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        flipped = Graph(n, [row ^ (x == u) << v ^ (x == v) << u
+                            for x, row in enumerate(g2.adj)]) \
+            if u != v else g2
+        recoloured = list(c2)
+        recoloured[u], recoloured[v] = c2[v], c2[u]
+        for h2, d2 in ((flipped, c2), (g2, recoloured)):
+            check(h2, d2, nx.is_isomorphic(
+                coloured_nx(g1, c1), coloured_nx(h2, d2),
+                node_match=lambda a, b: a["c"] == b["c"]))
+
     @given(graphs(max_n=8), st.data())
     def test_leaf_check_is_relabel_equality(self, g1, data):
         # a stable discrete leaf with equal histograms is always an
@@ -428,7 +465,7 @@ class TestIsomorphism:
 
 class TestEquitableRefinement:
     @given(graphs(max_n=12), st.data())
-    def test_equitable_and_same_as_joint(self, g, data):
+    def test_equitable_and_same_as_first_path(self, g, data):
         colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n,
                                     max_size=g.n))
         refined = equitable_refinement(g, colors)
@@ -441,8 +478,9 @@ class TestEquitableRefinement:
                 if refined[w] == refined[u]:
                     assert sorted(refined[x] for x in g.neighbors(u)) == \
                         sorted(refined[x] for x in g.neighbors(w))
-        joint = _joint_refine(g, list(colors), g, list(colors))
-        assert _partition_of(refined) == _partition_of(joint[0])
+        # the first path's depth 0, seeded with the colours renamed
+        path = _SourcePath(g, [(2 - c, "renamed") for c in colors])
+        assert _partition_of(refined) == _partition_of(path.level(0)[1])
 
     def test_individualising_one_vertex_of_a_cycle(self):
         # pinning 0 of C6 leaves the pairs at equal distance from it

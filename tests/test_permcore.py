@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minimal_degree_full_scan
+from oracles import block_systems_all_beta, minimal_degree_full_scan
 from smallmotion.grouptables import _find_p_cycle, agl1, sym_group
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain,
@@ -358,6 +358,21 @@ class TestOrbitsAndBlocks:
                         want.add(grp.block_system_from(cand).blocks)
             got = {s.blocks for s in grp.block_systems()}
             assert want == got
+
+    def test_block_systems_match_all_beta_oracle(self):
+        """One atom per suborbit of the stabilizer of 0 against one per
+        point, on the random transitive groups of acceptance criterion 9,
+        primitive ones included."""
+        rng = random.Random(90)
+        tested = 0
+        while tested < 60:
+            n = rng.choice([4, 6, 8, 9, 10])
+            grp = PermGroup(n, [Permutation(rng.sample(range(n), n))
+                                for _ in range(2)])
+            if not grp.is_transitive():
+                continue
+            tested += 1
+            assert grp.block_systems() == block_systems_all_beta(grp)
 
     def test_block_closure_matches_superset_scan(self):
         """_block_closure against the smallest superset of the seeds that is
