@@ -2,11 +2,11 @@
 plus corpus generation and batch verification.
 
 Motion-2 graphs decompose over their twin classes into lex products with
-complete or edgeless fibres.  Motion-4 graphs are matched first against
-the lex forms (C5, prism, or co-prism fibres over a vertex-transitive
-quotient) and then against the paired-fibre construction; a
-vertex-transitive motion-4 graph that fits neither is reported as
-unclassified with full diagnostics, never silently dropped.
+complete or edgeless fibres.  A motion-4 graph decomposes over the block
+system of the smallest block holding its motion witness's support: first
+as a lex form (C5, prism, or co-prism fibres over a vertex-transitive
+quotient), then as a paired-fibre graph; one that fits neither is reported
+as unclassified with diagnostics, never silently dropped.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         complete_graph, cycle_graph, empty_graph, inf_graph,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
-from .permcore import (BlockSystem, CapExceededError, PermGroup, Permutation,
-                       _is_prime, transversal)
+from .permcore import (CapExceededError, PermGroup, Permutation, _is_prime,
+                       format_cycles, transversal)
 
 FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
              "inf", "unclassified")
@@ -207,67 +207,61 @@ def _try_inf_form(graph: Graph, bs, aut,
         lam=lam, kap=kap, reconstruction=reconstruction, verified=True)
 
 
-def decompose_motion4(graph: Graph, motion_value: Optional[int] = None,
+def decompose_motion4(graph: Graph,
+                      witness: Optional[tuple[int, Permutation]] = None,
                       aut: Optional[AutResult] = None) -> ClassificationReport:
     """Decompose a vertex-transitive motion-4 graph.
 
-    Lex forms (C5 / prism / co-prism fibres) are attempted over every
-    block system of the automorphism group whose block-complement
-    pointwise stabilizer is transitive on the block; failing that, the
-    paired-fibre structure is recovered from a block whose induced graph
-    determines the two parameter bits.  An unclassified result carries a
-    full diagnostic dump.  ``aut`` is ``transitivity_aut(graph)`` when
-    the caller has it; else it is computed here, once for all the steps.
+    The one block tried is the smallest block of the automorphism group
+    holding the support of the motion witness x (the whole vertex set for
+    C5 itself); over its system the lex forms (C5 / prism / co-prism
+    fibres) are tried, then the paired-fibre form.  An unclassified result
+    carries diagnostics.  ``witness`` is ``motion_witness(graph, aut)`` and
+    ``aut`` is ``transitivity_aut(graph)`` when the caller has them; else
+    each is computed here, once for all the steps.
     """
     if aut is None:
         aut = transitivity_aut(graph)
     if not is_vertex_transitive(graph, aut=aut):
         raise NotVertexTransitiveError("input graph is not vertex-transitive")
-    mu = motion_witness(graph, aut=aut)[0] if motion_value is None \
-        else motion_value
+    if witness is None:
+        witness = motion_witness(graph, aut=aut)
+    mu, x = witness
     if mu != 4:
         raise ValueError(f"motion is {mu}, not 4")
     group = aut.group
-    systems = group.block_systems()
-    # the whole vertex set acts as a single block for the degenerate lex
-    # products over a one-vertex quotient (e.g. C5 itself)
-    whole = BlockSystem.from_blocks(graph.n, [range(graph.n)]) \
-        if graph.n >= 2 else None
-    candidates = systems + ([whole] if whole is not None else [])
-    restricted = []     # per block system, computed once for both forms
-    for bs in candidates:
-        restricted.append(_restricted_orbits(group, bs.blocks[0]))
-        report = _try_lex_form(graph, bs, restricted[-1])
-        if report is not None:
-            return report
-    for bs, orbits in zip(candidates, restricted):
-        report = _try_inf_form(graph, bs, group, orbits)
-        if report is not None:
-            return report
+    block = group._block_closure(x.support())
+    bs = group.block_system_from(block)
+    orbits = _restricted_orbits(group, bs.blocks[0])
+    report = _try_lex_form(graph, bs, orbits) or \
+        _try_inf_form(graph, bs, group, orbits)
+    if report is not None:
+        return report
     return ClassificationReport(
         motion=4, form="unclassified", verified=False,
         diagnostics={
             "graph6": to_graph6(graph),
             "aut_order": group.order(),
             "aut_generators": [str(g) for g in group.generators],
-            "block_systems": [[list(b) for b in bs.blocks]
-                              for bs in systems],
+            "witness": format_cycles(x),
+            "block": sorted(block),
         })
 
 
-def decompose(graph: Graph, motion_value: Optional[int] = None,
+def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
               aut: Optional[AutResult] = None) -> ClassificationReport:
-    """Dispatch on the motion value (2 or 4).  ``aut`` is
-    ``transitivity_aut(graph)`` when the caller has it, else computed."""
+    """Dispatch on the motion value (2 or 4).  ``witness`` is
+    ``motion_witness(graph, aut)`` and ``aut`` is ``transitivity_aut(graph)``
+    when the caller has them, else each is computed."""
     if aut is None:
         aut = transitivity_aut(graph)
-    mu = motion_witness(graph, aut=aut)[0] if motion_value is None \
-        else motion_value
-    if mu == 2:
+    if witness is None:
+        witness = motion_witness(graph, aut=aut)
+    if witness[0] == 2:
         return decompose_motion2(graph, aut=aut)
-    if mu == 4:
-        return decompose_motion4(graph, motion_value=4, aut=aut)
-    raise ValueError(f"no decomposition for motion {mu}")
+    if witness[0] == 4:
+        return decompose_motion4(graph, witness=witness, aut=aut)
+    raise ValueError(f"no decomposition for motion {witness[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +484,7 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
         return GraphRecord(label, g6, False)
     rec = GraphRecord(label, g6, True)
     try:
-        mu = motion_witness(graph, aut=aut)[0]
+        witness = motion_witness(graph, aut=aut)
     except ValueError:
         # trivial automorphism group: motion undefined (n = 1)
         rec.error = "motion undefined"
@@ -498,9 +492,9 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
     except CapExceededError as exc:
         rec.error = f"cap exceeded: {exc}"
         return rec
-    rec.motion = mu
-    if mu in (2, 4):
-        report = decompose(graph, motion_value=mu, aut=aut)
+    rec.motion = witness[0]
+    if rec.motion in (2, 4):
+        report = decompose(graph, witness=witness, aut=aut)
         rec.form = report.form
         rec.verified = report.verified
     return rec

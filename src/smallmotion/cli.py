@@ -129,13 +129,14 @@ def cmd_classify(args) -> int:
         if not is_vertex_transitive(graph, aut=aut):
             raise NotVertexTransitiveError(
                 "input graph is not vertex-transitive")
-        mu = motion_witness(graph, aut=aut)[0]
+        witness = motion_witness(graph, aut=aut)
+        mu = witness[0]
         if mu not in (2, 4):
             results.append({"graph6": to_graph6(graph), "motion": mu,
                             "note": "no motion-2/4 form"})
             lines.append(f"motion {mu} (no motion-2/4 form)")
             continue
-        report = decompose(graph, motion_value=mu, aut=aut)
+        report = decompose(graph, witness=witness, aut=aut)
         entry = report.as_dict()
         entry["graph6"] = to_graph6(graph)
         results.append(entry)

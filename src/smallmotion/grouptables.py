@@ -550,7 +550,11 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
 
 
 def _block_system_containing_support(group: PermGroup, supp: frozenset):
-    """A minimal block system, one block holding supp (group transitive)."""
+    """The system of the first proper closure of {min(supp), beta}, beta
+    in supp, that holds all of supp, else None (group transitive).  For a
+    p-cycle this is the minimal system holding supp; for a 2^2 element it
+    need not be minimal: on S2 wr (S2 wr S2) with x = (1,2)(3,4) its
+    blocks have size 4, while the minimal blocks are the pairs."""
     pts = sorted(supp)
     for beta in pts[1:]:
         block = group._block_closure((pts[0], beta))

@@ -1,6 +1,6 @@
 """Permutations and finitely generated permutation groups.
 
-Points are 0-indexed internally; the text interchange format is 1-indexed.
+Points are 0-indexed internally; cycle notation in output is 1-indexed.
 The right-action convention is used throughout: ``i^(p*q) = (i^p)^q``,
 i.e. ``p*q`` means "apply p first, then q".
 
@@ -187,27 +187,6 @@ def _trusted(images: tuple) -> Permutation:
     return p
 
 
-def classify_element(p: Permutation):
-    """Classify p as one of identity / transposition / p_cycle / two_two / other.
-
-    Returns (kind, param) where param is the cycle length for "p_cycle"
-    and None otherwise.  A 2-cycle is reported as "transposition"; "p_cycle"
-    means a single cycle of odd prime length with all other points fixed.
-    "two_two" is an order-2 element moving exactly 4 points (a product of
-    two disjoint transpositions).
-    """
-    ct = p.cycle_type()
-    if not ct:
-        return ("identity", None)
-    if ct == (2,):
-        return ("transposition", None)
-    if ct == (2, 2):
-        return ("two_two", None)
-    if len(ct) == 1 and _is_prime(ct[0]):
-        return ("p_cycle", ct[0])
-    return ("other", None)
-
-
 def is_two_two(p: Permutation) -> bool:
     return p.cycle_type() == (2, 2)
 
@@ -249,62 +228,13 @@ def transversal(identity: Permutation, generators: Sequence[Permutation],
 
 
 # ---------------------------------------------------------------------------
-# cycle-notation text format (1-indexed for I/O)
+# cycle notation (1-indexed, for output)
 
 def format_cycles(p: Permutation) -> str:
     cycs = p.cycles()
     if not cycs:
         return "()"
     return "".join("(" + ",".join(str(v + 1) for v in c) + ")" for c in cycs)
-
-
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse 1-indexed disjoint-cycle notation like ``(1,2)(3,4)``."""
-    text = text.strip()
-    if text in ("()", "", "id", "e"):
-        return Permutation.identity(degree)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for chunk in text[1:-1].split(")("):
-        pts = [int(tok) - 1 for tok in chunk.replace(",", " ").split()]
-        if any(v < 0 or v >= degree for v in pts):
-            raise ValueError(f"point out of range in {text!r}")
-        cycles.append(pts)
-    return Permutation.from_cycles(degree, cycles)
-
-
-def parse_group(text: str) -> "PermGroup":
-    """Parse the group text format.
-
-    First non-comment line is ``degree n``; each further line is one
-    generator in 1-indexed disjoint-cycle notation.  Blank lines and
-    ``#`` comments are ignored.
-    """
-    degree = None
-    gens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise ValueError("expected 'degree n' header")
-            degree = int(parts[1])
-            if degree < 0:
-                raise ValueError("degree must be nonnegative")
-            continue
-        gens.append(parse_cycles(line, degree))
-    if degree is None:
-        raise ValueError("empty group description")
-    return PermGroup(degree, gens)
-
-
-def format_group(g: "PermGroup") -> str:
-    lines = [f"degree {g.degree}"]
-    lines.extend(format_cycles(p) for p in g.generators)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +609,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
-    def transporter(self, a: int, b: int) -> Optional[Permutation]:
-        """Some group element mapping a to b (BFS, deterministic), or None."""
-        return transversal(self.identity(), self.generators,
-                           key=lambda h: h(a)).get(b)
-
     # -- blocks -----------------------------------------------------------
 
     def _block_closure(self, points: Iterable[int]) -> frozenset:
@@ -712,27 +637,6 @@ class PermGroup:
                 queue.extend((g[a], g[b]) for g in gens)
         root = find(pts[0])
         return frozenset(v for v in range(self.degree) if find(v) == root)
-
-    def block_systems(self) -> list[BlockSystem]:
-        """All nontrivial block systems of a transitive group.
-
-        The blocks holding 0 form a lattice under joins; each one of size
-        at least 2 is the join of the smallest blocks holding {0, beta} for
-        its points beta, so the join closure of those atoms reaches them
-        all.  An element h fixing 0 maps the block for beta onto the one
-        for h(beta), and onto the block of its system holding 0, itself;
-        so the least beta of each orbit of the stabilizer of 0 gives every
-        atom.  Systems are sorted by block size, then by their block lists.
-        """
-        if not self.is_transitive():
-            raise ValueError("group is not transitive")
-        stab = self.pointwise_stabilizer([0])
-        atoms = {self._block_closure((0, min(o))) for o in stab.orbits()
-                 if 0 not in o}
-        blocks = join_closure(atoms, lambda b, c: self._block_closure(b | c))
-        systems = [self.block_system_from(b) for b in blocks
-                   if len(b) < self.degree]
-        return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
 
     def minimal_block_system(self) -> Optional[BlockSystem]:
         """A system of minimal blocks, or None iff the group is primitive.

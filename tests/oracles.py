@@ -1,10 +1,26 @@
-"""Brute-force oracles: exhaustive scans the fast code is checked against."""
+"""Brute-force oracles: exhaustive scans the fast code is checked against,
+and the small graph grids the tests share."""
 
 import itertools
 
+from smallmotion.autengine import automorphism_group
+from smallmotion.classify import (_restricted_orbits, _try_inf_form,
+                                  _try_lex_form, named_graph,
+                                  sigma_matchings)
+from smallmotion.graphcore import InfParams
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, join_closure,
                                   reduce_generators)
+
+
+def inf_grid():
+    """Every (lambda, kappa, sigma, matching, m) instance of the small grid."""
+    for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
+        sigma = named_graph(token)
+        for mname, pairs in sigma_matchings(token):
+            for lam, kap in itertools.product((0, 1), repeat=2):
+                for m in (2, 3):
+                    yield token, mname, InfParams(lam, kap, m), sigma, pairs
 
 
 def automorphism_group_brute(graph, max_n: int = 8) -> PermGroup:
@@ -34,3 +50,23 @@ def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
     systems = [group.block_system_from(b) for b in blocks
                if len(b) < group.degree]
     return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
+
+
+def decompose_motion4_all_systems(graph):
+    """The motion-4 decomposition over every block system of Aut plus the
+    whole vertex set: the lex forms on each system in turn, then the
+    paired-fibre form on each.  The first report that fits, else None."""
+    group = automorphism_group(graph).group
+    candidates = block_systems_all_beta(group) + [
+        BlockSystem.from_blocks(graph.n, [range(graph.n)])]
+    restricted = [_restricted_orbits(group, bs.blocks[0])
+                  for bs in candidates]
+    for bs, orbits in zip(candidates, restricted):
+        report = _try_lex_form(graph, bs, orbits)
+        if report is not None:
+            return report
+    for bs, orbits in zip(candidates, restricted):
+        report = _try_inf_form(graph, bs, group, orbits)
+        if report is not None:
+            return report
+    return None

@@ -5,18 +5,18 @@ stated runtime cap.  Run with ``pytest -v tests/test_acceptance.py`` to get
 the per-criterion pass/fail listing.
 """
 
-import itertools
 import random
 import time
 
-from oracles import automorphism_group_brute, minimal_degree_full_scan
+from oracles import (automorphism_group_brute, inf_grid,
+                     minimal_degree_full_scan)
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion)
 from smallmotion.classify import (CorpusSpec, circulant_corpus,
                                   corpus_generators,
                                   inf_is_vertex_transitive_predicted,
                                   inf_motion2_predicted, named_graph,
-                                  sigma_matchings, verify_corpus)
+                                  verify_corpus)
 from smallmotion.graphcore import (InfParams, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
                                    inf_graph, lex_product, prism_graph)
@@ -47,15 +47,6 @@ def report(n, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def inf_grid():
-    for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
-        sigma = named_graph(token)
-        for mname, pairs in sigma_matchings(token):
-            for lam, kap in itertools.product((0, 1), repeat=2):
-                for m in (2, 3):
-                    yield token, mname, InfParams(lam, kap, m), sigma, pairs
 
 
 def test_criterion_01_motion_converses():

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (automorphism_group_brute, block_systems_all_beta,
-                     minimal_degree_full_scan)
+from oracles import automorphism_group_brute, minimal_degree_full_scan
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -224,12 +223,6 @@ class TestSearchFilter:
             assert all(kept.contains(g) for g in members)
             assert [kept.contains(g) for g in probes] == \
                 [full.contains(g) for g in probes]
-
-    def test_quick_corpus_block_systems_match_all_beta_oracle(self):
-        # every quick-corpus graph is vertex-transitive
-        for _, graph in corpus_generators(QUICK_SPEC):
-            group = automorphism_group(graph).group
-            assert group.block_systems() == block_systems_all_beta(group)
 
     def test_point_stabilizer_reuses_the_aut_chain(self, monkeypatch):
         group = automorphism_group(petersen_graph()).group

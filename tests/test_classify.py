@@ -1,11 +1,11 @@
 """Motion-2/4 decomposition, paired-fibre criteria, and the corpus driver."""
 
-import itertools
-
 import pytest
 
+from oracles import decompose_motion4_all_systems, inf_grid
 from smallmotion import autengine, classify, cli
-from smallmotion.autengine import is_vertex_transitive, motion
+from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
+                                   motion, motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   circulant_corpus, corpus_generators,
                                   decompose, decompose_motion2,
@@ -14,21 +14,12 @@ from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   inf_motion2_predicted, named_graph,
                                   pair_transposition_in_aut, sigma_matchings,
                                   verify_corpus, verify_graph)
-from smallmotion.graphcore import (InfParams, are_isomorphic, complete_graph,
-                                   cycle_graph, empty_graph, inf_graph,
-                                   lex_product, path_graph, prism_graph,
-                                   spx_graph, to_graph6)
-from smallmotion.permcore import PermGroup
-
-
-def inf_grid():
-    """Every (lambda, kappa, sigma, matching, m) instance of the small grid."""
-    for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
-        sigma = named_graph(token)
-        for mname, pairs in sigma_matchings(token):
-            for lam, kap in itertools.product((0, 1), repeat=2):
-                for m in (2, 3):
-                    yield token, mname, InfParams(lam, kap, m), sigma, pairs
+from smallmotion.graphcore import (MAX_GRAPH_ORDER, InfParams, are_isomorphic,
+                                   complete_graph, cycle_graph, empty_graph,
+                                   inf_graph, lex_product, path_graph,
+                                   petersen_graph, prism_graph, spx_graph,
+                                   to_graph6)
+from smallmotion.permcore import PermGroup, format_cycles
 
 
 class TestMotion2Decomposition:
@@ -105,11 +96,10 @@ class TestMotion4Decomposition:
             assert rep.verified, (token, mname, params)
 
     def test_one_chain_per_block_system(self, monkeypatch):
-        """The restricted orbits of a paired-fibre graph are computed on one
-        block per block system, for both the lex and the inf forms."""
+        """The restricted orbits of a paired-fibre graph are computed once,
+        on the witness block, for both the lex and the inf forms."""
         g = inf_graph(InfParams(0, 1, 3), cycle_graph(8),
                       sigma_matchings("cycle:8")[0][1])
-        systems = autengine.automorphism_group(g).group.block_systems()
         built = []
         original = PermGroup.chain_with_base
 
@@ -120,8 +110,49 @@ class TestMotion4Decomposition:
         monkeypatch.setattr(PermGroup, "chain_with_base", counting)
         rep = decompose_motion4(g)
         assert rep.form == "inf" and rep.verified
-        assert 0 < len(built) <= len(systems)
-        assert len(set(built)) == len(built)
+        assert len(built) == 1
+
+    def test_witness_block_matches_all_systems_search(self):
+        """The witness block gives the report the search over every block
+        system gives, on the motion-4 graphs of the default corpus, the
+        paired-fibre grid and a lex grid."""
+        corpus = [g for _, g in corpus_generators(CorpusSpec())]
+        grid = [inf_graph(params, sigma, pairs)
+                for _, _, params, sigma, pairs in inf_grid()]
+        fibres = [cycle_graph(5), prism_graph(3), prism_graph(4)]
+        fibres += [f.complement() for f in fibres]
+        bases = [complete_graph(2), empty_graph(2), cycle_graph(5),
+                 petersen_graph()]
+        lex = [lex_product(f, b) for f in fibres for b in bases
+               if f.n * b.n <= MAX_GRAPH_ORDER]
+        checked = 0
+        for g in corpus + grid + lex:
+            aut = transitivity_aut(g)
+            if not is_vertex_transitive(g, aut=aut):
+                continue
+            witness = motion_witness(g, aut=aut)
+            if witness[0] != 4:
+                continue
+            want = decompose_motion4_all_systems(g)
+            assert want is not None, to_graph6(g)
+            got = decompose_motion4(g, witness=witness, aut=aut)
+            assert got.as_dict() == want.as_dict(), to_graph6(g)
+            checked += 1
+        assert checked == 42 + 50 + 22
+
+    def test_unclassified_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "_try_lex_form", lambda *args: None)
+        monkeypatch.setattr(classify, "_try_inf_form", lambda *args: None)
+        g = prism_graph(3)
+        rep = decompose(g)
+        assert rep.form == "unclassified" and not rep.verified
+        x = motion_witness(g)[1]
+        group = automorphism_group(g).group
+        assert rep.diagnostics["witness"] == format_cycles(x)
+        assert rep.diagnostics["block"] == \
+            sorted(group._block_closure(x.support()))
+        assert cli.main(["classify", "prism:3"]) == cli.EXIT_FALSIFIED
+        assert "unclassified" in capsys.readouterr().out
 
     def test_dispatch(self):
         assert decompose(cycle_graph(4)).form == "lex_mK1"

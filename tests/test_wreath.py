@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import block_systems_all_beta
 from smallmotion.grouptables import cyclic_group, dihedral_group, sym_group
 from smallmotion.permcore import BlockSystem, PermGroup, Permutation
 from smallmotion.wreath import (WreathLabeling, base_group_element,
@@ -102,7 +103,7 @@ class TestEmbedding:
         rng = random.Random(30)
         for _ in range(20):
             grp = random_transitive_imprimitive(rng)
-            for bs in grp.block_systems():
+            for bs in block_systems_all_beta(grp):
                 emb = embed_imprimitive(grp, bs)
                 assert emb.verified
                 assert all(emb.phi[g] in emb.target
@@ -135,7 +136,7 @@ class TestSandwich:
         checked = 0
         while checked < 10:
             grp = random_transitive_imprimitive(rng)
-            systems = grp.block_systems()
+            systems = block_systems_all_beta(grp)
             if not systems:
                 continue
             bs = systems[0]
