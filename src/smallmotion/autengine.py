@@ -97,32 +97,11 @@ def automorphism_group(graph: Graph,
 # ---------------------------------------------------------------------------
 # twins
 
-@dataclass(frozen=True)
-class TwinInfo:
-    """Vertex pairs whose transposition is an automorphism."""
-
-    true_twins: tuple[tuple[int, int], ...]    # adjacent, equal closed nbhds
-    false_twins: tuple[tuple[int, int], ...]   # non-adjacent, equal open nbhds
-
-    def all_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.true_twins + self.false_twins
-
-    def __bool__(self) -> bool:
-        return bool(self.true_twins or self.false_twins)
-
-
-def find_twins(graph: Graph) -> TwinInfo:
-    true_t = []
-    false_t = []
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            if graph.has_edge(u, v):
-                if graph.adj[u] | (1 << u) == graph.adj[v] | (1 << v):
-                    true_t.append((u, v))
-            else:
-                if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u):
-                    false_t.append((u, v))
-    return TwinInfo(tuple(true_t), tuple(false_t))
+def find_twins(graph: Graph) -> list[tuple[int, int]]:
+    """The sorted pairs u < v whose transposition is an automorphism: equal
+    closed neighbourhoods (true twins) or equal open ones (false twins)."""
+    return [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
+            if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +121,7 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
     twins = find_twins(graph)
     if twins:
         return 2, min(Permutation.from_cycles(graph.n, [pair])
-                      for pair in twins.all_pairs())
+                      for pair in twins)
     if aut is None:
         aut = automorphism_group(graph)
     if aut.order == 1:

@@ -1,11 +1,11 @@
 """Structural decomposition of vertex-transitive graphs of motion 2 and 4,
 plus corpus generation and batch verification.
 
-Motion-2 graphs decompose over their twin classes into lex products with
-complete or edgeless fibres.  A motion-4 graph decomposes over the block
-system of the smallest block holding its motion witness's support: first
-as a lex form (C5, prism, or co-prism fibres over a vertex-transitive
-quotient), then as a paired-fibre graph; one that fits neither is reported
+A graph of motion 2 or 4 decomposes over the block system of its witness
+block, the smallest block of Aut holding its motion witness's support:
+first as a lex form (complete, edgeless, C5, prism, or co-prism fibres
+over a vertex-transitive quotient; for motion 2 the block is a twin
+class), then as a paired-fibre graph.  One that fits neither is reported
 as unclassified with diagnostics, never silently dropped.
 """
 
@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .autengine import (AutResult, aut_preserving_partition, find_twins,
+from .autengine import (AutResult, aut_preserving_partition,
                         is_vertex_transitive, motion_witness,
                         transitivity_aut)
 from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
@@ -24,8 +24,8 @@ from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         complete_graph, cycle_graph, empty_graph, inf_graph,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
-from .permcore import (CapExceededError, PermGroup, Permutation, _is_prime,
-                       format_cycles, transversal)
+from .permcore import (CapExceededError, Permutation, _is_prime, format_cycles,
+                       transversal)
 
 FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
              "inf", "unclassified")
@@ -73,51 +73,7 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# motion 2: twin-class decomposition
-
-def _classes_from_pairs(n: int, pairs) -> list[tuple[int, ...]]:
-    """The orbits of the group generated by the pairs' transpositions."""
-    group = PermGroup(n, [Permutation.from_cycles(n, [p]) for p in pairs])
-    return sorted(tuple(sorted(o)) for o in group.orbits())
-
-
-def decompose_motion2(graph: Graph,
-                      aut: Optional[AutResult] = None) -> ClassificationReport:
-    """Decompose a vertex-transitive motion-2 graph over its twin classes.
-    ``aut`` is ``transitivity_aut(graph)`` when the caller has it."""
-    if not is_vertex_transitive(graph, aut=aut):
-        raise NotVertexTransitiveError("input graph is not vertex-transitive")
-    twins = find_twins(graph)
-    if not twins:
-        raise ValueError("graph has no twin vertices, so its motion is not 2")
-    candidates = []
-    for tag, pair_list, fibre in (
-            ("lex_Km", twins.true_twins, complete_graph),
-            ("lex_mK1", twins.false_twins, empty_graph)):
-        if not pair_list:
-            continue
-        classes = _classes_from_pairs(graph.n, pair_list)
-        sizes = {len(c) for c in classes}
-        if len(sizes) == 1 and sizes != {1}:
-            candidates.append((tag, classes, fibre))
-    if not candidates:
-        raise ValueError("twin classes do not cover the vertex set uniformly")
-    tag, classes, fibre = candidates[0]
-    m = len(classes[0])
-    theta = quotient_graph(graph, classes)
-    reconstruction = lex_product(fibre(m), theta)
-    verified = are_isomorphic(reconstruction, graph) is not None
-    diagnostics = {}
-    if len(candidates) > 1:
-        diagnostics["also_fits"] = [c[0] for c in candidates[1:]]
-    return ClassificationReport(
-        motion=2, form=tag, m=m, theta=theta,
-        reconstruction=reconstruction, verified=verified,
-        diagnostics=diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# motion 4
+# decomposition over the witness block
 
 def _restricted_orbits(group, block: tuple[int, ...]):
     """Orbits on the block of the pointwise stabilizer of its complement."""
@@ -129,31 +85,31 @@ def _restricted_orbits(group, block: tuple[int, ...]):
     return [tuple(sorted(o)) for o in orbits]
 
 
-def _try_lex_form(graph: Graph, bs, orbits) -> Optional[ClassificationReport]:
-    """``orbits``: ``_restricted_orbits`` of the first block of bs."""
-    block = bs.blocks[0]
-    if len(orbits) != 1:
-        return None             # block-complement stabilizer not transitive
-    delta, _ = graph.induced_subgraph(block)
-    theta = quotient_graph(graph, bs.blocks)
-    size = len(block)
-    if size == 5 and are_isomorphic(delta, cycle_graph(5)) is not None:
-        form, m, fibre = "lex_C5", None, cycle_graph(5)
-    elif size >= 6 and size % 2 == 0 and \
-            are_isomorphic(delta, prism_graph(size // 2)) is not None:
-        form, m, fibre = "lex_prism", size // 2, prism_graph(size // 2)
-    elif size >= 6 and size % 2 == 0 and \
-            are_isomorphic(delta,
-                           prism_graph(size // 2).complement()) is not None:
-        form, m = "lex_coprism", size // 2
-        fibre = prism_graph(size // 2).complement()
+def _lex_fibres(size: int):
+    """(form, m, fibre) for each lex fibre on ``size`` vertices."""
+    yield "lex_Km", size, complete_graph(size)
+    yield "lex_mK1", size, empty_graph(size)
+    if size == 5:
+        yield "lex_C5", None, cycle_graph(5)
+    if size >= 6 and size % 2 == 0:
+        yield "lex_prism", size // 2, prism_graph(size // 2)
+        yield "lex_coprism", size // 2, prism_graph(size // 2).complement()
+
+
+def _try_lex_form(graph: Graph, mu: int, bs,
+                  delta: Graph) -> Optional[ClassificationReport]:
+    """``delta``: the subgraph induced on the first block of bs."""
+    for form, m, fibre in _lex_fibres(delta.n):
+        if are_isomorphic(delta, fibre) is not None:
+            break
     else:
         return None
+    theta = quotient_graph(graph, bs.blocks)
     reconstruction = lex_product(fibre, theta)
     if are_isomorphic(reconstruction, graph) is None:
         return None
     return ClassificationReport(
-        motion=4, form=form, m=m, theta=theta,
+        motion=mu, form=form, m=m, theta=theta,
         reconstruction=reconstruction, verified=True)
 
 
@@ -163,14 +119,13 @@ _INF_FORMS = ((1, 0, matching_graph),
               (0, 0, lambda m: prism_graph(m).complement()))
 
 
-def _try_inf_form(graph: Graph, bs, aut,
-                  orbits) -> Optional[ClassificationReport]:
-    """``orbits``: ``_restricted_orbits`` of the first block of bs."""
-    size = len(bs.blocks[0])
+def _try_inf_form(graph: Graph, mu: int, bs, aut,
+                  delta: Graph) -> Optional[ClassificationReport]:
+    """``delta``: the subgraph induced on the first block of bs."""
+    size = delta.n
     if size < 4 or size % 2:
         return None
     m = size // 2
-    delta, _ = graph.induced_subgraph(bs.blocks[0])
     lam = kap = None
     for lam_c, kap_c, build in _INF_FORMS:
         if are_isomorphic(delta, build(m)) is not None:
@@ -182,6 +137,7 @@ def _try_inf_form(graph: Graph, bs, aut,
     # stabilizer of that block's complement: expect two orbits of size m.
     # An element g mapping the first block onto another conjugates the
     # stabilizers, so it maps the first block's orbits onto the other's.
+    orbits = _restricted_orbits(aut, bs.blocks[0])
     if len(orbits) != 2 or any(len(o) != m for o in orbits):
         return None
     a = bs.blocks[0][0]
@@ -203,22 +159,22 @@ def _try_inf_form(graph: Graph, bs, aut,
     if are_isomorphic(reconstruction, graph) is None:
         return None
     return ClassificationReport(
-        motion=4, form="inf", m=m, sigma=sigma, pairs=pairs,
+        motion=mu, form="inf", m=m, sigma=sigma, pairs=pairs,
         lam=lam, kap=kap, reconstruction=reconstruction, verified=True)
 
 
-def decompose_motion4(graph: Graph,
-                      witness: Optional[tuple[int, Permutation]] = None,
-                      aut: Optional[AutResult] = None) -> ClassificationReport:
-    """Decompose a vertex-transitive motion-4 graph.
+def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
+              aut: Optional[AutResult] = None) -> ClassificationReport:
+    """Decompose a vertex-transitive graph of motion 2 or 4.
 
-    The one block tried is the smallest block of the automorphism group
-    holding the support of the motion witness x (the whole vertex set for
-    C5 itself); over its system the lex forms (C5 / prism / co-prism
-    fibres) are tried, then the paired-fibre form.  An unclassified result
-    carries diagnostics.  ``witness`` is ``motion_witness(graph, aut)`` and
-    ``aut`` is ``transitivity_aut(graph)`` when the caller has them; else
-    each is computed here, once for all the steps.
+    The one block tried is the witness block: the smallest block of the
+    automorphism group holding the support of the motion witness x (the
+    twin class of a twin transposition; the whole vertex set for C5
+    itself).  Over its system the lex forms are tried (K_m, mK_1, C5,
+    prism or co-prism fibres), then the paired-fibre form.  An
+    unclassified result carries diagnostics.  ``witness`` is
+    ``motion_witness(graph, aut)`` and ``aut`` is ``transitivity_aut(graph)``
+    when the caller has them; else each is computed here, once.
     """
     if aut is None:
         aut = transitivity_aut(graph)
@@ -227,18 +183,18 @@ def decompose_motion4(graph: Graph,
     if witness is None:
         witness = motion_witness(graph, aut=aut)
     mu, x = witness
-    if mu != 4:
-        raise ValueError(f"motion is {mu}, not 4")
+    if mu not in (2, 4):
+        raise ValueError(f"no decomposition for motion {mu}")
     group = aut.group
     block = group._block_closure(x.support())
     bs = group.block_system_from(block)
-    orbits = _restricted_orbits(group, bs.blocks[0])
-    report = _try_lex_form(graph, bs, orbits) or \
-        _try_inf_form(graph, bs, group, orbits)
+    delta, _ = graph.induced_subgraph(bs.blocks[0])
+    report = _try_lex_form(graph, mu, bs, delta) or \
+        _try_inf_form(graph, mu, bs, group, delta)
     if report is not None:
         return report
     return ClassificationReport(
-        motion=4, form="unclassified", verified=False,
+        motion=mu, form="unclassified", verified=False,
         diagnostics={
             "graph6": to_graph6(graph),
             "aut_order": group.order(),
@@ -246,22 +202,6 @@ def decompose_motion4(graph: Graph,
             "witness": format_cycles(x),
             "block": sorted(block),
         })
-
-
-def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
-              aut: Optional[AutResult] = None) -> ClassificationReport:
-    """Dispatch on the motion value (2 or 4).  ``witness`` is
-    ``motion_witness(graph, aut)`` and ``aut`` is ``transitivity_aut(graph)``
-    when the caller has them, else each is computed."""
-    if aut is None:
-        aut = transitivity_aut(graph)
-    if witness is None:
-        witness = motion_witness(graph, aut=aut)
-    if witness[0] == 2:
-        return decompose_motion2(graph, aut=aut)
-    if witness[0] == 4:
-        return decompose_motion4(graph, witness=witness, aut=aut)
-    raise ValueError(f"no decomposition for motion {witness[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +257,12 @@ class CorpusSpec:
     """
 
     circulant_max: int = 12
-    circulant_complement_reduced: bool = True
     inf_sigmas: tuple = ("cycle:4", "cycle:6", "cycle:8", "prism:3")
     inf_ms: tuple = (2, 3)
     lex_deltas: tuple = ("complete:2", "empty:2", "complete:3", "empty:3",
                          "cycle:5")
     lex_thetas: tuple = ("complete:2", "cycle:5")
     invariant_union_ms: tuple = (3,)
-    dedup: bool = True
 
 
 _FAMILIES = {"complete": complete_graph, "empty": empty_graph,
@@ -406,19 +344,12 @@ def invariant_union_corpus(ms) -> Iterator[tuple[str, Graph]]:
 
 def corpus_generators(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     """The deterministic corpus stream, isomorphism-deduplicated per size."""
-    def raw():
-        if spec.circulant_max >= 2:
-            yield from circulant_corpus(spec.circulant_max,
-                                        spec.circulant_complement_reduced)
-        yield from inf_corpus(spec.inf_sigmas, spec.inf_ms)
-        yield from lex_corpus(spec.lex_deltas, spec.lex_thetas)
-        yield from invariant_union_corpus(spec.invariant_union_ms)
-
-    if not spec.dedup:
-        yield from raw()
-        return
+    raw = itertools.chain(circulant_corpus(spec.circulant_max),
+                          inf_corpus(spec.inf_sigmas, spec.inf_ms),
+                          lex_corpus(spec.lex_deltas, spec.lex_thetas),
+                          invariant_union_corpus(spec.invariant_union_ms))
     seen: dict[int, list[Graph]] = {}
-    for label, graph in raw():
+    for label, graph in raw:
         bucket = seen.setdefault(graph.n, [])
         if any(are_isomorphic(graph, other) is not None for other in bucket):
             continue

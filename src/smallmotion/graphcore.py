@@ -169,14 +169,6 @@ class PairPartition:
         norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
         return cls(n, norm)
 
-    def partner(self, v: int) -> int:
-        for a, b in self.pairs:
-            if v == a:
-                return b
-            if v == b:
-                return a
-        raise KeyError(v)
-
     def contains_pair(self, u: int, v: int) -> bool:
         return tuple(sorted((u, v))) in self.pairs
 
@@ -511,8 +503,11 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     if g1.n > MAX_GRAPH_ORDER:
         raise CapExceededError(f"isomorphism cap exceeded: "
                                f"{g1.n} > {MAX_GRAPH_ORDER}")
-    if g1.num_edges() != g2.num_edges():
+    edges = g1.num_edges()
+    if edges != g2.num_edges():
         return None
+    if edges in (0, g1.n * (g1.n - 1) // 2):    # edgeless or complete
+        return Permutation.identity(g1.n)
     return isomorphism_with_colors(g1, [0] * g1.n, g2, [0] * g2.n)
 
 

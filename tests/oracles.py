@@ -3,11 +3,12 @@ and the small graph grids the tests share."""
 
 import itertools
 
-from smallmotion.autengine import automorphism_group
-from smallmotion.classify import (_restricted_orbits, _try_inf_form,
+from smallmotion.autengine import automorphism_group, find_twins
+from smallmotion.classify import (ClassificationReport, _try_inf_form,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
-from smallmotion.graphcore import InfParams
+from smallmotion.graphcore import (InfParams, are_isomorphic, complete_graph,
+                                   empty_graph, lex_product, quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, join_closure,
                                   reduce_generators)
@@ -52,6 +53,24 @@ def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
     return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
 
 
+def decompose_motion2_twins(graph):
+    """The motion-2 decomposition over the twin classes, the orbits of the
+    group the twin transpositions generate: complete fibres for true
+    twins, edgeless ones for false twins, over the quotient."""
+    pairs = find_twins(graph)
+    group = PermGroup(graph.n, [Permutation.from_cycles(graph.n, [p])
+                                for p in pairs])
+    classes = sorted(tuple(sorted(o)) for o in group.orbits())
+    m = len(classes[0])
+    form, fibre = (("lex_Km", complete_graph(m)) if graph.has_edge(*pairs[0])
+                   else ("lex_mK1", empty_graph(m)))
+    theta = quotient_graph(graph, classes)
+    reconstruction = lex_product(fibre, theta)
+    return ClassificationReport(
+        motion=2, form=form, m=m, theta=theta, reconstruction=reconstruction,
+        verified=are_isomorphic(reconstruction, graph) is not None)
+
+
 def decompose_motion4_all_systems(graph):
     """The motion-4 decomposition over every block system of Aut plus the
     whole vertex set: the lex forms on each system in turn, then the
@@ -59,14 +78,13 @@ def decompose_motion4_all_systems(graph):
     group = automorphism_group(graph).group
     candidates = block_systems_all_beta(group) + [
         BlockSystem.from_blocks(graph.n, [range(graph.n)])]
-    restricted = [_restricted_orbits(group, bs.blocks[0])
-                  for bs in candidates]
-    for bs, orbits in zip(candidates, restricted):
-        report = _try_lex_form(graph, bs, orbits)
+    deltas = [graph.induced_subgraph(bs.blocks[0])[0] for bs in candidates]
+    for bs, delta in zip(candidates, deltas):
+        report = _try_lex_form(graph, 4, bs, delta)
         if report is not None:
             return report
-    for bs, orbits in zip(candidates, restricted):
-        report = _try_inf_form(graph, bs, group, orbits)
+    for bs, delta in zip(candidates, deltas):
+        report = _try_inf_form(graph, 4, bs, group, delta)
         if report is not None:
             return report
     return None

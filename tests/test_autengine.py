@@ -265,12 +265,16 @@ class TestSearchFilter:
 
 class TestTwins:
     def test_true_twins_in_complete(self):
-        info = find_twins(complete_graph(4))
-        assert info and info.true_twins and not info.false_twins
+        g = complete_graph(4)
+        pairs = find_twins(g)
+        assert pairs == sorted(itertools.combinations(range(4), 2))
+        assert all(g.has_edge(u, v) for u, v in pairs)
 
     def test_false_twins_in_bipartite(self):
-        info = find_twins(lex_product(empty_graph(3), cycle_graph(5)))
-        assert info.false_twins and not info.true_twins
+        g = lex_product(empty_graph(3), cycle_graph(5))
+        pairs = find_twins(g)
+        assert pairs == sorted(pairs) and len(pairs) == 5 * 3
+        assert not any(g.has_edge(u, v) for u, v in pairs)
 
     def test_no_twins_in_cycle(self):
         assert not find_twins(cycle_graph(5))
@@ -280,8 +284,7 @@ class TestTwins:
         rng = random.Random(22)
         for _ in range(20):
             g = random_graph(rng, rng.randint(3, 8))
-            info = find_twins(g)
-            for u, v in info.all_pairs():
+            for u, v in find_twins(g):
                 t = Permutation.from_cycles(g.n, [[u, v]])
                 assert g.is_automorphism(t)
 

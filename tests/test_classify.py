@@ -2,15 +2,14 @@
 
 import pytest
 
-from oracles import decompose_motion4_all_systems, inf_grid
+from oracles import (decompose_motion2_twins,
+                     decompose_motion4_all_systems, inf_grid)
 from smallmotion import autengine, classify, cli
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion, motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   circulant_corpus, corpus_generators,
-                                  decompose, decompose_motion2,
-                                  decompose_motion4,
-                                  inf_is_vertex_transitive_predicted,
+                                  decompose, inf_is_vertex_transitive_predicted,
                                   inf_motion2_predicted, named_graph,
                                   pair_transposition_in_aut, sigma_matchings,
                                   verify_corpus, verify_graph)
@@ -22,21 +21,29 @@ from smallmotion.graphcore import (MAX_GRAPH_ORDER, InfParams, are_isomorphic,
 from smallmotion.permcore import PermGroup, format_cycles
 
 
+def _assert_one_restricted_orbit(aut, witness):
+    """A lex form's block is one orbit of the pointwise stabilizer of its
+    complement: Aut of the fibre, acting on the block alone, lies in Aut."""
+    group = aut.group
+    block = group._block_closure(witness[1].support())
+    assert len(classify._restricted_orbits(group, tuple(sorted(block)))) == 1
+
+
 class TestMotion2Decomposition:
     def test_complete_graph_is_true_twins(self):
-        rep = decompose_motion2(complete_graph(4))
+        rep = decompose(complete_graph(4))
         assert rep.form == "lex_Km" and rep.m == 4
         assert rep.theta.n == 1
         assert rep.verified
 
     def test_c4_is_false_twins(self):
-        rep = decompose_motion2(cycle_graph(4))
+        rep = decompose(cycle_graph(4))
         assert rep.form == "lex_mK1" and rep.m == 2
         assert rep.verified
 
     def test_blown_up_cycle(self):
         g = lex_product(empty_graph(3), cycle_graph(5))
-        rep = decompose_motion2(g)
+        rep = decompose(g)
         assert rep.form == "lex_mK1" and rep.m == 3
         assert are_isomorphic(rep.theta, cycle_graph(5)) is not None
         assert rep.verified
@@ -47,39 +54,59 @@ class TestMotion2Decomposition:
                 for fibre, tag in ((complete_graph(m), "lex_Km"),
                                    (empty_graph(m), "lex_mK1")):
                     g = lex_product(fibre, theta)
-                    rep = decompose_motion2(g)
+                    rep = decompose(g)
                     assert rep.form == tag
                     assert rep.verified
 
-    def test_rejects_twinless_graph(self):
-        with pytest.raises(ValueError):
-            decompose_motion2(cycle_graph(5))
+    def test_witness_block_matches_twin_classes(self):
+        """The witness block gives the report the twin classes give, on
+        the motion-2 graphs of the default corpus and a lex grid."""
+        corpus = [g for _, g in corpus_generators(CorpusSpec())]
+        fibres = [f(m) for m in (2, 3, 4)
+                  for f in (complete_graph, empty_graph)]
+        bases = [complete_graph(2), cycle_graph(5), cycle_graph(6),
+                 prism_graph(3), cycle_graph(7), empty_graph(3),
+                 complete_graph(4)]
+        lex = [lex_product(f, b) for f in fibres for b in bases]
+        checked = 0
+        for g in corpus + lex:
+            aut = transitivity_aut(g)
+            if not is_vertex_transitive(g, aut=aut):
+                continue
+            witness = motion_witness(g, aut=aut)
+            if witness[0] != 2:
+                continue
+            got = decompose(g, witness=witness, aut=aut)
+            assert got.as_dict() == decompose_motion2_twins(g).as_dict(), \
+                to_graph6(g)
+            _assert_one_restricted_orbit(aut, witness)
+            checked += 1
+        assert checked == 37 + 42
 
     def test_rejects_non_vertex_transitive(self):
         with pytest.raises(NotVertexTransitiveError):
-            decompose_motion2(path_graph(4))
+            decompose(path_graph(4))
 
 
 class TestMotion4Decomposition:
     def test_c5(self):
-        rep = decompose_motion4(cycle_graph(5))
+        rep = decompose(cycle_graph(5))
         assert rep.form == "lex_C5" and rep.verified
 
     def test_lex_c5(self):
-        rep = decompose_motion4(lex_product(cycle_graph(5),
-                                            complete_graph(2)))
+        rep = decompose(lex_product(cycle_graph(5), complete_graph(2)))
         assert rep.form == "lex_C5" and rep.verified
 
     def test_prism(self):
-        rep = decompose_motion4(prism_graph(3))
+        rep = decompose(prism_graph(3))
         assert rep.form == "lex_prism" and rep.m == 3 and rep.verified
 
     def test_c6_is_coprism(self):
-        rep = decompose_motion4(cycle_graph(6))
+        rep = decompose(cycle_graph(6))
         assert rep.form == "lex_coprism" and rep.m == 3 and rep.verified
 
     def test_spx_is_paired_fibre(self):
-        rep = decompose_motion4(spx_graph(3))
+        rep = decompose(spx_graph(3))
         assert rep.form == "inf"
         assert (rep.lam, rep.kap) == (1, 0)
         assert rep.m == 2
@@ -91,13 +118,13 @@ class TestMotion4Decomposition:
             g = inf_graph(params, sigma, pairs)
             if not is_vertex_transitive(g) or motion(g) != 4:
                 continue
-            rep = decompose_motion4(g)
+            rep = decompose(g)
             assert rep.form != "unclassified", (token, mname, params)
             assert rep.verified, (token, mname, params)
 
     def test_one_chain_per_block_system(self, monkeypatch):
         """The restricted orbits of a paired-fibre graph are computed once,
-        on the witness block, for both the lex and the inf forms."""
+        on the witness block, after its subgraph matched a paired fibre."""
         g = inf_graph(InfParams(0, 1, 3), cycle_graph(8),
                       sigma_matchings("cycle:8")[0][1])
         built = []
@@ -108,7 +135,7 @@ class TestMotion4Decomposition:
             return original(self, prefix)
 
         monkeypatch.setattr(PermGroup, "chain_with_base", counting)
-        rep = decompose_motion4(g)
+        rep = decompose(g)
         assert rep.form == "inf" and rep.verified
         assert len(built) == 1
 
@@ -135,8 +162,10 @@ class TestMotion4Decomposition:
                 continue
             want = decompose_motion4_all_systems(g)
             assert want is not None, to_graph6(g)
-            got = decompose_motion4(g, witness=witness, aut=aut)
+            got = decompose(g, witness=witness, aut=aut)
             assert got.as_dict() == want.as_dict(), to_graph6(g)
+            if got.form.startswith("lex_"):
+                _assert_one_restricted_orbit(aut, witness)
             checked += 1
         assert checked == 42 + 50 + 22
 
@@ -184,7 +213,7 @@ class TestOneAutPerGraph:
         assert len(aut_calls) == 1
 
     def test_decompose_motion4(self, aut_calls):
-        assert decompose_motion4(prism_graph(3)).form == "lex_prism"
+        assert decompose(prism_graph(3)).form == "lex_prism"
         assert len(aut_calls) == 1
 
     def test_cli_classify(self, aut_calls, capsys):

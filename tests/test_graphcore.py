@@ -254,10 +254,9 @@ class TestProducts:
 
 
 class TestPairPartition:
-    def test_partner_and_validation(self):
+    def test_pairs_and_validation(self):
         pp = alternate_matching(6)
         assert pp.pairs == ((0, 1), (2, 3), (4, 5))
-        assert pp.partner(2) == 3 and pp.partner(3) == 2
         assert pp.contains_pair(4, 5) and not pp.contains_pair(1, 2)
         with pytest.raises(ValueError):
             PairPartition.from_pairs(4, [(0, 1), (1, 2)])
@@ -365,10 +364,12 @@ class TestIsomorphism:
 
     def test_witness_is_isomorphism(self):
         rng = random.Random(6)
-        for _ in range(30):
-            n = rng.randint(2, 8)
-            g1 = random_graph(rng, n)
-            p = Permutation(rng.sample(range(n), n))
+        randoms = (random_graph(rng, rng.randint(2, 8)) for _ in range(30))
+        # edgeless and complete graphs: the edge count alone decides
+        extremes = (family(n) for n in (1, 2, 7)
+                    for family in (complete_graph, empty_graph))
+        for g1 in itertools.chain(randoms, extremes):
+            p = Permutation(rng.sample(range(g1.n), g1.n))
             g2 = g1.relabel(p)
             f = are_isomorphic(g1, g2)
             assert f is not None
