@@ -15,9 +15,9 @@ from math import factorial
 from typing import Callable, Optional
 
 from .permcore import (MAX_ISOMORPHISM_DEGREE, CapExceededError, PermGroup,
-                       Permutation, closure, is_2_transitive, is_two_two,
-                       join_closure, orbit, permutation_isomorphic,
-                       reduce_generators, _is_prime)
+                       Permutation, is_2_transitive, is_two_two, orbit,
+                       permutation_isomorphic, reduce_generators, _is_prime,
+                       _then)
 from .wreath import wreath_product
 
 SUBGROUP_LATTICE_LIMIT = 200
@@ -801,42 +801,81 @@ class PairEnumeration:
 
 def _all_subgroups(elements: list[Permutation],
                    degree: int) -> list[frozenset]:
-    """All subgroups of a small group: the joins of its cyclic subgroups.
-    Each subgroup keeps the generators it was first built from, and a
-    join is the closure of the union of its two sides' generators."""
+    """All subgroups of a small group, sorted by order and then by their
+    sorted image tuples: the joins of its cyclic subgroups.
+
+    The joins run on the group's Cayley table, at most
+    ``SUBGROUP_LATTICE_LIMIT``^2 entries: an element is its index in
+    ``elements`` and a subgroup is an int bit mask.  Each subgroup keeps
+    the generators it was first built from, and a join extends the larger
+    side by the other side's kept generators, one whole right coset at a
+    time (Dimino's algorithm; Butler, *Fundamental Algorithms for
+    Permutation Groups*, 1991).  Only the finished subgroups become
+    element sets."""
     if len(elements) > SUBGROUP_LATTICE_LIMIT:
         raise CapExceededError(f"group order {len(elements)} exceeds cap "
                                f"{SUBGROUP_LATTICE_LIMIT}")
-    elemset = set(elements)
-    built_from: dict[frozenset, list[Permutation]] = {}
+    index = {g.images: i for i, g in enumerate(elements)}
+    images = [g.images for g in elements]
+    # right[b][a] is the index of a*b (a first)
+    right = list(zip(*[[index.get(p) for p in map(_then(a), images)]
+                       for a in images]))
+    e = index.get(tuple(range(degree)))
+    if e is None or any(None in column for column in right):
+        raise RuntimeError("subgroup closure leaves the element set")
+    bits = [1 << i for i in range(len(elements))]
+    members = {bits[e]: [e]}        # mask -> its element indices
+    kept = {bits[e]: []}            # mask -> the generators it was built from
 
-    def closure_set(gens):
-        seen = frozenset(closure(degree, gens, cap=len(elemset)))
-        if not seen <= elemset:
-            raise RuntimeError("subgroup closure leaves the element set")
-        built_from.setdefault(seen, gens)
-        return seen
+    def extend(mask, gens):
+        subgroup, kept_gens = members[mask], kept[mask]
+        for g in gens:
+            if mask & bits[g]:
+                continue
+            # the right cosets of H = subgroup that generators of <H, g>
+            # reach from H; a coset is new iff its representative is new
+            kept_gens = kept_gens + [g]
+            reps, elems = [e], list(subgroup)
+            for rep in reps:
+                for s in kept_gens:
+                    t = right[s][rep]
+                    if not mask & bits[t]:
+                        coset = list(map(right[t].__getitem__, subgroup))
+                        elems += coset
+                        mask |= sum(map(bits.__getitem__, coset))
+                        reps.append(t)
+            subgroup = elems
+        members.setdefault(mask, subgroup)
+        kept.setdefault(mask, kept_gens)
+        return mask
 
-    subgroups = join_closure(
-        {closure_set([g]) for g in elements},
-        lambda a, b: closure_set(built_from[a] + built_from[b]))
-    return sorted(subgroups, key=lambda s: (len(s), sorted(p.images for p in s)))
+    def join(a, b):
+        small, big = sorted((a, b), key=lambda mask: len(members[mask]))
+        return extend(big, kept[small])
+
+    # the least family holding the cyclic subgroups and closed under joins
+    # of incomparable pairs; each round joins the members the round before
+    # found with every earlier member and with each other
+    family: list[int] = []
+    fresh = {extend(bits[e], [g]) for g in range(len(elements))}
+    while fresh:
+        found = set()
+        for a in fresh:
+            found.update(join(a, b) for b in family if a & b not in (a, b))
+            family.append(a)
+        fresh = found.difference(family)
+    family.sort(key=lambda mask: (len(members[mask]), sorted(
+        elements[i].images for i in members[mask])))
+    return [frozenset(elements[i] for i in members[mask]) for mask in family]
 
 
-def _kernel_tag(m: int, y_elems: frozenset) -> str:
-    flips = [g for g in y_elems
-             if pair_projection(m, g) is not None
-             and pair_projection(m, g).is_identity()]
-    k = len(flips)
-    if k == 1:
-        return "trivial"
-    if k == 2:
-        return "superflip"
-    if k == 2 ** (m - 1):
-        return "even_flips"
-    if k == 2 ** m:
-        return "all_flips"
-    return f"size_{k}"
+def _kernel_tag(m: int, projections: list) -> str:
+    """The flip kernel of Y, counted from the pair projections of its
+    elements (for m = 2 a kernel of order 2 is the superflip)."""
+    k = sum(1 for pr in projections if pr.is_identity())
+    names = {2 ** m: "all_flips", 2 ** (m - 1): "even_flips",
+             2: "superflip", 1: "trivial"}
+    return names.get(k, f"size_{k}")
 
 
 def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
@@ -844,13 +883,15 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     order-2 support-4 element projecting to a transposition, with full
     projection Sym(m); pair each with X = closure of that element under Y.
 
-    The computed pairs are compared against the references of both small
-    tables; the row-2 discrepancy between them is settled by the data.
+    The subgroups come from ``_all_subgroups``, as bit masks over the
+    Cayley table of Sym(2) wr Sym(m) (64 entries for m = 2, 2,304 for
+    m = 3).  The computed pairs are compared against the references of
+    both small tables; the row-2 discrepancy between them is settled by
+    the data.
     """
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
-    w = c2_wr_sym(m)
-    elements = sorted(w.elements())
+    elements = sorted(c2_wr_sym(m).elements())
     subgroups = _all_subgroups(elements, 2 * m)
 
     references = {
@@ -873,35 +914,24 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
                     return name + " (up to perm-iso)"
         return f"unrecognized (order {len(elems)})"
 
-    pairs = []
-    matches = []
-    kernels = []
-    msym_order = factorial(m)
+    pairs, matches, kernels = [], [], []
+    proj = {g: pair_projection(m, g) for g in elements}
     for y_elems in subgroups:
-        projections = {}
-        for g in y_elems:
-            pr = pair_projection(m, g)
-            if pr is None:
-                projections = None
-                break
-            projections[g] = pr
-        if projections is None:
-            continue            # Y does not preserve the pairs: outside scope
-        if len({pr.images for pr in projections.values()}) != msym_order:
-            continue            # projection is not all of Sym(m)
+        projections = [proj[g] for g in y_elems]
+        if any(pr is None for pr in projections) or \
+                len({pr.images for pr in projections}) != factorial(m):
+            continue    # Y moves a pair, or does not project onto Sym(m)
         witnesses = [g for g in y_elems
-                     if is_two_two(g) and projections[g].cycle_type() == (2,)]
+                     if is_two_two(g) and proj[g].cycle_type() == (2,)]
         if not witnesses:
             continue
         y_group = reduce_generators(2 * m, y_elems)
-        x_ids = set()
-        for x in sorted(witnesses):
-            x_grp = y_group.normal_closure(x)
-            x_ids.add(frozenset(x_grp.elements()))
+        x_ids = {frozenset(y_group.normal_closure(x).elements())
+                 for x in sorted(witnesses)}
         for x_elems in sorted(x_ids, key=lambda s: (len(s), sorted(p.images for p in s))):
             pairs.append((x_elems, y_elems))
             matches.append((identify(x_elems), identify(y_elems)))
-            kernels.append(_kernel_tag(m, y_elems))
+            kernels.append(_kernel_tag(m, projections))
 
     r1 = any(x == "one_cross_sym" and y == "tau_cross_sym"
              for x, y in matches)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from math import gcd
 from random import Random
 from operator import itemgetter, ne
@@ -780,36 +779,6 @@ def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup
                                if chain.extend(e)])
     group._chain = chain
     return group
-
-
-def join_closure(atoms: Iterable[frozenset], join) -> set[frozenset]:
-    """The least family holding the atoms and closed under ``join`` of its
-    incomparable pairs (a comparable pair is its own join).  Each round
-    joins the members first found in the round before with every member
-    found earlier and with each other, so no pair is joined twice."""
-    family: list[frozenset] = []
-    fresh = set(atoms)
-    while fresh:
-        found = set()
-        for a in fresh:
-            found.update(join(a, b) for b in family
-                         if not (a <= b or b <= a))
-            family.append(a)
-        fresh = found.difference(family)
-    return set(family)
-
-
-def closure(degree: int, generators: Sequence[Permutation],
-            cap: Optional[int] = None) -> set[Permutation]:
-    """Exhaustive closure of a generating set (oracle for chain orders)."""
-    if cap is None:
-        cap = element_cap()
-    # left products of image tuples: the same set as right products
-    maps = [_then(g.images) for g in generators]
-    images = set(islice(orbit(tuple(range(degree)), maps), cap + 1))
-    if len(images) > cap:
-        raise CapExceededError(f"closure exceeds cap {cap}")
-    return set(map(_trusted, images))
 
 
 # ---------------------------------------------------------------------------

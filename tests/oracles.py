@@ -10,8 +10,8 @@ from smallmotion.classify import (ClassificationReport, _try_inf_form,
 from smallmotion.graphcore import (InfParams, are_isomorphic, complete_graph,
                                    empty_graph, lex_product, quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, join_closure,
-                                  reduce_generators)
+                                  Permutation, _then, _trusted, element_cap,
+                                  orbit, reduce_generators)
 
 
 def inf_grid():
@@ -22,6 +22,52 @@ def inf_grid():
             for lam, kap in itertools.product((0, 1), repeat=2):
                 for m in (2, 3):
                     yield token, mname, InfParams(lam, kap, m), sigma, pairs
+
+
+def closure(degree: int, generators, cap=None) -> set:
+    """Exhaustive closure of a generating set (oracle for chain orders)."""
+    if cap is None:
+        cap = element_cap()
+    # left products of image tuples: the same set as right products
+    maps = [_then(g.images) for g in generators]
+    images = set(itertools.islice(orbit(tuple(range(degree)), maps),
+                                  cap + 1))
+    if len(images) > cap:
+        raise CapExceededError(f"closure exceeds cap {cap}")
+    return set(map(_trusted, images))
+
+
+def join_closure(atoms, join) -> set:
+    """The least family holding the atoms and closed under ``join`` of its
+    incomparable pairs (a comparable pair is its own join).  Each round
+    joins the members first found in the round before with every member
+    found earlier and with each other, so no pair is joined twice."""
+    family = []
+    fresh = set(atoms)
+    while fresh:
+        found = set()
+        for a in fresh:
+            found.update(join(a, b) for b in family
+                         if not (a <= b or b <= a))
+            family.append(a)
+        fresh = found.difference(family)
+    return set(family)
+
+
+def subgroups_by_cyclic_joins(elements, degree: int) -> set:
+    """Every subgroup of a small group as a frozenset of its elements: the
+    join closure of its cyclic subgroups.  Each subgroup keeps the
+    generators it was first built from, and a join is the exhaustive
+    closure of the union of its two sides' generators."""
+    built_from = {}
+
+    def closure_set(gens):
+        seen = frozenset(closure(degree, gens, cap=len(elements)))
+        built_from.setdefault(seen, gens)
+        return seen
+
+    return join_closure({closure_set([g]) for g in elements},
+                        lambda a, b: closure_set(built_from[a] + built_from[b]))
 
 
 def automorphism_group_brute(graph, max_n: int = 8) -> PermGroup:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import automorphism_group_brute, minimal_degree_full_scan
+from oracles import (automorphism_group_brute, closure,
+                     minimal_degree_full_scan)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -25,7 +26,7 @@ from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    path_graph, petersen_graph, prism_graph,
                                    spx_graph)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  StabilizerChain, _is_prime, closure, orbit)
+                                  StabilizerChain, _is_prime, orbit)
 
 # the corpus of `smallmotion verify graphs --quick`
 QUICK_SPEC = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import subgroups_by_cyclic_joins
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
                                      _all_subgroups, _find_p_cycle, agl1,
@@ -21,8 +22,9 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      one_cross_sym, pair_projection, pgl2,
                                      pgl3_2, psl2, recognize_family,
                                      superflip, sym_group, tau_cross_sym)
-from smallmotion.permcore import (PermGroup, Permutation, is_2_transitive,
-                                  is_two_two, permutation_isomorphic)
+from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
+                                  is_2_transitive, is_two_two,
+                                  permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
 SAMPLE_GROUPS = [dihedral_group(4), tau_cross_sym(3), even_flips_rtimes_sym(3),
@@ -335,6 +337,29 @@ class TestSubgroupLattice:
         assert len(got) == len(set(got)) == total
         assert set(got) == subgroups_by_subset_scan(elements)
 
+    @pytest.mark.parametrize("grp, total", [
+        (c2_wr_sym(3), 98), (sym_group(4), 30), (alt_group(5), 59),
+        (dihedral_group(6), 16), (agl1(5), 14)])
+    def test_all_subgroups_match_cyclic_joins(self, grp, total):
+        elements = sorted(grp.elements())
+        got = _all_subgroups(elements, grp.degree)
+        assert len(got) == len(set(got)) == total
+        assert set(got) == subgroups_by_cyclic_joins(elements, grp.degree)
+        assert got == sorted(got, key=lambda s: (len(s),
+                                                 sorted(p.images for p in s)))
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)],
+                             ids=["no_identity", "not_closed"])
+    def test_element_list_must_be_a_group(self, cut):
+        elements = sorted(sym_group(4).elements())[cut]
+        with pytest.raises(RuntimeError,
+                           match="subgroup closure leaves the element set"):
+            _all_subgroups(elements, 4)
+
+    def test_lattice_limit(self):
+        with pytest.raises(CapExceededError):
+            _all_subgroups(sorted(sym_group(6).elements()), 6)
+
 
 class TestPairEnumeration:
     def test_m2(self):
@@ -353,12 +378,14 @@ class TestPairEnumeration:
         assert enum.table4_row2_matched
         assert not enum.table3_row2_matched
 
-    def test_every_x_is_normal_in_its_y(self):
+    @pytest.mark.parametrize("m, pairs", [(2, 5), (3, 10)])
+    def test_every_x_is_normal_in_its_y(self, m, pairs):
         from smallmotion.permcore import reduce_generators
-        enum = enumerate_small_subgroup_pairs(2)
+        enum = enumerate_small_subgroup_pairs(m)
+        assert len(enum.pairs) == pairs
         for x_elems, y_elems in enum.pairs:
             assert x_elems <= y_elems
-            y = reduce_generators(4, y_elems)
+            y = reduce_generators(2 * m, y_elems)
             for x in x_elems:
                 for g in y.generators:
                     assert x.conjugate(g) in x_elems

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_systems_all_beta, minimal_degree_full_scan
+from oracles import block_systems_all_beta, closure, minimal_degree_full_scan
 from smallmotion.grouptables import _find_p_cycle, agl1, sym_group
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, StabilizerChain, closure,
+                                  Permutation, StabilizerChain,
                                   format_cycles, is_2_transitive, is_two_two,
                                   permutation_isomorphic, reduce_generators,
                                   transversal)
