@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphcore import MAX_GRAPH_ORDER, Graph, PairPartition, _SourcePath
-from .permcore import (CapExceededError, PermGroup, Permutation,
-                       StabilizerChain, orbit)
+from .graphcore import Graph, PairPartition, _SourcePath
+from .permcore import PermGroup, Permutation, StabilizerChain, orbit
 
 
 @dataclass
@@ -51,11 +50,8 @@ def automorphism_group(graph: Graph,
     depth d+1, seeded with depth d's colours and w individualised.  The
     group keeps the generators, unreduced, and the chain they file into;
     its order and every generator are re-checked.  ``stats`` counts the
-    searches and their target-side nodes."""
+    searches and their target-side nodes, at most ``SMALLMOTION_CAP``."""
     n = graph.n
-    if n > MAX_GRAPH_ORDER:
-        raise CapExceededError(f"graph size {n} exceeds cap "
-                               f"{MAX_GRAPH_ORDER}")
     base = [0] * n if colors is None else list(colors)
     if len(base) != n:
         raise ValueError(f"{len(base)} colours for {n} vertices")
@@ -140,14 +136,10 @@ def aut_preserving_partition(sigma: Graph,
                              pairs: PairPartition) -> PermGroup:
     """The automorphisms of sigma that map pairs to pairs: Aut of sigma
     plus one vertex per pair, joined to both ends of its pair and coloured
-    apart, restricted to sigma's vertices; each generator is re-checked.
-    sigma may have at most two thirds of ``MAX_GRAPH_ORDER`` vertices."""
+    apart, restricted to sigma's vertices; each generator is re-checked."""
     n, k = sigma.n, len(pairs.pairs)
     if pairs.n != n:
         raise ValueError(f"pairs on {pairs.n} points for a graph of order {n}")
-    if n > MAX_GRAPH_ORDER * 2 // 3:
-        raise CapExceededError(f"pair-preserving automorphisms: graph order "
-                               f"{n} exceeds cap {MAX_GRAPH_ORDER * 2 // 3}")
     marked = Graph.from_edges(n + k, sigma.edges() + [
         (v, n + i) for i, pair in enumerate(pairs.pairs) for v in pair])
     aut = automorphism_group(marked, [0] * n + [1] * k)

@@ -16,8 +16,8 @@ import sys
 from .autengine import is_vertex_transitive, motion_witness, transitivity_aut
 from .classify import (CorpusSpec, NotVertexTransitiveError, decompose,
                        named_graph, sigma_matchings, verify_corpus)
-from .graphcore import (Graph, InfParams, circulant_graph, from_graph6,
-                        inf_graph, lex_product, parse_graph, to_graph6)
+from .graphcore import (Graph, InfParams, from_graph6, inf_graph, lex_product,
+                        parse_graph, to_graph6)
 from .grouptables import TABLE1, TABLE2, check_table_row, \
     enumerate_small_subgroup_pairs
 from .permcore import CapExceededError, element_cap, format_cycles
@@ -57,8 +57,7 @@ def _read_graphs(args) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # construct
 
-_REQUIRED_OPTIONS = {"circulant": ("n",), "lex": ("delta", "theta"),
-                     "inf": ("sigma",)}
+_REQUIRED_OPTIONS = {"lex": ("delta", "theta"), "inf": ("sigma",)}
 
 
 def _construct_graph(args) -> Graph:
@@ -66,9 +65,6 @@ def _construct_graph(args) -> Graph:
                if getattr(args, opt) is None]
     if missing:
         raise ValueError(f"{args.family} needs {' and '.join(missing)}")
-    if args.family == "circulant":
-        conn = [int(d) for d in args.set.split(",")] if args.set else []
-        return circulant_graph(args.n, conn)
     if args.family == "lex":
         return lex_product(named_graph(args.delta), named_graph(args.theta))
     if args.family == "inf":
@@ -167,7 +163,8 @@ def _verify_tables() -> tuple[dict, list[str], bool]:
             for params in row.sample_params:
                 check = check_table_row(row, params)
                 rows.append({"row": name, "params": list(params),
-                             "status": check.status})
+                             "status": check.status,
+                             "details": check.details})
                 lines.append(f"{check.status.upper()} {name} "
                              f"params={list(params)}")
                 if check.status == "fail":
@@ -253,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named graph, print graph6")
     p.add_argument("family",
                    help="complete:N | empty:N | cycle:N | prism:M | "
-                        "circulant | lex | inf")
-    p.add_argument("--n", type=int, help="circulant order")
-    p.add_argument("--set", help="circulant connection set, e.g. 1,2")
+                        "circulant:N:d1-d2-... | lex | inf")
     p.add_argument("--delta", help="lex fibre graph token")
     p.add_argument("--theta", help="lex base graph token")
     p.add_argument("--lambda", type=int, choices=(0, 1), default=1,

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .permcore import CapExceededError, PermGroup, Permutation, orbit
+from .permcore import (CAP_VARIABLE, CapExceededError, PermGroup, Permutation,
+                       element_cap, orbit)
 
-MAX_GRAPH_ORDER = 64
 MAX_PAIR_ORBITS = 20
 
 
@@ -426,13 +426,15 @@ class _SourcePath:
     are stable once a pass adds no colour.  A depth keeps each pass's key
     table and sorted colours, so the target side of a search is refined by
     looking its keys up: a missing key or another histogram means no
-    isomorphism keeps the colours.  ``nodes`` counts target-side nodes.
+    isomorphism keeps the colours.  ``nodes`` counts target-side nodes,
+    over all searches of the path, up to ``element_cap()``.
     """
 
     def __init__(self, graph: Graph, colors: list):
         self.graph = graph
         self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
         self.nodes = 0
+        self.cap = element_cap()
         self._seed = colors
 
     def level(self, depth: int) -> tuple:
@@ -466,6 +468,9 @@ class _SourcePath:
         in the ids of that depth's seed.  Only the target side branches,
         on the vertices of the branch vertex's cell, in vertex order."""
         self.nodes += 1
+        if self.nodes > self.cap:
+            raise CapExceededError(f"transporter search exceeds cap "
+                                   f"{CAP_VARIABLE}={self.cap} nodes")
         passes, stable, v, fresh = self.level(depth)
         nbrs = g2.neighbor_lists()
         for key_ids, hist in passes:
@@ -500,9 +505,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """A vertex bijection taking g1 to g2, or None."""
     if g1.n != g2.n:
         return None
-    if g1.n > MAX_GRAPH_ORDER:
-        raise CapExceededError(f"isomorphism cap exceeded: "
-                               f"{g1.n} > {MAX_GRAPH_ORDER}")
     edges = g1.num_edges()
     if edges != g2.num_edges():
         return None

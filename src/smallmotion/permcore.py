@@ -807,6 +807,8 @@ def permutation_isomorphic(g1: PermGroup, g2: PermGroup):
                                f"{MAX_ISOMORPHISM_DEGREE}")
     if g1.order() != g2.order():
         return None
+    if all(x in g2 for x in g1.generators):    # the same group
+        return Permutation.identity(n), {x: x for x in g1.generators}
     elems2 = set(g2.elements())
     elems1 = list(g1.elements())
     t1 = _transporter_counts(elems1, n)

@@ -32,9 +32,9 @@ class TestConstruct:
         assert out.strip() == to_graph6(cycle_graph(5))
 
     def test_circulant(self, capsys):
-        code, out, _ = run(capsys, "construct", "circulant",
-                           "--n", "7", "--set", "1,2")
+        code, out, _ = run(capsys, "construct", "circulant:7:1-2")
         assert code == EXIT_OK
+        assert out.strip() == "FzM]W"
 
     def test_inf_reproduces_known_encoding(self, capsys):
         code, out, _ = run(capsys, "construct", "inf",
@@ -73,11 +73,10 @@ class TestConstruct:
     def test_circulant_without_order_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "construct", "circulant")
         assert code == EXIT_INVALID
-        assert "--n" in err
+        assert "fields" in err
 
     def test_circulant_of_order_zero_is_invalid_input(self, capsys):
-        code, _, err = run(capsys, "construct", "circulant",
-                           "--n", "0", "--set", "1")
+        code, _, err = run(capsys, "construct", "circulant:0:1")
         assert code == EXIT_INVALID
         assert "at least 1" in err
 
@@ -101,10 +100,17 @@ class TestMotion:
         doc = json.loads(out)
         assert [r["motion"] for r in doc["results"]] == [2, 4]
 
-    def test_cap_exceeded(self, capsys):
+    def test_cap_exceeded(self, capsys, monkeypatch):
+        monkeypatch.setenv("SMALLMOTION_CAP", "2")
         code, _, err = run(capsys, "motion", "cycle:200")
         assert code == EXIT_CAP
-        assert "cap" in err
+        assert "transporter search" in err and "SMALLMOTION_CAP=2" in err
+
+    def test_graph_above_64_vertices(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", "motion",
+                           "circulant:65:1-3")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["motion"] == 64
 
     def test_token_with_extra_field_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "motion", "circulant:7:1:2")

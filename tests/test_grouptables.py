@@ -177,6 +177,13 @@ class TestRecognizeFamily:
         relabeled = grp.__class__(5, [g.conjugate(f) for g in grp.generators])
         assert recognize_family(relabeled) == GroupSpec("AGL1", (5,))
 
+    def test_groups_above_the_element_cap(self):
+        """Sym(10) and Alt(10) are recognised without listing their
+        3,628,800 and 1,814,400 elements."""
+        assert recognize_family(sym_group(10)) == GroupSpec("Sym", (10,))
+        rep = classify_p_cycle_group(alt_group(10))
+        assert rep.x_family == GroupSpec("Alt", (10,))
+
 
 class TestRowChecks:
     def test_table1_row1(self):
@@ -186,6 +193,13 @@ class TestRowChecks:
     def test_table1_row3(self):
         check = check_table_row(TABLE1[2], (5,))
         assert check.status == "pass"
+
+    def test_table1_row9_above_a_million(self):
+        """AGL3(2) wr Sym(2) has order 3,612,672; both groups are checked."""
+        check = check_table_row(TABLE1[8], (3,))
+        assert check.status == "pass"
+        assert [(d["group"], d["direct_mindeg"], d["agree"])
+                for d in check.details] == [("X", 4, True), ("Y", 4, True)]
 
     def test_table2_row2(self):
         check = check_table_row(TABLE2[1])
