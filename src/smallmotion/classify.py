@@ -24,6 +24,7 @@ from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         complete_graph, cycle_graph, empty_graph, inf_graph,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
+from .grouptables import even_flips_rtimes_sym, tau_cross_sym
 from .permcore import (CapExceededError, Permutation, _is_prime, format_cycles,
                        transversal)
 
@@ -146,15 +147,8 @@ def _try_inf_form(graph: Graph, mu: int, bs, aut,
     for block in bs.blocks:
         g = moves[block[0]]
         fibres.extend(sorted(tuple(sorted(map(g, o))) for o in orbits))
-    k2 = len(fibres)
-    adj_sets = [sum(1 << v for v in f) for f in fibres]
-    edges = []
-    for i in range(k2):
-        for j in range(i + 1, k2):
-            if any(graph.adj[v] & adj_sets[j] for v in fibres[i]):
-                edges.append((i, j))
-    sigma = Graph.from_edges(k2, edges)
-    pairs = alternate_matching(k2)
+    sigma = quotient_graph(graph, fibres)
+    pairs = alternate_matching(sigma.n)
     reconstruction = inf_graph(InfParams(lam, kap, m), sigma, pairs)
     if are_isomorphic(reconstruction, graph) is None:
         return None
@@ -250,11 +244,8 @@ def inf_is_vertex_transitive_predicted(sigma: Graph,
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Deterministic corpus configuration.
-
-    Family tokens are "complete:N", "empty:N", "cycle:N", "prism:M",
-    "circulant:N:d1-d2-...".
-    """
+    """Deterministic corpus configuration; the entries are graph tokens
+    (see ``named_graph``)."""
 
     circulant_max: int = 12
     inf_sigmas: tuple = ("cycle:4", "cycle:6", "cycle:8", "prism:3")
@@ -267,19 +258,67 @@ class CorpusSpec:
 
 _FAMILIES = {"complete": complete_graph, "empty": empty_graph,
              "cycle": cycle_graph, "prism": prism_graph}
+_INVARIANT_GROUPS = {"tauxsym": tau_cross_sym,
+                     "evenxsym": even_flips_rtimes_sym}
+
+
+def _take(fields: list[str], i: int, k: int) -> list[str]:
+    if len(fields) < i + k:
+        raise ValueError("wrong number of fields")
+    return fields[i:i + k]
+
+
+def _multiplicity(field: str) -> int:
+    if not field.startswith("m"):
+        raise ValueError(f"expected m<size>, got {field!r}")
+    return int(field[1:])
+
+
+def _parse_graph(fields: list[str], i: int) -> tuple[Graph, int]:
+    """The graph of the token at fields[i], and the index after the token."""
+    (name,) = _take(fields, i, 1)
+    if name in _FAMILIES:
+        (n,) = _take(fields, i + 1, 1)
+        return _FAMILIES[name](int(n)), i + 2
+    if name == "circulant":
+        n, conn = _take(fields, i + 1, 2)
+        return circulant_graph(int(n), [int(d) for d in conn.split("-")]
+                               if conn else []), i + 3
+    if name == "lex":
+        delta, j = _parse_graph(fields, i + 1)
+        theta, j = _parse_graph(fields, j)
+        return lex_product(delta, theta), j
+    if name == "inf":
+        bits, family, n, mname, mfield = _take(fields, i + 1, 5)
+        pairs = dict(sigma_matchings(f"{family}:{n}")).get(mname)
+        if pairs is None:
+            raise ValueError(f"no matching {mname!r} for {family}:{n}")
+        lam, kap = map(int, bits)
+        params = InfParams(lam, kap, _multiplicity(mfield))
+        return inf_graph(params, _FAMILIES[family](int(n)), pairs), i + 6
+    if name == "invariant":
+        gname, mfield, index = _take(fields, i + 1, 3)
+        if gname not in _INVARIANT_GROUPS:
+            raise ValueError(f"unknown group {gname!r}")
+        graphs = invariant_graphs_under(
+            _INVARIANT_GROUPS[gname](_multiplicity(mfield)))
+        if not 0 <= int(index) < len(graphs):
+            raise ValueError(f"index {index} outside 0..{len(graphs) - 1}")
+        return graphs[int(index)], i + 4
+    raise ValueError(f"unknown graph family {name!r}")
 
 
 def named_graph(token: str) -> Graph:
-    """Build a graph from a family token like "cycle:6" or "prism:3"."""
-    name, *fields = token.split(":")
-    if name in _FAMILIES and len(fields) == 1:
-        return _FAMILIES[name](int(fields[0]))
-    if name == "circulant" and len(fields) in (1, 2):
-        conn = fields[1].split("-") if len(fields) > 1 and fields[1] else []
-        return circulant_graph(int(fields[0]), [int(d) for d in conn])
-    if name in _FAMILIES or name == "circulant":
-        raise ValueError(f"wrong number of fields in graph token {token!r}")
-    raise ValueError(f"unknown graph family token {token!r}")
+    """Build a graph from a token such as "lex:complete:2:cycle:5" (grammar
+    in the README); a malformed token raises ValueError naming it."""
+    fields = token.split(":")
+    try:
+        graph, end = _parse_graph(fields, 0)
+        if end != len(fields):
+            raise ValueError("wrong number of fields")
+    except ValueError as exc:
+        raise ValueError(f"graph token {token!r}: {exc}") from None
+    return graph
 
 
 def sigma_matchings(token: str) -> list[tuple[str, PairPartition]]:
@@ -300,45 +339,36 @@ def sigma_matchings(token: str) -> list[tuple[str, PairPartition]]:
     raise ValueError(f"no matchings defined for {token!r}")
 
 
-def circulant_corpus(max_n: int,
-                     complement_reduced: bool = True) -> Iterator[tuple[str, Graph]]:
-    """All circulants with 2 <= n <= max_n, deterministic order."""
+def circulant_corpus(max_n: int) -> Iterator[tuple[str, Graph]]:
+    """The circulants with 2 <= n <= max_n, one of each complementary pair
+    of connection sets, deterministic order."""
     for n in range(2, max_n + 1):
         half = list(range(1, n // 2 + 1))
         for r in range(len(half) + 1):
             for s in itertools.combinations(half, r):
-                if complement_reduced:
-                    comp = tuple(d for d in half if d not in s)
-                    if comp < s:
-                        continue
+                if tuple(d for d in half if d not in s) < s:
+                    continue
                 label = f"circulant:{n}:" + "-".join(map(str, s))
                 yield label, circulant_graph(n, s)
 
 
 def inf_corpus(sigmas, ms) -> Iterator[tuple[str, Graph]]:
-    for token in sigmas:
-        sigma = named_graph(token)
-        for mname, pairs in sigma_matchings(token):
-            for m in ms:
-                for lam, kap in itertools.product((0, 1), repeat=2):
-                    label = (f"inf:{lam}{kap}:{token}:{mname}:m{m}")
-                    yield label, inf_graph(InfParams(lam, kap, m), sigma, pairs)
+    labels = (f"inf:{lam}{kap}:{token}:{mname}:m{m}" for token in sigmas
+              for mname, _ in sigma_matchings(token) for m in ms
+              for lam, kap in itertools.product((0, 1), repeat=2))
+    return ((label, named_graph(label)) for label in labels)
 
 
 def lex_corpus(deltas, thetas) -> Iterator[tuple[str, Graph]]:
-    for dt in deltas:
-        for tt in thetas:
-            yield f"lex:{dt}:{tt}", lex_product(named_graph(dt),
-                                                named_graph(tt))
+    labels = (f"lex:{dt}:{tt}" for dt in deltas for tt in thetas)
+    return ((label, named_graph(label)) for label in labels)
 
 
 def invariant_union_corpus(ms) -> Iterator[tuple[str, Graph]]:
     """Unions of pair-orbit graphs of the superflip-and-permute groups."""
-    from .grouptables import even_flips_rtimes_sym, tau_cross_sym
     for m in ms:
-        for gname, grp in (("tauxsym", tau_cross_sym(m)),
-                           ("evenxsym", even_flips_rtimes_sym(m))):
-            for i, g in enumerate(invariant_graphs_under(grp)):
+        for gname, group in _INVARIANT_GROUPS.items():
+            for i, g in enumerate(invariant_graphs_under(group(m))):
                 yield f"invariant:{gname}:m{m}:{i}", g
 
 

@@ -15,9 +15,8 @@ import sys
 
 from .autengine import is_vertex_transitive, motion_witness, transitivity_aut
 from .classify import (CorpusSpec, NotVertexTransitiveError, decompose,
-                       named_graph, sigma_matchings, verify_corpus)
-from .graphcore import (Graph, InfParams, from_graph6, inf_graph, lex_product,
-                        parse_graph, to_graph6)
+                       named_graph, verify_corpus)
+from .graphcore import Graph, from_graph6, parse_graph, to_graph6
 from .grouptables import TABLE1, TABLE2, check_table_row, \
     enumerate_small_subgroup_pairs
 from .permcore import CapExceededError, element_cap, format_cycles
@@ -49,39 +48,14 @@ def _read_graphs(args) -> list[Graph]:
                 graphs.append(from_graph6(line))
         return graphs
     token = args.graph
-    if ":" in token:
-        return [named_graph(token)]
-    return [parse_graph(token)]
+    return [named_graph(token) if ":" in token else parse_graph(token)]
 
 
 # ---------------------------------------------------------------------------
 # construct
 
-_REQUIRED_OPTIONS = {"lex": ("delta", "theta"), "inf": ("sigma",)}
-
-
-def _construct_graph(args) -> Graph:
-    missing = [f"--{opt}" for opt in _REQUIRED_OPTIONS.get(args.family, ())
-               if getattr(args, opt) is None]
-    if missing:
-        raise ValueError(f"{args.family} needs {' and '.join(missing)}")
-    if args.family == "lex":
-        return lex_product(named_graph(args.delta), named_graph(args.theta))
-    if args.family == "inf":
-        sigma = named_graph(args.sigma)
-        for name, pairs in sigma_matchings(args.sigma):
-            if name == args.matching:
-                break
-        else:
-            raise ValueError(f"no matching named {args.matching!r} "
-                             f"for {args.sigma!r}")
-        return inf_graph(InfParams(getattr(args, "lambda"), args.kappa,
-                                   args.m), sigma, pairs)
-    return named_graph(args.family)
-
-
 def cmd_construct(args) -> int:
-    graph = _construct_graph(args)
+    graph = named_graph(args.token)
     g6 = to_graph6(graph)
     doc = {"schema": SCHEMA_VERSION, "command": "construct", "graph6": g6}
     lines = [g6]
@@ -248,20 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named graph, print graph6")
-    p.add_argument("family",
-                   help="complete:N | empty:N | cycle:N | prism:M | "
-                        "circulant:N:d1-d2-... | lex | inf")
-    p.add_argument("--delta", help="lex fibre graph token")
-    p.add_argument("--theta", help="lex base graph token")
-    p.add_argument("--lambda", type=int, choices=(0, 1), default=1,
-                   help="pairing bit of the fibre construction")
-    p.add_argument("--kappa", type=int, choices=(0, 1), default=0,
-                   help="fibre clique bit of the fibre construction")
-    p.add_argument("--sigma", help="base graph token for the fibre "
-                                   "construction")
-    p.add_argument("--matching", default="alternate",
-                   help="pair partition name (alternate | antipodal | rungs)")
-    p.add_argument("--m", type=int, default=2, help="fibre size")
+    p.add_argument("token", help="graph token (see README: Graph tokens)")
     p.add_argument("--describe", action="store_true")
     p.set_defaults(func=cmd_construct)
 

@@ -548,10 +548,10 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
 
 def _block_system_containing_support(group: PermGroup, supp: frozenset):
     """The system of the first proper closure of {min(supp), beta}, beta
-    in supp, that holds all of supp, else None (group transitive).  For a
-    p-cycle this is the minimal system holding supp; for a 2^2 element it
-    need not be minimal: on S2 wr (S2 wr S2) with x = (1,2)(3,4) its
-    blocks have size 4, while the minimal blocks are the pairs."""
+    in supp, that holds all of supp, else None (group transitive); used for
+    2^2 elements, where it need not be minimal: on S2 wr (S2 wr S2) with
+    x = (1,2)(3,4) its blocks have size 4, while the minimal blocks are the
+    pairs.  (For a p-cycle it is the system of ``_block_closure(supp)``.)"""
     pts = sorted(supp)
     for beta in pts[1:]:
         block = group._block_closure((pts[0], beta))
@@ -589,9 +589,8 @@ def classify_p_cycle_group(group: PermGroup,
     if x is None:
         raise ValueError("no cycle of prime length found")
     p = x.cycle_type()[0]
-    supp = x.support()
-    bs = _block_system_containing_support(group, supp)
-    if bs is None:
+    block = tuple(sorted(group._block_closure(x.support())))
+    if len(block) == group.degree:
         # no proper block holds the support: treat the whole set as the block
         y_grp = group
         spec = recognize_family(group)
@@ -603,8 +602,7 @@ def classify_p_cycle_group(group: PermGroup,
             y_family=spec, row=row, cond_c=None,
             predicted_mindeg_is_p=predicted,
             notes=["support not contained in any proper block"])
-    block = next(b for b in bs.blocks if supp <= set(b))
-    m, k = len(block), len(bs.blocks)
+    m, k = len(block), group.degree // len(block)
     g_block = group.block_stabilizer(block)
     x_grp = g_block.normal_closure(x).restriction(block)
     y_grp = g_block.restriction(block)

@@ -1,5 +1,8 @@
 """Motion-2/4 decomposition, paired-fibre criteria, and the corpus driver."""
 
+import itertools
+import re
+
 import pytest
 
 from oracles import (decompose_motion2_twins,
@@ -14,7 +17,7 @@ from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   pair_transposition_in_aut, sigma_matchings,
                                   verify_corpus, verify_graph)
 from smallmotion.graphcore import (InfParams, are_isomorphic,
-                                   complete_graph, cycle_graph, empty_graph,
+                                   circulant_graph, complete_graph, cycle_graph, empty_graph,
                                    inf_graph, lex_product, path_graph,
                                    petersen_graph, prism_graph, spx_graph,
                                    to_graph6)
@@ -294,14 +297,44 @@ class TestCorpus:
         assert named_graph("complete:4") == complete_graph(4)
         assert named_graph("cycle:6") == cycle_graph(6)
         assert named_graph("circulant:7:1-2").num_edges() == 14
-        for token in ("widget:3", "cycle", "prism:3:1", "circulant:7:1:2"):
-            with pytest.raises(ValueError):
+        assert named_graph("lex:complete:2:cycle:5") == lex_product(
+            complete_graph(2), cycle_graph(5))
+        assert named_graph("lex:lex:empty:2:complete:2:cycle:5") == \
+            lex_product(lex_product(empty_graph(2), complete_graph(2)),
+                        cycle_graph(5))
+        for token in ("widget:3", "cycle", "prism:3:1", "circulant:5",
+                      "circulant:7:1:2", "lex:cycle:5", "lex:cycle:5:cycle",
+                      "inf:12:cycle:6:alternate:m2",
+                      "inf:1:cycle:6:alternate:m2",
+                      "inf:10:cycle:6:rungs:m2", "inf:10:cycle:6:alternate:2",
+                      "inf:10:cycle:5:alternate:m2",
+                      "inf:10:circulant:6:1:alternate:m2",
+                      "inf:10:cycle:6:alternate:m2:1",
+                      "invariant:tauxsym:m3:8", "invariant:tauxsym:m3:-1",
+                      "invariant:widget:m3:0", "invariant:tauxsym:3:0"):
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
                 named_graph(token)
+
+    def test_corpus_labels_are_tokens(self):
+        """Every corpus label names its graph, so a verify record can be
+        replayed with ``smallmotion classify <label>``."""
+        items = list(corpus_generators(CorpusSpec()))
+        assert len(items) == 122
+        assert {label.split(":")[0] for label, _ in items} == {
+            "circulant", "inf", "lex", "invariant"}
+        for label, graph in items:
+            assert named_graph(label) == graph, label
 
     def test_circulant_corpus_labels_parse_back(self):
         # "circulant:N:" is the empty connection set, the edgeless graph
         assert named_graph("circulant:5:") == empty_graph(5)
-        for label, graph in circulant_corpus(12, complement_reduced=False):
+        for n in range(2, 13):
+            half = range(1, n // 2 + 1)
+            for r in range(len(half) + 1):
+                for s in itertools.combinations(half, r):
+                    label = f"circulant:{n}:" + "-".join(map(str, s))
+                    assert named_graph(label) == circulant_graph(n, s), label
+        for label, graph in circulant_corpus(12):
             assert named_graph(label) == graph, label
 
     def test_corpus_is_deterministic(self):

@@ -37,12 +37,14 @@ class TestConstruct:
         assert out.strip() == "FzM]W"
 
     def test_inf_reproduces_known_encoding(self, capsys):
-        code, out, _ = run(capsys, "construct", "inf",
-                           "--lambda", "1", "--kappa", "0",
-                           "--sigma", "cycle:6", "--matching", "alternate",
-                           "--m", "2")
+        code, out, _ = run(capsys, "construct", "inf:10:cycle:6:alternate:m2")
         assert code == EXIT_OK
         assert out.strip() == "KQKoOGB?u@WA"
+
+    def test_lex_reproduces_known_encoding(self, capsys):
+        code, out, _ = run(capsys, "construct", "lex:complete:2:cycle:5")
+        assert code == EXIT_OK
+        assert out.strip() == "I~KwW^Bow"
 
     def test_describe_structured(self, capsys):
         code, out, _ = run(capsys, "--format", "structured",
@@ -81,9 +83,9 @@ class TestConstruct:
         assert "at least 1" in err
 
     def test_lex_without_base_is_invalid_input(self, capsys):
-        code, _, err = run(capsys, "construct", "lex", "--delta", "cycle:5")
+        code, _, err = run(capsys, "construct", "lex:cycle:5")
         assert code == EXIT_INVALID
-        assert "--theta" in err
+        assert "fields" in err and "'lex:cycle:5'" in err
 
 
 class TestMotion:
@@ -91,6 +93,12 @@ class TestMotion:
         code, out, _ = run(capsys, "motion", "cycle:5")
         assert code == EXIT_OK
         assert "motion 4" in out
+
+    def test_lex_token_input(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", "motion",
+                           "lex:complete:2:cycle:5")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["motion"] == 2
 
     def test_stdin_multiple_graphs(self, capsys, monkeypatch):
         lines = "\n".join(to_graph6(cycle_graph(n)) for n in (4, 5)) + "\n"
@@ -234,6 +242,14 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "prism:3")
         assert code == EXIT_OK
         assert "lex_prism" in out
+
+    def test_inf_token(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", "classify",
+                           "inf:10:cycle:6:alternate:m2")
+        assert code == EXIT_OK
+        result = json.loads(out)["results"][0]
+        assert result["form"] == "inf" and result["verified"]
+        assert (result["lambda"], result["kappa"], result["m"]) == (1, 0, 2)
 
     def test_large_motion_is_informational(self, capsys):
         code, out, _ = run(capsys, "classify", "circulant:7:1-2")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from oracles import subgroups_by_cyclic_joins
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
-                                     _all_subgroups, _find_p_cycle, agl1,
+                                     _all_subgroups,
+                                     _block_system_containing_support,
+                                     _find_p_cycle, agl1,
                                      agl_d2, alt_group,
                                      c2_wr_sym,
                                      check_table_row, classify_22_group,
@@ -271,6 +274,36 @@ class TestPCycleClassifier:
         sub = g.pointwise_stabilizer([0])
         with pytest.raises(ValueError):
             classify_p_cycle_group(sub)
+
+    def test_block_is_the_closure_of_the_support(self):
+        """The p-cycle's block is the smallest block holding its support,
+        the block the first-proper-pair-closure scan finds (or the whole
+        set when that scan finds none), over random transitive groups:
+        random elements of Sym(a) wr Sym(b), relabelled, degree <= 8."""
+        rng = random.Random(17)
+        tested = 0
+        while tested < 40:
+            a, b = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 7)])
+            n = a * b
+            relabel = Permutation(rng.sample(range(n), n))
+            gens = []
+            for _ in range(2):
+                top = rng.sample(range(b), b)
+                inner = [rng.sample(range(a), a) for _ in range(b)]
+                gens.append(Permutation([top[j] * a + inner[j][i] for j in
+                                         range(b) for i in range(a)]))
+            grp = PermGroup(n, [g.conjugate(relabel) for g in gens])
+            p = rng.choice([2, 3, 5, 7])
+            if not grp.is_transitive() or _find_p_cycle(grp, p) is None:
+                continue
+            tested += 1
+            supp = _find_p_cycle(grp, p).support()
+            bs = _block_system_containing_support(grp, supp)
+            block = next(b for b in bs.blocks if supp <= set(b)) if bs \
+                else tuple(range(n))
+            assert tuple(sorted(grp._block_closure(supp))) == block
+            rep = classify_p_cycle_group(grp, p)
+            assert (rep.m, rep.k) == (len(block), n // len(block))
 
 
 class TestTwoTwoClassifier:
