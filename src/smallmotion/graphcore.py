@@ -86,12 +86,6 @@ class Graph:
         return Graph(self.n, [(~row & full) & ~(1 << v)
                               for v, row in enumerate(self.adj)])
 
-    def with_edge_removed(self, u: int, v: int) -> "Graph":
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph(self.n, adj)
-
     def relabel(self, perm: Permutation) -> "Graph":
         """Image of the graph under a vertex permutation (v -> perm(v))."""
         adj = [0] * self.n
@@ -210,10 +204,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def canonical_connection_set(n: int, s: Iterable[int]) -> frozenset:
     """Normalize a circulant connection set into {1, ..., n//2}."""
     out = set()
@@ -231,10 +221,6 @@ def circulant_graph(n: int, s: Iterable[int]) -> Graph:
     conn = canonical_connection_set(n, s)
     return Graph.from_edges(
         n, [(i, (i + d) % n) for i in range(n) for d in conn])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def matching_graph(m: int) -> Graph:
@@ -586,13 +572,6 @@ def from_graph6(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph.from_edges(n, edges)
-
-
-def to_edge_list(graph: Graph) -> str:
-    """Edge-list text: 'n <count>' then one 1-indexed edge per line."""
-    lines = [f"n {graph.n}"]
-    lines.extend(f"{u + 1} {v + 1}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
 
 
 def from_edge_list(text: str) -> Graph:

@@ -42,8 +42,10 @@ def sym_group(n: int) -> PermGroup:
 
 
 def alt_group(n: int) -> PermGroup:
+    if n < 1:
+        raise ValueError("degree must be positive")
     if n < 3:
-        return PermGroup(max(n, 1), [])
+        return PermGroup(n, [])
     gens = [Permutation.from_cycles(n, [[0, 1, 2]])]
     if n > 3:
         if n % 2:
@@ -546,18 +548,14 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
     return None
 
 
-def _block_system_containing_support(group: PermGroup, supp: frozenset):
-    """The system of the first proper closure of {min(supp), beta}, beta
-    in supp, that holds all of supp, else None (group transitive); used for
-    2^2 elements, where it need not be minimal: on S2 wr (S2 wr S2) with
-    x = (1,2)(3,4) its blocks have size 4, while the minimal blocks are the
-    pairs.  (For a p-cycle it is the system of ``_block_closure(supp)``.)"""
-    pts = sorted(supp)
-    for beta in pts[1:]:
-        block = group._block_closure((pts[0], beta))
-        if len(block) < group.degree and supp <= block:
-            return group.block_system_from(block)
-    return None
+def _sandwich(group: PermGroup, block: tuple, x: Permutation):
+    """The sandwich X <= Y on a block holding supp(x): Y is the action of
+    the block stabilizer on the block and X the normal closure of x in it;
+    returned as (X, Y, X's family, Y's family)."""
+    g_block = group.block_stabilizer(block)
+    x_grp = g_block.normal_closure(x).restriction(block)
+    y_grp = g_block.restriction(block)
+    return x_grp, y_grp, recognize_family(x_grp), recognize_family(y_grp)
 
 
 def _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c):
@@ -603,11 +601,7 @@ def classify_p_cycle_group(group: PermGroup,
             predicted_mindeg_is_p=predicted,
             notes=["support not contained in any proper block"])
     m, k = len(block), group.degree // len(block)
-    g_block = group.block_stabilizer(block)
-    x_grp = g_block.normal_closure(x).restriction(block)
-    y_grp = g_block.restriction(block)
-    x_fam = recognize_family(x_grp)
-    y_fam = recognize_family(y_grp)
+    x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
     # condition (C): pointwise stabilizer of everything outside the block,
     # restricted to the block, is permutation isomorphic to X
     outside = [v for v in range(group.degree) if v not in block]
@@ -642,11 +636,10 @@ class TwoTwoReport:
     row: Optional[TableRow] = None
     witness: Optional[Permutation] = None
     pair_blocks: Optional[tuple] = None     # the size-2 system, when relevant
-    coarser_blocks: Optional[tuple] = None  # the coarser system of the hard case
     notes: list = field(default_factory=list)
 
 
-def _match_table2_row(m, x_fam, y_fam):
+def _match_table2_row(x_fam, y_fam):
     if x_fam is None or y_fam is None:
         return None
     # the table's Y column is the largest admissible Y; the attained block
@@ -662,32 +655,27 @@ def _match_table2_row(m, x_fam, y_fam):
     return None
 
 
-def _size2_system_pairing(group: PermGroup, x: Permutation):
-    """A size-2 block system of the transitive group organizing the support
-    of x, if any.
+def _size2_blocks(group: PermGroup, x: Permutation) -> list:
+    """The size-2 blocks holding a1 for x = (a1,a2)(b1,b2), as (block,
+    kind): "crosswise" for {a1, b1} and {a1, b2}, "flips" for {a1, a2}.
 
-    Returns (system, kind) where kind is "crosswise" when the system's
-    blocks pair points across the two transpositions of x, or "flips"
-    when the transpositions of x are themselves blocks.
+    These are the blocks of a1 in all the size-2 systems: x fixes every
+    point off its support, so such a system pairs each support point with
+    another, and x maps the block of a1 onto the block of the other two.
+    If two of the three pairings are blocks, so is the third, and supp(x)
+    is a block on which the group acts as the regular Klein four-group.
     """
     (a1, a2), (b1, b2) = x.cycles()
-    for seed_b, other_b in ((b1, b2), (b2, b1)):
-        block = group._block_closure((a1, seed_b))
-        if len(block) == 2:
-            bs = group.block_system_from(block)
-            if tuple(sorted((a2, other_b))) in bs.blocks:
-                return bs, "crosswise"
-    block = group._block_closure((a1, a2))
-    if len(block) == 2:
-        bs = group.block_system_from(block)
-        if tuple(sorted((b1, b2))) in bs.blocks:
-            return bs, "flips"
-    return None, None
+    closures = [(group._block_closure((a1, c)), kind) for c, kind in
+                ((b1, "crosswise"), (b2, "crosswise"), (a2, "flips"))]
+    return [(block, kind) for block, kind in closures if len(block) == 2]
 
 
 def classify_22_group(group: PermGroup) -> TwoTwoReport:
-    """Branch a transitive group with a 2^2-element into the primitive-block
-    case, the paired-blocks case, or a smaller-minimal-degree witness."""
+    """Branch a transitive group with a 2^2-element x into the primitive-
+    block case on the witness block, the smallest block holding supp(x);
+    the paired-blocks case, where x pairs size-2 blocks crosswise or flips
+    them; or a smaller-minimal-degree witness."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
     at_most_four = group.small_support_elements(4)
@@ -700,81 +688,57 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
         return TwoTwoReport(tag="small_mindeg", witness=small,
                             notes=[f"support size {len(small.support())}"])
 
-    def prim_report(block, k) -> TwoTwoReport:
-        m = len(block)
-        g_block = group.block_stabilizer(block)
-        x_grp = g_block.normal_closure(x).restriction(block)
-        y_grp = g_block.restriction(block)
-        x_fam = recognize_family(x_grp)
-        y_fam = recognize_family(y_grp)
-        row = _match_table2_row(m, x_fam, y_fam)
-        notes = []
-        if row is TABLE2[0]:
-            notes.append("(X,Y) = (Alt, Sym): minimal degree <= 3")
-        return TwoTwoReport(tag="case_prim", m=m, k=k, x_group=x_grp,
+    block = tuple(sorted(group._block_closure(x.support())))
+    pairs = _size2_blocks(group, x)
+    # when all three pairings of supp(x) are blocks, x counts as crosswise
+    if len(pairs) < 3 and (len(block) < group.degree or group.is_primitive()):
+        x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
+        row = _match_table2_row(x_fam, y_fam)
+        notes = ["(X,Y) = (Alt, Sym): minimal degree <= 3"] \
+            if row is TABLE2[0] else []
+        return TwoTwoReport(tag="case_prim", m=len(block),
+                            k=group.degree // len(block), x_group=x_grp,
                             y_group=y_grp, x_family=x_fam, y_family=y_fam,
                             row=row, witness=x, notes=notes)
+    if not pairs:
+        return TwoTwoReport(tag="case_cross", witness=x, notes=[
+            "unresolved configuration reported verbatim"])
 
-    bs = _block_system_containing_support(group, x.support())
-    if bs is not None:
-        block = next(b for b in bs.blocks if x.support() <= set(b))
-        return prim_report(block, len(bs.blocks))
-    if group.is_primitive():
-        return prim_report(range(group.degree), 1)
+    # the paired-blocks case, on the system of the first size-2 block
+    pair_block, kind = pairs[0]
+    pair_bs = group.block_system_from(pair_block)
+    m = len(pair_bs.blocks)
+    images = [0] * group.degree
+    for j, blk in enumerate(pair_bs.blocks):
+        images[blk[0]] = 2 * j
+        images[blk[1]] = 2 * j + 1
+    f = Permutation(images)
+    y_grp = PermGroup(2 * m, [g.conjugate(f) for g in group.generators])
+    x_grp = y_grp.normal_closure(x.conjugate(f))
+    refs = (("one_cross_sym", one_cross_sym(m), None),
+            ("tau_cross_sym", tau_cross_sym(m), TABLE4[0]),
+            ("even_flips_rtimes_sym", even_flips_rtimes_sym(m), None),
+            ("c2_wr_sym", c2_wr_sym(m), TABLE4[1]))
 
-    # support spans two blocks; look for a size-2 system organizing the
-    # transpositions of x (the paired-blocks case)
-    pair_bs, kind = _size2_system_pairing(group, x)
-    if pair_bs is not None:
-        m = len(pair_bs.blocks)
-        images = [0] * group.degree
-        for j, blk in enumerate(pair_bs.blocks):
-            images[blk[0]] = 2 * j
-            images[blk[1]] = 2 * j + 1
-        f = Permutation(images)
-        y_grp = PermGroup(2 * m, [g.conjugate(f) for g in group.generators])
-        x_grp = y_grp.normal_closure(x.conjugate(f))
-        refs = (("one_cross_sym", one_cross_sym(m), None),
-                ("tau_cross_sym", tau_cross_sym(m), TABLE4[0]),
-                ("even_flips_rtimes_sym", even_flips_rtimes_sym(m), None),
-                ("c2_wr_sym", c2_wr_sym(m), TABLE4[1]))
+    def identify(grp):
+        # the order test comes first: above MAX_ISOMORPHISM_DEGREE,
+        # permutation_isomorphic raises before it compares orders
+        for name, ref, table_row in refs:
+            if grp.order() == ref.order() and \
+                    permutation_isomorphic(grp, ref) is not None:
+                return name, table_row
+        return None, None
 
-        def identify(grp):
-            for name, ref, table_row in refs:
-                if grp.order() == ref.order() and \
-                        permutation_isomorphic(grp, ref) is not None:
-                    return name, table_row
-            return None, None
-
-        y_name, row = identify(y_grp)
-        x_name, _ = identify(x_grp)
-        notes = [f"witness acts {kind} on the size-2 blocks"]
-        if y_name:
-            notes.append(f"Y matches {y_name}")
-        if x_name:
-            notes.append(f"X matches {x_name}")
-        return TwoTwoReport(tag="case_cross", m=m, k=m, x_group=x_grp,
-                            y_group=y_grp, row=row, witness=x,
-                            pair_blocks=pair_bs.blocks, notes=notes)
-
-    # hard case: size-2 minimal blocks with a coarser system
-    bs_min = group.minimal_block_system()
-    if bs_min is not None and bs_min.block_size == 2:
-        top = group.action_on_blocks(bs_min)
-        top_bs = top.minimal_block_system()
-        if top_bs is not None:
-            coarse = tuple(sorted(
-                tuple(sorted(v for j in blk for v in bs_min.blocks[j]))
-                for blk in top_bs.blocks))
-            d_block = coarse[0]
-            y_grp = group.block_stabilizer(d_block).restriction(d_block)
-            m = len(d_block) // 2
-            return TwoTwoReport(
-                tag="case_cross", m=m, k=len(coarse), y_group=y_grp,
-                witness=x, coarser_blocks=coarse,
-                notes=["coarser system over size-2 minimal blocks"])
-    return TwoTwoReport(tag="case_cross", witness=x,
-                        notes=["unresolved configuration reported verbatim"])
+    y_name, row = identify(y_grp)
+    x_name, _ = identify(x_grp)
+    notes = [f"witness acts {kind} on the size-2 blocks"]
+    if y_name:
+        notes.append(f"Y matches {y_name}")
+    if x_name:
+        notes.append(f"X matches {x_name}")
+    return TwoTwoReport(tag="case_cross", m=m, k=m, x_group=x_grp,
+                        y_group=y_grp, row=row, witness=x,
+                        pair_blocks=pair_bs.blocks, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -537,10 +537,6 @@ class BlockSystem:
         norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
         return cls(degree, norm)
 
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
     def __len__(self) -> int:
         return len(self.blocks)
 

@@ -1,5 +1,5 @@
 """Brute-force oracles: exhaustive scans the fast code is checked against,
-and the small graph grids the tests share."""
+and the small graph grids and graph helpers the tests share."""
 
 import itertools
 
@@ -7,11 +7,35 @@ from smallmotion.autengine import automorphism_group, find_twins
 from smallmotion.classify import (ClassificationReport, _try_inf_form,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
-from smallmotion.graphcore import (InfParams, are_isomorphic, complete_graph,
-                                   empty_graph, lex_product, quotient_graph)
+from smallmotion.graphcore import (Graph, InfParams, are_isomorphic,
+                                   complete_graph, empty_graph, lex_product,
+                                   quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, _then, _trusted, element_cap,
                                   orbit, reduce_generators)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a)
+                                    for j in range(b)])
+
+
+def with_edge_removed(graph: Graph, u: int, v: int) -> Graph:
+    adj = list(graph.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    return Graph(graph.n, adj)
+
+
+def to_edge_list(graph: Graph) -> str:
+    """Edge-list text: 'n <count>' then one 1-indexed edge per line."""
+    lines = [f"n {graph.n}"]
+    lines.extend(f"{u + 1} {v + 1}" for u, v in graph.edges())
+    return "\n".join(lines) + "\n"
 
 
 def inf_grid():
@@ -97,6 +121,20 @@ def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
     systems = [group.block_system_from(b) for b in blocks
                if len(b) < group.degree]
     return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
+
+
+def block_system_containing_support(group: PermGroup, supp: frozenset):
+    """The system of the first proper closure of {min(supp), beta}, beta
+    in supp, that holds all of supp, else None (group transitive).  When
+    it exists its block is the closure of supp; it need not be minimal: on
+    S2 wr (S2 wr S2) with x = (1,2)(3,4) its blocks have size 4, while the
+    minimal blocks are the pairs."""
+    pts = sorted(supp)
+    for beta in pts[1:]:
+        block = group._block_closure((pts[0], beta))
+        if len(block) < group.degree and supp <= block:
+            return group.block_system_from(block)
+    return None
 
 
 def decompose_motion2_twins(graph):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (automorphism_group_brute, closure,
-                     minimal_degree_full_scan)
+                     minimal_degree_full_scan, path_graph)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -23,8 +23,7 @@ from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    complete_graph, cycle_graph, empty_graph,
                                    equitable_refinement,
                                    isomorphism_with_colors, lex_product,
-                                   path_graph, petersen_graph, prism_graph,
-                                   spx_graph)
+                                   petersen_graph, prism_graph, spx_graph)
 from smallmotion.permcore import (PermGroup, Permutation, StabilizerChain,
                                   _is_prime, orbit)
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import subgroups_by_cyclic_joins
+from oracles import (block_system_containing_support, block_systems_all_beta,
+                     subgroups_by_cyclic_joins)
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
-                                     _all_subgroups,
-                                     _block_system_containing_support,
-                                     _find_p_cycle, agl1,
+                                     _all_subgroups, _find_p_cycle,
+                                     _size2_blocks, agl1,
                                      agl_d2, alt_group,
                                      c2_wr_sym,
                                      check_table_row, classify_22_group,
@@ -62,6 +62,32 @@ def witnesses(grp):
     return out
 
 
+def random_wreath_subgroups(rng, shapes):
+    """Endless random subgroups of Sym(a) wr Sym(b), (a, b) drawn from
+    shapes, each generated by two random elements and relabelled."""
+    while True:
+        a, b = rng.choice(shapes)
+        n = a * b
+        relabel = Permutation(rng.sample(range(n), n))
+        gens = []
+        for _ in range(2):
+            top = rng.sample(range(b), b)
+            inner = [rng.sample(range(a), a) for _ in range(b)]
+            gens.append(Permutation([top[j] * a + inner[j][i] for j in
+                                     range(b) for i in range(a)]))
+        yield PermGroup(n, [g.conjugate(relabel) for g in gens])
+
+
+def two_two_groups(seed, count):
+    """count random transitive subgroups of Sym(a) wr Sym(b), degree <= 8,
+    that hold a 2^2-element."""
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8)]
+    pool = (grp for grp in random_wreath_subgroups(random.Random(seed), shapes)
+            if grp.is_transitive()
+            and any(map(is_two_two, grp.small_support_elements(4))))
+    return list(itertools.islice(pool, count))
+
+
 class TestConstructors:
     def test_orders(self):
         assert sym_group(5).order() == 120
@@ -75,6 +101,13 @@ class TestConstructors:
         assert pgl3_2().order() == 168
         assert agl_d2(2).order() == 24
         assert agl_d2(3).order() == 1344
+
+    @pytest.mark.parametrize("make", [sym_group, alt_group])
+    def test_degree_must_be_positive(self, make):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="degree must be positive"):
+                make(n)
+        assert make(1).degree == 1 and make(1).order() == 1
 
     def test_degrees(self):
         assert psl2(5).degree == 6        # projective line over F5
@@ -281,24 +314,18 @@ class TestPCycleClassifier:
         set when that scan finds none), over random transitive groups:
         random elements of Sym(a) wr Sym(b), relabelled, degree <= 8."""
         rng = random.Random(17)
+        groups = random_wreath_subgroups(
+            rng, [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 7)])
         tested = 0
         while tested < 40:
-            a, b = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 7)])
-            n = a * b
-            relabel = Permutation(rng.sample(range(n), n))
-            gens = []
-            for _ in range(2):
-                top = rng.sample(range(b), b)
-                inner = [rng.sample(range(a), a) for _ in range(b)]
-                gens.append(Permutation([top[j] * a + inner[j][i] for j in
-                                         range(b) for i in range(a)]))
-            grp = PermGroup(n, [g.conjugate(relabel) for g in gens])
+            grp = next(groups)
+            n = grp.degree
             p = rng.choice([2, 3, 5, 7])
             if not grp.is_transitive() or _find_p_cycle(grp, p) is None:
                 continue
             tested += 1
             supp = _find_p_cycle(grp, p).support()
-            bs = _block_system_containing_support(grp, supp)
+            bs = block_system_containing_support(grp, supp)
             block = next(b for b in bs.blocks if supp <= set(b)) if bs \
                 else tuple(range(n))
             assert tuple(sorted(grp._block_closure(supp))) == block
@@ -344,6 +371,93 @@ class TestTwoTwoClassifier:
         rep = classify_22_group(even_flips_rtimes_sym(3))
         assert rep.tag == "case_cross"
         assert any("even_flips_rtimes_sym" in n for n in rep.notes)
+
+    def test_size2_blocks_are_the_size2_systems(self):
+        """For random 2^2-elements x, the size-2 blocks through min supp(x)
+        found from its three pairings give exactly the size-2 systems the
+        all-beta oracle lists; the other two support points form a block
+        of the same system, the image of a crosswise block under x; and the
+        pairings that are blocks number 0, 1 or 3, with 3 only when supp(x)
+        is itself a block."""
+        rng = random.Random(5)
+        with_size2 = 0
+        for grp in two_two_groups(5, 150):
+            elems = sorted(filter(is_two_two, grp.small_support_elements(4)))
+            for x in rng.sample(elems, min(3, len(elems))):
+                (a1, a2), _ = x.cycles()
+                pairs = _size2_blocks(grp, x)
+                want = {bs.blocks for bs in block_systems_all_beta(grp)
+                        if len(bs.blocks[0]) == 2}
+                got = {grp.block_system_from(blk).blocks for blk, _ in pairs}
+                assert got == want
+                with_size2 += bool(want)
+                for blk, kind in pairs:
+                    (c,) = blk - {a1}
+                    assert kind == ("flips" if c == a2 else "crosswise")
+                    rest = tuple(sorted(x.support() - blk))
+                    assert rest in grp.block_system_from(blk).blocks
+                    image = frozenset(map(x, blk))
+                    assert image == (blk if kind == "flips" else set(rest))
+                assert len(pairs) != 2
+                if len(pairs) == 3:
+                    assert grp._block_closure(x.support()) == x.support()
+        assert with_size2 > 50
+
+    def test_witness_block_is_the_pair_scan_block(self):
+        """The classifier branches as the first-proper-pair-closure scan
+        (the oracle) does: the primitive-block case on the scan's block,
+        which is the witness block closure(supp(x)); with no such block,
+        on the whole set of a primitive group; otherwise the paired-blocks
+        case.  The witness block is proper without the scan's block only
+        when all three pairings of supp(x) are blocks."""
+        prim = cross = 0
+        for grp in two_two_groups(11, 150):
+            rep = classify_22_group(grp)
+            if rep.tag == "small_mindeg":
+                continue
+            x, n = rep.witness, grp.degree
+            block = grp._block_closure(x.support())
+            bs = block_system_containing_support(grp, x.support())
+            if bs is not None:
+                assert block in map(frozenset, bs.blocks)
+                assert (rep.tag, rep.m, rep.k) == \
+                    ("case_prim", len(block), len(bs.blocks))
+            elif grp.is_primitive():
+                assert (rep.tag, rep.m, rep.k) == ("case_prim", n, 1)
+            else:
+                assert rep.tag == "case_cross"
+                assert len(block) == n or len(_size2_blocks(grp, x)) == 3
+            prim += rep.tag == "case_prim"
+            cross += rep.tag == "case_cross"
+        assert prim and cross
+
+    def test_klein_support_block_is_crosswise(self):
+        """In V4 wr Sym(2), V4 the regular Klein four-group, supp(x) is a
+        block, but no closure of a pair in it holds supp(x): all three
+        pairings are blocks, and x pairs the size-2 blocks crosswise."""
+        v4 = PermGroup(4, [Permutation.from_cycles(4, [[0, 1], [2, 3]]),
+                           Permutation.from_cycles(4, [[0, 2], [1, 3]])])
+        grp = wreath_product(v4, sym_group(2))
+        rep = classify_22_group(grp)
+        x = rep.witness
+        assert len(grp._block_closure(x.support())) == 4
+        assert block_system_containing_support(grp, x.support()) is None
+        assert len(_size2_blocks(grp, x)) == 3
+        assert (rep.tag, rep.m, rep.k) == ("case_cross", 4, 4)
+        assert rep.notes[0] == "witness acts crosswise on the size-2 blocks"
+        (a1, _), (b1, _) = x.cycles()
+        assert tuple(sorted((a1, b1))) in rep.pair_blocks
+
+    def test_paired_blocks_above_the_isomorphism_cap(self):
+        """E+ : Alt(9) on 18 points matches no reference order, so the
+        reference search never reaches the degree-16 isomorphism cap."""
+        m = 9
+        top = [Permutation([2 * g(i // 2) + i % 2 for i in range(2 * m)])
+               for g in alt_group(m).generators]
+        grp = PermGroup(2 * m, list(even_flips(m).generators) + top)
+        rep = classify_22_group(grp)
+        assert (rep.tag, rep.m, rep.row) == ("case_cross", m, None)
+        assert rep.notes == ["witness acts flips on the size-2 blocks"]
 
 
 class TestGeneratorIndependence:
