@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Optional
 
-from .permcore import (MAX_ISOMORPHISM_DEGREE, CapExceededError, PermGroup,
-                       Permutation, is_2_transitive, is_two_two, orbit,
-                       permutation_isomorphic, reduce_generators, _is_prime,
-                       _then)
+from .permcore import (CapExceededError, PermGroup, Permutation, is_two_two,
+                       orbit, permutation_isomorphic, reduce_generators,
+                       _is_prime, _then)
 from .wreath import wreath_product
 
 SUBGROUP_LATTICE_LIMIT = 200
@@ -414,24 +413,12 @@ def _candidate_specs(degree: int) -> list[GroupSpec]:
 
 
 def recognize_family(group: PermGroup) -> Optional[GroupSpec]:
-    """Match a transitive group against the constructible families.
-
-    Filter on (degree, order, primitivity, 2-transitivity) first, then
-    confirm with a permutation-isomorphism witness.  Returns None when
+    """Match a group against the constructible families of its degree, all
+    transitive, by a permutation-isomorphism witness.  Returns None when
     nothing matches (the caller reports the group verbatim).
     """
-    if group.degree > MAX_ISOMORPHISM_DEGREE or not group.is_transitive():
-        return None
-    order = group.order()
-    prim = group.is_primitive()
-    two_tr = is_2_transitive(group)
     for spec in _candidate_specs(group.degree):
-        cand = construct(spec)
-        if cand.order() != order:
-            continue
-        if cand.is_primitive() != prim or is_2_transitive(cand) != two_tr:
-            continue
-        if permutation_isomorphic(group, cand) is not None:
+        if permutation_isomorphic(group, construct(spec)) is not None:
             return spec
     return None
 
@@ -721,11 +708,8 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
             ("c2_wr_sym", c2_wr_sym(m), TABLE4[1]))
 
     def identify(grp):
-        # the order test comes first: above MAX_ISOMORPHISM_DEGREE,
-        # permutation_isomorphic raises before it compares orders
         for name, ref, table_row in refs:
-            if grp.order() == ref.order() and \
-                    permutation_isomorphic(grp, ref) is not None:
+            if permutation_isomorphic(grp, ref) is not None:
                 return name, table_row
         return None, None
 

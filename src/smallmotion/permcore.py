@@ -15,14 +15,13 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 CAP_VARIABLE = "SMALLMOTION_CAP"
 DEFAULT_CAP = 10**6
-MAX_ISOMORPHISM_DEGREE = 16
 
 
 def element_cap() -> int:
@@ -45,18 +44,7 @@ class CapExceededError(RuntimeError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _then(images: tuple):
@@ -265,7 +253,7 @@ class StabilizerChain:
         self._gens: list[list[Permutation]] = []
         self._transversal: list[dict[int, tuple]] = []
         self._inverses: list[dict[int, tuple]] = []
-        self._tables: Optional[list] = None     # of _small_supports
+        self._tables: Optional[list] = None     # of _levels
         for point in prefix:
             self._add_level(point)
         for g in generators:
@@ -449,6 +437,21 @@ class StabilizerChain:
 
         yield from walk(self._identity, 0)
 
+    def _levels(self) -> list:
+        """Per level d, built once per chain: the transversal steps (the
+        identity first, then by image of base[d]) and the index of each
+        point's G_{d+1}-orbit, for the base-image searches below."""
+        if self._tables is None:
+            self._tables = []
+            for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
+                orbits = PermGroup(self.degree,
+                                   self._level_gens(d + 1)).orbits()
+                index = {q: i for i, o in enumerate(orbits) for q in o}
+                self._tables.append(
+                    ([_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
+                     tuple(index[q] for q in range(self.degree))))
+        return self._tables
+
     def _small_supports(self, bound: int, falling: bool) -> list[Permutation]:
         """The non-identity elements moving at most ``bound`` points, sorted
         by image tuple, so no other chain of the group changes the list;
@@ -466,16 +469,7 @@ class StabilizerChain:
         """
         cap = element_cap()
         depth = len(self.base)
-        if self._tables is None:    # per level: steps, orbit ids of G_{d+1}
-            self._tables = []
-            for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
-                orbits = PermGroup(self.degree,
-                                   self._level_gens(d + 1)).orbits()
-                index = {q: i for i, o in enumerate(orbits) for q in o}
-                self._tables.append(
-                    ([_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
-                     tuple(index[q] for q in range(self.degree))))
-        levels = self._tables
+        levels = self._levels()
         found, nodes = [], 0
 
         def visit(h: tuple, d: int) -> None:
@@ -501,6 +495,32 @@ class StabilizerChain:
         if depth:
             visit(self._identity, 0)
         return [_trusted(h) for h in sorted(found)]
+
+    def _transports(self, pairs: Sequence[tuple], tick) -> bool:
+        """Whether some element maps a to b for every (a, b) in pairs, by
+        the backtrack of ``_small_supports``: ``v * h`` (v in G_d) maps a
+        to b iff v(a) = h^-1(b), so each h^-1(b) must lie in a's G_d-orbit,
+        and a pair whose a is base[d] forces t_d to send base[d] to
+        h^-1(b).  ``tick`` is called once per node."""
+        src = tuple(a for a, _ in pairs)
+        levels = self._levels()
+        wants = [tuple(map(oid.__getitem__, src)) for _, oid in levels]
+
+        def visit(u: tuple, d: int) -> bool:    # u[i] = h^-1(b_i)
+            if u == src or d == len(levels):
+                return u == src                 # the identity of G_d
+            inverses, oid, b = self._inverses[d], levels[d][1], self.base[d]
+            for x in ([u[src.index(b)]] if b in src else inverses):
+                t_inv = inverses.get(x)
+                if t_inv is not None:
+                    tick()
+                    child = tuple(map(t_inv.__getitem__, u))
+                    if tuple(map(oid.__getitem__, child)) == wants[d] \
+                            and visit(child, d + 1):
+                        return True
+            return False
+
+        return visit(tuple(b for _, b in pairs), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -780,74 +800,67 @@ def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup
 # ---------------------------------------------------------------------------
 # permutation isomorphism
 
-def _transporter_counts(elements: Sequence[Permutation], degree: int):
-    counts = [[0] * degree for _ in range(degree)]
-    for g in elements:
-        for a in range(degree):
-            counts[a][g(a)] += 1
-    return counts
-
-
 def permutation_isomorphic(g1: PermGroup, g2: PermGroup):
     """A point bijection f with f^-1 G1 f = G2, plus generator images.
 
     Returns (f, phi) where f is a Permutation and phi maps each generator x
     of g1 to f^-1 x f (an element of g2), so that f(w^x) = f(w)^phi(x) for
     all points w.  Returns None when no such bijection exists.
+
+    f grows point by point along G1's Schreier trees, orbit by orbit.  The
+    first root takes one point of each G2-orbit of its orbit's length (f * g
+    is a witness with f, for g in G2), later roots any unused point of such
+    an orbit, other points any of their root's image orbit.  A point is
+    pruned unless, for each generator s it gives a new known pair, some
+    element of G2 maps every known (f(x), f(s(x))) pair
+    (``StabilizerChain._transports``).  More than ``element_cap()`` nodes
+    raise CapExceededError.
     """
-    if g1.degree != g2.degree:
-        return None
-    n = g1.degree
-    if n > MAX_ISOMORPHISM_DEGREE:
-        raise CapExceededError(f"degree {n} exceeds isomorphism cap "
-                               f"{MAX_ISOMORPHISM_DEGREE}")
-    if g1.order() != g2.order():
+    if g1.degree != g2.degree or g1.order() != g2.order():
         return None
     if all(x in g2 for x in g1.generators):    # the same group
-        return Permutation.identity(n), {x: x for x in g1.generators}
-    elems2 = set(g2.elements())
-    elems1 = list(g1.elements())
-    t1 = _transporter_counts(elems1, n)
-    t2 = _transporter_counts(sorted(elems2), n)
-
-    def extend(mapping: list, used: list):
-        a = len(mapping)
-        if a == n:
-            f = Permutation(mapping)
-            if all(x.conjugate(f) in elems2 for x in g1.generators):
-                phi = {x: x.conjugate(f) for x in g1.generators}
-                return f, phi
-            return None
-        for b in range(n):
-            if used[b]:
-                continue
-            if t1[a][a] != t2[b][b]:
-                continue
-            ok = True
-            for a2, b2 in enumerate(mapping):
-                if t1[a][a2] != t2[b][b2] or t1[a2][a] != t2[b2][b]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping.append(b)
-            used[b] = True
-            found = extend(mapping, used)
-            if found is not None:
-                return found
-            mapping.pop()
-            used[b] = False
+        return g1.identity(), {x: x for x in g1.generators}
+    orbits1, orbits2 = g1.orbits(), [tuple(sorted(o)) for o in g2.orbits()]
+    if sorted(map(len, orbits1)) != sorted(map(len, orbits2)):
         return None
+    orbit2_of = {c: o for o in orbits2 for c in o}
+    gens = [(x.images, x.inverse().images) for x in g1.generators]
+    points = [(y, min(o), len(o)) for o in orbits1     # (y, root, length)
+              for y in orbit(min(o), g1.generators)]
+    chain, f = g2.chain, {}
+    cap, nodes = element_cap(), 0
 
-    return extend([], [False] * n)
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError(f"permutation-isomorphism search exceeds "
+                                   f"cap {CAP_VARIABLE}={cap} nodes")
 
-
-def is_2_transitive(g: PermGroup) -> bool:
-    """Transitive with a point stabilizer transitive on the remaining points."""
-    if not g.is_transitive():
+    def extend(i: int) -> bool:
+        if i == len(points):
+            return True
+        y, root, size = points[i]
+        candidates = orbit2_of[f[root]] if y != root else [
+            c for o in orbits2 if len(o) == size for c in (o if i else o[:1])]
+        for c in candidates:
+            if c in f.values():
+                continue
+            tick()
+            f[y] = c
+            if all(chain._transports([(f[x], f[s[x]]) for x in f if s[x] in f],
+                                     tick)
+                   for s, s_inv in gens if s[y] in f or s_inv[y] in f) \
+                    and extend(i + 1):
+                return True
+            del f[y]
         return False
-    if g.degree < 2:
-        return False
-    stab = g.pointwise_stabilizer([0])
-    orbs = [o for o in stab.orbits() if 0 not in o]
-    return len(orbs) == 1 and len(orbs[0]) == g.degree - 1
+
+    if not extend(0):
+        return None
+    fp = Permutation([f[a] for a in range(g1.degree)])
+    phi = {x: x.conjugate(fp) for x in g1.generators}
+    if not all(h in g2 for h in phi.values()):
+        raise RuntimeError("isomorphism search reached a bijection that "
+                           "does not conjugate G1 into G2")
+    return fp, phi

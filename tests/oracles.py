@@ -112,6 +112,64 @@ def minimal_degree_full_scan(group: PermGroup) -> int:
                if not g.is_identity())
 
 
+def is_2_transitive(g: PermGroup) -> bool:
+    """Transitive with a point stabilizer transitive on the remaining points."""
+    if not g.is_transitive():
+        return False
+    if g.degree < 2:
+        return False
+    stab = g.pointwise_stabilizer([0])
+    orbs = [o for o in stab.orbits() if 0 not in o]
+    return len(orbs) == 1 and len(orbs[0]) == g.degree - 1
+
+
+def _transporter_counts(elements, degree: int):
+    counts = [[0] * degree for _ in range(degree)]
+    for g in elements:
+        for a in range(degree):
+            counts[a][g(a)] += 1
+    return counts
+
+
+def permutation_isomorphic_backtrack(g1: PermGroup, g2: PermGroup):
+    """``permutation_isomorphic`` by a point-by-point backtrack over all
+    bijections, pruned only by the counts of elements sending a to b (the
+    same for every pair of points of a transitive group); each leaf is
+    checked against G2's element set."""
+    if g1.degree != g2.degree or g1.order() != g2.order():
+        return None
+    n = g1.degree
+    if all(x in g2 for x in g1.generators):    # the same group
+        return Permutation.identity(n), {x: x for x in g1.generators}
+    elems2 = set(g2.elements())
+    t1 = _transporter_counts(g1.elements(), n)
+    t2 = _transporter_counts(sorted(elems2), n)
+
+    def extend(mapping: list, used: list):
+        a = len(mapping)
+        if a == n:
+            f = Permutation(mapping)
+            if all(x.conjugate(f) in elems2 for x in g1.generators):
+                return f, {x: x.conjugate(f) for x in g1.generators}
+            return None
+        for b in range(n):
+            if used[b] or t1[a][a] != t2[b][b]:
+                continue
+            if any(t1[a][a2] != t2[b][b2] or t1[a2][a] != t2[b2][b]
+                   for a2, b2 in enumerate(mapping)):
+                continue
+            mapping.append(b)
+            used[b] = True
+            found = extend(mapping, used)
+            if found is not None:
+                return found
+            mapping.pop()
+            used[b] = False
+        return None
+
+    return extend([], [False] * n)
+
+
 def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
     """``PermGroup.block_systems`` with one atom per point: the join
     closure of the smallest blocks holding {0, beta} for every beta."""

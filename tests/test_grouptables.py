@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_system_containing_support, block_systems_all_beta,
-                     subgroups_by_cyclic_joins)
+                     is_2_transitive, subgroups_by_cyclic_joins)
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
                                      _all_subgroups, _find_p_cycle,
@@ -26,8 +26,7 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      pgl3_2, psl2, recognize_family,
                                      superflip, sym_group, tau_cross_sym)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  is_2_transitive, is_two_two,
-                                  permutation_isomorphic)
+                                  is_two_two, permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
 SAMPLE_GROUPS = [dihedral_group(4), tau_cross_sym(3), even_flips_rtimes_sym(3),
@@ -79,9 +78,9 @@ def random_wreath_subgroups(rng, shapes):
 
 
 def two_two_groups(seed, count):
-    """count random transitive subgroups of Sym(a) wr Sym(b), degree <= 8,
+    """count random transitive subgroups of Sym(a) wr Sym(b), degree <= 10,
     that hold a 2^2-element."""
-    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8)]
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (2, 5), (5, 2)]
     pool = (grp for grp in random_wreath_subgroups(random.Random(seed), shapes)
             if grp.is_transitive()
             and any(map(is_two_two, grp.small_support_elements(4))))
@@ -289,6 +288,15 @@ class TestPCycleClassifier:
         assert rep.k == 2 and rep.row is TABLE1[0]
         assert len(calls) == 1
 
+    def test_condition_c_on_17_points(self):
+        """Sym(17) wr Sym(2): condition (C) compares two copies of
+        Sym(17) on 17 points."""
+        rep = classify_p_cycle_group(
+            wreath_product(sym_group(17), sym_group(2)), 2)
+        assert rep.cond_c is True
+        assert rep.x_family == rep.y_family == GroupSpec("Sym", (17,))
+        assert rep.row is TABLE1[0]
+
     @pytest.mark.parametrize("inner,top", [(5, 3), (2, 9)])
     def test_large_sym_wreaths(self, inner, top):
         """Sym(5) wr Sym(3) (order 10,368,000) and Sym(2) wr Sym(9): the
@@ -449,14 +457,39 @@ class TestTwoTwoClassifier:
         assert tuple(sorted((a1, b1))) in rep.pair_blocks
 
     def test_paired_blocks_above_the_isomorphism_cap(self):
-        """E+ : Alt(9) on 18 points matches no reference order, so the
-        reference search never reaches the degree-16 isomorphism cap."""
+        """E+ : Alt(9) on 18 points is none of the paired-blocks
+        references: every reference has another order."""
         m = 9
         top = [Permutation([2 * g(i // 2) + i % 2 for i in range(2 * m)])
                for g in alt_group(m).generators]
         grp = PermGroup(2 * m, list(even_flips(m).generators) + top)
         rep = classify_22_group(grp)
         assert (rep.tag, rep.m, rep.row) == ("case_cross", m, None)
+        assert rep.notes == ["witness acts flips on the size-2 blocks"]
+
+    @pytest.mark.parametrize("make", [even_flips_rtimes_sym, tau_cross_sym],
+                             ids=lambda make: make.__name__)
+    def test_paired_blocks_on_18_points(self, make):
+        """The Table-2 groups at m = 9, relabelled: Y is named by a
+        permutation isomorphism of degree 18."""
+        grp = make(9)
+        f = Permutation(random.Random(3).sample(range(18), 18))
+        rep = classify_22_group(
+            PermGroup(18, [g.conjugate(f) for g in grp.generators]))
+        assert (rep.tag, rep.m) == ("case_cross", 9)
+        assert f"Y matches {make.__name__}" in rep.notes
+
+    def test_paired_blocks_lookalike_is_fast(self):
+        """A degree-10 group whose Y has the order of E+ : Sym(5) without
+        being permutation isomorphic to it; the backtrack oracle
+        ``permutation_isomorphic_backtrack`` takes about 52 s here."""
+        grp = PermGroup(10, [Permutation([5, 8, 7, 0, 6, 9, 4, 1, 2, 3]),
+                             Permutation([1, 8, 6, 4, 0, 9, 7, 5, 3, 2])])
+        start = time.perf_counter()
+        rep = classify_22_group(grp)
+        assert time.perf_counter() - start < 5
+        assert rep.tag == "case_cross"
+        assert rep.y_group.order() == even_flips_rtimes_sym(5).order()
         assert rep.notes == ["witness acts flips on the size-2 blocks"]
 
 

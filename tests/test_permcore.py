@@ -2,16 +2,20 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_systems_all_beta, closure, minimal_degree_full_scan
-from smallmotion.grouptables import _find_p_cycle, agl1, sym_group
+from oracles import (block_systems_all_beta, closure, is_2_transitive,
+                     minimal_degree_full_scan,
+                     permutation_isomorphic_backtrack)
+from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2,
+                                     dihedral_group, pgl2, sym_group)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain,
-                                  format_cycles, is_2_transitive, is_two_two,
+                                  format_cycles, is_two_two,
                                   permutation_isomorphic, reduce_generators,
                                   transversal)
 from smallmotion.wreath import wreath_product
@@ -660,6 +664,61 @@ class TestMinimalDegree:
             sym_group(8).minimal_degree()
 
 
+def relabelled(grp, seed):
+    rng = random.Random(seed)
+    f = random_perm(rng, grp.degree)
+    return PermGroup(grp.degree, [g.conjugate(f) for g in grp.generators])
+
+
+def regular_group(elements, multiply):
+    """The right-regular action of a group given by its element list."""
+    index = {e: i for i, e in enumerate(elements)}
+    return PermGroup(len(elements), [
+        Permutation([index[multiply(x, g)] for x in elements])
+        for g in elements])
+
+
+def quaternion_product(x, y):
+    """Product of quaternion units (sign, letter), letters in '1ijk'."""
+    (s, a), (t, b) = x, y
+    if a == "1" or b == "1":
+        return s * t, a if b == "1" else b
+    if a == b:
+        return -s * t, "1"
+    c = ({"i", "j", "k"} - {a, b}).pop()
+    return (s * t if "ijk".index(b) == ("ijk".index(a) + 1) % 3 else -s * t), c
+
+
+def assert_isomorphism(g1, g2, result):
+    """result is (f, phi) with phi(x) = f^-1 x f in g2 for each generator."""
+    assert result is not None
+    f, phi = result
+    assert set(phi) == set(g1.generators)
+    for x in g1.generators:
+        assert x.conjugate(f) == phi[x] and phi[x] in g2
+
+
+PAIR_AMBIENTS = [sorted(grp.elements()) for grp in (
+    sym_group(4), agl1(7), wreath_product(sym_group(2), sym_group(3)),
+    wreath_product(sym_group(3), sym_group(2)))]
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """Two subgroups of one group of degree <= 7, on 1-3 of its elements
+    each, the i-th generators of the two of equal order; the second is
+    relabelled.  Equal group orders are then common, with and without a
+    permutation isomorphism."""
+    elements = draw(st.sampled_from(PAIR_AMBIENTS))
+    n = elements[0].degree
+    gens1 = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+    gens2 = [draw(st.sampled_from([h for h in elements
+                                   if h.order() == g.order()]))
+             for g in gens1]
+    f = draw(st.permutations(range(n)).map(Permutation))
+    return PermGroup(n, gens1), PermGroup(n, [g.conjugate(f) for g in gens2])
+
+
 class TestPermutationIsomorphic:
     def test_regular_reps_of_c6(self):
         g1 = PermGroup(6, [Permutation.from_cycles(6, [list(range(6))])])
@@ -690,6 +749,71 @@ class TestPermutationIsomorphic:
             fw, phi = result
             for g in grp.generators:
                 assert g.conjugate(fw) in conj
+
+    @settings(max_examples=200, deadline=None)
+    @given(subgroup_pairs())
+    def test_matches_the_backtrack_oracle(self, pair):
+        g1, g2 = pair
+        if g1.order() != g2.order():
+            return
+        result = permutation_isomorphic(g1, g2)
+        want = permutation_isomorphic_backtrack(g1, g2)
+        assert (result is None) == (want is None)
+        if result is not None:
+            assert_isomorphism(g1, g2, result)
+
+    @pytest.mark.parametrize("make", [lambda: agl1(13), lambda: pgl2(13),
+                                      lambda: dihedral_group(16),
+                                      lambda: agl_d2(4)],
+                             ids=["AGL1(13)", "PGL2(13)", "D16", "AGL(4,2)"])
+    def test_relabelled_groups_within_two_seconds(self, make):
+        """The backtrack oracle takes seconds, or past 280 s, on these."""
+        grp = make()
+        for g1, g2 in ((relabelled(grp, 1), grp), (grp, relabelled(grp, 2))):
+            start = time.perf_counter()
+            result = permutation_isomorphic(g1, g2)
+            assert time.perf_counter() - start < 2
+            assert_isomorphism(g1, g2, result)
+
+    def test_root_fixing_generators(self):
+        """Two presentations of AGL(3,2) on 8 points; the first four
+        generators of the first fix the point 0."""
+        g1 = PermGroup(8, [Permutation(p) for p in (
+            [0, 1, 2, 4, 3, 5, 7, 6], [0, 1, 4, 3, 2, 7, 6, 5],
+            [0, 2, 1, 4, 3, 5, 6, 7], [0, 1, 5, 3, 7, 2, 6, 4],
+            [4, 1, 6, 3, 0, 5, 2, 7])])
+        g2 = PermGroup(8, [Permutation(p) for p in (
+            [1, 0, 3, 2, 5, 4, 7, 6], [2, 3, 0, 1, 6, 7, 4, 5],
+            [4, 5, 6, 7, 0, 1, 2, 3], [0, 3, 2, 1, 4, 7, 6, 5],
+            [0, 2, 4, 6, 1, 3, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7])])
+        assert g1.order() == g2.order() == 1344
+        start = time.perf_counter()
+        result = permutation_isomorphic(g1, g2)
+        assert time.perf_counter() - start < 2
+        assert_isomorphism(g1, g2, result)
+
+    def test_equal_order_regular_groups_differ(self):
+        """The regular C16 and C8 x C2, and the regular D4 and Q8."""
+        c16 = PermGroup(16, [Permutation.from_cycles(16, [list(range(16))])])
+        c8c2 = PermGroup(16, [
+            Permutation.from_cycles(16, [list(range(8)), list(range(8, 16))]),
+            Permutation([(i + 8) % 16 for i in range(16)])])
+        d4 = regular_group(sorted(dihedral_group(4).elements()),
+                           lambda x, y: x * y)
+        q8 = regular_group([(s, c) for s in (1, -1) for c in "1ijk"],
+                           quaternion_product)
+        for g1, g2, order in ((c16, c8c2, 16), (d4, q8, 8)):
+            assert g1.order() == g2.order() == order
+            start = time.perf_counter()
+            assert permutation_isomorphic(g1, g2) is None
+            assert time.perf_counter() - start < 2
+
+    def test_search_nodes_are_capped(self, monkeypatch):
+        monkeypatch.setenv("SMALLMOTION_CAP", "10")
+        grp = agl1(13)
+        with pytest.raises(CapExceededError, match="permutation-isomorphism "
+                           "search exceeds cap SMALLMOTION_CAP=10 nodes"):
+            permutation_isomorphic(relabelled(grp, 1), grp)
 
 
 class TestCapVariable:
