@@ -55,8 +55,7 @@ def automorphism_group(graph: Graph,
     base = [0] * n if colors is None else list(colors)
     if len(base) != n:
         raise ValueError(f"{len(base)} colours for {n} vertices")
-    ids: dict = {}
-    path = _SourcePath(graph, [ids.setdefault(c, len(ids)) for c in base])
+    path = _SourcePath(graph, base)
     points: list[int] = []    # the first path's branch vertices
     while (v := path.level(len(points))[2]) is not None:
         points.append(v)

@@ -390,15 +390,22 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # equitable refinement and isomorphism
 
-def _refine_pass(graph: Graph, colors: list, key_ids: dict) -> list[int]:
-    """One refinement pass: new color = (color, sorted neighbor colors),
-    read from the graph's cached neighbour lists.  New ids follow the
-    first vertex of each key, so once a pass has run they depend only on
-    the partition and not on the input ids."""
-    get = colors.__getitem__
-    return [key_ids.setdefault((c, tuple(sorted(map(get, nbrs)))),
-                               len(key_ids))
+def _pass_keys(graph: Graph, colors: list[int]) -> list[tuple[int, int]]:
+    """Each vertex's refinement key (colour, sum of 2^(c*b) over its
+    neighbours' colours c), b = len(colors).bit_length(): no count
+    reaches 2^b, so the sum encodes the neighbour colour multiset exactly."""
+    b = len(colors).bit_length()
+    get = [1 << c * b for c in colors].__getitem__
+    return [(c, sum(map(get, nbrs)))
             for c, nbrs in zip(colors, graph.neighbor_lists())]
+
+
+def _refine_pass(graph: Graph, colors: list[int], key_ids: dict) -> list[int]:
+    """One refinement pass: new ids follow the first vertex of each key, so
+    once a pass has run they depend only on the partition and not on the
+    input ids."""
+    return [key_ids.setdefault(k, len(key_ids))
+            for k in _pass_keys(graph, colors)]
 
 
 class _SourcePath:
@@ -416,12 +423,13 @@ class _SourcePath:
     over all searches of the path, up to ``element_cap()``.
     """
 
-    def __init__(self, graph: Graph, colors: list):
+    def __init__(self, graph: Graph, colors: Sequence):
         self.graph = graph
         self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
         self.nodes = 0
         self.cap = element_cap()
-        self._seed = colors
+        ids: dict = {}    # hashable seed colours as ids 0, 1, ...
+        self._seed = [ids.setdefault(c, len(ids)) for c in colors]
 
     def level(self, depth: int) -> tuple:
         while len(self.levels) <= depth:
@@ -458,11 +466,8 @@ class _SourcePath:
             raise CapExceededError(f"transporter search exceeds cap "
                                    f"{CAP_VARIABLE}={self.cap} nodes")
         passes, stable, v, fresh = self.level(depth)
-        nbrs = g2.neighbor_lists()
         for key_ids, hist in passes:
-            get = colors.__getitem__
-            colors = [key_ids.get((c, tuple(sorted(map(get, nb)))), -1)
-                      for c, nb in zip(colors, nbrs)]
+            colors = [key_ids.get(k, -1) for k in _pass_keys(g2, colors)]
             if sorted(colors) != hist:   # a missing key sorts as -1
                 return None
         if v is None:   # discrete: cells correspond by colour
@@ -484,7 +489,7 @@ class _SourcePath:
 def equitable_refinement(graph: Graph, colors: Sequence) -> list[int]:
     """The coarsest equitable partition finer than ``colors``, as colour
     ids 0, 1, ...: depth 0 of the graph's first path."""
-    return _SourcePath(graph, list(colors)).level(0)[1]
+    return _SourcePath(graph, colors).level(0)[1]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
@@ -525,19 +530,12 @@ def to_graph6(graph: Graph) -> str:
             chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     else:
         raise ValueError("graph too large for graph6")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return header + "".join(chars)
+    # column j holds the edges (i, j), least i first
+    bits = "".join(format(graph.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(int(bits[k:k + 6], 2) + 63)
+                            for k in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:
@@ -560,18 +558,14 @@ def from_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError("graph6 body length mismatch")
-    bits = []
-    for d in body:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+    bits = "".join(format(d, "06b") for d in body)
+    adj = [0] * n
+    for j in range(1, n):    # column j holds the edges (i, j), least i first
+        start = j * (j - 1) // 2
+        adj[j] = column = int(bits[start:start + j][::-1], 2)
+        for i in _bits(column):
+            adj[i] |= 1 << j
+    return Graph(n, adj)
 
 
 def from_edge_list(text: str) -> Graph:

@@ -38,6 +38,15 @@ def to_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def refine_pass_sorted(graph: Graph, colors: list, key_ids: dict) -> list:
+    """One refinement pass keyed by (colour, sorted neighbour colours), on
+    colours of any ordered type; new ids follow the first vertex of each
+    key (oracle for the packed keys of ``graphcore._refine_pass``)."""
+    return [key_ids.setdefault((c, tuple(sorted(colors[w] for w in nbrs))),
+                               len(key_ids))
+            for c, nbrs in zip(colors, graph.neighbor_lists())]
+
+
 def inf_grid():
     """Every (lambda, kappa, sigma, matching, m) instance of the small grid."""
     for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):

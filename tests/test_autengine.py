@@ -250,6 +250,41 @@ class TestSearchFilter:
             assert (stats["transporter_searches"], stats["search_nodes"]) \
                 == (searches, nodes)
 
+    # (stats, generators in the order found): the refinement keys must
+    # keep every colour id, so each search visits the same nodes
+    PINNED = {
+        "petersen": ((3, 6), [
+            "(4,8)(5,6)(9,10)", "(2,5)(3,4)(7,10)(8,9)",
+            "(1,2,3,4,5)(6,7,8,9,10)"]),
+        "lex:cycle:5:cycle:5": ((12, 74), [
+            "(22,25)(23,24)", "(17,20)(18,19)", "(12,15)(13,14)",
+            "(7,10)(8,9)", "(2,5)(3,4)", "(21,22)(23,25)", "(16,17)(18,20)",
+            "(11,12)(13,15)", "(6,7)(8,10)",
+            "(6,21)(7,22)(8,23)(9,24)(10,25)(11,16)(12,17)(13,18)(14,19)"
+            "(15,20)",
+            "(1,2)(3,5)",
+            "(1,6)(2,7)(3,8)(4,9)(5,10)(11,21)(12,22)(13,23)(14,24)(15,25)"]),
+        "inf:01:cycle:8:antipodal:m3": ((10, 51), [
+            "(11,12)(23,24)", "(8,9)(20,21)", "(5,6)(17,18)", "(2,3)(14,15)",
+            "(10,11)(22,23)", "(7,8)(19,20)", "(4,5)(16,17)",
+            "(4,22)(5,23)(6,24)(7,19)(8,20)(9,21)(10,16)(11,17)(12,18)",
+            "(1,2)(13,14)",
+            "(1,4)(2,5)(3,6)(7,22)(8,23)(9,24)(10,19)(11,20)(12,21)(13,16)"
+            "(14,17)(15,18)"]),
+        "circulant:12:1-2-3-5": ((4, 10), [
+            "(4,12)(6,10)", "(3,11)(5,9)", "(2,4)(6,12)(8,10)",
+            "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)"]),
+    }
+
+    @pytest.mark.parametrize("label", sorted(PINNED))
+    def test_pinned_searches(self, label):
+        graph = petersen_graph() if label == "petersen" else named_graph(label)
+        aut = automorphism_group(graph)
+        (searches, nodes), gens = self.PINNED[label]
+        assert aut.stats == {"transporter_searches": searches,
+                             "search_nodes": nodes}
+        assert [str(g) for g in aut.group.generators] == gens
+
     def test_discrete_refinement_starts_no_search(self):
         # a triangle 0 1 2 with pendant paths 0-3-5 and 1-4: no symmetry,
         # and degree refinement alone tells every vertex apart

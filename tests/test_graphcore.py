@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import complete_bipartite, to_edge_list, with_edge_removed
+from oracles import (complete_bipartite, refine_pass_sorted, to_edge_list,
+                     with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
-                                   _maps_onto, _SourcePath,
+                                   _maps_onto, _refine_pass, _SourcePath,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
@@ -346,6 +347,20 @@ class TestSerialization:
     def test_edge_list_roundtrip(self, g):
         assert from_edge_list(to_edge_list(g)) == g
 
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 100])
+    @pytest.mark.parametrize("p", [0, 0.5, 1])
+    def test_graph6_header_boundary_against_networkx(self, n, p):
+        # n = 63 is the first order with the four-byte header
+        g = random_graph(random.Random(n), n, p)
+        text = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert to_graph6(g) == text
+        assert from_graph6(text) == g
+        assert sorted(tuple(sorted(e)) for e in nx.from_graph6_bytes(
+            to_graph6(g).encode()).edges()) == g.edges()
+
+    def test_graph6_roundtrip_without_vertices(self):
+        assert from_graph6(to_graph6(empty_graph(0))) == empty_graph(0)
+
     def test_parse_graph_dispatch(self):
         c5 = cycle_graph(5)
         assert parse_graph(to_graph6(c5)) == c5
@@ -482,6 +497,47 @@ class TestEquitableRefinement:
         # the first path's depth 0, seeded with the colours renamed
         path = _SourcePath(g, [(2 - c, "renamed") for c in colors])
         assert _partition_of(refined) == _partition_of(path.level(0)[1])
+
+    @staticmethod
+    def assert_passes_match_sorted_keys(g, seed):
+        """Every pass, up to the stable one, gives the oracle's ids."""
+        colors = _SourcePath(g, seed)._seed
+        want, count = list(seed), len(set(seed))
+        while True:
+            key_ids, oracle_ids = {}, {}
+            colors = _refine_pass(g, colors, key_ids)
+            want = refine_pass_sorted(g, want, oracle_ids)
+            assert colors == want
+            assert len(key_ids) == len(oracle_ids)
+            if len(key_ids) == count:
+                return
+            count = len(key_ids)
+
+    @given(graphs(max_n=12), st.data())
+    def test_packed_keys_match_sorted_keys(self, g, data):
+        ints = st.integers(0, 3)
+        kind = data.draw(st.sampled_from([ints,
+                                          st.tuples(ints, st.booleans())]))
+        seed = data.draw(st.lists(kind, min_size=g.n, max_size=g.n))
+        self.assert_passes_match_sorted_keys(g, seed)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16, 63, 64])
+    def test_packed_keys_where_a_count_reaches_n_minus_1(self, n):
+        star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+        for g in (complete_graph(n), star):
+            for seed in ([0] * n, [1] + [0] * (n - 1),
+                         [v % 2 for v in range(n)],
+                         [min(v, 2) for v in range(n)]):
+                self.assert_passes_match_sorted_keys(g, seed)
+
+    @pytest.mark.parametrize("n", [7, 15, 63])
+    def test_packed_keys_where_one_bit_fewer_would_carry(self, n):
+        # vertex k+1 sees k = 2^(b-1) neighbours of colour 0, vertex k+2 one
+        # of colour 1: with b - 1 bits a digit, both sums would be k
+        k = 1 << n.bit_length() - 1
+        g = Graph.from_edges(n, [(k + 1, v) for v in range(k)] + [(k + 2, k)])
+        self.assert_passes_match_sorted_keys(
+            g, [0] * k + [1, 2, 2] + [0] * (n - k - 3))
 
     def test_individualising_one_vertex_of_a_cycle(self):
         # pinning 0 of C6 leaves the pairs at equal distance from it
