@@ -428,7 +428,7 @@ class _SourcePath:
         self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
         self.nodes = 0
         self.cap = element_cap()
-        ids: dict = {}    # hashable seed colours as ids 0, 1, ...
+        ids = self.seed_ids = {}   # hashable seed colours as ids 0, 1, ...
         self._seed = [ids.setdefault(c, len(ids)) for c in colors]
 
     def level(self, depth: int) -> tuple:
@@ -510,11 +510,11 @@ def isomorphism_with_colors(g1: Graph, c1_init: Sequence[int],
     found by backtracking g2's side against one first path of g1."""
     if g1.n != g2.n:
         return None
-    ids: dict = {}    # seed colors must share an id space
-    c1 = [ids.setdefault(c, len(ids)) for c in c1_init]
+    path = _SourcePath(g1, c1_init)
+    ids = path.seed_ids    # g2's colours take the ids of g1's
     if any(c not in ids for c in c2_init):
         return None
-    found = _SourcePath(g1, c1).transport(g2, [ids[c] for c in c2_init], 0)
+    found = path.transport(g2, [ids[c] for c in c2_init], 0)
     return Permutation(found) if found is not None else None
 
 
