@@ -2,8 +2,10 @@
 
 The automorphism group is built as a stabilizer chain whose base is the
 graph's first path (``graphcore._SourcePath``): depth d refines the
-colouring with v_0..v_{d-1} individualised, and v_d is the least vertex
-of a largest cell, until the partition is discrete.  An automorphism
+colouring with v_0..v_{d-1} individualised, each pass counting
+neighbours only in the cells the pass before split off, and v_d is the
+least vertex of a largest cell, until the partition is discrete.  Every
+search replays those passes on its target side.  An automorphism
 fixing v_0..v_{d-1} keeps depth d's partition (McKay, "Practical graph
 isomorphism", 1981), so only the w in v_d's cell can be images of v_d.
 The levels run deepest first, as in nauty (McKay and Piperno, 2014), so
@@ -26,6 +28,7 @@ stabilizer chain of the group changes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .graphcore import Graph, PairPartition, _SourcePath
@@ -94,9 +97,14 @@ def automorphism_group(graph: Graph,
 
 def find_twins(graph: Graph) -> list[tuple[int, int]]:
     """The sorted pairs u < v whose transposition is an automorphism: equal
-    closed neighbourhoods (true twins) or equal open ones (false twins)."""
-    return [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
-            if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u)]
+    open neighbourhoods (false twins) or equal closed ones (true twins),
+    found by grouping rows; no pair shares both kinds of group."""
+    false, true = {}, {}
+    for u, row in enumerate(graph.adj):
+        false.setdefault(row, []).append(u)
+        true.setdefault(row | 1 << u, []).append(u)
+    return sorted(pair for group in (*false.values(), *true.values())
+                  for pair in combinations(group, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(self.neighbor_lists()[v])
-
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         """The sorted neighbours of every vertex, decoded on first use and
         kept; graphs that are never searched (``invariant_graphs_under``
@@ -85,14 +82,6 @@ class Graph:
         full = (1 << self.n) - 1
         return Graph(self.n, [(~row & full) & ~(1 << v)
                               for v, row in enumerate(self.adj)])
-
-    def relabel(self, perm: Permutation) -> "Graph":
-        """Image of the graph under a vertex permutation (v -> perm(v))."""
-        adj = [0] * self.n
-        for u in range(self.n):
-            for v in _bits(self.adj[u]):
-                adj[perm(u)] |= 1 << perm(v)
-        return Graph(self.n, adj)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         verts = tuple(sorted(vertices))
@@ -245,29 +234,20 @@ def lex_product(delta: Graph, theta: Graph) -> Graph:
     (d1,g1) ~ (d2,g2) iff (g1 = g2 and d1 ~ d2) or g1 ~ g2.
     """
     nd = delta.n
-    n = nd * theta.n
-    edges = []
-    for g in range(theta.n):
-        base = g * nd
-        for d1, d2 in delta.edges():
-            edges.append((base + d1, base + d2))
-    for g1, g2 in theta.edges():
-        for d1 in range(nd):
-            for d2 in range(nd):
-                edges.append((g1 * nd + d1, g2 * nd + d2))
-    return Graph.from_edges(n, edges)
+    edges = [(g * nd + d1, g * nd + d2) for g in range(theta.n)
+             for d1, d2 in delta.edges()]
+    edges += [(g1 * nd + d1, g2 * nd + d2) for g1, g2 in theta.edges()
+              for d1, d2 in itertools.product(range(nd), repeat=2)]
+    return Graph.from_edges(nd * theta.n, edges)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Box product; vertex (v1, v2) gets index v2*|V1| + v1."""
     n1 = g1.n
-    edges = []
-    for v2 in range(g2.n):
-        for a, b in g1.edges():
-            edges.append((v2 * n1 + a, v2 * n1 + b))
-    for a, b in g2.edges():
-        for v1 in range(n1):
-            edges.append((a * n1 + v1, b * n1 + v1))
+    edges = [(v2 * n1 + a, v2 * n1 + b) for v2 in range(g2.n)
+             for a, b in g1.edges()]
+    edges += [(a * n1 + v1, b * n1 + v1) for a, b in g2.edges()
+              for v1 in range(n1)]
     return Graph.from_edges(n1 * g2.n, edges)
 
 
@@ -283,16 +263,9 @@ def quotient_graph(graph: Graph, partition: Sequence[Sequence[int]]) -> Graph:
     if covered != list(range(graph.n)):
         raise ValueError("partition must cover the vertex set exactly once")
     masks = [sum(1 << v for v in p) for p in parts]
-    k = len(parts)
-    edges = []
-    for i in range(k):
-        union_i = 0
-        for v in parts[i]:
-            union_i |= graph.adj[v]
-        for j in range(i + 1, k):
-            if union_i & masks[j]:
-                edges.append((i, j))
-    return Graph.from_edges(k, edges)
+    return Graph.from_edges(len(parts), [
+        (i, j) for i, j in itertools.combinations(range(len(parts)), 2)
+        if any(graph.adj[v] & masks[j] for v in parts[i])])
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +298,16 @@ def inf_graph(params: InfParams, sigma: Graph, pairs: PairPartition) -> Graph:
     if pairs.n != sigma.n:
         raise ValueError("pair partition must cover the sigma vertex set")
     m = params.m
-    n = sigma.n * m
-    edges = []
-    for alpha in range(sigma.n):
-        if params.kap == 1:
-            for i, j in itertools.combinations(range(m), 2):
-                edges.append((alpha * m + i, alpha * m + j))
-    for alpha in range(sigma.n):
-        for beta in range(alpha + 1, sigma.n):
-            paired = pairs.contains_pair(alpha, beta)
-            if paired:
-                for i in range(m):
-                    for j in range(m):
-                        if (i == j) == (params.lam == 1):
-                            edges.append((alpha * m + i, beta * m + j))
-            elif sigma.has_edge(alpha, beta):
-                for i in range(m):
-                    for j in range(m):
-                        edges.append((alpha * m + i, beta * m + j))
-    return Graph.from_edges(n, edges)
+    edges = [(alpha * m + i, alpha * m + j) for alpha in range(sigma.n)
+             if params.kap == 1
+             for i, j in itertools.combinations(range(m), 2)]
+    for alpha, beta in itertools.combinations(range(sigma.n), 2):
+        paired = pairs.contains_pair(alpha, beta)
+        if paired or sigma.has_edge(alpha, beta):
+            edges += [(alpha * m + i, beta * m + j)
+                      for i, j in itertools.product(range(m), repeat=2)
+                      if not paired or (i == j) == (params.lam == 1)]
+    return Graph.from_edges(sigma.n * m, edges)
 
 
 def px_graph(r: int) -> Graph:
@@ -377,35 +341,49 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
     if len(orbits) > MAX_PAIR_ORBITS:
         raise CapExceededError(f"{len(orbits)} pair-orbits exceed cap "
                                f"{MAX_PAIR_ORBITS}")
-    out = []
-    for subset in range(1 << len(orbits)):
-        edges = []
-        for i, orb in enumerate(orbits):
-            if subset & (1 << i):
-                edges.extend(orb)
-        out.append(Graph.from_edges(n, edges))
-    return out
+    return [Graph.from_edges(n, [pair for i, orb in enumerate(orbits)
+                                 if subset >> i & 1 for pair in orb])
+            for subset in range(1 << len(orbits))]
 
 
 # ---------------------------------------------------------------------------
 # equitable refinement and isomorphism
 
-def _pass_keys(graph: Graph, colors: list[int]) -> list[tuple[int, int]]:
-    """Each vertex's refinement key (colour, sum of 2^(c*b) over its
-    neighbours' colours c), b = len(colors).bit_length(): no count
-    reaches 2^b, so the sum encodes the neighbour colour multiset exactly."""
+def _pass_keys(graph: Graph, colors: list[int],
+               splitters: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
+    """Each vertex's refinement key (colour, sum of 2^(i*b) over its
+    neighbours in the i-th splitter colour), b = len(colors).bit_length():
+    no count reaches 2^b, so the sum encodes the counts exactly.  Only the
+    splitters' members are read; None makes every colour a splitter."""
+    if splitters is None:
+        splitters = range(max(colors, default=-1) + 1)
     b = len(colors).bit_length()
-    get = [1 << c * b for c in colors].__getitem__
-    return [(c, sum(map(get, nbrs)))
-            for c, nbrs in zip(colors, graph.neighbor_lists())]
+    weight = {c: 1 << i * b for i, c in enumerate(splitters)}.get
+    acc = [0] * len(colors)
+    for c, nbrs in zip(colors, graph.neighbor_lists()):
+        if w := weight(c):
+            for x in nbrs:
+                acc[x] += w
+    return list(zip(colors, acc))
 
 
-def _refine_pass(graph: Graph, colors: list[int], key_ids: dict) -> list[int]:
+def _refine_pass(graph: Graph, colors: list[int], key_ids: dict,
+                 splitters: Optional[Sequence[int]] = None) -> list[int]:
     """One refinement pass: new ids follow the first vertex of each key, so
     once a pass has run they depend only on the partition and not on the
     input ids."""
     return [key_ids.setdefault(k, len(key_ids))
-            for k in _pass_keys(graph, colors)]
+            for k in _pass_keys(graph, colors, splitters)]
+
+
+def _splitters(key_ids: dict, size: list[int]) -> list[int]:
+    """The cells a pass split off: the new cells of each cell that split,
+    less the largest (the first, on a tie), in id order."""
+    largest: dict = {}
+    for (parent, _), c in key_ids.items():
+        if size[c] > size[largest.setdefault(parent, c)]:
+            largest[parent] = c
+    return [c for (parent, _), c in key_ids.items() if largest[parent] != c]
 
 
 class _SourcePath:
@@ -416,11 +394,17 @@ class _SourcePath:
     Depth 0 refines the seed colours; depth d+1 refines depth d's with
     its branch vertex, the least vertex of a largest cell, given the
     fresh colour ``len(cells)``.  A pass only splits cells, so the colours
-    are stable once a pass adds no colour.  A depth keeps each pass's key
-    table and sorted colours, so the target side of a search is refined by
-    looking its keys up: a missing key or another histogram means no
-    isomorphism keeps the colours.  ``nodes`` counts target-side nodes,
-    over all searches of the path, up to ``element_cap()``.
+    are stable once a pass adds no colour.  Only depth 0's first pass
+    counts neighbours in every colour; each later pass counts them in its
+    splitters: at depth d+1 first the fresh colour (depth d is
+    equitable), then the cells the last pass split off but the largest
+    of each split cell (Hopcroft's rule).  The other counts follow from
+    these, so each pass gives a full pass's partition and colour ids.  A
+    depth keeps each pass's splitters, key table and sorted colours, so
+    the target side of a search is refined by the same passes, looking
+    its keys up: a missing key or another histogram means no isomorphism
+    keeps the colours.  ``nodes`` counts target-side nodes, over all
+    searches of the path, up to ``element_cap()``.
     """
 
     def __init__(self, graph: Graph, colors: Sequence):
@@ -433,22 +417,23 @@ class _SourcePath:
 
     def level(self, depth: int) -> tuple:
         while len(self.levels) <= depth:
-            colors = self._seed
+            colors, splitters = self._seed, None
             if self.levels:
                 _, stable, v, fresh = self.levels[-1]
-                colors = list(stable)
+                colors, splitters = list(stable), [fresh]
                 colors[v] = fresh
             passes, count = [], len(set(colors))
             while True:
                 key_ids: dict = {}
-                colors = _refine_pass(self.graph, colors, key_ids)
-                passes.append((key_ids, sorted(colors)))
+                colors = _refine_pass(self.graph, colors, key_ids, splitters)
+                passes.append((splitters, key_ids, sorted(colors)))
+                size = [0] * len(key_ids)
+                for c in colors:
+                    size[c] += 1
                 if len(key_ids) == count:
                     break
                 count = len(key_ids)
-            size = [0] * count
-            for c in colors:
-                size[c] += 1
+                splitters = _splitters(key_ids, size)
             big = max(size, default=1)
             v = None if big == 1 else next(
                 u for u, c in enumerate(colors) if size[c] == big)
@@ -460,29 +445,34 @@ class _SourcePath:
         """The first isomorphism (as images) from the source onto g2 that
         keeps the colours, searched from ``depth``: ``colors`` colours g2
         in the ids of that depth's seed.  Only the target side branches,
-        on the vertices of the branch vertex's cell, in vertex order."""
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise CapExceededError(f"transporter search exceeds cap "
-                                   f"{CAP_VARIABLE}={self.cap} nodes")
-        passes, stable, v, fresh = self.level(depth)
-        for key_ids, hist in passes:
-            colors = [key_ids.get(k, -1) for k in _pass_keys(g2, colors)]
-            if sorted(colors) != hist:   # a missing key sorts as -1
-                return None
-        if v is None:   # discrete: cells correspond by colour
-            at = [0] * len(colors)
-            for w, c in enumerate(colors):
-                at[c] = w
-            mapping = [at[c] for c in stable]
-            return mapping if _maps_onto(self.graph, mapping, g2) else None
-        for w, c in enumerate(colors):
-            if c == stable[v]:
-                branch = list(colors)
-                branch[w] = fresh
-                found = self.transport(g2, branch, depth + 1)
-                if found is not None:
-                    return found
+        on the vertices of the branch vertex's cell, in vertex order: the
+        walk keeps its own stack and counts a node when it pops it."""
+        stack = [(colors, depth, None)]   # (parent's colours, depth, w)
+        while stack:
+            colors, depth, w = stack.pop()
+            self.nodes += 1
+            if self.nodes > self.cap:
+                raise CapExceededError(f"transporter search exceeds cap "
+                                       f"{CAP_VARIABLE}={self.cap} nodes")
+            if w is not None:   # individualise w with the parent's fresh
+                colors = list(colors)
+                colors[w] = self.levels[depth - 1][3]
+            passes, stable, v, _ = self.level(depth)
+            for splitters, key_ids, hist in passes:
+                keys = _pass_keys(g2, colors, splitters)
+                colors = [key_ids.get(k, -1) for k in keys]
+                if sorted(colors) != hist:   # a missing key sorts as -1
+                    break
+            else:   # the target side kept every histogram
+                if v is None:   # discrete: cells correspond by colour
+                    at = sorted(range(len(colors)), key=colors.__getitem__)
+                    mapping = [at[c] for c in stable]
+                    if _maps_onto(self.graph, mapping, g2):
+                        return mapping
+                else:   # children pop in vertex order
+                    stack.extend((colors, depth + 1, u) for u in
+                                 reversed(range(len(colors)))
+                                 if colors[u] == stable[v])
         return None
 
 

@@ -7,7 +7,8 @@ from smallmotion.autengine import automorphism_group, find_twins
 from smallmotion.classify import (ClassificationReport, _try_inf_form,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
-from smallmotion.graphcore import (Graph, InfParams, are_isomorphic,
+from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
+                                   _SourcePath, are_isomorphic,
                                    complete_graph, empty_graph, lex_product,
                                    quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
@@ -38,13 +39,90 @@ def to_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def relabel(graph: Graph, perm: Permutation) -> Graph:
+    """Image of the graph under a vertex permutation (v -> perm(v))."""
+    return Graph.from_edges(graph.n, [(perm(u), perm(v))
+                                      for u, v in graph.edges()])
+
+
+def neighbors(graph: Graph, v: int) -> list[int]:
+    return list(graph.neighbor_lists()[v])
+
+
+def sorted_keys(graph: Graph, colors: list) -> list:
+    """Each vertex's key (colour, its neighbours' colours, sorted)."""
+    return [(c, tuple(sorted(colors[w] for w in nbrs)))
+            for c, nbrs in zip(colors, graph.neighbor_lists())]
+
+
 def refine_pass_sorted(graph: Graph, colors: list, key_ids: dict) -> list:
     """One refinement pass keyed by (colour, sorted neighbour colours), on
     colours of any ordered type; new ids follow the first vertex of each
     key (oracle for the packed keys of ``graphcore._refine_pass``)."""
-    return [key_ids.setdefault((c, tuple(sorted(colors[w] for w in nbrs))),
-                               len(key_ids))
-            for c, nbrs in zip(colors, graph.neighbor_lists())]
+    return [key_ids.setdefault(k, len(key_ids))
+            for k in sorted_keys(graph, colors)]
+
+
+class FullPassPath(_SourcePath):
+    """``graphcore._SourcePath`` with every pass keyed by all neighbour
+    colours and a recursive search (oracle for the splitter passes and
+    the explicit search stack).  A depth keeps (key table, sorted
+    colours) per pass, in the place of the path's (splitters, key table,
+    sorted colours)."""
+
+    def level(self, depth: int) -> tuple:
+        while len(self.levels) <= depth:
+            colors = self._seed
+            if self.levels:
+                _, stable, v, fresh = self.levels[-1]
+                colors = list(stable)
+                colors[v] = fresh
+            passes, count = [], len(set(colors))
+            while True:
+                key_ids: dict = {}
+                colors = refine_pass_sorted(self.graph, colors, key_ids)
+                passes.append((key_ids, sorted(colors)))
+                if len(key_ids) == count:
+                    break
+                count = len(key_ids)
+            size = [colors.count(c) for c in range(count)]
+            big = max(size, default=1)
+            v = None if big == 1 else next(
+                u for u, c in enumerate(colors) if size[c] == big)
+            self.levels.append((passes, colors, v, count))
+        return self.levels[depth]
+
+    def transport(self, g2: Graph, colors: list, depth: int):
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise CapExceededError(f"transporter search exceeds cap "
+                                   f"{self.cap} nodes")
+        passes, stable, v, fresh = self.level(depth)
+        for key_ids, hist in passes:
+            colors = [key_ids.get(k, -1) for k in sorted_keys(g2, colors)]
+            if sorted(colors) != hist:
+                return None
+        if v is None:   # discrete: cells correspond by colour
+            at = [0] * len(colors)
+            for w, c in enumerate(colors):
+                at[c] = w
+            mapping = [at[c] for c in stable]
+            return mapping if _maps_onto(self.graph, mapping, g2) else None
+        for w, c in enumerate(colors):
+            if c == stable[v]:
+                branch = list(colors)
+                branch[w] = fresh
+                found = self.transport(g2, branch, depth + 1)
+                if found is not None:
+                    return found
+        return None
+
+
+def find_twins_all_pairs(graph: Graph) -> list[tuple[int, int]]:
+    """The pairs u < v whose neighbourhoods agree off {u, v}, by testing
+    every pair (oracle for ``autengine.find_twins``)."""
+    return [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
+            if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u)]
 
 
 def inf_grid():

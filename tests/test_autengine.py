@@ -1,7 +1,10 @@
 """Automorphism groups, twins, motion, all cross-checked by brute force."""
 
+import inspect
 import itertools
+import math
 import random
+import sys
 import time
 
 import networkx as nx
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (automorphism_group_brute, closure,
-                     minimal_degree_full_scan, path_graph)
+                     find_twins_all_pairs, minimal_degree_full_scan,
+                     path_graph)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -48,6 +52,29 @@ def coloured_graphs(draw, max_n):
     colors = draw(st.none() | st.lists(st.sampled_from("ab"), min_size=n,
                                        max_size=n))
     return Graph.from_edges(n, [e for e, b in zip(pairs, mask) if b]), colors
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """A graph on at most 6 vertices with each vertex blown up into 1 to 3
+    true or false twins, relabelled, with one vertex pair perhaps flipped."""
+    quotient, _ = draw(coloured_graphs(max_n=6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=quotient.n,
+                          max_size=quotient.n))
+    cliques = draw(st.lists(st.booleans(), min_size=quotient.n,
+                            max_size=quotient.n))
+    block = [a for a, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    pos = draw(st.permutations(range(n)))
+    edges = [(pos[x], pos[y]) for x, y in itertools.combinations(range(n), 2)
+             if quotient.has_edge(block[x], block[y])
+             or block[x] == block[y] and cliques[block[x]]]
+    adj = list(Graph.from_edges(n, edges).adj)
+    u, v = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+    if u != v and draw(st.booleans()):
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph(n, adj)
 
 
 def first_path(graph, colors=None):
@@ -297,6 +324,20 @@ class TestSearchFilter:
         assert aut.stats["search_nodes"] == 0
         assert aut.group.chain.base == []
 
+    def test_deep_first_path_needs_no_recursion(self):
+        # the edgeless graph's first path is n - 1 levels deep, and the
+        # search for level 0 visits one node at each depth below it, n - 1
+        # in all: nested calls would need more frames than allowed here
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            aut = automorphism_group(empty_graph(80))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert aut.order == math.factorial(80)
+        assert aut.stats == {"transporter_searches": 79,
+                             "search_nodes": 80 * 79 // 2}
+
 
 class TestTwins:
     def test_true_twins_in_complete(self):
@@ -310,6 +351,12 @@ class TestTwins:
         pairs = find_twins(g)
         assert pairs == sorted(pairs) and len(pairs) == 5 * 3
         assert not any(g.has_edge(u, v) for u, v in pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(twin_rich_graphs(),
+                     coloured_graphs(max_n=12).map(lambda case: case[0])))
+    def test_grouped_twins_match_all_pairs(self, g):
+        assert find_twins(g) == find_twins_all_pairs(g)
 
     def test_no_twins_in_cycle(self):
         assert not find_twins(cycle_graph(5))

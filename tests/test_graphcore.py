@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (complete_bipartite, refine_pass_sorted, to_edge_list,
+from oracles import (FullPassPath, complete_bipartite, neighbors,
+                     refine_pass_sorted, relabel, to_edge_list,
                      with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
@@ -74,7 +75,7 @@ class TestGraphBasics:
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
-        assert g.neighbors(1) == [0, 2]
+        assert neighbors(g, 1) == [0, 2]
         assert g.degree(1) == 2 and g.degree(3) == 0
         assert g.num_edges() == 2
 
@@ -97,7 +98,7 @@ class TestGraphBasics:
             n = rng.randint(2, 8)
             g = random_graph(rng, n)
             p = Permutation(rng.sample(range(n), n))
-            h = g.relabel(p)
+            h = relabel(g, p)
             for u, v in itertools.combinations(range(n), 2):
                 assert g.has_edge(u, v) == h.has_edge(p(u), p(v))
 
@@ -147,14 +148,14 @@ class TestNeighbourLists:
         lists = g.neighbor_lists()
         assert g.neighbor_lists() is lists   # decoded once
         for v in range(g.n):
-            assert list(lists[v]) == g.neighbors(v) == \
+            assert list(lists[v]) == neighbors(g, v) == \
                 [w for w in range(g.n) if g.has_edge(v, w)]
 
     def test_derived_graphs_decode_their_own_lists(self):
         g = petersen_graph()
         g.neighbor_lists()
         p = Permutation([(v + 3) % 10 for v in range(10)])
-        for h in (g.relabel(p), g.complement(), with_edge_removed(g, 0, 1)):
+        for h in (relabel(g, p), g.complement(), with_edge_removed(g, 0, 1)):
             assert h != g
             assert [list(ns) for ns in h.neighbor_lists()] == \
                 [[w for w in range(h.n) if h.has_edge(v, w)]
@@ -385,10 +386,10 @@ class TestIsomorphism:
                     for family in (complete_graph, empty_graph))
         for g1 in itertools.chain(randoms, extremes):
             p = Permutation(rng.sample(range(g1.n), g1.n))
-            g2 = g1.relabel(p)
+            g2 = relabel(g1, p)
             f = are_isomorphic(g1, g2)
             assert f is not None
-            assert g1.relabel(f) == g2
+            assert relabel(g1, f) == g2
 
     def test_pairs_refinement_cannot_split(self):
         # both pairs are regular with equal parameters, so refinement from
@@ -397,8 +398,8 @@ class TestIsomorphism:
         assert are_isomorphic(cycle_graph(6), two_triangles) is None
         rook = cartesian_product(complete_graph(4), complete_graph(4))
         assert are_isomorphic(rook, shrikhande_graph()) is None
-        assert are_isomorphic(rook, rook.relabel(
-            Permutation([(5 * v) % 16 for v in range(16)]))) is not None
+        assert are_isomorphic(rook, relabel(
+            rook, Permutation([(5 * v) % 16 for v in range(16)]))) is not None
         assert automorphism_group(cycle_graph(6)).order == 12
         assert automorphism_group(two_triangles).order == 72
         assert automorphism_group(rook).order == 1152
@@ -412,7 +413,7 @@ class TestIsomorphism:
         c1 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         if data.draw(st.booleans()):   # a relabelled copy: isomorphic
             p = data.draw(st.permutations(range(n)))
-            g2 = g1.relabel(Permutation(p))
+            g2 = relabel(g1, Permutation(p))
             c2 = [0] * n
             for v in range(n):
                 c2[p[v]] = c1[v]
@@ -428,7 +429,7 @@ class TestIsomorphism:
                             ).is_isomorphic()
         assert (found is not None) == want
         if found is not None:
-            assert g1.relabel(found) == g2
+            assert relabel(g1, found) == g2
             assert all(c2[found(v)] == c1[v] for v in range(n))
 
     @settings(max_examples=100, deadline=None)
@@ -441,14 +442,14 @@ class TestIsomorphism:
         g1 = data.draw(graphs(min_n=n, max_n=n))
         c1 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         p = Permutation(data.draw(st.permutations(range(n))))
-        g2 = g1.relabel(p)
+        g2 = relabel(g1, p)
         c2 = [c1[v] for v in p.inverse().images]
 
         def check(h2, d2, want):
             found = isomorphism_with_colors(g1, c1, h2, d2)
             assert (found is not None) == want
             if found is not None:
-                assert g1.relabel(found) == h2
+                assert relabel(g1, found) == h2
                 assert all(d2[found(v)] == c1[v] for v in range(n))
 
         def coloured_nx(graph, colors):
@@ -473,10 +474,10 @@ class TestIsomorphism:
         # a stable discrete leaf with equal histograms is always an
         # isomorphism, so the search never fails this check: test it alone
         images = data.draw(st.permutations(range(g1.n)))
-        g2 = data.draw(st.sampled_from([g1, g1.relabel(Permutation(images)),
+        g2 = data.draw(st.sampled_from([g1, relabel(g1, Permutation(images)),
                                         g1.complement()]))
         assert _maps_onto(g1, images, g2) == \
-            (g1.relabel(Permutation(images)) == g2)
+            (relabel(g1, Permutation(images)) == g2)
 
 
 class TestEquitableRefinement:
@@ -492,8 +493,8 @@ class TestEquitableRefinement:
             # equal colours see equal neighbour colour counts
             for w in range(g.n):
                 if refined[w] == refined[u]:
-                    assert sorted(refined[x] for x in g.neighbors(u)) == \
-                        sorted(refined[x] for x in g.neighbors(w))
+                    assert sorted(refined[x] for x in neighbors(g, u)) == \
+                        sorted(refined[x] for x in neighbors(g, w))
         # the first path's depth 0, seeded with the colours renamed
         path = _SourcePath(g, [(2 - c, "renamed") for c in colors])
         assert _partition_of(refined) == _partition_of(path.level(0)[1])
@@ -543,3 +544,78 @@ class TestEquitableRefinement:
         # pinning 0 of C6 leaves the pairs at equal distance from it
         colors = equitable_refinement(cycle_graph(6), [1, 0, 0, 0, 0, 0])
         assert _partition_of(colors) == _partition_of([0, 1, 2, 3, 2, 1])
+
+
+def with_pair_flipped(graph, u, v):
+    """The graph with the edge {u, v} added or removed."""
+    return Graph(graph.n, [row ^ (x == u) << v ^ (x == v) << u
+                           for x, row in enumerate(graph.adj)])
+
+
+class TestSplitterPasses:
+    """The first path's splitter passes against full passes
+    (``oracles.FullPassPath``): the same levels, and every search returns
+    the same isomorphism after the same number of nodes."""
+
+    @staticmethod
+    def assert_same_as_full_passes(g, colors, targets):
+        path, full = _SourcePath(g, colors), FullPassPath(g, colors)
+        depth = 0
+        while True:
+            passes, stable, v, fresh = path.level(depth)
+            want = full.level(depth)
+            assert (stable, v, fresh) == want[1:]
+            assert [hist for *_, hist in passes] == \
+                [hist for _, hist in want[0]]
+            if v is None:
+                break
+            depth += 1
+        # an isomorphism search of each target from depth 0 ...
+        ids = path.seed_ids
+        for g2, c2 in targets:
+            if all(c in ids for c in c2):
+                seed = [ids[c] for c in c2]
+                assert path.transport(g2, seed, 0) == \
+                    full.transport(g2, seed, 0)
+                assert path.nodes == full.nodes
+        # ... and the automorphism group's searches, level by level
+        for d in range(depth):
+            _, cells, v, fresh = path.level(d)
+            for w in range(g.n):
+                if cells[w] == cells[v]:
+                    branch = cells[:w] + [fresh] + cells[w + 1:]
+                    assert path.transport(g, branch, d + 1) == \
+                        full.transport(g, branch, d + 1)
+                    assert path.nodes == full.nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=12), st.data())
+    def test_levels_and_searches_match_full_passes(self, g, data):
+        colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n,
+                                    max_size=g.n))
+        p = Permutation(data.draw(st.permutations(range(g.n))))
+        g2 = relabel(g, p)
+        c2 = [colors[v] for v in p.inverse().images]
+        u, v = data.draw(st.permutations(range(g.n)))[:2] \
+            if g.n > 1 else (0, 0)
+        targets = [(g2, c2)]
+        if u != v:   # a copy with one vertex pair flipped: often pruned
+            targets.append((with_pair_flipped(g2, u, v), c2))
+        self.assert_same_as_full_passes(g, colors, targets)
+
+    def test_a_tie_for_the_largest_fragment(self):
+        # P8 from one colour: pass 1 splits off the ends {0, 7} (id 0),
+        # pass 2 their neighbours {1, 6} (id 1), and pass 3 cuts the rest
+        # into {2, 5} (id 2) and {3, 4} (id 3), a tie: the first is kept
+        # as the largest, so pass 4 counts neighbours in id 3 alone
+        p8 = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+        passes = _SourcePath(p8, [0] * 8).level(0)[0]
+        assert [splitters for splitters, _, _ in passes] == \
+            [None, [0], [1], [3]]
+        assert passes[-1][2] == [0, 0, 1, 1, 2, 2, 3, 3]
+        # pinning 0 splits {0, 7} into two singletons, another tie
+        p = Permutation([(3 * v + 2) % 8 for v in range(8)])
+        self.assert_same_as_full_passes(
+            p8, [0] * 8, [(relabel(p8, p), [0] * 8),
+                          (with_pair_flipped(p8, 0, 7), [0] * 8),
+                          (with_pair_flipped(p8, 3, 4), [0] * 8)])
