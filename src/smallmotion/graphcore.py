@@ -340,7 +340,7 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
         orbits.append(orb)
     if len(orbits) > MAX_PAIR_ORBITS:
         raise CapExceededError(f"{len(orbits)} pair-orbits exceed cap "
-                               f"{MAX_PAIR_ORBITS}")
+                               f"MAX_PAIR_ORBITS={MAX_PAIR_ORBITS}")
     return [Graph.from_edges(n, [pair for i, orb in enumerate(orbits)
                                  if subset >> i & 1 for pair in orb])
             for subset in range(1 << len(orbits))]

@@ -11,7 +11,7 @@ infinity at index p and the convention a/0 = infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, gcd, prod
 from typing import Callable, Optional
 
 from .permcore import (CapExceededError, PermGroup, Permutation, is_two_two,
@@ -69,12 +69,7 @@ def dihedral_group(m: int) -> PermGroup:
 
 def _smallest_primitive_root(p: int) -> int:
     for g in range(2, p):
-        seen = set()
-        v = 1
-        for _ in range(p - 1):
-            v = v * g % p
-            seen.add(v)
-        if len(seen) == p - 1:
+        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
             return g
     raise ValueError(f"{p} is not prime")
 
@@ -136,14 +131,8 @@ def _gl2_matrix_perms(d: int, nonzero_only: bool) -> list[Permutation]:
     def mat_to_perm(mat):
         # y_j = sum_i x_i * mat[i][j]
         def image(v):
-            out = 0
-            for j in range(d):
-                bit = 0
-                for i in range(d):
-                    if (v >> i) & 1:
-                        bit ^= mat[i][j]
-                out |= bit << j
-            return out
+            return sum((sum(v >> i & mat[i][j] for i in range(d)) & 1) << j
+                       for j in range(d))
         if nonzero_only:
             return Permutation([image(v + 1) - 1 for v in range(2 ** d - 1)])
         return Permutation([image(v) for v in range(2 ** d)])
@@ -189,9 +178,16 @@ class GroupSpec:
 _METADATA_ONLY = {"M11", "M12", "M23", "M24", "PGammaL", "AGammaL", "AGL1_2a"}
 
 
-_CONSTRUCTORS = {"Sym": sym_group, "Alt": alt_group, "Cyclic": cyclic_group,
-                 "Dihedral": dihedral_group, "AGL1": agl1, "PSL2": psl2,
-                 "PGL2": pgl2, "PGL3_2": pgl3_2, "AGLd2": agl_d2}
+# family -> (constructor, the group's order in the same parameters)
+_CONSTRUCTORS = {
+    "Sym": (sym_group, factorial), "Cyclic": (cyclic_group, lambda d: d),
+    "Alt": (alt_group, lambda d: max(factorial(d) // 2, 1)),
+    "Dihedral": (dihedral_group, lambda m: 2 * m),
+    "AGL1": (agl1, lambda p: p * (p - 1)),
+    "PSL2": (psl2, lambda p: p * (p * p - 1) // gcd(2, p - 1)),
+    "PGL2": (pgl2, lambda p: p * (p * p - 1)), "PGL3_2": (pgl3_2, lambda: 168),
+    "AGLd2": (agl_d2, lambda d: 2 ** d * prod(2 ** d - 2 ** i
+                                             for i in range(d)))}
 
 
 def construct(spec: GroupSpec) -> PermGroup:
@@ -199,8 +195,13 @@ def construct(spec: GroupSpec) -> PermGroup:
         raise NotConstructibleError(
             f"{spec} is table metadata only and cannot be instantiated")
     if spec.family in _CONSTRUCTORS:
-        return _CONSTRUCTORS[spec.family](*spec.params)
+        return _CONSTRUCTORS[spec.family][0](*spec.params)
     raise ValueError(f"unknown family {spec!r}")
+
+
+def family_order(spec: GroupSpec) -> int:
+    """The order of ``construct(spec)``, from the family's closed form."""
+    return _CONSTRUCTORS[spec.family][1](*spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,8 @@ class TableRow:
 
     ``condition`` is the last-column tag of the p-cycle table
     (always / never / cond_C / p3_and_C) or not_applicable for the other
-    tables.  ``x_spec``/``y_spec`` are constructible specs when possible;
-    metadata-only rows carry specs that raise NotConstructibleError.
+    tables.  ``x_spec(*params)`` returns (p, m, X, Y) for a constructible
+    row; it is None for the metadata-only rows.
     ``sample_params`` gives desk-scale concrete parameters for checking.
     """
 
@@ -414,11 +415,15 @@ def _candidate_specs(degree: int) -> list[GroupSpec]:
 
 def recognize_family(group: PermGroup) -> Optional[GroupSpec]:
     """Match a group against the constructible families of its degree, all
-    transitive, by a permutation-isomorphism witness.  Returns None when
-    nothing matches (the caller reports the group verbatim).
+    transitive, by a permutation-isomorphism witness.  Only the candidates
+    whose ``family_order`` is the group's order are built and searched, as
+    the search rejects any other at once.  Returns None when nothing
+    matches (the caller reports the group verbatim).
     """
+    order = group.order()
     for spec in _candidate_specs(group.degree):
-        if permutation_isomorphic(group, construct(spec)) is not None:
+        if family_order(spec) == order and \
+                permutation_isomorphic(group, construct(spec)) is not None:
             return spec
     return None
 
@@ -757,7 +762,7 @@ def _all_subgroups(elements: list[Permutation],
     element sets."""
     if len(elements) > SUBGROUP_LATTICE_LIMIT:
         raise CapExceededError(f"group order {len(elements)} exceeds cap "
-                               f"{SUBGROUP_LATTICE_LIMIT}")
+                               f"SUBGROUP_LATTICE_LIMIT={SUBGROUP_LATTICE_LIMIT}")
     index = {g.images: i for i, g in enumerate(elements)}
     images = [g.images for g in elements]
     # right[b][a] is the index of a*b (a first)

@@ -5,7 +5,7 @@ The right-action convention is used throughout: ``i^(p*q) = (i^p)^q``,
 i.e. ``p*q`` means "apply p first, then q".
 
 Only outside input is validated: ``Permutation(images)`` checks that the
-images form a bijection.  Products, inverses, powers and identities of
+images form a bijection.  Products, inverses and identities of
 validated permutations are bijections by construction, so they are built
 by the unchecked ``_trusted`` constructor.
 """
@@ -103,18 +103,6 @@ class Permutation:
         for i, img in enumerate(self.images):
             inv[img] = i
         return _trusted(tuple(inv))
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g."""
@@ -418,7 +406,8 @@ class StabilizerChain:
         walked depth first, one product per tree node.
         """
         if cap is not None and self.order() > cap:
-            raise CapExceededError(f"group order {self.order()} exceeds cap {cap}")
+            raise CapExceededError(f"group order {self.order()} exceeds cap "
+                                   f"{CAP_VARIABLE}={cap}")
         levels = [
             [trans[x] for x in sorted(trans)] for trans in reversed(self._transversal)
         ]
@@ -535,11 +524,7 @@ class BlockSystem:
     block_of: tuple[int, ...] = field(repr=False, compare=False, default=())
 
     def __post_init__(self):
-        seen = set()
-        sizes = set()
-        for blk in self.blocks:
-            sizes.add(len(blk))
-            seen.update(blk)
+        seen, sizes = set().union(*self.blocks), set(map(len, self.blocks))
         if seen != set(range(self.degree)):
             raise ValueError("blocks must partition the point set")
         if len(seen) != sum(len(b) for b in self.blocks):
@@ -713,18 +698,28 @@ class PermGroup:
 
     def block_stabilizer(self, block: Iterable[int]) -> "PermGroup":
         """G_B for a block B (ValueError unless B is its own block closure):
-        with b0 = min(B), G_B = <G_{b0}, u_b : b in B>, u_b sending b0 to b,
-        read off the levels and the first transversal of one chain whose
-        base starts with b0 (Seress, Permutation Group Algorithms)."""
+        with b0 = min(B), G_B = <G_{b0}, u_b : b in B>, u_b sending b0 to b.
+        One chain whose base starts with b0 holds both (Seress, Permutation
+        Group Algorithms, ch. 4): its levels below b0 are kept, and level 0
+        gains the u_b of its first transversal, so the result carries a
+        strong chain of order |G_{b0}| |B meet b0^G| with no Schreier-Sims
+        run.  A chain of any other order raises RuntimeError."""
         blk = frozenset(block)
         if self._block_closure(blk) != blk:
             raise ValueError(f"{sorted(blk)} is not a block of the group")
         b0 = min(blk)
         chain = self.chain_with_base([b0])
         trans = chain._transversal[0]
-        gens = chain._level_gens(1)
-        gens += [_trusted(trans[b]) for b in sorted(blk) if b in trans]
-        return reduce_generators(self.degree, gens)
+        reached = [b for b in sorted(blk) if b in trans]    # b0 first
+        gens = chain._level_gens(1) + [_trusted(trans[b]) for b in reached[1:]]
+        sub = StabilizerChain(self.degree, gens, chain.base, strong=True)
+        want = self.order() // len(trans) * len(reached)
+        if sub.order() != want:
+            raise RuntimeError(f"block stabilizer chain of order "
+                               f"{sub.order()}, not {want}")
+        group = PermGroup(self.degree, gens)
+        group._chain = sub
+        return group
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the strong generators of

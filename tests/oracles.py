@@ -135,6 +135,19 @@ def inf_grid():
                     yield token, mname, InfParams(lam, kap, m), sigma, pairs
 
 
+def power(p: Permutation, k: int) -> Permutation:
+    """p^k by repeated squaring; a negative k powers the inverse."""
+    if k < 0:
+        return power(p.inverse(), -k)
+    result, base = Permutation.identity(p.degree), p
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
 def closure(degree: int, generators, cap=None) -> set:
     """Exhaustive closure of a generating set (oracle for chain orders)."""
     if cap is None:

@@ -333,6 +333,12 @@ class TestInvariantGraphs:
         with pytest.raises(CapExceededError, match="pair-orbits"):
             invariant_graphs_under(PermGroup(7, []))
 
+    def test_pair_orbit_cap_error_names_the_limit(self):
+        with pytest.raises(CapExceededError) as info:
+            invariant_graphs_under(PermGroup(7, []))
+        assert str(info.value) == \
+            "21 pair-orbits exceed cap MAX_PAIR_ORBITS=20"
+
 
 class TestSerialization:
     @given(graphs())

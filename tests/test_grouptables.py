@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from oracles import (block_system_containing_support, block_systems_all_beta,
                      is_2_transitive, subgroups_by_cyclic_joins)
+from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, NotConstructibleError,
-                                     _all_subgroups, _find_p_cycle,
-                                     _size2_blocks, agl1,
+                                     _all_subgroups, _candidate_specs,
+                                     _find_p_cycle, _size2_blocks, agl1,
                                      agl_d2, alt_group,
                                      c2_wr_sym,
                                      check_table_row, classify_22_group,
@@ -22,8 +23,9 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      cyclic_group, dihedral_group,
                                      enumerate_small_subgroup_pairs,
                                      even_flips, even_flips_rtimes_sym,
-                                     one_cross_sym, pair_projection, pgl2,
-                                     pgl3_2, psl2, recognize_family,
+                                     family_order, one_cross_sym,
+                                     pair_projection, pgl2, pgl3_2, psl2,
+                                     recognize_family,
                                      superflip, sym_group, tau_cross_sym)
 from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
                                   is_two_two, permutation_isomorphic)
@@ -218,6 +220,27 @@ class TestRecognizeFamily:
         assert recognize_family(sym_group(10)) == GroupSpec("Sym", (10,))
         rep = classify_p_cycle_group(alt_group(10))
         assert rep.x_family == GroupSpec("Alt", (10,))
+
+    def test_family_orders_match_constructed_groups(self):
+        """The closed-form order of every candidate of degree 1 to 24."""
+        for d in range(1, 25):
+            for spec in _candidate_specs(d):
+                assert family_order(spec) == construct(spec).order(), spec
+
+    @pytest.mark.parametrize("group, spec", [
+        (agl1(7), GroupSpec("AGL1", (7,))),
+        (sym_group(10), GroupSpec("Sym", (10,)))])
+    def test_only_candidates_of_equal_order_are_built(self, group, spec,
+                                                       monkeypatch):
+        built = []
+
+        def counting(candidate):
+            built.append(candidate)
+            return construct(candidate)
+
+        monkeypatch.setattr(grouptables, "construct", counting)
+        assert recognize_family(group) == spec
+        assert built == [spec]
 
 
 class TestRowChecks:
@@ -553,6 +576,12 @@ class TestSubgroupLattice:
     def test_lattice_limit(self):
         with pytest.raises(CapExceededError):
             _all_subgroups(sorted(sym_group(6).elements()), 6)
+
+    def test_lattice_limit_error_names_the_limit(self):
+        with pytest.raises(CapExceededError) as info:
+            _all_subgroups(sorted(sym_group(6).elements()), 6)
+        assert str(info.value) == \
+            "group order 720 exceeds cap SUBGROUP_LATTICE_LIMIT=200"
 
 
 class TestPairEnumeration:

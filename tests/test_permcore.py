@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, closure, is_2_transitive,
                      minimal_degree_full_scan,
-                     permutation_isomorphic_backtrack)
+                     permutation_isomorphic_backtrack, power)
 from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2,
                                      dihedral_group, pgl2, sym_group)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
@@ -122,6 +122,20 @@ def reference_setwise_stabilizer(elements, points):
     return sorted(e for e in elements if {e(p) for p in pts} == pts)
 
 
+def block_stabilizers(grp):
+    """block_stabilizer of the block closure of {0, v}, for every point v,
+    and of the last point alone; each kept chain's base starts with the
+    block's least point."""
+    n = grp.degree
+    blocks = {grp._block_closure({0, v}) for v in range(n)}
+    stabs = []
+    for blk in sorted(blocks | {frozenset([n - 1])}, key=sorted):
+        stab = grp.block_stabilizer(blk)
+        assert stab._chain is not None and stab._chain.base[0] == min(blk)
+        stabs.append(stab)
+    return stabs
+
+
 @st.composite
 def imprimitive_groups(draw):
     """A group of degree <= 8: random generators, or random elements of
@@ -175,7 +189,7 @@ class TestPermutation:
 
     @given(perms)
     def test_order_annihilates(self, p):
-        assert (p ** p.order()).is_identity()
+        assert power(p, p.order()).is_identity()
         assert p.order() >= 1
 
     @given(perms)
@@ -188,7 +202,7 @@ class TestPermutation:
     def test_degree_zero_and_one(self):
         for n in (0, 1):
             e = Permutation(range(n))
-            for p in (e * e, e.inverse(), e ** 5, e ** -3,
+            for p in (e * e, e.inverse(), power(e, 5), power(e, -3),
                       Permutation.identity(n), e.conjugate(e)):
                 assert p == e and type(p.images) is tuple
             grp = PermGroup(n, [e])
@@ -208,7 +222,8 @@ class TestPermutation:
     @given(perm_pairs())
     def test_products_are_bijections(self, pq):
         p, q = pq
-        for r in (p * q, p.inverse(), p ** 3, p ** -2, p.conjugate(q)):
+        for r in (p * q, p.inverse(), power(p, 3), power(p, -2),
+                  p.conjugate(q)):
             assert type(r.images) is tuple
             assert Permutation(r.images) == r
         assert (p * q).images == tuple(q(p(i)) for i in range(p.degree))
@@ -544,6 +559,16 @@ class TestStabilizers:
             assert all(sorted(map(g, blk)) == sorted(blk)
                        for g in stab.generators)
 
+    def test_wrong_block_stabilizer_order_raises(self, monkeypatch):
+        grp = wreath_product(sym_group(2), sym_group(3))
+        # the sifted chain is told the true order 48, the re-check 96, so
+        # the kept chain of order 8 * 1 falls short of 96 // 6 * 1
+        answers = iter([48, 96])
+        monkeypatch.setattr(PermGroup, "order", lambda self: next(answers))
+        with pytest.raises(RuntimeError,
+                           match="block stabilizer chain of order 8, not 16"):
+            grp.block_stabilizer([0])
+
     def test_non_blocks_are_rejected(self):
         rng = random.Random(14)
         for _ in range(40):
@@ -577,15 +602,18 @@ class TestNormalClosure:
             want = closure(n, sorted(conj))
             assert got == want
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_groups())
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_groups(),
+                     imprimitive_groups().map(lambda grp: (grp, []))))
     def test_kept_chains_match_rebuilt_chains(self, sample):
-        """reduce_generators and normal_closure keep the chains they grew;
-        those answer order and membership like a chain built afresh."""
+        """reduce_generators, normal_closure and block_stabilizer keep the
+        chains they grew; those answer order and membership like a chain
+        built afresh, on random groups and on groups with blocks."""
         grp, extra = sample
         n = grp.degree
         kept = [reduce_generators(n, list(grp.generators) + extra)]
         kept += [grp.normal_closure(x) for x in extra[:2]]
+        kept += block_stabilizers(grp)
         probes = extra + list(grp.generators) + \
             list(itertools.islice(grp.elements(), 200))
         for sub in kept:
@@ -823,6 +851,13 @@ class TestCapVariable:
         with pytest.raises(CapExceededError):
             list(sym4.elements())
         assert len(list(sym4.elements(cap=24))) == 24
+
+    def test_element_cap_error_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("SMALLMOTION_CAP", "10")
+        with pytest.raises(CapExceededError) as info:
+            list(sym_group(5).elements())
+        assert str(info.value) == \
+            "group order 120 exceeds cap SMALLMOTION_CAP=10"
 
     def test_invalid_environment_cap(self, monkeypatch):
         for bad in ("abc", "0", "-3", ""):
