@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

@@ -15,8 +15,7 @@ from math import factorial, gcd, prod
 from typing import Callable, Optional
 
 from .permcore import (CapExceededError, PermGroup, Permutation, is_two_two,
-                       orbit, permutation_isomorphic, reduce_generators,
-                       _is_prime, _then)
+                       orbit, permutation_isomorphic, _is_prime, _then)
 from .wreath import wreath_product
 
 SUBGROUP_LATTICE_LIMIT = 200
@@ -748,9 +747,10 @@ class PairEnumeration:
 
 
 def _all_subgroups(elements: list[Permutation],
-                   degree: int) -> list[frozenset]:
+                   degree: int) -> list[tuple[frozenset, list[Permutation]]]:
     """All subgroups of a small group, sorted by order and then by their
-    sorted image tuples: the joins of its cyclic subgroups.
+    sorted image tuples: the joins of its cyclic subgroups.  Each comes as
+    (element set, the generators it was first built from).
 
     The joins run on the group's Cayley table, at most
     ``SUBGROUP_LATTICE_LIMIT``^2 entries: an element is its index in
@@ -814,7 +814,8 @@ def _all_subgroups(elements: list[Permutation],
         fresh = found.difference(family)
     family.sort(key=lambda mask: (len(members[mask]), sorted(
         elements[i].images for i in members[mask])))
-    return [frozenset(elements[i] for i in members[mask]) for mask in family]
+    return [(frozenset(elements[i] for i in members[mask]),
+             [elements[i] for i in kept[mask]]) for mask in family]
 
 
 def _kernel_tag(m: int, projections: list) -> str:
@@ -833,52 +834,51 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
 
     The subgroups come from ``_all_subgroups``, as bit masks over the
     Cayley table of Sym(2) wr Sym(m) (64 entries for m = 2, 2,304 for
-    m = 3).  The computed pairs are compared against the references of
-    both small tables; the row-2 discrepancy between them is settled by
-    the data.
+    m = 3), and Y is the group on the generators it was built from.  Every
+    element keeps the pairs {2i, 2i+1}, so each has a pair projection.
+    X and Y are named after the first reference of the two small tables
+    with the same element set, else after the first one of their order
+    that is permutation isomorphic to them; the row-2 discrepancy between
+    the tables is settled by the data.
     """
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
-    elements = sorted(c2_wr_sym(m).elements())
+    references = [(make.__name__, ref, frozenset(ref.elements()))
+                  for make in (one_cross_sym, tau_cross_sym, even_flips,
+                               even_flips_rtimes_sym, c2_wr_sym)
+                  for ref in [make(m)]]
+    elements = sorted(references[-1][2])     # Sym(2) wr Sym(m)
     subgroups = _all_subgroups(elements, 2 * m)
 
-    references = {
-        "one_cross_sym": frozenset(one_cross_sym(m).elements()),
-        "tau_cross_sym": frozenset(tau_cross_sym(m).elements()),
-        "even_flips": frozenset(even_flips(m).elements()),
-        "even_flips_rtimes_sym": frozenset(even_flips_rtimes_sym(m).elements()),
-        "c2_wr_sym": frozenset(elements),
-    }
-
-    def identify(elems: frozenset) -> str:
-        for name, ref in references.items():
-            if elems == ref:
+    def identify(elems: frozenset, group: PermGroup) -> str:
+        for name, _, ref_elems in references:
+            if elems == ref_elems:
                 return name
-        for name, ref in references.items():
-            if len(ref) == len(elems):
-                g1 = reduce_generators(2 * m, elems)
-                g2 = reduce_generators(2 * m, ref)
-                if permutation_isomorphic(g1, g2) is not None:
-                    return name + " (up to perm-iso)"
+        for name, ref, ref_elems in references:
+            if len(ref_elems) == len(elems) and \
+                    permutation_isomorphic(group, ref) is not None:
+                return name + " (up to perm-iso)"
         return f"unrecognized (order {len(elems)})"
 
     pairs, matches, kernels = [], [], []
     proj = {g: pair_projection(m, g) for g in elements}
-    for y_elems in subgroups:
+    for y_elems, kept in subgroups:
         projections = [proj[g] for g in y_elems]
-        if any(pr is None for pr in projections) or \
-                len({pr.images for pr in projections}) != factorial(m):
-            continue    # Y moves a pair, or does not project onto Sym(m)
+        if len({pr.images for pr in projections}) != factorial(m):
+            continue    # Y does not project onto Sym(m)
         witnesses = [g for g in y_elems
                      if is_two_two(g) and proj[g].cycle_type() == (2,)]
         if not witnesses:
             continue
-        y_group = reduce_generators(2 * m, y_elems)
-        x_ids = {frozenset(y_group.normal_closure(x).elements())
-                 for x in sorted(witnesses)}
-        for x_elems in sorted(x_ids, key=lambda s: (len(s), sorted(p.images for p in s))):
+        y_group = PermGroup(2 * m, kept)
+        closures = {}
+        for x in sorted(witnesses):
+            x_group = y_group.normal_closure(x)
+            closures.setdefault(frozenset(x_group.elements()), x_group)
+        for x_elems in sorted(closures, key=lambda s: (len(s), sorted(p.images for p in s))):
             pairs.append((x_elems, y_elems))
-            matches.append((identify(x_elems), identify(y_elems)))
+            matches.append((identify(x_elems, closures[x_elems]),
+                            identify(y_elems, y_group)))
             kernels.append(_kernel_tag(m, projections))
 
     r1 = any(x == "one_cross_sym" and y == "tau_cross_sym"

@@ -579,9 +579,9 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         return self.chain.contains(g)
 
-    def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        """All elements; the cap is ``cap``, else ``element_cap()``."""
-        return self.chain.elements(element_cap() if cap is None else cap)
+    def elements(self) -> Iterator[Permutation]:
+        """All elements, at most ``element_cap()`` of them."""
+        return self.chain.elements(element_cap())
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -780,16 +780,6 @@ class PermGroup:
     def minimal_degree(self) -> int:
         """min |supp(x)| over non-identity x; error on the trivial group."""
         return self.minimal_degree_witness()[0]
-
-
-def reduce_generators(degree: int, elements: Iterable[Permutation]) -> PermGroup:
-    """The group of the elements, on generators picked greedily, with the
-    chain grown picking them."""
-    chain = StabilizerChain(degree, [])
-    group = PermGroup(degree, [e for e in sorted(set(elements))
-                               if chain.extend(e)])
-    group._chain = chain
-    return group
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
                                    complete_graph, empty_graph, lex_product,
                                    quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, _then, _trusted, element_cap,
-                                  orbit, reduce_generators)
+                                  Permutation, StabilizerChain, _then,
+                                  _trusted, element_cap, orbit)
 
 
 def path_graph(n: int) -> Graph:
@@ -192,6 +192,17 @@ def subgroups_by_cyclic_joins(elements, degree: int) -> set:
 
     return join_closure({closure_set([g]) for g in elements},
                         lambda a, b: closure_set(built_from[a] + built_from[b]))
+
+
+def reduce_generators(degree: int, elements) -> PermGroup:
+    """The group of the elements, on generators picked greedily in sorted
+    order: an element is kept when ``StabilizerChain.extend`` grows the
+    chain, which the group keeps."""
+    chain = StabilizerChain(degree, [])
+    group = PermGroup(degree, [e for e in sorted(set(elements))
+                               if chain.extend(e)])
+    group._chain = chain
+    return group
 
 
 def automorphism_group_brute(graph, max_n: int = 8) -> PermGroup:

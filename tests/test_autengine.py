@@ -457,7 +457,7 @@ def reference_scan(group):
     """The witness rule by an element scan: the least element by image
     tuple among the elements of prime order whose support is smallest."""
     best = None
-    for g in group.elements(cap=REFERENCE_SCAN_LIMIT):
+    for g in group.chain.elements(REFERENCE_SCAN_LIMIT):
         if g.is_identity() or not _is_prime(g.order()):
             continue
         if best is None or (len(g.support()), g) < (len(best.support()), best):

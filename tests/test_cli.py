@@ -210,6 +210,17 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert "RuntimeError" in err and "planted failure" in err
 
+    def test_internal_key_error_is_not_invalid_input(self, capsys,
+                                                     monkeypatch):
+        """No input path raises KeyError, so one is a library bug."""
+        def crash(*args, **kwargs):
+            raise KeyError("planted")
+
+        monkeypatch.setattr(cli, "motion_witness", crash)
+        code, _, err = run(capsys, "motion", "cycle:5")
+        assert code == EXIT_INTERNAL
+        assert "KeyError" in err and "planted" in err
+
     def test_search_cap_exits_3(self, capsys, monkeypatch):
         rook = cartesian_product(complete_graph(6), complete_graph(6))
         monkeypatch.setenv("SMALLMOTION_CAP", "100")

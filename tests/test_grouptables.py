@@ -1,9 +1,11 @@
 """Concrete group families, table data, and the two classifiers."""
 
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -193,8 +195,12 @@ class TestReferenceSubgroups:
         assert pair_projection(m, tau).is_identity()
         breaks = Permutation([1, 2, 0, 3, 4, 5])   # splits the pair {0,1}
         assert pair_projection(m, breaks) is None
-        for g in c2_wr_sym(m).elements():
-            assert pair_projection(m, g) is not None
+        # every element of Sym(2) wr Sym(m) keeps the pairs, so
+        # enumerate_small_subgroup_pairs reads a projection off each
+        for m in (2, 3, 4):
+            elements = list(c2_wr_sym(m).elements())
+            assert len(elements) == 2 ** m * math.factorial(m)
+            assert all(pair_projection(m, g) is not None for g in elements)
 
 
 class TestRecognizeFamily:
@@ -543,6 +549,16 @@ class TestSubgroupLattice:
     C2_CUBED = PermGroup(6, [Permutation.from_cycles(6, [[2 * i, 2 * i + 1]])
                              for i in range(3)])
 
+    @staticmethod
+    def checked_subgroups(elements, degree):
+        """The element sets of ``_all_subgroups``, once each subgroup's
+        kept generators are checked to lie in it and to generate it."""
+        got = _all_subgroups(elements, degree)
+        for subgroup, gens in got:
+            assert set(gens) <= subgroup
+            assert PermGroup(degree, gens).order() == len(subgroup)
+        return [subgroup for subgroup, _ in got]
+
     # A4's Klein subgroup is the join of two cyclic subgroups, not cyclic
     @pytest.mark.parametrize("grp, total", [
         (sym_group(3), 6), (dihedral_group(4), 10), (alt_group(4), 10),
@@ -550,7 +566,7 @@ class TestSubgroupLattice:
     def test_all_subgroups_match_subset_scan(self, grp, total):
         elements = sorted(grp.elements())
         assert elements[0].is_identity()
-        got = _all_subgroups(elements, grp.degree)
+        got = self.checked_subgroups(elements, grp.degree)
         assert len(got) == len(set(got)) == total
         assert set(got) == subgroups_by_subset_scan(elements)
 
@@ -559,7 +575,7 @@ class TestSubgroupLattice:
         (dihedral_group(6), 16), (agl1(5), 14)])
     def test_all_subgroups_match_cyclic_joins(self, grp, total):
         elements = sorted(grp.elements())
-        got = _all_subgroups(elements, grp.degree)
+        got = self.checked_subgroups(elements, grp.degree)
         assert len(got) == len(set(got)) == total
         assert set(got) == subgroups_by_cyclic_joins(elements, grp.degree)
         assert got == sorted(got, key=lambda s: (len(s),
@@ -601,14 +617,30 @@ class TestPairEnumeration:
         assert enum.table4_row2_matched
         assert not enum.table3_row2_matched
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_enumeration_matches_the_recorded_one(self, m):
+        """tests/data/subgroup_pairs.json pins the whole enumeration: each
+        pair as the sorted image tuples of X and Y, with its matches,
+        kernel tags and row flags."""
+        path = Path(__file__).parent / "data" / "subgroup_pairs.json"
+        want = json.loads(path.read_text())[str(m)]
+        enum = enumerate_small_subgroup_pairs(m)
+        assert enum.total_subgroups == want["total_subgroups"]
+        assert [[[list(p.images) for p in sorted(s)] for s in pair]
+                for pair in enum.pairs] == want["pairs"]
+        assert [list(match) for match in enum.matches] == want["matches"]
+        assert enum.kernels == want["kernels"]
+        for flag in ("row1_matched", "table3_row2_matched",
+                     "table4_row2_matched"):
+            assert getattr(enum, flag) is want[flag]
+
     @pytest.mark.parametrize("m, pairs", [(2, 5), (3, 10)])
     def test_every_x_is_normal_in_its_y(self, m, pairs):
-        from smallmotion.permcore import reduce_generators
         enum = enumerate_small_subgroup_pairs(m)
         assert len(enum.pairs) == pairs
         for x_elems, y_elems in enum.pairs:
             assert x_elems <= y_elems
-            y = reduce_generators(2 * m, y_elems)
+            y = PermGroup(2 * m, y_elems)
             for x in x_elems:
                 for g in y.generators:
                     assert x.conjugate(g) in x_elems

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, closure, is_2_transitive,
                      minimal_degree_full_scan,
-                     permutation_isomorphic_backtrack, power)
+                     permutation_isomorphic_backtrack, power,
+                     reduce_generators)
 from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2,
                                      dihedral_group, pgl2, sym_group)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain,
                                   format_cycles, is_two_two,
-                                  permutation_isomorphic, reduce_generators,
-                                  transversal)
+                                  permutation_isomorphic, transversal)
 from smallmotion.wreath import wreath_product
 
 
@@ -311,11 +311,12 @@ class TestStabilizerChain:
             assert not chain.extend(g)
         assert chain.order() == grp.order()
 
-    def test_elements_cap(self):
+    def test_elements_cap(self, monkeypatch):
         grp = PermGroup(7, [Permutation.from_cycles(7, [[0, 1]]),
                             Permutation.from_cycles(7, [list(range(7))])])
+        monkeypatch.setenv("SMALLMOTION_CAP", "100")
         with pytest.raises(CapExceededError):
-            list(grp.elements(cap=100))
+            list(grp.elements())
 
 
 class TestOrbitsAndBlocks:
@@ -606,9 +607,10 @@ class TestNormalClosure:
     @given(st.one_of(small_groups(),
                      imprimitive_groups().map(lambda grp: (grp, []))))
     def test_kept_chains_match_rebuilt_chains(self, sample):
-        """reduce_generators, normal_closure and block_stabilizer keep the
-        chains they grew; those answer order and membership like a chain
-        built afresh, on random groups and on groups with blocks."""
+        """The oracle reduce_generators, normal_closure and
+        block_stabilizer keep the chains they grew; those answer order and
+        membership like a chain built afresh, on random groups and on
+        groups with blocks."""
         grp, extra = sample
         n = grp.degree
         kept = [reduce_generators(n, list(grp.generators) + extra)]
@@ -850,7 +852,8 @@ class TestCapVariable:
         monkeypatch.setenv("SMALLMOTION_CAP", "5")
         with pytest.raises(CapExceededError):
             list(sym4.elements())
-        assert len(list(sym4.elements(cap=24))) == 24
+        monkeypatch.setenv("SMALLMOTION_CAP", "24")
+        assert len(list(sym4.elements())) == 24
 
     def test_element_cap_error_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("SMALLMOTION_CAP", "10")

@@ -141,7 +141,7 @@ class TestSandwich:
                 continue
             bs = systems[0]
             block0 = set(bs.blocks[0])
-            x = next((g for g in grp.elements(cap=5000)
+            x = next((g for g in grp.chain.elements(5000)
                       if g.support() and g.support() <= block0), None)
             if x is None:
                 continue
