@@ -17,12 +17,15 @@ first, form a strong generating set for the base.  They file straight
 into the group's chain, with no Schreier-Sims, and stay unreduced; as
 deeper ones prune the shallower levels, the lists are short.
 
-The motion of a graph without twins is the minimal degree of that group,
-found by one depth-first search over its stabilizer chain that prunes a
-coset once it must move more points than the smallest support so far (at
-most ``SMALLMOTION_CAP`` nodes).  The witness is the least automorphism of
-prime order and minimal support by image tuple, so no generating set or
-stabilizer chain of the group changes it.
+The motion of a graph without twins is the minimal degree of that group:
+one depth-first search over its chain prunes a coset once it must move
+more points than the smallest support so far (at most ``SMALLMOTION_CAP``
+nodes).  The witness, the least automorphism of prime order and minimal
+support by image tuple, depends on no generating set or chain.  When the
+graph is vertex-transitive and the stabilizer of vertex 0 (the base's
+first point) is not trivial, the search walks that stabilizer alone: a
+least support misses a vertex, each witness is conjugate to one fixing 0,
+and image[0] = 0 is the least first entry.
 """
 
 from __future__ import annotations

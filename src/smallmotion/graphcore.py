@@ -476,12 +476,6 @@ class _SourcePath:
         return None
 
 
-def equitable_refinement(graph: Graph, colors: Sequence) -> list[int]:
-    """The coarsest equitable partition finer than ``colors``, as colour
-    ids 0, 1, ...: depth 0 of the graph's first path."""
-    return _SourcePath(graph, colors).level(0)[1]
-
-
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """A vertex bijection taking g1 to g2, or None."""
     if g1.n != g2.n:

@@ -529,14 +529,12 @@ class PCycleReport:
 
 
 def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
-    """The least p-cycle by images; for p None, of the least such prime."""
+    """The least p-cycle by images; for p None, of the least such prime;
+    the p-cycles are closed under conjugation (``_least_supports``)."""
     lengths = range(2, group.degree + 1) if p is None else (p,)
-    for q in filter(_is_prime, lengths):
-        cycles = [g for g in group.small_support_elements(q)
-                  if g.cycle_type() == (q,)]
-        if cycles:
-            return min(cycles)
-    return None
+    return next((g for q in filter(_is_prime, lengths)
+                 for g in group._least_supports(q) if g.cycle_type() == (q,)),
+                None)
 
 
 def _sandwich(group: PermGroup, block: tuple, x: Permutation):
@@ -669,7 +667,7 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     them; or a smaller-minimal-degree witness."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
-    at_most_four = group.small_support_elements(4)
+    at_most_four = group._least_supports(4)    # conjugation-closed minima
     x = min(filter(is_two_two, at_most_four), default=None)
     if x is None:
         raise ValueError("no order-2 support-4 element found")
@@ -749,17 +747,17 @@ class PairEnumeration:
 def _all_subgroups(elements: list[Permutation],
                    degree: int) -> list[tuple[frozenset, list[Permutation]]]:
     """All subgroups of a small group, sorted by order and then by their
-    sorted image tuples: the joins of its cyclic subgroups.  Each comes as
-    (element set, the generators it was first built from).
+    sorted image tuples: the least family holding {1} and closed under
+    H -> <H, g>, g one generator per cyclic subgroup, as subgroups are
+    generated by their cyclic subgroups.  Each comes as (element set, the
+    generators it was first built from).
 
-    The joins run on the group's Cayley table, at most
+    The extensions run on the group's Cayley table, at most
     ``SUBGROUP_LATTICE_LIMIT``^2 entries: an element is its index in
-    ``elements`` and a subgroup is an int bit mask.  Each subgroup keeps
-    the generators it was first built from, and a join extends the larger
-    side by the other side's kept generators, one whole right coset at a
-    time (Dimino's algorithm; Butler, *Fundamental Algorithms for
-    Permutation Groups*, 1991).  Only the finished subgroups become
-    element sets."""
+    ``elements`` and a subgroup is an int bit mask.  <H, g> is H grown by
+    whole right cosets of H under H's kept generators and g (Dimino's
+    algorithm; Butler, *Fundamental Algorithms for Permutation Groups*,
+    1991).  Only the finished subgroups become element sets."""
     if len(elements) > SUBGROUP_LATTICE_LIMIT:
         raise CapExceededError(f"group order {len(elements)} exceeds cap "
                                f"SUBGROUP_LATTICE_LIMIT={SUBGROUP_LATTICE_LIMIT}")
@@ -775,43 +773,32 @@ def _all_subgroups(elements: list[Permutation],
     members = {bits[e]: [e]}        # mask -> its element indices
     kept = {bits[e]: []}            # mask -> the generators it was built from
 
-    def extend(mask, gens):
-        subgroup, kept_gens = members[mask], kept[mask]
-        for g in gens:
-            if mask & bits[g]:
-                continue
-            # the right cosets of H = subgroup that generators of <H, g>
-            # reach from H; a coset is new iff its representative is new
-            kept_gens = kept_gens + [g]
-            reps, elems = [e], list(subgroup)
-            for rep in reps:
-                for s in kept_gens:
-                    t = right[s][rep]
-                    if not mask & bits[t]:
-                        coset = list(map(right[t].__getitem__, subgroup))
-                        elems += coset
-                        mask |= sum(map(bits.__getitem__, coset))
-                        reps.append(t)
-            subgroup = elems
-        members.setdefault(mask, subgroup)
-        kept.setdefault(mask, kept_gens)
+    def extend(mask, g):
+        # the right cosets of H = members[mask] that generators of <H, g>
+        # reach from H; a coset is new iff its representative is new
+        subgroup, gens = members[mask], kept[mask] + [g]
+        reps, elems = [e], list(subgroup)
+        for rep in reps:
+            for s in gens:
+                t = right[s][rep]
+                if not mask & bits[t]:
+                    coset = list(map(right[t].__getitem__, subgroup))
+                    elems += coset
+                    mask |= sum(map(bits.__getitem__, coset))
+                    reps.append(t)
+        if mask not in members:
+            members[mask], kept[mask] = elems, gens
+            family.append(mask)
         return mask
 
-    def join(a, b):
-        small, big = sorted((a, b), key=lambda mask: len(members[mask]))
-        return extend(big, kept[small])
-
-    # the least family holding the cyclic subgroups and closed under joins
-    # of incomparable pairs; each round joins the members the round before
-    # found with every earlier member and with each other
-    family: list[int] = []
-    fresh = {extend(bits[e], [g]) for g in range(len(elements))}
-    while fresh:
-        found = set()
-        for a in fresh:
-            found.update(join(a, b) for b in family if a & b not in (a, b))
-            family.append(a)
-        fresh = found.difference(family)
+    family = [bits[e]]              # extend appends each new subgroup
+    for g in range(len(elements)):
+        extend(bits[e], g)
+    cyclic = [kept[mask][0] for mask in family[1:]]
+    for mask in family:             # a breadth-first walk of the family
+        for g in cyclic:
+            if not mask & bits[g]:
+                extend(mask, g)
     family.sort(key=lambda mask: (len(members[mask]), sorted(
         elements[i].images for i in members[mask])))
     return [(frozenset(elements[i] for i in members[mask]),

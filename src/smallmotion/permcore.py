@@ -441,11 +441,12 @@ class StabilizerChain:
                      tuple(index[q] for q in range(self.degree))))
         return self._tables
 
-    def _small_supports(self, bound: int, falling: bool) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points, sorted
-        by image tuple, so no other chain of the group changes the list;
-        with ``falling`` the bound drops to the smallest support found so
-        far and only its elements are returned.
+    def _small_supports(self, bound: int, falling: bool,
+                        root: int = 0) -> list[Permutation]:
+        """The non-identity elements moving at most ``bound`` points (of
+        G_{base[0]} alone at ``root`` 1), sorted by image tuple, so no other
+        chain of the group changes the list; with ``falling`` the bound drops
+        to the smallest support found and only its elements are returned.
 
         A depth-first backtrack over base images (Seress, Permutation Group
         Algorithms, ch. 9; Leon, "Permutation group algorithms based on
@@ -456,9 +457,7 @@ class StabilizerChain:
         (the identity branch) first.  More than ``element_cap()`` nodes
         raise CapExceededError.
         """
-        cap = element_cap()
-        depth = len(self.base)
-        levels = self._levels()
+        cap, depth, levels = element_cap(), len(self.base), self._levels()
         found, nodes = [], 0
 
         def visit(h: tuple, d: int) -> None:
@@ -481,8 +480,8 @@ class StabilizerChain:
                         bound, found = moved, []
                     found.append(child)
 
-        if depth:
-            visit(self._identity, 0)
+        if depth > root:
+            visit(self._identity, root)
         return [_trusted(h) for h in sorted(found)]
 
     def _transports(self, pairs: Sequence[tuple], tick) -> bool:
@@ -562,7 +561,8 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            self._chain = StabilizerChain(self.degree, self.generators,
+                                          range(min(self.degree, 1)))
         return self._chain
 
     def chain_with_base(self, prefix: Sequence[int]) -> StabilizerChain:
@@ -765,16 +765,32 @@ class PermGroup:
         by image tuple, by the pruned search of the chain."""
         return self.chain._small_supports(bound, falling=False)
 
+    def _least_supports(self, bound: Optional[int] = None) -> list[Permutation]:
+        """``small_support_elements(bound)``, or for bound None the least
+        supports, cut to G_0 when it holds the least member of each
+        conjugation-closed set of them (``minimal_degree_witness``): when the
+        chain's base starts at 0, level 0's orbit holds every point, the
+        order exceeds the degree and a given bound is below it."""
+        chain, n = self.chain, self.degree
+        root = int(chain.base[:1] == [0] and len(chain._transversal[0]) == n
+                   and self.order() > n and (bound is None or bound < n))
+        return chain._small_supports(n if bound is None else bound,
+                                     bound is None, root)
+
     def minimal_degree_witness(self) -> tuple[int, Permutation]:
         """(min |supp(x)| over non-identity x, the least element by image
-        tuple of prime order and that support): the first such in the
-        output, sorted by images, of one pruned search of the chain whose
-        bound falls to the smallest support found so far.  Elements of prime
-        order suffice as supp(x^k) lies in supp(x).  Error if trivial."""
+        tuple of prime order and that support), from one pruned search of
+        the chain whose bound falls to the smallest support found so far;
+        prime order suffices as supp(x^k) lies in supp(x).  In a transitive
+        group whose stabilizer G_0 of point 0 is not trivial, a least support
+        misses a point, and a conjugation-closed set of elements that fix
+        points has its least member by image tuple in G_0: each member has a
+        conjugate fixing 0, and image[0] = 0 is the least first entry.  So
+        the search walks G_0 alone (``_least_supports``).  Error if trivial."""
         if self.is_trivial():
             raise ValueError("minimal degree of the trivial group is undefined")
-        found = self.chain._small_supports(self.degree, falling=True)
-        witness = next(g for g in found if _is_prime(g.order()))
+        witness = next(g for g in self._least_supports()
+                       if _is_prime(g.order()))
         return len(witness.support()), witness
 
     def minimal_degree(self) -> int:

@@ -12,8 +12,15 @@ from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
                                    complete_graph, empty_graph, lex_product,
                                    quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, StabilizerChain, _then,
-                                  _trusted, element_cap, orbit)
+                                  Permutation, StabilizerChain, _is_prime,
+                                  _then, _trusted, element_cap, is_two_two,
+                                  orbit)
+
+
+def equitable_refinement(graph: Graph, colors) -> list[int]:
+    """The coarsest equitable partition finer than ``colors``, as colour
+    ids 0, 1, ...: depth 0 of the graph's first path."""
+    return _SourcePath(graph, colors).level(0)[1]
 
 
 def path_graph(n: int) -> Graph:
@@ -221,6 +228,25 @@ def minimal_degree_full_scan(group: PermGroup) -> int:
         raise ValueError("minimal degree of the trivial group is undefined")
     return min(len(g.support()) for g in group.elements()
                if not g.is_identity())
+
+
+def least_witnesses_by_scan(group: PermGroup) -> list:
+    """By a scan of every element: (minimal degree, the least element by
+    image tuple of prime order and that support), the least p-cycle (None
+    if there is none) for each prime p <= degree, and, for a transitive
+    group with a 2^2-element, the witness of ``classify_22_group``: the
+    least element moving fewer than 4 points, else the least 2^2-element."""
+    elems = sorted(g for g in group.elements() if not g.is_identity())
+    low = min(len(g.support()) for g in elems)
+    out = [(low, next(g for g in elems if len(g.support()) == low
+                      and _is_prime(g.order())))]
+    out += [next((g for g in elems if g.cycle_type() == (p,)), None)
+            for p in range(2, group.degree + 1) if _is_prime(p)]
+    two_two = [g for g in elems if is_two_two(g)]
+    if two_two and group.is_transitive():
+        out.append(next((g for g in elems if len(g.support()) < 4),
+                        two_two[0]))
+    return out
 
 
 def is_2_transitive(g: PermGroup) -> bool:

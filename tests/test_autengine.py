@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (automorphism_group_brute, closure,
-                     find_twins_all_pairs, minimal_degree_full_scan,
-                     path_graph)
+                     equitable_refinement, find_twins_all_pairs,
+                     minimal_degree_full_scan, path_graph)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -25,7 +25,6 @@ from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
 from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    cartesian_product, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
-                                   equitable_refinement,
                                    isomorphism_with_colors, lex_product,
                                    petersen_graph, prism_graph, spx_graph)
 from smallmotion.permcore import (PermGroup, Permutation, StabilizerChain,

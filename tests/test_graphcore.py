@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (FullPassPath, complete_bipartite, neighbors,
-                     refine_pass_sorted, relabel, to_edge_list,
-                     with_edge_removed)
+from oracles import (FullPassPath, complete_bipartite,
+                     equitable_refinement, neighbors, refine_pass_sorted,
+                     relabel, to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    _maps_onto, _refine_pass, _SourcePath,
@@ -21,7 +21,7 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    cartesian_product, circulant_graph,
                                    complete_graph,
                                    cycle_graph, empty_graph,
-                                   equitable_refinement, from_edge_list,
+                                   from_edge_list,
                                    from_graph6, inf_graph,
                                    invariant_graphs_under,
                                    isomorphism_with_colors, lex_product,

@@ -370,6 +370,35 @@ class TestPCycleClassifier:
             assert (rep.m, rep.k) == (len(block), n // len(block))
 
 
+def one_indexed(n, *cycles):
+    return Permutation.from_cycles(n, [[v - 1 for v in c] for c in cycles])
+
+
+M11 = PermGroup(11, [one_indexed(11, range(1, 12)),
+                     one_indexed(11, (3, 7, 11, 8), (4, 10, 5, 6))])
+M23 = PermGroup(23, [one_indexed(23, range(1, 24)),
+                     one_indexed(23, (3, 17, 10, 7, 9), (4, 13, 14, 19, 5),
+                                 (8, 18, 11, 12, 23), (15, 20, 22, 21, 16))])
+
+
+class TestPointStabilizerReach:
+    """Searches of transitive groups walk the point stabilizer, which puts
+    these under the default SMALLMOTION_CAP."""
+
+    def test_m23_minimal_degree(self, monkeypatch):
+        monkeypatch.delenv("SMALLMOTION_CAP", raising=False)
+        assert M23.order() == 10200960
+        mindeg, witness = M23.minimal_degree_witness()
+        assert mindeg == 16 and witness.cycle_type() == (2,) * 8
+        assert witness in M23
+
+    def test_m11_wreath_eleven_cycle(self, monkeypatch):
+        monkeypatch.delenv("SMALLMOTION_CAP", raising=False)
+        grp = wreath_product(M11, sym_group(2))
+        x = _find_p_cycle(grp, 11)
+        assert x.cycle_type() == (11,) and x in grp
+
+
 class TestTwoTwoClassifier:
     def test_small_mindeg_branch(self):
         rep = classify_22_group(sym_group(4))

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, closure, is_2_transitive,
-                     minimal_degree_full_scan,
+                     least_witnesses_by_scan, minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      reduce_generators)
-from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2,
-                                     dihedral_group, pgl2, sym_group)
+from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
+                                     classify_22_group, cyclic_group,
+                                     dihedral_group, pgl2, pgl3_2, psl2,
+                                     sym_group)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
-                                  Permutation, StabilizerChain,
+                                  Permutation, StabilizerChain, _is_prime,
                                   format_cycles, is_two_two,
                                   permutation_isomorphic, transversal)
 from smallmotion.wreath import wreath_product
@@ -692,6 +694,97 @@ class TestMinimalDegree:
         monkeypatch.setenv("SMALLMOTION_CAP", "100")
         with pytest.raises(CapExceededError, match="SMALLMOTION_CAP=100"):
             sym_group(8).minimal_degree()
+
+
+PRIMITIVE_SAMPLES = [sym_group(5), alt_group(5), alt_group(6), agl1(5),
+                     agl1(7), dihedral_group(7), psl2(5), pgl2(7), pgl3_2(),
+                     agl_d2(3)]
+
+
+def conjugated(grp, images):
+    f = Permutation(images)
+    return PermGroup(grp.degree, [g.conjugate(f) for g in grp.generators])
+
+
+@st.composite
+def primitive_samples(draw):
+    """A primitive group of degree <= 8 under a random relabelling."""
+    grp = draw(st.sampled_from(PRIMITIVE_SAMPLES))
+    return conjugated(grp, draw(st.permutations(range(grp.degree))))
+
+
+@st.composite
+def regular_cyclic_groups(draw):
+    """C_n in its regular action, n <= 12, under a random relabelling: G_0
+    is trivial, so the searches must run from the root."""
+    n = draw(st.integers(2, 12))
+    return conjugated(cyclic_group(n), draw(st.permutations(range(n))))
+
+
+@st.composite
+def intransitive_groups(draw):
+    """Random generators keeping {0, ..., a-1} and {a, ..., n-1}, n <= 8,
+    under a random relabelling."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gens = [Permutation(draw(st.permutations(range(a)))
+                        + draw(st.permutations(range(a, a + b))))
+            for _ in range(draw(st.integers(1, 3)))]
+    return conjugated(PermGroup(a + b, gens),
+                      draw(st.permutations(range(a + b))))
+
+
+def searched_witnesses(grp):
+    """The answers of ``least_witnesses_by_scan`` from the searches."""
+    primes = [p for p in range(2, grp.degree + 1) if _is_prime(p)]
+    cycles = [_find_p_cycle(grp, p) for p in primes]
+    assert _find_p_cycle(grp, None) == \
+        next((x for x in cycles if x is not None), None)
+    out = [grp.minimal_degree_witness()] + cycles
+    if grp.is_transitive() and \
+            any(map(is_two_two, grp.small_support_elements(4))):
+        out.append(classify_22_group(grp).witness)
+    return out
+
+
+class TestPointStabilizerSearch:
+    """The minimal-support searches of a transitive group with a non-trivial
+    point stabilizer G_0 walk G_0 alone; each answer equals a scan of all
+    elements, on groups where the cut applies and on groups where it must
+    not (G_0 trivial, or the group intransitive)."""
+
+    @staticmethod
+    def check(grp):
+        if not grp.is_trivial():
+            assert searched_witnesses(grp) == least_witnesses_by_scan(grp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(imprimitive_groups())
+    def test_imprimitive_groups(self, grp):
+        self.check(grp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_samples())
+    def test_primitive_groups(self, grp):
+        self.check(grp)
+
+    @settings(max_examples=30, deadline=None)
+    @given(regular_cyclic_groups())
+    def test_regular_cyclic_groups(self, grp):
+        self.check(grp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(intransitive_groups())
+    def test_intransitive_groups(self, grp):
+        self.check(grp)
+
+    def test_transitive_search_lists_only_the_stabilizer(self):
+        grp = relabelled(pgl2(7), 3)
+        assert grp.chain.base[0] == 0
+        for bound in (4, 6, 7):
+            assert grp._least_supports(bound) == [
+                g for g in grp.small_support_elements(bound) if g(0) == 0]
+        assert len(grp._least_supports(8)) == len(
+            grp.small_support_elements(8)) == grp.order() - 1
 
 
 def relabelled(grp, seed):
