@@ -13,9 +13,10 @@ every generator found so far fixes v_0..v_{d-1}: the w their orbits join
 to v_d need no search, and each other w is settled by a complete search
 of the target side against the shared path from depth d+1.  So each
 level's orbit and the order are exact, and the generators, deepest level
-first, form a strong generating set for the base.  They file straight
-into the group's chain, with no Schreier-Sims, and stay unreduced; as
-deeper ones prune the shallower levels, the lists are short.
+first, form a strong generating set for the base.  They file into the
+group's chain, told that order, so its Schreier-Sims closure strips no
+Schreier generator; they stay unreduced, and as deeper ones prune the
+shallower levels, the lists are short.
 
 The motion of a graph without twins is the minimal degree of that group:
 one depth-first search over its chain prunes a coset once it must move
@@ -54,8 +55,9 @@ def automorphism_group(graph: Graph,
     the first path, deepest first, each w in v_d's cell outside v_d's
     orbit under the generators found so far is settled by one search from
     depth d+1, seeded with depth d's colours and w individualised.  The
-    group keeps the generators, unreduced, and the chain they file into;
-    its order and every generator are re-checked.  ``stats`` counts the
+    group keeps the generators, unreduced, and the chain they file into,
+    which raises RuntimeError unless they close to that order; every
+    generator is re-checked.  ``stats`` counts the
     searches and their target-side nodes, at most ``SMALLMOTION_CAP``."""
     n = graph.n
     base = [0] * n if colors is None else list(colors)
@@ -82,10 +84,7 @@ def automorphism_group(graph: Graph,
             reached = set(orbit(v, gens))
         order *= len(reached)
     group = PermGroup(n, gens)
-    group._chain = StabilizerChain(n, gens, points, strong=True)
-    if group.order() != order:
-        raise RuntimeError(f"generators file into a chain of order "
-                           f"{group.order()}, expected {order}")
+    group._chain = StabilizerChain(n, gens, points, order=order)
     for g in group.generators:
         if not graph.is_automorphism(g) or \
                 any(base[g(u)] != base[u] for u in range(n)):

@@ -16,7 +16,6 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from random import Random
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -215,9 +214,6 @@ def format_cycles(p: Permutation) -> str:
 # ---------------------------------------------------------------------------
 # stabilizer chains
 
-SIFT_LIMIT = 64     # sifts in a row with no residue before an order fails
-
-
 class StabilizerChain:
     """Base and strong generators for a permutation group.
 
@@ -229,12 +225,17 @@ class StabilizerChain:
     the least point it moves.  ``_transversal[l]`` maps each point x of the
     level-l basic orbit to the images of an element sending base[l] to x,
     and ``_inverses[l]`` to the images of its inverse.  The generators are
-    closed by deterministic Schreier-Sims, unless ``strong`` says they are
-    already a strong generating set for the base they file into.
+    closed by deterministic Schreier-Sims.  Given the group's ``order``,
+    every level's transversal is computed first and the closure stops once
+    the basic orbits multiply to it (Seress, Permutation Group Algorithms,
+    section 4.3): that product never passes the order of the group filed,
+    so reaching it proves the chain complete, and generators already strong
+    for the base strip no Schreier generator.  A closure that ends at
+    another order raises RuntimeError.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 prefix: Sequence[int] = (), strong: bool = False):
+                 prefix: Sequence[int] = (), order: Optional[int] = None):
         self.degree = degree
         self._identity = tuple(range(degree))
         self.base: list[int] = []
@@ -249,45 +250,13 @@ class StabilizerChain:
                 raise ValueError("generator degree mismatch")
             if not g.is_identity():
                 self._insert(g)
-        if strong:
-            for level in range(len(self.base)):
+        if order is not None:       # the closure fills the deepest level
+            for level in range(len(self.base) - 1):
                 self._recompute_transversal(level)
-        else:
-            self._schreier_sims(len(self.base) - 1)
-
-    def random_element(self, rng) -> tuple:
-        """The images of a uniform random element: one random entry of
-        each transversal, multiplied up the levels."""
-        g = self._identity
-        for trans in self._transversal:
-            g = _then(trans[rng.choice(list(trans))])(g)
-        return g
-
-    def sift_to_order(self, source: "StabilizerChain", order: int) -> None:
-        """Fill the chain with the group of ``source``, of order ``order``,
-        by random Schreier-Sims with a known order (Seress, Permutation
-        Group Algorithms, section 4.3): file the residue of each random
-        element of ``source``, drawn with a fixed seed, until the basic
-        orbit sizes multiply to ``order``.  That product is at most the
-        order of the group filed, so reaching it proves the chain complete;
-        a product above it, or ``SIFT_LIMIT`` sifts in a row with no
-        residue, raises RuntimeError."""
-        rng, misses = Random(0), 0
-        while self.order() != order:
-            if self.order() > order or misses == SIFT_LIMIT:
-                raise RuntimeError(f"chain of order {self.order()} after "
-                                   f"{misses} idle sifts; claimed {order}")
-            residue = self._strip(source.random_element(rng), 0)
-            misses = misses + 1 if residue == self._identity else 0
-            if misses:
-                continue
-            filed = self._insert(_trusted(residue))
-            for level in range(filed, -1, -1):
-                # an orbit the residue maps into itself is still an orbit
-                trans = self._transversal[level]
-                if level == filed or any(residue[x] not in trans
-                                         for x in trans):
-                    self._recompute_transversal(level)
+        self._schreier_sims(len(self.base) - 1, order)
+        if order is not None and self.order() != order:
+            raise RuntimeError(f"chain of order {self.order()}, "
+                               f"claimed {order}")
 
     def extend(self, g: Permutation) -> bool:
         """Add g unless it is already a member; return whether it was added.
@@ -360,12 +329,16 @@ class StabilizerChain:
             g = _then(g)(t_inv)
         return g
 
-    def _schreier_sims(self, level: int) -> None:
+    def _schreier_sims(self, level: int, order: Optional[int] = None) -> None:
         """Close the chain from ``level`` down to 0; the levels above it
-        must already be closed."""
+        must already be closed.  With the group's ``order``, every level's
+        transversal must be filled, and the closure returns once they
+        multiply to it."""
         i = level
         while i >= 0:
             self._recompute_transversal(i)
+            if self.order() == order:
+                return
             gens = [g.images for g in self._level_gens(i)]
             then_gens = [_then(s) for s in gens]
             trans, inverses = self._transversal[i], self._inverses[i]
@@ -426,19 +399,23 @@ class StabilizerChain:
 
         yield from walk(self._identity, 0)
 
-    def _levels(self) -> list:
-        """Per level d, built once per chain: the transversal steps (the
-        identity first, then by image of base[d]) and the index of each
-        point's G_{d+1}-orbit, for the base-image searches below."""
+    def _levels(self, first: int = 0) -> list:
+        """Per level d, for the base-image searches below: the transversal
+        steps (the identity first, then by image of base[d]) and the index
+        of each point's G_{d+1}-orbit.  Each level's entry is built on first
+        use, for d from ``first`` on, and kept until the chain grows; the
+        levels above ``first`` stay None until some search reads them."""
         if self._tables is None:
-            self._tables = []
-            for d, (b, trans) in enumerate(zip(self.base, self._transversal)):
+            self._tables = [None] * len(self.base)
+        for d in range(first, len(self.base)):
+            if self._tables[d] is None:
+                b, trans = self.base[d], self._transversal[d]
                 orbits = PermGroup(self.degree,
                                    self._level_gens(d + 1)).orbits()
                 index = {q: i for i, o in enumerate(orbits) for q in o}
-                self._tables.append(
-                    ([_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
-                     tuple(index[q] for q in range(self.degree))))
+                self._tables[d] = (
+                    [_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
+                    tuple(index[q] for q in range(self.degree)))
         return self._tables
 
     def _small_supports(self, bound: int, falling: bool,
@@ -457,7 +434,7 @@ class StabilizerChain:
         (the identity branch) first.  More than ``element_cap()`` nodes
         raise CapExceededError.
         """
-        cap, depth, levels = element_cap(), len(self.base), self._levels()
+        cap, depth, levels = element_cap(), len(self.base), self._levels(root)
         found, nodes = [], 0
 
         def visit(h: tuple, d: int) -> None:
@@ -566,12 +543,11 @@ class PermGroup:
         return self._chain
 
     def chain_with_base(self, prefix: Sequence[int]) -> StabilizerChain:
-        """A chain whose base starts with the prefix points, filled by
-        sifting random elements of the group until it reaches the order of
-        ``chain`` (``StabilizerChain.sift_to_order``)."""
-        chain = StabilizerChain(self.degree, [], prefix)
-        chain.sift_to_order(self.chain, self.order())
-        return chain
+        """A chain whose base starts with the prefix points: the strong
+        generators of ``chain`` closed by Schreier-Sims on that base, which
+        stops once the basic orbits multiply to the group's order."""
+        return StabilizerChain(self.degree, self.chain._level_gens(0), prefix,
+                               order=self.order())
 
     def order(self) -> int:
         return self.chain.order()
@@ -701,9 +677,10 @@ class PermGroup:
         with b0 = min(B), G_B = <G_{b0}, u_b : b in B>, u_b sending b0 to b.
         One chain whose base starts with b0 holds both (Seress, Permutation
         Group Algorithms, ch. 4): its levels below b0 are kept, and level 0
-        gains the u_b of its first transversal, so the result carries a
-        strong chain of order |G_{b0}| |B meet b0^G| with no Schreier-Sims
-        run.  A chain of any other order raises RuntimeError."""
+        gains the u_b of its first transversal.  Those generators are strong
+        for the base, so the result's chain, told its order |G_{b0}| |B meet
+        b0^G|, strips no Schreier generator; it raises RuntimeError if they
+        close to any other order."""
         blk = frozenset(block)
         if self._block_closure(blk) != blk:
             raise ValueError(f"{sorted(blk)} is not a block of the group")
@@ -712,20 +689,17 @@ class PermGroup:
         trans = chain._transversal[0]
         reached = [b for b in sorted(blk) if b in trans]    # b0 first
         gens = chain._level_gens(1) + [_trusted(trans[b]) for b in reached[1:]]
-        sub = StabilizerChain(self.degree, gens, chain.base, strong=True)
-        want = self.order() // len(trans) * len(reached)
-        if sub.order() != want:
-            raise RuntimeError(f"block stabilizer chain of order "
-                               f"{sub.order()}, not {want}")
         group = PermGroup(self.degree, gens)
-        group._chain = sub
+        group._chain = StabilizerChain(
+            self.degree, gens, chain.base,
+            order=self.order() // len(trans) * len(reached))
         return group
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the strong generators of
         the levels below the points in ``chain`` if its base starts with
-        them, else in one chain sifted with that base.  The group itself
-        when its generators fix them."""
+        them, else in the one ``chain_with_base`` chain on them.  The group
+        itself when its generators fix them."""
         prefix = sorted(set(points))
         if all(g(p) == p for g in self.generators for p in prefix):
             return self

@@ -212,6 +212,15 @@ def reduce_generators(degree: int, elements) -> PermGroup:
     return group
 
 
+def random_element(chain: StabilizerChain, rng) -> Permutation:
+    """A uniform random element of the chain's group: one random entry of
+    each transversal, multiplied up the levels."""
+    g = chain._identity
+    for trans in chain._transversal:
+        g = _then(trans[rng.choice(list(trans))])(g)
+    return _trusted(g)
+
+
 def automorphism_group_brute(graph, max_n: int = 8) -> PermGroup:
     """The automorphism group by scanning all n! permutations."""
     if graph.n > max_n:

@@ -15,7 +15,8 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (automorphism_group_brute, closure,
                      equitable_refinement, find_twins_all_pairs,
-                     minimal_degree_full_scan, path_graph)
+                     minimal_degree_full_scan, path_graph,
+                     random_element)
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -241,14 +242,30 @@ class TestSearchFilter:
             kept = aut.group.chain
             full = StabilizerChain(graph.n, aut.group.generators)
             assert kept.order() == full.order() == aut.order
-            members = [Permutation(full.random_element(rng))
-                       for _ in range(10)]
+            members = [random_element(full, rng) for _ in range(10)]
             probes = members + [Permutation(rng.sample(range(graph.n),
                                                        graph.n))
                                 for _ in range(10)]
             assert all(kept.contains(g) for g in members)
             assert [kept.contains(g) for g in probes] == \
                 [full.contains(g) for g in probes]
+
+    def test_aut_chains_strip_no_schreier_generator(self, monkeypatch):
+        """The search's generators are strong for the first path, so the
+        chain told the order never sifts a Schreier generator below level
+        0."""
+        stripped = []
+        original = StabilizerChain._strip
+
+        def counting(self, g, level):
+            stripped.append(level)
+            return original(self, g, level)
+
+        monkeypatch.setattr(StabilizerChain, "_strip", counting)
+        for _, graph in corpus_generators(QUICK_SPEC):
+            aut = automorphism_group(graph)
+            assert aut.group.chain.order() == aut.order
+        assert [level for level in stripped if level >= 1] == []
 
     def test_point_stabilizer_reuses_the_aut_chain(self, monkeypatch):
         group = automorphism_group(petersen_graph()).group

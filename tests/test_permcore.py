@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (block_systems_all_beta, closure, is_2_transitive,
                      least_witnesses_by_scan, minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
-                     reduce_generators)
+                     random_element, reduce_generators)
 from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
                                      classify_22_group, cyclic_group,
                                      dihedral_group, pgl2, pgl3_2, psl2,
@@ -519,30 +519,72 @@ class TestStabilizers:
     @settings(max_examples=80, deadline=None)
     @given(small_groups(), st.randoms(use_true_random=False))
     def test_known_order_chain_matches_schreier_sims(self, sample, rng):
-        """The sifted chain_with_base against a Schreier-Sims chain with
-        the same prefix: order, membership and the pinned prefix."""
+        """The known-order chain_with_base against a full Schreier-Sims
+        chain with the same prefix: order, membership and the pinned
+        prefix."""
         grp, extra = sample
         n = grp.degree
         prefix = rng.sample(range(n), rng.randint(0, n))
-        sifted = grp.chain_with_base(prefix)
+        known = grp.chain_with_base(prefix)
         full = StabilizerChain(n, grp.generators, prefix)
-        assert sifted.base[:len(prefix)] == full.base[:len(prefix)] == prefix
-        assert sifted.order() == full.order() == grp.order()
-        members = [Permutation(full.random_element(rng)) for _ in range(10)]
+        assert known.base[:len(prefix)] == full.base[:len(prefix)] == prefix
+        assert known.order() == full.order() == grp.order()
+        members = [random_element(full, rng) for _ in range(10)]
         probes = members + extra + [random_perm(rng, n) for _ in range(10)]
-        assert all(sifted.contains(g) for g in members)
-        assert [sifted.contains(g) for g in probes] == \
+        assert all(known.contains(g) for g in members)
+        assert [known.contains(g) for g in probes] == \
             [full.contains(g) for g in probes]
 
     def test_wrong_claimed_order_raises(self, monkeypatch):
         grp = sym_group(4)
         # basic orbits of Sym(4) have at most 4 points, so no product is 5
         monkeypatch.setattr(PermGroup, "order", lambda self: 5)
-        with pytest.raises(RuntimeError, match="claimed 5"):
+        with pytest.raises(RuntimeError,
+                           match="chain of order 24, claimed 5"):
             grp.chain_with_base([2])           # the product passes 5
         monkeypatch.setattr(PermGroup, "order", lambda self: 48)
-        with pytest.raises(RuntimeError, match="64 idle sifts; claimed 48"):
+        with pytest.raises(RuntimeError,
+                           match="chain of order 24, claimed 48"):
             grp.chain_with_base([2])           # 24 is reached, 48 never is
+
+    def test_extended_base_change_chain_closes_fully(self):
+        """A chain_with_base chain, stopped at the known order, grows to
+        the larger group when extended by a non-member."""
+        rng = random.Random(25)
+        for grp in (wreath_product(sym_group(2), sym_group(3)), agl1(7),
+                    dihedral_group(7), alt_group(5)):
+            n = grp.degree
+            chain = grp.chain_with_base(rng.sample(range(n), 3))
+            extra = next(g for g in (random_perm(rng, n) for _ in range(100))
+                         if g not in grp)
+            assert chain.extend(extra)
+            bigger = PermGroup(n, list(grp.generators) + [extra])
+            assert chain.order() == bigger.order() > grp.order()
+            members = [random_element(bigger.chain, rng) for _ in range(10)]
+            assert all(chain.contains(g) for g in members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(imprimitive_groups(), st.randoms(use_true_random=False))
+    def test_long_prefix_chains_match_schreier_sims(self, grp, rng):
+        """chain_with_base on the points outside a block or a random
+        point set leaving one to three points, as for the restricted
+        orbits of a witness block, against a full Schreier-Sims chain."""
+        n = grp.degree
+        blocks = [sorted(grp._block_closure({0, v})) for v in range(1, n)]
+        inside = [b for b in blocks if len(b) < n][:1] + \
+            [rng.sample(range(n), rng.randint(1, min(3, n)))]
+        for keep in inside:
+            prefix = sorted(set(range(n)) - set(keep))
+            chain = grp.chain_with_base(prefix)
+            full = StabilizerChain(n, grp.generators, prefix)
+            assert chain.base[:len(prefix)] == prefix
+            assert chain.order() == full.order() == grp.order()
+            members = [random_element(full, rng) for _ in range(10)]
+            probes = members + [random_perm(rng, n) for _ in range(10)]
+            assert [chain.contains(g) for g in probes] == \
+                [full.contains(g) for g in probes]
+            assert PermGroup(n, chain._level_gens(len(prefix))).orbits() == \
+                PermGroup(n, full._level_gens(len(prefix))).orbits()
 
     @settings(max_examples=60, deadline=None)
     @given(imprimitive_groups())
@@ -564,13 +606,42 @@ class TestStabilizers:
 
     def test_wrong_block_stabilizer_order_raises(self, monkeypatch):
         grp = wreath_product(sym_group(2), sym_group(3))
-        # the sifted chain is told the true order 48, the re-check 96, so
-        # the kept chain of order 8 * 1 falls short of 96 // 6 * 1
-        answers = iter([48, 96])
-        monkeypatch.setattr(PermGroup, "order", lambda self: next(answers))
-        with pytest.raises(RuntimeError,
-                           match="block stabilizer chain of order 8, not 16"):
-            grp.block_stabilizer([0])
+        # the base-change chain is told the true order 48, G_B's chain
+        # 96 // 6 * 1 = 16 (above its true 8) or 24 // 6 * 1 = 4 (which
+        # the strong generators' product of 8 passes at once)
+        for told, claim in ((96, 16), (24, 4)):
+            answers = iter([48, told])
+            monkeypatch.setattr(PermGroup, "order",
+                                lambda self: next(answers))
+            with pytest.raises(RuntimeError,
+                               match=f"chain of order 8, claimed {claim}$"):
+                grp.block_stabilizer([0])
+
+    def test_block_stabilizer_chain_strips_no_schreier_generator(
+            self, monkeypatch):
+        """G_B's generators are strong for the base-change chain's base,
+        so G_B's chain, told its order, sifts no Schreier generator below
+        level 0."""
+        stripped = []
+        original = StabilizerChain._strip
+
+        def counting(self, g, level):
+            stripped.append(level)
+            return original(self, g, level)
+
+        for grp in (wreath_product(sym_group(3), sym_group(2)),
+                    wreath_product(sym_group(2), sym_group(4)),
+                    wreath_product(agl1(5), sym_group(2))):
+            bs = grp.minimal_block_system()
+            block = bs.blocks[-1]
+            base_change = grp.chain_with_base([min(block)])
+            monkeypatch.setattr(PermGroup, "chain_with_base",
+                                lambda self, prefix: base_change)
+            monkeypatch.setattr(StabilizerChain, "_strip", counting)
+            stab = grp.block_stabilizer(block)
+            assert stab.order() == grp.order() // len(bs)
+            assert [level for level in stripped if level >= 1] == []
+            monkeypatch.undo()
 
     def test_non_blocks_are_rejected(self):
         rng = random.Random(14)
@@ -671,7 +742,7 @@ class TestMinimalDegree:
     def test_search_tables_are_built_once_per_chain(self, monkeypatch):
         """_find_p_cycle(p=None) tries the primes 2, 3, 5, 7 on C7 with one
         build of the search tables (one orbits call per level); a chain
-        that grows drops them."""
+        that grows drops them, and a level's table is built on first use."""
         c7 = PermGroup(7, [Permutation.from_cycles(7, [list(range(7))])])
         calls = []
         original = PermGroup.orbits
@@ -689,6 +760,14 @@ class TestMinimalDegree:
         assert c7.chain.extend(Permutation.from_cycles(7, [[0, 1]]))
         assert c7.chain._tables is None
         assert len(c7.small_support_elements(2)) == 21   # Sym(7)
+        # a least-support search of a transitive group walks G_0 alone,
+        # so level 0's table is built only once a full search reads it
+        s5 = sym_group(5)
+        assert s5.minimal_degree() == 2
+        assert s5.chain._tables[0] is None
+        assert None not in s5.chain._tables[1:]
+        assert len(s5.small_support_elements(2)) == 10
+        assert None not in s5.chain._tables
 
     def test_search_nodes_are_capped(self, monkeypatch):
         monkeypatch.setenv("SMALLMOTION_CAP", "100")
