@@ -7,6 +7,16 @@ first as a lex form (complete, edgeless, C5, prism, or co-prism fibres
 over a vertex-transitive quotient; for motion 2 the block is a twin
 class), then as a paired-fibre graph.  One that fits neither is reported
 as unclassified with diagnostics, never silently dropped.
+
+The paired fibres are read off the graph.  Split a block B of Aut into
+classes of vertices with equal neighbourhood outside B; with at most two
+classes, these are the orbits on B of Z, the pointwise stabilizer of the
+complement of B.  Proof: a permutation fixing the complement pointwise is
+an automorphism iff it is one of the subgraph on B mapping each class onto
+itself, so each Z-orbit lies in a class.  The block stabilizer is
+transitive on B and permutes the classes; an element of it sending a to
+a' in one class maps that class, and so the other one, onto itself, so
+its action on B, extended by the identity, lies in Z.
 """
 
 from __future__ import annotations
@@ -25,8 +35,7 @@ from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
                         invariant_graphs_under, lex_product, matching_graph,
                         prism_graph, quotient_graph, to_graph6)
 from .grouptables import even_flips_rtimes_sym, tau_cross_sym
-from .permcore import (CapExceededError, Permutation, _is_prime, format_cycles,
-                       transversal)
+from .permcore import CapExceededError, Permutation, _is_prime, format_cycles
 
 FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
              "inf", "unclassified")
@@ -76,14 +85,14 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 # decomposition over the witness block
 
-def _restricted_orbits(group, block: tuple[int, ...]):
-    """Orbits on the block of the pointwise stabilizer of its complement."""
-    blockset = frozenset(block)
-    z = group.pointwise_stabilizer(set(range(group.degree)) - blockset)
-    orbits = [o for o in z.orbits() if o & blockset]
-    if not all(o <= blockset for o in orbits):
-        raise RuntimeError(f"an orbit leaves the block {block}")
-    return [tuple(sorted(o)) for o in orbits]
+def _outside_classes(graph: Graph, block) -> list[tuple[int, ...]]:
+    """The block's vertices grouped by their neighbourhood outside it, as
+    sorted tuples in sorted order."""
+    outside = ~sum(1 << v for v in block)
+    classes: dict[int, list[int]] = {}
+    for v in sorted(block):
+        classes.setdefault(graph.adj[v] & outside, []).append(v)
+    return sorted(map(tuple, classes.values()))
 
 
 def _lex_fibres(size: int):
@@ -120,33 +129,24 @@ _INF_FORMS = ((1, 0, matching_graph),
               (0, 0, lambda m: prism_graph(m).complement()))
 
 
-def _try_inf_form(graph: Graph, mu: int, bs, aut,
+def _try_inf_form(graph: Graph, mu: int, bs,
                   delta: Graph) -> Optional[ClassificationReport]:
-    """``delta``: the subgraph induced on the first block of bs."""
-    size = delta.n
-    if size < 4 or size % 2:
-        return None
-    m = size // 2
-    lam = kap = None
-    for lam_c, kap_c, build in _INF_FORMS:
-        if are_isomorphic(delta, build(m)) is not None:
-            lam, kap = lam_c, kap_c
-            break
-    if lam is None:
-        return None
-    # the fibres are the orbits, inside each block, of the pointwise
-    # stabilizer of that block's complement: expect two orbits of size m.
-    # An element g mapping the first block onto another conjugates the
-    # stabilizers, so it maps the first block's orbits onto the other's.
-    orbits = _restricted_orbits(aut, bs.blocks[0])
-    if len(orbits) != 2 or any(len(o) != m for o in orbits):
-        return None
-    a = bs.blocks[0][0]
-    moves = transversal(aut.identity(), aut.generators, key=lambda h: h(a))
+    """``delta``: the subgraph induced on the first block of bs.  The
+    fibres are each block's two classes of size m >= 2 of vertices with
+    equal neighbourhood outside it: the orbits of the pointwise stabilizer
+    of the block's complement, by the lemma in the module docstring."""
+    m = delta.n // 2
     fibres: list[tuple[int, ...]] = []
     for block in bs.blocks:
-        g = moves[block[0]]
-        fibres.extend(sorted(tuple(sorted(map(g, o))) for o in orbits))
+        classes = _outside_classes(graph, block)
+        if m < 2 or [len(c) for c in classes] != [m, m]:
+            return None
+        fibres.extend(classes)
+    for lam, kap, build in _INF_FORMS:
+        if are_isomorphic(delta, build(m)) is not None:
+            break
+    else:
+        return None
     sigma = quotient_graph(graph, fibres)
     pairs = alternate_matching(sigma.n)
     reconstruction = inf_graph(InfParams(lam, kap, m), sigma, pairs)
@@ -184,7 +184,7 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     bs = group.block_system_from(block)
     delta, _ = graph.induced_subgraph(bs.blocks[0])
     report = _try_lex_form(graph, mu, bs, delta) or \
-        _try_inf_form(graph, mu, bs, group, delta)
+        _try_inf_form(graph, mu, bs, delta)
     if report is not None:
         return report
     return ClassificationReport(

@@ -189,18 +189,6 @@ def orbit(seed, maps: Sequence, key=None) -> Iterator:
                 queue.append(y)
 
 
-def transversal(identity: Permutation, generators: Sequence[Permutation],
-                key) -> dict:
-    """{key(h): h} for the first h found per key among the products
-    ``identity * g1 * g2 * ...`` of generators, breadth first.
-
-    With ``key(h) = h(a)`` this is the Schreier-tree transversal of the
-    orbit of a: each element maps a to its key.
-    """
-    maps = [lambda h, g=g: h * g for g in generators]
-    return {key(h): h for h in orbit(identity, maps, key)}
-
-
 # ---------------------------------------------------------------------------
 # cycle notation (1-indexed, for output)
 
@@ -224,14 +212,15 @@ class StabilizerChain:
     its pointwise stabilizer; a generator that fixes the whole base adds
     the least point it moves.  ``_transversal[l]`` maps each point x of the
     level-l basic orbit to the images of an element sending base[l] to x,
-    and ``_inverses[l]`` to the images of its inverse.  The generators are
-    closed by deterministic Schreier-Sims.  Given the group's ``order``,
-    every level's transversal is computed first and the closure stops once
-    the basic orbits multiply to it (Seress, Permutation Group Algorithms,
-    section 4.3): that product never passes the order of the group filed,
-    so reaching it proves the chain complete, and generators already strong
-    for the base strip no Schreier generator.  A closure that ends at
-    another order raises RuntimeError.
+    and ``_inverses[l]`` to the images of its inverse, built from the
+    inverse each strong generator keeps in ``_gen_inverses`` from the time
+    it is filed.  The generators are closed by deterministic Schreier-Sims.
+    Given the group's ``order``, every level's transversal is computed
+    first and the closure stops once the basic orbits multiply to it
+    (Seress, Permutation Group Algorithms, section 4.3): that product never
+    passes the order of the group filed, so reaching it proves the chain
+    complete, and generators already strong for the base strip no Schreier
+    generator.  A closure that ends at another order raises RuntimeError.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -240,6 +229,7 @@ class StabilizerChain:
         self._identity = tuple(range(degree))
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
+        self._gen_inverses: list[list] = []     # _then of each inverse
         self._transversal: list[dict[int, tuple]] = []
         self._inverses: list[dict[int, tuple]] = []
         self._tables: Optional[list] = None     # of _levels
@@ -275,6 +265,7 @@ class StabilizerChain:
     def _add_level(self, point: int) -> None:
         self.base.append(point)
         self._gens.append([])
+        self._gen_inverses.append([])
         self._transversal.append({})
         self._inverses.append({})
 
@@ -287,6 +278,7 @@ class StabilizerChain:
         if lvl == len(self.base):
             self._add_level(next(b for b in range(self.degree) if g(b) != b))
         self._gens[lvl].append(g)
+        self._gen_inverses[lvl].append(_then(g.inverse().images))
         return lvl
 
     def _level_gens(self, level: int) -> list[Permutation]:
@@ -294,10 +286,10 @@ class StabilizerChain:
 
     def _recompute_transversal(self, level: int) -> None:
         b = self.base[level]
-        level_gens = self._level_gens(level)
-        gens = [g.images for g in level_gens]
+        gens = [g.images for g in self._level_gens(level)]
         # (t * s)^-1 = s^-1 * t^-1
-        left_inv = [_then(g.inverse().images) for g in level_gens]
+        left_inv = [f for lvl in range(level, len(self._gen_inverses))
+                    for f in self._gen_inverses[lvl]]
         trans = {b: self._identity}
         inverses = {b: self._identity}
         frontier = [b]
@@ -543,9 +535,14 @@ class PermGroup:
         return self._chain
 
     def chain_with_base(self, prefix: Sequence[int]) -> StabilizerChain:
-        """A chain whose base starts with the prefix points: the strong
-        generators of ``chain`` closed by Schreier-Sims on that base, which
-        stops once the basic orbits multiply to the group's order."""
+        """A chain whose base starts with the prefix points: ``chain``
+        itself when its base does (so the caller must not extend it), else
+        the strong generators of ``chain`` closed by Schreier-Sims on that
+        base, which stops once the basic orbits multiply to the group's
+        order."""
+        prefix = list(prefix)
+        if self.chain.base[:len(prefix)] == prefix:
+            return self.chain
         return StabilizerChain(self.degree, self.chain._level_gens(0), prefix,
                                order=self.order())
 
@@ -676,11 +673,12 @@ class PermGroup:
         """G_B for a block B (ValueError unless B is its own block closure):
         with b0 = min(B), G_B = <G_{b0}, u_b : b in B>, u_b sending b0 to b.
         One chain whose base starts with b0 holds both (Seress, Permutation
-        Group Algorithms, ch. 4): its levels below b0 are kept, and level 0
-        gains the u_b of its first transversal.  Those generators are strong
-        for the base, so the result's chain, told its order |G_{b0}| |B meet
-        b0^G|, strips no Schreier generator; it raises RuntimeError if they
-        close to any other order."""
+        Group Algorithms, ch. 4), ``chain`` itself when b0 is its first base
+        point: its levels below b0 are kept, and level 0 gains the u_b of
+        its first transversal.  Those generators are strong for the base,
+        so the result's chain, told its order |G_{b0}| |B meet b0^G|, strips
+        no Schreier generator; it raises RuntimeError if they close to any
+        other order."""
         blk = frozenset(block)
         if self._block_closure(blk) != blk:
             raise ValueError(f"{sorted(blk)} is not a block of the group")
@@ -697,16 +695,13 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """The elements fixing every given point: the strong generators of
-        the levels below the points in ``chain`` if its base starts with
-        them, else in the one ``chain_with_base`` chain on them.  The group
-        itself when its generators fix them."""
+        the levels below the points in ``chain_with_base`` on them.  The
+        group itself when its generators fix them."""
         prefix = sorted(set(points))
         if all(g(p) == p for g in self.generators for p in prefix):
             return self
-        chain = self.chain
-        if chain.base[:len(prefix)] != prefix:
-            chain = self.chain_with_base(prefix)
-        return PermGroup(self.degree, chain._level_gens(len(prefix)))
+        return PermGroup(self.degree, self.chain_with_base(prefix)
+                         ._level_gens(len(prefix)))
 
     # -- closures and minimal degree -------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .permcore import BlockSystem, PermGroup, Permutation, transversal
+from .permcore import BlockSystem, PermGroup, Permutation
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,18 @@ class Embedding:
     verified: bool
 
 
-def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
-    """For each block, a group element mapping block 0 onto it (BFS order)."""
-    k = len(bs.blocks)
-    anchor = bs.blocks[0][0]
-    reps = transversal(group.identity(), group.generators,
-                       key=lambda h: bs.block_of[h(anchor)])
-    if len(reps) != k:
+def _block_transversal(group: PermGroup, bs: BlockSystem):
+    """For each block, an element mapping block 0 onto it, and for each
+    its inverse: with a = min(block 0), the level-0 transversal entry and
+    stored inverse, at the block's least point in a's orbit, of the chain
+    ``group.chain_with_base([a])`` that ``block_stabilizer`` reads too."""
+    chain = group.chain_with_base([min(bs.blocks[0])])
+    trans, inverses = chain._transversal[0], chain._inverses[0]
+    points = [next((x for x in blk if x in trans), None) for blk in bs.blocks]
+    if None in points:
         raise ValueError("group is not transitive on the blocks")
-    return [reps[j] for j in range(k)]
+    return ([Permutation(trans[x]) for x in points],
+            [Permutation(inverses[x]) for x in points])
 
 
 def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
@@ -112,12 +115,12 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     inner = group.block_stabilizer(block0).restriction(block0)
     outer = group.action_on_blocks(bs)
     lab = WreathLabeling(len(block0), len(bs.blocks))
-    trans = _block_transversal(group, bs)
+    _, inverses = _block_transversal(group, bs)
     pos = {v: i for i, v in enumerate(block0)}
 
     def f_point(omega: int) -> int:
         j = bs.block_of[omega]
-        delta = pos[trans[j].inverse()(omega)]
+        delta = pos[inverses[j](omega)]
         return lab.flat(delta, j)
 
     f = Permutation([f_point(omega) for omega in range(group.degree)])
@@ -167,11 +170,10 @@ def verify_sandwich(group: PermGroup, bs: BlockSystem,
     g_block = group.block_stabilizer(block)
     x_group = g_block.normal_closure(x)
     failures = []
-    trans = _block_transversal(group, bs)
-    t0_inv = trans[j0].inverse()
+    trans, inverses = _block_transversal(group, bs)
     copies_ok = True
     for j in range(len(bs.blocks)):
-        mover = t0_inv * trans[j]       # maps block j0 onto block j
+        mover = inverses[j0] * trans[j]     # maps block j0 onto block j
         for gen in x_group.generators:
             copy_gen = gen.conjugate(mover)
             if copy_gen not in group:

@@ -1,15 +1,16 @@
 """Brute-force oracles: exhaustive scans the fast code is checked against,
-and the small graph grids and graph helpers the tests share."""
+and the small graph grids, graph helpers and counters the tests share."""
 
 import itertools
 
 from smallmotion.autengine import automorphism_group, find_twins
-from smallmotion.classify import (ClassificationReport, _try_inf_form,
+from smallmotion.classify import (_INF_FORMS, ClassificationReport,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
-                                   _SourcePath, are_isomorphic,
-                                   complete_graph, empty_graph, lex_product,
+                                   _SourcePath, alternate_matching,
+                                   are_isomorphic, complete_graph,
+                                   empty_graph, inf_graph, lex_product,
                                    quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
@@ -140,6 +141,22 @@ def inf_grid():
             for lam, kap in itertools.product((0, 1), repeat=2):
                 for m in (2, 3):
                     yield token, mname, InfParams(lam, kap, m), sigma, pairs
+
+
+def count_base_changes(monkeypatch) -> list:
+    """The prefixes of the ``PermGroup.chain_with_base`` calls from now on
+    that build a chain, not return the group's own."""
+    built = []
+    original = PermGroup.chain_with_base
+
+    def counting(self, prefix):
+        chain = original(self, prefix)
+        if chain is not self.chain:
+            built.append(tuple(prefix))
+        return chain
+
+    monkeypatch.setattr(PermGroup, "chain_with_base", counting)
+    return built
 
 
 def power(p: Permutation, k: int) -> Permutation:
@@ -359,10 +376,45 @@ def decompose_motion2_twins(graph):
         verified=are_isomorphic(reconstruction, graph) is not None)
 
 
+def restricted_orbits(group: PermGroup, block) -> list[tuple[int, ...]]:
+    """The orbits on the block of the pointwise stabilizer of its
+    complement, sorted (oracle for ``classify._outside_classes``, which
+    reads the paired fibres off the graph instead)."""
+    blockset = frozenset(block)
+    z = group.pointwise_stabilizer(set(range(group.degree)) - blockset)
+    orbits = [o for o in z.orbits() if o & blockset]
+    if not all(o <= blockset for o in orbits):
+        raise RuntimeError(f"an orbit leaves the block {block}")
+    return sorted(tuple(sorted(o)) for o in orbits)
+
+
+def inf_form_by_orbits(graph, bs, group, delta):
+    """The motion-4 paired-fibre report over bs whose fibres are each
+    block's two restricted orbits of size m, else None (oracle for
+    ``classify._try_inf_form``)."""
+    m = delta.n // 2
+    forms = [(lam, kap) for lam, kap, build in _INF_FORMS
+             if m >= 2 and are_isomorphic(delta, build(m)) is not None]
+    if not forms:
+        return None
+    fibres = [restricted_orbits(group, block) for block in bs.blocks]
+    if any([len(o) for o in orbits] != [m, m] for orbits in fibres):
+        return None
+    (lam, kap), sigma = forms[0], quotient_graph(graph, sum(fibres, []))
+    pairs = alternate_matching(sigma.n)
+    reconstruction = inf_graph(InfParams(lam, kap, m), sigma, pairs)
+    if are_isomorphic(reconstruction, graph) is None:
+        return None
+    return ClassificationReport(
+        motion=4, form="inf", m=m, sigma=sigma, pairs=pairs, lam=lam,
+        kap=kap, reconstruction=reconstruction, verified=True)
+
+
 def decompose_motion4_all_systems(graph):
     """The motion-4 decomposition over every block system of Aut plus the
     whole vertex set: the lex forms on each system in turn, then the
-    paired-fibre form on each.  The first report that fits, else None."""
+    paired-fibre form on each, its fibres found by the group.  The first
+    report that fits, else None."""
     group = automorphism_group(graph).group
     candidates = block_systems_all_beta(group) + [
         BlockSystem.from_blocks(graph.n, [range(graph.n)])]
@@ -372,7 +424,7 @@ def decompose_motion4_all_systems(graph):
         if report is not None:
             return report
     for bs, delta in zip(candidates, deltas):
-        report = _try_inf_form(graph, 4, bs, group, delta)
+        report = inf_form_by_orbits(graph, bs, group, delta)
         if report is not None:
             return report
     return None

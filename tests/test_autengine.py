@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (automorphism_group_brute, closure,
+from oracles import (automorphism_group_brute, closure, count_base_changes,
                      equitable_refinement, find_twins_all_pairs,
                      minimal_degree_full_scan, path_graph,
                      random_element)
@@ -270,9 +270,7 @@ class TestSearchFilter:
     def test_point_stabilizer_reuses_the_aut_chain(self, monkeypatch):
         group = automorphism_group(petersen_graph()).group
         assert group.chain.base[0] == 0
-        built = []
-        monkeypatch.setattr(PermGroup, "chain_with_base",
-                            lambda self, prefix: built.append(prefix))
+        built = count_base_changes(monkeypatch)
         stab = group.pointwise_stabilizer([0])
         assert not built and stab.order() == 12
         assert all(g(0) == 0 for g in stab.generators)

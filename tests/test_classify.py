@@ -1,13 +1,17 @@
 """Motion-2/4 decomposition, paired-fibre criteria, and the corpus driver."""
 
+import functools
 import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (decompose_motion2_twins,
+from oracles import (block_systems_all_beta, count_base_changes,
+                     decompose_motion2_twins,
                      decompose_motion4_all_systems, inf_grid, path_graph,
-                     with_edge_removed)
+                     relabel, restricted_orbits, with_edge_removed)
 from smallmotion import autengine, classify, cli
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion, motion_witness, transitivity_aut)
@@ -22,7 +26,7 @@ from smallmotion.graphcore import (InfParams, are_isomorphic,
                                    inf_graph, lex_product,
                                    petersen_graph, prism_graph, spx_graph,
                                    to_graph6)
-from smallmotion.permcore import PermGroup, format_cycles
+from smallmotion.permcore import Permutation, format_cycles
 
 
 def _assert_one_restricted_orbit(aut, witness):
@@ -30,7 +34,17 @@ def _assert_one_restricted_orbit(aut, witness):
     complement: Aut of the fibre, acting on the block alone, lies in Aut."""
     group = aut.group
     block = group._block_closure(witness[1].support())
-    assert len(classify._restricted_orbits(group, tuple(sorted(block)))) == 1
+    assert len(restricted_orbits(group, block)) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def motion4_graphs():
+    """The vertex-transitive motion-4 graphs of the default corpus and the
+    paired-fibre grid."""
+    graphs = [g for _, g in corpus_generators(CorpusSpec())]
+    graphs += [inf_graph(params, sigma, pairs)
+               for _, _, params, sigma, pairs in inf_grid()]
+    return [g for g in graphs if is_vertex_transitive(g) and motion(g) == 4]
 
 
 class TestMotion2Decomposition:
@@ -127,21 +141,43 @@ class TestMotion4Decomposition:
             assert rep.verified, (token, mname, params)
 
     def test_one_chain_per_block_system(self, monkeypatch):
-        """The restricted orbits of a paired-fibre graph are computed once,
-        on the witness block, after its subgraph matched a paired fibre."""
+        """The paired fibres are read off the graph: decomposing a
+        paired-fibre graph builds no base-change chain."""
         g = inf_graph(InfParams(0, 1, 3), cycle_graph(8),
                       sigma_matchings("cycle:8")[0][1])
-        built = []
-        original = PermGroup.chain_with_base
-
-        def counting(self, prefix):
-            built.append(tuple(prefix))
-            return original(self, prefix)
-
-        monkeypatch.setattr(PermGroup, "chain_with_base", counting)
+        built = count_base_changes(monkeypatch)
         rep = decompose(g)
         assert rep.form == "inf" and rep.verified
-        assert len(built) == 1
+        assert built == []
+
+    def test_corpus_round_builds_no_base_change_chain(self, monkeypatch):
+        """A verify_graph round over the default corpus, its 28
+        paired-fibre graphs included, builds no chain_with_base chain."""
+        built = count_base_changes(monkeypatch)
+        records = [verify_graph(item)
+                   for item in corpus_generators(CorpusSpec())]
+        assert sum(rec.form == "inf" for rec in records) == 28
+        assert built == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_outside_classes_match_restricted_orbits(self, data):
+        """On every block of every block system of a relabelled motion-4
+        graph, the classes of equal outside neighbourhood are two of size
+        m exactly when the restricted orbits are, and then the same parts;
+        with at most two classes they are the orbits (the fibre lemma)."""
+        g = data.draw(st.sampled_from(motion4_graphs()))
+        g = relabel(g, data.draw(st.permutations(range(g.n)).map(Permutation)))
+        group = automorphism_group(g).group
+        for bs in block_systems_all_beta(group):
+            m = len(bs.blocks[0]) // 2
+            for block in bs.blocks:
+                classes = classify._outside_classes(g, block)
+                orbits = restricted_orbits(group, block)
+                assert ([len(c) for c in classes] == [m, m]) == \
+                    ([len(o) for o in orbits] == [m, m])
+                if len(classes) <= 2:
+                    assert classes == orbits
 
     def test_witness_block_matches_all_systems_search(self):
         """The witness block gives the report the search over every block

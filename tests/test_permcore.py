@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_systems_all_beta, closure, is_2_transitive,
-                     least_witnesses_by_scan, minimal_degree_full_scan,
+from oracles import (block_systems_all_beta, closure, count_base_changes,
+                     is_2_transitive, least_witnesses_by_scan,
+                     minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      random_element, reduce_generators)
 from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
@@ -19,7 +20,7 @@ from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
                                   format_cycles, is_two_two,
-                                  permutation_isomorphic, transversal)
+                                  permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
 
@@ -78,27 +79,6 @@ def reference_normal_closure(grp, x):
         gens.append(h)
         queue.extend(h.conjugate(g) for g in grp.generators)
     return gens
-
-
-def reference_transporter(grp, a, b):
-    """Breadth-first search over points, extending the representatives
-    one generator at a time, stopping at b."""
-    if a == b:
-        return grp.identity()
-    reps = {a: grp.identity()}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in grp.generators:
-                y = g(x)
-                if y not in reps:
-                    reps[y] = reps[x] * g
-                    if y == b:
-                        return reps[y]
-                    nxt.append(y)
-        frontier = nxt
-    return None
 
 
 def is_block(grp, points):
@@ -329,23 +309,17 @@ class TestOrbitsAndBlocks:
         assert not grp.is_transitive()
 
     def test_transporter(self):
+        """The level-0 transversal of a chain based at a holds a member
+        mapping a to each point of its orbit, and its stored inverse."""
         rng = random.Random(10)
         grp = random_group(rng, 6)
         for a in range(6):
-            for b in grp.orbit(a):
-                t = transversal(grp.identity(), grp.generators,
-                                key=lambda h: h(a)).get(b)
-                assert t is not None and t(a) == b and t in grp
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_groups())
-    def test_transporter_matches_bfs_reference(self, sample):
-        grp, _ = sample
-        for a in range(grp.degree):
-            moves = transversal(grp.identity(), grp.generators,
-                                key=lambda h: h(a))
-            for b in range(grp.degree):
-                assert moves.get(b) == reference_transporter(grp, a, b)
+            chain = grp.chain_with_base([a])
+            assert set(chain._transversal[0]) == grp.orbit(a)
+            for b, images in chain._transversal[0].items():
+                t = Permutation(images)
+                assert t(a) == b and t in grp
+                assert Permutation(chain._inverses[0][b]) == t.inverse()
 
     def test_minimal_block_scan_order(self):
         c6 = PermGroup(6, [Permutation.from_cycles(6, [list(range(6))])])
@@ -516,6 +490,38 @@ class TestStabilizers:
         assert chain.base == [4, 3, 0]
         assert chain.order() == 3
 
+    def test_chain_with_base_reuses_a_chain_on_that_base(self):
+        grp = sym_group(5)
+        chain = grp.chain
+        assert grp.chain_with_base([]) is chain
+        assert grp.chain_with_base(chain.base[:2]) is chain
+        other = grp.chain_with_base([1])
+        assert other is not chain and other.base[0] == 1
+        assert grp.chain_with_base(chain.base[1:2]) is not chain
+
+    def test_each_strong_generator_is_inverted_once(self, monkeypatch):
+        """A chain inverts each strong generator once, when it files it,
+        however often Schreier-Sims recomputes a level's transversal."""
+        inverted = []
+        original = Permutation.inverse
+
+        def counting(self):
+            inverted.append(self)
+            return original(self)
+
+        for grp in (sym_group(6), alt_group(5), agl1(7),
+                    wreath_product(sym_group(3), sym_group(2))):
+            grp.order()
+            monkeypatch.setattr(Permutation, "inverse", counting)
+            chain = grp.chain_with_base([3, 1])
+            monkeypatch.undo()
+            assert sorted(inverted) == sorted(chain._level_gens(0))
+            inverted.clear()
+            for trans, inverses in zip(chain._transversal, chain._inverses):
+                for x, images in trans.items():
+                    assert Permutation(inverses[x]) == \
+                        Permutation(images).inverse()
+
     @settings(max_examples=80, deadline=None)
     @given(small_groups(), st.randoms(use_true_random=False))
     def test_known_order_chain_matches_schreier_sims(self, sample, rng):
@@ -606,16 +612,18 @@ class TestStabilizers:
 
     def test_wrong_block_stabilizer_order_raises(self, monkeypatch):
         grp = wreath_product(sym_group(2), sym_group(3))
-        # the base-change chain is told the true order 48, G_B's chain
-        # 96 // 6 * 1 = 16 (above its true 8) or 24 // 6 * 1 = 4 (which
-        # the strong generators' product of 8 passes at once)
-        for told, claim in ((96, 16), (24, 4)):
-            answers = iter([48, told])
-            monkeypatch.setattr(PermGroup, "order",
-                                lambda self: next(answers))
-            with pytest.raises(RuntimeError,
-                               match=f"chain of order 8, claimed {claim}$"):
-                grp.block_stabilizer([0])
+        # G_B's chain is told 96 // 6 * 1 = 16 (above its true 8) or
+        # 24 // 6 * 1 = 4 (which the strong generators' product of 8
+        # passes at once); for the block {1} the base-change chain on 1 is
+        # told the true order 48 first, the block {0} reads grp.chain
+        for block, first in (([0], []), ([1], [48])):
+            for told, claim in ((96, 16), (24, 4)):
+                answers = iter(first + [told])
+                monkeypatch.setattr(PermGroup, "order",
+                                    lambda self: next(answers))
+                with pytest.raises(RuntimeError, match=f"chain of order 8, "
+                                   f"claimed {claim}$"):
+                    grp.block_stabilizer(block)
 
     def test_block_stabilizer_chain_strips_no_schreier_generator(
             self, monkeypatch):
@@ -642,6 +650,25 @@ class TestStabilizers:
             assert stab.order() == grp.order() // len(bs)
             assert [level for level in stripped if level >= 1] == []
             monkeypatch.undo()
+
+    def test_block_stabilizer_at_the_first_base_point_reuses_the_chain(
+            self, monkeypatch):
+        """block_stabilizer of a block whose least point is base[0] reads
+        the group's own chain: chain_with_base builds no chain."""
+        built = count_base_changes(monkeypatch)
+        for grp in (wreath_product(sym_group(3), sym_group(2)),
+                    wreath_product(sym_group(2), sym_group(4)),
+                    wreath_product(agl1(5), sym_group(2)), pgl2(5)):
+            blocks = [bs.blocks[0] for bs in block_systems_all_beta(grp)]
+            for block in blocks + [(0,), tuple(range(grp.degree))]:
+                assert min(block) == grp.chain.base[0]
+                stab = grp.block_stabilizer(block)
+                assert stab.order() == grp.order() * len(block) // grp.degree
+        assert built == []
+        wreath_product(sym_group(2), sym_group(3)).block_stabilizer([1, 0])
+        assert built == []
+        wreath_product(sym_group(2), sym_group(3)).block_stabilizer([3, 2])
+        assert built == [(2,)]
 
     def test_non_blocks_are_rejected(self):
         rng = random.Random(14)
