@@ -14,10 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .permcore import (CAP_VARIABLE, CapExceededError, PermGroup, Permutation,
-                       element_cap, orbit)
-
-MAX_PAIR_ORBITS = 20
+from .permcore import (CAP_VARIABLE, MAX_PAIR_ORBITS, CapExceededError,
+                       PermGroup, Permutation, element_cap, orbit)
 
 
 class Graph:

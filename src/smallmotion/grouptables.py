@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from math import factorial, gcd, prod
 from typing import Callable, Optional
 
-from .permcore import (CapExceededError, PermGroup, Permutation, is_two_two,
-                       orbit, permutation_isomorphic, _is_prime, _then)
+from .permcore import (SUBGROUP_LATTICE_LIMIT, CapExceededError, PermGroup,
+                       Permutation, is_two_two, orbit, permutation_isomorphic,
+                       _is_prime, _then)
 from .wreath import wreath_product
-
-SUBGROUP_LATTICE_LIMIT = 200
 
 
 class NotConstructibleError(ValueError):

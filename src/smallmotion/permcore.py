@@ -19,8 +19,11 @@ from math import gcd, isqrt
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
+# The fixed limits; reaching one raises CapExceededError (exit code 3).
 CAP_VARIABLE = "SMALLMOTION_CAP"
 DEFAULT_CAP = 10**6
+MAX_PAIR_ORBITS = 20
+SUBGROUP_LATTICE_LIMIT = 200
 
 
 def element_cap() -> int:

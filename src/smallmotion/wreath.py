@@ -4,12 +4,13 @@ A wreath product of an inner group on m points and an outer group on k
 points acts on m*k points; the pair (delta, lam) is flattened to
 lam*m + delta, so the canonical blocks are the k consecutive runs of m
 points.  Base-group elements are stored as flat permutations, never as
-function objects.
+function objects.  An embedding is verified when every generator's image
+lies in (block action on one block) wr (action on the blocks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .permcore import BlockSystem, PermGroup, Permutation
 
@@ -74,11 +75,13 @@ def _pair_map(lab: WreathLabeling, image) -> Permutation:
 
 @dataclass
 class Embedding:
-    """A verified permutation embedding into a wreath product.
+    """A permutation embedding into a wreath product.
 
-    ``f`` is the point bijection onto the wreath labeling, ``phi`` maps each
-    generator to its image, and f(w^g) = f(w)^phi(g) holds for every point
-    and generator when ``verified`` is True.
+    ``f`` is the point bijection onto the wreath labeling and ``phi`` maps
+    each generator g to f^-1 g f, so f(w^g) = f(w)^phi(g) holds for any
+    bijection.  ``verified`` is the check that can fail: every phi(g) lies
+    in ``target`` = ``inner`` wr ``outer``, built independently from the
+    block stabilizer's action on block 0 and the action on the blocks.
     """
 
     f: Permutation
@@ -90,23 +93,23 @@ class Embedding:
     verified: bool
 
 
-def _block_transversal(group: PermGroup, bs: BlockSystem):
-    """For each block, an element mapping block 0 onto it, and for each
-    its inverse: with a = min(block 0), the level-0 transversal entry and
-    stored inverse, at the block's least point in a's orbit, of the chain
+def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
+    """For each block, an element mapping it onto block 0: with
+    a = min(block 0), the stored inverse of the level-0 transversal entry,
+    at the block's least point in a's orbit, of the chain
     ``group.chain_with_base([a])`` that ``block_stabilizer`` reads too."""
     chain = group.chain_with_base([min(bs.blocks[0])])
-    trans, inverses = chain._transversal[0], chain._inverses[0]
-    points = [next((x for x in blk if x in trans), None) for blk in bs.blocks]
+    inverses = chain._inverses[0]
+    points = [next((x for x in blk if x in inverses), None) for blk in bs.blocks]
     if None in points:
         raise ValueError("group is not transitive on the blocks")
-    return ([Permutation(trans[x]) for x in points],
-            [Permutation(inverses[x]) for x in points])
+    return [Permutation(inverses[x]) for x in points]
 
 
 def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     """Embed a transitive imprimitive group into (block action on one
-    block) wr (action on blocks), verifying the embedding relation."""
+    block) wr (action on blocks), checking that every generator's image
+    lies in that wreath product."""
     if not group.is_invariant_partition(bs):
         raise ValueError("partition is not invariant under the group")
     if not group.is_transitive():
@@ -115,7 +118,7 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     inner = group.block_stabilizer(block0).restriction(block0)
     outer = group.action_on_blocks(bs)
     lab = WreathLabeling(len(block0), len(bs.blocks))
-    _, inverses = _block_transversal(group, bs)
+    inverses = _block_transversal(group, bs)
     pos = {v: i for i, v in enumerate(block0)}
 
     def f_point(omega: int) -> int:
@@ -124,68 +127,9 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
         return lab.flat(delta, j)
 
     f = Permutation([f_point(omega) for omega in range(group.degree)])
-    phi = {}
-    for g in group.generators:
-        phi[g] = f.inverse() * g * f
+    f_inv = f.inverse()
+    phi = {g: f_inv * g * f for g in group.generators}
     target = wreath_product(inner, outer)
-    verified = all(
-        f(g(omega)) == phi[g](f(omega))
-        for g in group.generators for omega in range(group.degree))
+    verified = all(image in target for image in phi.values())
     return Embedding(f=f, phi=phi, target=target, labeling=lab,
                      inner=inner, outer=outer, verified=verified)
-
-
-@dataclass
-class SandwichReport:
-    """Outcome of checking (inner closure)^k <= G <= wreath target."""
-
-    x_group: PermGroup            # X = closure of x under the block stabilizer
-    x_order: int
-    copies_in_group: bool         # every materialized copy generator is in G
-    embedding_verified: bool
-    images_in_target: bool
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (self.copies_in_group and self.embedding_verified
-                and self.images_in_target)
-
-
-def verify_sandwich(group: PermGroup, bs: BlockSystem,
-                    x: Permutation) -> SandwichReport:
-    """Check the sandwich given an element supported inside one block.
-
-    X is the closure of x under conjugation by the block's stabilizer, from
-    one stabilizer chain (``PermGroup.block_stabilizer``); one copy of X per
-    block is materialized via a block transversal, and every copy generator
-    is tested for membership in the group.  The embedding is checked too.
-    """
-    supp = x.support()
-    holders = {bs.block_of[v] for v in supp}
-    if len(holders) != 1:
-        raise ValueError("support must lie inside a single block")
-    j0 = holders.pop()
-    block = bs.blocks[j0]
-    g_block = group.block_stabilizer(block)
-    x_group = g_block.normal_closure(x)
-    failures = []
-    trans, inverses = _block_transversal(group, bs)
-    copies_ok = True
-    for j in range(len(bs.blocks)):
-        mover = inverses[j0] * trans[j]     # maps block j0 onto block j
-        for gen in x_group.generators:
-            copy_gen = gen.conjugate(mover)
-            if copy_gen not in group:
-                copies_ok = False
-                failures.append(("copy_not_in_group", j, copy_gen))
-    emb = embed_imprimitive(group, bs)
-    images_ok = all(emb.phi[g] in emb.target for g in group.generators)
-    if not images_ok:
-        failures.append(("image_outside_target",))
-    return SandwichReport(
-        x_group=x_group, x_order=x_group.order(),
-        copies_in_group=copies_ok,
-        embedding_verified=emb.verified,
-        images_in_target=images_ok,
-        failures=failures)

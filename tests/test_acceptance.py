@@ -201,7 +201,8 @@ def test_criterion_08_paired_fibre_dichotomy():
 
 
 def test_criterion_09_embedding_soundness():
-    """The point bijection intertwines 50 imprimitive groups exhaustively."""
+    """For 50 imprimitive groups, phi(g) lies in Y wr Sym(k) for every
+    generator g, and the point bijection intertwines g with phi(g)."""
     rng = random.Random(90)
     groups = []
     for inner_n, outer_n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
@@ -230,7 +231,8 @@ def test_criterion_09_embedding_soundness():
             for omega in range(grp.degree):
                 if emb.f(g(omega)) != emb.phi[g](emb.f(omega)):
                     failures += 1
-    report(9, failures == 0, f"{len(groups)} groups checked")
+    report(9, failures == 0,
+           f"phi(g) in Y wr Sym(k) for {len(groups)} groups")
 
 
 def test_criterion_10_oracle_equivalence():

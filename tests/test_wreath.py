@@ -5,11 +5,12 @@ import random
 import pytest
 
 from oracles import block_systems_all_beta
+from smallmotion import wreath
 from smallmotion.grouptables import cyclic_group, dihedral_group, sym_group
 from smallmotion.permcore import BlockSystem, PermGroup, Permutation
 from smallmotion.wreath import (WreathLabeling, base_group_element,
                                 embed_imprimitive, top_group_element,
-                                verify_sandwich, wreath_product)
+                                wreath_product)
 
 
 def random_transitive_imprimitive(rng, max_tries=200):
@@ -114,37 +115,42 @@ class TestEmbedding:
                         assert emb.f.inverse() * (g * h) * emb.f == \
                                emb.phi[g] * emb.phi[h]
 
-
-class TestSandwich:
-    def test_wreath_itself(self):
+    def test_wreath_product_embeds_onto_itself(self):
         w = wreath_product(sym_group(2), sym_group(3))
-        lab = WreathLabeling(2, 3)
-        x = Permutation.from_cycles(6, [[0, 1]])
-        rep = verify_sandwich(w, lab.canonical_blocks(), x)
-        assert rep.ok
-        assert rep.x_order == 2
+        emb = embed_imprimitive(w, WreathLabeling(2, 3).canonical_blocks())
+        assert emb.verified
+        assert emb.inner.order() == 2 and emb.outer.order() == 6
+        assert emb.target.order() == w.order()
 
-    def test_rejects_cross_block_support(self):
-        w = wreath_product(sym_group(2), sym_group(3))
-        lab = WreathLabeling(2, 3)
-        x = Permutation.from_cycles(6, [[0, 2]])
-        with pytest.raises(ValueError):
-            verify_sandwich(w, lab.canonical_blocks(), x)
-
-    def test_random_groups_with_block_elements(self):
-        rng = random.Random(31)
-        checked = 0
-        while checked < 10:
+    def test_block_movers_map_each_block_onto_block_0(self):
+        rng = random.Random(32)
+        for _ in range(10):
             grp = random_transitive_imprimitive(rng)
-            systems = block_systems_all_beta(grp)
-            if not systems:
-                continue
-            bs = systems[0]
-            block0 = set(bs.blocks[0])
-            x = next((g for g in grp.chain.elements(5000)
-                      if g.support() and g.support() <= block0), None)
-            if x is None:
-                continue
-            rep = verify_sandwich(grp, bs, x)
-            assert rep.ok, rep.failures
-            checked += 1
+            for bs in block_systems_all_beta(grp):
+                movers = wreath._block_transversal(grp, bs)
+                assert len(movers) == len(bs.blocks)
+                for blk, u in zip(bs.blocks, movers):
+                    assert u in grp
+                    assert {u(v) for v in blk} == set(bs.blocks[0])
+
+    def test_corrupted_block_movers_fail_verification(self, monkeypatch):
+        # C9 with blocks {0,3,6}, {1,4,7}, {2,5,8} embeds into C3 wr C3.
+        # Following block 1's mover by the transposition (0 3) of block 0
+        # keeps f a bijection onto the canonical blocks, but the copies of
+        # phi(g) that touch block 1 then leave C3.
+        c9 = PermGroup(9, [Permutation.from_cycles(9, [list(range(9))])])
+        bs = BlockSystem.from_blocks(9, [(0, 3, 6), (1, 4, 7), (2, 5, 8)])
+        assert embed_imprimitive(c9, bs).verified
+        movers = wreath._block_transversal
+        swap = Permutation.from_cycles(9, [[0, 3]])
+
+        def corrupted(group, system):
+            inverses = movers(group, system)
+            inverses[1] = inverses[1] * swap
+            return inverses
+
+        monkeypatch.setattr(wreath, "_block_transversal", corrupted)
+        emb = embed_imprimitive(c9, bs)
+        assert all(emb.labeling.pair(emb.f(v))[1] == bs.block_of[v]
+                   for v in range(9))
+        assert not emb.verified
