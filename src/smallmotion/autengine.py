@@ -57,8 +57,8 @@ def automorphism_group(graph: Graph,
     depth d+1, seeded with depth d's colours and w individualised.  The
     group keeps the generators, unreduced, and the chain they file into,
     which raises RuntimeError unless they close to that order; every
-    generator is re-checked.  ``stats`` counts the
-    searches and their target-side nodes, at most ``SMALLMOTION_CAP``."""
+    generator is re-checked.  ``stats`` counts the searches, their nodes
+    (at most ``SMALLMOTION_CAP``) and both sides' refinement passes."""
     n = graph.n
     base = [0] * n if colors is None else list(colors)
     if len(base) != n:
@@ -89,9 +89,9 @@ def automorphism_group(graph: Graph,
         if not graph.is_automorphism(g) or \
                 any(base[g(u)] != base[u] for u in range(n)):
             raise RuntimeError(f"generator {g} is not an automorphism")
-    return AutResult(group=group, order=order,
-                     stats={"transporter_searches": searches,
-                            "search_nodes": path.nodes})
+    return AutResult(group=group, order=order, stats=dict(
+        transporter_searches=searches, search_nodes=path.nodes,
+        refinement_passes=path.refinements))
 
 
 # ---------------------------------------------------------------------------

@@ -348,40 +348,40 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
 # equitable refinement and isomorphism
 
 def _pass_keys(graph: Graph, colors: list[int],
-               splitters: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
-    """Each vertex's refinement key (colour, sum of 2^(i*b) over its
-    neighbours in the i-th splitter colour), b = len(colors).bit_length():
-    no count reaches 2^b, so the sum encodes the counts exactly.  Only the
-    splitters' members are read; None makes every colour a splitter."""
+               splitters: Optional[Sequence[int]] = None) -> list[int]:
+    """Each vertex's key: its colour plus 2^((i+1)*b) per neighbour in the
+    i-th splitter colour (b = len(colors).bit_length(): no digit carries),
+    read off splitter members' rows; None makes every colour a splitter."""
     if splitters is None:
         splitters = range(max(colors, default=-1) + 1)
+    nbrs, keys = graph.neighbor_lists(), list(colors)
     b = len(colors).bit_length()
-    weight = {c: 1 << i * b for i, c in enumerate(splitters)}.get
-    acc = [0] * len(colors)
-    for c, nbrs in zip(colors, graph.neighbor_lists()):
-        if w := weight(c):
-            for x in nbrs:
-                acc[x] += w
-    return list(zip(colors, acc))
+    for i, c in enumerate(splitters, 1):
+        w, u = 1 << i * b, -1
+        for _ in range(colors.count(c)):
+            u = colors.index(c, u + 1)
+            for x in nbrs[u]:
+                keys[x] += w
+    return keys
 
 
 def _refine_pass(graph: Graph, colors: list[int], key_ids: dict,
                  splitters: Optional[Sequence[int]] = None) -> list[int]:
-    """One refinement pass: new ids follow the first vertex of each key, so
-    once a pass has run they depend only on the partition and not on the
-    input ids."""
+    """One refinement pass on the keys of ``_pass_keys``: new ids follow the
+    first vertex of each key, so once a pass has run they depend only on
+    the partition and not on the input ids."""
     return [key_ids.setdefault(k, len(key_ids))
             for k in _pass_keys(graph, colors, splitters)]
 
 
-def _splitters(key_ids: dict, size: list[int]) -> list[int]:
-    """The cells a pass split off: the new cells of each cell that split,
-    less the largest (the first, on a tie), in id order."""
-    largest: dict = {}
-    for (parent, _), c in key_ids.items():
-        if size[c] > size[largest.setdefault(parent, c)]:
-            largest[parent] = c
-    return [c for (parent, _), c in key_ids.items() if largest[parent] != c]
+def _splitters(key_ids: dict, size: list[int], b: int) -> list[int]:
+    """The cells a pass split off, in id order: the new cells of each parent
+    cell (a key's low b bits) that split, less the largest (first on a tie)."""
+    mask, largest = (1 << b) - 1, {}
+    for k, c in key_ids.items():
+        if size[c] > size[largest.setdefault(k & mask, c)]:
+            largest[k & mask] = c
+    return [c for k, c in key_ids.items() if largest[k & mask] != c]
 
 
 class _SourcePath:
@@ -391,25 +391,23 @@ class _SourcePath:
 
     Depth 0 refines the seed colours; depth d+1 refines depth d's with
     its branch vertex, the least vertex of a largest cell, given the
-    fresh colour ``len(cells)``.  A pass only splits cells, so the colours
-    are stable once a pass adds no colour.  Only depth 0's first pass
-    counts neighbours in every colour; each later pass counts them in its
-    splitters: at depth d+1 first the fresh colour (depth d is
-    equitable), then the cells the last pass split off but the largest
-    of each split cell (Hopcroft's rule).  The other counts follow from
-    these, so each pass gives a full pass's partition and colour ids.  A
-    depth keeps each pass's splitters, key table and sorted colours, so
-    the target side of a search is refined by the same passes, looking
-    its keys up: a missing key or another histogram means no isomorphism
-    keeps the colours.  ``nodes`` counts target-side nodes, over all
-    searches of the path, up to ``element_cap()``.
+    fresh colour ``len(cells)``, until a pass adds no colour.  Only depth
+    0's first pass reads every row; each later pass reads only its
+    splitters' members' rows: at depth d+1 the fresh colour (depth d is
+    equitable), then the cells the last pass split off but the largest of
+    each split cell (Hopcroft's rule), and still gives a full pass's
+    partition and colour ids.  A depth keeps each pass's splitters, key
+    table and sorted colours, which a search replays on its target side,
+    looking keys up: a missing key or another histogram means no
+    isomorphism keeps the colours.  ``nodes`` counts the target-side nodes
+    of all searches, up to ``element_cap()``; ``refinements`` counts the
+    passes of both sides.
     """
 
     def __init__(self, graph: Graph, colors: Sequence):
-        self.graph = graph
+        self.graph, self.cap = graph, element_cap()
         self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
-        self.nodes = 0
-        self.cap = element_cap()
+        self.nodes = self.refinements = 0
         ids = self.seed_ids = {}   # hashable seed colours as ids 0, 1, ...
         self._seed = [ids.setdefault(c, len(ids)) for c in colors]
 
@@ -424,6 +422,7 @@ class _SourcePath:
             while True:
                 key_ids: dict = {}
                 colors = _refine_pass(self.graph, colors, key_ids, splitters)
+                self.refinements += 1
                 passes.append((splitters, key_ids, sorted(colors)))
                 size = [0] * len(key_ids)
                 for c in colors:
@@ -431,7 +430,7 @@ class _SourcePath:
                 if len(key_ids) == count:
                     break
                 count = len(key_ids)
-                splitters = _splitters(key_ids, size)
+                splitters = _splitters(key_ids, size, len(colors).bit_length())
             big = max(size, default=1)
             v = None if big == 1 else next(
                 u for u, c in enumerate(colors) if size[c] == big)
@@ -458,6 +457,7 @@ class _SourcePath:
             passes, stable, v, _ = self.level(depth)
             for splitters, key_ids, hist in passes:
                 keys = _pass_keys(g2, colors, splitters)
+                self.refinements += 1
                 colors = [key_ids.get(k, -1) for k in keys]
                 if sorted(colors) != hist:   # a missing key sorts as -1
                     break

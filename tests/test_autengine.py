@@ -285,19 +285,19 @@ class TestSearchFilter:
         # every search runs straight down to a leaf that is an
         # automorphism, one node per depth: C12 searches from depths 2
         # and 1 (base 0, 1), Petersen from depths 3, 2 and 1 (base 0, 2, 3)
-        for graph, searches, nodes in ((cycle_graph(12), 2, 3),
-                                       (petersen_graph(), 3, 6)):
+        for graph, searches, nodes, passes in ((cycle_graph(12), 2, 3, 28),
+                                               (petersen_graph(), 3, 6, 22)):
             stats = automorphism_group(graph).stats
-            assert (stats["transporter_searches"], stats["search_nodes"]) \
-                == (searches, nodes)
+            assert (stats["transporter_searches"], stats["search_nodes"],
+                    stats["refinement_passes"]) == (searches, nodes, passes)
 
     # (stats, generators in the order found): the refinement keys must
     # keep every colour id, so each search visits the same nodes
     PINNED = {
-        "petersen": ((3, 6), [
+        "petersen": ((3, 6, 22), [
             "(4,8)(5,6)(9,10)", "(2,5)(3,4)(7,10)(8,9)",
             "(1,2,3,4,5)(6,7,8,9,10)"]),
-        "lex:cycle:5:cycle:5": ((12, 74), [
+        "lex:cycle:5:cycle:5": ((12, 74, 177), [
             "(22,25)(23,24)", "(17,20)(18,19)", "(12,15)(13,14)",
             "(7,10)(8,9)", "(2,5)(3,4)", "(21,22)(23,25)", "(16,17)(18,20)",
             "(11,12)(13,15)", "(6,7)(8,10)",
@@ -305,14 +305,14 @@ class TestSearchFilter:
             "(15,20)",
             "(1,2)(3,5)",
             "(1,6)(2,7)(3,8)(4,9)(5,10)(11,21)(12,22)(13,23)(14,24)(15,25)"]),
-        "inf:01:cycle:8:antipodal:m3": ((10, 51), [
+        "inf:01:cycle:8:antipodal:m3": ((10, 51, 130), [
             "(11,12)(23,24)", "(8,9)(20,21)", "(5,6)(17,18)", "(2,3)(14,15)",
             "(10,11)(22,23)", "(7,8)(19,20)", "(4,5)(16,17)",
             "(4,22)(5,23)(6,24)(7,19)(8,20)(9,21)(10,16)(11,17)(12,18)",
             "(1,2)(13,14)",
             "(1,4)(2,5)(3,6)(7,22)(8,23)(9,24)(10,19)(11,20)(12,21)(13,16)"
             "(14,17)(15,18)"]),
-        "circulant:12:1-2-3-5": ((4, 10), [
+        "circulant:12:1-2-3-5": ((4, 10, 34), [
             "(4,12)(6,10)", "(3,11)(5,9)", "(2,4)(6,12)(8,10)",
             "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)"]),
     }
@@ -321,9 +321,10 @@ class TestSearchFilter:
     def test_pinned_searches(self, label):
         graph = petersen_graph() if label == "petersen" else named_graph(label)
         aut = automorphism_group(graph)
-        (searches, nodes), gens = self.PINNED[label]
+        (searches, nodes, passes), gens = self.PINNED[label]
         assert aut.stats == {"transporter_searches": searches,
-                             "search_nodes": nodes}
+                             "search_nodes": nodes,
+                             "refinement_passes": passes}
         assert [str(g) for g in aut.group.generators] == gens
 
     def test_discrete_refinement_starts_no_search(self):
@@ -336,6 +337,7 @@ class TestSearchFilter:
         assert aut.order == 1
         assert aut.stats["transporter_searches"] == 0
         assert aut.stats["search_nodes"] == 0
+        assert aut.stats["refinement_passes"] == 3
         assert aut.group.chain.base == []
 
     def test_deep_first_path_needs_no_recursion(self):
@@ -349,8 +351,10 @@ class TestSearchFilter:
         finally:
             sys.setrecursionlimit(limit)
         assert aut.order == math.factorial(80)
+        # one refinement pass per level on the path and one per node
         assert aut.stats == {"transporter_searches": 79,
-                             "search_nodes": 80 * 79 // 2}
+                             "search_nodes": 80 * 79 // 2,
+                             "refinement_passes": 80 + 80 * 79 // 2}
 
 
 class TestTwins:

@@ -15,7 +15,8 @@ from oracles import (FullPassPath, complete_bipartite,
                      relabel, to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
-                                   _maps_onto, _refine_pass, _SourcePath,
+                                   _maps_onto, _pass_keys, _refine_pass,
+                                   _SourcePath,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
                                    cartesian_product, circulant_graph,
@@ -625,3 +626,106 @@ class TestSplitterPasses:
             p8, [0] * 8, [(relabel(p8, p), [0] * 8),
                           (with_pair_flipped(p8, 0, 7), [0] * 8),
                           (with_pair_flipped(p8, 3, 4), [0] * 8)])
+
+
+class RowRecorder:
+    """A graph for ``_pass_keys`` whose neighbour lists record each row
+    they hand out, by index or by iteration."""
+
+    def __init__(self, graph):
+        self.rows, self.read = graph.neighbor_lists(), []
+
+    def neighbor_lists(self):
+        return self
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, u):
+        self.read.append(u)
+        return self.rows[u]
+
+    def __iter__(self):
+        return (self[u] for u in range(len(self.rows)))
+
+
+class TestSparsePasses:
+    """Each pass reads only the rows of its splitter colours' members;
+    depth 0's first pass (splitters None) reads every row."""
+
+    @staticmethod
+    def replay(path, g2, colors, depth):
+        """Run the depth's passes on g2 as a search does, from ``colors``,
+        checking the rows each reads; the number of passes run."""
+        passes = path.level(depth)[0]
+        for done, (splitters, key_ids, hist) in enumerate(passes, 1):
+            rec = RowRecorder(g2)
+            keys = _pass_keys(rec, colors, splitters)
+            assert keys == _pass_keys(g2, colors, splitters)
+            assert sorted(rec.read) == [
+                u for u in range(g2.n)
+                if splitters is None or colors[u] in splitters]
+            colors = [key_ids.get(k, -1) for k in keys]
+            if sorted(colors) != hist:
+                break
+        return done
+
+    @pytest.mark.parametrize("g", [petersen_graph(),
+                                   circulant_graph(12, [1, 2, 3, 5]),
+                                   lex_product(cycle_graph(4),
+                                               cycle_graph(5))])
+    def test_reads_only_splitter_rows(self, g):
+        path = _SourcePath(g, [0] * g.n)
+        passes, cells, v, fresh = path.level(0)
+        assert passes[0][0] is None and path.level(1)[0][0][0] == [fresh]
+        flipped = with_pair_flipped(relabel(g, Permutation(
+            [(7 * u + 1) % g.n for u in range(g.n)])), 0, 1)
+        for g2 in (g, flipped):   # depth 0's first pass reads every row
+            self.replay(path, g2, [0] * g.n, 0)
+        ran = 0
+        for w in range(g.n):     # the searches from depth 1
+            if cells[w] == cells[v]:
+                branch = cells[:w] + [fresh] + cells[w + 1:]
+                assert self.replay(path, g, branch, 1) == \
+                    len(path.level(1)[0])
+                ran += self.replay(path, flipped, branch, 1)
+        assert ran > 1
+
+
+def assert_keys_decode(g, colors, splitters):
+    """Each key, read in base 2^b, gives the vertex's colour and then its
+    neighbour count in each splitter colour, in the splitters' order."""
+    keys = _pass_keys(g, colors, splitters)
+    if splitters is None:
+        splitters = range(max(colors, default=-1) + 1)
+    b = len(colors).bit_length()
+    for u, key in enumerate(keys):
+        digits = []
+        for _ in range(len(splitters) + 1):
+            digits.append(key % (1 << b))
+            key >>= b
+        assert key == 0
+        assert digits == [colors[u]] + [
+            sum(colors[x] == c for x in neighbors(g, u)) for c in splitters]
+
+
+class TestPackedKeys:
+    @given(graphs(max_n=16), st.data())
+    def test_keys_match_brute_force_counts(self, g, data):
+        k = data.draw(st.integers(1, g.n))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n,
+                                    max_size=g.n))
+        # any order, and colours >= k (or not drawn) have no members
+        splitters = data.draw(st.none() | st.lists(
+            st.integers(0, g.n - 1), unique=True))
+        assert_keys_decode(g, colors, splitters)
+
+    @pytest.mark.parametrize("n", [7, 8, 63, 64])
+    def test_a_colour_or_count_reaches_n_minus_1(self, n):
+        star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+        for g in (complete_graph(n), star):
+            assert_keys_decode(g, [0] * n, [0])
+            assert_keys_decode(g, [0] * n, [1, 0])    # 1 has no members
+            assert_keys_decode(g, list(range(n)), None)
+            assert_keys_decode(g, list(range(n)), [n - 1, 0, n - 2])
+            assert_keys_decode(g, [n - 1] + [0] * (n - 1), [0, n - 1])
