@@ -11,6 +11,7 @@ infinity at index p and the convention a/0 = infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial, gcd, prod
 from typing import Callable, Optional
 
@@ -188,7 +189,9 @@ _CONSTRUCTORS = {
                                              for i in range(d)))}
 
 
+@cache
 def construct(spec: GroupSpec) -> PermGroup:
+    """The family's group, built once and shared: never extend its chain."""
     if spec.family in _METADATA_ONLY:
         raise NotConstructibleError(
             f"{spec} is table metadata only and cannot be instantiated")
@@ -331,7 +334,8 @@ TABLE4 = (
 
 
 # ---------------------------------------------------------------------------
-# reference subgroups of Sym(2) wr Sym(m) on the pairs {2i, 2i+1}
+# reference subgroups of Sym(2) wr Sym(m) on the pairs {2i, 2i+1}; the
+# four the classifiers compare against are built once per m and shared
 
 def _pair_swap(m: int, i: int) -> Permutation:
     return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1]])
@@ -354,11 +358,13 @@ def diagonal_sym(m: int) -> list[Permutation]:
     return gens
 
 
+@cache
 def one_cross_sym(m: int) -> PermGroup:
     """{1} x Sym(m): the diagonal copy of Sym(m) on 2m points."""
     return PermGroup(2 * m, diagonal_sym(m))
 
 
+@cache
 def tau_cross_sym(m: int) -> PermGroup:
     """<tau> x Sym(m): diagonal Sym(m) plus the superflip."""
     return PermGroup(2 * m, diagonal_sym(m) + [superflip(m)])
@@ -370,11 +376,13 @@ def even_flips(m: int) -> PermGroup:
     return PermGroup(2 * m, gens)
 
 
+@cache
 def even_flips_rtimes_sym(m: int) -> PermGroup:
     """E+ : Sym(m): even flip vectors extended by the diagonal Sym(m)."""
     return PermGroup(2 * m, list(even_flips(m).generators) + diagonal_sym(m))
 
 
+@cache
 def c2_wr_sym(m: int) -> PermGroup:
     """Sym(2) wr Sym(m) on 2m points, pairs {2i, 2i+1}."""
     return PermGroup(2 * m, [_pair_swap(m, 0)] + diagonal_sym(m))
@@ -457,21 +465,19 @@ def check_table2_row(row: TableRow, params: tuple) -> RowCheck:
         return RowCheck(row, "skip", ["not constructible"])
     _, m, x_ref, y = row.x_spec(*params)
     details = []
-    ok = True
     classes = _two_two_classes(y)
     if not classes:
         return RowCheck(row, "fail", ["no order-2 support-4 element found"])
     for cls in classes:
-        rep = cls[0]
-        closure = y.normal_closure(rep)
+        closure = y.normal_closure(cls[0])
         # every class member generates the same normal closure
         members_ok = all(x in closure for x in cls)
         iso = permutation_isomorphic(closure, x_ref)
         details.append({
             "class_size": len(cls), "closure_order": closure.order(),
             "members_in_closure": members_ok, "isomorphic_to_X": iso is not None})
-        if not members_ok or iso is None:
-            ok = False
+    ok = all(d["members_in_closure"] and d["isomorphic_to_X"]
+             for d in details)
     return RowCheck(row, "pass" if ok else "fail", details)
 
 
@@ -482,7 +488,6 @@ def check_table1_row(row: TableRow, params: tuple) -> RowCheck:
         return RowCheck(row, "skip", ["not constructible"])
     p, m, x_ref, y_ref = row.x_spec(*params)
     details = []
-    ok = True
     for name, inner in (("X", x_ref), ("Y", y_ref)):
         g = wreath_product(inner, sym_group(2))
         rep = classify_p_cycle_group(g, p)
@@ -491,8 +496,7 @@ def check_table1_row(row: TableRow, params: tuple) -> RowCheck:
         details.append({
             "group": name, "direct_mindeg": direct,
             "predicted_is_p": rep.predicted_mindeg_is_p, "agree": agree})
-        if not agree:
-            ok = False
+    ok = all(d["agree"] for d in details)
     return RowCheck(row, "pass" if ok else "fail", details)
 
 
@@ -578,13 +582,12 @@ def classify_p_cycle_group(group: PermGroup,
     block = tuple(sorted(group._block_closure(x.support())))
     if len(block) == group.degree:
         # no proper block holds the support: treat the whole set as the block
-        y_grp = group
         spec = recognize_family(group)
         row, predicted = _match_table1_row(p, group.degree, spec, spec,
                                            group, None)
         return PCycleReport(
             p=p, m=group.degree, k=1, primitive=group.is_primitive(),
-            x_witness=x, x_group=None, y_group=y_grp, x_family=spec,
+            x_witness=x, x_group=None, y_group=group, x_family=spec,
             y_family=spec, row=row, cond_c=None,
             predicted_mindeg_is_p=predicted,
             notes=["support not contained in any proper block"])
@@ -703,16 +706,14 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     f = Permutation(images)
     y_grp = PermGroup(2 * m, [g.conjugate(f) for g in group.generators])
     x_grp = y_grp.normal_closure(x.conjugate(f))
-    refs = (("one_cross_sym", one_cross_sym(m), None),
-            ("tau_cross_sym", tau_cross_sym(m), TABLE4[0]),
-            ("even_flips_rtimes_sym", even_flips_rtimes_sym(m), None),
-            ("c2_wr_sym", c2_wr_sym(m), TABLE4[1]))
+    refs = [(make.__name__, make(m), table_row) for make, table_row in
+            ((one_cross_sym, None), (tau_cross_sym, TABLE4[0]),
+             (even_flips_rtimes_sym, None), (c2_wr_sym, TABLE4[1]))]
 
     def identify(grp):
-        for name, ref, table_row in refs:
-            if permutation_isomorphic(grp, ref) is not None:
-                return name, table_row
-        return None, None
+        return next(((name, table_row) for name, ref, table_row in refs
+                     if permutation_isomorphic(grp, ref) is not None),
+                    (None, None))
 
     y_name, row = identify(y_grp)
     x_name, _ = identify(x_grp)
@@ -867,8 +868,7 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
                             identify(y_elems, y_group)))
             kernels.append(_kernel_tag(m, projections))
 
-    r1 = any(x == "one_cross_sym" and y == "tau_cross_sym"
-             for x, y in matches)
+    r1 = ("one_cross_sym", "tau_cross_sym") in matches
     t3 = any(x == "even_flips" and y.startswith("c2_wr_sym")
              for x, y in matches)
     t4 = any(x == "even_flips_rtimes_sym" and y.startswith("c2_wr_sym")

@@ -249,6 +249,81 @@ class TestRecognizeFamily:
         assert built == [spec]
 
 
+PAIR_REFERENCES = (one_cross_sym, tau_cross_sym, even_flips_rtimes_sym,
+                   c2_wr_sym)
+
+
+def relabelled(grp, seed):
+    """grp conjugated by a random point bijection, on new generators."""
+    f = Permutation(random.Random(seed).sample(range(grp.degree), grp.degree))
+    return PermGroup(grp.degree, [g.conjugate(f) for g in grp.generators])
+
+
+def chain_snapshot(grp):
+    """The generators, chain base, strong generators per level and order."""
+    chain = grp.chain
+    return (tuple(g.images for g in grp.generators), tuple(chain.base),
+            tuple(tuple(g.images for g in level) for level in chain._gens),
+            grp.order())
+
+
+@st.composite
+def relabelled_family_members(draw):
+    """A family candidate of degree 2 to 10, conjugated by a random point
+    bijection."""
+    spec = draw(st.sampled_from(_candidate_specs(draw(st.integers(2, 10)))))
+    return relabelled(construct(spec), draw(st.integers(0, 2 ** 32)))
+
+
+class TestSharedReferences:
+    """Family candidates and pair-table references are built once per
+    process and shared; no classifier extends their chains."""
+
+    def test_each_reference_is_built_once(self):
+        for d in range(1, 13):
+            for spec in _candidate_specs(d):
+                assert construct(spec) is construct(spec), spec
+        for make in PAIR_REFERENCES:
+            for m in (2, 3, 4):
+                assert make(m) is make(m), (make.__name__, m)
+
+    def test_classifiers_leave_the_references_intact(self):
+        refs = [construct(spec) for d in range(2, 13)
+                for spec in _candidate_specs(d)]
+        refs += [make(m) for make in PAIR_REFERENCES for m in (2, 3)]
+        snapshots = []
+        for i, ref in enumerate(refs):
+            assert permutation_isomorphic(relabelled(ref, i), ref) is not None
+            snapshots.append(chain_snapshot(ref))
+        for grp in (wreath_product(agl1(5), sym_group(2)),
+                    wreath_product(alt_group(4), sym_group(2)),
+                    wreath_product(psl2(5), sym_group(2)), pgl2(7)):
+            classify_p_cycle_group(relabelled(grp, 1))
+        for make in (tau_cross_sym, even_flips_rtimes_sym):
+            rep = classify_22_group(relabelled(make(3), 2))
+            assert rep.tag == "case_cross"
+            assert f"Y matches {make.__name__}" in rep.notes
+        enumerate_small_subgroup_pairs(3)
+        for d in range(2, 13):
+            for spec in _candidate_specs(d):
+                member = relabelled(construct(spec), d)
+                assert family_order(recognize_family(member)) == \
+                    family_order(spec)
+        assert [chain_snapshot(ref) for ref in refs] == snapshots
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_family_members())
+    def test_warm_recognition_matches_fresh_references(self, member):
+        """recognize_family on the shared references names the first
+        candidate of equal order that a freshly built one matches."""
+        recognize_family(member)
+        fresh = next(spec for spec in _candidate_specs(member.degree)
+                     if family_order(spec) == member.order() and
+                     permutation_isomorphic(
+                         member, construct.__wrapped__(spec)) is not None)
+        assert recognize_family(member) == fresh
+
+
 class TestRowChecks:
     def test_table1_row1(self):
         check = check_table_row(TABLE1[0], (3,))
