@@ -41,11 +41,16 @@ from .permcore import PermGroup, Permutation, StabilizerChain, orbit
 
 @dataclass
 class AutResult:
-    """Generators of the automorphism group plus search statistics."""
+    """Generators of the automorphism group plus search statistics, as of
+    the end of the computation.  ``path`` is the graph's first path, kept
+    after an uncoloured computation for later searches on the graph (the
+    round trips of ``classify.decompose``)."""
 
     group: PermGroup
     order: int
     stats: dict = field(default_factory=dict)
+    path: Optional[_SourcePath] = field(default=None, repr=False,
+                                        compare=False)
 
 
 def automorphism_group(graph: Graph,
@@ -58,7 +63,8 @@ def automorphism_group(graph: Graph,
     group keeps the generators, unreduced, and the chain they file into,
     which raises RuntimeError unless they close to that order; every
     generator is re-checked.  ``stats`` counts the searches, their nodes
-    (at most ``SMALLMOTION_CAP``) and both sides' refinement passes."""
+    (at most ``SMALLMOTION_CAP``) and both sides' refinement passes; an
+    uncoloured result keeps the path."""
     n = graph.n
     base = [0] * n if colors is None else list(colors)
     if len(base) != n:
@@ -91,7 +97,8 @@ def automorphism_group(graph: Graph,
             raise RuntimeError(f"generator {g} is not an automorphism")
     return AutResult(group=group, order=order, stats=dict(
         transporter_searches=searches, search_nodes=path.nodes,
-        refinement_passes=path.refinements))
+        refinement_passes=path.refinements),
+        path=path if colors is None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from typing import Iterator, Optional
 from .autengine import (AutResult, aut_preserving_partition,
                         is_vertex_transitive, motion_witness,
                         transitivity_aut)
-from .graphcore import (Graph, InfParams, PairPartition, alternate_matching,
-                        antipodal_matching, are_isomorphic, circulant_graph,
-                        complete_graph, cycle_graph, empty_graph, inf_graph,
-                        invariant_graphs_under, lex_product, matching_graph,
-                        prism_graph, quotient_graph, to_graph6)
+from .graphcore import (Graph, InfParams, PairPartition, _SourcePath,
+                        alternate_matching, antipodal_matching, are_isomorphic,
+                        circulant_graph, complete_graph, cycle_graph,
+                        empty_graph, inf_graph, invariant_graphs_under,
+                        lex_product, matching_graph, prism_graph,
+                        quotient_graph, to_graph6)
 from .grouptables import even_flips_rtimes_sym, tau_cross_sym
 from .permcore import CapExceededError, Permutation, _is_prime, format_cycles
 
@@ -107,20 +108,17 @@ def _lex_fibres(size: int):
 
 
 def _try_lex_form(graph: Graph, mu: int, bs,
-                  delta: Graph) -> Optional[ClassificationReport]:
-    """``delta``: the subgraph induced on the first block of bs."""
-    for form, m, fibre in _lex_fibres(delta.n):
-        if are_isomorphic(delta, fibre) is not None:
+                  delta: _SourcePath) -> Optional[ClassificationReport]:
+    """The lex report over bs, before its round trip, or None.  ``delta``:
+    the first path of the subgraph induced on the first block of bs."""
+    for form, m, fibre in _lex_fibres(delta.graph.n):
+        if are_isomorphic(delta.graph, fibre, delta) is not None:
             break
     else:
         return None
     theta = quotient_graph(graph, bs.blocks)
-    reconstruction = lex_product(fibre, theta)
-    if are_isomorphic(reconstruction, graph) is None:
-        return None
-    return ClassificationReport(
-        motion=mu, form=form, m=m, theta=theta,
-        reconstruction=reconstruction, verified=True)
+    return ClassificationReport(motion=mu, form=form, m=m, theta=theta,
+                                reconstruction=lex_product(fibre, theta))
 
 
 _INF_FORMS = ((1, 0, matching_graph),
@@ -130,12 +128,13 @@ _INF_FORMS = ((1, 0, matching_graph),
 
 
 def _try_inf_form(graph: Graph, mu: int, bs,
-                  delta: Graph) -> Optional[ClassificationReport]:
-    """``delta``: the subgraph induced on the first block of bs.  The
-    fibres are each block's two classes of size m >= 2 of vertices with
-    equal neighbourhood outside it: the orbits of the pointwise stabilizer
-    of the block's complement, by the lemma in the module docstring."""
-    m = delta.n // 2
+                  delta: _SourcePath) -> Optional[ClassificationReport]:
+    """The paired-fibre report over bs, before its round trip, or None;
+    ``delta`` as for ``_try_lex_form``.  The fibres are each block's two
+    classes of size m >= 2 of vertices with equal neighbourhood outside
+    it: the orbits of the pointwise stabilizer of the block's complement,
+    by the lemma in the module docstring."""
+    m = delta.graph.n // 2
     fibres: list[tuple[int, ...]] = []
     for block in bs.blocks:
         classes = _outside_classes(graph, block)
@@ -143,18 +142,15 @@ def _try_inf_form(graph: Graph, mu: int, bs,
             return None
         fibres.extend(classes)
     for lam, kap, build in _INF_FORMS:
-        if are_isomorphic(delta, build(m)) is not None:
+        if are_isomorphic(delta.graph, build(m), delta) is not None:
             break
     else:
         return None
     sigma = quotient_graph(graph, fibres)
     pairs = alternate_matching(sigma.n)
-    reconstruction = inf_graph(InfParams(lam, kap, m), sigma, pairs)
-    if are_isomorphic(reconstruction, graph) is None:
-        return None
     return ClassificationReport(
-        motion=mu, form="inf", m=m, sigma=sigma, pairs=pairs,
-        lam=lam, kap=kap, reconstruction=reconstruction, verified=True)
+        motion=mu, form="inf", m=m, sigma=sigma, pairs=pairs, lam=lam,
+        kap=kap, reconstruction=inf_graph(InfParams(lam, kap, m), sigma, pairs))
 
 
 def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
@@ -165,7 +161,10 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     automorphism group holding the support of the motion witness x (the
     twin class of a twin transposition; the whole vertex set for C5
     itself).  Over its system the lex forms are tried (K_m, mK_1, C5,
-    prism or co-prism fibres), then the paired-fibre form.  An
+    prism or co-prism fibres), then the paired-fibre form; a form counts
+    once its reconstruction's round trip, a search on the graph's first
+    path kept by ``aut``, finds it isomorphic to the graph.  The block's
+    subgraph gets one first path, shared by every fibre candidate.  An
     unclassified result carries diagnostics.  ``witness`` is
     ``motion_witness(graph, aut)`` and ``aut`` is ``transitivity_aut(graph)``
     when the caller has them; else each is computed here, once.
@@ -182,11 +181,14 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     group = aut.group
     block = group._block_closure(x.support())
     bs = group.block_system_from(block)
-    delta, _ = graph.induced_subgraph(bs.blocks[0])
-    report = _try_lex_form(graph, mu, bs, delta) or \
-        _try_inf_form(graph, mu, bs, delta)
-    if report is not None:
-        return report
+    sub, _ = graph.induced_subgraph(bs.blocks[0])
+    delta = _SourcePath(sub, [0] * sub.n)
+    for attempt in (_try_lex_form, _try_inf_form):
+        report = attempt(graph, mu, bs, delta)
+        if report is not None and are_isomorphic(
+                graph, report.reconstruction, aut.path) is not None:
+            report.verified = True
+            return report
     return ClassificationReport(
         motion=mu, form="unclassified", verified=False,
         diagnostics={
@@ -207,11 +209,8 @@ def pair_transposition_in_aut(sigma: Graph, pairs: PairPartition) -> bool:
     Such a transposition automatically preserves the pair partition,
     since it fixes every other vertex.
     """
-    for a, b in pairs.pairs:
-        t = Permutation.from_cycles(sigma.n, [[a, b]])
-        if sigma.is_automorphism(t):
-            return True
-    return False
+    return any(sigma.is_automorphism(Permutation.from_cycles(sigma.n, [pair]))
+               for pair in pairs.pairs)
 
 
 def inf_motion2_predicted(params: InfParams, sigma: Graph,

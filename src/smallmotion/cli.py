@@ -41,12 +41,7 @@ def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
 def _read_graphs(args) -> list[Graph]:
     """Input graphs: a family token, a graph6/edge-list literal, or stdin."""
     if args.graph == "-":
-        graphs = []
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                graphs.append(from_graph6(line))
-        return graphs
+        return [from_graph6(line) for line in map(str.strip, sys.stdin) if line]
     token = args.graph
     return [named_graph(token) if ":" in token else parse_graph(token)]
 
@@ -193,16 +188,12 @@ def cmd_verify(args) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": "verify", "suite": args.suite}
     lines = []
     ok = True
-    if args.suite in ("tables", "all"):
-        tdoc, tlines, tok = _verify_tables()
-        doc["tables"] = tdoc
-        lines.extend(tlines)
-        ok = ok and tok
-    if args.suite in ("graphs", "all"):
-        gdoc, glines, gok = _verify_graphs(args)
-        doc["graphs"] = gdoc
-        lines.extend(glines)
-        ok = ok and gok
+    suites = {"tables": _verify_tables, "graphs": lambda: _verify_graphs(args)}
+    for name, run in suites.items():
+        if args.suite in (name, "all"):
+            doc[name], more, passed = run()
+            lines.extend(more)
+            ok = ok and passed
     doc["ok"] = ok
     lines.append("RESULT " + ("ok" if ok else "FALSIFIED"))
     _emit(doc, args.format, lines)

@@ -400,8 +400,10 @@ class _SourcePath:
     table and sorted colours, which a search replays on its target side,
     looking keys up: a missing key or another histogram means no
     isomorphism keeps the colours.  ``nodes`` counts the target-side nodes
-    of all searches, up to ``element_cap()``; ``refinements`` counts the
-    passes of both sides.
+    of the searches since the path was built, or since the last
+    ``isomorphism`` call began, up to ``element_cap()``; ``refinements``
+    counts the passes of both sides.  A kept path serves later searches
+    on its graph without building its depths again.
     """
 
     def __init__(self, graph: Graph, colors: Sequence):
@@ -473,9 +475,23 @@ class _SourcePath:
                                  if colors[u] == stable[v])
         return None
 
+    def isomorphism(self, g2: Graph,
+                    colors: Sequence) -> Optional[Permutation]:
+        """The first isomorphism from the source onto g2 that takes each
+        seed colour to the vertices of g2 with that colour in ``colors``,
+        or None; its nodes count from zero."""
+        ids = self.seed_ids    # g2's colours take the ids of the source's
+        if g2.n != self.graph.n or any(c not in ids for c in colors):
+            return None
+        self.nodes = 0
+        found = self.transport(g2, [ids[c] for c in colors], 0)
+        return Permutation(found) if found is not None else None
 
-def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
-    """A vertex bijection taking g1 to g2, or None."""
+
+def are_isomorphic(g1: Graph, g2: Graph,
+                   path: Optional[_SourcePath] = None) -> Optional[Permutation]:
+    """A vertex bijection taking g1 to g2, or None.  ``path`` is g1's
+    uncoloured first path when the caller has one, else one is built."""
     if g1.n != g2.n:
         return None
     edges = g1.num_edges()
@@ -483,21 +499,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
         return None
     if edges in (0, g1.n * (g1.n - 1) // 2):    # edgeless or complete
         return Permutation.identity(g1.n)
-    return isomorphism_with_colors(g1, [0] * g1.n, g2, [0] * g2.n)
-
-
-def isomorphism_with_colors(g1: Graph, c1_init: Sequence[int],
-                            g2: Graph, c2_init: Sequence[int]) -> Optional[Permutation]:
-    """A colour-respecting isomorphism from g1 onto g2, or None: the first
-    found by backtracking g2's side against one first path of g1."""
-    if g1.n != g2.n:
-        return None
-    path = _SourcePath(g1, c1_init)
-    ids = path.seed_ids    # g2's colours take the ids of g1's
-    if any(c not in ids for c in c2_init):
-        return None
-    found = path.transport(g2, [ids[c] for c in c2_init], 0)
-    return Permutation(found) if found is not None else None
+    return (path or _SourcePath(g1, [0] * g1.n)).isomorphism(g2, [0] * g2.n)
 
 
 # ---------------------------------------------------------------------------

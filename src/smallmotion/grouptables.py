@@ -348,14 +348,8 @@ def superflip(m: int) -> Permutation:
 
 def diagonal_sym(m: int) -> list[Permutation]:
     """Sym(m) permuting the pairs {2i, 2i+1} without flips."""
-    gens = []
-    for g in sym_group(m).generators:
-        images = [0] * (2 * m)
-        for i in range(m):
-            images[2 * i] = 2 * g(i)
-            images[2 * i + 1] = 2 * g(i) + 1
-        gens.append(Permutation(images))
-    return gens
+    return [Permutation([2 * g(v // 2) + v % 2 for v in range(2 * m)])
+            for g in sym_group(m).generators]
 
 
 @cache

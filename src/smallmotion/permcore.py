@@ -171,25 +171,31 @@ def is_two_two(p: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 # breadth-first orbits
 
-def orbit(seed, maps: Sequence, key=None) -> Iterator:
+def orbit(seed, maps: Sequence) -> Iterator:
     """The orbit of seed under the callables in maps, breadth first.
 
-    Yields seed, then each image ``f(x)`` (f in maps, x yielded before)
-    whose key (the item itself unless ``key`` is given) is new, in the
-    discovery order of the breadth-first Schreier tree (Seress,
-    Permutation Group Algorithms, section 4.1).
+    Yields seed, then each new image ``f(x)`` (f in maps, x yielded
+    before), in the discovery order of the breadth-first Schreier tree
+    (Seress, Permutation Group Algorithms, section 4.1).
     """
-    seen = {seed if key is None else key(seed)}
+    seen = {seed}
     yield seed
     queue = [seed]
     for x in queue:
         for f in maps:
             y = f(x)
-            k = y if key is None else key(y)
-            if k not in seen:
-                seen.add(k)
+            if y not in seen:
+                seen.add(y)
                 yield y
                 queue.append(y)
+
+
+def _root(parent: list[int], v: int) -> int:
+    """v's root in the union-find forest ``parent``, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +402,27 @@ class StabilizerChain:
 
     def _levels(self, first: int = 0) -> list:
         """Per level d, for the base-image searches below: the transversal
-        steps (the identity first, then by image of base[d]) and the index
-        of each point's G_{d+1}-orbit.  Each level's entry is built on first
-        use, for d from ``first`` on, and kept until the chain grows; the
-        levels above ``first`` stay None until some search reads them."""
+        steps (the identity first, then by image of base[d]) and an id of
+        each point's G_{d+1}-orbit (its root in a union-find forest; only
+        equality of ids is read).  The levels are walked deepest first,
+        each recording its ids before its own generators are unioned in.
+        Each level's entry is built on first use, for d from ``first`` on,
+        and kept until the chain grows; the levels above ``first`` stay
+        None until some search reads them."""
         if self._tables is None:
             self._tables = [None] * len(self.base)
-        for d in range(first, len(self.base)):
+        if None not in self._tables[first:]:
+            return self._tables
+        parent = list(range(self.degree))
+        for d in reversed(range(first, len(self.base))):
             if self._tables[d] is None:
                 b, trans = self.base[d], self._transversal[d]
-                orbits = PermGroup(self.degree,
-                                   self._level_gens(d + 1)).orbits()
-                index = {q: i for i, o in enumerate(orbits) for q in o}
                 self._tables[d] = (
                     [_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
-                    tuple(index[q] for q in range(self.degree)))
+                    tuple(_root(parent, q) for q in range(self.degree)))
+            for g in self._gens[d]:
+                for q, r in enumerate(g.images):
+                    parent[_root(parent, r)] = _root(parent, q)
         return self._tables
 
     def _small_supports(self, bound: int, falling: bool,
@@ -597,22 +609,16 @@ class PermGroup:
         if not pts:
             raise ValueError("need at least one point")
         parent = list(range(self.degree))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         gens = [g.images for g in self.generators]
         queue = [(pts[0], p) for p in pts[1:]]
         for a, b in queue:
-            ra, rb = find(a), find(b)
+            ra, rb = _root(parent, a), _root(parent, b)
             if ra != rb:
                 parent[rb] = ra
                 queue.extend((g[a], g[b]) for g in gens)
-        root = find(pts[0])
-        return frozenset(v for v in range(self.degree) if find(v) == root)
+        root = _root(parent, pts[0])
+        return frozenset(v for v in range(self.degree)
+                         if _root(parent, v) == root)
 
     def minimal_block_system(self) -> Optional[BlockSystem]:
         """A system of minimal blocks, or None iff the group is primitive.

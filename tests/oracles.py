@@ -420,8 +420,10 @@ def decompose_motion4_all_systems(graph):
         BlockSystem.from_blocks(graph.n, [range(graph.n)])]
     deltas = [graph.induced_subgraph(bs.blocks[0])[0] for bs in candidates]
     for bs, delta in zip(candidates, deltas):
-        report = _try_lex_form(graph, 4, bs, delta)
-        if report is not None:
+        report = _try_lex_form(graph, 4, bs, _SourcePath(delta, [0] * delta.n))
+        if report is not None and are_isomorphic(
+                report.reconstruction, graph) is not None:
+            report.verified = True
             return report
     for bs, delta in zip(candidates, deltas):
         report = inf_form_by_orbits(graph, bs, group, delta)

@@ -26,7 +26,7 @@ from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
 from smallmotion.graphcore import (Graph, PairPartition, alternate_matching,
                                    cartesian_product, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
-                                   isomorphism_with_colors, lex_product,
+                                   _SourcePath, lex_product,
                                    petersen_graph, prism_graph, spx_graph)
 from smallmotion.permcore import (PermGroup, Permutation, StabilizerChain,
                                   _is_prime, orbit)
@@ -114,7 +114,7 @@ def reference_automorphism_group(graph, colors=None):
                    for u in range(n)]
             dst = [pinned.get(u, (2,) if u == w else base[u])
                    for u in range(n)]
-            t = isomorphism_with_colors(graph, src, graph, dst)
+            t = _SourcePath(graph, src).isomorphism(graph, dst)
             if t is None:
                 continue
             gens.append(t)

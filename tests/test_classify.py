@@ -1,5 +1,6 @@
 """Motion-2/4 decomposition, paired-fibre criteria, and the corpus driver."""
 
+import dataclasses
 import functools
 import itertools
 import re
@@ -12,7 +13,7 @@ from oracles import (block_systems_all_beta, count_base_changes,
                      decompose_motion2_twins,
                      decompose_motion4_all_systems, inf_grid, path_graph,
                      relabel, restricted_orbits, with_edge_removed)
-from smallmotion import autengine, classify, cli
+from smallmotion import autengine, classify, cli, graphcore
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion, motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
@@ -260,6 +261,41 @@ class TestOneAutPerGraph:
         assert cli.main(["classify", "prism:3"]) == cli.EXIT_OK
         assert "lex_prism" in capsys.readouterr().out
         assert len(aut_calls) == 1
+
+
+class TestOnePathPerGraph:
+    """decompose searches on first paths already built: the graph's, kept
+    by its Aut computation, and one of the block's subgraph, shared by
+    every fibre candidate."""
+
+    def test_motion4_verify_graph_builds_two_paths(self, monkeypatch):
+        built = []
+        original = graphcore._SourcePath.__init__
+
+        def recording(self, graph, colors):
+            built.append(graph)
+            original(self, graph, colors)
+
+        monkeypatch.setattr(graphcore._SourcePath, "__init__", recording)
+        for token, form in (("prism:3", "lex_prism"),
+                            ("circulant:10:1-2-3-5", "lex_C5"),
+                            ("inf:01:cycle:6:alternate:m2", "inf")):
+            built.clear()
+            graph = named_graph(token)
+            rec = verify_graph((token, graph))
+            assert (rec.motion, rec.form, rec.verified) == (4, form, True)
+            assert len(built) == 2 and built[0] is graph
+
+    def test_report_without_kept_path(self):
+        """An AutResult without a path (one built elsewhere) gives the
+        same reports; the path takes no part in repr or equality."""
+        for g in motion4_graphs():
+            aut = transitivity_aut(g)
+            bare = dataclasses.replace(aut, path=None)
+            assert aut.path is not None and bare == aut
+            assert repr(bare) == repr(aut)
+            assert decompose(g, aut=bare).as_dict() == \
+                decompose(g, aut=aut).as_dict()
 
 
 class TestInfIdentities:

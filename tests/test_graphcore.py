@@ -14,6 +14,7 @@ from oracles import (FullPassPath, complete_bipartite,
                      equitable_refinement, neighbors, refine_pass_sorted,
                      relabel, to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
+from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    _maps_onto, _pass_keys, _refine_pass,
                                    _SourcePath,
@@ -25,7 +26,7 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    from_edge_list,
                                    from_graph6, inf_graph,
                                    invariant_graphs_under,
-                                   isomorphism_with_colors, lex_product,
+                                   lex_product,
                                    matching_graph, parse_graph,
                                    petersen_graph, prism_graph, px_graph,
                                    quotient_graph, spx_graph, to_graph6)
@@ -412,6 +413,42 @@ class TestIsomorphism:
         assert automorphism_group(rook).order == 1152
         assert automorphism_group(shrikhande_graph()).order == 192
 
+    def test_searches_on_a_kept_path(self):
+        """Searches on the first path an uncoloured Aut computation keeps
+        give the verdicts of fresh ones: each corpus graph against a
+        relabelled copy of every corpus graph of its order, and rook's
+        graph against the Shrikhande graph.  A coloured one keeps none."""
+        rng = random.Random(30)
+        graphs = [g for _, g in corpus_generators(CorpusSpec(
+            circulant_max=10))]
+        for g in graphs:
+            path = automorphism_group(g).path
+            p = Permutation(rng.sample(range(g.n), g.n))
+            for h in (relabel(other, p) for other in graphs
+                      if other.n == g.n):
+                found = are_isomorphic(g, h, path)
+                assert (found is None) == (are_isomorphic(g, h) is None)
+                assert found is None or relabel(g, found) == h
+        rook = cartesian_product(complete_graph(4), complete_graph(4))
+        path = automorphism_group(rook).path
+        assert are_isomorphic(rook, shrikhande_graph(), path) is None
+        assert automorphism_group(rook, [0] * 16).path is None
+
+    def test_kept_path_search_gets_the_whole_cap(self, monkeypatch):
+        """A search on a kept path counts its nodes from zero: with the cap
+        at each search's node count but below their sum, Aut's searches
+        and then the round trip both finish, and ``stats`` keeps Aut's."""
+        rook = cartesian_product(complete_graph(4), complete_graph(4))
+        copy = relabel(rook, Permutation([(5 * v) % 16 for v in range(16)]))
+        aut, fresh = automorphism_group(rook), _SourcePath(rook, [0] * 16)
+        assert fresh.isomorphism(copy, [0] * 16) is not None
+        counts = aut.stats["search_nodes"], fresh.nodes
+        assert min(counts) > 0
+        monkeypatch.setenv("SMALLMOTION_CAP", str(max(counts)))
+        capped = automorphism_group(rook)
+        assert are_isomorphic(rook, copy, capped.path) is not None
+        assert capped.stats == aut.stats
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_coloured_search_against_networkx(self, data):
@@ -428,7 +465,7 @@ class TestIsomorphism:
             g2 = data.draw(graphs(min_n=n, max_n=n))
             c2 = data.draw(st.lists(st.integers(0, 2), min_size=n,
                                     max_size=n))
-        found = isomorphism_with_colors(g1, c1, g2, c2)
+        found = _SourcePath(g1, c1).isomorphism(g2, c2)
         h1, h2 = to_nx(g1), to_nx(g2)
         nx.set_node_attributes(h1, dict(enumerate(c1)), "c")
         nx.set_node_attributes(h2, dict(enumerate(c2)), "c")
@@ -453,7 +490,7 @@ class TestIsomorphism:
         c2 = [c1[v] for v in p.inverse().images]
 
         def check(h2, d2, want):
-            found = isomorphism_with_colors(g1, c1, h2, d2)
+            found = _SourcePath(g1, c1).isomorphism(h2, d2)
             assert (found is not None) == want
             if found is not None:
                 assert relabel(g1, found) == h2

@@ -13,6 +13,9 @@ from oracles import (block_systems_all_beta, closure, count_base_changes,
                      minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      random_element, reduce_generators)
+from smallmotion import permcore
+from smallmotion.autengine import automorphism_group
+from smallmotion.graphcore import Graph
 from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
                                      classify_22_group, cyclic_group,
                                      dihedral_group, pgl2, pgl3_2, psl2,
@@ -134,6 +137,16 @@ def imprimitive_groups(draw):
                                  for j in range(b) for i in range(a)]))
     relabel = Permutation(draw(st.permutations(range(n))))
     return PermGroup(n, [g.conjugate(relabel) for g in gens])
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph on at most 8 vertices."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
 
 
 @st.composite
@@ -768,22 +781,24 @@ class TestMinimalDegree:
 
     def test_search_tables_are_built_once_per_chain(self, monkeypatch):
         """_find_p_cycle(p=None) tries the primes 2, 3, 5, 7 on C7 with one
-        build of the search tables (one orbits call per level); a chain
-        that grows drops them, and a level's table is built on first use."""
+        build of the search tables (one union-find forest, whose roots are
+        the orbit ids); a chain that grows drops them, and a level's table
+        is built on first use."""
         c7 = PermGroup(7, [Permutation.from_cycles(7, [list(range(7))])])
-        calls = []
-        original = PermGroup.orbits
+        forests = []
+        original = permcore._root
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def recording(parent, v):
+            if not any(parent is f for f in forests):
+                forests.append(parent)
+            return original(parent, v)
 
-        monkeypatch.setattr(PermGroup, "orbits", counting)
+        monkeypatch.setattr(permcore, "_root", recording)
         assert _find_p_cycle(c7, None).cycle_type() == (7,)
-        assert len(calls) == len(c7.chain.base) == 1
+        assert len(forests) == len(c7.chain.base) == 1
         tables = c7.chain._tables
         assert c7.small_support_elements(2) == []
-        assert c7.chain._tables is tables and len(calls) == 1
+        assert c7.chain._tables is tables and len(forests) == 1
         assert c7.chain.extend(Permutation.from_cycles(7, [[0, 1]]))
         assert c7.chain._tables is None
         assert len(c7.small_support_elements(2)) == 21   # Sym(7)
@@ -795,6 +810,32 @@ class TestMinimalDegree:
         assert None not in s5.chain._tables[1:]
         assert len(s5.small_support_elements(2)) == 10
         assert None not in s5.chain._tables
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(), imprimitive_groups(), small_graphs(), st.data())
+    def test_orbit_ids_partition_as_level_orbits(self, sample, imprimitive,
+                                                 graph, data):
+        """Each level's orbit ids, built bottom-up in one union-find
+        forest, group the points as the orbits of G_{d+1}: on the chains
+        of random groups, of automorphism groups with their base and with
+        another one, and of block stabilizers."""
+        grp, _ = sample
+        aut = automorphism_group(graph).group
+        prefix = data.draw(st.permutations(range(graph.n)))[:2]
+        chains = [grp.chain, aut.chain, aut.chain_with_base(prefix)] + \
+            [stab.chain for stab in block_stabilizers(imprimitive)]
+        for chain in chains:
+            n = chain.degree
+            for fresh, first in ((True, 1), (False, 0), (True, 0)):
+                if fresh:
+                    chain._tables = None
+                levels = chain._levels(first)
+                for d in range(first, len(chain.base)):
+                    ids = levels[d][1]
+                    parts = {frozenset(q for q in range(n) if ids[q] == i)
+                             for i in set(ids)}
+                    assert parts == set(PermGroup(
+                        n, chain._level_gens(d + 1)).orbits())
 
     def test_search_nodes_are_capped(self, monkeypatch):
         monkeypatch.setenv("SMALLMOTION_CAP", "100")
