@@ -445,7 +445,9 @@ class _SourcePath:
         keeps the colours, searched from ``depth``: ``colors`` colours g2
         in the ids of that depth's seed.  Only the target side branches,
         on the vertices of the branch vertex's cell, in vertex order: the
-        walk keeps its own stack and counts a node when it pops it."""
+        walk keeps its own stack and counts a node when it pops it.  A leaf
+        is returned only if it maps the edges onto g2's; it keeps the
+        colours, as each id refines the one before (a key's low bits)."""
         stack = [(colors, depth, None)]   # (parent's colours, depth, w)
         while stack:
             colors, depth, w = stack.pop()

@@ -1,11 +1,11 @@
 """Named group families, the classification tables, row checkers, and the
 transitive-group classifiers for small minimal degree.
 
-Constructible families are built from explicit generators; a few table
-rows name groups that cannot be instantiated here (Mathieu groups and
-semilinear groups over proper prime-power fields) and raise a distinct
-error instead.  Projective lines are labeled 0, ..., p-1, infinity with
-infinity at index p and the convention a/0 = infinity.
+Constructible families are built from explicit generators; table rows
+naming groups not built here (Mathieu groups and semilinear groups over
+proper prime-power fields) are metadata only, with no ``x_spec``.
+Projective lines are labeled 0, ..., p-1, infinity with infinity at
+index p and the convention a/0 = infinity.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ from functools import cache
 from math import factorial, gcd, prod
 from typing import Callable, Optional
 
-from .permcore import (SUBGROUP_LATTICE_LIMIT, CapExceededError, PermGroup,
-                       Permutation, is_two_two, orbit, permutation_isomorphic,
-                       _is_prime, _then)
+from .permcore import (PermGroup, Permutation, is_two_two, orbit,
+                       permutation_isomorphic, _is_prime, _then)
 from .wreath import wreath_product
-
-
-class NotConstructibleError(ValueError):
-    """The requested family exists only as table metadata."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +82,6 @@ def agl1(p: int) -> PermGroup:
 
 def _fractional_map(a: int, b: int, c: int, d: int, p: int) -> Permutation:
     """z -> (az+b)/(cz+d) on the projective line; index p is infinity."""
-    if (a * d - b * c) % p == 0:
-        raise ValueError("matrix must be invertible")
     inf = p
     images = []
     for z in range(p):
@@ -163,7 +156,7 @@ def agl_d2(d: int) -> PermGroup:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A named constructible (or metadata-only) group family."""
+    """A named constructible group family, built by ``construct``."""
 
     family: str
     params: tuple = ()
@@ -172,9 +165,6 @@ class GroupSpec:
         if self.params:
             return f"{self.family}({', '.join(map(str, self.params))})"
         return self.family
-
-
-_METADATA_ONLY = {"M11", "M12", "M23", "M24", "PGammaL", "AGammaL", "AGL1_2a"}
 
 
 # family -> (constructor, the group's order in the same parameters)
@@ -192,9 +182,6 @@ _CONSTRUCTORS = {
 @cache
 def construct(spec: GroupSpec) -> PermGroup:
     """The family's group, built once and shared: never extend its chain."""
-    if spec.family in _METADATA_ONLY:
-        raise NotConstructibleError(
-            f"{spec} is table metadata only and cannot be instantiated")
     if spec.family in _CONSTRUCTORS:
         return _CONSTRUCTORS[spec.family][0](*spec.params)
     raise ValueError(f"unknown family {spec!r}")
@@ -215,7 +202,8 @@ class TableRow:
     ``condition`` is the last-column tag of the p-cycle table
     (always / never / cond_C / p3_and_C) or not_applicable for the other
     tables.  ``x_spec(*params)`` returns (p, m, X, Y) for a constructible
-    row; it is None for the metadata-only rows.
+    row; it is None for a metadata-only row, which ``check_table_row``
+    refuses.
     ``sample_params`` gives desk-scale concrete parameters for checking.
     """
 
@@ -436,7 +424,7 @@ class RowCheck:
     """Outcome of checking one table row on its sample instances."""
 
     row: TableRow
-    status: str                      # pass | fail | skip
+    status: str                      # pass | fail
     details: list = field(default_factory=list)
 
 
@@ -455,8 +443,6 @@ def _two_two_classes(y: PermGroup) -> list[list[Permutation]]:
 def check_table2_row(row: TableRow, params: tuple) -> RowCheck:
     """For every order-2 support-4 element x of Y, the closure of x under
     conjugation must be permutation isomorphic to X."""
-    if not row.constructible:
-        return RowCheck(row, "skip", ["not constructible"])
     _, m, x_ref, y = row.x_spec(*params)
     details = []
     classes = _two_two_classes(y)
@@ -478,8 +464,6 @@ def check_table2_row(row: TableRow, params: tuple) -> RowCheck:
 def check_table1_row(row: TableRow, params: tuple) -> RowCheck:
     """Check the minimal-degree claim on the wreath examples X wr Sym(2)
     and Y wr Sym(2) built from the row's groups."""
-    if not row.constructible:
-        return RowCheck(row, "skip", ["not constructible"])
     p, m, x_ref, y_ref = row.x_spec(*params)
     details = []
     for name, inner in (("X", x_ref), ("Y", y_ref)):
@@ -495,12 +479,14 @@ def check_table1_row(row: TableRow, params: tuple) -> RowCheck:
 
 
 def check_table_row(row: TableRow, params: tuple = ()) -> RowCheck:
-    if row.table == 1:
-        return check_table1_row(row, params)
-    if row.table == 2:
-        return check_table2_row(row, params)
-    raise ValueError("row checks exist for tables 1 and 2 only; tables 3/4 "
-                     "are verified by subgroup enumeration")
+    if row.table not in (1, 2):
+        raise ValueError("row checks exist for tables 1 and 2 only; tables "
+                         "3/4 are verified by subgroup enumeration")
+    if row.x_spec is None:
+        raise ValueError(f"table {row.table} row {row.index} ({row.x_desc}, "
+                         f"{row.y_desc}) is metadata only: nothing to check")
+    check = check_table1_row if row.table == 1 else check_table2_row
+    return check(row, params)
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +732,12 @@ def _all_subgroups(elements: list[Permutation],
     generated by their cyclic subgroups.  Each comes as (element set, the
     generators it was first built from).
 
-    The extensions run on the group's Cayley table, at most
-    ``SUBGROUP_LATTICE_LIMIT``^2 entries: an element is its index in
+    The extensions run on the Cayley table (2,304 entries for Sym(2) wr
+    Sym(3), the one caller's largest group): an element is its index in
     ``elements`` and a subgroup is an int bit mask.  <H, g> is H grown by
     whole right cosets of H under H's kept generators and g (Dimino's
     algorithm; Butler, *Fundamental Algorithms for Permutation Groups*,
     1991).  Only the finished subgroups become element sets."""
-    if len(elements) > SUBGROUP_LATTICE_LIMIT:
-        raise CapExceededError(f"group order {len(elements)} exceeds cap "
-                               f"SUBGROUP_LATTICE_LIMIT={SUBGROUP_LATTICE_LIMIT}")
     index = {g.images: i for i, g in enumerate(elements)}
     images = [g.images for g in elements]
     # right[b][a] is the index of a*b (a first)

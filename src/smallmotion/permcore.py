@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 CAP_VARIABLE = "SMALLMOTION_CAP"
 DEFAULT_CAP = 10**6
 MAX_PAIR_ORBITS = 20
-SUBGROUP_LATTICE_LIMIT = 200
 
 
 def element_cap() -> int:

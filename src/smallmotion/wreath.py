@@ -109,14 +109,12 @@ def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
 def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     """Embed a transitive imprimitive group into (block action on one
     block) wr (action on blocks), checking that every generator's image
-    lies in that wreath product."""
-    if not group.is_invariant_partition(bs):
-        raise ValueError("partition is not invariant under the group")
+    lies in that wreath product (``action_on_blocks`` checks invariance)."""
+    outer = group.action_on_blocks(bs)
     if not group.is_transitive():
         raise ValueError("group must be transitive")
     block0 = bs.blocks[0]
     inner = group.block_stabilizer(block0).restriction(block0)
-    outer = group.action_on_blocks(bs)
     lab = WreathLabeling(len(block0), len(bs.blocks))
     inverses = _block_transversal(group, bs)
     pos = {v: i for i, v in enumerate(block0)}

@@ -17,6 +17,7 @@ from oracles import (automorphism_group_brute, closure, count_base_changes,
                      equitable_refinement, find_twins_all_pairs,
                      minimal_degree_full_scan, path_graph,
                      random_element)
+from smallmotion import autengine
 from smallmotion.autengine import (aut_preserving_partition,
                                    automorphism_group, find_twins,
                                    is_vertex_transitive, motion,
@@ -201,6 +202,47 @@ class TestAutomorphismGroup:
             assert order == sum(
                 all(keep[h(v)] == keep[v] for v in range(g.n))
                 for h in automorphism_group_brute(g).elements())
+
+
+class TestGeneratorsKeepEdgesAndColours:
+    """Aut checks each generator once, at its search's leaf.  These tests
+    relabel the edge set themselves rather than call
+    ``Graph.is_automorphism``, which shares the leaf's edge check."""
+
+    @staticmethod
+    def assert_generators_keep(graph, colors=None):
+        aut = automorphism_group(graph, colors)
+        edges = {frozenset(e) for e in graph.edges()}
+        keep = colors or [0] * graph.n
+        for h in aut.group.generators:
+            assert {frozenset(map(h, e)) for e in edges} == edges
+            assert [keep[h(v)] for v in range(graph.n)] == list(keep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coloured_graphs(max_n=10))
+    def test_random_coloured_graphs(self, case):
+        self.assert_generators_keep(*case)
+
+    def test_corpus(self):
+        graphs = [graph for _, graph in corpus_generators(CorpusSpec())]
+        assert len(graphs) == 122
+        for graph in graphs:
+            self.assert_generators_keep(graph)
+
+    def test_marked_graphs_of_the_inf_grid(self, monkeypatch):
+        marked = []
+
+        def recording(graph, colors=None):
+            marked.append((graph, colors))
+            return automorphism_group(graph, colors)
+
+        monkeypatch.setattr(autengine, "automorphism_group", recording)
+        for token in CorpusSpec().inf_sigmas:
+            for _, pairs in sigma_matchings(token):
+                aut_preserving_partition(named_graph(token), pairs)
+        assert marked and all(colors is not None for _, colors in marked)
+        for graph, colors in marked:
+            self.assert_generators_keep(graph, colors)
 
 
 class TestSearchFilter:

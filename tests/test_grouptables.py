@@ -15,7 +15,7 @@ from oracles import (block_system_containing_support, block_systems_all_beta,
                      is_2_transitive, subgroups_by_cyclic_joins)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
-                                     GroupSpec, NotConstructibleError,
+                                     GroupSpec,
                                      _all_subgroups, _candidate_specs,
                                      _find_p_cycle, _size2_blocks, agl1,
                                      agl_d2, alt_group,
@@ -29,8 +29,8 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      pair_projection, pgl2, pgl3_2, psl2,
                                      recognize_family,
                                      superflip, sym_group, tau_cross_sym)
-from smallmotion.permcore import (CapExceededError, PermGroup, Permutation,
-                                  is_two_two, permutation_isomorphic)
+from smallmotion.permcore import (PermGroup, Permutation, is_two_two,
+                                  permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
 SAMPLE_GROUPS = [dihedral_group(4), tau_cross_sym(3), even_flips_rtimes_sym(3),
@@ -138,11 +138,12 @@ class TestConstructors:
         assert len(translations) == 8
 
     def test_construct_dispatch_and_metadata_rows(self):
+        """Families named only in the tables have no constructor."""
         assert construct(GroupSpec("Sym", (4,))).order() == 24
-        with pytest.raises(NotConstructibleError):
-            construct(GroupSpec("M11", ()))
-        with pytest.raises(ValueError):
-            construct(GroupSpec("Frobble", ()))
+        for family in ("M11", "M12", "M23", "M24", "PGammaL", "AGammaL",
+                       "AGL1_2a", "Frobble"):
+            with pytest.raises(ValueError, match="unknown family"):
+                construct(GroupSpec(family, ()))
 
 
 class TestTables:
@@ -164,6 +165,13 @@ class TestTables:
     def test_check_table_row_rejects_tables_3_4(self):
         with pytest.raises(ValueError):
             check_table_row(TABLE3[0])
+
+    @pytest.mark.parametrize("row", [r for r in TABLE1 if r.x_spec is None],
+                             ids=lambda r: f"row{r.index}")
+    def test_check_table_row_rejects_metadata_rows(self, row):
+        with pytest.raises(ValueError, match=f"^table 1 row {row.index} "
+                                             r"\(.*\) is metadata only"):
+            check_table_row(row)
 
 
 class TestReferenceSubgroups:
@@ -692,16 +700,6 @@ class TestSubgroupLattice:
         with pytest.raises(RuntimeError,
                            match="subgroup closure leaves the element set"):
             _all_subgroups(elements, 4)
-
-    def test_lattice_limit(self):
-        with pytest.raises(CapExceededError):
-            _all_subgroups(sorted(sym_group(6).elements()), 6)
-
-    def test_lattice_limit_error_names_the_limit(self):
-        with pytest.raises(CapExceededError) as info:
-            _all_subgroups(sorted(sym_group(6).elements()), 6)
-        assert str(info.value) == \
-            "group order 720 exceeds cap SUBGROUP_LATTICE_LIMIT=200"
 
 
 class TestPairEnumeration:
