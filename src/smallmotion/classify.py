@@ -380,7 +380,8 @@ def corpus_generators(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     seen: dict[int, list[Graph]] = {}
     for label, graph in raw:
         bucket = seen.setdefault(graph.n, [])
-        if any(are_isomorphic(graph, other) is not None for other in bucket):
+        path = _SourcePath(graph, [0] * graph.n)    # for the whole bucket
+        if any(are_isomorphic(graph, old, path) is not None for old in bucket):
             continue
         bucket.append(graph)
         yield label, graph

@@ -352,6 +352,7 @@ def tau_cross_sym(m: int) -> PermGroup:
     return PermGroup(2 * m, diagonal_sym(m) + [superflip(m)])
 
 
+@cache
 def even_flips(m: int) -> PermGroup:
     """E+: flip vectors with evenly many flipped pairs."""
     gens = [_pair_swap(m, 0) * _pair_swap(m, i) for i in range(1, m)]
@@ -727,17 +728,18 @@ class PairEnumeration:
 def _all_subgroups(elements: list[Permutation],
                    degree: int) -> list[tuple[frozenset, list[Permutation]]]:
     """All subgroups of a small group, sorted by order and then by their
-    sorted image tuples: the least family holding {1} and closed under
-    H -> <H, g>, g one generator per cyclic subgroup, as subgroups are
-    generated by their cyclic subgroups.  Each comes as (element set, the
-    generators it was first built from).
+    sorted image tuples, each as (element set, canonical sequence).
 
-    The extensions run on the Cayley table (2,304 entries for Sym(2) wr
-    Sym(3), the one caller's largest group): an element is its index in
-    ``elements`` and a subgroup is an int bit mask.  <H, g> is H grown by
-    whole right cosets of H under H's kept generators and g (Dimino's
-    algorithm; Butler, *Fundamental Algorithms for Permutation Groups*,
-    1991).  Only the finished subgroups become element sets."""
+    Elements are indices into ``elements``, subgroups int bit masks.  K's
+    canonical sequence takes, at each step, K's least element outside the
+    group generated so far, so its indices rise and each is the least
+    generator of its cyclic subgroup.  The walk extends H only by such g
+    above H's last one and outside H, and drops <H, g> once it holds a new
+    index below g (canonical augmentation; McKay, "Isomorph-free
+    exhaustive generation", 1998): each subgroup is built once, from the
+    parent its sequence names.  <H, g> grows H by whole right cosets on
+    the Cayley table, at most 2,304 entries here (Dimino's algorithm;
+    Butler, *Fundamental Algorithms for Permutation Groups*, 1991)."""
     index = {g.images: i for i, g in enumerate(elements)}
     images = [g.images for g in elements]
     # right[b][a] is the index of a*b (a first)
@@ -747,48 +749,38 @@ def _all_subgroups(elements: list[Permutation],
     if e is None or any(None in column for column in right):
         raise RuntimeError("subgroup closure leaves the element set")
     bits = [1 << i for i in range(len(elements))]
-    members = {bits[e]: [e]}        # mask -> its element indices
-    kept = {bits[e]: []}            # mask -> the generators it was built from
+    least = {sum(map(bits.__getitem__, orbit(g, [right[g].__getitem__]))): g
+             for g in reversed(range(len(elements)))}    # <g> -> least g
+    built = {bits[e]: ([e], [])}    # mask -> (its indices, its sequence)
 
     def extend(mask, g):
-        # the right cosets of H = members[mask] that generators of <H, g>
+        # the right cosets of H = built[mask] that generators of <H, g>
         # reach from H; a coset is new iff its representative is new
-        subgroup, gens = members[mask], kept[mask] + [g]
-        reps, elems = [e], list(subgroup)
+        (subgroup, gens), forbidden = built[mask], (bits[g] - 1) & ~mask
+        reps, gens = [e], gens + [g]
         for rep in reps:
             for s in gens:
                 t = right[s][rep]
                 if not mask & bits[t]:
-                    coset = list(map(right[t].__getitem__, subgroup))
-                    elems += coset
+                    coset = map(right[t].__getitem__, subgroup)
                     mask |= sum(map(bits.__getitem__, coset))
+                    if mask & forbidden:
+                        return      # g is not <H, g>'s least new element
                     reps.append(t)
-        if mask not in members:
-            members[mask], kept[mask] = elems, gens
-            family.append(mask)
-        return mask
+        built[mask] = [i for i in range(len(bits)) if mask & bits[i]], gens
+        family.append(mask)
 
     family = [bits[e]]              # extend appends each new subgroup
-    for g in range(len(elements)):
-        extend(bits[e], g)
-    cyclic = [kept[mask][0] for mask in family[1:]]
-    for mask in family:             # a breadth-first walk of the family
-        for g in cyclic:
-            if not mask & bits[g]:
+    for mask in family:
+        last = max(built[mask][1], default=-1)
+        for g in least.values():
+            if g > last and not mask & bits[g]:
                 extend(mask, g)
-    family.sort(key=lambda mask: (len(members[mask]), sorted(
-        elements[i].images for i in members[mask])))
-    return [(frozenset(elements[i] for i in members[mask]),
-             [elements[i] for i in kept[mask]]) for mask in family]
-
-
-def _kernel_tag(m: int, projections: list) -> str:
-    """The flip kernel of Y, counted from the pair projections of its
-    elements (for m = 2 a kernel of order 2 is the superflip)."""
-    k = sum(1 for pr in projections if pr.is_identity())
-    names = {2 ** m: "all_flips", 2 ** (m - 1): "even_flips",
-             2: "superflip", 1: "trivial"}
-    return names.get(k, f"size_{k}")
+    subgroups = [(frozenset(elements[i] for i in elems),
+                  [elements[i] for i in gens])
+                 for elems, gens in built.values()]
+    return sorted(subgroups, key=lambda sub: (len(sub[0]), sorted(
+        g.images for g in sub[0])))
 
 
 def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
@@ -796,14 +788,14 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     order-2 support-4 element projecting to a transposition, with full
     projection Sym(m); pair each with X = closure of that element under Y.
 
-    The subgroups come from ``_all_subgroups``, as bit masks over the
-    Cayley table of Sym(2) wr Sym(m) (64 entries for m = 2, 2,304 for
-    m = 3), and Y is the group on the generators it was built from.  Every
+    Y runs over ``_all_subgroups``, on its canonical sequence; every
     element keeps the pairs {2i, 2i+1}, so each has a pair projection.
-    X and Y are named after the first reference of the two small tables
-    with the same element set, else after the first one of their order
-    that is permutation isomorphic to them; the row-2 discrepancy between
-    the tables is settled by the data.
+    Every subgroup holding x's Y-class (its orbit under Y's generators,
+    taken once per class) holds X = <x^Y>, so X is the first in the
+    family.  X and Y are named once per element set: after the first
+    reference of the two small tables with that set, else the first one
+    of their order permutation isomorphic to them.  The data settles the
+    row-2 discrepancy between the tables.
     """
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
@@ -814,10 +806,12 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     elements = sorted(references[-1][2])     # Sym(2) wr Sym(m)
     subgroups = _all_subgroups(elements, 2 * m)
 
-    def identify(elems: frozenset, group: PermGroup) -> str:
+    @cache
+    def identify(elems: frozenset) -> str:
         for name, _, ref_elems in references:
             if elems == ref_elems:
                 return name
+        group = PermGroup(2 * m, dict(subgroups)[elems])
         for name, ref, ref_elems in references:
             if len(ref_elems) == len(elems) and \
                     permutation_isomorphic(group, ref) is not None:
@@ -826,24 +820,26 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
 
     pairs, matches, kernels = [], [], []
     proj = {g: pair_projection(m, g) for g in elements}
+    # for m = 2 the later key 2 wins: a kernel of order 2 is the superflip
+    kernel_tags = {2 ** m: "all_flips", 2 ** (m - 1): "even_flips",
+                   2: "superflip", 1: "trivial"}
     for y_elems, kept in subgroups:
         projections = [proj[g] for g in y_elems]
         if len({pr.images for pr in projections}) != factorial(m):
             continue    # Y does not project onto Sym(m)
-        witnesses = [g for g in y_elems
-                     if is_two_two(g) and proj[g].cycle_type() == (2,)]
-        if not witnesses:
-            continue
-        y_group = PermGroup(2 * m, kept)
-        closures = {}
-        for x in sorted(witnesses):
-            x_group = y_group.normal_closure(x)
-            closures.setdefault(frozenset(x_group.elements()), x_group)
-        for x_elems in sorted(closures, key=lambda s: (len(s), sorted(p.images for p in s))):
+        k = sum(1 for pr in projections if pr.is_identity())   # |kernel|
+        conjugate = [lambda h, g=g, gi=g.inverse(): gi * h * g for g in kept]
+        witnesses = {x for x in y_elems
+                     if is_two_two(x) and proj[x].cycle_type() == (2,)}
+        xs = set()                  # family indices of the Xs
+        while witnesses:
+            cls = set(orbit(witnesses.pop(), conjugate))
+            witnesses -= cls
+            xs.add(next(i for i, s in enumerate(subgroups) if cls <= s[0]))
+        for x_elems, _ in map(subgroups.__getitem__, sorted(xs)):
             pairs.append((x_elems, y_elems))
-            matches.append((identify(x_elems, closures[x_elems]),
-                            identify(y_elems, y_group)))
-            kernels.append(_kernel_tag(m, projections))
+            matches.append((identify(x_elems), identify(y_elems)))
+            kernels.append(kernel_tags.get(k, f"size_{k}"))
 
     r1 = ("one_cross_sym", "tau_cross_sym") in matches
     t3 = any(x == "even_flips" and y.startswith("c2_wr_sym")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import re
 
@@ -18,8 +19,11 @@ from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion, motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
                                   circulant_corpus, corpus_generators,
-                                  decompose, inf_is_vertex_transitive_predicted,
-                                  inf_motion2_predicted, named_graph,
+                                  decompose, inf_corpus,
+                                  inf_is_vertex_transitive_predicted,
+                                  inf_motion2_predicted,
+                                  invariant_union_corpus, lex_corpus,
+                                  named_graph,
                                   pair_transposition_in_aut, sigma_matchings,
                                   verify_corpus, verify_graph)
 from smallmotion.graphcore import (InfParams, are_isomorphic,
@@ -285,6 +289,31 @@ class TestOnePathPerGraph:
             rec = verify_graph((token, graph))
             assert (rec.motion, rec.form, rec.verified) == (4, form, True)
             assert len(built) == 2 and built[0] is graph
+
+    def test_corpus_builds_one_path_per_raw_graph(self, monkeypatch):
+        """corpus_generators tests each raw graph against the kept graphs
+        of its order on one path of its own; the labels stay pinned."""
+        built = []
+        original = graphcore._SourcePath.__init__
+
+        def recording(self, graph, colors):
+            built.append(graph)
+            original(self, graph, colors)
+
+        monkeypatch.setattr(graphcore._SourcePath, "__init__", recording)
+        spec = CorpusSpec()
+        labels = [label for label, _ in corpus_generators(spec)]
+        raw = list(itertools.chain(
+            circulant_corpus(spec.circulant_max),
+            inf_corpus(spec.inf_sigmas, spec.inf_ms),
+            lex_corpus(spec.lex_deltas, spec.lex_thetas),
+            invariant_union_corpus(spec.invariant_union_ms)))
+        assert len(built) == len({id(g) for g in built}) == len(raw) == 172
+        assert [to_graph6(g) for g in built] == [to_graph6(g) for _, g in raw]
+        assert len(labels) == 122
+        assert labels[:2] == ["circulant:2:", "circulant:3:"]
+        assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == \
+            "d5a04e51b9dd0faeb6ec2621916c0a6ebe16d8e0637a950f17d37062fdb49687"
 
     def test_report_without_kept_path(self):
         """An AutResult without a path (one built elsewhere) gives the

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_system_containing_support, block_systems_all_beta,
-                     is_2_transitive, subgroups_by_cyclic_joins)
+                     closure, is_2_transitive, subgroups_by_cyclic_joins)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec,
@@ -257,8 +257,8 @@ class TestRecognizeFamily:
         assert built == [spec]
 
 
-PAIR_REFERENCES = (one_cross_sym, tau_cross_sym, even_flips_rtimes_sym,
-                   c2_wr_sym)
+PAIR_REFERENCES = (one_cross_sym, tau_cross_sym, even_flips,
+                   even_flips_rtimes_sym, c2_wr_sym)
 
 
 def relabelled(grp, seed):
@@ -657,6 +657,35 @@ def subgroups_by_subset_scan(elements):
     return found
 
 
+def canonical_sequence(elements, subgroup, degree):
+    """Oracle: at each step the subgroup's least element, by index in
+    ``elements``, outside the group the steps before it generate."""
+    rank = {g: i for i, g in enumerate(elements)}
+    sequence, generated = [], {Permutation.identity(degree)}
+    while len(generated) < len(subgroup):
+        sequence.append(min(subgroup - generated, key=rank.__getitem__))
+        generated = closure(degree, sequence)
+    return sequence
+
+
+@st.composite
+def small_relabelled_subgroups(draw):
+    """A subgroup of Sym(5) or Sym(6) with at most 120 elements, on the
+    longest prefix of 1-3 random cycles that keeps it that small,
+    relabelled by a random point bijection; its elements come shuffled."""
+    degree = draw(st.sampled_from([5, 6]))
+    cycle = st.lists(st.integers(0, degree - 1), min_size=2, unique=True)
+    gens = draw(st.lists(cycle.map(
+        lambda c: Permutation.from_cycles(degree, [c])), min_size=1,
+        max_size=3))
+    while PermGroup(degree, gens).order() > 120:
+        gens.pop()
+    grp = relabelled(PermGroup(degree, gens), draw(st.integers(0, 2 ** 32)))
+    elements = list(grp.elements())
+    draw(st.randoms(use_true_random=False)).shuffle(elements)
+    return elements, degree
+
+
 class TestSubgroupLattice:
     C2_CUBED = PermGroup(6, [Permutation.from_cycles(6, [[2 * i, 2 * i + 1]])
                              for i in range(3)])
@@ -664,11 +693,13 @@ class TestSubgroupLattice:
     @staticmethod
     def checked_subgroups(elements, degree):
         """The element sets of ``_all_subgroups``, once each subgroup's
-        kept generators are checked to lie in it and to generate it."""
+        kept generators are checked to be its canonical sequence, which
+        lies in it and generates it."""
         got = _all_subgroups(elements, degree)
         for subgroup, gens in got:
             assert set(gens) <= subgroup
             assert PermGroup(degree, gens).order() == len(subgroup)
+            assert gens == canonical_sequence(elements, subgroup, degree)
         return [subgroup for subgroup, _ in got]
 
     # A4's Klein subgroup is the join of two cyclic subgroups, not cyclic
@@ -692,6 +723,32 @@ class TestSubgroupLattice:
         assert set(got) == subgroups_by_cyclic_joins(elements, grp.degree)
         assert got == sorted(got, key=lambda s: (len(s),
                                                  sorted(p.images for p in s)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(small_relabelled_subgroups())
+    def test_random_subgroups_match_cyclic_joins(self, case):
+        elements, degree = case
+        got = self.checked_subgroups(elements, degree)
+        assert len(got) == len(set(got))
+        assert set(got) == subgroups_by_cyclic_joins(elements, degree)
+
+    @pytest.mark.parametrize("grp", [c2_wr_sym(3), sym_group(4), C2_CUBED])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_each_subgroup_extends_its_parent(self, grp, seed):
+        """Every kept sequence is canonical, in sorted or shuffled element
+        order, and without its last step it is the kept sequence of the
+        subgroup it generates: each subgroup has one parent in the walk,
+        so it is built once."""
+        elements = sorted(grp.elements())
+        if seed is not None:
+            random.Random(seed).shuffle(elements)
+        got = _all_subgroups(elements, grp.degree)
+        kept = dict(got)
+        for subgroup, gens in got:
+            assert gens == canonical_sequence(elements, subgroup, grp.degree)
+            if gens:
+                parent = frozenset(closure(grp.degree, gens[:-1]))
+                assert kept[parent] == gens[:-1]
 
     @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)],
                              ids=["no_identity", "not_closed"])
@@ -735,6 +792,23 @@ class TestPairEnumeration:
         for flag in ("row1_matched", "table3_row2_matched",
                      "table4_row2_matched"):
             assert getattr(enum, flag) is want[flag]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_x_is_the_normal_closure_of_a_witness(self, m):
+        """The Xs paired with each Y are exactly the element sets of
+        ``PermGroup.normal_closure`` of its witnesses, in family order."""
+        enum = enumerate_small_subgroup_pairs(m)
+        xs_of = {}
+        for x_elems, y_elems in enum.pairs:
+            xs_of.setdefault(y_elems, []).append(x_elems)
+        for y_elems, xs in xs_of.items():
+            y = PermGroup(2 * m, sorted(y_elems))
+            closures = {frozenset(y.normal_closure(x).elements())
+                        for x in y_elems if is_two_two(x) and
+                        pair_projection(m, x).cycle_type() == (2,)}
+            assert len(xs) == len(closures) and set(xs) == closures
+            assert xs == sorted(xs, key=lambda s: (len(s), sorted(
+                p.images for p in s)))
 
     @pytest.mark.parametrize("m, pairs", [(2, 5), (3, 10)])
     def test_every_x_is_normal_in_its_y(self, m, pairs):
