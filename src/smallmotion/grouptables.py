@@ -222,48 +222,26 @@ class TableRow:
         return self.x_spec is not None
 
 
-def _t1_row1(m: int):
-    return 2, m, sym_group(m), sym_group(m)
-
-
-def _t1_row2(m: int, p: int):
-    return p, m, alt_group(m), sym_group(m)
-
-
-def _t1_row3(p: int):
-    return p, p, cyclic_group(p), agl1(p)
-
-
-def _t1_row4():
-    return 7, 7, pgl3_2(), pgl3_2()
-
-
-def _t1_row9(d: int):
-    return 2 ** d - 1, 2 ** d, agl_d2(d), agl_d2(d)
-
-
-def _t1_row10(p: int):
-    return p, p + 1, psl2(p), pgl2(p)
-
-
 TABLE1 = (
     TableRow(1, 1, "2", "m>=2", "Sym(m)", "Sym(m)", "always",
-             _t1_row1, ((3,), (4,))),
+             lambda m: (2, m, sym_group(m), sym_group(m)), ((3,), (4,))),
     TableRow(1, 2, ">=3", "m>=3", "Alt(m)", "Sym(m)", "p3_and_C",
-             _t1_row2, ((4, 3), (5, 3))),
+             lambda m, p: (p, m, alt_group(m), sym_group(m)),
+             ((4, 3), (5, 3))),
     TableRow(1, 3, ">=5", "p", "C_p", "AGL1(p)", "cond_C",
-             _t1_row3, ((5,), (7,))),
+             lambda p: (p, p, cyclic_group(p), agl1(p)), ((5,), (7,))),
     TableRow(1, 4, "(q^d-1)/(q-1)", "p", "PGL_d(q)", "PGammaL_d(q)", "never",
-             _t1_row4, ((),)),
+             lambda: (7, 7, pgl3_2(), pgl3_2()), ((),)),
     TableRow(1, 5, "11", "11", "PSL2(11)", "PSL2(11)", "never"),
     TableRow(1, 6, "11", "11", "M11", "M11", "never"),
     TableRow(1, 7, "23", "23", "M23", "M23", "never"),
     TableRow(1, 8, "Mersenne 2^a-1", "2^a", "AGL1(2^a)", "AGammaL1(2^a)",
              "cond_C"),
     TableRow(1, 9, "Mersenne 2^d-1", "2^d", "AGL_d(2)", "AGammaL_d(2)",
-             "never", _t1_row9, ((2,), (3,))),
+             "never", lambda d: (2 ** d - 1, 2 ** d, agl_d2(d), agl_d2(d)),
+             ((2,), (3,))),
     TableRow(1, 10, ">=5", "p+1", "PSL2(p)", "PGL2(p)", "never",
-             _t1_row10, ((5,), (7,))),
+             lambda p: (p, p + 1, psl2(p), pgl2(p)), ((5,), (7,))),
     TableRow(1, 11, "11", "12", "M11", "M11", "never"),
     TableRow(1, 12, "11", "12", "M12", "M12", "never"),
     TableRow(1, 13, "23", "24", "M24", "M24", "never"),
@@ -271,38 +249,17 @@ TABLE1 = (
              "cond_C"),
 )
 
-
-def _t2_row1(m: int):
-    return None, m, alt_group(m), sym_group(m)
-
-
-def _t2_row2():
-    return None, 5, dihedral_group(5), agl1(5)
-
-
-def _t2_row3():
-    return None, 6, psl2(5), pgl2(5)
-
-
-def _t2_row4():
-    return None, 7, pgl3_2(), pgl3_2()
-
-
-def _t2_row5():
-    return None, 8, agl_d2(3), agl_d2(3)
-
-
 TABLE2 = (
     TableRow(2, 1, "-", "m>=4", "Alt(m)", "Sym(m)", "not_applicable",
-             _t2_row1, ((5,),)),
+             lambda m: (None, m, alt_group(m), sym_group(m)), ((5,),)),
     TableRow(2, 2, "-", "5", "D(5)", "AGL1(5)", "not_applicable",
-             _t2_row2, ((),)),
+             lambda: (None, 5, dihedral_group(5), agl1(5)), ((),)),
     TableRow(2, 3, "-", "6", "PSL2(5)", "PGL2(5)", "not_applicable",
-             _t2_row3, ((),)),
+             lambda: (None, 6, psl2(5), pgl2(5)), ((),)),
     TableRow(2, 4, "-", "7", "PGL3(2)", "PGL3(2)", "not_applicable",
-             _t2_row4, ((),)),
+             lambda: (None, 7, pgl3_2(), pgl3_2()), ((),)),
     TableRow(2, 5, "-", "8", "AGL3(2)", "AGL3(2)", "not_applicable",
-             _t2_row5, ((),)),
+             lambda: (None, 8, agl_d2(3), agl_d2(3)), ((),)),
 )
 
 # Tables 3 and 4 share row 1 and differ in the X entry of row 2.
@@ -322,8 +279,8 @@ TABLE4 = (
 
 
 # ---------------------------------------------------------------------------
-# reference subgroups of Sym(2) wr Sym(m) on the pairs {2i, 2i+1}; the
-# four the classifiers compare against are built once per m and shared
+# reference subgroups of Sym(2) wr Sym(m) on the pairs {2i, 2i+1}, each
+# built once per m and shared
 
 def _pair_swap(m: int, i: int) -> Permutation:
     return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1]])
@@ -369,6 +326,15 @@ def even_flips_rtimes_sym(m: int) -> PermGroup:
 def c2_wr_sym(m: int) -> PermGroup:
     """Sym(2) wr Sym(m) on 2m points, pairs {2i, 2i+1}."""
     return PermGroup(2 * m, [_pair_swap(m, 0)] + diagonal_sym(m))
+
+
+@cache
+def pair_references(m: int) -> tuple:
+    """(name, group, element set) of the five pair-table references, the
+    last Sym(2) wr Sym(m) itself; built once per m and shared."""
+    return tuple((make.__name__, make(m), frozenset(make(m).elements()))
+                 for make in (one_cross_sym, tau_cross_sym, even_flips,
+                              even_flips_rtimes_sym, c2_wr_sym))
 
 
 def pair_projection(m: int, g: Permutation) -> Optional[Permutation]:
@@ -522,13 +488,25 @@ def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
 
 
 def _sandwich(group: PermGroup, block: tuple, x: Permutation):
-    """The sandwich X <= Y on a block holding supp(x): Y is the action of
-    the block stabilizer on the block and X the normal closure of x in it;
-    returned as (X, Y, X's family, Y's family)."""
-    g_block = group.block_stabilizer(block)
-    x_grp = g_block.normal_closure(x).restriction(block)
-    y_grp = g_block.restriction(block)
-    return x_grp, y_grp, recognize_family(x_grp), recognize_family(y_grp)
+    """The sandwich X <= Y on a block B holding supp(x), each built and
+    recognised once: Y is the action of the block stabilizer G_B on B,
+    and X the normal closure of x in G_B, restricted to B; returned as
+    (X, Y, X's family, Y's family).
+
+    X is closed in Y, in B's degree.  Restriction to B maps G_B onto Y;
+    it is one-to-one on the closure, whose members all have their support
+    in B; and a generator of G_B that fixes B pointwise conjugates such a
+    member to itself.  So the closure in Y keeps the restrictions of the
+    generators the closure in G_B keeps, in the same order.  X <= Y, as x
+    fixes B and so lies in G_B with its conjugates: when Y's generators
+    lie in X, Y = X and Y's family is X's, with no chain built for Y."""
+    y_grp = group.block_stabilizer(block).restriction(block)
+    x_grp = y_grp.normal_closure(
+        Permutation([block.index(x(v)) for v in block]))
+    x_fam = recognize_family(x_grp)
+    y_fam = x_fam if all(g in x_grp for g in y_grp.generators) \
+        else recognize_family(y_grp)
+    return x_grp, y_grp, x_fam, y_fam
 
 
 def _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c):
@@ -553,7 +531,14 @@ def _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c):
 def classify_p_cycle_group(group: PermGroup,
                            p: Optional[int] = None) -> PCycleReport:
     """Locate a p-cycle, a block system holding its support, and the
-    sandwich pair (X, Y); predict whether the minimal degree equals p."""
+    sandwich pair (X, Y); predict whether the minimal degree equals p.
+
+    Condition (C) says that Fix_B, the pointwise stabilizer of the
+    complement of the block B, restricted to B, is permutation isomorphic
+    to X.  Each conjugate of x in G_B has its support in B, so it fixes
+    the complement pointwise and X <= Fix_B.  Isomorphic groups have one
+    order, so (C) holds exactly when Fix_B <= X: when Fix_B's generators
+    lie in X, and Fix_B gets no chain."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
     x = _find_p_cycle(group, p)
@@ -574,11 +559,9 @@ def classify_p_cycle_group(group: PermGroup,
             notes=["support not contained in any proper block"])
     m, k = len(block), group.degree // len(block)
     x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
-    # condition (C): pointwise stabilizer of everything outside the block,
-    # restricted to the block, is permutation isomorphic to X
     outside = [v for v in range(group.degree) if v not in block]
     fix_restricted = group.pointwise_stabilizer(outside).restriction(block)
-    cond_c = permutation_isomorphic(fix_restricted, x_grp) is not None
+    cond_c = all(g in x_grp for g in fix_restricted.generators)
     row, predicted = _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c)
     notes = []
     if row is None:
@@ -799,10 +782,7 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     """
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
-    references = [(make.__name__, ref, frozenset(ref.elements()))
-                  for make in (one_cross_sym, tau_cross_sym, even_flips,
-                               even_flips_rtimes_sym, c2_wr_sym)
-                  for ref in [make(m)]]
+    references = pair_references(m)
     elements = sorted(references[-1][2])     # Sym(2) wr Sym(m)
     subgroups = _all_subgroups(elements, 2 * m)
 

@@ -1,8 +1,12 @@
-"""Brute-force oracles: exhaustive scans the fast code is checked against,
-and the small graph grids, graph helpers and counters the tests share."""
+"""Brute-force oracles: exhaustive scans and full searches the fast code
+is checked against, and the small graph grids, group strategies, graph
+helpers and counters the tests share."""
 
 import itertools
 
+from hypothesis import strategies as st
+
+from smallmotion import grouptables
 from smallmotion.autengine import automorphism_group, find_twins
 from smallmotion.classify import (_INF_FORMS, ClassificationReport,
                                   _try_lex_form, named_graph,
@@ -15,7 +19,7 @@ from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
                                   _then, _trusted, element_cap, is_two_two,
-                                  orbit)
+                                  orbit, permutation_isomorphic)
 
 
 def equitable_refinement(graph: Graph, colors) -> list[int]:
@@ -374,6 +378,60 @@ def decompose_motion2_twins(graph):
     return ClassificationReport(
         motion=2, form=form, m=m, theta=theta, reconstruction=reconstruction,
         verified=are_isomorphic(reconstruction, graph) is not None)
+
+
+@st.composite
+def imprimitive_groups(draw):
+    """A group of degree <= 8: random generators, or random elements of
+    Sym(a) wr Sym(b) (ab <= 8, blocks {ia, ..., ia+a-1}) under a random
+    relabelling, so that most samples have blocks."""
+    a, b = draw(st.sampled_from([(1, 4), (1, 6), (2, 2), (2, 3), (2, 4),
+                                 (3, 2), (4, 2), (1, 7)]))
+    n = a * b
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.permutations(range(b)))
+        inner = [draw(st.permutations(range(a))) for _ in range(b)]
+        gens.append(Permutation([top[j] * a + inner[j][i]
+                                 for j in range(b) for i in range(a)]))
+    relabel = Permutation(draw(st.permutations(range(n))))
+    return PermGroup(n, [g.conjugate(relabel) for g in gens])
+
+
+def sandwich_by_search(group: PermGroup, block, x: Permutation):
+    """The sandwich on a block holding supp(x), by the route that builds
+    and searches every group (oracle for ``grouptables._sandwich`` and the
+    classifier's condition (C)): x closed in the block stabilizer G_B on
+    all n points and restricted to the block, X and Y each recognised,
+    and condition (C) decided by a permutation-isomorphism search between
+    X and the pointwise stabilizer of the block's complement, restricted
+    to the block.  Returns (X, Y, X's family, Y's family, (C))."""
+    g_block = group.block_stabilizer(block)
+    x_grp = g_block.normal_closure(x).restriction(block)
+    y_grp = g_block.restriction(block)
+    outside = [v for v in range(group.degree) if v not in block]
+    fix = group.pointwise_stabilizer(outside).restriction(block)
+    return (x_grp, y_grp, grouptables.recognize_family(x_grp),
+            grouptables.recognize_family(y_grp),
+            permutation_isomorphic(fix, x_grp) is not None)
+
+
+def report_by_search(classify, group: PermGroup, *args):
+    """``classify(group, *args)`` with every sandwich taken from
+    ``sandwich_by_search``, and the list of the conditions (C) that the
+    search decided, one per sandwich."""
+    conditions = []
+
+    def sandwich(grp, block, x):
+        *found, cond_c = sandwich_by_search(grp, block, x)
+        conditions.append(cond_c)
+        return found
+
+    fast, grouptables._sandwich = grouptables._sandwich, sandwich
+    try:
+        return classify(group, *args), conditions
+    finally:
+        grouptables._sandwich = fast
 
 
 def restricted_orbits(group: PermGroup, block) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Concrete group families, table data, and the two classifiers."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -8,14 +9,15 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_system_containing_support, block_systems_all_beta,
-                     closure, is_2_transitive, subgroups_by_cyclic_joins)
+                     closure, imprimitive_groups, is_2_transitive,
+                     report_by_search, subgroups_by_cyclic_joins)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
-                                     GroupSpec,
+                                     GroupSpec, PCycleReport,
                                      _all_subgroups, _candidate_specs,
                                      _find_p_cycle, _size2_blocks, agl1,
                                      agl_d2, alt_group,
@@ -26,7 +28,8 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      enumerate_small_subgroup_pairs,
                                      even_flips, even_flips_rtimes_sym,
                                      family_order, one_cross_sym,
-                                     pair_projection, pgl2, pgl3_2, psl2,
+                                     pair_projection, pair_references,
+                                     pgl2, pgl3_2, psl2,
                                      recognize_family,
                                      superflip, sym_group, tau_cross_sym)
 from smallmotion.permcore import (PermGroup, Permutation, is_two_two,
@@ -294,11 +297,19 @@ class TestSharedReferences:
         for make in PAIR_REFERENCES:
             for m in (2, 3, 4):
                 assert make(m) is make(m), (make.__name__, m)
+        for m in (2, 3):
+            shared = pair_references(m)
+            assert shared is pair_references(m)
+            assert [(name, ref) for name, ref, _ in shared] == \
+                [(make.__name__, make(m)) for make in PAIR_REFERENCES]
+            assert all(elems == frozenset(ref.elements())
+                       for _, ref, elems in shared)
 
     def test_classifiers_leave_the_references_intact(self):
         refs = [construct(spec) for d in range(2, 13)
                 for spec in _candidate_specs(d)]
         refs += [make(m) for make in PAIR_REFERENCES for m in (2, 3)]
+        shared = [pair_references(m) for m in (2, 3)]
         snapshots = []
         for i, ref in enumerate(refs):
             assert permutation_isomorphic(relabelled(ref, i), ref) is not None
@@ -318,6 +329,9 @@ class TestSharedReferences:
                 assert family_order(recognize_family(member)) == \
                     family_order(spec)
         assert [chain_snapshot(ref) for ref in refs] == snapshots
+        assert [pair_references(m) for m in (2, 3)] == shared
+        assert all(elems == frozenset(ref.elements())
+                   for table in shared for _, ref, elems in table)
 
     @settings(max_examples=40, deadline=None)
     @given(relabelled_family_members())
@@ -632,6 +646,158 @@ class TestTwoTwoClassifier:
         assert rep.tag == "case_cross"
         assert rep.y_group.order() == even_flips_rtimes_sym(5).order()
         assert rep.notes == ["witness acts flips on the size-2 blocks"]
+
+
+def table_sample_cases():
+    """(group, classifier, args) for each group the table checks build:
+    X wr Sym(2) and Y wr Sym(2) of every Table 1 sample, with its p, and
+    every Table 2 sample's X and Y, alone and wreathed with Sym(2)."""
+    cases = []
+    for row in TABLE1:
+        for params in row.sample_params:
+            p, _, x, y = row.x_spec(*params)
+            cases += [(wreath_product(inner, sym_group(2)),
+                       classify_p_cycle_group, (p,)) for inner in (x, y)]
+    for row in TABLE2:
+        for params in row.sample_params:
+            _, _, x, y = row.x_spec(*params)
+            cases += [(grp, classify_22_group, ()) for inner in (x, y)
+                      for grp in (inner, wreath_product(inner, sym_group(2)))]
+    return cases
+
+
+TABLE_SAMPLE_CASES = table_sample_cases()
+WREATH_SAMPLES = [wreath_product(inner, sym_group(k)) for inner, k in (
+    (cyclic_group(3), 2), (sym_group(3), 2), (agl1(5), 2), (alt_group(4), 2),
+    (dihedral_group(4), 2), (cyclic_group(2), 3), (sym_group(2), 4))]
+
+
+def report_fields(rep):
+    """Every field of a classifier report, a group as the image tuples of
+    its generators and its order."""
+    return {f.name: ([g.images for g in v.generators], v.order())
+            if isinstance(v, PermGroup) else v
+            for f in dataclasses.fields(rep) for v in [getattr(rep, f.name)]}
+
+
+def assert_matches_search_route(group, classify, args):
+    """classify's report equals, field by field, the one whose sandwich
+    and condition (C) come from ``oracles.sandwich_by_search``."""
+    rep = classify(group, *args)
+    old, conditions = report_by_search(classify, group, *args)
+    assert report_fields(rep) == report_fields(old)
+    if isinstance(rep, PCycleReport):
+        assert conditions == ([] if rep.cond_c is None else [rep.cond_c])
+    return rep
+
+
+@st.composite
+def sandwich_cases(draw):
+    """A relabelled table sample with its classifier, or a transitive
+    group from ``imprimitive_groups`` with each classifier that applies."""
+    if draw(st.booleans()):
+        group, classify, args = draw(st.sampled_from(TABLE_SAMPLE_CASES))
+        return [(relabelled(group, draw(st.integers(0, 2 ** 32))), classify,
+                 args)]
+    group = draw(imprimitive_groups().filter(PermGroup.is_transitive))
+    cases = []
+    if _find_p_cycle(group, None) is not None:
+        cases.append((group, classify_p_cycle_group, ()))
+    if any(map(is_two_two, group.small_support_elements(4))):
+        cases.append((group, classify_22_group, ()))
+    return cases
+
+
+@st.composite
+def witness_blocks(draw):
+    """A transitive group, from ``imprimitive_groups`` or a relabelled
+    wreath product; a witness x, its least prime cycle or its least
+    2^2-element; and the smallest block holding supp(x)."""
+    if draw(st.booleans()):
+        group = relabelled(draw(st.sampled_from(WREATH_SAMPLES)),
+                           draw(st.integers(0, 2 ** 32)))
+    else:
+        group = draw(imprimitive_groups().filter(PermGroup.is_transitive))
+    witnesses = [x for x in (_find_p_cycle(group, None), min(filter(
+        is_two_two, group.small_support_elements(4)), default=None))
+                 if x is not None]
+    assume(witnesses)
+    x = draw(st.sampled_from(witnesses))
+    return group, tuple(sorted(group._block_closure(x.support()))), x
+
+
+class TestSandwich:
+    """The sandwich X <= Y is closed in the block's degree, Y = X and
+    condition (C) are decided by membership, and the reports equal those
+    of the route that searched every group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_blocks())
+    def test_closure_in_y_is_the_restricted_closure_in_g_b(self, case):
+        group, block, x = case
+        g_block = group.block_stabilizer(block)
+        closure_gens = g_block.normal_closure(x).generators
+        outside = [v for v in range(group.degree) if v not in block]
+        assert all(h(v) == v for h in closure_gens for v in outside)
+        x_grp = grouptables._sandwich(group, block, x)[0]
+        assert [h.images for h in x_grp.generators] == \
+            [tuple(block.index(h(v)) for v in block) for h in closure_gens]
+
+    def test_table_samples_match_the_search_route(self):
+        """Every table sample, relabelled; among them are sandwiches with
+        Y != X and groups that fail condition (C)."""
+        outcomes = set()
+        for i, case in enumerate(TABLE_SAMPLE_CASES):
+            group, classify, args = case
+            rep = assert_matches_search_route(relabelled(group, i), classify,
+                                              args)
+            if rep.x_group is not None and rep.y_group is not None:
+                outcomes.add(rep.x_group.order() == rep.y_group.order())
+            outcomes.add(("C", getattr(rep, "cond_c", None)))
+        assert {False, True, ("C", False), ("C", True)} <= outcomes
+
+    @settings(max_examples=60, deadline=None)
+    @given(sandwich_cases())
+    @example([(wreath_product(agl1(5), sym_group(2)), classify_p_cycle_group,
+               (5,))])                                    # Y != X, no (C)
+    @example([(PermGroup(6, [Permutation([5, 2, 1, 4, 0, 3]),
+                             Permutation([2, 5, 1, 4, 3, 0])]),
+               classify_p_cycle_group, ())])              # Y != X, (C)
+    def test_reports_match_the_search_route(self, cases):
+        for case in cases:
+            assert_matches_search_route(*case)
+
+    @pytest.mark.parametrize("group, classify, args", [
+        (wreath_product(sym_group(3), sym_group(2)), classify_p_cycle_group,
+         (2,)),
+        (wreath_product(cyclic_group(5), sym_group(2)),
+         classify_p_cycle_group, (5,)),
+        (wreath_product(psl2(5), sym_group(2)), classify_22_group, ())],
+        ids=["Sym3 wr S2", "C5 wr S2", "PSL2(5) wr S2"])
+    def test_y_equal_to_x_is_recognised_once(self, group, classify, args,
+                                             monkeypatch):
+        """When Y = X, the classifier recognises X alone, searches for a
+        permutation isomorphism only inside that recognition, and builds
+        no chain for Y or for condition (C)'s group: the restrictions."""
+        recognized, restricted, searched = [], [], []
+        recognize = grouptables.recognize_family
+        search = grouptables.permutation_isomorphic
+        restrict = PermGroup.restriction
+        monkeypatch.setattr(grouptables, "recognize_family", lambda grp: (
+            recognized.append(grp), recognize(grp))[1])
+        monkeypatch.setattr(grouptables, "permutation_isomorphic",
+                            lambda g1, g2: (searched.append(g1),
+                                            search(g1, g2))[1])
+        monkeypatch.setattr(PermGroup, "restriction", lambda grp, points: (
+            restricted.append(restrict(grp, points)), restricted[-1])[1])
+        rep = classify(relabelled(group, 5), *args)
+        assert len(recognized) == 1 and recognized[0] is rep.x_group
+        assert rep.x_family == rep.y_family is not None
+        assert searched and all(g1 is rep.x_group for g1 in searched)
+        assert any(grp is rep.y_group for grp in restricted)
+        assert len(restricted) == (2 if classify is classify_p_cycle_group
+                                   else 1)
+        assert all(grp._chain is None for grp in restricted)
 
 
 class TestGeneratorIndependence:

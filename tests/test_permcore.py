@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, closure, count_base_changes,
-                     is_2_transitive, least_witnesses_by_scan,
+                     imprimitive_groups, is_2_transitive,
+                     least_witnesses_by_scan,
                      minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      random_element, reduce_generators)
@@ -119,24 +120,6 @@ def block_stabilizers(grp):
         assert stab._chain is not None and stab._chain.base[0] == min(blk)
         stabs.append(stab)
     return stabs
-
-
-@st.composite
-def imprimitive_groups(draw):
-    """A group of degree <= 8: random generators, or random elements of
-    Sym(a) wr Sym(b) (ab <= 8, blocks {ia, ..., ia+a-1}) under a random
-    relabelling, so that most samples have blocks."""
-    a, b = draw(st.sampled_from([(1, 4), (1, 6), (2, 2), (2, 3), (2, 4),
-                                 (3, 2), (4, 2), (1, 7)]))
-    n = a * b
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        top = draw(st.permutations(range(b)))
-        inner = [draw(st.permutations(range(a))) for _ in range(b)]
-        gens.append(Permutation([top[j] * a + inner[j][i]
-                                 for j in range(b) for i in range(a)]))
-    relabel = Permutation(draw(st.permutations(range(n))))
-    return PermGroup(n, [g.conjugate(relabel) for g in gens])
 
 
 @st.composite
