@@ -15,9 +15,11 @@ from functools import cache
 from math import factorial, gcd, prod
 from typing import Callable, Optional
 
-from .permcore import (PermGroup, Permutation, is_two_two, orbit,
-                       permutation_isomorphic, _is_prime, _then)
-from .wreath import wreath_product
+from .permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME, PermGroup,
+                       Permutation, is_two_two, orbit, permutation_isomorphic,
+                       _is_prime, _then)
+from .wreath import (base_group_element, top_group_element, top_part,
+                     wreath_product)
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +72,8 @@ def _smallest_primitive_root(p: int) -> int:
 
 def agl1(p: int) -> PermGroup:
     """The affine group x -> ax + b on the prime field, order p(p-1)."""
-    if not _is_prime(p) or p > 23:
-        raise ValueError("need a prime p <= 23")
+    if not _is_prime(p) or p > MAX_FIELD_PRIME:
+        raise ValueError(f"need a prime p <= {MAX_FIELD_PRIME}")
     shift = Permutation([(x + 1) % p for x in range(p)])
     if p == 2:
         return PermGroup(2, [shift])
@@ -96,17 +98,16 @@ def _fractional_map(a: int, b: int, c: int, d: int, p: int) -> Permutation:
 
 def psl2(p: int) -> PermGroup:
     """PSL_2(p) on the p+1 points of the projective line."""
-    if not _is_prime(p) or p > 23:
-        raise ValueError("need a prime p <= 23")
+    if not _is_prime(p) or p > MAX_FIELD_PRIME:
+        raise ValueError(f"need a prime p <= {MAX_FIELD_PRIME}")
     t = _fractional_map(1, 1, 0, 1, p)       # z -> z + 1
     s = _fractional_map(0, -1 % p, 1, 0, p)  # z -> -1/z
     return PermGroup(p + 1, [t, s])
 
 
 def pgl2(p: int) -> PermGroup:
-    """PGL_2(p) on the p+1 points of the projective line."""
-    if not _is_prime(p) or p > 23:
-        raise ValueError("need a prime p <= 23")
+    """PGL_2(p) on the p+1 points of the projective line (``psl2`` checks
+    p)."""
     gens = list(psl2(p).generators)
     if p > 2:
         g = _smallest_primitive_root(p)
@@ -145,8 +146,8 @@ def pgl3_2() -> PermGroup:
 
 def agl_d2(d: int) -> PermGroup:
     """AGL_d(2) on the 2^d vectors: translations plus GL_d(2)."""
-    if not 1 <= d <= 4:
-        raise ValueError("need 1 <= d <= 4")
+    if not 1 <= d <= MAX_AGL_DIMENSION:
+        raise ValueError(f"need 1 <= d <= {MAX_AGL_DIMENSION}")
     n = 2 ** d
     gens = [Permutation([v ^ (1 << i) for v in range(n)]) for i in range(d)]
     if d >= 2:
@@ -221,6 +222,11 @@ class TableRow:
     def constructible(self) -> bool:
         return self.x_spec is not None
 
+    def predicts_p(self, p: int, cond_c: Optional[bool]) -> bool:
+        """A Table 1 row's prediction that the minimal degree is p."""
+        return {"always": True, "never": False, "cond_C": bool(cond_c),
+                "p3_and_C": p == 3 and bool(cond_c)}[self.condition]
+
 
 TABLE1 = (
     TableRow(1, 1, "2", "m>=2", "Sym(m)", "Sym(m)", "always",
@@ -279,22 +285,23 @@ TABLE4 = (
 
 
 # ---------------------------------------------------------------------------
-# reference subgroups of Sym(2) wr Sym(m) on the pairs {2i, 2i+1}, each
-# built once per m and shared
+# reference subgroups of Sym(2) wr Sym(m), copy i the pair {2i, 2i+1},
+# each built once per m and shared
 
-def _pair_swap(m: int, i: int) -> Permutation:
-    return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1]])
+def _flips(m: int, pairs) -> Permutation:
+    """The base-group element swapping the two points of each given pair."""
+    swap, one = Permutation([1, 0]), Permutation.identity(2)
+    return base_group_element([swap if i in pairs else one for i in range(m)])
 
 
 def superflip(m: int) -> Permutation:
     """The element swapping both points of every pair simultaneously."""
-    return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1] for i in range(m)])
+    return _flips(m, range(m))
 
 
 def diagonal_sym(m: int) -> list[Permutation]:
     """Sym(m) permuting the pairs {2i, 2i+1} without flips."""
-    return [Permutation([2 * g(v // 2) + v % 2 for v in range(2 * m)])
-            for g in sym_group(m).generators]
+    return [top_group_element(2, g) for g in sym_group(m).generators]
 
 
 @cache
@@ -312,8 +319,7 @@ def tau_cross_sym(m: int) -> PermGroup:
 @cache
 def even_flips(m: int) -> PermGroup:
     """E+: flip vectors with evenly many flipped pairs."""
-    gens = [_pair_swap(m, 0) * _pair_swap(m, i) for i in range(1, m)]
-    return PermGroup(2 * m, gens)
+    return PermGroup(2 * m, [_flips(m, (0, i)) for i in range(1, m)])
 
 
 @cache
@@ -325,7 +331,7 @@ def even_flips_rtimes_sym(m: int) -> PermGroup:
 @cache
 def c2_wr_sym(m: int) -> PermGroup:
     """Sym(2) wr Sym(m) on 2m points, pairs {2i, 2i+1}."""
-    return PermGroup(2 * m, [_pair_swap(m, 0)] + diagonal_sym(m))
+    return PermGroup(2 * m, [_flips(m, (0,))] + diagonal_sym(m))
 
 
 @cache
@@ -337,17 +343,6 @@ def pair_references(m: int) -> tuple:
                               even_flips_rtimes_sym, c2_wr_sym))
 
 
-def pair_projection(m: int, g: Permutation) -> Optional[Permutation]:
-    """The induced action on the pairs {2i, 2i+1}, or None if not preserved."""
-    images = []
-    for i in range(m):
-        a, b = g(2 * i), g(2 * i + 1)
-        if a // 2 != b // 2:
-            return None
-        images.append(a // 2)
-    return Permutation(images)
-
-
 # ---------------------------------------------------------------------------
 # family recognition
 
@@ -356,14 +351,14 @@ def _candidate_specs(degree: int) -> list[GroupSpec]:
            GroupSpec("Cyclic", (degree,))]
     if degree >= 3:
         out.append(GroupSpec("Dihedral", (degree,)))
-    if _is_prime(degree) and degree <= 23:
+    if _is_prime(degree) and degree <= MAX_FIELD_PRIME:
         out.append(GroupSpec("AGL1", (degree,)))
-    if _is_prime(degree - 1) and degree - 1 <= 23:
+    if _is_prime(degree - 1) and degree - 1 <= MAX_FIELD_PRIME:
         out.append(GroupSpec("PSL2", (degree - 1,)))
         out.append(GroupSpec("PGL2", (degree - 1,)))
     if degree == 7:
         out.append(GroupSpec("PGL3_2", ()))
-    if degree in (2, 4, 8, 16):
+    if degree in (2 ** d for d in range(1, MAX_AGL_DIMENSION + 1)):
         out.append(GroupSpec("AGLd2", (degree.bit_length() - 1,)))
     return out
 
@@ -509,23 +504,23 @@ def _sandwich(group: PermGroup, block: tuple, x: Permutation):
     return x_grp, y_grp, x_fam, y_fam
 
 
-def _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c):
+def _match_table1_row(p, m, x_fam, y_fam, x_grp):
     if p == 2 and x_fam and y_fam and x_fam.family == "Sym" \
             and y_fam.family == "Sym":
-        return TABLE1[0], True
+        return TABLE1[0]
     if p >= 3 and x_fam and y_fam and x_fam.family == "Alt" \
             and y_fam.family in ("Alt", "Sym"):
-        return TABLE1[1], p == 3 and bool(cond_c)
+        return TABLE1[1]
     if p >= 5 and m == p and x_grp is not None and x_grp.order() == p:
-        return TABLE1[2], bool(cond_c)
+        return TABLE1[2]
     if m == 7 and x_fam and x_fam.family == "PGL3_2":
-        return TABLE1[3], False
+        return TABLE1[3]
     if x_fam and x_fam.family == "AGLd2" and p == m - 1:
-        return TABLE1[8], False
+        return TABLE1[8]
     if m == p + 1 and x_fam and x_fam.family == "PSL2" \
             and y_fam and y_fam.family in ("PSL2", "PGL2"):
-        return TABLE1[9], False
-    return None, None
+        return TABLE1[9]
+    return None
 
 
 def classify_p_cycle_group(group: PermGroup,
@@ -546,32 +541,30 @@ def classify_p_cycle_group(group: PermGroup,
         raise ValueError("no cycle of prime length found")
     p = x.cycle_type()[0]
     block = tuple(sorted(group._block_closure(x.support())))
-    if len(block) == group.degree:
+    m = len(block)
+    if m == group.degree:
         # no proper block holds the support: treat the whole set as the block
-        spec = recognize_family(group)
-        row, predicted = _match_table1_row(p, group.degree, spec, spec,
-                                           group, None)
-        return PCycleReport(
-            p=p, m=group.degree, k=1, primitive=group.is_primitive(),
-            x_witness=x, x_group=None, y_group=group, x_family=spec,
-            y_family=spec, row=row, cond_c=None,
-            predicted_mindeg_is_p=predicted,
-            notes=["support not contained in any proper block"])
-    m, k = len(block), group.degree // len(block)
-    x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
-    outside = [v for v in range(group.degree) if v not in block]
-    fix_restricted = group.pointwise_stabilizer(outside).restriction(block)
-    cond_c = all(g in x_grp for g in fix_restricted.generators)
-    row, predicted = _match_table1_row(p, m, x_fam, y_fam, x_grp, cond_c)
-    notes = []
-    if row is None:
-        notes.append("no table row matched; groups reported verbatim")
-    elif row.condition == "p3_and_C" and p > 3:
-        notes.append("table predicts mindeg != p without naming a value")
+        x_fam = y_fam = recognize_family(group)
+        x_grp, y_grp, cond_c = None, group, None
+        row = _match_table1_row(p, m, x_fam, y_fam, group)
+        notes = ["support not contained in any proper block"]
+    else:
+        x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
+        outside = [v for v in range(group.degree) if v not in block]
+        fix_restricted = group.pointwise_stabilizer(outside).restriction(block)
+        cond_c = all(g in x_grp for g in fix_restricted.generators)
+        row = _match_table1_row(p, m, x_fam, y_fam, x_grp)
+        notes = []
+        if row is None:
+            notes.append("no table row matched; groups reported verbatim")
+        elif row.condition == "p3_and_C" and p > 3:
+            notes.append("table predicts mindeg != p without naming a value")
     return PCycleReport(
-        p=p, m=m, k=k, primitive=False, x_witness=x, x_group=x_grp,
-        y_group=y_grp, x_family=x_fam, y_family=y_fam, row=row,
-        cond_c=cond_c, predicted_mindeg_is_p=predicted, notes=notes)
+        p=p, m=m, k=group.degree // m,
+        primitive=m == group.degree and group.is_primitive(), x_witness=x,
+        x_group=x_grp, y_group=y_grp, x_family=x_fam, y_family=y_fam,
+        row=row, cond_c=cond_c, notes=notes,
+        predicted_mindeg_is_p=row and row.predicts_p(p, cond_c))
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +656,8 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     pair_block, kind = pairs[0]
     pair_bs = group.block_system_from(pair_block)
     m = len(pair_bs.blocks)
-    images = [0] * group.degree
-    for j, blk in enumerate(pair_bs.blocks):
-        images[blk[0]] = 2 * j
-        images[blk[1]] = 2 * j + 1
-    f = Permutation(images)
+    # f sends the point delta of block j to the wreath index 2*j + delta
+    f = Permutation([v for blk in pair_bs.blocks for v in blk]).inverse()
     y_grp = PermGroup(2 * m, [g.conjugate(f) for g in group.generators])
     x_grp = y_grp.normal_closure(x.conjugate(f))
     refs = [(make.__name__, make(m), table_row) for make, table_row in
@@ -771,8 +761,9 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     order-2 support-4 element projecting to a transposition, with full
     projection Sym(m); pair each with X = closure of that element under Y.
 
-    Y runs over ``_all_subgroups``, on its canonical sequence; every
-    element keeps the pairs {2i, 2i+1}, so each has a pair projection.
+    Y runs over ``_all_subgroups``, on its canonical sequence; each
+    element's projection is the permutation of the pairs it induces,
+    ``top_part(2, g)``.
     Every subgroup holding x's Y-class (its orbit under Y's generators,
     taken once per class) holds X = <x^Y>, so X is the first in the
     family.  X and Y are named once per element set: after the first
@@ -799,7 +790,7 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
         return f"unrecognized (order {len(elems)})"
 
     pairs, matches, kernels = [], [], []
-    proj = {g: pair_projection(m, g) for g in elements}
+    proj = {g: top_part(2, g) for g in elements}
     # for m = 2 the later key 2 wins: a kernel of order 2 is the superflip
     kernel_tags = {2 ** m: "all_flips", 2 ** (m - 1): "even_flips",
                    2: "superflip", 1: "trivial"}

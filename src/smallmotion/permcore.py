@@ -19,10 +19,15 @@ from math import gcd, isqrt
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
-# The fixed limits; reaching one raises CapExceededError (exit code 3).
+# The fixed limits: reaching the cap or MAX_PAIR_ORBITS raises
+# CapExceededError (exit 3).  The families AGL1(p), PSL2(p), PGL2(p) and
+# AGL_d(2) are built, and so recognised, only for p <= MAX_FIELD_PRIME
+# and d <= MAX_AGL_DIMENSION.
 CAP_VARIABLE = "SMALLMOTION_CAP"
 DEFAULT_CAP = 10**6
 MAX_PAIR_ORBITS = 20
+MAX_FIELD_PRIME = 23
+MAX_AGL_DIMENSION = 4
 
 
 def element_cap() -> int:

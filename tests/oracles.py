@@ -434,6 +434,71 @@ def report_by_search(classify, group: PermGroup, *args):
         grouptables._sandwich = fast
 
 
+def pair_map(m: int, k: int, image) -> Permutation:
+    """The permutation of m*k points sending the pair (delta, lam), the
+    flat point lam*m + delta, to the pair image(delta, lam), with every
+    pair and point range-checked (oracle for ``wreath``'s index)."""
+    def flat(delta, lam):
+        if not (0 <= delta < m and 0 <= lam < k):
+            raise ValueError("pair out of range")
+        return lam * m + delta
+
+    return Permutation([flat(*image(v % m, v // m)) for v in range(m * k)])
+
+
+def wreath_generators_by_pairs(inner: PermGroup, outer: PermGroup) -> list:
+    """The generator list of ``wreath.wreath_product(inner, outer)``, by
+    the pair map: each inner generator in each copy, then each outer
+    generator moving the copies."""
+    m, k = inner.degree, outer.degree
+    gens = [pair_map(m, k, lambda delta, mu, g=g, lam=lam:
+                     (g(delta) if mu == lam else delta, mu))
+            for g in inner.generators for lam in range(k)]
+    return gens + [pair_map(m, k, lambda delta, lam, h=h: (delta, h(lam)))
+                   for h in outer.generators]
+
+
+def pair_swap(m: int, i: int) -> Permutation:
+    """The transposition of the pair {2i, 2i+1} on 2m points."""
+    return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1]])
+
+
+def superflip(m: int) -> Permutation:
+    """The product of the transpositions of all m pairs."""
+    return Permutation.from_cycles(2 * m, [[2 * i, 2 * i + 1]
+                                           for i in range(m)])
+
+
+def diagonal_sym(m: int) -> list:
+    """Sym(m)'s generators moving the pairs {2i, 2i+1} without flips, by
+    v -> 2*g(v // 2) + v % 2."""
+    return [Permutation([2 * g(v // 2) + v % 2 for v in range(2 * m)])
+            for g in grouptables.sym_group(m).generators]
+
+
+def pair_reference_generators(m: int) -> dict:
+    """The generator lists of the five pair-table references, by name, from
+    the pair formulas above (oracle for ``grouptables.pair_references``)."""
+    flips = [pair_swap(m, 0) * pair_swap(m, i) for i in range(1, m)]
+    return {"one_cross_sym": diagonal_sym(m),
+            "tau_cross_sym": diagonal_sym(m) + [superflip(m)],
+            "even_flips": flips,
+            "even_flips_rtimes_sym": flips + diagonal_sym(m),
+            "c2_wr_sym": [pair_swap(m, 0)] + diagonal_sym(m)}
+
+
+def pair_projection(m: int, g: Permutation):
+    """The permutation of the pairs {2i, 2i+1} that g induces, or None if
+    g splits a pair (oracle for ``wreath.top_part(2, g)``)."""
+    images = []
+    for i in range(m):
+        a, b = g(2 * i), g(2 * i + 1)
+        if a // 2 != b // 2:
+            return None
+        images.append(a // 2)
+    return Permutation(images)
+
+
 def restricted_orbits(group: PermGroup, block) -> list[tuple[int, ...]]:
     """The orbits on the block of the pointwise stabilizer of its
     complement, sorted (oracle for ``classify._outside_classes``, which

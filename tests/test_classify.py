@@ -17,21 +17,22 @@ from oracles import (block_systems_all_beta, count_base_changes,
 from smallmotion import autengine, classify, cli, graphcore
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
                                    motion, motion_witness, transitivity_aut)
-from smallmotion.classify import (CorpusSpec, NotVertexTransitiveError,
-                                  circulant_corpus, corpus_generators,
-                                  decompose, inf_corpus,
+from smallmotion.classify import (CorpusSpec, GraphRecord,
+                                  NotVertexTransitiveError, circulant_corpus,
+                                  corpus_generators, decompose, inf_corpus,
                                   inf_is_vertex_transitive_predicted,
                                   inf_motion2_predicted,
                                   invariant_union_corpus, lex_corpus,
                                   named_graph,
                                   pair_transposition_in_aut, sigma_matchings,
-                                  verify_corpus, verify_graph)
+                                  summarize, verify_corpus, verify_graph)
 from smallmotion.graphcore import (InfParams, are_isomorphic,
                                    circulant_graph, complete_graph, cycle_graph, empty_graph,
                                    inf_graph, lex_product,
                                    petersen_graph, prism_graph, spx_graph,
                                    to_graph6)
-from smallmotion.permcore import Permutation, format_cycles
+from smallmotion.permcore import (CapExceededError, Permutation,
+                                  format_cycles)
 
 
 def _assert_one_restricted_orbit(aut, witness):
@@ -451,6 +452,44 @@ class TestCorpus:
         assert rec.form == "lex_C5" and rec.verified
         rec = verify_graph(("path:4", path_graph(4)))
         assert not rec.vertex_transitive
+
+    def test_one_vertex_has_no_motion(self):
+        """K1's automorphism group is trivial: the record says the motion
+        is undefined instead of failing."""
+        rec = verify_graph(("empty:1", empty_graph(1)))
+        assert rec.vertex_transitive and rec.error == "motion undefined"
+        assert rec.motion is None and rec.form is None
+        assert summarize([rec]).ok
+
+    def test_cap_is_recorded_not_raised(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise CapExceededError("SMALLMOTION_CAP=5 reached")
+
+        monkeypatch.setattr(classify, "motion_witness", capped)
+        rec = verify_graph(("cycle:5", cycle_graph(5)))
+        assert rec.vertex_transitive and rec.motion is None
+        assert rec.error == "cap exceeded: SMALLMOTION_CAP=5 reached"
+
+    def test_summary_collects_each_falsification(self):
+        """An odd prime motion and an unverified decomposition each make
+        the summary fail; a graph that is not vertex-transitive is only
+        counted."""
+        odd = GraphRecord("odd", "g6", True, motion=3)
+        unverified = GraphRecord("bad", "g6", True, motion=2,
+                                 form="lex_mK1", verified=False)
+        fine = GraphRecord("fine", "g6", True, motion=2, form="lex_mK1",
+                           verified=True)
+        not_vt = GraphRecord("path", "g6", False)
+        summary = summarize([odd, unverified, fine, not_vt])
+        assert summary.odd_prime_motions == ["odd"]
+        assert summary.falsifications == ["bad"]
+        assert summary.non_vertex_transitive == 1
+        assert summary.motion_counts == {3: 1, 2: 2}
+        assert summary.form_counts == {"lex_mK1": 2}
+        assert not summary.ok and not summary.as_dict()["ok"]
+        for bad in (odd, unverified):
+            assert not summarize([fine, bad]).ok
+        assert summarize([fine, not_vt]).ok
 
     def test_small_corpus_summary(self):
         spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -8,16 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smallmotion
 from oracles import path_graph
 from smallmotion import cli
-from smallmotion.cli import (EXIT_CAP, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK,
-                             SCHEMA_VERSION, main)
+from smallmotion.cli import (EXIT_CAP, EXIT_FALSIFIED, EXIT_INTERNAL,
+                             EXIT_INVALID, EXIT_OK, SCHEMA_VERSION, main)
 from smallmotion.graphcore import (Graph, cartesian_product, complete_graph,
                                    cycle_graph, to_graph6)
+from smallmotion.grouptables import RowCheck
 
 
 def run(capsys, *argv):
@@ -289,6 +292,34 @@ class TestVerify:
             assert code == EXIT_INVALID
             assert "--circulant-max" in err
             assert out == ""
+
+    def test_failed_row_check_is_falsified(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_table_row",
+                            lambda row, params=(): RowCheck(row, "fail"))
+        code, out, _ = run(capsys, "verify", "tables")
+        assert code == EXIT_FALSIFIED
+        assert "FAIL table1 row1 (Sym(m), Sym(m)) params=[3]" in out
+        assert out.splitlines()[-1] == "RESULT FALSIFIED"
+
+    @pytest.mark.parametrize("missed, code", [(3, EXIT_FALSIFIED),
+                                              (2, EXIT_OK)])
+    def test_row1_must_appear_at_m3(self, capsys, monkeypatch, missed, code):
+        """Row 1 of the pair tables is required from m = 3 on: missing it
+        at m = 3 is a falsification, at m = 2 it is not."""
+        enumerate_pairs = cli.enumerate_small_subgroup_pairs
+
+        def missing_row1(m):
+            enum = enumerate_pairs(m)
+            return dataclasses.replace(enum, row1_matched=False) \
+                if m == missed else enum
+
+        monkeypatch.setattr(cli, "enumerate_small_subgroup_pairs",
+                            missing_row1)
+        got, out, _ = run(capsys, "verify", "tables")
+        assert got == code
+        assert f"m={missed}: " in out and "row1=False" in out
+        assert out.splitlines()[-1] == "RESULT " + (
+            "FALSIFIED" if code == EXIT_FALSIFIED else "ok")
 
     def test_quick_suite_matches_golden_output(self, capsys):
         # structured output changes only with a reason; refresh the file then

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import (block_system_containing_support, block_systems_all_beta,
                      closure, imprimitive_groups, is_2_transitive,
-                     report_by_search, subgroups_by_cyclic_joins)
+                     pair_projection, report_by_search,
+                     subgroups_by_cyclic_joins)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      GroupSpec, PCycleReport,
@@ -28,13 +29,14 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
                                      enumerate_small_subgroup_pairs,
                                      even_flips, even_flips_rtimes_sym,
                                      family_order, one_cross_sym,
-                                     pair_projection, pair_references,
+                                     pair_references,
                                      pgl2, pgl3_2, psl2,
                                      recognize_family,
                                      superflip, sym_group, tau_cross_sym)
-from smallmotion.permcore import (PermGroup, Permutation, is_two_two,
-                                  permutation_isomorphic)
-from smallmotion.wreath import wreath_product
+from smallmotion.permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME,
+                                  PermGroup, Permutation, _is_prime,
+                                  is_two_two, permutation_isomorphic)
+from smallmotion.wreath import top_group_element, top_part, wreath_product
 
 SAMPLE_GROUPS = [dihedral_group(4), tau_cross_sym(3), even_flips_rtimes_sym(3),
                  c2_wr_sym(2), agl1(5), psl2(5),
@@ -140,6 +142,32 @@ class TestConstructors:
                         if all((g(v) ^ g(0)) == v for v in range(8))]
         assert len(translations) == 8
 
+    def test_every_candidate_constructs(self):
+        """Family recognition offers only groups the constructors build:
+        every candidate of degree 1 to 30, past both field limits."""
+        for d in range(1, 31):
+            for spec in _candidate_specs(d):
+                assert construct(spec).degree == d, spec
+
+    def test_constructors_reject_the_next_prime_and_dimension(self):
+        q = next(q for q in itertools.count(MAX_FIELD_PRIME + 1)
+                 if _is_prime(q))
+        for make in (agl1, psl2, pgl2):
+            assert make(MAX_FIELD_PRIME).order() > 1
+            with pytest.raises(ValueError,
+                               match=f"^need a prime p <= {MAX_FIELD_PRIME}$"):
+                make(q)
+        assert agl_d2(MAX_AGL_DIMENSION).degree == 2 ** MAX_AGL_DIMENSION
+        with pytest.raises(ValueError,
+                           match=f"^need 1 <= d <= {MAX_AGL_DIMENSION}$"):
+            agl_d2(MAX_AGL_DIMENSION + 1)
+        assert {spec.family for spec in _candidate_specs(q)} & \
+            {"AGL1", "PSL2", "PGL2"} == set()
+        assert {spec.family for spec in _candidate_specs(q + 1)} & \
+            {"PSL2", "PGL2"} == set()
+        assert "AGLd2" not in {spec.family for spec in _candidate_specs(
+            2 ** (MAX_AGL_DIMENSION + 1))}
+
     def test_construct_dispatch_and_metadata_rows(self):
         """Families named only in the tables have no constructor."""
         assert construct(GroupSpec("Sym", (4,))).order() == 24
@@ -202,16 +230,14 @@ class TestReferenceSubgroups:
 
     def test_pair_projection(self):
         m = 3
-        tau = superflip(m)
-        assert pair_projection(m, tau).is_identity()
-        breaks = Permutation([1, 2, 0, 3, 4, 5])   # splits the pair {0,1}
-        assert pair_projection(m, breaks) is None
+        assert top_part(2, superflip(m)).is_identity()
         # every element of Sym(2) wr Sym(m) keeps the pairs, so
         # enumerate_small_subgroup_pairs reads a projection off each
         for m in (2, 3, 4):
             elements = list(c2_wr_sym(m).elements())
             assert len(elements) == 2 ** m * math.factorial(m)
-            assert all(pair_projection(m, g) is not None for g in elements)
+            assert all(top_part(2, g) == pair_projection(m, g)
+                       for g in elements)
 
 
 class TestRecognizeFamily:
@@ -406,6 +432,42 @@ class TestPCycleClassifier:
         rep = classify_p_cycle_group(g, 3)
         assert rep.row is TABLE1[1]
         assert rep.predicted_mindeg_is_p == (g.minimal_degree() == 3)
+
+    def test_unmatched_group_is_reported_verbatim(self):
+        """AGL1(8) wr Sym(2) at p = 7: X = Y = AGL1(8), of order 56 and
+        no constructible family, so no Table 1 row and no prediction."""
+        # F_8 = F_2[a]/(a^3 + a + 1), each element a bit mask over 1, a, a^2
+        plus_one = Permutation([v ^ 1 for v in range(8)])
+        times_a = Permutation([(v << 1) ^ (0b1011 if v & 4 else 0)
+                               for v in range(8)])
+        agl1_8 = PermGroup(8, [plus_one, times_a])
+        rep = classify_p_cycle_group(wreath_product(agl1_8, sym_group(2)), 7)
+        assert (rep.p, rep.m, rep.k) == (7, 8, 2)
+        assert rep.x_group.order() == rep.y_group.order() == 56
+        assert rep.x_family is None and rep.y_family is None
+        assert rep.row is None and rep.predicted_mindeg_is_p is None
+        assert rep.notes == ["no table row matched; groups reported verbatim"]
+
+    def test_alt_wreath_above_p3_names_no_value(self):
+        """Alt(5) wr Sym(2) at p = 5 meets row 2, whose condition p3_and_C
+        predicts the minimal degree is not p without naming it."""
+        g = wreath_product(alt_group(5), sym_group(2))
+        rep = classify_p_cycle_group(g, 5)
+        assert rep.row is TABLE1[1] and rep.row.condition == "p3_and_C"
+        assert rep.cond_c is True and rep.predicted_mindeg_is_p is False
+        assert rep.notes == [
+            "table predicts mindeg != p without naming a value"]
+        assert g.minimal_degree() == 3
+
+    @pytest.mark.parametrize("condition, p, cond_c, predicted", [
+        ("always", 2, None, True), ("never", 7, True, False),
+        ("cond_C", 5, True, True), ("cond_C", 5, False, False),
+        ("cond_C", 5, None, False), ("p3_and_C", 3, True, True),
+        ("p3_and_C", 3, False, False), ("p3_and_C", 5, True, False)])
+    def test_prediction_of_each_condition(self, condition, p, cond_c,
+                                          predicted):
+        row = next(r for r in TABLE1 if r.condition == condition)
+        assert row.predicts_p(p, cond_c) is predicted
 
     def test_one_setwise_scan_per_block(self, monkeypatch):
         g = wreath_product(sym_group(3), sym_group(2))
@@ -615,8 +677,7 @@ class TestTwoTwoClassifier:
         """E+ : Alt(9) on 18 points is none of the paired-blocks
         references: every reference has another order."""
         m = 9
-        top = [Permutation([2 * g(i // 2) + i % 2 for i in range(2 * m)])
-               for g in alt_group(m).generators]
+        top = [top_group_element(2, g) for g in alt_group(m).generators]
         grp = PermGroup(2 * m, list(even_flips(m).generators) + top)
         rep = classify_22_group(grp)
         assert (rep.tag, rep.m, rep.row) == ("case_cross", m, None)
@@ -971,7 +1032,7 @@ class TestPairEnumeration:
             y = PermGroup(2 * m, sorted(y_elems))
             closures = {frozenset(y.normal_closure(x).elements())
                         for x in y_elems if is_two_two(x) and
-                        pair_projection(m, x).cycle_type() == (2,)}
+                        top_part(2, x).cycle_type() == (2,)}
             assert len(xs) == len(closures) and set(xs) == closures
             assert xs == sorted(xs, key=lambda s: (len(s), sorted(
                 p.images for p in s)))

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from oracles import block_systems_all_beta
-from smallmotion import wreath
-from smallmotion.grouptables import cyclic_group, dihedral_group, sym_group
+from oracles import (block_systems_all_beta, pair_reference_generators,
+                     superflip, wreath_generators_by_pairs)
+from smallmotion import grouptables, wreath
+from smallmotion.grouptables import (_candidate_specs, construct,
+                                     cyclic_group, dihedral_group, sym_group)
 from smallmotion.permcore import BlockSystem, PermGroup, Permutation
-from smallmotion.wreath import (WreathLabeling, base_group_element,
-                                embed_imprimitive, top_group_element,
-                                wreath_product)
+from smallmotion.wreath import (base_group_element, embed_imprimitive,
+                                top_group_element, top_part, wreath_product)
 
 
 def random_transitive_imprimitive(rng, max_tries=200):
@@ -24,16 +25,10 @@ def random_transitive_imprimitive(rng, max_tries=200):
     raise RuntimeError("no imprimitive group found")
 
 
-class TestLabeling:
-    def test_flat_pair_roundtrip(self):
-        lab = WreathLabeling(3, 4)
-        for lam in range(4):
-            for delta in range(3):
-                assert lab.pair(lab.flat(delta, lam)) == (delta, lam)
-
-    def test_canonical_blocks(self):
-        lab = WreathLabeling(2, 3)
-        assert lab.canonical_blocks().blocks == ((0, 1), (2, 3), (4, 5))
+def copies(m, k):
+    """The k copies of m points, copy lam the run from lam*m."""
+    return BlockSystem.from_blocks(
+        m * k, [range(lam * m, (lam + 1) * m) for lam in range(k)])
 
 
 class TestWreathProduct:
@@ -50,37 +45,75 @@ class TestWreathProduct:
 
     def test_blocks_are_invariant(self):
         w = wreath_product(dihedral_group(5), cyclic_group(3))
-        lab = WreathLabeling(5, 3)
-        assert w.is_invariant_partition(lab.canonical_blocks())
+        assert w.is_invariant_partition(copies(5, 3))
 
     def test_base_and_top_elements(self):
         inner = sym_group(3)
         outer = sym_group(2)
         w = wreath_product(inner, outer)
-        lab = WreathLabeling(3, 2)
-        g = base_group_element(lab, [Permutation([1, 0, 2]),
-                                     Permutation([0, 2, 1])])
+        g = base_group_element([Permutation([1, 0, 2]),
+                                Permutation([0, 2, 1])])
         assert g in w
         assert g(0) == 1 and g(3) == 3 and g(4) == 5
-        h = top_group_element(lab, Permutation([1, 0]))
+        h = top_group_element(3, Permutation([1, 0]))
         assert h in w
         assert h(0) == 3 and h(4) == 1
-        with pytest.raises(ValueError):
-            base_group_element(lab, [Permutation([1, 0, 2])])
 
     def test_semidirect_relation(self):
         # conjugating a base element by a top element permutes the copies
-        lab = WreathLabeling(2, 3)
         w = wreath_product(sym_group(2), sym_group(3))
-        b = base_group_element(lab, [Permutation([1, 0]),
-                                     Permutation([0, 1]),
-                                     Permutation([0, 1])])
-        t = top_group_element(lab, Permutation([1, 2, 0]))
+        b = base_group_element([Permutation([1, 0]), Permutation([0, 1]),
+                                Permutation([0, 1])])
+        t = top_group_element(2, Permutation([1, 2, 0]))
         conj = b.conjugate(t)
-        assert conj == base_group_element(lab, [Permutation([0, 1]),
-                                                Permutation([1, 0]),
-                                                Permutation([0, 1])])
+        assert conj == base_group_element([Permutation([0, 1]),
+                                           Permutation([1, 0]),
+                                           Permutation([0, 1])])
         assert conj in w
+
+
+class TestTopPart:
+    def test_reads_the_top_of_base_and_top_elements(self):
+        rng = random.Random(34)
+        for m, k in ((1, 4), (2, 3), (3, 2), (4, 4)):
+            for _ in range(5):
+                parts = [Permutation(rng.sample(range(m), m))
+                         for _ in range(k)]
+                h = Permutation(rng.sample(range(k), k))
+                assert top_part(m, base_group_element(parts)).is_identity()
+                assert top_part(m, top_group_element(m, h)) == h
+                g = base_group_element(parts) * top_group_element(m, h)
+                assert top_part(m, g) == h
+
+    def test_is_a_homomorphism_on_the_wreath_product(self):
+        w = wreath_product(dihedral_group(4), sym_group(3))
+        elements = list(w.elements())
+        rng = random.Random(35)
+        for a, b in zip(rng.sample(elements, 40), rng.sample(elements, 40)):
+            assert top_part(4, a * b) == top_part(4, a) * top_part(4, b)
+
+
+class TestPairMapOracle:
+    """The builders write exactly the generator image lists of the
+    range-checked pair map and the pair formulas."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_pair_references_and_superflip(self, m):
+        for name, gens in pair_reference_generators(m).items():
+            built = getattr(grouptables, name)(m).generators
+            assert [g.images for g in built] == [g.images for g in gens], name
+        assert grouptables.superflip(m).images == superflip(m).images
+
+    def test_wreath_products_of_every_family(self):
+        specs = {spec for d in range(1, 17) for spec in _candidate_specs(d)}
+        families = {spec.family for spec in specs}
+        assert families == set(grouptables._CONSTRUCTORS)
+        for spec in sorted(specs, key=str):
+            for outer in (sym_group(2), cyclic_group(3)):
+                built = wreath_product(construct(spec), outer).generators
+                want = wreath_generators_by_pairs(construct(spec), outer)
+                assert [g.images for g in built] == \
+                    [g.images for g in want], (spec, outer.degree)
 
 
 class TestEmbedding:
@@ -117,7 +150,7 @@ class TestEmbedding:
 
     def test_wreath_product_embeds_onto_itself(self):
         w = wreath_product(sym_group(2), sym_group(3))
-        emb = embed_imprimitive(w, WreathLabeling(2, 3).canonical_blocks())
+        emb = embed_imprimitive(w, copies(2, 3))
         assert emb.verified
         assert emb.inner.order() == 2 and emb.outer.order() == 6
         assert emb.target.order() == w.order()
@@ -151,6 +184,5 @@ class TestEmbedding:
 
         monkeypatch.setattr(wreath, "_block_transversal", corrupted)
         emb = embed_imprimitive(c9, bs)
-        assert all(emb.labeling.pair(emb.f(v))[1] == bs.block_of[v]
-                   for v in range(9))
+        assert all(emb.f(v) // 3 == bs.block_of[v] for v in range(9))
         assert not emb.verified
