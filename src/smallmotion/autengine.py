@@ -1,32 +1,24 @@
 """Graph automorphism groups, motion, twins, and vertex-transitivity.
 
-The automorphism group is built as a stabilizer chain whose base is the
-graph's first path (``graphcore._SourcePath``): depth d refines the
-colouring with v_0..v_{d-1} individualised, each pass counting
-neighbours only in the cells the pass before split off, and v_d is the
-least vertex of a largest cell, until the partition is discrete.  Every
-search replays those passes on its target side.  An automorphism
-fixing v_0..v_{d-1} keeps depth d's partition (McKay, "Practical graph
-isomorphism", 1981), so only the w in v_d's cell can be images of v_d.
-The levels run deepest first, as in nauty (McKay and Piperno, 2014), so
-every generator found so far fixes v_0..v_{d-1}: the w their orbits join
-to v_d need no search, and each other w is settled by a complete search
-of the target side against the shared path from depth d+1.  So each
-level's orbit and the order are exact, and the generators, deepest level
-first, form a strong generating set for the base.  They file into the
-group's chain, told that order, so its Schreier-Sims closure strips no
-Schreier generator; they stay unreduced, and as deeper ones prune the
-shallower levels, the lists are short.
-
-The motion of a graph without twins is the minimal degree of that group:
-one depth-first search over its chain prunes a coset once it must move
-more points than the smallest support so far (at most ``SMALLMOTION_CAP``
-nodes).  The witness, the least automorphism of prime order and minimal
-support by image tuple, depends on no generating set or chain.  When the
-graph is vertex-transitive and the stabilizer of vertex 0 (the base's
-first point) is not trivial, the search walks that stabilizer alone: a
-least support misses a vertex, each witness is conjugate to one fixing 0,
-and image[0] = 0 is the least first entry.
+Aut is a stabilizer chain on the graph's first path
+(``graphcore._SourcePath``).  An automorphism fixing v_0..v_{d-1} keeps
+depth d's partition (McKay, "Practical graph isomorphism", 1981), so
+only the w in v_d's cell can be images of v_d.  The levels run deepest
+first, as in nauty (McKay and Piperno, 2014), so the generators found so
+far fix v_0..v_{d-1}; the w their orbits join to v_d need nothing more.
+Each other w first gets one involution t, kept if ``_maps_onto`` holds:
+(v_d w) if the rows of v_d and w agree off {v_d, w}, else (v_d w)(a b)
+if they differ there in just a, adjacent to v_d only, and b, adjacent to
+w only.  Depth d's partition is equitable, so v_d and w have as many
+neighbours in each cell, and a and b share one.  As w, a and b lie in
+cells of two or more vertices, t fixes v_0..v_{d-1}, keeps the colours
+and sends v_d to w.  Conversely, if (v_d w)(a b) is an automorphism,
+the rows of v_d and w differ off {v_d, w} in a and b or nowhere, so the
+twin and fibre swaps of motion 2 and 4 cost no search.  Without such a
+t, a complete search from depth d+1 settles w.  So each level's orbit
+and the order are exact, and the generators, deepest level first, are
+strong for the base: the chain they file into, told that order, strips
+no Schreier generator.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphcore import Graph, PairPartition, _SourcePath
+from .graphcore import Graph, PairPartition, _SourcePath, _maps_onto
 from .permcore import PermGroup, Permutation, StabilizerChain, orbit
 
 
@@ -55,16 +47,11 @@ class AutResult:
 
 def automorphism_group(graph: Graph,
                        colors: Optional[Sequence] = None) -> AutResult:
-    """Generators and exact order of the automorphisms keeping the vertex
-    colouring ``colors`` (all vertices alike when None).  At each level of
-    the first path, deepest first, each w in v_d's cell outside v_d's
-    orbit under the generators found so far is settled by one search from
-    depth d+1, seeded with depth d's colours and w individualised.  The
-    group keeps the generators, unreduced, and the chain they file into,
-    which raises RuntimeError unless they close to that order; each is
-    checked once, at its search's leaf.  ``stats`` counts the searches,
-    their nodes (at most ``SMALLMOTION_CAP``) and both sides' refinement
-    passes; an uncoloured result keeps the path."""
+    """Generators, unreduced, and exact order of the automorphisms keeping
+    the vertex colouring ``colors`` (all alike when None), as the module
+    docstring says; the chain they file into raises RuntimeError unless
+    they close to that order.  ``stats`` counts the searches, their nodes
+    (at most ``SMALLMOTION_CAP``), refinement passes and involutions."""
     n = graph.n
     base = [0] * n if colors is None else list(colors)
     if len(base) != n:
@@ -73,28 +60,47 @@ def automorphism_group(graph: Graph,
     points: list[int] = []    # the first path's branch vertices
     while (v := path.level(len(points))[2]) is not None:
         points.append(v)
-    gens: list[Permutation] = []
-    order, searches = 1, 0
+    images: list[list[int]] = []   # of the generators, in the order found
+    order, searches, involutions = 1, 0, 0
     for d in reversed(range(len(points))):
         _, cells, v, fresh = path.level(d)
         reached = {v}   # all generators so far fix v; a find joins w's orbit
         for w in range(n):
             if w in reached or cells[w] != cells[v]:
                 continue
-            searches += 1
-            t = path.transport(graph, cells[:w] + [fresh] + cells[w + 1:],
-                               d + 1)
-            if t is None:
-                continue
-            gens.append(Permutation(t))
-            reached = set(orbit(v, gens))
+            t = _involution(graph, v, w)
+            if t is not None:
+                involutions += 1
+            else:
+                searches += 1
+                t = path.transport(graph, cells[:w] + [fresh] + cells[w + 1:],
+                                   d + 1)
+                if t is None:
+                    continue
+            images.append(t)
+            reached = set(orbit(v, [g.__getitem__ for g in images]))
         order *= len(reached)
+    gens = [Permutation(t) for t in images]
     group = PermGroup(n, gens)
     group._chain = StabilizerChain(n, gens, points, order=order)
     return AutResult(group=group, order=order, stats=dict(
         transporter_searches=searches, search_nodes=path.nodes,
-        refinement_passes=path.refinements),
+        refinement_passes=path.refinements, involutions=involutions),
         path=path if colors is None else None)
+
+
+def _involution(graph: Graph, v: int, w: int) -> Optional[list[int]]:
+    """The images of the module docstring's involution t for v and w if it
+    exists and ``_maps_onto`` holds, the one check of such a generator."""
+    adj, images = graph.adj, list(range(graph.n))
+    images[v], images[w] = w, v
+    if diff := (adj[v] ^ adj[w]) & ~(1 << v | 1 << w):
+        a = (diff & adj[v]).bit_length() - 1   # -1 if v has no such neighbour
+        b = (diff & adj[w]).bit_length() - 1
+        if diff.bit_count() != 2 or min(a, b) < 0:
+            return None
+        images[a], images[b] = b, a
+    return images if _maps_onto(graph, images, graph) else None
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +123,14 @@ def find_twins(graph: Graph) -> list[tuple[int, int]]:
 
 def motion_witness(graph: Graph, aut: Optional[AutResult] = None
                    ) -> tuple[int, Permutation]:
-    """(motion, a minimal-support automorphism).
-
-    The witness is the least automorphism of prime order and minimal
-    support by image tuple.  A twin pair decides motion 2 at once, with
-    the least twin transposition: largest u, then smallest v, of (u, v).
-    Otherwise both come from ``PermGroup.minimal_degree_witness``.
-    ``aut`` is the graph's ``automorphism_group`` result when the caller
-    has it; it is computed only when the twin path does not decide.
-    """
-    twins = find_twins(graph)
-    if twins:
-        return 2, min(Permutation.from_cycles(graph.n, [pair])
-                      for pair in twins)
+    """(motion, the least automorphism of prime order and minimal support
+    by image tuple).  Twins decide motion 2 at once, with the least twin
+    transposition (u v): largest u, then smallest v.  Otherwise both come
+    from ``PermGroup.minimal_degree_witness`` of ``aut``, the graph's
+    ``automorphism_group`` result, computed here if not given."""
+    if twins := find_twins(graph):
+        u, v = max(twins, key=lambda pair: (pair[0], -pair[1]))
+        return 2, Permutation.from_cycles(graph.n, [(u, v)])
     if aut is None:
         aut = automorphism_group(graph)
     if aut.order == 1:
@@ -174,6 +175,8 @@ def is_vertex_transitive(graph: Graph,
                          aut: Optional[AutResult] = None) -> bool:
     """Is Aut(graph) transitive on the vertices?  ``aut`` is
     ``transitivity_aut(graph)`` when the caller has it, else computed."""
+    aut = aut or transitivity_aut(graph)
     if aut is None:
-        aut = transitivity_aut(graph)
-    return aut is not None and len(aut.group.orbit(0)) == graph.n
+        return False
+    chain = aut.group.chain     # level 0's transversal is base[0]'s orbit
+    return graph.n == (len(chain._transversal[0]) if chain.base else 1)

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .autengine import (AutResult, aut_preserving_partition,
+from .autengine import (AutResult, aut_preserving_partition, find_twins,
                         is_vertex_transitive, motion_witness,
                         transitivity_aut)
 from .graphcore import (Graph, InfParams, PairPartition, _SourcePath,
@@ -204,13 +204,10 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
 # paired-fibre motion criteria
 
 def pair_transposition_in_aut(sigma: Graph, pairs: PairPartition) -> bool:
-    """Is some transposition of a pair an automorphism of sigma?
-
-    Such a transposition automatically preserves the pair partition,
-    since it fixes every other vertex.
-    """
-    return any(sigma.is_automorphism(Permutation.from_cycles(sigma.n, [pair]))
-               for pair in pairs.pairs)
+    """Is some transposition of a pair an automorphism of sigma, that is,
+    are the two vertices of some pair twins?  It fixes every other vertex,
+    so it preserves the pair partition too."""
+    return not set(pairs.pairs).isdisjoint(find_twins(sigma))
 
 
 def inf_motion2_predicted(params: InfParams, sigma: Graph,

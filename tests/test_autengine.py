@@ -93,12 +93,36 @@ def first_path(graph, colors=None):
                                              for u, c in enumerate(cells)])
 
 
+def reference_involution(graph, v, w, pinned, colors):
+    """(v w), or (v w)(a b) when the rows of v and w differ off {v, w} in
+    just a, adjacent to v only, and b, adjacent to w only; None unless it
+    fixes the pinned vertices, keeps the colours and maps the edge set
+    onto itself."""
+    rows = [{u for u in range(graph.n) if graph.has_edge(x, u)} - {v, w}
+            for x in (v, w)]
+    only_v, only_w = rows[0] - rows[1], rows[1] - rows[0]
+    images = list(range(graph.n))
+    images[v], images[w] = w, v
+    if only_v or only_w:
+        if len(only_v) != 1 or len(only_w) != 1:
+            return None
+        (a,), (b,) = only_v, only_w
+        images[a], images[b] = b, a
+    edges = {frozenset(e) for e in graph.edges()}
+    if any(images[u] != u for u in pinned) or \
+            [colors[x] for x in images] != list(colors) or \
+            {frozenset(images[x] for x in e) for e in edges} != edges:
+        return None
+    return Permutation(images)
+
+
 def reference_automorphism_group(graph, colors=None):
     """The level loop over the first-path base, deepest level first,
     without the refined-cell filter: at level d every w of v_d's seed
     colour not yet in v_d's orbit under the generators found so far gets
-    a search, with v_0..v_{d-1} pinned.  Returns (base, generators in the
-    order found, order)."""
+    ``reference_involution`` and, failing that, a search, with
+    v_0..v_{d-1} pinned.  Returns (base, generators in the order found,
+    order)."""
     n = graph.n
     base = [(0, c) for c in ([0] * n if colors is None else colors)]
     points = first_path(graph, colors)
@@ -111,11 +135,13 @@ def reference_automorphism_group(graph, colors=None):
         for w in range(n):
             if w in reached or base[w] != base[v]:
                 continue
-            src = [pinned.get(u, (2,) if u == v else base[u])
-                   for u in range(n)]
-            dst = [pinned.get(u, (2,) if u == w else base[u])
-                   for u in range(n)]
-            t = _SourcePath(graph, src).isomorphism(graph, dst)
+            t = reference_involution(graph, v, w, pinned, base)
+            if t is None:
+                src = [pinned.get(u, (2,) if u == v else base[u])
+                       for u in range(n)]
+                dst = [pinned.get(u, (2,) if u == w else base[u])
+                       for u in range(n)]
+                t = _SourcePath(graph, src).isomorphism(graph, dst)
             if t is None:
                 continue
             gens.append(t)
@@ -333,13 +359,17 @@ class TestSearchFilter:
             assert (stats["transporter_searches"], stats["search_nodes"],
                     stats["refinement_passes"]) == (searches, nodes, passes)
 
-    # (stats, generators in the order found): the refinement keys must
-    # keep every colour id, so each search visits the same nodes
+    # (searches, nodes, passes, involutions) and the generators in the
+    # order found: the refinement keys must keep every colour id, so each
+    # search visits the same nodes.  The twin and fibre swaps of the
+    # other three graphs are involutions (v w) and (v w)(a b), found
+    # without a search; Petersen has motion 6, so its generators all
+    # come from searches.
     PINNED = {
-        "petersen": ((3, 6, 22), [
+        "petersen": ((3, 6, 22, 0), [
             "(4,8)(5,6)(9,10)", "(2,5)(3,4)(7,10)(8,9)",
             "(1,2,3,4,5)(6,7,8,9,10)"]),
-        "lex:cycle:5:cycle:5": ((12, 74, 177), [
+        "lex:cycle:5:cycle:5": ((2, 19, 64, 10), [
             "(22,25)(23,24)", "(17,20)(18,19)", "(12,15)(13,14)",
             "(7,10)(8,9)", "(2,5)(3,4)", "(21,22)(23,25)", "(16,17)(18,20)",
             "(11,12)(13,15)", "(6,7)(8,10)",
@@ -347,14 +377,14 @@ class TestSearchFilter:
             "(15,20)",
             "(1,2)(3,5)",
             "(1,6)(2,7)(3,8)(4,9)(5,10)(11,21)(12,22)(13,23)(14,24)(15,25)"]),
-        "inf:01:cycle:8:antipodal:m3": ((10, 51, 130), [
+        "inf:01:cycle:8:antipodal:m3": ((2, 15, 54, 8), [
             "(11,12)(23,24)", "(8,9)(20,21)", "(5,6)(17,18)", "(2,3)(14,15)",
             "(10,11)(22,23)", "(7,8)(19,20)", "(4,5)(16,17)",
             "(4,22)(5,23)(6,24)(7,19)(8,20)(9,21)(10,16)(11,17)(12,18)",
             "(1,2)(13,14)",
             "(1,4)(2,5)(3,6)(7,22)(8,23)(9,24)(10,19)(11,20)(12,21)(13,16)"
             "(14,17)(15,18)"]),
-        "circulant:12:1-2-3-5": ((4, 10, 34), [
+        "circulant:12:1-2-3-5": ((2, 7, 28, 2), [
             "(4,12)(6,10)", "(3,11)(5,9)", "(2,4)(6,12)(8,10)",
             "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)"]),
     }
@@ -363,11 +393,38 @@ class TestSearchFilter:
     def test_pinned_searches(self, label):
         graph = petersen_graph() if label == "petersen" else named_graph(label)
         aut = automorphism_group(graph)
-        (searches, nodes, passes), gens = self.PINNED[label]
+        (searches, nodes, passes, involutions), gens = self.PINNED[label]
         assert aut.stats == {"transporter_searches": searches,
                              "search_nodes": nodes,
-                             "refinement_passes": passes}
+                             "refinement_passes": passes,
+                             "involutions": involutions}
         assert [str(g) for g in aut.group.generators] == gens
+
+    def test_bare_involution_off_the_colours_is_not_taken(self):
+        # (0 2)(3 5) is an automorphism of the bare 6-cycle, and 0 and 2
+        # share a colour, but 3 and 5 do not.  Only the reflection
+        # (0 3)(1 2)(4 5) keeps the colours, and a search must find it
+        graph, colors = cycle_graph(6), list("ooooxx")
+        assert graph.is_automorphism(Permutation.from_cycles(6, [(0, 2),
+                                                                 (3, 5)]))
+        aut = automorphism_group(graph, colors)
+        assert aut.order == networkx_aut_order(graph, colors) == 2
+        assert aut.stats["transporter_searches"] == 1
+        assert aut.stats["involutions"] == 0
+        assert [str(g) for g in aut.group.generators] == ["(1,4)(2,3)(5,6)"]
+
+    def test_crown_graph_takes_one_search(self):
+        # K_{9,9} minus a perfect matching: each swap of two matched pairs
+        # is an involution (v w)(a b), and only the swap of the two sides
+        # needs a search
+        graph = named_graph("inf:00:cycle:6:antipodal:m3")
+        crown = nx.Graph([(i, 9 + j) for i in range(9) for j in range(9)
+                          if i != j])
+        assert nx.is_isomorphic(nx.Graph(graph.edges()), crown)
+        aut = automorphism_group(graph)
+        assert aut.order == 2 * math.factorial(9) == 725_760
+        assert aut.stats["transporter_searches"] == 1
+        assert aut.stats["involutions"] == 8
 
     def test_discrete_refinement_starts_no_search(self):
         # a triangle 0 1 2 with pendant paths 0-3-5 and 1-4: no symmetry,
@@ -382,21 +439,31 @@ class TestSearchFilter:
         assert aut.stats["refinement_passes"] == 3
         assert aut.group.chain.base == []
 
+    def test_edgeless_graph_needs_no_search(self):
+        # every w is v_d's twin: the first path's n - 1 levels each take one
+        # transposition, and only the path's own passes run
+        aut = automorphism_group(empty_graph(80))
+        assert aut.order == math.factorial(80)
+        assert aut.stats == {"transporter_searches": 0, "search_nodes": 0,
+                             "refinement_passes": 80, "involutions": 79}
+
     def test_deep_first_path_needs_no_recursion(self):
-        # the edgeless graph's first path is n - 1 levels deep, and the
-        # search for level 0 visits one node at each depth below it, n - 1
-        # in all: nested calls would need more frames than allowed here
+        # 27 disjoint Petersen graphs have no twins and no fibre swaps, and
+        # their first path is 82 levels deep; the search for level 0 runs
+        # down all of it: nested calls would need more frames than allowed
+        petersen = petersen_graph()
+        graph = Graph.from_edges(270, [(u + 10 * i, v + 10 * i)
+                                       for i in range(27)
+                                       for u, v in petersen.edges()])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 40)
         try:
-            aut = automorphism_group(empty_graph(80))
+            aut = automorphism_group(graph)
         finally:
             sys.setrecursionlimit(limit)
-        assert aut.order == math.factorial(80)
-        # one refinement pass per level on the path and one per node
-        assert aut.stats == {"transporter_searches": 79,
-                             "search_nodes": 80 * 79 // 2,
-                             "refinement_passes": 80 + 80 * 79 // 2}
+        assert aut.order == 120 ** 27 * math.factorial(27)
+        assert len(aut.group.chain.base) == 81
+        assert aut.stats["involutions"] == 0
 
 
 class TestTwins:
