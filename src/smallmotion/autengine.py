@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphcore import Graph, PairPartition, _SourcePath, _maps_onto
+from .graphcore import Graph, _SourcePath, _maps_onto
 from .permcore import PermGroup, Permutation, StabilizerChain, orbit
 
 
@@ -138,30 +138,8 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
     return aut.group.minimal_degree_witness()
 
 
-def motion(graph: Graph) -> int:
-    return motion_witness(graph)[0]
-
-
 # ---------------------------------------------------------------------------
-# partition-preserving automorphisms and transitivity
-
-def aut_preserving_partition(sigma: Graph,
-                             pairs: PairPartition) -> PermGroup:
-    """The automorphisms of sigma that map pairs to pairs: Aut of sigma
-    plus one vertex per pair, joined to both ends of its pair and coloured
-    apart, restricted to sigma's vertices; each generator is re-checked."""
-    n, k = sigma.n, len(pairs.pairs)
-    if pairs.n != n:
-        raise ValueError(f"pairs on {pairs.n} points for a graph of order {n}")
-    marked = Graph.from_edges(n + k, sigma.edges() + [
-        (v, n + i) for i, pair in enumerate(pairs.pairs) for v in pair])
-    aut = automorphism_group(marked, [0] * n + [1] * k)
-    group = aut.group.restriction(range(n))
-    for g in group.generators:
-        if not (sigma.is_automorphism(g) and pairs.is_preserved_by(g)):
-            raise RuntimeError(f"{g} is not a pair-preserving automorphism")
-    return group
-
+# transitivity
 
 def transitivity_aut(graph: Graph) -> Optional[AutResult]:
     """``automorphism_group(graph)`` if the graph can be vertex-transitive,

@@ -26,20 +26,17 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .autengine import (AutResult, aut_preserving_partition, find_twins,
-                        is_vertex_transitive, motion_witness,
+from .autengine import (AutResult, is_vertex_transitive, motion_witness,
                         transitivity_aut)
-from .graphcore import (Graph, InfParams, PairPartition, _SourcePath,
+from .graphcore import (Graph, InfParams, _SourcePath,
                         alternate_matching, antipodal_matching, are_isomorphic,
                         circulant_graph, complete_graph, cycle_graph,
                         empty_graph, inf_graph, invariant_graphs_under,
                         lex_product, matching_graph, prism_graph,
                         quotient_graph, to_graph6)
 from .grouptables import even_flips_rtimes_sym, tau_cross_sym
-from .permcore import CapExceededError, Permutation, _is_prime, format_cycles
-
-FORM_TAGS = ("lex_Km", "lex_mK1", "lex_C5", "lex_prism", "lex_coprism",
-             "inf", "unclassified")
+from .permcore import (BlockSystem, CapExceededError, Permutation, _is_prime,
+                       format_cycles)
 
 
 class NotVertexTransitiveError(ValueError):
@@ -55,7 +52,7 @@ class ClassificationReport:
     m: Optional[int] = None
     theta: Optional[Graph] = None
     sigma: Optional[Graph] = None
-    pairs: Optional[PairPartition] = None
+    pairs: Optional[BlockSystem] = None
     lam: Optional[int] = None
     kap: Optional[int] = None
     reconstruction: Optional[Graph] = None
@@ -72,7 +69,7 @@ class ClassificationReport:
         if self.sigma is not None:
             out["sigma"] = to_graph6(self.sigma)
         if self.pairs is not None:
-            out["pairs"] = [list(p) for p in self.pairs.pairs]
+            out["pairs"] = [list(p) for p in self.pairs.blocks]
         if self.lam is not None:
             out["lambda"] = self.lam
             out["kappa"] = self.kap
@@ -201,41 +198,6 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
 
 
 # ---------------------------------------------------------------------------
-# paired-fibre motion criteria
-
-def pair_transposition_in_aut(sigma: Graph, pairs: PairPartition) -> bool:
-    """Is some transposition of a pair an automorphism of sigma, that is,
-    are the two vertices of some pair twins?  It fixes every other vertex,
-    so it preserves the pair partition too."""
-    return not set(pairs.pairs).isdisjoint(find_twins(sigma))
-
-
-def inf_motion2_predicted(params: InfParams, sigma: Graph,
-                          pairs: PairPartition, reading: str) -> bool:
-    """Predict motion 2 for a vertex-transitive paired-fibre graph.
-
-    Two readings exist for the dichotomy: "equal" predicts motion below 4
-    when the two parameter bits agree and a pair transposition fixes
-    sigma; "unequal" predicts motion 2 when the bits differ and such a
-    transposition exists.  Which one matches computed motions is settled
-    empirically by verify_corpus, not here.
-    """
-    has_t = pair_transposition_in_aut(sigma, pairs)
-    if reading == "equal":
-        return params.kap == params.lam and has_t
-    if reading == "unequal":
-        return params.kap != params.lam and has_t
-    raise ValueError(f"unknown reading {reading!r}")
-
-
-def inf_is_vertex_transitive_predicted(sigma: Graph,
-                                       pairs: PairPartition) -> bool:
-    """The fibre graph is vertex-transitive iff the pair-preserving
-    automorphisms of sigma act transitively on its vertices."""
-    return aut_preserving_partition(sigma, pairs).is_transitive()
-
-
-# ---------------------------------------------------------------------------
 # corpus
 
 @dataclass(frozen=True)
@@ -317,7 +279,7 @@ def named_graph(token: str) -> Graph:
     return graph
 
 
-def sigma_matchings(token: str) -> list[tuple[str, PairPartition]]:
+def sigma_matchings(token: str) -> list[tuple[str, BlockSystem]]:
     """The pair partitions used with a given base graph."""
     parts = token.split(":")
     if parts[0] == "cycle":
@@ -330,7 +292,7 @@ def sigma_matchings(token: str) -> list[tuple[str, PairPartition]]:
         return out
     if parts[0] == "prism":
         m = int(parts[1])
-        return [("rungs", PairPartition.from_pairs(
+        return [("rungs", BlockSystem.from_blocks(
             2 * m, [(i, i + m) for i in range(m)]))]
     raise ValueError(f"no matchings defined for {token!r}")
 

@@ -14,8 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .permcore import (CAP_VARIABLE, MAX_PAIR_ORBITS, CapExceededError,
-                       PermGroup, Permutation, element_cap, orbit)
+from .permcore import (CAP_VARIABLE, MAX_PAIR_ORBITS, BlockSystem,
+                       CapExceededError, PermGroup, Permutation, element_cap,
+                       orbit)
 
 
 class Graph:
@@ -127,51 +128,21 @@ def _maps_onto(g1: Graph, images: Sequence[int], g2: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pair partitions (perfect matchings of a vertex set)
+# pair partitions: block systems of pairs, perfect matchings of a vertex set
 
-@dataclass(frozen=True)
-class PairPartition:
-    """A partition of a vertex set into unordered pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for pair in self.pairs:
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ValueError("pairs must be sorted 2-element tuples")
-            seen.update(pair)
-        if seen != set(range(self.n)) or 2 * len(self.pairs) != self.n:
-            raise ValueError("pairs must partition the vertex set")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[Iterable[int]]) -> "PairPartition":
-        norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        return cls(n, norm)
-
-    def contains_pair(self, u: int, v: int) -> bool:
-        return tuple(sorted((u, v))) in self.pairs
-
-    def is_preserved_by(self, perm: Permutation) -> bool:
-        pairset = set(self.pairs)
-        return all(tuple(sorted((perm(a), perm(b)))) in pairset
-                   for a, b in self.pairs)
-
-
-def alternate_matching(n: int) -> PairPartition:
+def alternate_matching(n: int) -> BlockSystem:
     """Every second edge of the n-cycle: {0,1},{2,3},... (n even)."""
     if n % 2:
         raise ValueError("need an even number of vertices")
-    return PairPartition.from_pairs(n, [(i, i + 1) for i in range(0, n, 2)])
+    return BlockSystem.from_blocks(n, [(i, i + 1) for i in range(0, n, 2)])
 
 
-def antipodal_matching(n: int) -> PairPartition:
+def antipodal_matching(n: int) -> BlockSystem:
     """Antipodal pairs {i, i+n/2} of the n-cycle (n even)."""
     if n % 2:
         raise ValueError("need an even number of vertices")
     h = n // 2
-    return PairPartition.from_pairs(n, [(i, i + h) for i in range(h)])
+    return BlockSystem.from_blocks(n, [(i, i + h) for i in range(h)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +184,6 @@ def circulant_graph(n: int, s: Iterable[int]) -> Graph:
 def matching_graph(m: int) -> Graph:
     """m disjoint edges on 2m vertices (pairs {2i, 2i+1})."""
     return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +248,9 @@ class InfParams:
             raise ValueError("multiplicity must be at least 2")
 
 
-def inf_graph(params: InfParams, sigma: Graph, pairs: PairPartition) -> Graph:
-    """Blow each vertex of sigma into a fibre of m vertices.
+def inf_graph(params: InfParams, sigma: Graph, pairs: BlockSystem) -> Graph:
+    """Blow each vertex of sigma into a fibre of m vertices; ``pairs``
+    must split sigma's vertices into pairs (ValueError otherwise).
 
     Vertex (alpha, i) gets index alpha*m + i.  Adjacency:
       - fibres over non-paired sigma-edges are joined completely;
@@ -293,30 +258,19 @@ def inf_graph(params: InfParams, sigma: Graph, pairs: PairPartition) -> Graph:
         the matching (lam=0), regardless of sigma-adjacency of the pair;
       - each fibre is a clique iff kap=1.
     """
-    if pairs.n != sigma.n:
-        raise ValueError("pair partition must cover the sigma vertex set")
+    if pairs.degree != sigma.n or len(pairs.blocks[0]) != 2:
+        raise ValueError("pairs must partition the sigma vertex set")
     m = params.m
     edges = [(alpha * m + i, alpha * m + j) for alpha in range(sigma.n)
              if params.kap == 1
              for i, j in itertools.combinations(range(m), 2)]
     for alpha, beta in itertools.combinations(range(sigma.n), 2):
-        paired = pairs.contains_pair(alpha, beta)
+        paired = pairs.block_of[alpha] == pairs.block_of[beta]
         if paired or sigma.has_edge(alpha, beta):
             edges += [(alpha * m + i, beta * m + j)
                       for i, j in itertools.product(range(m), repeat=2)
                       if not paired or (i == j) == (params.lam == 1)]
     return Graph.from_edges(sigma.n * m, edges)
-
-
-def px_graph(r: int) -> Graph:
-    """lex(2K_1, C_r): the doubled r-cycle."""
-    return lex_product(empty_graph(2), cycle_graph(r))
-
-
-def spx_graph(r: int) -> Graph:
-    """Inf(1, 0, C_2r, every-second-edge matching, 2)."""
-    return inf_graph(InfParams(1, 0, 2), cycle_graph(2 * r),
-                     alternate_matching(2 * r))
 
 
 # ---------------------------------------------------------------------------

@@ -268,14 +268,6 @@ TABLE2 = (
              lambda: (None, 8, agl_d2(3), agl_d2(3)), ((),)),
 )
 
-# Tables 3 and 4 share row 1 and differ in the X entry of row 2.
-TABLE3 = (
-    TableRow(3, 1, "-", "m", "{1} x Sym(m)", "<tau> x Sym(m)",
-             "not_applicable"),
-    TableRow(3, 2, "-", "m", "(Sym(2))^+ x {1}", "Sym(2) wr Sym(m)",
-             "not_applicable"),
-)
-
 TABLE4 = (
     TableRow(4, 1, "-", "m", "{1} x Sym(m)", "<tau> x Sym(m)",
              "not_applicable"),

@@ -504,7 +504,8 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """A G-invariant partition into parts of equal size >= 2."""
+    """A partition of {0, ..., degree-1} into parts of equal size >= 2;
+    ``block_of[v]`` is the index of v's part."""
 
     degree: int
     blocks: tuple[tuple[int, ...], ...]

@@ -1,25 +1,30 @@
 """Brute-force oracles: exhaustive scans and full searches the fast code
 is checked against, and the small graph grids, group strategies, graph
-helpers and counters the tests share."""
+helpers and counters the tests share.  The paper's statements that no
+library path runs live here too: the paired-fibre dichotomy, Table 3 and
+the embedding of an imprimitive group into a wreath product."""
 
 import itertools
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from smallmotion import grouptables
-from smallmotion.autengine import automorphism_group, find_twins
+from smallmotion.autengine import (automorphism_group, find_twins,
+                                   motion_witness)
 from smallmotion.classify import (_INF_FORMS, ClassificationReport,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
                                    _SourcePath, alternate_matching,
                                    are_isomorphic, complete_graph,
-                                   empty_graph, inf_graph, lex_product,
-                                   quotient_graph)
+                                   cycle_graph, empty_graph, inf_graph,
+                                   lex_product, quotient_graph)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
                                   _then, _trusted, element_cap, is_two_two,
                                   orbit, permutation_isomorphic)
+from smallmotion.wreath import wreath_product
 
 
 def equitable_refinement(graph: Graph, colors) -> list[int]:
@@ -553,3 +558,157 @@ def decompose_motion4_all_systems(graph):
         if report is not None:
             return report
     return None
+
+
+# ---------------------------------------------------------------------------
+# graphs the tests name, and the motion alone
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+def px_graph(r: int) -> Graph:
+    """lex(2K_1, C_r): the doubled r-cycle."""
+    return lex_product(empty_graph(2), cycle_graph(r))
+
+
+def spx_graph(r: int) -> Graph:
+    """Inf(1, 0, C_2r, every-second-edge matching, 2)."""
+    return inf_graph(InfParams(1, 0, 2), cycle_graph(2 * r),
+                     alternate_matching(2 * r))
+
+
+def motion(graph: Graph) -> int:
+    """The motion alone: ``autengine.motion_witness``'s first entry."""
+    return motion_witness(graph)[0]
+
+
+# ---------------------------------------------------------------------------
+# the paired-fibre dichotomy (oracle of acceptance criterion 8): the
+# paper's vertex-transitivity and motion-2 criteria, checked against the
+# computed answers of the library
+
+def aut_preserving_partition(sigma: Graph, pairs: BlockSystem) -> PermGroup:
+    """The automorphisms of sigma that map pairs to pairs: Aut of sigma
+    plus one vertex per pair, joined to both ends of its pair and coloured
+    apart, restricted to sigma's vertices; each generator is re-checked."""
+    n, k = sigma.n, len(pairs)
+    if pairs.degree != n:
+        raise ValueError(f"pairs on {pairs.degree} points for a graph of "
+                         f"order {n}")
+    marked = Graph.from_edges(n + k, sigma.edges() + [
+        (v, n + i) for i, pair in enumerate(pairs.blocks) for v in pair])
+    aut = automorphism_group(marked, [0] * n + [1] * k)
+    group = aut.group.restriction(range(n))
+    if not (all(map(sigma.is_automorphism, group.generators))
+            and group.is_invariant_partition(pairs)):
+        raise RuntimeError("a generator is not a pair-preserving automorphism")
+    return group
+
+
+def pair_transposition_in_aut(sigma: Graph, pairs: BlockSystem) -> bool:
+    """Is some transposition of a pair an automorphism of sigma, that is,
+    are the two vertices of some pair twins?  It fixes every other vertex,
+    so it preserves the pair partition too."""
+    return not set(pairs.blocks).isdisjoint(find_twins(sigma))
+
+
+def inf_motion2_predicted(params: InfParams, sigma: Graph,
+                          pairs: BlockSystem, reading: str) -> bool:
+    """Predict motion 2 for a vertex-transitive paired-fibre graph.
+
+    Two readings exist for the dichotomy: "equal" predicts motion below 4
+    when the two parameter bits agree and a pair transposition fixes
+    sigma; "unequal" predicts motion 2 when the bits differ and such a
+    transposition exists.  Which one matches computed motions is settled
+    by the tests, not here.
+    """
+    has_t = pair_transposition_in_aut(sigma, pairs)
+    if reading == "equal":
+        return params.kap == params.lam and has_t
+    if reading == "unequal":
+        return params.kap != params.lam and has_t
+    raise ValueError(f"unknown reading {reading!r}")
+
+
+def inf_is_vertex_transitive_predicted(sigma: Graph,
+                                       pairs: BlockSystem) -> bool:
+    """The fibre graph is vertex-transitive iff the pair-preserving
+    automorphisms of sigma act transitively on its vertices."""
+    return aut_preserving_partition(sigma, pairs).is_transitive()
+
+
+# Tables 3 and 4 share row 1 and differ in the X entry of row 2.
+TABLE3 = (
+    grouptables.TableRow(3, 1, "-", "m", "{1} x Sym(m)", "<tau> x Sym(m)",
+                         "not_applicable"),
+    grouptables.TableRow(3, 2, "-", "m", "(Sym(2))^+ x {1}",
+                         "Sym(2) wr Sym(m)", "not_applicable"),
+)
+
+
+# ---------------------------------------------------------------------------
+# the embedding of an imprimitive group into Y wr G^Sigma (oracle of
+# acceptance criterion 9)
+
+@dataclass
+class Embedding:
+    """A permutation embedding into a wreath product.
+
+    ``f`` is the point bijection onto the wreath index and ``phi`` maps
+    each generator g to f^-1 g f, so f(w^g) = f(w)^phi(g) holds for any
+    bijection.  ``verified`` is the check that can fail: every phi(g) lies
+    in ``target`` = ``inner`` wr ``outer``, built independently from the
+    block stabilizer's action on block 0 and the action on the blocks.
+    """
+
+    f: Permutation
+    phi: dict
+    target: PermGroup
+    inner: PermGroup
+    outer: PermGroup
+    verified: bool
+
+
+def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
+    """For each block, an element mapping it onto block 0: with
+    a = min(block 0), the stored inverse of the level-0 transversal entry,
+    at the block's least point in a's orbit, of the chain
+    ``group.chain_with_base([a])`` that ``block_stabilizer`` reads too."""
+    chain = group.chain_with_base([min(bs.blocks[0])])
+    inverses = chain._inverses[0]
+    points = [next((x for x in blk if x in inverses), None) for blk in bs.blocks]
+    if None in points:
+        raise ValueError("group is not transitive on the blocks")
+    return [Permutation(inverses[x]) for x in points]
+
+
+def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
+    """Embed a transitive imprimitive group into (block action on one
+    block) wr (action on blocks), checking that every generator's image
+    lies in that wreath product (``action_on_blocks`` checks invariance).
+    f sends the point omega of block j to j*m + delta, with delta the
+    position in block 0 of omega's image under block j's mover."""
+    outer = group.action_on_blocks(bs)
+    if not group.is_transitive():
+        raise ValueError("group must be transitive")
+    block0 = bs.blocks[0]
+    inner = group.block_stabilizer(block0).restriction(block0)
+    m = len(block0)
+    inverses = _block_transversal(group, bs)
+    pos = {v: i for i, v in enumerate(block0)}
+
+    def f_point(omega: int) -> int:
+        j = bs.block_of[omega]
+        return j * m + pos[inverses[j](omega)]
+
+    f = Permutation(map(f_point, range(group.degree)))
+    f_inv = f.inverse()
+    phi = {g: f_inv * g * f for g in group.generators}
+    target = wreath_product(inner, outer)
+    verified = all(image in target for image in phi.values())
+    return Embedding(f=f, phi=phi, target=target, inner=inner, outer=outer,
+                     verified=verified)

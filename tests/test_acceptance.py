@@ -8,14 +8,13 @@ the per-criterion pass/fail listing.
 import random
 import time
 
-from oracles import (automorphism_group_brute, inf_grid,
-                     minimal_degree_full_scan, with_edge_removed)
-from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
-                                   motion)
+from oracles import (automorphism_group_brute, embed_imprimitive, inf_grid,
+                     inf_is_vertex_transitive_predicted,
+                     inf_motion2_predicted, minimal_degree_full_scan, motion,
+                     with_edge_removed)
+from smallmotion.autengine import automorphism_group, is_vertex_transitive
 from smallmotion.classify import (CorpusSpec, circulant_corpus,
-                                  corpus_generators,
-                                  inf_is_vertex_transitive_predicted,
-                                  inf_motion2_predicted, named_graph,
+                                  corpus_generators, named_graph,
                                   verify_corpus)
 from smallmotion.graphcore import (InfParams, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
@@ -23,7 +22,7 @@ from smallmotion.graphcore import (InfParams, circulant_graph,
 from smallmotion.grouptables import (TABLE2, check_table2_row,
                                      enumerate_small_subgroup_pairs)
 from smallmotion.permcore import PermGroup, Permutation
-from smallmotion.wreath import embed_imprimitive, wreath_product
+from smallmotion.wreath import wreath_product
 
 
 class Timer:
@@ -155,7 +154,7 @@ def test_criterion_07_paired_fibre_identities():
                             params.m)
         if g.complement() != inf_graph(flipped, sigma.complement(), pairs):
             failures.append(f"complement {token} {mname} {params}")
-        for a, b in pairs.pairs:
+        for a, b in pairs.blocks:
             if sigma.has_edge(a, b):
                 if inf_graph(params, with_edge_removed(sigma, a, b), pairs) != g:
                     failures.append(f"pruning {token} {mname} {params}")
@@ -164,6 +163,11 @@ def test_criterion_07_paired_fibre_identities():
 
 def test_criterion_08_paired_fibre_dichotomy():
     """Vertex-transitivity and motion-2 criteria across the grid.
+
+    The criteria are oracle code
+    (``oracles.inf_is_vertex_transitive_predicted`` and
+    ``oracles.inf_motion2_predicted``), checked against the library's
+    computed vertex-transitivity and motion.
 
     Outcome recorded here: the transitivity criterion is exact everywhere;
     the proof's parity reading of the motion-2 criterion is exact for
@@ -202,7 +206,10 @@ def test_criterion_08_paired_fibre_dichotomy():
 
 def test_criterion_09_embedding_soundness():
     """For 50 imprimitive groups, phi(g) lies in Y wr Sym(k) for every
-    generator g, and the point bijection intertwines g with phi(g)."""
+    generator g, and the point bijection intertwines g with phi(g).
+
+    The embedding is oracle code (``oracles.embed_imprimitive``) built on
+    the library's ``wreath_product``, block stabilizer and chain."""
     rng = random.Random(90)
     groups = []
     for inner_n, outer_n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):

@@ -12,24 +12,24 @@ from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, count_base_changes,
                      decompose_motion2_twins,
-                     decompose_motion4_all_systems, inf_grid, path_graph,
-                     relabel, restricted_orbits, with_edge_removed)
+                     decompose_motion4_all_systems, inf_grid,
+                     inf_is_vertex_transitive_predicted,
+                     inf_motion2_predicted, motion,
+                     pair_transposition_in_aut, path_graph, petersen_graph,
+                     relabel, restricted_orbits, spx_graph,
+                     with_edge_removed)
 from smallmotion import autengine, classify, cli, graphcore
 from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
-                                   motion, motion_witness, transitivity_aut)
+                                   motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, GraphRecord,
                                   NotVertexTransitiveError, circulant_corpus,
                                   corpus_generators, decompose, inf_corpus,
-                                  inf_is_vertex_transitive_predicted,
-                                  inf_motion2_predicted,
                                   invariant_union_corpus, lex_corpus,
-                                  named_graph,
-                                  pair_transposition_in_aut, sigma_matchings,
+                                  named_graph, sigma_matchings,
                                   summarize, verify_corpus, verify_graph)
 from smallmotion.graphcore import (InfParams, are_isomorphic,
                                    circulant_graph, complete_graph, cycle_graph, empty_graph,
-                                   inf_graph, lex_product,
-                                   petersen_graph, prism_graph, spx_graph,
+                                   inf_graph, lex_product, prism_graph,
                                    to_graph6)
 from smallmotion.permcore import (CapExceededError, Permutation,
                                   format_cycles)
@@ -342,7 +342,7 @@ class TestInfIdentities:
         # an edge of sigma joining a matched pair never affects the result
         for token, mname, params, sigma, pairs in inf_grid():
             g = inf_graph(params, sigma, pairs)
-            for a, b in pairs.pairs:
+            for a, b in pairs.blocks:
                 if sigma.has_edge(a, b):
                     pruned = with_edge_removed(sigma, a, b)
                     assert inf_graph(params, pruned, pairs) == g, \

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (FullPassPath, complete_bipartite,
-                     equitable_refinement, neighbors, refine_pass_sorted,
-                     relabel, to_edge_list, with_edge_removed)
+                     equitable_refinement, neighbors, petersen_graph,
+                     px_graph, refine_pass_sorted, relabel, spx_graph,
+                     to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.classify import CorpusSpec, corpus_generators
-from smallmotion.graphcore import (Graph, InfParams, PairPartition,
+from smallmotion.graphcore import (Graph, InfParams,
                                    _maps_onto, _pass_keys, _refine_pass,
                                    _SourcePath,
                                    alternate_matching, antipodal_matching,
@@ -28,10 +29,10 @@ from smallmotion.graphcore import (Graph, InfParams, PairPartition,
                                    invariant_graphs_under,
                                    lex_product,
                                    matching_graph, parse_graph,
-                                   petersen_graph, prism_graph, px_graph,
-                                   quotient_graph, spx_graph, to_graph6)
+                                   prism_graph, quotient_graph, to_graph6)
 from smallmotion.grouptables import tau_cross_sym
-from smallmotion.permcore import CapExceededError, PermGroup, Permutation
+from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
+                                  Permutation)
 
 
 def random_graph(rng, n, p=0.5):
@@ -258,22 +259,29 @@ class TestProducts:
 
 
 class TestPairPartition:
+    """Pair partitions are block systems of pairs."""
+
     def test_pairs_and_validation(self):
         pp = alternate_matching(6)
-        assert pp.pairs == ((0, 1), (2, 3), (4, 5))
-        assert pp.contains_pair(4, 5) and not pp.contains_pair(1, 2)
+        assert pp.blocks == ((0, 1), (2, 3), (4, 5))
+        assert pp.block_of[4] == pp.block_of[5] != pp.block_of[1]
+        assert pp.block_of[1] != pp.block_of[2]
         with pytest.raises(ValueError):
-            PairPartition.from_pairs(4, [(0, 1), (1, 2)])
+            BlockSystem.from_blocks(4, [(0, 1), (1, 2)])
 
     def test_antipodal(self):
         pp = antipodal_matching(6)
-        assert pp.pairs == ((0, 3), (1, 4), (2, 5))
+        assert pp.blocks == ((0, 3), (1, 4), (2, 5))
 
     def test_preserved_by(self):
         pp = alternate_matching(4)
-        assert pp.is_preserved_by(Permutation([1, 0, 2, 3]))
-        assert pp.is_preserved_by(Permutation([2, 3, 0, 1]))
-        assert not pp.is_preserved_by(Permutation([0, 2, 1, 3]))
+
+        def preserves(images):
+            return PermGroup(4, [Permutation(images)]).is_invariant_partition(pp)
+
+        assert preserves([1, 0, 2, 3])
+        assert preserves([2, 3, 0, 1])
+        assert not preserves([0, 2, 1, 3])
 
 
 class TestInfGraphs:
@@ -293,6 +301,15 @@ class TestInfGraphs:
         for i in range(4):
             for a, b in itertools.combinations(range(i * m, (i + 1) * m), 2):
                 assert not g.has_edge(a, b)
+
+    def test_pairs_must_be_pairs_on_sigma(self):
+        """A block system of triples, or of pairs on too few or too many
+        points, is no pair partition of sigma."""
+        params, sigma = InfParams(1, 0, 2), cycle_graph(6)
+        for pairs in (BlockSystem.from_blocks(6, [(0, 1, 2), (3, 4, 5)]),
+                      alternate_matching(4), alternate_matching(8)):
+            with pytest.raises(ValueError):
+                inf_graph(params, sigma, pairs)
 
     def test_kappa_makes_fibres_complete(self):
         sigma = cycle_graph(4)

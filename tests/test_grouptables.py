@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_system_containing_support, block_systems_all_beta,
-                     closure, imprimitive_groups, is_2_transitive,
-                     pair_projection, report_by_search,
+from oracles import (TABLE3, block_system_containing_support,
+                     block_systems_all_beta, closure, imprimitive_groups,
+                     is_2_transitive, pair_projection, report_by_search,
                      subgroups_by_cyclic_joins)
 from smallmotion import grouptables
-from smallmotion.grouptables import (TABLE1, TABLE2, TABLE3, TABLE4,
+from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4,
                                      GroupSpec, PCycleReport,
                                      _all_subgroups, _candidate_specs,
                                      _find_p_cycle, _size2_blocks, agl1,

@@ -1,17 +1,19 @@
-"""Wreath products and imprimitive embeddings."""
+"""Wreath products, and the oracle embedding of imprimitive groups."""
 
 import random
 
 import pytest
 
-from oracles import (block_systems_all_beta, pair_reference_generators,
-                     superflip, wreath_generators_by_pairs)
-from smallmotion import grouptables, wreath
+import oracles
+from oracles import (block_systems_all_beta, embed_imprimitive,
+                     pair_reference_generators, superflip,
+                     wreath_generators_by_pairs)
+from smallmotion import grouptables
 from smallmotion.grouptables import (_candidate_specs, construct,
                                      cyclic_group, dihedral_group, sym_group)
 from smallmotion.permcore import BlockSystem, PermGroup, Permutation
-from smallmotion.wreath import (base_group_element, embed_imprimitive,
-                                top_group_element, top_part, wreath_product)
+from smallmotion.wreath import (base_group_element, top_group_element,
+                                top_part, wreath_product)
 
 
 def random_transitive_imprimitive(rng, max_tries=200):
@@ -160,7 +162,7 @@ class TestEmbedding:
         for _ in range(10):
             grp = random_transitive_imprimitive(rng)
             for bs in block_systems_all_beta(grp):
-                movers = wreath._block_transversal(grp, bs)
+                movers = oracles._block_transversal(grp, bs)
                 assert len(movers) == len(bs.blocks)
                 for blk, u in zip(bs.blocks, movers):
                     assert u in grp
@@ -174,7 +176,7 @@ class TestEmbedding:
         c9 = PermGroup(9, [Permutation.from_cycles(9, [list(range(9))])])
         bs = BlockSystem.from_blocks(9, [(0, 3, 6), (1, 4, 7), (2, 5, 8)])
         assert embed_imprimitive(c9, bs).verified
-        movers = wreath._block_transversal
+        movers = oracles._block_transversal
         swap = Permutation.from_cycles(9, [[0, 3]])
 
         def corrupted(group, system):
@@ -182,7 +184,7 @@ class TestEmbedding:
             inverses[1] = inverses[1] * swap
             return inverses
 
-        monkeypatch.setattr(wreath, "_block_transversal", corrupted)
+        monkeypatch.setattr(oracles, "_block_transversal", corrupted)
         emb = embed_imprimitive(c9, bs)
         assert all(emb.f(v) // 3 == bs.block_of[v] for v in range(9))
         assert not emb.verified
