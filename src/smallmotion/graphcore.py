@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .permcore import (CAP_VARIABLE, MAX_PAIR_ORBITS, BlockSystem,
                        CapExceededError, PermGroup, Permutation, element_cap,
-                       orbit)
+                       orbits)
 
 
 class Graph:
@@ -91,9 +91,6 @@ class Graph:
                 if w in pos:
                     adj[pos[v]] |= 1 << pos[w]
         return Graph(len(verts), adj), verts
-
-    def is_automorphism(self, perm: Permutation) -> bool:
-        return perm.degree == self.n and _maps_onto(self, perm.images, self)
 
     def is_regular(self) -> bool:
         return len({self.degree(v) for v in range(self.n)}) <= 1
@@ -281,21 +278,13 @@ def invariant_graphs_under(z: PermGroup) -> list[Graph]:
     n = z.degree
     maps = [lambda pair, g=g: tuple(sorted(map(g, pair)))
             for g in z.generators]
-    orbit_of = {}
-    orbits = []
-    for pair in itertools.combinations(range(n), 2):
-        if pair in orbit_of:
-            continue
-        orb = sorted(orbit(pair, maps))
-        for p in orb:
-            orbit_of[p] = len(orbits)
-        orbits.append(orb)
-    if len(orbits) > MAX_PAIR_ORBITS:
-        raise CapExceededError(f"{len(orbits)} pair-orbits exceed cap "
+    pair_orbits = orbits(itertools.combinations(range(n), 2), maps)
+    if len(pair_orbits) > MAX_PAIR_ORBITS:
+        raise CapExceededError(f"{len(pair_orbits)} pair-orbits exceed cap "
                                f"MAX_PAIR_ORBITS={MAX_PAIR_ORBITS}")
-    return [Graph.from_edges(n, [pair for i, orb in enumerate(orbits)
+    return [Graph.from_edges(n, [pair for i, orb in enumerate(pair_orbits)
                                  if subset >> i & 1 for pair in orb])
-            for subset in range(1 << len(orbits))]
+            for subset in range(1 << len(pair_orbits))]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ transitive-group classifiers for small minimal degree.
 
 Constructible families are built from explicit generators; table rows
 naming groups not built here (Mathieu groups and semilinear groups over
-proper prime-power fields) are metadata only, with no ``x_spec``.
+proper prime-power fields) are metadata only, with no ``x_spec``.  Each
+row's rule ``matches`` says which (p, m, X, Y) it names, by the family
+names of X and Y (the reference names of the pair table); a metadata row
+matches nothing, and ``_match_row`` takes a table's first matching row.
 Projective lines are labeled 0, ..., p-1, infinity with infinity at
 index p and the convention a/0 = infinity.
 """
@@ -16,8 +19,8 @@ from math import factorial, gcd, prod
 from typing import Callable, Optional
 
 from .permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME, PermGroup,
-                       Permutation, is_two_two, orbit, permutation_isomorphic,
-                       _is_prime, _then)
+                       Permutation, is_two_two, orbit, orbits,
+                       permutation_isomorphic, _is_prime, _then)
 from .wreath import (base_group_element, top_group_element, top_part,
                      wreath_product)
 
@@ -206,6 +209,10 @@ class TableRow:
     row; it is None for a metadata-only row, which ``check_table_row``
     refuses.
     ``sample_params`` gives desk-scale concrete parameters for checking.
+    ``matches(p, m, x, y)`` says whether the row names a sandwich, from p,
+    the block size m and the names x and y of X's and Y's families (of
+    the pair-table references in Table 4), None when unrecognised; a
+    metadata-only row matches nothing.
     """
 
     table: int
@@ -217,6 +224,7 @@ class TableRow:
     condition: str
     x_spec: Optional[Callable[..., tuple[int, PermGroup, PermGroup]]] = None
     sample_params: tuple = ()
+    matches: Callable[..., bool] = lambda p, m, x, y: False
 
     @property
     def constructible(self) -> bool:
@@ -230,14 +238,18 @@ class TableRow:
 
 TABLE1 = (
     TableRow(1, 1, "2", "m>=2", "Sym(m)", "Sym(m)", "always",
-             lambda m: (2, m, sym_group(m), sym_group(m)), ((3,), (4,))),
+             lambda m: (2, m, sym_group(m), sym_group(m)), ((3,), (4,)),
+             lambda p, m, x, y: p == 2 and x == y == "Sym"),
     TableRow(1, 2, ">=3", "m>=3", "Alt(m)", "Sym(m)", "p3_and_C",
              lambda m, p: (p, m, alt_group(m), sym_group(m)),
-             ((4, 3), (5, 3))),
+             ((4, 3), (5, 3)),
+             lambda p, m, x, y: p >= 3 and x == "Alt" and y in ("Alt", "Sym")),
     TableRow(1, 3, ">=5", "p", "C_p", "AGL1(p)", "cond_C",
-             lambda p: (p, p, cyclic_group(p), agl1(p)), ((5,), (7,))),
+             lambda p: (p, p, cyclic_group(p), agl1(p)), ((5,), (7,)),
+             lambda p, m, x, y: p >= 5 and m == p and x == "Cyclic"),
     TableRow(1, 4, "(q^d-1)/(q-1)", "p", "PGL_d(q)", "PGammaL_d(q)", "never",
-             lambda: (7, 7, pgl3_2(), pgl3_2()), ((),)),
+             lambda: (7, 7, pgl3_2(), pgl3_2()), ((),),
+             lambda p, m, x, y: m == 7 and x == "PGL3_2"),
     TableRow(1, 5, "11", "11", "PSL2(11)", "PSL2(11)", "never"),
     TableRow(1, 6, "11", "11", "M11", "M11", "never"),
     TableRow(1, 7, "23", "23", "M23", "M23", "never"),
@@ -245,9 +257,11 @@ TABLE1 = (
              "cond_C"),
     TableRow(1, 9, "Mersenne 2^d-1", "2^d", "AGL_d(2)", "AGammaL_d(2)",
              "never", lambda d: (2 ** d - 1, 2 ** d, agl_d2(d), agl_d2(d)),
-             ((2,), (3,))),
+             ((2,), (3,)), lambda p, m, x, y: x == "AGLd2" and p == m - 1),
     TableRow(1, 10, ">=5", "p+1", "PSL2(p)", "PGL2(p)", "never",
-             lambda p: (p, p + 1, psl2(p), pgl2(p)), ((5,), (7,))),
+             lambda p: (p, p + 1, psl2(p), pgl2(p)), ((5,), (7,)),
+             lambda p, m, x, y: m == p + 1 and x == "PSL2"
+             and y in ("PSL2", "PGL2")),
     TableRow(1, 11, "11", "12", "M11", "M11", "never"),
     TableRow(1, 12, "11", "12", "M12", "M12", "never"),
     TableRow(1, 13, "23", "24", "M24", "M24", "never"),
@@ -255,25 +269,39 @@ TABLE1 = (
              "cond_C"),
 )
 
+# the Y column is the largest admissible Y; the attained block action may
+# be any group between X and that bound
 TABLE2 = (
     TableRow(2, 1, "-", "m>=4", "Alt(m)", "Sym(m)", "not_applicable",
-             lambda m: (None, m, alt_group(m), sym_group(m)), ((5,),)),
+             lambda m: (None, m, alt_group(m), sym_group(m)), ((5,),),
+             lambda p, m, x, y: x == "Alt" and y in ("Alt", "Sym")),
     TableRow(2, 2, "-", "5", "D(5)", "AGL1(5)", "not_applicable",
-             lambda: (None, 5, dihedral_group(5), agl1(5)), ((),)),
+             lambda: (None, 5, dihedral_group(5), agl1(5)), ((),),
+             lambda p, m, x, y: x == "Dihedral" and y in ("Dihedral", "AGL1")),
     TableRow(2, 3, "-", "6", "PSL2(5)", "PGL2(5)", "not_applicable",
-             lambda: (None, 6, psl2(5), pgl2(5)), ((),)),
+             lambda: (None, 6, psl2(5), pgl2(5)), ((),),
+             lambda p, m, x, y: x == "PSL2" and y in ("PSL2", "PGL2")),
     TableRow(2, 4, "-", "7", "PGL3(2)", "PGL3(2)", "not_applicable",
-             lambda: (None, 7, pgl3_2(), pgl3_2()), ((),)),
+             lambda: (None, 7, pgl3_2(), pgl3_2()), ((),),
+             lambda p, m, x, y: x == y == "PGL3_2"),
     TableRow(2, 5, "-", "8", "AGL3(2)", "AGL3(2)", "not_applicable",
-             lambda: (None, 8, agl_d2(3), agl_d2(3)), ((),)),
+             lambda: (None, 8, agl_d2(3), agl_d2(3)), ((),),
+             lambda p, m, x, y: x == y == "AGLd2"),
 )
 
 TABLE4 = (
     TableRow(4, 1, "-", "m", "{1} x Sym(m)", "<tau> x Sym(m)",
-             "not_applicable"),
+             "not_applicable",
+             matches=lambda p, m, x, y: y == "tau_cross_sym"),
     TableRow(4, 2, "-", "m", "E+ : Sym(m)", "Sym(2) wr Sym(m)",
-             "not_applicable"),
+             "not_applicable", matches=lambda p, m, x, y: y == "c2_wr_sym"),
 )
+
+
+def _match_row(table: tuple, p: Optional[int], m: int, x: Optional[str],
+               y: Optional[str]) -> Optional[TableRow]:
+    """The first row of the table whose rule holds, or None."""
+    return next((row for row in table if row.matches(p, m, x, y)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +411,10 @@ class RowCheck:
 
 
 def _two_two_classes(y: PermGroup) -> list[list[Permutation]]:
-    """Conjugacy classes of order-2 support-4 elements of y."""
-    remaining = set(filter(is_two_two, y.small_support_elements(4)))
+    """Conjugacy classes of order-2 support-4 elements of y, each sorted,
+    by least member; ``_least_supports`` lists each class's least one."""
     maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
-    classes = []
-    while remaining:
-        cls = sorted(orbit(min(remaining), maps))
-        classes.append(cls)
-        remaining.difference_update(cls)
-    return classes
+    return orbits(filter(is_two_two, y._least_supports(4)), maps)
 
 
 def check_table2_row(row: TableRow, params: tuple) -> RowCheck:
@@ -496,25 +519,6 @@ def _sandwich(group: PermGroup, block: tuple, x: Permutation):
     return x_grp, y_grp, x_fam, y_fam
 
 
-def _match_table1_row(p, m, x_fam, y_fam, x_grp):
-    if p == 2 and x_fam and y_fam and x_fam.family == "Sym" \
-            and y_fam.family == "Sym":
-        return TABLE1[0]
-    if p >= 3 and x_fam and y_fam and x_fam.family == "Alt" \
-            and y_fam.family in ("Alt", "Sym"):
-        return TABLE1[1]
-    if p >= 5 and m == p and x_grp is not None and x_grp.order() == p:
-        return TABLE1[2]
-    if m == 7 and x_fam and x_fam.family == "PGL3_2":
-        return TABLE1[3]
-    if x_fam and x_fam.family == "AGLd2" and p == m - 1:
-        return TABLE1[8]
-    if m == p + 1 and x_fam and x_fam.family == "PSL2" \
-            and y_fam and y_fam.family in ("PSL2", "PGL2"):
-        return TABLE1[9]
-    return None
-
-
 def classify_p_cycle_group(group: PermGroup,
                            p: Optional[int] = None) -> PCycleReport:
     """Locate a p-cycle, a block system holding its support, and the
@@ -538,14 +542,16 @@ def classify_p_cycle_group(group: PermGroup,
         # no proper block holds the support: treat the whole set as the block
         x_fam = y_fam = recognize_family(group)
         x_grp, y_grp, cond_c = None, group, None
-        row = _match_table1_row(p, m, x_fam, y_fam, group)
+        row = _match_row(TABLE1, p, m, x_fam and x_fam.family,
+                         x_fam and x_fam.family)
         notes = ["support not contained in any proper block"]
     else:
         x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
         outside = [v for v in range(group.degree) if v not in block]
         fix_restricted = group.pointwise_stabilizer(outside).restriction(block)
         cond_c = all(g in x_grp for g in fix_restricted.generators)
-        row = _match_table1_row(p, m, x_fam, y_fam, x_grp)
+        row = _match_row(TABLE1, p, m, x_fam and x_fam.family,
+                         y_fam and y_fam.family)
         notes = []
         if row is None:
             notes.append("no table row matched; groups reported verbatim")
@@ -577,22 +583,6 @@ class TwoTwoReport:
     witness: Optional[Permutation] = None
     pair_blocks: Optional[tuple] = None     # the size-2 system, when relevant
     notes: list = field(default_factory=list)
-
-
-def _match_table2_row(x_fam, y_fam):
-    if x_fam is None or y_fam is None:
-        return None
-    # the table's Y column is the largest admissible Y; the attained block
-    # action may be any group between X and that bound
-    rows = {("Alt", ("Alt", "Sym")): 0,
-            ("Dihedral", ("Dihedral", "AGL1")): 1,
-            ("PSL2", ("PSL2", "PGL2")): 2,
-            ("PGL3_2", ("PGL3_2",)): 3,
-            ("AGLd2", ("AGLd2",)): 4}
-    for (xf, yfs), idx in rows.items():
-        if x_fam.family == xf and y_fam.family in yfs:
-            return TABLE2[idx]
-    return None
 
 
 def _size2_blocks(group: PermGroup, x: Permutation) -> list:
@@ -633,7 +623,8 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     # when all three pairings of supp(x) are blocks, x counts as crosswise
     if len(pairs) < 3 and (len(block) < group.degree or group.is_primitive()):
         x_grp, y_grp, x_fam, y_fam = _sandwich(group, block, x)
-        row = _match_table2_row(x_fam, y_fam)
+        row = _match_row(TABLE2, None, len(block), x_fam and x_fam.family,
+                         y_fam and y_fam.family)
         notes = ["(X,Y) = (Alt, Sym): minimal degree <= 3"] \
             if row is TABLE2[0] else []
         return TwoTwoReport(tag="case_prim", m=len(block),
@@ -652,24 +643,22 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     f = Permutation([v for blk in pair_bs.blocks for v in blk]).inverse()
     y_grp = PermGroup(2 * m, [g.conjugate(f) for g in group.generators])
     x_grp = y_grp.normal_closure(x.conjugate(f))
-    refs = [(make.__name__, make(m), table_row) for make, table_row in
-            ((one_cross_sym, None), (tau_cross_sym, TABLE4[0]),
-             (even_flips_rtimes_sym, None), (c2_wr_sym, TABLE4[1]))]
+    refs = [(make.__name__, make(m)) for make in
+            (one_cross_sym, tau_cross_sym, even_flips_rtimes_sym, c2_wr_sym)]
 
     def identify(grp):
-        return next(((name, table_row) for name, ref, table_row in refs
-                     if permutation_isomorphic(grp, ref) is not None),
-                    (None, None))
+        return next((name for name, ref in refs
+                     if permutation_isomorphic(grp, ref) is not None), None)
 
-    y_name, row = identify(y_grp)
-    x_name, _ = identify(x_grp)
+    y_name, x_name = identify(y_grp), identify(x_grp)
     notes = [f"witness acts {kind} on the size-2 blocks"]
     if y_name:
         notes.append(f"Y matches {y_name}")
     if x_name:
         notes.append(f"X matches {x_name}")
     return TwoTwoReport(tag="case_cross", m=m, k=m, x_group=x_grp,
-                        y_group=y_grp, row=row, witness=x,
+                        y_group=y_grp, witness=x,
+                        row=_match_row(TABLE4, None, m, x_name, y_name),
                         pair_blocks=pair_bs.blocks, notes=notes)
 
 
@@ -757,11 +746,11 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
     element's projection is the permutation of the pairs it induces,
     ``top_part(2, g)``.
     Every subgroup holding x's Y-class (its orbit under Y's generators,
-    taken once per class) holds X = <x^Y>, so X is the first in the
-    family.  X and Y are named once per element set: after the first
-    reference of the two small tables with that set, else the first one
-    of their order permutation isomorphic to them.  The data settles the
-    row-2 discrepancy between the tables.
+    from ``orbits``) holds X = <x^Y>, so X is the first in the family.
+    X and Y are named once per element set: after the first of the five
+    ``pair_references`` with that set, else the first one of their order
+    permutation isomorphic to them.  The data settles the row-2
+    discrepancy between the tables.
     """
     if m not in (2, 3):
         raise ValueError("m must be 2 or 3")
@@ -792,13 +781,10 @@ def enumerate_small_subgroup_pairs(m: int) -> PairEnumeration:
             continue    # Y does not project onto Sym(m)
         k = sum(1 for pr in projections if pr.is_identity())   # |kernel|
         conjugate = [lambda h, g=g, gi=g.inverse(): gi * h * g for g in kept]
-        witnesses = {x for x in y_elems
-                     if is_two_two(x) and proj[x].cycle_type() == (2,)}
-        xs = set()                  # family indices of the Xs
-        while witnesses:
-            cls = set(orbit(witnesses.pop(), conjugate))
-            witnesses -= cls
-            xs.add(next(i for i, s in enumerate(subgroups) if cls <= s[0]))
+        classes = orbits([x for x in y_elems if is_two_two(x)
+                          and proj[x].cycle_type() == (2,)], conjugate)
+        xs = {next(i for i, s in enumerate(subgroups) if s[0].issuperset(cls))
+              for cls in classes}   # family indices of the Xs
         for x_elems, _ in map(subgroups.__getitem__, sorted(xs)):
             pairs.append((x_elems, y_elems))
             matches.append((identify(x_elems), identify(y_elems)))

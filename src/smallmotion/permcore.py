@@ -194,6 +194,18 @@ def orbit(seed, maps: Sequence) -> Iterator:
                 queue.append(y)
 
 
+def orbits(items: Iterable, maps: Sequence) -> list[list]:
+    """The orbits under the maps of the members of items, each sorted, in
+    the order of their least members; items must hold the least member of
+    each orbit it meets."""
+    seen, out = set(), []
+    for item in sorted(items):
+        if item not in seen:
+            out.append(sorted(orbit(item, maps)))
+            seen.update(out[-1])
+    return out
+
+
 def _root(parent: list[int], v: int) -> int:
     """v's root in the union-find forest ``parent``, halving the path."""
     while parent[v] != v:
@@ -591,13 +603,8 @@ class PermGroup:
         return frozenset(orbit(point, self.generators))
 
     def orbits(self) -> list[frozenset]:
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            o = self.orbit(min(remaining))
-            out.append(o)
-            remaining -= o
-        return out
+        return list(map(frozenset, orbits(range(self.degree),
+                                          self.generators)))
 
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
@@ -656,13 +663,6 @@ class PermGroup:
         """No block system; error on an intransitive group."""
         return self.minimal_block_system() is None
 
-    def is_invariant_partition(self, bs: BlockSystem) -> bool:
-        blocks = set(bs.blocks)
-        return all(
-            tuple(sorted(g(v) for v in blk)) in blocks
-            for g in self.generators for blk in bs.blocks
-        )
-
     # -- induced actions and stabilizers ---------------------------------
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
@@ -671,17 +671,6 @@ class PermGroup:
         pos = {v: i for i, v in enumerate(points)}
         return PermGroup(len(points), [Permutation([pos[g(v)] for v in points])
                                        for g in self.generators])
-
-    def action_on_blocks(self, bs: BlockSystem) -> "PermGroup":
-        """The action of the group on the blocks of a block system; new
-        point i is block ``bs.blocks[i]``."""
-        if not self.is_invariant_partition(bs):
-            raise ValueError("partition is not invariant")
-        gens = []
-        for g in self.generators:
-            images = [bs.block_of[g(blk[0])] for blk in bs.blocks]
-            gens.append(Permutation(images))
-        return PermGroup(len(bs.blocks), gens)
 
     def block_stabilizer(self, block: Iterable[int]) -> "PermGroup":
         """G_B for a block B (ValueError unless B is its own block closure):
@@ -743,17 +732,13 @@ class PermGroup:
         group._chain = sub
         return group
 
-    def small_support_elements(self, bound: int) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points, sorted
-        by image tuple, by the pruned search of the chain."""
-        return self.chain._small_supports(bound, falling=False)
-
     def _least_supports(self, bound: Optional[int] = None) -> list[Permutation]:
-        """``small_support_elements(bound)``, or for bound None the least
-        supports, cut to G_0 when it holds the least member of each
-        conjugation-closed set of them (``minimal_degree_witness``): when the
-        chain's base starts at 0, level 0's orbit holds every point, the
-        order exceeds the degree and a given bound is below it."""
+        """The non-identity elements moving at most ``bound`` points, or
+        for bound None those of least support, sorted by image tuple; cut
+        to G_0 when it holds the least member of each conjugation-closed
+        set of them (``minimal_degree_witness``): when the chain's base
+        starts at 0, level 0's orbit holds every point, the order exceeds
+        the degree and a given bound is below it."""
         chain, n = self.chain, self.degree
         root = int(chain.base[:1] == [0] and len(chain._transversal[0]) == n
                    and self.order() > n and (bound is None or bound < n))

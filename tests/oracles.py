@@ -2,7 +2,10 @@
 is checked against, and the small graph grids, group strategies, graph
 helpers and counters the tests share.  The paper's statements that no
 library path runs live here too: the paired-fibre dichotomy, Table 3 and
-the embedding of an imprimitive group into a wreath product."""
+the embedding of an imprimitive group into a wreath product.  So do the
+tests' automorphism and block-action checks, and the routes the library
+replaced that its tests compare against: the per-table row matchers and
+the 2^2 classes from a search of the whole group."""
 
 import itertools
 from dataclasses import dataclass
@@ -10,6 +13,9 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from smallmotion import grouptables
+from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4, c2_wr_sym,
+                                     even_flips_rtimes_sym, one_cross_sym,
+                                     tau_cross_sym)
 from smallmotion.autengine import (automorphism_group, find_twins,
                                    motion_witness)
 from smallmotion.classify import (_INF_FORMS, ClassificationReport,
@@ -247,13 +253,37 @@ def random_element(chain: StabilizerChain, rng) -> Permutation:
     return _trusted(g)
 
 
+def is_automorphism(graph: Graph, perm: Permutation) -> bool:
+    return perm.degree == graph.n and _maps_onto(graph, perm.images, graph)
+
+
+def is_invariant_partition(group: PermGroup, bs: BlockSystem) -> bool:
+    blocks = set(bs.blocks)
+    return all(
+        tuple(sorted(g(v) for v in blk)) in blocks
+        for g in group.generators for blk in bs.blocks
+    )
+
+
+def action_on_blocks(group: PermGroup, bs: BlockSystem) -> PermGroup:
+    """The action of the group on the blocks of a block system; new
+    point i is block ``bs.blocks[i]``."""
+    if not is_invariant_partition(group, bs):
+        raise ValueError("partition is not invariant")
+    gens = []
+    for g in group.generators:
+        images = [bs.block_of[g(blk[0])] for blk in bs.blocks]
+        gens.append(Permutation(images))
+    return PermGroup(len(bs.blocks), gens)
+
+
 def automorphism_group_brute(graph, max_n: int = 8) -> PermGroup:
     """The automorphism group by scanning all n! permutations."""
     if graph.n > max_n:
         raise CapExceededError(f"brute-force cap exceeded: {graph.n} > {max_n}")
     auts = [Permutation(images)
             for images in itertools.permutations(range(graph.n))
-            if graph.is_automorphism(Permutation(images))]
+            if is_automorphism(graph, Permutation(images))]
     return reduce_generators(graph.n, auts)
 
 
@@ -419,6 +449,68 @@ def sandwich_by_search(group: PermGroup, block, x: Permutation):
     return (x_grp, y_grp, grouptables.recognize_family(x_grp),
             grouptables.recognize_family(y_grp),
             permutation_isomorphic(fix, x_grp) is not None)
+
+
+def match_table1_row(p, m, x_fam, y_fam, x_grp):
+    """The Table 1 row of the p-cycle classifier's sandwich, by the rules
+    it kept outside the table (oracle for ``grouptables._match_row``)."""
+    if p == 2 and x_fam and y_fam and x_fam.family == "Sym" \
+            and y_fam.family == "Sym":
+        return TABLE1[0]
+    if p >= 3 and x_fam and y_fam and x_fam.family == "Alt" \
+            and y_fam.family in ("Alt", "Sym"):
+        return TABLE1[1]
+    if p >= 5 and m == p and x_grp is not None and x_grp.order() == p:
+        return TABLE1[2]
+    if m == 7 and x_fam and x_fam.family == "PGL3_2":
+        return TABLE1[3]
+    if x_fam and x_fam.family == "AGLd2" and p == m - 1:
+        return TABLE1[8]
+    if m == p + 1 and x_fam and x_fam.family == "PSL2" \
+            and y_fam and y_fam.family in ("PSL2", "PGL2"):
+        return TABLE1[9]
+    return None
+
+
+def match_table2_row(x_fam, y_fam):
+    """The Table 2 row of the 2^2 classifier's sandwich, by the rules it
+    kept outside the table (oracle for ``grouptables._match_row``)."""
+    if x_fam is None or y_fam is None:
+        return None
+    # the table's Y column is the largest admissible Y; the attained block
+    # action may be any group between X and that bound
+    rows = {("Alt", ("Alt", "Sym")): 0,
+            ("Dihedral", ("Dihedral", "AGL1")): 1,
+            ("PSL2", ("PSL2", "PGL2")): 2,
+            ("PGL3_2", ("PGL3_2",)): 3,
+            ("AGLd2", ("AGLd2",)): 4}
+    for (xf, yfs), idx in rows.items():
+        if x_fam.family == xf and y_fam.family in yfs:
+            return TABLE2[idx]
+    return None
+
+
+def match_table4_row(y_name):
+    """The Table 4 row of the reference Y matched, by the (reference, row)
+    pairs the 2^2 classifier kept (oracle for ``grouptables._match_row``)."""
+    refs = ((one_cross_sym, None), (tau_cross_sym, TABLE4[0]),
+            (even_flips_rtimes_sym, None), (c2_wr_sym, TABLE4[1]))
+    return next((table_row for make, table_row in refs
+                 if make.__name__ == y_name), None)
+
+
+def two_two_classes(y: PermGroup) -> list:
+    """Conjugacy classes of order-2 support-4 elements of y, from a search
+    of all of y (oracle for ``grouptables._two_two_classes``, which lists
+    the least member of each class from G_0)."""
+    remaining = set(filter(is_two_two, y.chain._small_supports(4, False)))
+    maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
+    classes = []
+    while remaining:
+        cls = sorted(orbit(min(remaining), maps))
+        classes.append(cls)
+        remaining.difference_update(cls)
+    return classes
 
 
 def report_by_search(classify, group: PermGroup, *args):
@@ -603,8 +695,8 @@ def aut_preserving_partition(sigma: Graph, pairs: BlockSystem) -> PermGroup:
         (v, n + i) for i, pair in enumerate(pairs.blocks) for v in pair])
     aut = automorphism_group(marked, [0] * n + [1] * k)
     group = aut.group.restriction(range(n))
-    if not (all(map(sigma.is_automorphism, group.generators))
-            and group.is_invariant_partition(pairs)):
+    if not (all(is_automorphism(sigma, g) for g in group.generators)
+            and is_invariant_partition(group, pairs)):
         raise RuntimeError("a generator is not a pair-preserving automorphism")
     return group
 
@@ -692,7 +784,7 @@ def embed_imprimitive(group: PermGroup, bs: BlockSystem) -> Embedding:
     lies in that wreath product (``action_on_blocks`` checks invariance).
     f sends the point omega of block j to j*m + delta, with delta the
     position in block 0 of omega's image under block j's mover."""
-    outer = group.action_on_blocks(bs)
+    outer = action_on_blocks(group, bs)
     if not group.is_transitive():
         raise ValueError("group must be transitive")
     block0 = bs.blocks[0]

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from oracles import (TABLE3, block_system_containing_support,
                      block_systems_all_beta, closure, imprimitive_groups,
-                     is_2_transitive, pair_projection, report_by_search,
-                     subgroups_by_cyclic_joins)
+                     is_2_transitive, match_table1_row, match_table2_row,
+                     match_table4_row, pair_projection, report_by_search,
+                     subgroups_by_cyclic_joins, two_two_classes)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4,
                                      GroupSpec, PCycleReport,
                                      _all_subgroups, _candidate_specs,
-                                     _find_p_cycle, _size2_blocks, agl1,
+                                     _find_p_cycle, _match_row,
+                                     _size2_blocks, _two_two_classes, agl1,
                                      agl_d2, alt_group,
                                      c2_wr_sym,
                                      check_table_row, classify_22_group,
@@ -65,7 +67,7 @@ def witnesses(grp):
     """The minimal-degree, p-cycle and 2^2-classifier witnesses."""
     out = [grp.minimal_degree_witness(), _find_p_cycle(grp, None)]
     if grp.is_transitive() and \
-            any(map(is_two_two, grp.small_support_elements(4))):
+            any(map(is_two_two, grp.chain._small_supports(4, False))):
         out.append(classify_22_group(grp).witness)
     return out
 
@@ -92,7 +94,7 @@ def two_two_groups(seed, count):
     shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (2, 5), (5, 2)]
     pool = (grp for grp in random_wreath_subgroups(random.Random(seed), shapes)
             if grp.is_transitive()
-            and any(map(is_two_two, grp.small_support_elements(4))))
+            and any(map(is_two_two, grp.chain._small_supports(4, False))))
     return list(itertools.islice(pool, count))
 
 
@@ -397,6 +399,67 @@ class TestRowChecks:
         assert check.status == "pass"
 
 
+class TestRowRules:
+    """Each row's rule names the row the per-table matchers of
+    ``oracles`` name, for every prime p <= 23, every block size m <= 24
+    and X, Y among the families of degree m or unrecognised (None)."""
+
+    @staticmethod
+    def cases():
+        for m in range(1, 25):
+            specs = _candidate_specs(m) + [None]
+            for p in filter(_is_prime, range(2, 24)):
+                for x, y in itertools.product(specs, repeat=2):
+                    yield p, m, x, y
+
+    def test_table1(self):
+        for p, m, x, y in self.cases():
+            assert _match_row(TABLE1, p, m, x and x.family, y and y.family) \
+                is match_table1_row(p, m, x, y, x and construct(x))
+
+    def test_table2(self):
+        for p, m, x, y in self.cases():
+            assert _match_row(TABLE2, p, m, x and x.family, y and y.family) \
+                is match_table2_row(x, y)
+
+    def test_table4(self):
+        names = [make.__name__ for make in (
+            one_cross_sym, tau_cross_sym, even_flips, even_flips_rtimes_sym,
+            c2_wr_sym)] + [None]
+        for m in range(2, 25):
+            for x, y in itertools.product(names, repeat=2):
+                assert _match_row(TABLE4, None, m, x, y) \
+                    is match_table4_row(y)
+
+    def test_metadata_rows_match_nothing(self):
+        for row in TABLE1 + TABLE2 + TABLE4:
+            if not row.constructible and row.table != 4:
+                assert not any(row.matches(*case) for case in self.cases())
+
+
+class TestTwoTwoClasses:
+    """The 2^2 classes, listed from the least members ``_least_supports``
+    finds, equal those of the search of the whole group
+    (``oracles.two_two_classes``)."""
+
+    def test_table2_samples(self):
+        for row in TABLE2:
+            for params in row.sample_params:
+                _, _, x, y = row.x_spec(*params)
+                for grp in (x, y):
+                    assert _two_two_classes(grp) == two_two_classes(grp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(imprimitive_groups().filter(PermGroup.is_transitive))
+    def test_transitive_groups(self, grp):
+        assert _two_two_classes(grp) == two_two_classes(grp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(imprimitive_groups().filter(lambda grp: not grp.is_transitive()))
+    def test_intransitive_groups(self, grp):
+        assert _two_two_classes(grp) == two_two_classes(grp)
+
+
 def count_block_stabilizers(monkeypatch):
     """Count the calls of PermGroup.block_stabilizer from now on."""
     calls = []
@@ -607,7 +670,8 @@ class TestTwoTwoClassifier:
         rng = random.Random(5)
         with_size2 = 0
         for grp in two_two_groups(5, 150):
-            elems = sorted(filter(is_two_two, grp.small_support_elements(4)))
+            elems = sorted(filter(is_two_two,
+                                  grp.chain._small_supports(4, False)))
             for x in rng.sample(elems, min(3, len(elems))):
                 (a1, a2), _ = x.cycles()
                 pairs = _size2_blocks(grp, x)
@@ -764,7 +828,7 @@ def sandwich_cases(draw):
     cases = []
     if _find_p_cycle(group, None) is not None:
         cases.append((group, classify_p_cycle_group, ()))
-    if any(map(is_two_two, group.small_support_elements(4))):
+    if any(map(is_two_two, group.chain._small_supports(4, False))):
         cases.append((group, classify_22_group, ()))
     return cases
 
@@ -780,7 +844,7 @@ def witness_blocks(draw):
     else:
         group = draw(imprimitive_groups().filter(PermGroup.is_transitive))
     witnesses = [x for x in (_find_p_cycle(group, None), min(filter(
-        is_two_two, group.small_support_elements(4)), default=None))
+        is_two_two, group.chain._small_supports(4, False)), default=None))
                  if x is not None]
     assume(witnesses)
     x = draw(st.sampled_from(witnesses))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, closure, count_base_changes,
                      imprimitive_groups, is_2_transitive,
-                     least_witnesses_by_scan,
+                     is_invariant_partition, least_witnesses_by_scan,
                      minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      random_element, reduce_generators)
@@ -298,6 +298,21 @@ class TestStabilizerChain:
 
 
 class TestOrbitsAndBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups(), st.data())
+    def test_orbits_are_the_point_orbits_by_least_member(self, sample, data):
+        """``permcore.orbits`` lists the distinct ``PermGroup.orbit``s,
+        each sorted, by least member, from all points or from any set of
+        points holding each orbit's least member."""
+        grp, _ = sample
+        want = [list(o) for o in sorted({tuple(sorted(grp.orbit(v)))
+                                         for v in range(grp.degree)})]
+        assert permcore.orbits(range(grp.degree), grp.generators) == want
+        assert grp.orbits() == list(map(frozenset, want))
+        items = [o[0] for o in want] + data.draw(
+            st.lists(st.integers(0, grp.degree - 1)))
+        assert permcore.orbits(items, grp.generators) == want
+
     def test_orbit_of_cycle(self):
         grp = PermGroup(6, [Permutation.from_cycles(6, [[0, 1, 2]])])
         assert grp.orbit(0) == frozenset({0, 1, 2})
@@ -423,7 +438,7 @@ class TestOrbitsAndBlocks:
         monkeypatch.setattr(PermGroup, "is_transitive", counting)
         bs = grp.minimal_block_system()
         assert len(calls) == 1
-        assert bs is not None and grp.is_invariant_partition(bs)
+        assert bs is not None and is_invariant_partition(grp, bs)
 
     def test_block_system_validation(self):
         with pytest.raises(ValueError):
@@ -760,7 +775,7 @@ class TestMinimalDegree:
         grp, _ = sample
         want = sorted(g for g in grp.elements()
                       if 0 < len(g.support()) <= bound)
-        assert grp.small_support_elements(bound) == want
+        assert grp.chain._small_supports(bound, False) == want
 
     def test_search_tables_are_built_once_per_chain(self, monkeypatch):
         """_find_p_cycle(p=None) tries the primes 2, 3, 5, 7 on C7 with one
@@ -780,18 +795,18 @@ class TestMinimalDegree:
         assert _find_p_cycle(c7, None).cycle_type() == (7,)
         assert len(forests) == len(c7.chain.base) == 1
         tables = c7.chain._tables
-        assert c7.small_support_elements(2) == []
+        assert c7.chain._small_supports(2, False) == []
         assert c7.chain._tables is tables and len(forests) == 1
         assert c7.chain.extend(Permutation.from_cycles(7, [[0, 1]]))
         assert c7.chain._tables is None
-        assert len(c7.small_support_elements(2)) == 21   # Sym(7)
+        assert len(c7.chain._small_supports(2, False)) == 21   # Sym(7)
         # a least-support search of a transitive group walks G_0 alone,
         # so level 0's table is built only once a full search reads it
         s5 = sym_group(5)
         assert s5.minimal_degree() == 2
         assert s5.chain._tables[0] is None
         assert None not in s5.chain._tables[1:]
-        assert len(s5.small_support_elements(2)) == 10
+        assert len(s5.chain._small_supports(2, False)) == 10
         assert None not in s5.chain._tables
 
     @settings(max_examples=60, deadline=None)
@@ -871,7 +886,7 @@ def searched_witnesses(grp):
         next((x for x in cycles if x is not None), None)
     out = [grp.minimal_degree_witness()] + cycles
     if grp.is_transitive() and \
-            any(map(is_two_two, grp.small_support_elements(4))):
+            any(map(is_two_two, grp.chain._small_supports(4, False))):
         out.append(classify_22_group(grp).witness)
     return out
 
@@ -912,9 +927,10 @@ class TestPointStabilizerSearch:
         assert grp.chain.base[0] == 0
         for bound in (4, 6, 7):
             assert grp._least_supports(bound) == [
-                g for g in grp.small_support_elements(bound) if g(0) == 0]
+                g for g in grp.chain._small_supports(bound, False)
+                if g(0) == 0]
         assert len(grp._least_supports(8)) == len(
-            grp.small_support_elements(8)) == grp.order() - 1
+            grp.chain._small_supports(8, False)) == grp.order() - 1
 
 
 def relabelled(grp, seed):

@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from oracles import (block_systems_all_beta, embed_imprimitive,
-                     pair_reference_generators, superflip,
-                     wreath_generators_by_pairs)
+                     is_invariant_partition, pair_reference_generators,
+                     superflip, wreath_generators_by_pairs)
 from smallmotion import grouptables
 from smallmotion.grouptables import (_candidate_specs, construct,
                                      cyclic_group, dihedral_group, sym_group)
@@ -47,7 +47,7 @@ class TestWreathProduct:
 
     def test_blocks_are_invariant(self):
         w = wreath_product(dihedral_group(5), cyclic_group(3))
-        assert w.is_invariant_partition(copies(5, 3))
+        assert is_invariant_partition(w, copies(5, 3))
 
     def test_base_and_top_elements(self):
         inner = sym_group(3)
