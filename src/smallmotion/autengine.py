@@ -142,19 +142,10 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
 # transitivity
 
 def transitivity_aut(graph: Graph) -> Optional[AutResult]:
-    """``automorphism_group(graph)`` if the graph can be vertex-transitive,
-    that is, if it is regular with a vertex; else None."""
+    """``automorphism_group(graph)`` if the graph is vertex-transitive, else
+    None.  A graph with no vertex or an irregular one gets no Aut
+    computation; for the others the group decides."""
     if graph.n == 0 or not graph.is_regular():
         return None
-    return automorphism_group(graph)
-
-
-def is_vertex_transitive(graph: Graph,
-                         aut: Optional[AutResult] = None) -> bool:
-    """Is Aut(graph) transitive on the vertices?  ``aut`` is
-    ``transitivity_aut(graph)`` when the caller has it, else computed."""
-    aut = aut or transitivity_aut(graph)
-    if aut is None:
-        return False
-    chain = aut.group.chain     # level 0's transversal is base[0]'s orbit
-    return graph.n == (len(chain._transversal[0]) if chain.base else 1)
+    aut = automorphism_group(graph)
+    return aut if aut.group.is_transitive() else None

@@ -2,11 +2,18 @@
 plus corpus generation and batch verification.
 
 A graph of motion 2 or 4 decomposes over the block system of its witness
-block, the smallest block of Aut holding its motion witness's support:
-first as a lex form (complete, edgeless, C5, prism, or co-prism fibres
-over a vertex-transitive quotient; for motion 2 the block is a twin
-class), then as a paired-fibre graph.  One that fits neither is reported
-as unclassified with diagnostics, never silently dropped.
+block, the smallest block of Aut holding its motion witness's support.
+The block's outside classes, its vertices grouped by their neighbourhood
+outside it, pick the one form tried.  With one class the block is a
+module, and only a lex form can fit (complete, edgeless, C5, prism, or
+co-prism fibres over a vertex-transitive quotient; for motion 2 the
+block is a twin class): the paired-fibre form needs two classes.  With
+two or more, some vertex outside the block is adjacent to part of it
+only, yet the lex product over the quotient joins its block to all of
+this one; the blocks' subgraphs are all the fibre, so the lex
+reconstruction has more edges than the graph and only the paired-fibre
+form can fit.  A graph that fits neither is reported as unclassified
+with diagnostics, never silently dropped.
 
 The paired fibres are read off the graph.  Split a block B of Aut into
 classes of vertices with equal neighbourhood outside B; with at most two
@@ -26,8 +33,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .autengine import (AutResult, is_vertex_transitive, motion_witness,
-                        transitivity_aut)
+from .autengine import AutResult, motion_witness, transitivity_aut
 from .graphcore import (Graph, InfParams, _SourcePath,
                         alternate_matching, antipodal_matching, are_isomorphic,
                         circulant_graph, complete_graph, cycle_graph,
@@ -157,18 +163,20 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     The one block tried is the witness block: the smallest block of the
     automorphism group holding the support of the motion witness x (the
     twin class of a twin transposition; the whole vertex set for C5
-    itself).  Over its system the lex forms are tried (K_m, mK_1, C5,
-    prism or co-prism fibres), then the paired-fibre form; a form counts
-    once its reconstruction's round trip, a search on the graph's first
-    path kept by ``aut``, finds it isomorphic to the graph.  The block's
-    subgraph gets one first path, shared by every fibre candidate.  An
-    unclassified result carries diagnostics.  ``witness`` is
-    ``motion_witness(graph, aut)`` and ``aut`` is ``transitivity_aut(graph)``
-    when the caller has them; else each is computed here, once.
+    itself).  One form is tried over its system, as the module docstring
+    says: the lex forms (K_m, mK_1, C5, prism or co-prism fibres) when
+    the block's vertices share one neighbourhood outside it, else the
+    paired-fibre form.  It counts once its reconstruction's round trip, a
+    search on the graph's first path kept by ``aut``, finds it isomorphic
+    to the graph.  The block's subgraph gets one first path, shared by
+    every fibre candidate.  An unclassified result carries diagnostics.
+    ``witness`` is ``motion_witness(graph, aut)`` and ``aut`` is
+    ``transitivity_aut(graph)`` when the caller has them; else each is
+    computed here, once.
     """
     if aut is None:
         aut = transitivity_aut(graph)
-    if not is_vertex_transitive(graph, aut=aut):
+    if aut is None:
         raise NotVertexTransitiveError("input graph is not vertex-transitive")
     if witness is None:
         witness = motion_witness(graph, aut=aut)
@@ -179,13 +187,13 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     block = group._block_closure(x.support())
     bs = group.block_system_from(block)
     sub, _ = graph.induced_subgraph(bs.blocks[0])
-    delta = _SourcePath(sub, [0] * sub.n)
-    for attempt in (_try_lex_form, _try_inf_form):
-        report = attempt(graph, mu, bs, delta)
-        if report is not None and are_isomorphic(
-                graph, report.reconstruction, aut.path) is not None:
-            report.verified = True
-            return report
+    attempt = (_try_lex_form if len(_outside_classes(graph, block)) == 1
+               else _try_inf_form)
+    report = attempt(graph, mu, bs, _SourcePath(sub, [0] * sub.n))
+    if report is not None and are_isomorphic(
+            graph, report.reconstruction, aut.path) is not None:
+        report.verified = True
+        return report
     return ClassificationReport(
         motion=mu, form="unclassified", verified=False,
         diagnostics={
@@ -248,7 +256,7 @@ def _parse_graph(fields: list[str], i: int) -> tuple[Graph, int]:
         return lex_product(delta, theta), j
     if name == "inf":
         bits, family, n, mname, mfield = _take(fields, i + 1, 5)
-        pairs = dict(sigma_matchings(f"{family}:{n}")).get(mname)
+        pairs = dict(sigma_matchings(family, int(n))).get(mname)
         if pairs is None:
             raise ValueError(f"no matching {mname!r} for {family}:{n}")
         lam, kap = map(int, bits)
@@ -279,22 +287,19 @@ def named_graph(token: str) -> Graph:
     return graph
 
 
-def sigma_matchings(token: str) -> list[tuple[str, BlockSystem]]:
-    """The pair partitions used with a given base graph."""
-    parts = token.split(":")
-    if parts[0] == "cycle":
-        n = int(parts[1])
+def sigma_matchings(family: str, n: int) -> list[tuple[str, BlockSystem]]:
+    """The pair partitions used with the base graph of a family and size."""
+    if family == "cycle":
         if n % 2:
             raise ValueError("paired fibres need an even base graph")
         out = [("alternate", alternate_matching(n))]
         if antipodal_matching(n) != alternate_matching(n):
             out.append(("antipodal", antipodal_matching(n)))
         return out
-    if parts[0] == "prism":
-        m = int(parts[1])
+    if family == "prism":
         return [("rungs", BlockSystem.from_blocks(
-            2 * m, [(i, i + m) for i in range(m)]))]
-    raise ValueError(f"no matchings defined for {token!r}")
+            2 * n, [(i, i + n) for i in range(n)]))]
+    raise ValueError(f"no matchings defined for '{family}:{n}'")
 
 
 def circulant_corpus(max_n: int) -> Iterator[tuple[str, Graph]]:
@@ -311,8 +316,9 @@ def circulant_corpus(max_n: int) -> Iterator[tuple[str, Graph]]:
 
 
 def inf_corpus(sigmas, ms) -> Iterator[tuple[str, Graph]]:
-    labels = (f"inf:{lam}{kap}:{token}:{mname}:m{m}" for token in sigmas
-              for mname, _ in sigma_matchings(token) for m in ms
+    labels = (f"inf:{lam}{kap}:{family}:{n}:{mname}:m{m}"
+              for family, n in (token.split(":") for token in sigmas)
+              for mname, _ in sigma_matchings(family, int(n)) for m in ms
               for lam, kap in itertools.product((0, 1), repeat=2))
     return ((label, named_graph(label)) for label in labels)
 
@@ -400,7 +406,7 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
     label, graph = item
     g6 = to_graph6(graph)
     aut = transitivity_aut(graph)
-    if not is_vertex_transitive(graph, aut=aut):
+    if aut is None:
         return GraphRecord(label, g6, False)
     rec = GraphRecord(label, g6, True)
     try:

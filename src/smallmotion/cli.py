@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .autengine import is_vertex_transitive, motion_witness, transitivity_aut
+from .autengine import motion_witness, transitivity_aut
 from .classify import (CorpusSpec, NotVertexTransitiveError, decompose,
                        named_graph, verify_corpus)
 from .graphcore import Graph, from_graph6, parse_graph, to_graph6
@@ -91,7 +91,7 @@ def cmd_classify(args) -> int:
     lines = []
     for graph in _read_graphs(args):
         aut = transitivity_aut(graph)
-        if not is_vertex_transitive(graph, aut=aut):
+        if aut is None:
             raise NotVertexTransitiveError(
                 "input graph is not vertex-transitive")
         witness = motion_witness(graph, aut=aut)

@@ -599,15 +599,16 @@ class PermGroup:
 
     # -- orbits and transitivity -----------------------------------------
 
-    def orbit(self, point: int) -> frozenset:
-        return frozenset(orbit(point, self.generators))
-
     def orbits(self) -> list[frozenset]:
         return list(map(frozenset, orbits(range(self.degree),
                                           self.generators)))
 
     def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
+        """Is the chain's level-0 transversal, the orbit of base[0], every
+        point?  A chain with no base belongs to a trivial group."""
+        chain = self.chain
+        return self.degree == (len(chain._transversal[0]) if chain.base
+                               else 1)
 
     # -- blocks -----------------------------------------------------------
 

@@ -4,8 +4,9 @@ helpers and counters the tests share.  The paper's statements that no
 library path runs live here too: the paired-fibre dichotomy, Table 3 and
 the embedding of an imprimitive group into a wreath product.  So do the
 tests' automorphism and block-action checks, and the routes the library
-replaced that its tests compare against: the per-table row matchers and
-the 2^2 classes from a search of the whole group."""
+replaced that its tests compare against: the per-table row matchers, the
+2^2 classes from a search of the whole group and the decomposition that
+tries the lex forms before the paired-fibre form."""
 
 import itertools
 from dataclasses import dataclass
@@ -17,19 +18,21 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4, c2_wr_sym,
                                      even_flips_rtimes_sym, one_cross_sym,
                                      tau_cross_sym)
 from smallmotion.autengine import (automorphism_group, find_twins,
-                                   motion_witness)
+                                   motion_witness, transitivity_aut)
 from smallmotion.classify import (_INF_FORMS, ClassificationReport,
+                                  NotVertexTransitiveError, _try_inf_form,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
                                    _SourcePath, alternate_matching,
                                    are_isomorphic, complete_graph,
                                    cycle_graph, empty_graph, inf_graph,
-                                   lex_product, quotient_graph)
+                                   lex_product, quotient_graph, to_graph6)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
-                                  _then, _trusted, element_cap, is_two_two,
-                                  orbit, permutation_isomorphic)
+                                  _then, _trusted, element_cap,
+                                  format_cycles, is_two_two, orbit,
+                                  permutation_isomorphic)
 from smallmotion.wreath import wreath_product
 
 
@@ -150,9 +153,10 @@ def find_twins_all_pairs(graph: Graph) -> list[tuple[int, int]]:
 
 def inf_grid():
     """Every (lambda, kappa, sigma, matching, m) instance of the small grid."""
-    for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
+    for family, n in (("cycle", 4), ("cycle", 6), ("cycle", 8), ("prism", 3)):
+        token = f"{family}:{n}"
         sigma = named_graph(token)
-        for mname, pairs in sigma_matchings(token):
+        for mname, pairs in sigma_matchings(family, n):
             for lam, kap in itertools.product((0, 1), repeat=2):
                 for m in (2, 3):
                     yield token, mname, InfParams(lam, kap, m), sigma, pairs
@@ -650,6 +654,42 @@ def decompose_motion4_all_systems(graph):
         if report is not None:
             return report
     return None
+
+
+def decompose_by_trying(graph, witness=None, aut=None):
+    """``classify.decompose`` as it was before the witness block's outside
+    classes picked the form: over the witness block's system the lex forms
+    are tried first, and a paired-fibre graph reaches the paired-fibre
+    form once the lex reconstruction fails its round trip."""
+    if aut is None:
+        aut = transitivity_aut(graph)
+    if aut is None:
+        raise NotVertexTransitiveError("input graph is not vertex-transitive")
+    if witness is None:
+        witness = motion_witness(graph, aut=aut)
+    mu, x = witness
+    if mu not in (2, 4):
+        raise ValueError(f"no decomposition for motion {mu}")
+    group = aut.group
+    block = group._block_closure(x.support())
+    bs = group.block_system_from(block)
+    sub, _ = graph.induced_subgraph(bs.blocks[0])
+    delta = _SourcePath(sub, [0] * sub.n)
+    for attempt in (_try_lex_form, _try_inf_form):
+        report = attempt(graph, mu, bs, delta)
+        if report is not None and are_isomorphic(
+                graph, report.reconstruction, aut.path) is not None:
+            report.verified = True
+            return report
+    return ClassificationReport(
+        motion=mu, form="unclassified", verified=False,
+        diagnostics={
+            "graph6": to_graph6(graph),
+            "aut_order": group.order(),
+            "aut_generators": [str(g) for g in group.generators],
+            "witness": format_cycles(x),
+            "block": sorted(block),
+        })
 
 
 # ---------------------------------------------------------------------------

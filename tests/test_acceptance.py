@@ -12,7 +12,7 @@ from oracles import (automorphism_group_brute, embed_imprimitive, inf_grid,
                      inf_is_vertex_transitive_predicted,
                      inf_motion2_predicted, minimal_degree_full_scan, motion,
                      with_edge_removed)
-from smallmotion.autengine import automorphism_group, is_vertex_transitive
+from smallmotion.autengine import automorphism_group, transitivity_aut
 from smallmotion.classify import (CorpusSpec, circulant_corpus,
                                   corpus_generators, named_graph,
                                   verify_corpus)
@@ -83,7 +83,7 @@ def test_criterion_02_odd_prime_exclusion():
         for label, g in lex_items_from_spec(spec):
             items.append((label, g))
         for label, g in items:
-            if not is_vertex_transitive(g) or g.n < 2:
+            if transitivity_aut(g) is None or g.n < 2:
                 continue
             mu = motion(g)
             if mu in (3, 5, 7, 11, 13):
@@ -182,7 +182,7 @@ def test_criterion_08_paired_fibre_dichotomy():
     m2_exceptions = []
     for token, mname, params, sigma, pairs in inf_grid():
         g = inf_graph(params, sigma, pairs)
-        vt = is_vertex_transitive(g)
+        vt = transitivity_aut(g) is not None
         if vt != inf_is_vertex_transitive_predicted(sigma, pairs):
             vt_failures.append(f"{token} {mname} {params}")
         if not vt:

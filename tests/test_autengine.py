@@ -20,7 +20,7 @@ from oracles import (aut_preserving_partition, automorphism_group_brute,
                      is_invariant_partition, minimal_degree_full_scan, motion,
                      path_graph, petersen_graph, random_element, spx_graph)
 from smallmotion.autengine import (automorphism_group, find_twins,
-                                   is_vertex_transitive, motion_witness)
+                                   motion_witness, transitivity_aut)
 from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, alternate_matching,
@@ -262,7 +262,8 @@ class TestGeneratorsKeepEdgesAndColours:
 
         monkeypatch.setattr(oracles, "automorphism_group", recording)
         for token in CorpusSpec().inf_sigmas:
-            for _, pairs in sigma_matchings(token):
+            family, n = token.split(":")
+            for _, pairs in sigma_matchings(family, int(n)):
                 aut_preserving_partition(named_graph(token), pairs)
         assert marked and all(colors is not None for _, colors in marked)
         for graph, colors in marked:
@@ -625,20 +626,38 @@ class TestMinimalDegreeWitness:
         assert checked >= 30
 
 
+def cycle_union(*sizes):
+    """The disjoint union of cycles of the given sizes."""
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Graph.from_edges(start, edges)
+
+
 class TestVertexTransitive:
     def test_examples(self):
-        assert is_vertex_transitive(cycle_graph(7))
-        assert is_vertex_transitive(petersen_graph())
-        assert is_vertex_transitive(prism_graph(4))
-        assert not is_vertex_transitive(path_graph(4))
-        assert not is_vertex_transitive(Graph.from_edges(4, [(0, 1)]))
+        assert transitivity_aut(cycle_graph(7)) is not None
+        assert transitivity_aut(petersen_graph()) is not None
+        assert transitivity_aut(prism_graph(4)) is not None
+        assert transitivity_aut(path_graph(4)) is None
+        assert transitivity_aut(Graph.from_edges(4, [(0, 1)])) is None
+        # regular, so the group decides
+        assert transitivity_aut(cycle_union(3, 3)) is not None
+        assert transitivity_aut(cycle_union(3, 4)) is None
+        assert transitivity_aut(cycle_union(3, 4).complement()) is None
 
     def test_matches_brute_orbit(self):
+        """On random graphs, and on regular ones where the group decides:
+        the unions of two cycles on at most 7 vertices and their
+        complements."""
         rng = random.Random(25)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(2, 7))
+        graphs = [random_graph(rng, rng.randint(2, 7)) for _ in range(25)]
+        unions = [cycle_union(3, 3), cycle_union(3, 4)]
+        for g in graphs + unions + [u.complement() for u in unions]:
             brute = automorphism_group_brute(g)
-            assert is_vertex_transitive(g) == brute.is_transitive()
+            reached = len(list(orbit(0, brute.generators)))
+            assert (transitivity_aut(g) is not None) == (reached == g.n)
 
 
 def reference_pair_preserving(sigma, pairs):
@@ -649,9 +668,10 @@ def reference_pair_preserving(sigma, pairs):
 
 class TestPairPreservingAutomorphisms:
     def test_inf_grid_matches_scan(self):
-        for token in ("cycle:4", "cycle:6", "cycle:8", "prism:3"):
-            sigma = named_graph(token)
-            for _, pairs in sigma_matchings(token):
+        for family, n in (("cycle", 4), ("cycle", 6), ("cycle", 8),
+                          ("prism", 3)):
+            sigma = named_graph(f"{family}:{n}")
+            for _, pairs in sigma_matchings(family, n):
                 got = aut_preserving_partition(sigma, pairs)
                 assert sorted(got.elements()) == \
                     reference_pair_preserving(sigma, pairs)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, count_base_changes,
-                     decompose_motion2_twins,
+                     decompose_by_trying, decompose_motion2_twins,
                      decompose_motion4_all_systems, inf_grid,
                      inf_is_vertex_transitive_predicted,
                      inf_motion2_predicted, motion,
@@ -19,18 +19,18 @@ from oracles import (block_systems_all_beta, count_base_changes,
                      relabel, restricted_orbits, spx_graph,
                      with_edge_removed)
 from smallmotion import autengine, classify, cli, graphcore
-from smallmotion.autengine import (automorphism_group, is_vertex_transitive,
-                                   motion_witness, transitivity_aut)
+from smallmotion.autengine import (automorphism_group, motion_witness,
+                                   transitivity_aut)
 from smallmotion.classify import (CorpusSpec, GraphRecord,
                                   NotVertexTransitiveError, circulant_corpus,
                                   corpus_generators, decompose, inf_corpus,
                                   invariant_union_corpus, lex_corpus,
                                   named_graph, sigma_matchings,
                                   summarize, verify_corpus, verify_graph)
-from smallmotion.graphcore import (InfParams, are_isomorphic,
+from smallmotion.graphcore import (InfParams, _SourcePath, are_isomorphic,
                                    circulant_graph, complete_graph, cycle_graph, empty_graph,
                                    inf_graph, lex_product, prism_graph,
-                                   to_graph6)
+                                   quotient_graph, to_graph6)
 from smallmotion.permcore import (CapExceededError, Permutation,
                                   format_cycles)
 
@@ -50,7 +50,8 @@ def motion4_graphs():
     graphs = [g for _, g in corpus_generators(CorpusSpec())]
     graphs += [inf_graph(params, sigma, pairs)
                for _, _, params, sigma, pairs in inf_grid()]
-    return [g for g in graphs if is_vertex_transitive(g) and motion(g) == 4]
+    return [g for g in graphs
+            if transitivity_aut(g) is not None and motion(g) == 4]
 
 
 class TestMotion2Decomposition:
@@ -95,7 +96,7 @@ class TestMotion2Decomposition:
         checked = 0
         for g in corpus + lex:
             aut = transitivity_aut(g)
-            if not is_vertex_transitive(g, aut=aut):
+            if aut is None:
                 continue
             witness = motion_witness(g, aut=aut)
             if witness[0] != 2:
@@ -140,7 +141,7 @@ class TestMotion4Decomposition:
     def test_inf_instances_recovered(self):
         for token, mname, params, sigma, pairs in inf_grid():
             g = inf_graph(params, sigma, pairs)
-            if not is_vertex_transitive(g) or motion(g) != 4:
+            if transitivity_aut(g) is None or motion(g) != 4:
                 continue
             rep = decompose(g)
             assert rep.form != "unclassified", (token, mname, params)
@@ -150,7 +151,7 @@ class TestMotion4Decomposition:
         """The paired fibres are read off the graph: decomposing a
         paired-fibre graph builds no base-change chain."""
         g = inf_graph(InfParams(0, 1, 3), cycle_graph(8),
-                      sigma_matchings("cycle:8")[0][1])
+                      sigma_matchings("cycle", 8)[0][1])
         built = count_base_changes(monkeypatch)
         rep = decompose(g)
         assert rep.form == "inf" and rep.verified
@@ -201,7 +202,7 @@ class TestMotion4Decomposition:
         checked = 0
         for g in corpus + grid + lex:
             aut = transitivity_aut(g)
-            if not is_vertex_transitive(g, aut=aut):
+            if aut is None:
                 continue
             witness = motion_witness(g, aut=aut)
             if witness[0] != 4:
@@ -234,6 +235,95 @@ class TestMotion4Decomposition:
         assert decompose(cycle_graph(5)).form == "lex_C5"
         with pytest.raises(ValueError):
             decompose(cycle_graph(7))
+
+
+@functools.lru_cache(maxsize=None)
+def lex_and_inf_graphs():
+    """The vertex-transitive motion-2/4 graphs of a lex grid and of the
+    paired-fibre grid."""
+    fibres = [complete_graph(2), empty_graph(3), cycle_graph(5),
+              prism_graph(3), prism_graph(3).complement()]
+    bases = [complete_graph(2), empty_graph(2), cycle_graph(5)]
+    graphs = [lex_product(f, b) for f in fibres for b in bases]
+    graphs += [inf_graph(params, sigma, pairs)
+               for _, _, params, sigma, pairs in inf_grid()]
+    return [g for g in graphs
+            if transitivity_aut(g) is not None and motion(g) in (2, 4)]
+
+
+def witness_blocks(spec):
+    """(graph, aut, witness, witness block) for each vertex-transitive
+    motion-2/4 graph of the corpus."""
+    for _, g in corpus_generators(spec):
+        aut = transitivity_aut(g)
+        if aut is None:
+            continue
+        witness = motion_witness(g, aut=aut)
+        if witness[0] in (2, 4):
+            yield g, aut, witness, aut.group._block_closure(
+                witness[1].support())
+
+
+class TestOneFormPerWitnessBlock:
+    """The witness block's outside classes pick the one form decompose
+    tries; the reports equal those of trying the lex forms first."""
+
+    def test_matches_trying_lex_forms_first(self):
+        checked = 0
+        for g, aut, witness, _ in witness_blocks(CorpusSpec(circulant_max=16)):
+            got = decompose(g, witness=witness, aut=aut)
+            want = decompose_by_trying(g, witness=witness, aut=aut)
+            assert got.as_dict() == want.as_dict(), to_graph6(g)
+            checked += 1
+        assert checked == 108
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_matches_trying_lex_forms_first(self, data):
+        g = data.draw(st.sampled_from(lex_and_inf_graphs()))
+        g = relabel(g, data.draw(st.permutations(range(g.n)).map(Permutation)))
+        assert decompose(g).as_dict() == decompose_by_trying(g).as_dict()
+
+    def test_classes_pick_the_form(self):
+        """On the default corpus, one outside class means a lex form and
+        the paired-fibre attempt fails; two mean the paired-fibre form,
+        and the lex product of the block's subgraph over the quotient,
+        which a lex attempt reconstructs, has more edges than the graph."""
+        counts = {1: 0, 2: 0}
+        lex_reports = 0
+        for g, aut, witness, block in witness_blocks(CorpusSpec()):
+            classes = len(classify._outside_classes(g, block))
+            counts[classes] += 1
+            form = decompose(g, witness=witness, aut=aut).form
+            mu, bs = witness[0], aut.group.block_system_from(block)
+            sub, _ = g.induced_subgraph(bs.blocks[0])
+            delta = _SourcePath(sub, [0] * sub.n)
+            if classes == 1:
+                assert form.startswith("lex_")
+                assert classify._try_inf_form(g, mu, bs, delta) is None
+                continue
+            assert form == "inf" and mu == 4
+            lex = lex_product(sub, quotient_graph(g, bs.blocks))
+            assert lex.num_edges() > g.num_edges(), to_graph6(g)
+            report = classify._try_lex_form(g, mu, bs, delta)
+            if report is not None:
+                assert report.reconstruction.num_edges() == lex.num_edges()
+                lex_reports += 1
+        assert counts == {1: 51, 2: 28} and lex_reports > 0
+
+    def test_one_attempt_per_decomposition(self, monkeypatch):
+        """A verify_graph round over the default corpus calls one of
+        _try_lex_form and _try_inf_form per decomposition."""
+        calls = []
+        for name in ("_try_lex_form", "_try_inf_form"):
+            original = getattr(classify, name)
+            monkeypatch.setattr(classify, name, lambda *args, f=original,
+                                name=name: (calls.append(name), f(*args))[1])
+        records = [verify_graph(item)
+                   for item in corpus_generators(CorpusSpec())]
+        forms = [rec.form for rec in records if rec.form is not None]
+        assert calls == ["_try_inf_form" if form == "inf" else "_try_lex_form"
+                         for form in forms]
 
 
 class TestOneAutPerGraph:
@@ -352,18 +442,18 @@ class TestInfIdentities:
 class TestPairedFibreCriteria:
     def test_pair_transposition(self):
         sigma = named_graph("cycle:6")
-        for name, pairs in sigma_matchings("cycle:6"):
+        for name, pairs in sigma_matchings("cycle", 6):
             has = pair_transposition_in_aut(sigma, pairs)
             # no single transposition fixes a 6-cycle
             assert not has
         sigma = named_graph("prism:3")
-        rungs = dict(sigma_matchings("prism:3"))["rungs"]
+        rungs = dict(sigma_matchings("prism", 3))["rungs"]
         assert not pair_transposition_in_aut(sigma, rungs)
 
     def test_vertex_transitivity_prediction(self):
         for token, mname, params, sigma, pairs in inf_grid():
             g = inf_graph(params, sigma, pairs)
-            assert is_vertex_transitive(g) == \
+            assert (transitivity_aut(g) is not None) == \
                    inf_is_vertex_transitive_predicted(sigma, pairs), \
                    (token, mname, params)
 
@@ -379,7 +469,7 @@ class TestPairedFibreCriteria:
         exercised = 0
         for token, mname, params, sigma, pairs in inf_grid():
             g = inf_graph(params, sigma, pairs)
-            if not is_vertex_transitive(g):
+            if transitivity_aut(g) is None:
                 continue
             mu = motion(g)
             exercised += 1

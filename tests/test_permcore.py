@@ -301,22 +301,41 @@ class TestOrbitsAndBlocks:
     @settings(max_examples=80, deadline=None)
     @given(small_groups(), st.data())
     def test_orbits_are_the_point_orbits_by_least_member(self, sample, data):
-        """``permcore.orbits`` lists the distinct ``PermGroup.orbit``s,
+        """``permcore.orbits`` lists the distinct ``permcore.orbit``s,
         each sorted, by least member, from all points or from any set of
         points holding each orbit's least member."""
         grp, _ = sample
-        want = [list(o) for o in sorted({tuple(sorted(grp.orbit(v)))
-                                         for v in range(grp.degree)})]
+        want = [list(o) for o in sorted(
+            {tuple(sorted(permcore.orbit(v, grp.generators)))
+             for v in range(grp.degree)})]
         assert permcore.orbits(range(grp.degree), grp.generators) == want
         assert grp.orbits() == list(map(frozenset, want))
         items = [o[0] for o in want] + data.draw(
             st.lists(st.integers(0, grp.degree - 1)))
         assert permcore.orbits(items, grp.generators) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(), small_graphs())
+    def test_is_transitive_is_the_orbit_of_zero(self, sample, graph):
+        """``is_transitive``, read off the chain's level-0 orbit, says
+        whether the breadth-first orbit of 0 is every point: for random
+        groups, the trivial groups of degree 1 and 2, and groups whose
+        chain was set from outside (an Aut group, normal closures and,
+        for a transitive group, block stabilizers)."""
+        grp, extra = sample
+        groups = [grp, PermGroup(1, []), PermGroup(2, []),
+                  automorphism_group(graph).group]
+        groups += [grp.normal_closure(x) for x in extra]
+        if len(list(permcore.orbit(0, grp.generators))) == grp.degree:
+            groups += block_stabilizers(grp)
+        for g in groups:
+            reached = len(list(permcore.orbit(0, g.generators)))
+            assert g.is_transitive() == (reached == g.degree), g.generators
+
     def test_orbit_of_cycle(self):
         grp = PermGroup(6, [Permutation.from_cycles(6, [[0, 1, 2]])])
-        assert grp.orbit(0) == frozenset({0, 1, 2})
-        assert grp.orbit(5) == frozenset({5})
+        assert set(permcore.orbit(0, grp.generators)) == {0, 1, 2}
+        assert set(permcore.orbit(5, grp.generators)) == {5}
         assert not grp.is_transitive()
 
     def test_transporter(self):
@@ -326,7 +345,8 @@ class TestOrbitsAndBlocks:
         grp = random_group(rng, 6)
         for a in range(6):
             chain = grp.chain_with_base([a])
-            assert set(chain._transversal[0]) == grp.orbit(a)
+            assert set(chain._transversal[0]) == \
+                set(permcore.orbit(a, grp.generators))
             for b, images in chain._transversal[0].items():
                 t = Permutation(images)
                 assert t(a) == b and t in grp
