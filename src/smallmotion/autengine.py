@@ -145,7 +145,7 @@ def transitivity_aut(graph: Graph) -> Optional[AutResult]:
     """``automorphism_group(graph)`` if the graph is vertex-transitive, else
     None.  A graph with no vertex or an irregular one gets no Aut
     computation; for the others the group decides."""
-    if graph.n == 0 or not graph.is_regular():
+    if graph.n == 0 or len(set(map(int.bit_count, graph.adj))) > 1:
         return None
     aut = automorphism_group(graph)
     return aut if aut.group.is_transitive() else None

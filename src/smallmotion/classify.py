@@ -12,8 +12,11 @@ two or more, some vertex outside the block is adjacent to part of it
 only, yet the lex product over the quotient joins its block to all of
 this one; the blocks' subgraphs are all the fibre, so the lex
 reconstruction has more edges than the graph and only the paired-fibre
-form can fit.  A graph that fits neither is reported as unclassified
-with diagnostics, never silently dropped.
+form can fit.  The attempt builds, with its reconstruction, a candidate
+isomorphism onto it from the graph's own blocks and fibres; the round
+trip checks that map edge by edge and searches only when it fails.  A
+graph that fits neither form is reported as unclassified with
+diagnostics, never silently dropped.
 
 The paired fibres are read off the graph.  Split a block B of Aut into
 classes of vertices with equal neighbourhood outside B; with at most two
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .autengine import AutResult, motion_witness, transitivity_aut
-from .graphcore import (Graph, InfParams, _SourcePath,
+from .graphcore import (Graph, InfParams, _maps_onto, _SourcePath,
                         alternate_matching, antipodal_matching, are_isomorphic,
                         circulant_graph, complete_graph, cycle_graph,
                         empty_graph, inf_graph, invariant_graphs_under,
@@ -66,24 +70,15 @@ class ClassificationReport:
     diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
+        """The set fields, graphs in graph6; kappa comes with lambda."""
         out = {"motion": self.motion, "form": self.form,
-               "verified": self.verified}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.theta is not None:
-            out["theta"] = to_graph6(self.theta)
-        if self.sigma is not None:
-            out["sigma"] = to_graph6(self.sigma)
-        if self.pairs is not None:
-            out["pairs"] = [list(p) for p in self.pairs.blocks]
-        if self.lam is not None:
-            out["lambda"] = self.lam
-            out["kappa"] = self.kap
-        if self.reconstruction is not None:
-            out["reconstruction"] = to_graph6(self.reconstruction)
-        if self.diagnostics:
-            out["diagnostics"] = self.diagnostics
-        return out
+               "verified": self.verified, "m": self.m, "lambda": self.lam,
+               "kappa": self.kap, "diagnostics": self.diagnostics or None,
+               "pairs": self.pairs and list(map(list, self.pairs.blocks))}
+        for key in ("theta", "sigma", "reconstruction"):
+            graph = getattr(self, key)
+            out[key] = None if graph is None else to_graph6(graph)
+        return {key: val for key, val in out.items() if val is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +105,28 @@ def _lex_fibres(size: int):
         yield "lex_coprism", size // 2, prism_graph(size // 2).complement()
 
 
-def _try_lex_form(graph: Graph, mu: int, bs,
-                  delta: _SourcePath) -> Optional[ClassificationReport]:
-    """The lex report over bs, before its round trip, or None.  ``delta``:
-    the first path of the subgraph induced on the first block of bs."""
+def _try_lex_form(graph: Graph, mu: int, bs, delta: _SourcePath, group):
+    """The lex report over bs before its round trip, and the candidate
+    isomorphism onto its reconstruction as images; or None.  ``delta`` is
+    the first path of the subgraph on bs's first block B.  Vertex v of
+    block i goes to i*|B| + phi(u(v)): the group's mover u takes block i
+    onto B, and phi, found by the fibre test, takes B's subgraph onto the
+    fibre."""
     for form, m, fibre in _lex_fibres(delta.graph.n):
-        if are_isomorphic(delta.graph, fibre, delta) is not None:
+        phi = are_isomorphic(delta.graph, fibre, delta)
+        if phi is not None:
             break
     else:
         return None
     theta = quotient_graph(graph, bs.blocks)
-    return ClassificationReport(motion=mu, form=form, m=m, theta=theta,
-                                reconstruction=lex_product(fibre, theta))
+    report = ClassificationReport(motion=mu, form=form, m=m, theta=theta,
+                                  reconstruction=lex_product(fibre, theta))
+    pos, images = dict(zip(bs.blocks[0], phi.images)), [0] * graph.n
+    for i, block in enumerate(bs.blocks):
+        u = group.mover(block[0], bs.blocks[0][0]).images
+        for v in block:
+            images[v] = i * delta.graph.n + pos[u[v]]
+    return report, images
 
 
 _INF_FORMS = ((1, 0, matching_graph),
@@ -130,13 +135,14 @@ _INF_FORMS = ((1, 0, matching_graph),
               (0, 0, lambda m: prism_graph(m).complement()))
 
 
-def _try_inf_form(graph: Graph, mu: int, bs,
-                  delta: _SourcePath) -> Optional[ClassificationReport]:
-    """The paired-fibre report over bs, before its round trip, or None;
-    ``delta`` as for ``_try_lex_form``.  The fibres are each block's two
-    classes of size m >= 2 of vertices with equal neighbourhood outside
-    it: the orbits of the pointwise stabilizer of the block's complement,
-    by the lemma in the module docstring."""
+def _try_inf_form(graph: Graph, mu: int, bs, delta: _SourcePath):
+    """As ``_try_lex_form``, for the paired-fibre form.  The fibres are
+    each block's two classes of size m >= 2 of vertices with equal
+    neighbourhood outside it: the orbits of the pointwise stabilizer of
+    the block's complement, by the lemma in the module docstring.  The
+    first fibre keeps its order; each vertex of the second takes the place
+    of its one neighbour (lambda = 1) or non-neighbour (lambda = 0) in it,
+    else -1."""
     m = delta.graph.n // 2
     fibres: list[tuple[int, ...]] = []
     for block in bs.blocks:
@@ -151,26 +157,35 @@ def _try_inf_form(graph: Graph, mu: int, bs,
         return None
     sigma = quotient_graph(graph, fibres)
     pairs = alternate_matching(sigma.n)
+    images = [0] * graph.n
+    for alpha in range(0, sigma.n, 2):
+        pos = {1 << v: i for i, v in enumerate(fibres[alpha])}
+        for i, v in enumerate(fibres[alpha]):
+            images[v] = alpha * m + i
+        for w in fibres[alpha + 1]:
+            i = pos.get((graph.adj[w] if lam else ~graph.adj[w]) & sum(pos))
+            images[w] = -1 if i is None else (alpha + 1) * m + i
     return ClassificationReport(
         motion=mu, form="inf", m=m, sigma=sigma, pairs=pairs, lam=lam,
-        kap=kap, reconstruction=inf_graph(InfParams(lam, kap, m), sigma, pairs))
+        kap=kap, reconstruction=inf_graph(InfParams(lam, kap, m), sigma,
+                                          pairs)), images
 
 
 def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
               aut: Optional[AutResult] = None) -> ClassificationReport:
     """Decompose a vertex-transitive graph of motion 2 or 4.
 
-    The one block tried is the witness block: the smallest block of the
-    automorphism group holding the support of the motion witness x (the
-    twin class of a twin transposition; the whole vertex set for C5
-    itself).  One form is tried over its system, as the module docstring
-    says: the lex forms (K_m, mK_1, C5, prism or co-prism fibres) when
-    the block's vertices share one neighbourhood outside it, else the
-    paired-fibre form.  It counts once its reconstruction's round trip, a
-    search on the graph's first path kept by ``aut``, finds it isomorphic
-    to the graph.  The block's subgraph gets one first path, shared by
-    every fibre candidate.  An unclassified result carries diagnostics.
-    ``witness`` is ``motion_witness(graph, aut)`` and ``aut`` is
+    One form is tried over the system of the witness block, the smallest
+    block of Aut holding the support of the motion witness x (a twin
+    class for motion 2; every vertex for C5 itself): the lex forms (K_m,
+    mK_1, C5, prism or co-prism fibres) when the block's vertices share
+    one neighbourhood outside it, else the paired-fibre form.  It counts
+    once its reconstruction's round trip holds: the attempt's candidate
+    isomorphism, if a bijection, keeps every edge, or else a search on
+    the graph's first path kept by ``aut`` finds one.  The block's
+    subgraph gets one first path, shared by every fibre candidate.  An
+    unclassified result carries diagnostics.  ``witness`` is
+    ``motion_witness(graph, aut)`` and ``aut`` is
     ``transitivity_aut(graph)`` when the caller has them; else each is
     computed here, once.
     """
@@ -183,17 +198,22 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     mu, x = witness
     if mu not in (2, 4):
         raise ValueError(f"no decomposition for motion {mu}")
-    group = aut.group
-    block = group._block_closure(x.support())
-    bs = group.block_system_from(block)
+    group, supp = aut.group, x.support()
+    bs = group.block_system_from(supp)
+    block = bs.blocks[bs.block_of[min(supp)]]
     sub, _ = graph.induced_subgraph(bs.blocks[0])
-    attempt = (_try_lex_form if len(_outside_classes(graph, block)) == 1
-               else _try_inf_form)
-    report = attempt(graph, mu, bs, _SourcePath(sub, [0] * sub.n))
-    if report is not None and are_isomorphic(
-            graph, report.reconstruction, aut.path) is not None:
-        report.verified = True
-        return report
+    delta = _SourcePath(sub, [0] * sub.n)
+    found = (_try_lex_form(graph, mu, bs, delta, group)
+             if len(_outside_classes(graph, block)) == 1
+             else _try_inf_form(graph, mu, bs, delta))
+    if found is not None:
+        report, images = found
+        held = sorted(images) == list(range(graph.n)) and _maps_onto(
+            graph, images, report.reconstruction)
+        if held or are_isomorphic(graph, report.reconstruction,
+                                  aut.path) is not None:
+            report.verified = True
+            return report
     return ClassificationReport(
         motion=mu, form="unclassified", verified=False,
         diagnostics={
@@ -201,7 +221,7 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
             "aut_order": group.order(),
             "aut_generators": [str(g) for g in group.generators],
             "witness": format_cycles(x),
-            "block": sorted(block),
+            "block": list(block),
         })
 
 
@@ -366,13 +386,8 @@ class GraphRecord:
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = {"label": self.label, "graph6": self.graph6,
-               "vertex_transitive": self.vertex_transitive}
-        for key in ("motion", "form", "verified", "error"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {key: val for key, val in vars(self).items()
+                if val is not None}
 
 
 @dataclass
@@ -427,27 +442,16 @@ def verify_graph(item: tuple[str, Graph]) -> GraphRecord:
 
 
 def summarize(records: list[GraphRecord]) -> CorpusSummary:
-    form_counts: dict[str, int] = {}
-    motion_counts: dict[int, int] = {}
-    odd_primes = []
-    falsifications = []
-    non_vt = 0
-    for rec in records:
-        if not rec.vertex_transitive:
-            non_vt += 1
-            continue
-        if rec.motion is not None:
-            motion_counts[rec.motion] = motion_counts.get(rec.motion, 0) + 1
-            if rec.motion % 2 and _is_prime(rec.motion):
-                odd_primes.append(rec.label)
-        if rec.form is not None:
-            form_counts[rec.form] = form_counts.get(rec.form, 0) + 1
-            if not rec.verified:
-                falsifications.append(rec.label)
+    vt = [rec for rec in records if rec.vertex_transitive]
+    motions = [rec for rec in vt if rec.motion is not None]
+    forms = [rec for rec in vt if rec.form is not None]
     return CorpusSummary(
-        records=records, form_counts=form_counts,
-        motion_counts=motion_counts, odd_prime_motions=odd_primes,
-        falsifications=falsifications, non_vertex_transitive=non_vt)
+        records=records, form_counts=dict(Counter(r.form for r in forms)),
+        motion_counts=dict(Counter(r.motion for r in motions)),
+        odd_prime_motions=[r.label for r in motions
+                           if r.motion % 2 and _is_prime(r.motion)],
+        falsifications=[r.label for r in forms if not r.verified],
+        non_vertex_transitive=len(records) - len(vt))
 
 
 def verify_corpus(spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:

@@ -10,7 +10,9 @@ base vertex (vertex = alpha*m + i).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -56,9 +58,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
-
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         """The sorted neighbours of every vertex, decoded on first use and
         kept; graphs that are never searched (``invariant_graphs_under``
@@ -85,15 +84,8 @@ class Graph:
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         verts = tuple(sorted(vertices))
         pos = {v: i for i, v in enumerate(verts)}
-        adj = [0] * len(verts)
-        for v in verts:
-            for w in _bits(self.adj[v]):
-                if w in pos:
-                    adj[pos[v]] |= 1 << pos[w]
-        return Graph(len(verts), adj), verts
-
-    def is_regular(self) -> bool:
-        return len({self.degree(v) for v in range(self.n)}) <= 1
+        return Graph(len(verts), [sum(1 << pos[w] for w in _bits(self.adj[v])
+                                      if w in pos) for v in verts]), verts
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -117,7 +109,9 @@ def _bits(mask: int) -> list[int]:
 
 def _maps_onto(g1: Graph, images: Sequence[int], g2: Graph) -> bool:
     """Is the bijection v -> images[v] an isomorphism from g1 onto g2?
-    Each neighbourhood of g1, mapped, must be the image's row in g2."""
+    Each neighbourhood of g1, mapped, must be the image's row in g2.  The
+    caller makes sure images is a bijection: on edgeless graphs every
+    list passes."""
     bit = [1 << w for w in images]
     adj2 = g2.adj
     return all(adj2[images[u]] == sum(map(bit.__getitem__, nbrs))
@@ -150,13 +144,13 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return Graph(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)])
 
 
 def canonical_connection_set(n: int, s: Iterable[int]) -> frozenset:
@@ -180,7 +174,7 @@ def circulant_graph(n: int, s: Iterable[int]) -> Graph:
 
 def matching_graph(m: int) -> Graph:
     """m disjoint edges on 2m vertices (pairs {2i, 2i+1})."""
-    return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    return Graph(2 * m, [1 << (v ^ 1) for v in range(2 * m)])
 
 
 # ---------------------------------------------------------------------------
@@ -192,39 +186,30 @@ def lex_product(delta: Graph, theta: Graph) -> Graph:
     Vertex (delta-vertex d, theta-vertex g) gets index g*|VD| + d.
     (d1,g1) ~ (d2,g2) iff (g1 = g2 and d1 ~ d2) or g1 ~ g2.
     """
-    nd = delta.n
-    edges = [(g * nd + d1, g * nd + d2) for g in range(theta.n)
-             for d1, d2 in delta.edges()]
-    edges += [(g1 * nd + d1, g2 * nd + d2) for g1, g2 in theta.edges()
-              for d1, d2 in itertools.product(range(nd), repeat=2)]
-    return Graph.from_edges(nd * theta.n, edges)
-
-
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Box product; vertex (v1, v2) gets index v2*|V1| + v1."""
-    n1 = g1.n
-    edges = [(v2 * n1 + a, v2 * n1 + b) for v2 in range(g2.n)
-             for a, b in g1.edges()]
-    edges += [(a * n1 + v1, b * n1 + v1) for a, b in g2.edges()
-              for v1 in range(n1)]
-    return Graph.from_edges(n1 * g2.n, edges)
+    nd, full = delta.n, (1 << delta.n) - 1
+    joined = [sum(full << h * nd for h in _bits(row)) for row in theta.adj]
+    return Graph(nd * theta.n, [row << g * nd | joined[g] for g in
+                                range(theta.n) for row in delta.adj])
 
 
 def prism_graph(m: int) -> Graph:
-    """K_m box K_2: two copies of K_m joined by a perfect matching."""
-    return cartesian_product(complete_graph(m), complete_graph(2))
+    """K_m box K_2: two copies of K_m joined by a perfect matching; vertex
+    i of copy c is c*m + i."""
+    full = (1 << m) - 1
+    return Graph(2 * m, [(full ^ 1 << i) << c * m | 1 << (1 - c) * m + i
+                         for c in (0, 1) for i in range(m)])
 
 
 def quotient_graph(graph: Graph, partition: Sequence[Sequence[int]]) -> Graph:
     """Parts become vertices; adjacent iff some cross edge exists (no loops)."""
     parts = [tuple(sorted(p)) for p in partition]
-    covered = sorted(v for p in parts for v in p)
-    if covered != list(range(graph.n)):
+    if sorted(v for p in parts for v in p) != list(range(graph.n)):
         raise ValueError("partition must cover the vertex set exactly once")
     masks = [sum(1 << v for v in p) for p in parts]
-    return Graph.from_edges(len(parts), [
-        (i, j) for i, j in itertools.combinations(range(len(parts)), 2)
-        if any(graph.adj[v] & masks[j] for v in parts[i])])
+    reach = [functools.reduce(operator.or_, map(graph.adj.__getitem__, p), 0)
+             & ~mask for p, mask in zip(parts, masks)]
+    return Graph(len(parts), [sum(1 << j for j, mask in enumerate(masks)
+                                  if mask & r) for r in reach])
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +242,15 @@ def inf_graph(params: InfParams, sigma: Graph, pairs: BlockSystem) -> Graph:
     """
     if pairs.degree != sigma.n or len(pairs.blocks[0]) != 2:
         raise ValueError("pairs must partition the sigma vertex set")
-    m = params.m
-    edges = [(alpha * m + i, alpha * m + j) for alpha in range(sigma.n)
-             if params.kap == 1
-             for i, j in itertools.combinations(range(m), 2)]
-    for alpha, beta in itertools.combinations(range(sigma.n), 2):
-        paired = pairs.block_of[alpha] == pairs.block_of[beta]
-        if paired or sigma.has_edge(alpha, beta):
-            edges += [(alpha * m + i, beta * m + j)
-                      for i, j in itertools.product(range(m), repeat=2)
-                      if not paired or (i == j) == (params.lam == 1)]
-    return Graph.from_edges(sigma.n * m, edges)
+    m, full = params.m, (1 << params.m) - 1
+    rows = []
+    for alpha, row in enumerate(sigma.adj):
+        beta = sum(pairs.blocks[pairs.block_of[alpha]]) - alpha   # partner
+        joined = sum(full << g * m for g in _bits(row & ~(1 << beta)))
+        rows += (joined | ((full ^ 1 << i) << alpha * m) * params.kap
+                 | (1 << i if params.lam else full ^ 1 << i) << beta * m
+                 for i in range(m))
+    return Graph(sigma.n * m, rows)
 
 
 # ---------------------------------------------------------------------------

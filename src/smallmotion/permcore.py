@@ -612,12 +612,13 @@ class PermGroup:
 
     # -- blocks -----------------------------------------------------------
 
-    def _block_closure(self, points: Iterable[int]) -> frozenset:
-        """Smallest block holding the points, for a transitive group, by a
-        queue of merged pairs (Atkinson, "An algorithm for finding the
-        blocks of a permutation group", 1975): the seed pairs are queued,
-        and each pair that merges two classes queues its images under the
-        generators, so the classes end up G-invariant."""
+    def _closure_classes(self, points: Iterable[int]) -> list[tuple]:
+        """The classes, sorted, of the finest G-invariant partition with the
+        points in one class: theirs first, then by least point.  Atkinson's
+        queue ("An algorithm for finding the blocks of a permutation
+        group", 1975) holds the seed pairs and the images of each pair that
+        merges two classes.  For a transitive group the classes are the
+        images of the first, the smallest block holding the points."""
         pts = sorted(set(points))
         if not pts:
             raise ValueError("need at least one point")
@@ -629,9 +630,14 @@ class PermGroup:
             if ra != rb:
                 parent[rb] = ra
                 queue.extend((g[a], g[b]) for g in gens)
-        root = _root(parent, pts[0])
-        return frozenset(v for v in range(self.degree)
-                         if _root(parent, v) == root)
+        classes: dict = {_root(parent, pts[0]): []}   # the seed's class first
+        for v in range(self.degree):
+            classes.setdefault(_root(parent, v), []).append(v)
+        return list(map(tuple, classes.values()))
+
+    def _block_closure(self, points: Iterable[int]) -> frozenset:
+        """Smallest block holding the points, for a transitive group."""
+        return frozenset(self._closure_classes(points)[0])
 
     def minimal_block_system(self) -> Optional[BlockSystem]:
         """A system of minimal blocks, or None iff the group is primitive.
@@ -644,21 +650,26 @@ class PermGroup:
         if not self.is_transitive():
             raise ValueError("group is not transitive")
         for beta in range(1, self.degree):
-            block = self._block_closure((0, beta))
-            if len(block) < self.degree:
-                for gamma in sorted(block - {0, beta}):
-                    inner = self._block_closure((0, gamma))
-                    if len(inner) < len(block):
-                        block = inner
-                return self.block_system_from(block)
+            classes = self._closure_classes((0, beta))
+            if len(classes) > 1:
+                for gamma in sorted(set(classes[0]) - {0, beta}):
+                    inner = self._closure_classes((0, gamma))
+                    if len(inner) > len(classes):
+                        classes = inner
+                return BlockSystem.from_blocks(self.degree, classes)
         return None
 
-    def block_system_from(self, block: Iterable[int]) -> BlockSystem:
-        """The orbit of the given block under the group, as a block system."""
-        maps = [lambda blk, g=g: tuple(sorted(map(g, blk)))
-                for g in self.generators]
-        return BlockSystem.from_blocks(
-            self.degree, orbit(tuple(sorted(block)), maps))
+    def block_system_from(self, points: Iterable[int]) -> BlockSystem:
+        """The system of the smallest block holding the points, for a
+        transitive group: the classes of their closure."""
+        return BlockSystem.from_blocks(self.degree,
+                                       self._closure_classes(points))
+
+    def mover(self, a: int, b: int) -> Permutation:
+        """t_a^-1 * t_b, taking a to b: t_x is the element of the chain's
+        level-0 transversal taking base[0] to x."""
+        chain = self.chain
+        return _trusted(_then(chain._inverses[0][a])(chain._transversal[0][b]))
 
     def is_primitive(self) -> bool:
         """No block system; error on an intransitive group."""

@@ -5,9 +5,12 @@ library path runs live here too: the paired-fibre dichotomy, Table 3 and
 the embedding of an imprimitive group into a wreath product.  So do the
 tests' automorphism and block-action checks, and the routes the library
 replaced that its tests compare against: the per-table row matchers, the
-2^2 classes from a search of the whole group and the decomposition that
-tries the lex forms before the paired-fibre form."""
+2^2 classes from a search of the whole group, the decomposition that
+tries the lex forms before the paired-fibre form, the decomposition that
+proves every round trip by a search, the block system as the orbit of a
+block, and the lex and paired-fibre builds from edge lists."""
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,7 +23,8 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4, c2_wr_sym,
 from smallmotion.autengine import (automorphism_group, find_twins,
                                    motion_witness, transitivity_aut)
 from smallmotion.classify import (_INF_FORMS, ClassificationReport,
-                                  NotVertexTransitiveError, _try_inf_form,
+                                  NotVertexTransitiveError,
+                                  _outside_classes, _try_inf_form,
                                   _try_lex_form, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
@@ -257,6 +261,20 @@ def random_element(chain: StabilizerChain, rng) -> Permutation:
     return _trusted(g)
 
 
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """Box product; vertex (v1, v2) gets index v2*|V1| + v1."""
+    n1 = g1.n
+    edges = [(v2 * n1 + a, v2 * n1 + b) for v2 in range(g2.n)
+             for a, b in g1.edges()]
+    edges += [(a * n1 + v1, b * n1 + v1) for a, b in g2.edges()
+              for v1 in range(n1)]
+    return Graph.from_edges(n1 * g2.n, edges)
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    return bool(graph.adj[u] & (1 << v))
+
+
 def is_automorphism(graph: Graph, perm: Permutation) -> bool:
     return perm.degree == graph.n and _maps_onto(graph, perm.images, graph)
 
@@ -387,6 +405,16 @@ def block_systems_all_beta(group: PermGroup) -> list[BlockSystem]:
     return sorted(systems, key=lambda s: (len(s.blocks[0]), s.blocks))
 
 
+def block_system_by_orbit(group: PermGroup, block) -> BlockSystem:
+    """The orbit of the given block under the group, as a block system
+    (oracle for ``PermGroup.block_system_from``, which reads the system
+    off the block closure's classes)."""
+    maps = [lambda blk, g=g: tuple(sorted(map(g, blk)))
+            for g in group.generators]
+    return BlockSystem.from_blocks(
+        group.degree, orbit(tuple(sorted(block)), maps))
+
+
 def block_system_containing_support(group: PermGroup, supp: frozenset):
     """The system of the first proper closure of {min(supp), beta}, beta
     in supp, that holds all of supp, else None (group transitive).  When
@@ -410,7 +438,7 @@ def decompose_motion2_twins(graph):
                                 for p in pairs])
     classes = sorted(tuple(sorted(o)) for o in group.orbits())
     m = len(classes[0])
-    form, fibre = (("lex_Km", complete_graph(m)) if graph.has_edge(*pairs[0])
+    form, fibre = (("lex_Km", complete_graph(m)) if has_edge(graph, *pairs[0])
                    else ("lex_mK1", empty_graph(m)))
     theta = quotient_graph(graph, classes)
     reconstruction = lex_product(fibre, theta)
@@ -644,7 +672,9 @@ def decompose_motion4_all_systems(graph):
         BlockSystem.from_blocks(graph.n, [range(graph.n)])]
     deltas = [graph.induced_subgraph(bs.blocks[0])[0] for bs in candidates]
     for bs, delta in zip(candidates, deltas):
-        report = _try_lex_form(graph, 4, bs, _SourcePath(delta, [0] * delta.n))
+        found = _try_lex_form(graph, 4, bs, _SourcePath(delta, [0] * delta.n),
+                              group)
+        report = found and found[0]
         if report is not None and are_isomorphic(
                 report.reconstruction, graph) is not None:
             report.verified = True
@@ -675,8 +705,10 @@ def decompose_by_trying(graph, witness=None, aut=None):
     bs = group.block_system_from(block)
     sub, _ = graph.induced_subgraph(bs.blocks[0])
     delta = _SourcePath(sub, [0] * sub.n)
-    for attempt in (_try_lex_form, _try_inf_form):
-        report = attempt(graph, mu, bs, delta)
+    for attempt in (functools.partial(_try_lex_form, group=group),
+                    _try_inf_form):
+        found = attempt(graph, mu, bs, delta)
+        report = found and found[0]
         if report is not None and are_isomorphic(
                 graph, report.reconstruction, aut.path) is not None:
             report.verified = True
@@ -690,6 +722,72 @@ def decompose_by_trying(graph, witness=None, aut=None):
             "witness": format_cycles(x),
             "block": sorted(block),
         })
+
+
+def decompose_by_search(graph, witness=None, aut=None):
+    """``classify.decompose`` as it was before the candidate isomorphism:
+    the witness block's system is the orbit of the block, and the one form
+    tried counts once a search on the graph's first path finds its
+    reconstruction isomorphic to the graph."""
+    if aut is None:
+        aut = transitivity_aut(graph)
+    if aut is None:
+        raise NotVertexTransitiveError("input graph is not vertex-transitive")
+    if witness is None:
+        witness = motion_witness(graph, aut=aut)
+    mu, x = witness
+    if mu not in (2, 4):
+        raise ValueError(f"no decomposition for motion {mu}")
+    group = aut.group
+    block = group._block_closure(x.support())
+    bs = block_system_by_orbit(group, block)
+    sub, _ = graph.induced_subgraph(bs.blocks[0])
+    delta = _SourcePath(sub, [0] * sub.n)
+    found = (_try_lex_form(graph, mu, bs, delta, group)
+             if len(_outside_classes(graph, block)) == 1
+             else _try_inf_form(graph, mu, bs, delta))
+    report = found and found[0]
+    if report is not None and are_isomorphic(
+            graph, report.reconstruction, aut.path) is not None:
+        report.verified = True
+        return report
+    return ClassificationReport(
+        motion=mu, form="unclassified", verified=False,
+        diagnostics={
+            "graph6": to_graph6(graph),
+            "aut_order": group.order(),
+            "aut_generators": [str(g) for g in group.generators],
+            "witness": format_cycles(x),
+            "block": sorted(block),
+        })
+
+
+def lex_product_by_edges(delta: Graph, theta: Graph) -> Graph:
+    """``graphcore.lex_product`` from edge lists (its oracle)."""
+    nd = delta.n
+    edges = [(g * nd + d1, g * nd + d2) for g in range(theta.n)
+             for d1, d2 in delta.edges()]
+    edges += [(g1 * nd + d1, g2 * nd + d2) for g1, g2 in theta.edges()
+              for d1, d2 in itertools.product(range(nd), repeat=2)]
+    return Graph.from_edges(nd * theta.n, edges)
+
+
+def inf_graph_by_edges(params: InfParams, sigma: Graph,
+                       pairs: BlockSystem) -> Graph:
+    """``graphcore.inf_graph`` from edge lists (its oracle)."""
+    if pairs.degree != sigma.n or len(pairs.blocks[0]) != 2:
+        raise ValueError("pairs must partition the sigma vertex set")
+    m = params.m
+    edges = [(alpha * m + i, alpha * m + j) for alpha in range(sigma.n)
+             if params.kap == 1
+             for i, j in itertools.combinations(range(m), 2)]
+    for alpha, beta in itertools.combinations(range(sigma.n), 2):
+        paired = pairs.block_of[alpha] == pairs.block_of[beta]
+        if paired or has_edge(sigma, alpha, beta):
+            edges += [(alpha * m + i, beta * m + j)
+                      for i, j in itertools.product(range(m), repeat=2)
+                      if not paired or (i == j) == (params.lam == 1)]
+    return Graph.from_edges(sigma.n * m, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_systems_all_beta, count_base_changes,
-                     decompose_by_trying, decompose_motion2_twins,
-                     decompose_motion4_all_systems, inf_grid,
+                     decompose_by_search, decompose_by_trying,
+                     decompose_motion2_twins, decompose_motion4_all_systems,
+                     has_edge, inf_grid,
                      inf_is_vertex_transitive_predicted,
                      inf_motion2_predicted, motion,
                      pair_transposition_in_aut, path_graph, petersen_graph,
@@ -27,7 +28,8 @@ from smallmotion.classify import (CorpusSpec, GraphRecord,
                                   invariant_union_corpus, lex_corpus,
                                   named_graph, sigma_matchings,
                                   summarize, verify_corpus, verify_graph)
-from smallmotion.graphcore import (InfParams, _SourcePath, are_isomorphic,
+from smallmotion.graphcore import (Graph, InfParams, _maps_onto, _SourcePath,
+                                   are_isomorphic,
                                    circulant_graph, complete_graph, cycle_graph, empty_graph,
                                    inf_graph, lex_product, prism_graph,
                                    quotient_graph, to_graph6)
@@ -305,8 +307,9 @@ class TestOneFormPerWitnessBlock:
             assert form == "inf" and mu == 4
             lex = lex_product(sub, quotient_graph(g, bs.blocks))
             assert lex.num_edges() > g.num_edges(), to_graph6(g)
-            report = classify._try_lex_form(g, mu, bs, delta)
-            if report is not None:
+            found = classify._try_lex_form(g, mu, bs, delta, aut.group)
+            if found is not None:
+                report, _ = found
                 assert report.reconstruction.num_edges() == lex.num_edges()
                 lex_reports += 1
         assert counts == {1: 51, 2: 28} and lex_reports > 0
@@ -324,6 +327,112 @@ class TestOneFormPerWitnessBlock:
         forms = [rec.form for rec in records if rec.form is not None]
         assert calls == ["_try_inf_form" if form == "inf" else "_try_lex_form"
                          for form in forms]
+
+
+def searches_from(monkeypatch) -> list:
+    """The first graphs of the ``are_isomorphic`` calls classify makes from
+    now on.  decompose's round-trip search starts from the input graph
+    itself; a fibre test starts from the block's subgraph, a new graph."""
+    calls = []
+    original = classify.are_isomorphic
+    monkeypatch.setattr(classify, "are_isomorphic", lambda g1, *rest: (
+        calls.append(g1), original(g1, *rest))[1])
+    return calls
+
+
+def patch_candidates(monkeypatch, change):
+    """Make each decomposition attempt return change(graph, report,
+    images) as its candidate images."""
+    for name in ("_try_lex_form", "_try_inf_form"):
+        original = getattr(classify, name)
+
+        def patched(graph, *args, f=original):
+            found = f(graph, *args)
+            return found and (found[0], change(graph, *found))
+        monkeypatch.setattr(classify, name, patched)
+
+
+class TestCandidateIsomorphism:
+    """decompose checks the candidate isomorphism each attempt builds onto
+    its reconstruction, and searches only when that check fails; the
+    reports equal those of the search-only route."""
+
+    def test_candidate_holds_on_the_corpus(self, monkeypatch):
+        """On the 108 decompositions of CorpusSpec(circulant_max=16), the
+        79 of the default corpus among them, no round trip searches."""
+        items = list(witness_blocks(CorpusSpec(circulant_max=16)))
+        searched = searches_from(monkeypatch)
+        for g, aut, witness, _ in items:
+            got = decompose(g, witness=witness, aut=aut)
+            assert got.verified, to_graph6(g)
+            assert got.as_dict() == decompose_by_search(
+                g, witness=witness, aut=aut).as_dict(), to_graph6(g)
+            assert not any(h is g for h in searched), to_graph6(g)
+        assert len(items) == 108
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_matches_search_route(self, data):
+        """Relabelled lex and paired-fibre graphs: the candidate holds, and
+        the report is the search-only route's."""
+        g = data.draw(st.sampled_from(lex_and_inf_graphs()))
+        g = relabel(g, data.draw(st.permutations(range(g.n)).map(Permutation)))
+        with pytest.MonkeyPatch.context() as mp:
+            searched = searches_from(mp)
+            got = decompose(g)
+        assert got.verified and not any(h is g for h in searched)
+        assert got.as_dict() == decompose_by_search(g).as_dict()
+
+    @pytest.mark.parametrize("token", ["prism:3", "lex:complete:2:cycle:5",
+                                       "inf:01:cycle:6:alternate:m2",
+                                       "inf:10:prism:3:rungs:m3"])
+    def test_failed_candidate_falls_back_to_the_search(self, monkeypatch,
+                                                       token):
+        """A candidate with two images swapped so that it maps some edge
+        onto a non-edge: the search verifies the same report."""
+        g = named_graph(token)
+        want = decompose(g).as_dict()
+
+        def swap_two(graph, report, images):
+            for v in range(1, graph.n):
+                swapped = list(images)
+                swapped[0], swapped[v] = images[v], images[0]
+                if not _maps_onto(graph, swapped, report.reconstruction):
+                    return swapped
+            raise AssertionError("every swap is an isomorphism")
+        patch_candidates(monkeypatch, swap_two)
+        searched = searches_from(monkeypatch)
+        got = decompose(g)
+        assert got.verified and got.as_dict() == want
+        assert sum(h is g for h in searched) == 1
+
+    def test_non_bijection_never_reaches_the_edge_check(self, monkeypatch):
+        """``_maps_onto`` passes any list on edgeless graphs, so a candidate
+        that is not a bijection is rejected before it, and the search
+        decides."""
+        assert _maps_onto(empty_graph(2), [0, 0], empty_graph(2))
+        g = empty_graph(3)
+        checked = []
+        original = classify._maps_onto
+        monkeypatch.setattr(classify, "_maps_onto", lambda *args: (
+            checked.append(args), original(*args))[1])
+        patch_candidates(monkeypatch, lambda graph, report, images:
+                         [0] * graph.n)
+        searched = searches_from(monkeypatch)
+        got = decompose(g)
+        assert got.verified and got.form == "lex_mK1"
+        assert checked == [] and sum(h is g for h in searched) == 1
+
+    def test_decompose_builds_no_edge_list(self, monkeypatch):
+        """The reconstructions, quotients and fibres are written as rows."""
+        items = list(witness_blocks(CorpusSpec()))
+        built = []
+        original = Graph.from_edges.__func__
+        monkeypatch.setattr(graphcore.Graph, "from_edges", classmethod(
+            lambda cls, *args: (built.append(args), original(cls, *args))[1]))
+        for g, aut, witness, _ in items:
+            assert decompose(g, witness=witness, aut=aut).verified
+        assert built == [] and len(items) == 79
 
 
 class TestOneAutPerGraph:
@@ -433,7 +542,7 @@ class TestInfIdentities:
         for token, mname, params, sigma, pairs in inf_grid():
             g = inf_graph(params, sigma, pairs)
             for a, b in pairs.blocks:
-                if sigma.has_edge(a, b):
+                if has_edge(sigma, a, b):
                     pruned = with_edge_removed(sigma, a, b)
                     assert inf_graph(params, pruned, pairs) == g, \
                         (token, mname, params, (a, b))

@@ -14,12 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smallmotion
-from oracles import path_graph
+from oracles import cartesian_product, path_graph
 from smallmotion import cli
 from smallmotion.cli import (EXIT_CAP, EXIT_FALSIFIED, EXIT_INTERNAL,
                              EXIT_INVALID, EXIT_OK, SCHEMA_VERSION, main)
-from smallmotion.graphcore import (Graph, cartesian_product, complete_graph,
-                                   cycle_graph, to_graph6)
+from smallmotion.graphcore import Graph, complete_graph, cycle_graph, to_graph6
 from smallmotion.grouptables import RowCheck
 
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (FullPassPath, complete_bipartite,
-                     equitable_refinement, is_automorphism,
-                     is_invariant_partition, neighbors, petersen_graph,
+from oracles import (FullPassPath, cartesian_product, complete_bipartite,
+                     equitable_refinement, has_edge, inf_graph_by_edges,
+                     is_automorphism, is_invariant_partition,
+                     lex_product_by_edges, neighbors, petersen_graph,
                      px_graph, refine_pass_sorted, relabel, spx_graph,
                      to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
@@ -22,7 +23,7 @@ from smallmotion.graphcore import (Graph, InfParams,
                                    _SourcePath,
                                    alternate_matching, antipodal_matching,
                                    are_isomorphic, canonical_connection_set,
-                                   cartesian_product, circulant_graph,
+                                   circulant_graph,
                                    complete_graph,
                                    cycle_graph, empty_graph,
                                    from_edge_list,
@@ -77,8 +78,8 @@ def shrikhande_graph():
 class TestGraphBasics:
     def test_from_edges_and_queries(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
+        assert not has_edge(g, 0, 2)
         assert neighbors(g, 1) == [0, 2]
         assert g.degree(1) == 2 and g.degree(3) == 0
         assert g.num_edges() == 2
@@ -104,7 +105,7 @@ class TestGraphBasics:
             p = Permutation(rng.sample(range(n), n))
             h = relabel(g, p)
             for u, v in itertools.combinations(range(n), 2):
-                assert g.has_edge(u, v) == h.has_edge(p(u), p(v))
+                assert has_edge(g, u, v) == has_edge(h, p(u), p(v))
 
     def test_is_automorphism(self):
         c4 = cycle_graph(4)
@@ -153,7 +154,7 @@ class TestNeighbourLists:
         assert g.neighbor_lists() is lists   # decoded once
         for v in range(g.n):
             assert list(lists[v]) == neighbors(g, v) == \
-                [w for w in range(g.n) if g.has_edge(v, w)]
+                [w for w in range(g.n) if has_edge(g, v, w)]
 
     def test_derived_graphs_decode_their_own_lists(self):
         g = petersen_graph()
@@ -162,7 +163,7 @@ class TestNeighbourLists:
         for h in (relabel(g, p), g.complement(), with_edge_removed(g, 0, 1)):
             assert h != g
             assert [list(ns) for ns in h.neighbor_lists()] == \
-                [[w for w in range(h.n) if h.has_edge(v, w)]
+                [[w for w in range(h.n) if has_edge(h, v, w)]
                  for v in range(h.n)]
 
     def test_pickled_graph_with_lists_compares_equal(self):
@@ -230,9 +231,9 @@ class TestProducts:
                 for y in range(x + 1, g.n):
                     bx, ix = divmod(x, m)
                     by, iy = divmod(y, m)
-                    want = (theta.has_edge(bx, by) if bx != by
-                            else delta.has_edge(ix, iy))
-                    assert g.has_edge(x, y) == want
+                    want = (has_edge(theta, bx, by) if bx != by
+                            else has_edge(delta, ix, iy))
+                    assert has_edge(g, x, y) == want
 
     def test_lex_against_networkx(self):
         rng = random.Random(3)
@@ -257,6 +258,65 @@ class TestProducts:
         c6 = cycle_graph(6)
         q = quotient_graph(c6, [(0, 3), (1, 4), (2, 5)])
         assert are_isomorphic(q, cycle_graph(3))
+
+
+class TestRowBuilds:
+    """The products, quotients, fibre graphs and named families are
+    written as adjacency rows; each equals its build from edge lists."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=0, max_n=7), graphs(min_n=0, max_n=7))
+    def test_lex_product_matches_edge_build(self, delta, theta):
+        assert lex_product(delta, theta).adj == \
+            lex_product_by_edges(delta, theta).adj
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inf_graph_matches_edge_build(self, data):
+        """Random sigma on 2k <= 8 vertices, a random pairing of them, both
+        bits and m <= 4."""
+        k = data.draw(st.integers(1, 4))
+        sigma = data.draw(graphs(min_n=2 * k, max_n=2 * k))
+        order = data.draw(st.permutations(range(2 * k)))
+        pairs = BlockSystem.from_blocks(2 * k, zip(order[::2], order[1::2]))
+        params = InfParams(*(data.draw(st.integers(0, 1)) for _ in "lk"),
+                           data.draw(st.integers(2, 4)))
+        assert inf_graph(params, sigma, pairs).adj == \
+            inf_graph_by_edges(params, sigma, pairs).adj
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_quotient_matches_cross_edges(self, g, data):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n,
+                                    max_size=g.n))
+        parts = [[v for v in range(g.n) if labels[v] == c]
+                 for c in sorted(set(labels))]
+        want = Graph.from_edges(len(parts), [
+            (i, j) for i, j in itertools.combinations(range(len(parts)), 2)
+            if any(has_edge(g, u, v) for u in parts[i] for v in parts[j])])
+        assert quotient_graph(g, parts).adj == want.adj
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_induced_subgraph_keeps_the_edges(self, g, data):
+        verts = data.draw(st.sets(st.integers(0, g.n - 1)))
+        sub, order = g.induced_subgraph(verts)
+        assert order == tuple(sorted(verts))
+        assert all(has_edge(sub, i, j) == has_edge(g, u, v)
+                   for (i, u), (j, v) in itertools.product(enumerate(order),
+                                                           repeat=2))
+
+    def test_named_families_match_edge_builds(self):
+        for n in range(9):
+            assert complete_graph(n).adj == Graph.from_edges(
+                n, itertools.combinations(range(n), 2)).adj
+            assert matching_graph(n).adj == Graph.from_edges(
+                2 * n, [(2 * i, 2 * i + 1) for i in range(n)]).adj
+            assert prism_graph(n).adj == cartesian_product(
+                complete_graph(n), complete_graph(2)).adj
+            if n >= 3:
+                assert cycle_graph(n).adj == Graph.from_edges(
+                    n, [(i, (i + 1) % n) for i in range(n)]).adj
 
 
 class TestPairPartition:
@@ -302,7 +362,7 @@ class TestInfGraphs:
         # fibre i occupies [i*m, (i+1)*m); kappa=0 means fibres are cocliques
         for i in range(4):
             for a, b in itertools.combinations(range(i * m, (i + 1) * m), 2):
-                assert not g.has_edge(a, b)
+                assert not has_edge(g, a, b)
 
     def test_pairs_must_be_pairs_on_sigma(self):
         """A block system of triples, or of pairs on too few or too many
@@ -317,7 +377,7 @@ class TestInfGraphs:
         sigma = cycle_graph(4)
         g = inf_graph(InfParams(1, 1, 2), sigma, alternate_matching(4))
         for i in range(4):
-            assert g.has_edge(2 * i, 2 * i + 1)
+            assert has_edge(g, 2 * i, 2 * i + 1)
 
     def test_spx_identity(self):
         # the smallest split-praeger-xu style graph coincides with the

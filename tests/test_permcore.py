@@ -5,10 +5,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_systems_all_beta, closure, count_base_changes,
+from oracles import (block_system_by_orbit, block_systems_all_beta, closure,
+                     count_base_changes,
                      imprimitive_groups, is_2_transitive,
                      is_invariant_partition, least_witnesses_by_scan,
                      minimal_degree_full_scan,
@@ -351,6 +352,36 @@ class TestOrbitsAndBlocks:
                 t = Permutation(images)
                 assert t(a) == b and t in grp
                 assert Permutation(chain._inverses[0][b]) == t.inverse()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(), small_graphs(), st.data())
+    def test_mover_takes_a_to_b(self, sample, graph, data):
+        """``mover(a, b)`` is a member taking a to b, for any two points of
+        the chain's level-0 orbit: on random groups and on Aut groups,
+        whose chain was set from outside."""
+        for grp in (sample[0], automorphism_group(graph).group):
+            assume(grp.chain.base)
+            orbit0 = sorted(grp.chain._transversal[0])
+            a, b = (data.draw(st.sampled_from(orbit0)) for _ in range(2))
+            u = grp.mover(a, b)
+            assert u(a) == b and u in grp
+
+    @settings(max_examples=100, deadline=None)
+    @given(imprimitive_groups(), st.data())
+    def test_block_system_from_is_the_orbit_of_the_closure(self, grp, data):
+        """On a transitive group the closure's classes are the orbit of the
+        smallest block holding the seeds, that block first and the rest by
+        least point, so ``block_system_from`` equals the orbit oracle."""
+        assume(grp.is_transitive())
+        seeds = data.draw(st.sets(st.integers(0, grp.degree - 1),
+                                  min_size=2, max_size=4))
+        classes = grp._closure_classes(seeds)
+        block = grp._block_closure(seeds)
+        assert set(classes[0]) == block >= seeds
+        assert classes[1:] == sorted(classes[1:])
+        assert all(list(c) == sorted(c) for c in classes)
+        assert grp.block_system_from(seeds) == \
+            block_system_by_orbit(grp, block)
 
     def test_minimal_block_scan_order(self):
         c6 = PermGroup(6, [Permutation.from_cycles(6, [list(range(6))])])
