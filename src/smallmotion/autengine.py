@@ -34,15 +34,11 @@ from .permcore import PermGroup, Permutation, StabilizerChain, orbit
 @dataclass
 class AutResult:
     """Generators of the automorphism group plus search statistics, as of
-    the end of the computation.  ``path`` is the graph's first path, kept
-    after an uncoloured computation for later searches on the graph (the
-    round trips of ``classify.decompose``)."""
+    the end of the computation."""
 
     group: PermGroup
     order: int
     stats: dict = field(default_factory=dict)
-    path: Optional[_SourcePath] = field(default=None, repr=False,
-                                        compare=False)
 
 
 def automorphism_group(graph: Graph,
@@ -85,8 +81,7 @@ def automorphism_group(graph: Graph,
     group._chain = StabilizerChain(n, gens, points, order=order)
     return AutResult(group=group, order=order, stats=dict(
         transporter_searches=searches, search_nodes=path.nodes,
-        refinement_passes=path.refinements, involutions=involutions),
-        path=path if colors is None else None)
+        refinement_passes=path.refinements, involutions=involutions))
 
 
 def _involution(graph: Graph, v: int, w: int) -> Optional[list[int]]:

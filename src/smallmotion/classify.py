@@ -13,10 +13,10 @@ only, yet the lex product over the quotient joins its block to all of
 this one; the blocks' subgraphs are all the fibre, so the lex
 reconstruction has more edges than the graph and only the paired-fibre
 form can fit.  The attempt builds, with its reconstruction, a candidate
-isomorphism onto it from the graph's own blocks and fibres; the round
-trip checks that map edge by edge and searches only when it fails.  A
-graph that fits neither form is reported as unclassified with
-diagnostics, never silently dropped.
+isomorphism onto it from the graph's own blocks and fibres, and the
+round trip is that map's edge-by-edge check; no search runs on the whole
+graph.  A graph whose map fails, or that fits neither form, is reported
+as unclassified with diagnostics, never silently dropped.
 
 The paired fibres are read off the graph.  Split a block B of Aut into
 classes of vertices with equal neighbourhood outside B; with at most two
@@ -42,8 +42,8 @@ from .graphcore import (Graph, InfParams, _maps_onto, _SourcePath,
                         alternate_matching, antipodal_matching, are_isomorphic,
                         circulant_graph, complete_graph, cycle_graph,
                         empty_graph, inf_graph, invariant_graphs_under,
-                        lex_product, matching_graph, prism_graph,
-                        quotient_graph, to_graph6)
+                        lex_product, prism_graph, quotient_graph,
+                        to_graph6)
 from .grouptables import even_flips_rtimes_sym, tau_cross_sym
 from .permcore import (BlockSystem, CapExceededError, Permutation, _is_prime,
                        format_cycles)
@@ -111,7 +111,12 @@ def _try_lex_form(graph: Graph, mu: int, bs, delta: _SourcePath, group):
     the first path of the subgraph on bs's first block B.  Vertex v of
     block i goes to i*|B| + phi(u(v)): the group's mover u takes block i
     onto B, and phi, found by the fibre test, takes B's subgraph onto the
-    fibre."""
+    fibre.  When the witness block has one outside class, the map is an
+    isomorphism onto ``lex_product(fibre, theta)``.  Proof: that block is
+    a module; Aut permutes the blocks transitively, so every block is one,
+    and each pair of blocks is joined completely or not at all, exactly as
+    theta records.  u is an automorphism taking block i onto B, and phi
+    takes B onto the fibre."""
     for form, m, fibre in _lex_fibres(delta.graph.n):
         phi = are_isomorphic(delta.graph, fibre, delta)
         if phi is not None:
@@ -129,31 +134,27 @@ def _try_lex_form(graph: Graph, mu: int, bs, delta: _SourcePath, group):
     return report, images
 
 
-_INF_FORMS = ((1, 0, matching_graph),
-              (1, 1, prism_graph),
-              (0, 1, lambda m: matching_graph(m).complement()),
-              (0, 0, lambda m: prism_graph(m).complement()))
-
-
-def _try_inf_form(graph: Graph, mu: int, bs, delta: _SourcePath):
-    """As ``_try_lex_form``, for the paired-fibre form.  The fibres are
-    each block's two classes of size m >= 2 of vertices with equal
-    neighbourhood outside it: the orbits of the pointwise stabilizer of
+def _try_inf_form(graph: Graph, mu: int, bs, classes):
+    """As ``_try_lex_form``, for the paired-fibre form; ``classes`` holds
+    the outside classes of each block of bs.  The fibres are each block's
+    two classes of size m >= 2: the orbits of the pointwise stabilizer of
     the block's complement, by the lemma in the module docstring.  The
-    first fibre keeps its order; each vertex of the second takes the place
-    of its one neighbour (lambda = 1) or non-neighbour (lambda = 0) in it,
-    else -1."""
-    m = delta.graph.n // 2
-    fibres: list[tuple[int, ...]] = []
-    for block in bs.blocks:
-        classes = _outside_classes(graph, block)
-        if m < 2 or [len(c) for c in classes] != [m, m]:
-            return None
-        fibres.extend(classes)
-    for lam, kap, build in _INF_FORMS:
-        if are_isomorphic(delta.graph, build(m), delta) is not None:
-            break
-    else:
+    bits are read off block 0's fibres F1 and F2: kappa is the adjacency
+    of F1's first two vertices, and lambda is 1 if F2's first vertex has
+    one neighbour in F1, else 0 if it has m - 1 (at m = 2, one neighbour
+    gives lambda = 1).  The first fibre keeps its order; each vertex of
+    the second takes the place of its one neighbour (lambda = 1) or
+    non-neighbour (lambda = 0) in it, else -1.  No proof is known that
+    the classes always line up with the fibres of a paired-fibre graph, so
+    the round trip's check of this map is the proof."""
+    m = len(bs.blocks[0]) // 2
+    if m < 2 or any([len(c) for c in cs] != [m, m] for cs in classes):
+        return None
+    (f1, f2), fibres = classes[0], sum(classes, [])
+    kap = graph.adj[f1[0]] >> f1[1] & 1
+    c = (graph.adj[f2[0]] & sum(1 << v for v in f1)).bit_count()
+    lam = 1 if c == 1 else 0 if c == m - 1 else None
+    if lam is None:
         return None
     sigma = quotient_graph(graph, fibres)
     pairs = alternate_matching(sigma.n)
@@ -179,12 +180,12 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
     block of Aut holding the support of the motion witness x (a twin
     class for motion 2; every vertex for C5 itself): the lex forms (K_m,
     mK_1, C5, prism or co-prism fibres) when the block's vertices share
-    one neighbourhood outside it, else the paired-fibre form.  It counts
-    once its reconstruction's round trip holds: the attempt's candidate
-    isomorphism, if a bijection, keeps every edge, or else a search on
-    the graph's first path kept by ``aut`` finds one.  The block's
-    subgraph gets one first path, shared by every fibre candidate.  An
-    unclassified result carries diagnostics.  ``witness`` is
+    one neighbourhood outside it, else the paired-fibre form.  Each
+    block's outside classes are computed once.  The form counts once its
+    round trip holds: the attempt's candidate isomorphism is a bijection
+    and keeps every edge.  Only a lex attempt builds a first path, of the
+    block's subgraph, shared by every fibre candidate.  An unclassified
+    result carries diagnostics.  ``witness`` is
     ``motion_witness(graph, aut)`` and ``aut`` is
     ``transitivity_aut(graph)`` when the caller has them; else each is
     computed here, once.
@@ -200,18 +201,18 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
         raise ValueError(f"no decomposition for motion {mu}")
     group, supp = aut.group, x.support()
     bs = group.block_system_from(supp)
-    block = bs.blocks[bs.block_of[min(supp)]]
-    sub, _ = graph.induced_subgraph(bs.blocks[0])
-    delta = _SourcePath(sub, [0] * sub.n)
-    found = (_try_lex_form(graph, mu, bs, delta, group)
-             if len(_outside_classes(graph, block)) == 1
-             else _try_inf_form(graph, mu, bs, delta))
+    witness_at = bs.block_of[min(supp)]
+    classes = [_outside_classes(graph, block) for block in bs.blocks]
+    if len(classes[witness_at]) == 1:
+        sub, _ = graph.induced_subgraph(bs.blocks[0])
+        found = _try_lex_form(graph, mu, bs, _SourcePath(sub, [0] * sub.n),
+                              group)
+    else:
+        found = _try_inf_form(graph, mu, bs, classes)
     if found is not None:
         report, images = found
-        held = sorted(images) == list(range(graph.n)) and _maps_onto(
-            graph, images, report.reconstruction)
-        if held or are_isomorphic(graph, report.reconstruction,
-                                  aut.path) is not None:
+        if sorted(images) == list(range(graph.n)) and _maps_onto(
+                graph, images, report.reconstruction):
             report.verified = True
             return report
     return ClassificationReport(
@@ -221,7 +222,7 @@ def decompose(graph: Graph, witness: Optional[tuple[int, Permutation]] = None,
             "aut_order": group.order(),
             "aut_generators": [str(g) for g in group.generators],
             "witness": format_cycles(x),
-            "block": list(block),
+            "block": list(bs.blocks[witness_at]),
         })
 
 

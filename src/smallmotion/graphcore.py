@@ -172,11 +172,6 @@ def circulant_graph(n: int, s: Iterable[int]) -> Graph:
         n, [(i, (i + d) % n) for i in range(n) for d in conn])
 
 
-def matching_graph(m: int) -> Graph:
-    """m disjoint edges on 2m vertices (pairs {2i, 2i+1})."""
-    return Graph(2 * m, [1 << (v ^ 1) for v in range(2 * m)])
-
-
 # ---------------------------------------------------------------------------
 # products and quotients
 
@@ -327,16 +322,16 @@ class _SourcePath:
     looking keys up: a missing key or another histogram means no
     isomorphism keeps the colours.  ``nodes`` counts the target-side nodes
     of the searches since the path was built, or since the last
-    ``isomorphism`` call began, up to ``element_cap()``; ``refinements``
-    counts the passes of both sides.  A kept path serves later searches
-    on its graph without building its depths again.
+    ``are_isomorphic`` call on it began, up to ``element_cap()``;
+    ``refinements`` counts the passes of both sides.  A kept path serves
+    later searches on its graph without building its depths again.
     """
 
     def __init__(self, graph: Graph, colors: Sequence):
         self.graph, self.cap = graph, element_cap()
         self.levels: list[tuple] = []    # (passes, stable, branch, fresh)
         self.nodes = self.refinements = 0
-        ids = self.seed_ids = {}   # hashable seed colours as ids 0, 1, ...
+        ids: dict = {}   # hashable seed colours as ids 0, 1, ...
         self._seed = [ids.setdefault(c, len(ids)) for c in colors]
 
     def level(self, depth: int) -> tuple:
@@ -403,23 +398,12 @@ class _SourcePath:
                                  if colors[u] == stable[v])
         return None
 
-    def isomorphism(self, g2: Graph,
-                    colors: Sequence) -> Optional[Permutation]:
-        """The first isomorphism from the source onto g2 that takes each
-        seed colour to the vertices of g2 with that colour in ``colors``,
-        or None; its nodes count from zero."""
-        ids = self.seed_ids    # g2's colours take the ids of the source's
-        if g2.n != self.graph.n or any(c not in ids for c in colors):
-            return None
-        self.nodes = 0
-        found = self.transport(g2, [ids[c] for c in colors], 0)
-        return Permutation(found) if found is not None else None
-
 
 def are_isomorphic(g1: Graph, g2: Graph,
                    path: Optional[_SourcePath] = None) -> Optional[Permutation]:
     """A vertex bijection taking g1 to g2, or None.  ``path`` is g1's
-    uncoloured first path when the caller has one, else one is built."""
+    uncoloured first path when the caller has one, else one is built;
+    the search's nodes count from zero."""
     if g1.n != g2.n:
         return None
     edges = g1.num_edges()
@@ -427,7 +411,10 @@ def are_isomorphic(g1: Graph, g2: Graph,
         return None
     if edges in (0, g1.n * (g1.n - 1) // 2):    # edgeless or complete
         return Permutation.identity(g1.n)
-    return (path or _SourcePath(g1, [0] * g1.n)).isomorphism(g2, [0] * g2.n)
+    path = path or _SourcePath(g1, [0] * g1.n)
+    path.nodes = 0
+    found = path.transport(g2, [0] * g2.n, 0)
+    return None if found is None else Permutation(found)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ is checked against, and the small graph grids, group strategies, graph
 helpers and counters the tests share.  The paper's statements that no
 library path runs live here too: the paired-fibre dichotomy, Table 3 and
 the embedding of an imprimitive group into a wreath product.  So do the
-tests' automorphism and block-action checks, and the routes the library
-replaced that its tests compare against: the per-table row matchers, the
-2^2 classes from a search of the whole group, the decomposition that
-tries the lex forms before the paired-fibre form, the decomposition that
-proves every round trip by a search, the block system as the orbit of a
-block, and the lex and paired-fibre builds from edge lists."""
+tests' automorphism and block-action checks, coloured isomorphism
+between two graphs, and the routes the library replaced that its tests
+compare against: the per-table row matchers, the 2^2 classes from a
+search of the whole group, the decomposition that tries the lex forms
+before the paired-fibre form, the decomposition that proves every round
+trip by a search, the paired-fibre bits found by fibre searches, the
+block system as the orbit of a block, and the lex and paired-fibre
+builds from edge lists."""
 
 import functools
 import itertools
@@ -22,16 +24,16 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4, c2_wr_sym,
                                      tau_cross_sym)
 from smallmotion.autengine import (automorphism_group, find_twins,
                                    motion_witness, transitivity_aut)
-from smallmotion.classify import (_INF_FORMS, ClassificationReport,
+from smallmotion.classify import (ClassificationReport,
                                   NotVertexTransitiveError,
-                                  _outside_classes, _try_inf_form,
-                                  _try_lex_form, named_graph,
-                                  sigma_matchings)
+                                  _outside_classes, _try_lex_form,
+                                  named_graph, sigma_matchings)
 from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
                                    _SourcePath, alternate_matching,
                                    are_isomorphic, complete_graph,
                                    cycle_graph, empty_graph, inf_graph,
-                                   lex_product, quotient_graph, to_graph6)
+                                   lex_product, prism_graph, quotient_graph,
+                                   to_graph6)
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
                                   Permutation, StabilizerChain, _is_prime,
                                   _then, _trusted, element_cap,
@@ -44,6 +46,27 @@ def equitable_refinement(graph: Graph, colors) -> list[int]:
     """The coarsest equitable partition finer than ``colors``, as colour
     ids 0, 1, ...: depth 0 of the graph's first path."""
     return _SourcePath(graph, colors).level(0)[1]
+
+
+def coloured_isomorphism(g1: Graph, c1, g2: Graph, c2):
+    """The first isomorphism from g1 onto g2 that takes each colour of c1
+    to the vertices of g2 with that colour in c2, or None: a search on
+    g1's first path coloured c1, with c2 in the ids that
+    ``_SourcePath.__init__`` gives c1's hashable colours."""
+    ids = seed_ids(c1)
+    if g2.n != g1.n or any(c not in ids for c in c2):
+        return None
+    found = _SourcePath(g1, c1).transport(g2, [ids[c] for c in c2], 0)
+    return None if found is None else Permutation(found)
+
+
+def seed_ids(colors) -> dict:
+    """Each hashable colour -> its id 0, 1, ... in first-seen order, as
+    ``_SourcePath.__init__`` numbers the seed colours."""
+    ids: dict = {}
+    for c in colors:
+        ids.setdefault(c, len(ids))
+    return ids
 
 
 def path_graph(n: int) -> Graph:
@@ -155,14 +178,15 @@ def find_twins_all_pairs(graph: Graph) -> list[tuple[int, int]]:
             if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u)]
 
 
-def inf_grid():
-    """Every (lambda, kappa, sigma, matching, m) instance of the small grid."""
+def inf_grid(ms=(2, 3)):
+    """Every (lambda, kappa, sigma, matching, m) instance of the small grid,
+    m in ``ms``."""
     for family, n in (("cycle", 4), ("cycle", 6), ("cycle", 8), ("prism", 3)):
         token = f"{family}:{n}"
         sigma = named_graph(token)
         for mname, pairs in sigma_matchings(family, n):
             for lam, kap in itertools.product((0, 1), repeat=2):
-                for m in (2, 3):
+                for m in ms:
                     yield token, mname, InfParams(lam, kap, m), sigma, pairs
 
 
@@ -640,6 +664,52 @@ def restricted_orbits(group: PermGroup, block) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(o)) for o in orbits)
 
 
+def matching_graph(m: int) -> Graph:
+    """m disjoint edges on 2m vertices (pairs {2i, 2i+1})."""
+    return Graph(2 * m, [1 << (v ^ 1) for v in range(2 * m)])
+
+
+# (lambda, kappa, the subgraph of a block of Inf with those bits), in the
+# order the fibre searches try them
+_INF_FORMS = ((1, 0, matching_graph),
+              (1, 1, prism_graph),
+              (0, 1, lambda m: matching_graph(m).complement()),
+              (0, 0, lambda m: prism_graph(m).complement()))
+
+
+def inf_form_by_search(graph, mu, bs, delta):
+    """``classify._try_inf_form`` as it was before the bits were read off
+    the fibres: lambda and kappa are the first of ``_INF_FORMS`` whose
+    block subgraph is isomorphic to that on bs's first block, whose first
+    path ``delta`` is.  Returns (report, candidate images) or None."""
+    m = delta.graph.n // 2
+    fibres: list[tuple[int, ...]] = []
+    for block in bs.blocks:
+        classes = _outside_classes(graph, block)
+        if m < 2 or [len(c) for c in classes] != [m, m]:
+            return None
+        fibres.extend(classes)
+    for lam, kap, build in _INF_FORMS:
+        if are_isomorphic(delta.graph, build(m), delta) is not None:
+            break
+    else:
+        return None
+    sigma = quotient_graph(graph, fibres)
+    pairs = alternate_matching(sigma.n)
+    images = [0] * graph.n
+    for alpha in range(0, sigma.n, 2):
+        pos = {1 << v: i for i, v in enumerate(fibres[alpha])}
+        for i, v in enumerate(fibres[alpha]):
+            images[v] = alpha * m + i
+        for w in fibres[alpha + 1]:
+            i = pos.get((graph.adj[w] if lam else ~graph.adj[w]) & sum(pos))
+            images[w] = -1 if i is None else (alpha + 1) * m + i
+    return ClassificationReport(
+        motion=mu, form="inf", m=m, sigma=sigma, pairs=pairs, lam=lam,
+        kap=kap, reconstruction=inf_graph(InfParams(lam, kap, m), sigma,
+                                          pairs)), images
+
+
 def inf_form_by_orbits(graph, bs, group, delta):
     """The motion-4 paired-fibre report over bs whose fibres are each
     block's two restricted orbits of size m, else None (oracle for
@@ -706,11 +776,11 @@ def decompose_by_trying(graph, witness=None, aut=None):
     sub, _ = graph.induced_subgraph(bs.blocks[0])
     delta = _SourcePath(sub, [0] * sub.n)
     for attempt in (functools.partial(_try_lex_form, group=group),
-                    _try_inf_form):
+                    inf_form_by_search):
         found = attempt(graph, mu, bs, delta)
         report = found and found[0]
         if report is not None and are_isomorphic(
-                graph, report.reconstruction, aut.path) is not None:
+                graph, report.reconstruction) is not None:
             report.verified = True
             return report
     return ClassificationReport(
@@ -745,10 +815,10 @@ def decompose_by_search(graph, witness=None, aut=None):
     delta = _SourcePath(sub, [0] * sub.n)
     found = (_try_lex_form(graph, mu, bs, delta, group)
              if len(_outside_classes(graph, block)) == 1
-             else _try_inf_form(graph, mu, bs, delta))
+             else inf_form_by_search(graph, mu, bs, delta))
     report = found and found[0]
     if report is not None and are_isomorphic(
-            graph, report.reconstruction, aut.path) is not None:
+            graph, report.reconstruction) is not None:
         report.verified = True
         return report
     return ClassificationReport(

@@ -15,8 +15,9 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 import oracles
 from oracles import (aut_preserving_partition, automorphism_group_brute,
-                     cartesian_product, closure, count_base_changes,
-                     equitable_refinement, find_twins_all_pairs, has_edge,
+                     cartesian_product, closure, coloured_isomorphism,
+                     count_base_changes, equitable_refinement,
+                     find_twins_all_pairs, has_edge,
                      is_automorphism, is_invariant_partition,
                      minimal_degree_full_scan, motion, path_graph,
                      petersen_graph, random_element, spx_graph)
@@ -26,7 +27,7 @@ from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, alternate_matching, circulant_graph,
                                    complete_graph, cycle_graph, empty_graph,
-                                   _SourcePath, lex_product, prism_graph)
+                                   lex_product, prism_graph)
 from smallmotion.permcore import (BlockSystem, PermGroup, Permutation,
                                   StabilizerChain, _is_prime, orbit)
 
@@ -139,7 +140,7 @@ def reference_automorphism_group(graph, colors=None):
                        for u in range(n)]
                 dst = [pinned.get(u, (2,) if u == w else base[u])
                        for u in range(n)]
-                t = _SourcePath(graph, src).isomorphism(graph, dst)
+                t = coloured_isomorphism(graph, src, graph, dst)
             if t is None:
                 continue
             gens.append(t)

@@ -1,6 +1,5 @@
 """Motion-2/4 decomposition, paired-fibre criteria, and the corpus driver."""
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -298,16 +297,17 @@ class TestOneFormPerWitnessBlock:
             counts[classes] += 1
             form = decompose(g, witness=witness, aut=aut).form
             mu, bs = witness[0], aut.group.block_system_from(block)
-            sub, _ = g.induced_subgraph(bs.blocks[0])
-            delta = _SourcePath(sub, [0] * sub.n)
+            all_classes = [classify._outside_classes(g, b) for b in bs.blocks]
             if classes == 1:
                 assert form.startswith("lex_")
-                assert classify._try_inf_form(g, mu, bs, delta) is None
+                assert classify._try_inf_form(g, mu, bs, all_classes) is None
                 continue
             assert form == "inf" and mu == 4
+            sub, _ = g.induced_subgraph(bs.blocks[0])
             lex = lex_product(sub, quotient_graph(g, bs.blocks))
             assert lex.num_edges() > g.num_edges(), to_graph6(g)
-            found = classify._try_lex_form(g, mu, bs, delta, aut.group)
+            found = classify._try_lex_form(g, mu, bs, _SourcePath(
+                sub, [0] * sub.n), aut.group)
             if found is not None:
                 report, _ = found
                 assert report.reconstruction.num_edges() == lex.num_edges()
@@ -329,10 +329,37 @@ class TestOneFormPerWitnessBlock:
                          for form in forms]
 
 
+@functools.lru_cache(maxsize=None)
+def inf_graphs_by_bits() -> dict:
+    """(m, lambda, kappa) -> the graphs of the small grid's bases with that
+    multiplicity and those bits, for m in {2, 3, 4}, that the search-only
+    route decomposes in the paired-fibre form."""
+    out: dict = {}
+    for token, _, params, sigma, pairs in inf_grid(ms=(2, 3, 4)):
+        g = inf_graph(params, sigma, pairs)
+        if transitivity_aut(g) is not None and motion(g) == 4 and \
+                decompose_by_search(g).form == "inf":
+            out.setdefault((params.m, params.lam, params.kap), []).append(g)
+    assert len(out) == 12
+    return out
+
+
+def unclassified_report(g) -> dict:
+    """The ``as_dict`` of decompose's unclassified report on g."""
+    aut = transitivity_aut(g)
+    mu, x = motion_witness(g, aut=aut)
+    return {"motion": mu, "form": "unclassified", "verified": False,
+            "diagnostics": {
+                "graph6": to_graph6(g), "aut_order": aut.group.order(),
+                "aut_generators": [str(h) for h in aut.group.generators],
+                "witness": format_cycles(x),
+                "block": sorted(aut.group._block_closure(x.support()))}}
+
+
 def searches_from(monkeypatch) -> list:
     """The first graphs of the ``are_isomorphic`` calls classify makes from
-    now on.  decompose's round-trip search starts from the input graph
-    itself; a fibre test starts from the block's subgraph, a new graph."""
+    now on.  A round-trip search would start from the input graph itself;
+    a fibre test starts from the block's subgraph, a new graph."""
     calls = []
     original = classify.are_isomorphic
     monkeypatch.setattr(classify, "are_isomorphic", lambda g1, *rest: (
@@ -354,20 +381,23 @@ def patch_candidates(monkeypatch, change):
 
 class TestCandidateIsomorphism:
     """decompose checks the candidate isomorphism each attempt builds onto
-    its reconstruction, and searches only when that check fails; the
-    reports equal those of the search-only route."""
+    its reconstruction, and nothing else: no search runs on the whole
+    graph.  The reports equal those of the search-only route."""
 
     def test_candidate_holds_on_the_corpus(self, monkeypatch):
         """On the 108 decompositions of CorpusSpec(circulant_max=16), the
-        79 of the default corpus among them, no round trip searches."""
+        79 of the default corpus among them, no round trip searches, and
+        a paired-fibre decomposition runs no isomorphism test at all."""
         items = list(witness_blocks(CorpusSpec(circulant_max=16)))
         searched = searches_from(monkeypatch)
         for g, aut, witness, _ in items:
+            searched.clear()
             got = decompose(g, witness=witness, aut=aut)
             assert got.verified, to_graph6(g)
+            assert not any(h is g for h in searched), to_graph6(g)
+            assert got.form != "inf" or searched == [], to_graph6(g)
             assert got.as_dict() == decompose_by_search(
                 g, witness=witness, aut=aut).as_dict(), to_graph6(g)
-            assert not any(h is g for h in searched), to_graph6(g)
         assert len(items) == 108
 
     @settings(max_examples=40, deadline=None)
@@ -383,15 +413,30 @@ class TestCandidateIsomorphism:
         assert got.verified and not any(h is g for h in searched)
         assert got.as_dict() == decompose_by_search(g).as_dict()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabelled_inf_bits_match_the_fibre_search(self, data):
+        """Relabelled paired-fibre graphs with m in {2, 3, 4} and every
+        (lambda, kappa): the bits read off the fibres give the report of
+        the route that finds them by fibre searches."""
+        graphs = inf_graphs_by_bits()
+        g = data.draw(st.sampled_from(graphs[data.draw(
+            st.sampled_from(sorted(graphs)))]))
+        g = relabel(g, data.draw(st.permutations(range(g.n)).map(Permutation)))
+        got = decompose(g)
+        assert got.verified and got.form == "inf"
+        assert got.as_dict() == decompose_by_search(g).as_dict()
+
     @pytest.mark.parametrize("token", ["prism:3", "lex:complete:2:cycle:5",
                                        "inf:01:cycle:6:alternate:m2",
                                        "inf:10:prism:3:rungs:m3"])
     def test_failed_candidate_falls_back_to_the_search(self, monkeypatch,
                                                        token):
         """A candidate with two images swapped so that it maps some edge
-        onto a non-edge: the search verifies the same report."""
+        onto a non-edge: no search rescues it, and the report is the
+        unclassified one with the usual diagnostics."""
         g = named_graph(token)
-        want = decompose(g).as_dict()
+        assert decompose(g).verified
 
         def swap_two(graph, report, images):
             for v in range(1, graph.n):
@@ -403,13 +448,13 @@ class TestCandidateIsomorphism:
         patch_candidates(monkeypatch, swap_two)
         searched = searches_from(monkeypatch)
         got = decompose(g)
-        assert got.verified and got.as_dict() == want
-        assert sum(h is g for h in searched) == 1
+        assert got.as_dict() == unclassified_report(g)
+        assert not any(h is g for h in searched)
 
     def test_non_bijection_never_reaches_the_edge_check(self, monkeypatch):
         """``_maps_onto`` passes any list on edgeless graphs, so a candidate
-        that is not a bijection is rejected before it, and the search
-        decides."""
+        that is not a bijection is rejected before it, and the graph is
+        left unclassified."""
         assert _maps_onto(empty_graph(2), [0, 0], empty_graph(2))
         g = empty_graph(3)
         checked = []
@@ -420,8 +465,8 @@ class TestCandidateIsomorphism:
                          [0] * graph.n)
         searched = searches_from(monkeypatch)
         got = decompose(g)
-        assert got.verified and got.form == "lex_mK1"
-        assert checked == [] and sum(h is g for h in searched) == 1
+        assert got.as_dict() == unclassified_report(g)
+        assert checked == [] and not any(h is g for h in searched)
 
     def test_decompose_builds_no_edge_list(self, monkeypatch):
         """The reconstructions, quotients and fibres are written as rows."""
@@ -468,11 +513,12 @@ class TestOneAutPerGraph:
 
 
 class TestOnePathPerGraph:
-    """decompose searches on first paths already built: the graph's, kept
-    by its Aut computation, and one of the block's subgraph, shared by
-    every fibre candidate."""
+    """A verdict builds the graph's first path once, in its Aut
+    computation, and a lex decomposition one more, of the block's
+    subgraph, shared by every fibre candidate."""
 
     def test_motion4_verify_graph_builds_two_paths(self, monkeypatch):
+        """Two paths for a lex form, one for the paired-fibre form."""
         built = []
         original = graphcore._SourcePath.__init__
 
@@ -488,7 +534,8 @@ class TestOnePathPerGraph:
             graph = named_graph(token)
             rec = verify_graph((token, graph))
             assert (rec.motion, rec.form, rec.verified) == (4, form, True)
-            assert len(built) == 2 and built[0] is graph
+            assert len(built) == (1 if form == "inf" else 2)
+            assert built[0] is graph
 
     def test_corpus_builds_one_path_per_raw_graph(self, monkeypatch):
         """corpus_generators tests each raw graph against the kept graphs
@@ -514,17 +561,6 @@ class TestOnePathPerGraph:
         assert labels[:2] == ["circulant:2:", "circulant:3:"]
         assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == \
             "d5a04e51b9dd0faeb6ec2621916c0a6ebe16d8e0637a950f17d37062fdb49687"
-
-    def test_report_without_kept_path(self):
-        """An AutResult without a path (one built elsewhere) gives the
-        same reports; the path takes no part in repr or equality."""
-        for g in motion4_graphs():
-            aut = transitivity_aut(g)
-            bare = dataclasses.replace(aut, path=None)
-            assert aut.path is not None and bare == aut
-            assert repr(bare) == repr(aut)
-            assert decompose(g, aut=bare).as_dict() == \
-                decompose(g, aut=aut).as_dict()
 
 
 class TestInfIdentities:

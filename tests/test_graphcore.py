@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from oracles import (FullPassPath, cartesian_product, complete_bipartite,
-                     equitable_refinement, has_edge, inf_graph_by_edges,
-                     is_automorphism, is_invariant_partition,
-                     lex_product_by_edges, neighbors, petersen_graph,
-                     px_graph, refine_pass_sorted, relabel, spx_graph,
+from oracles import (FullPassPath, cartesian_product, coloured_isomorphism,
+                     complete_bipartite, equitable_refinement, has_edge,
+                     inf_graph_by_edges, is_automorphism,
+                     is_invariant_partition, lex_product_by_edges,
+                     matching_graph, neighbors, petersen_graph, px_graph,
+                     refine_pass_sorted, relabel, seed_ids, spx_graph,
                      to_edge_list, with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.classify import CorpusSpec, corpus_generators
@@ -29,8 +30,7 @@ from smallmotion.graphcore import (Graph, InfParams,
                                    from_edge_list,
                                    from_graph6, inf_graph,
                                    invariant_graphs_under,
-                                   lex_product,
-                                   matching_graph, parse_graph,
+                                   lex_product, parse_graph,
                                    prism_graph, quotient_graph, to_graph6)
 from smallmotion.grouptables import tau_cross_sym
 from smallmotion.permcore import (BlockSystem, CapExceededError, PermGroup,
@@ -493,15 +493,15 @@ class TestIsomorphism:
         assert automorphism_group(shrikhande_graph()).order == 192
 
     def test_searches_on_a_kept_path(self):
-        """Searches on the first path an uncoloured Aut computation keeps
-        give the verdicts of fresh ones: each corpus graph against a
+        """Searches on one kept first path, as ``corpus_generators`` runs
+        them, give the verdicts of fresh ones: each corpus graph against a
         relabelled copy of every corpus graph of its order, and rook's
-        graph against the Shrikhande graph.  A coloured one keeps none."""
+        graph against a copy of itself and the Shrikhande graph."""
         rng = random.Random(30)
         graphs = [g for _, g in corpus_generators(CorpusSpec(
             circulant_max=10))]
         for g in graphs:
-            path = automorphism_group(g).path
+            path = _SourcePath(g, [0] * g.n)
             p = Permutation(rng.sample(range(g.n), g.n))
             for h in (relabel(other, p) for other in graphs
                       if other.n == g.n):
@@ -509,24 +509,30 @@ class TestIsomorphism:
                 assert (found is None) == (are_isomorphic(g, h) is None)
                 assert found is None or relabel(g, found) == h
         rook = cartesian_product(complete_graph(4), complete_graph(4))
-        path = automorphism_group(rook).path
+        path = _SourcePath(rook, [0] * 16)
+        copy = relabel(rook, Permutation([(5 * v) % 16 for v in range(16)]))
+        assert are_isomorphic(rook, copy, path) is not None
         assert are_isomorphic(rook, shrikhande_graph(), path) is None
-        assert automorphism_group(rook, [0] * 16).path is None
 
     def test_kept_path_search_gets_the_whole_cap(self, monkeypatch):
         """A search on a kept path counts its nodes from zero: with the cap
-        at each search's node count but below their sum, Aut's searches
-        and then the round trip both finish, and ``stats`` keeps Aut's."""
+        at each search's node count but below their sum, two searches on
+        one path both finish."""
         rook = cartesian_product(complete_graph(4), complete_graph(4))
-        copy = relabel(rook, Permutation([(5 * v) % 16 for v in range(16)]))
-        aut, fresh = automorphism_group(rook), _SourcePath(rook, [0] * 16)
-        assert fresh.isomorphism(copy, [0] * 16) is not None
-        counts = aut.stats["search_nodes"], fresh.nodes
+        targets = [relabel(rook, Permutation([(k * v) % 16
+                                               for v in range(16)]))
+                   for k in (5, 7)]
+        counts = []
+        for copy in targets:
+            fresh = _SourcePath(rook, [0] * 16)
+            assert are_isomorphic(rook, copy, fresh) is not None
+            counts.append(fresh.nodes)
         assert min(counts) > 0
         monkeypatch.setenv("SMALLMOTION_CAP", str(max(counts)))
-        capped = automorphism_group(rook)
-        assert are_isomorphic(rook, copy, capped.path) is not None
-        assert capped.stats == aut.stats
+        kept = _SourcePath(rook, [0] * 16)
+        for copy, count in zip(targets, counts):
+            assert are_isomorphic(rook, copy, kept) is not None
+            assert kept.nodes == count
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -544,7 +550,7 @@ class TestIsomorphism:
             g2 = data.draw(graphs(min_n=n, max_n=n))
             c2 = data.draw(st.lists(st.integers(0, 2), min_size=n,
                                     max_size=n))
-        found = _SourcePath(g1, c1).isomorphism(g2, c2)
+        found = coloured_isomorphism(g1, c1, g2, c2)
         h1, h2 = to_nx(g1), to_nx(g2)
         nx.set_node_attributes(h1, dict(enumerate(c1)), "c")
         nx.set_node_attributes(h2, dict(enumerate(c2)), "c")
@@ -569,7 +575,7 @@ class TestIsomorphism:
         c2 = [c1[v] for v in p.inverse().images]
 
         def check(h2, d2, want):
-            found = _SourcePath(g1, c1).isomorphism(h2, d2)
+            found = coloured_isomorphism(g1, c1, h2, d2)
             assert (found is not None) == want
             if found is not None:
                 assert relabel(g1, found) == h2
@@ -694,7 +700,7 @@ class TestSplitterPasses:
                 break
             depth += 1
         # an isomorphism search of each target from depth 0 ...
-        ids = path.seed_ids
+        ids = seed_ids(colors)
         for g2, c2 in targets:
             if all(c in ids for c in c2):
                 seed = [ids[c] for c in c2]
