@@ -6,7 +6,7 @@ depth d's partition (McKay, "Practical graph isomorphism", 1981), so
 only the w in v_d's cell can be images of v_d.  The levels run deepest
 first, as in nauty (McKay and Piperno, 2014), so the generators found so
 far fix v_0..v_{d-1}; the w their orbits join to v_d need nothing more.
-Each other w first gets one involution t, kept if ``_maps_onto`` holds:
+Each other w first gets one involution t, kept if it is an automorphism:
 (v_d w) if the rows of v_d and w agree off {v_d, w}, else (v_d w)(a b)
 if they differ there in just a, adjacent to v_d only, and b, adjacent to
 w only.  Depth d's partition is equitable, so v_d and w have as many
@@ -18,7 +18,8 @@ twin and fibre swaps of motion 2 and 4 cost no search.  Without such a
 t, a complete search from depth d+1 settles w.  So each level's orbit
 and the order are exact, and the generators, deepest level first, are
 strong for the base: the chain they file into, told that order, strips
-no Schreier generator.
+no Schreier generator.  The branch vertices rise and a generator found
+at depth d fixes every vertex below v_d, so that chain is lex-compatible.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphcore import Graph, _SourcePath, _maps_onto
-from .permcore import PermGroup, Permutation, StabilizerChain, orbit
+from .graphcore import Graph, _SourcePath
+from .permcore import PermGroup, Permutation, StabilizerChain
 
 
 @dataclass
@@ -74,7 +75,10 @@ def automorphism_group(graph: Graph,
                 if t is None:
                     continue
             images.append(t)
-            reached = set(orbit(v, [g.__getitem__ for g in images]))
+            new = {t[x] for x in reached} - reached
+            while new:     # the rest of reached is closed under images
+                reached |= new
+                new = {g[x] for x in new for g in images} - reached
         order *= len(reached)
     gens = [Permutation(t) for t in images]
     group = PermGroup(n, gens)
@@ -86,16 +90,24 @@ def automorphism_group(graph: Graph,
 
 def _involution(graph: Graph, v: int, w: int) -> Optional[list[int]]:
     """The images of the module docstring's involution t for v and w if it
-    exists and ``_maps_onto`` holds, the one check of such a generator."""
+    is an automorphism, the one check of such a generator: iff each pair
+    (x, y) that t swaps has adj[y] = adj[x] with the pairs' bits swapped,
+    as t(N(x)) = N(y) gives t(N(y)) = N(x) and equal rows off supp(t), so
+    t(N(u)) = N(u) for each u that t fixes."""
     adj, images = graph.adj, list(range(graph.n))
-    images[v], images[w] = w, v
+    pairs = [(v, w)]
     if diff := (adj[v] ^ adj[w]) & ~(1 << v | 1 << w):
         a = (diff & adj[v]).bit_length() - 1   # -1 if v has no such neighbour
         b = (diff & adj[w]).bit_length() - 1
         if diff.bit_count() != 2 or min(a, b) < 0:
             return None
-        images[a], images[b] = b, a
-    return images if _maps_onto(graph, images, graph) else None
+        pairs.append((a, b))
+    swap = [1 << x | 1 << y for x, y in pairs]
+    for x, y in pairs:
+        images[x], images[y] = y, x
+    return images if all(
+        adj[y] == adj[x] ^ sum(m for m in swap if adj[x] & m not in (0, m))
+        for x, y in pairs) else None
 
 
 # ---------------------------------------------------------------------------

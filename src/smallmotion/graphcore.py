@@ -311,9 +311,11 @@ class _SourcePath:
     each depth built once, when a search first reaches it.
 
     Depth 0 refines the seed colours; depth d+1 refines depth d's with
-    its branch vertex, the least vertex of a largest cell, given the
-    fresh colour ``len(cells)``, until a pass adds no colour.  Only depth
-    0's first pass reads every row; each later pass reads only its
+    its branch vertex, the least vertex in a cell of two or more, given
+    the fresh colour ``len(cells)``, until a pass adds no colour.  Each
+    smaller vertex is alone in its cell, so the branch vertices rise and
+    an automorphism fixing the earlier ones fixes it.  Only depth 0's
+    first pass reads every row; each later pass reads only its
     splitters' members' rows: at depth d+1 the fresh colour (depth d is
     equitable), then the cells the last pass split off but the largest of
     each split cell (Hopcroft's rule), and still gives a full pass's
@@ -354,9 +356,7 @@ class _SourcePath:
                     break
                 count = len(key_ids)
                 splitters = _splitters(key_ids, size, len(colors).bit_length())
-            big = max(size, default=1)
-            v = None if big == 1 else next(
-                u for u, c in enumerate(colors) if size[c] == big)
+            v = next((u for u, c in enumerate(colors) if size[c] > 1), None)
             self.levels.append((passes, colors, v, count))
         return self.levels[depth]
 

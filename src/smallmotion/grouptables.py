@@ -357,8 +357,10 @@ def c2_wr_sym(m: int) -> PermGroup:
 @cache
 def pair_references(m: int) -> tuple:
     """(name, group, element set) of the five pair-table references, the
-    last Sym(2) wr Sym(m) itself; built once per m and shared."""
-    return tuple((make.__name__, make(m), frozenset(make(m).elements()))
+    last Sym(2) wr Sym(m) itself; built once per m and shared.  On 2m
+    points ``_least_supports(2m)`` lists all but the identity."""
+    return tuple((make.__name__, make(m), frozenset(
+        make(m)._least_supports(2 * m)) | {Permutation.identity(2 * m)})
                  for make in (one_cross_sym, tau_cross_sym, even_flips,
                               even_flips_rtimes_sym, c2_wr_sym))
 
@@ -489,8 +491,8 @@ class PCycleReport:
 
 
 def _find_p_cycle(group: PermGroup, p: Optional[int]) -> Optional[Permutation]:
-    """The least p-cycle by images; for p None, of the least such prime;
-    the p-cycles are closed under conjugation (``_least_supports``)."""
+    """The least p-cycle by images, for p None of the least such prime:
+    the first ``_least_supports`` meets, as p-cycles are conjugation-closed."""
     lengths = range(2, group.degree + 1) if p is None else (p,)
     return next((g for q in filter(_is_prime, lengths)
                  for g in group._least_supports(q) if g.cycle_type() == (q,)),
@@ -608,7 +610,7 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     them; or a smaller-minimal-degree witness."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
-    at_most_four = group._least_supports(4)    # conjugation-closed minima
+    at_most_four = list(group._least_supports(4))  # conjugation-closed minima
     x = min(filter(is_two_two, at_most_four), default=None)
     if x is None:
         raise ValueError("no order-2 support-4 element found")

@@ -13,6 +13,7 @@ by the unchecked ``_trusted`` constructor.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -234,12 +235,14 @@ class StabilizerChain:
     and move base[l]; the level-l stabilizer is generated by the union of
     ``_gens[l:]``.  The base starts with the ``prefix`` points, pinned even
     when every generator fixes them, so the levels below the prefix generate
-    its pointwise stabilizer; a generator that fixes the whole base adds
-    the least point it moves.  ``_transversal[l]`` maps each point x of the
-    level-l basic orbit to the images of an element sending base[l] to x,
-    and ``_inverses[l]`` to the images of its inverse, built from the
-    inverse each strong generator keeps in ``_gen_inverses`` from the time
-    it is filed.  The generators are closed by deterministic Schreier-Sims.
+    its pointwise stabilizer; one that fixes the prefix is filed at the
+    least point it moves, which joins the base past the prefix in order,
+    so chains with no prefix or the [0] of ``PermGroup.chain`` are
+    lex-compatible.  ``_transversal[l]`` maps each point x of the level-l
+    basic orbit to the images of an element sending base[l] to x, and
+    ``_inverses[l]`` to the images of its inverse, built from the inverse
+    each strong generator keeps in ``_gen_inverses`` from the time it is
+    filed.  The generators are closed by deterministic Schreier-Sims.
     Given the group's ``order``, every level's transversal is computed
     first and the closure stops once the basic orbits multiply to it
     (Seress, Permutation Group Algorithms, section 4.3): that product never
@@ -258,8 +261,9 @@ class StabilizerChain:
         self._transversal: list[dict[int, tuple]] = []
         self._inverses: list[dict[int, tuple]] = []
         self._tables: Optional[list] = None     # of _levels
+        self._pinned = len(prefix)
         for point in prefix:
-            self._add_level(point)
+            self._add_level(point, len(self.base))
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
@@ -276,8 +280,8 @@ class StabilizerChain:
     def extend(self, g: Permutation) -> bool:
         """Add g unless it is already a member; return whether it was added.
 
-        g's residue is filed at some level; only that level and the ones
-        below it are closed again, as the chain above it is unchanged.
+        g's residue is filed at some level, maybe new; only it and the
+        shallower ones are closed again, as deeper generators fix its point.
         """
         if g.degree != self.degree:
             raise ValueError("generator degree mismatch")
@@ -287,24 +291,35 @@ class StabilizerChain:
         self._schreier_sims(self._insert(_trusted(residue)))
         return True
 
-    def _add_level(self, point: int) -> None:
-        self.base.append(point)
-        self._gens.append([])
-        self._gen_inverses.append([])
-        self._transversal.append({})
-        self._inverses.append({})
+    def _add_level(self, point: int, at: int) -> None:
+        self.base.insert(at, point)
+        self._gens.insert(at, [])
+        self._gen_inverses.insert(at, [])
+        self._transversal.insert(at, {})
+        self._inverses.insert(at, {})
 
     def _insert(self, g: Permutation) -> int:
-        """File g at the level equal to the base prefix it fixes."""
+        """File g at the first pinned base point it moves, else at the least
+        point it moves; return the level.  A residue of level i fixes base[i]
+        and every point G_i fixes, so it is filed deeper than level i."""
         self._tables = None
-        lvl = 0
-        while lvl < len(self.base) and g(self.base[lvl]) == self.base[lvl]:
-            lvl += 1
-        if lvl == len(self.base):
-            self._add_level(next(b for b in range(self.degree) if g(b) != b))
+        lvl = next((lvl for lvl, b in enumerate(self.base[:self._pinned])
+                    if g(b) != b), None)
+        if lvl is None:
+            p = next(b for b in range(self.degree) if g(b) != b)
+            lvl = bisect_left(self.base, p, self._pinned)
+            if self.base[lvl:lvl + 1] != [p]:
+                self._add_level(p, lvl)
         self._gens[lvl].append(g)
         self._gen_inverses[lvl].append(_then(g.inverse().images))
         return lvl
+
+    def _lex_compatible(self) -> bool:
+        """Does the base rise, with each strong generator (and so each
+        level's group) fixing every point below its level's base point?"""
+        return self.base == sorted(self.base) and all(
+            g.images[:b] == self._identity[:b]
+            for b, gens in zip(self.base, self._gens) for g in gens)
 
     def _level_gens(self, level: int) -> list[Permutation]:
         return [g for lvl in range(level, len(self._gens)) for g in self._gens[lvl]]
@@ -387,44 +402,13 @@ class StabilizerChain:
             return False
         return self._strip(g.images, 0) == self._identity
 
-    def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        """All group elements, in a deterministic order.
-
-        Element ``t_{k-1} * ... * t_1 * t_0`` (t_l from the level-l
-        transversal in point order) comes before any element with a later
-        t_{k-1}, ties broken by t_{k-2} and so on.  The transversals are
-        walked depth first, one product per tree node.
-        """
-        if cap is not None and self.order() > cap:
-            raise CapExceededError(f"group order {self.order()} exceeds cap "
-                                   f"{CAP_VARIABLE}={cap}")
-        levels = [
-            [trans[x] for x in sorted(trans)] for trans in reversed(self._transversal)
-        ]
-        if not levels:
-            yield Permutation.identity(self.degree)
-            return
-        last = len(levels) - 1
-
-        def walk(prefix: tuple, depth: int) -> Iterator[Permutation]:
-            then = _then(prefix)
-            if depth == last:
-                yield from map(_trusted, map(then, levels[depth]))
-            else:
-                for t in levels[depth]:
-                    yield from walk(then(t), depth + 1)
-
-        yield from walk(self._identity, 0)
-
     def _levels(self, first: int = 0) -> list:
         """Per level d, for the base-image searches below: the transversal
-        steps (the identity first, then by image of base[d]) and an id of
-        each point's G_{d+1}-orbit (its root in a union-find forest; only
-        equality of ids is read).  The levels are walked deepest first,
-        each recording its ids before its own generators are unioned in.
-        Each level's entry is built on first use, for d from ``first`` on,
-        and kept until the chain grows; the levels above ``first`` stay
-        None until some search reads them."""
+        steps by the point they send base[d] to, and an id of each point's
+        G_{d+1}-orbit (its root in a union-find forest; only equality of
+        ids is read), recorded before level d's own generators are unioned
+        in, deepest level first.  Built on first use from level ``first``
+        on (the levels above stay None) and kept until the chain grows."""
         if self._tables is None:
             self._tables = [None] * len(self.base)
         if None not in self._tables[first:]:
@@ -432,61 +416,54 @@ class StabilizerChain:
         parent = list(range(self.degree))
         for d in reversed(range(first, len(self.base))):
             if self._tables[d] is None:
-                b, trans = self.base[d], self._transversal[d]
                 self._tables[d] = (
-                    [_then(trans[x]) for x in [b] + sorted(set(trans) - {b})],
+                    {x: _then(t) for x, t in self._transversal[d].items()},
                     tuple(_root(parent, q) for q in range(self.degree)))
             for g in self._gens[d]:
                 for q, r in enumerate(g.images):
-                    parent[_root(parent, r)] = _root(parent, q)
+                    if q != r:
+                        parent[_root(parent, r)] = _root(parent, q)
         return self._tables
 
-    def _small_supports(self, bound: int, falling: bool,
-                        root: int = 0) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points (of
-        G_{base[0]} alone at ``root`` 1), sorted by image tuple, so no other
-        chain of the group changes the list; with ``falling`` the bound drops
-        to the smallest support found and only its elements are returned.
-
-        A depth-first backtrack over base images (Seress, Permutation Group
-        Algorithms, ch. 9; Leon, "Permutation group algorithms based on
-        partitions, I").  The node ``h = t_{d-1} * ... * t_0`` (t_l sends
-        base[l] to x_l) is the coset ``G_d * h`` of the level-d stabilizer;
-        each element of it moves every q with h(q) outside q's G_d-orbit,
-        and more than ``bound`` such q prune the node; levels try base[d]
-        (the identity branch) first.  More than ``element_cap()`` nodes
-        raise CapExceededError.
-        """
+    def _by_image(self, bound: list, root: int = 0) -> Iterator[tuple]:
+        """(support, images) of each non-identity element of G_root moving
+        at most ``bound[0]`` points, in increasing image tuple, on a
+        lex-compatible chain; the caller may lower ``bound[0]`` between
+        yields.  A depth-first backtrack over base images (Seress,
+        Permutation Group Algorithms, ch. 9).  The node ``h = t_{d-1} * ...
+        * t_root`` (t_l sends base[l] to x_l) is the coset ``G_d * h``.
+        G_d fixes every point below base[d], so the coset's elements agree
+        there, and those of the child for x send base[d] to h(x): children
+        by increasing h(x) give increasing image tuples.  Each element of
+        the coset moves every q with h(q) outside q's G_d-orbit, and more
+        than ``bound[0]`` such q prune the node.  More than
+        ``element_cap()`` nodes raise CapExceededError."""
         cap, depth, levels = element_cap(), len(self.base), self._levels(root)
-        found, nodes = [], 0
+        nodes = 0
 
-        def visit(h: tuple, d: int) -> None:
-            nonlocal bound, found, nodes
+        def visit(h: tuple, d: int) -> Iterator[tuple]:
+            nonlocal nodes
             steps, oid = levels[d]
             nodes += len(steps)
             if nodes > cap:
                 raise CapExceededError(f"minimal-support search exceeds "
                                        f"cap {CAP_VARIABLE}={cap} nodes")
             h_oid = tuple(map(oid.__getitem__, h))
-            for then_t in steps:
-                child = then_t(h)
+            for x in sorted(steps, key=h.__getitem__):
+                then_t = steps[x]
                 moved = sum(map(ne, then_t(h_oid), oid))
-                if moved > bound:
+                if moved > bound[0]:
                     continue
                 if d + 1 < depth:
-                    visit(child, d + 1)
+                    yield from visit(then_t(h), d + 1)
                 elif moved:
-                    if falling and moved < bound:
-                        bound, found = moved, []
-                    found.append(child)
+                    yield moved, then_t(h)
 
-        if depth > root:
-            visit(self._identity, root)
-        return [_trusted(h) for h in sorted(found)]
+        return visit(self._identity, root) if depth > root else iter(())
 
     def _transports(self, pairs: Sequence[tuple], tick) -> bool:
         """Whether some element maps a to b for every (a, b) in pairs, by
-        the backtrack of ``_small_supports``: ``v * h`` (v in G_d) maps a
+        the backtrack of ``_by_image``: ``v * h`` (v in G_d) maps a
         to b iff v(a) = h^-1(b), so each h^-1(b) must lie in a's G_d-orbit,
         and a pair whose a is base[d] forces t_d to send base[d] to
         h^-1(b).  ``tick`` is called once per node."""
@@ -583,10 +560,6 @@ class PermGroup:
 
     def __contains__(self, g: Permutation) -> bool:
         return self.chain.contains(g)
-
-    def elements(self) -> Iterator[Permutation]:
-        """All elements, at most ``element_cap()`` of them."""
-        return self.chain.elements(element_cap())
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -744,34 +717,47 @@ class PermGroup:
         group._chain = sub
         return group
 
-    def _least_supports(self, bound: Optional[int] = None) -> list[Permutation]:
-        """The non-identity elements moving at most ``bound`` points, or
-        for bound None those of least support, sorted by image tuple; cut
-        to G_0 when it holds the least member of each conjugation-closed
-        set of them (``minimal_degree_witness``): when the chain's base
-        starts at 0, level 0's orbit holds every point, the order exceeds
-        the degree and a given bound is below it."""
-        chain, n = self.chain, self.degree
-        root = int(chain.base[:1] == [0] and len(chain._transversal[0]) == n
-                   and self.order() > n and (bound is None or bound < n))
-        return chain._small_supports(n if bound is None else bound,
-                                     bound is None, root)
+    def _walk(self, bound: list) -> Iterator[tuple]:
+        """``_by_image`` of ``chain`` (if not lex-compatible, of one built
+        on its strong generators with no prefix) from the first level whose
+        basic orbit has at most ``bound[0]`` points.  There a conjugation-
+        closed set S of elements moving that many has its least member: on
+        a level l with a larger orbit, x in S and G_l fixes one of its
+        points, so has a conjugate fixing base[l], the orbit's least point,
+        and G_l fixes all below, so S's least member in G_l fixes base[l]."""
+        chain = self.chain
+        if not chain._lex_compatible():
+            chain = StabilizerChain(self.degree, chain._level_gens(0),
+                                    order=self.order())
+        root = next((lvl for lvl, trans in enumerate(chain._transversal)
+                     if len(trans) <= bound[0]), len(chain.base))
+        return chain._by_image(bound, root)
+
+    def _least_supports(self, bound: int) -> Iterator[Permutation]:
+        """Non-identity elements moving at most ``bound`` points, in
+        increasing image tuple, from the ``_walk`` level: they hold the
+        least member of each conjugation-closed set of such elements."""
+        return (_trusted(h) for _, h in self._walk([bound]))
 
     def minimal_degree_witness(self) -> tuple[int, Permutation]:
         """(min |supp(x)| over non-identity x, the least element by image
-        tuple of prime order and that support), from one pruned search of
-        the chain whose bound falls to the smallest support found so far;
-        prime order suffices as supp(x^k) lies in supp(x).  In a transitive
-        group whose stabilizer G_0 of point 0 is not trivial, a least support
-        misses a point, and a conjugation-closed set of elements that fix
-        points has its least member by image tuple in G_0: each member has a
-        conjugate fixing 0, and image[0] = 0 is the least first entry.  So
-        the search walks G_0 alone (``_least_supports``).  Error if trivial."""
+        tuple of prime order and that support), from one ``_walk`` whose
+        bound starts at B, the least support of a strong generator, as
+        supp(x^k) lies in supp(x).  A leaf of prime order and support s is
+        kept and the bound falls to s - 1; any other sets it to s.  Leaves
+        come in increasing image tuple, so a kept one is the least of prime
+        order and support at most s (an earlier one was met under a bound
+        of at least s): the last one kept is the witness.  Error if trivial."""
         if self.is_trivial():
             raise ValueError("minimal degree of the trivial group is undefined")
-        witness = next(g for g in self._least_supports()
-                       if _is_prime(g.order()))
-        return len(witness.support()), witness
+        bound = [min(sum(map(ne, g.images, self.chain._identity))
+                     for g in self.chain._level_gens(0))]
+        for s, h in self._walk(bound):
+            if _is_prime(_trusted(h).order()):
+                witness, bound[0] = (s, _trusted(h)), s - 1
+            else:
+                bound[0] = s
+        return witness
 
     def minimal_degree(self) -> int:
         """min |supp(x)| over non-identity x; error on the trivial group."""

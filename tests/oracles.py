@@ -9,11 +9,13 @@ compare against: the per-table row matchers, the 2^2 classes from a
 search of the whole group, the decomposition that tries the lex forms
 before the paired-fibre form, the decomposition that proves every round
 trip by a search, the paired-fibre bits found by fibre searches, the
-block system as the orbit of a block, and the lex and paired-fibre
-builds from edge lists."""
+block system as the orbit of a block, the lex and paired-fibre builds
+from edge lists, the minimal-support walk that collects and sorts, and
+the product-order enumeration of all elements."""
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -139,9 +141,7 @@ class FullPassPath(_SourcePath):
                     break
                 count = len(key_ids)
             size = [colors.count(c) for c in range(count)]
-            big = max(size, default=1)
-            v = None if big == 1 else next(
-                u for u, c in enumerate(colors) if size[c] == big)
+            v = next((u for u, c in enumerate(colors) if size[c] > 1), None)
             self.levels.append((passes, colors, v, count))
         return self.levels[depth]
 
@@ -230,6 +230,79 @@ def closure(degree: int, generators, cap=None) -> set:
     if len(images) > cap:
         raise CapExceededError(f"closure exceeds cap {cap}")
     return set(map(_trusted, images))
+
+
+def elements(group, cap=None):
+    """All elements of a PermGroup, at most ``element_cap()`` of them, or
+    of a StabilizerChain, at most ``cap``, in product order: element
+    ``t_{k-1} * ... * t_1 * t_0`` (t_l from the level-l transversal in
+    point order) comes before any element with a later t_{k-1}, ties
+    broken by t_{k-2} and so on.  The transversals are walked depth
+    first, one product per tree node."""
+    chain = group
+    if isinstance(group, PermGroup):
+        chain, cap = group.chain, element_cap()
+    if cap is not None and chain.order() > cap:
+        raise CapExceededError(f"group order {chain.order()} exceeds cap "
+                               f"SMALLMOTION_CAP={cap}")
+    levels = [[trans[x] for x in sorted(trans)]
+              for trans in reversed(chain._transversal)]
+
+    def walk(prefix: tuple, depth: int):
+        if depth == len(levels):
+            yield _trusted(prefix)
+            return
+        then = _then(prefix)
+        for t in levels[depth]:
+            yield from walk(then(t), depth + 1)
+
+    return walk(chain._identity, 0)
+
+
+def small_supports_by_collection(chain: StabilizerChain, bound: int,
+                                 falling: bool, root: int = 0) -> list:
+    """The non-identity elements of the level-``root`` stabilizer moving
+    at most ``bound`` points, sorted by image tuple; with ``falling`` the
+    bound drops to the smallest support found and only its elements are
+    returned (oracle for ``StabilizerChain._by_image`` and its readers).
+    It visits children in transversal order, keeps every leaf within the
+    bound and sorts them at the end, so it needs no lex-compatible chain."""
+    depth, levels = len(chain.base), chain._levels(root)
+    found = []
+
+    def visit(h: tuple, d: int) -> None:
+        nonlocal bound, found
+        steps, oid = levels[d]
+        h_oid = tuple(map(oid.__getitem__, h))
+        for then_t in steps.values():
+            child = then_t(h)
+            moved = sum(map(operator.ne, then_t(h_oid), oid))
+            if moved > bound:
+                continue
+            if d + 1 < depth:
+                visit(child, d + 1)
+            elif moved:
+                if falling and moved < bound:
+                    bound, found = moved, []
+                found.append(child)
+
+    if depth > root:
+        visit(chain._identity, root)
+    return [_trusted(h) for h in sorted(found)]
+
+
+def witnesses_by_collection(group: PermGroup) -> list:
+    """The minimal-degree witness, the least prime cycle and the 2^2
+    classes, read off ``small_supports_by_collection`` of the whole group
+    (oracle for ``minimal_degree_witness``, ``_find_p_cycle`` and
+    ``grouptables._two_two_classes``)."""
+    chain, n = group.chain, group.degree
+    witness = next(g for g in small_supports_by_collection(chain, n, True)
+                   if _is_prime(g.order()))
+    cycle = next((g for p in range(2, n + 1) if _is_prime(p)
+                  for g in small_supports_by_collection(chain, p, False)
+                  if g.cycle_type() == (p,)), None)
+    return [(len(witness.support()), witness), cycle, two_two_classes(group)]
 
 
 def join_closure(atoms, join) -> set:
@@ -337,7 +410,7 @@ def minimal_degree_full_scan(group: PermGroup) -> int:
     """The minimal degree by scanning every non-identity element."""
     if group.is_trivial():
         raise ValueError("minimal degree of the trivial group is undefined")
-    return min(len(g.support()) for g in group.elements()
+    return min(len(g.support()) for g in elements(group)
                if not g.is_identity())
 
 
@@ -347,7 +420,7 @@ def least_witnesses_by_scan(group: PermGroup) -> list:
     if there is none) for each prime p <= degree, and, for a transitive
     group with a 2^2-element, the witness of ``classify_22_group``: the
     least element moving fewer than 4 points, else the least 2^2-element."""
-    elems = sorted(g for g in group.elements() if not g.is_identity())
+    elems = sorted(g for g in elements(group) if not g.is_identity())
     low = min(len(g.support()) for g in elems)
     out = [(low, next(g for g in elems if len(g.support()) == low
                       and _is_prime(g.order())))]
@@ -389,8 +462,8 @@ def permutation_isomorphic_backtrack(g1: PermGroup, g2: PermGroup):
     n = g1.degree
     if all(x in g2 for x in g1.generators):    # the same group
         return Permutation.identity(n), {x: x for x in g1.generators}
-    elems2 = set(g2.elements())
-    t1 = _transporter_counts(g1.elements(), n)
+    elems2 = set(elements(g2))
+    t1 = _transporter_counts(elements(g1), n)
     t2 = _transporter_counts(sorted(elems2), n)
 
     def extend(mapping: list, used: list):
@@ -558,8 +631,9 @@ def match_table4_row(y_name):
 def two_two_classes(y: PermGroup) -> list:
     """Conjugacy classes of order-2 support-4 elements of y, from a search
     of all of y (oracle for ``grouptables._two_two_classes``, which lists
-    the least member of each class from G_0)."""
-    remaining = set(filter(is_two_two, y.chain._small_supports(4, False)))
+    the least member of each class from a stabilizer)."""
+    remaining = set(filter(is_two_two,
+                           small_supports_by_collection(y.chain, 4, False)))
     maps = [lambda h, g=g: h.conjugate(g) for g in y.generators]
     classes = []
     while remaining:

@@ -5,6 +5,9 @@ stated runtime cap.  Run with ``pytest -v tests/test_acceptance.py`` to get
 the per-criterion pass/fail listing.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 
@@ -13,6 +16,7 @@ from oracles import (automorphism_group_brute, embed_imprimitive, has_edge,
                      inf_motion2_predicted, minimal_degree_full_scan, motion,
                      with_edge_removed)
 from smallmotion.autengine import automorphism_group, transitivity_aut
+from smallmotion.cli import main
 from smallmotion.classify import (CorpusSpec, circulant_corpus,
                                   corpus_generators, named_graph,
                                   verify_corpus)
@@ -266,3 +270,35 @@ def test_criterion_10_oracle_equivalence():
     report(10, ok,
            f"{len(aut_failures)} aut mismatches, "
            f"{mindeg_failures} mindeg mismatches")
+
+
+DESK_SCALE_TOKENS = ("prism:60", "prism:100", "inf:11:prism:20:rungs:m3",
+                     "lex:prism:20:cycle:5", "inf:10:cycle:60:alternate:m8")
+
+M24_CYCLES = ([tuple(range(1, 24))],
+              [(3, 17, 10, 7, 9), (4, 13, 14, 19, 5), (8, 18, 11, 12, 23),
+               (15, 20, 22, 21, 16)],
+              [(1, 24), (2, 23), (3, 12), (4, 16), (5, 18), (6, 10), (7, 20),
+               (8, 14), (9, 21), (11, 17), (13, 22), (15, 19)])
+
+
+def test_criterion_11_desk_scale_motion():
+    """Structured motion and classify of graphs with 120 to 480 vertices
+    and |Aut| up to 2 * 100!, each within 10 s; M24's minimal degree
+    within 1 s."""
+    failures = []
+    for token in DESK_SCALE_TOKENS:
+        for command in ("motion", "classify"):
+            out = io.StringIO()
+            with Timer(10), contextlib.redirect_stdout(out):
+                code = main(["--format", "structured", command, token])
+            result = json.loads(out.getvalue())["results"][0]
+            if code != 0 or result["motion"] != 4:
+                failures.append(f"{command} {token}")
+    m24 = PermGroup(24, [Permutation.from_cycles(
+        24, [[x - 1 for x in c] for c in gen]) for gen in M24_CYCLES])
+    with Timer(1):
+        mindeg = m24.minimal_degree()
+    if mindeg != 16:
+        failures.append(f"M24 minimal degree {mindeg}")
+    report(11, not failures, ", ".join(failures))

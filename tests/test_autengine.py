@@ -9,25 +9,27 @@ import time
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import oracles
 from oracles import (aut_preserving_partition, automorphism_group_brute,
                      cartesian_product, closure, coloured_isomorphism,
-                     count_base_changes, equitable_refinement,
+                     count_base_changes, elements, equitable_refinement,
                      find_twins_all_pairs, has_edge,
                      is_automorphism, is_invariant_partition,
                      minimal_degree_full_scan, motion, path_graph,
                      petersen_graph, random_element, spx_graph)
-from smallmotion.autengine import (automorphism_group, find_twins,
-                                   motion_witness, transitivity_aut)
+from smallmotion.autengine import (_involution, automorphism_group,
+                                   find_twins, motion_witness,
+                                   transitivity_aut)
 from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
                                   sigma_matchings)
-from smallmotion.graphcore import (Graph, alternate_matching, circulant_graph,
-                                   complete_graph, cycle_graph, empty_graph,
-                                   lex_product, prism_graph)
+from smallmotion.graphcore import (Graph, _maps_onto, alternate_matching,
+                                   circulant_graph, complete_graph,
+                                   cycle_graph, empty_graph, lex_product,
+                                   prism_graph)
 from smallmotion.permcore import (BlockSystem, PermGroup, Permutation,
                                   StabilizerChain, _is_prime, orbit)
 
@@ -79,14 +81,15 @@ def twin_rich_graphs(draw):
 
 def first_path(graph, colors=None):
     """The first-path base, level by level: refine, and individualise the
-    least vertex of a largest cell, until the colouring is discrete."""
+    least vertex in a cell of two or more, until the colouring is
+    discrete."""
     cells = equitable_refinement(graph, colors or [0] * graph.n)
     points = []
     while True:
         size = [cells.count(c) for c in cells]   # of each vertex's cell
         if max(size, default=1) == 1:
             return points
-        v = size.index(max(size))
+        v = next(u for u, k in enumerate(size) if k > 1)
         points.append(v)
         cells = equitable_refinement(graph, [(c, u == v)
                                              for u, c in enumerate(cells)])
@@ -211,7 +214,7 @@ class TestAutomorphismGroup:
             g = random_graph(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
             colors = [rng.choice("ab") for _ in range(n)]
             fast = automorphism_group(g, colors)
-            want = [h for h in automorphism_group_brute(g).elements()
+            want = [h for h in elements(automorphism_group_brute(g))
                     if all(colors[h(v)] == colors[v] for v in range(n))]
             assert fast.order == len(want)
             assert set(fast.group.generators) <= set(want)
@@ -226,7 +229,7 @@ class TestAutomorphismGroup:
             keep = colors or [0] * g.n
             assert order == sum(
                 all(keep[h(v)] == keep[v] for v in range(g.n))
-                for h in automorphism_group_brute(g).elements())
+                for h in elements(automorphism_group_brute(g)))
 
 
 class TestGeneratorsKeepEdgesAndColours:
@@ -344,7 +347,7 @@ class TestSearchFilter:
         assert all(g(0) == 0 for g in stab.generators)
 
     def test_search_counts(self):
-        for graph, most in ((petersen_graph(), 3), (cycle_graph(12), 2),
+        for graph, most in ((petersen_graph(), 4), (cycle_graph(12), 2),
                             (circulant_graph(13, [1, 3, 4]), 3)):  # Paley13
             aut = automorphism_group(graph)
             assert aut.stats["transporter_searches"] <= most
@@ -352,9 +355,10 @@ class TestSearchFilter:
     def test_search_nodes(self):
         # every search runs straight down to a leaf that is an
         # automorphism, one node per depth: C12 searches from depths 2
-        # and 1 (base 0, 1), Petersen from depths 3, 2 and 1 (base 0, 2, 3)
+        # and 1 (base 0, 1), Petersen from depths 4, 3, 2 and 1 (base 0,
+        # 1, 2, 3)
         for graph, searches, nodes, passes in ((cycle_graph(12), 2, 3, 28),
-                                               (petersen_graph(), 3, 6, 22)):
+                                               (petersen_graph(), 4, 10, 29)):
             stats = automorphism_group(graph).stats
             assert (stats["transporter_searches"], stats["search_nodes"],
                     stats["refinement_passes"]) == (searches, nodes, passes)
@@ -366,22 +370,22 @@ class TestSearchFilter:
     # without a search; Petersen has motion 6, so its generators all
     # come from searches.
     PINNED = {
-        "petersen": ((3, 6, 22, 0), [
-            "(4,8)(5,6)(9,10)", "(2,5)(3,4)(7,10)(8,9)",
-            "(1,2,3,4,5)(6,7,8,9,10)"]),
-        "lex:cycle:5:cycle:5": ((2, 19, 64, 10), [
-            "(22,25)(23,24)", "(17,20)(18,19)", "(12,15)(13,14)",
-            "(7,10)(8,9)", "(2,5)(3,4)", "(21,22)(23,25)", "(16,17)(18,20)",
-            "(11,12)(13,15)", "(6,7)(8,10)",
+        "petersen": ((4, 10, 29, 0), [
+            "(4,8)(5,6)(9,10)", "(3,7)(4,9)(5,6)(8,10)",
+            "(2,5)(3,4)(7,10)(8,9)", "(1,2)(3,5)(6,7)(8,10)"]),
+        "lex:cycle:5:cycle:5": ((2, 18, 62, 10), [
+            "(22,25)(23,24)", "(21,22)(23,25)", "(17,20)(18,19)",
+            "(16,17)(18,20)", "(12,15)(13,14)", "(11,12)(13,15)",
+            "(7,10)(8,9)", "(6,7)(8,10)",
             "(6,21)(7,22)(8,23)(9,24)(10,25)(11,16)(12,17)(13,18)(14,19)"
             "(15,20)",
-            "(1,2)(3,5)",
+            "(2,5)(3,4)", "(1,2)(3,5)",
             "(1,6)(2,7)(3,8)(4,9)(5,10)(11,21)(12,22)(13,23)(14,24)(15,25)"]),
-        "inf:01:cycle:8:antipodal:m3": ((2, 15, 54, 8), [
-            "(11,12)(23,24)", "(8,9)(20,21)", "(5,6)(17,18)", "(2,3)(14,15)",
-            "(10,11)(22,23)", "(7,8)(19,20)", "(4,5)(16,17)",
+        "inf:01:cycle:8:antipodal:m3": ((2, 14, 52, 8), [
+            "(11,12)(23,24)", "(10,11)(22,23)", "(8,9)(20,21)",
+            "(7,8)(19,20)", "(5,6)(17,18)", "(4,5)(16,17)",
             "(4,22)(5,23)(6,24)(7,19)(8,20)(9,21)(10,16)(11,17)(12,18)",
-            "(1,2)(13,14)",
+            "(2,3)(14,15)", "(1,2)(13,14)",
             "(1,4)(2,5)(3,6)(7,22)(8,23)(9,24)(10,19)(11,20)(12,21)(13,16)"
             "(14,17)(15,18)"]),
         "circulant:12:1-2-3-5": ((2, 7, 28, 2), [
@@ -449,7 +453,7 @@ class TestSearchFilter:
 
     def test_deep_first_path_needs_no_recursion(self):
         # 27 disjoint Petersen graphs have no twins and no fibre swaps, and
-        # their first path is 82 levels deep; the search for level 0 runs
+        # their first path is 109 levels deep; the search for level 0 runs
         # down all of it: nested calls would need more frames than allowed
         petersen = petersen_graph()
         graph = Graph.from_edges(270, [(u + 10 * i, v + 10 * i)
@@ -462,8 +466,48 @@ class TestSearchFilter:
         finally:
             sys.setrecursionlimit(limit)
         assert aut.order == 120 ** 27 * math.factorial(27)
-        assert len(aut.group.chain.base) == 81
+        assert len(aut.group.chain.base) == 108
         assert aut.stats["involutions"] == 0
+
+
+class TestInvolution:
+    """``_involution`` checks only the rows it swaps; it agrees with the
+    check of every row by ``_maps_onto``."""
+
+    @staticmethod
+    def involution_by_maps_onto(graph, v, w):
+        rows = [{u for u in range(graph.n) if has_edge(graph, x, u)} - {v, w}
+                for x in (v, w)]
+        only_v, only_w = rows[0] - rows[1], rows[1] - rows[0]
+        images = list(range(graph.n))
+        images[v], images[w] = w, v
+        if only_v or only_w:
+            if len(only_v) != 1 or len(only_w) != 1:
+                return None
+            (a,), (b,) = only_v, only_w
+            images[a], images[b] = b, a
+        return images if _maps_onto(graph, images, graph) else None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(twin_rich_graphs(),
+                     coloured_graphs(max_n=9).map(lambda case: case[0])),
+           st.data())
+    def test_involution_agrees_with_maps_onto(self, graph, data):
+        assume(graph.n >= 2)
+        v, w = data.draw(st.permutations(range(graph.n)))[:2]
+        assert _involution(graph, v, w) == \
+            self.involution_by_maps_onto(graph, v, w)
+
+    def test_every_pair_of_random_graphs(self):
+        rng = random.Random(42)
+        found = 0
+        for _ in range(40):
+            graph = random_graph(rng, rng.randint(2, 10), rng.random())
+            for v, w in itertools.permutations(range(graph.n), 2):
+                want = self.involution_by_maps_onto(graph, v, w)
+                assert _involution(graph, v, w) == want
+                found += want is not None
+        assert found > 50
 
 
 class TestTwins:
@@ -584,7 +628,7 @@ def reference_scan(group):
     """The witness rule by an element scan: the least element by image
     tuple among the elements of prime order whose support is smallest."""
     best = None
-    for g in group.chain.elements(REFERENCE_SCAN_LIMIT):
+    for g in elements(group.chain, REFERENCE_SCAN_LIMIT):
         if g.is_identity() or not _is_prime(g.order()):
             continue
         if best is None or (len(g.support()), g) < (len(best.support()), best):
@@ -663,7 +707,7 @@ class TestVertexTransitive:
 
 def reference_pair_preserving(sigma, pairs):
     """Oracle: scan Aut(sigma) for the elements mapping pairs to pairs."""
-    return sorted(g for g in automorphism_group(sigma).group.elements()
+    return sorted(g for g in elements(automorphism_group(sigma).group)
                   if is_invariant_partition(PermGroup(sigma.n, [g]), pairs))
 
 
@@ -674,7 +718,7 @@ class TestPairPreservingAutomorphisms:
             sigma = named_graph(f"{family}:{n}")
             for _, pairs in sigma_matchings(family, n):
                 got = aut_preserving_partition(sigma, pairs)
-                assert sorted(got.elements()) == \
+                assert sorted(elements(got)) == \
                     reference_pair_preserving(sigma, pairs)
 
     def test_random_graphs_match_scan(self):
@@ -686,7 +730,7 @@ class TestPairPreservingAutomorphisms:
             pairs = BlockSystem.from_blocks(
                 n, [order[i:i + 2] for i in range(0, n, 2)])
             got = aut_preserving_partition(sigma, pairs)
-            assert sorted(got.elements()) == \
+            assert sorted(elements(got)) == \
                 reference_pair_preserving(sigma, pairs)
 
     def test_complete_graph_without_a_scan(self):

@@ -430,8 +430,7 @@ class TestCandidateIsomorphism:
     @pytest.mark.parametrize("token", ["prism:3", "lex:complete:2:cycle:5",
                                        "inf:01:cycle:6:alternate:m2",
                                        "inf:10:prism:3:rungs:m3"])
-    def test_failed_candidate_falls_back_to_the_search(self, monkeypatch,
-                                                       token):
+    def test_bad_map_unclassified(self, monkeypatch, token):
         """A candidate with two images swapped so that it maps some edge
         onto a non-edge: no search rescues it, and the report is the
         unclassified one with the usual diagnostics."""
@@ -517,7 +516,7 @@ class TestOnePathPerGraph:
     computation, and a lex decomposition one more, of the block's
     subgraph, shared by every fibre candidate."""
 
-    def test_motion4_verify_graph_builds_two_paths(self, monkeypatch):
+    def test_motion4_verify_graph_paths_per_form(self, monkeypatch):
         """Two paths for a lex form, one for the paired-fibre form."""
         built = []
         original = graphcore._SourcePath.__init__

@@ -224,11 +224,12 @@ class TestExitCodes:
         assert "KeyError" in err and "planted" in err
 
     def test_search_cap_exits_3(self, capsys, monkeypatch):
+        # the transporter searches of Aut(K6 x K6) take more than 50 nodes
         rook = cartesian_product(complete_graph(6), complete_graph(6))
-        monkeypatch.setenv("SMALLMOTION_CAP", "100")
+        monkeypatch.setenv("SMALLMOTION_CAP", "50")
         code, _, err = run(capsys, "motion", to_graph6(rook))
         assert code == EXIT_CAP
-        assert "SMALLMOTION_CAP=100" in err
+        assert "transporter search" in err and "SMALLMOTION_CAP=50" in err
 
 
 class TestCapVariable:

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (TABLE3, block_system_containing_support,
                      block_systems_all_beta, closure, imprimitive_groups,
                      is_2_transitive, match_table1_row, match_table2_row,
                      match_table4_row, pair_projection, report_by_search,
+                     small_supports_by_collection,
                      subgroups_by_cyclic_joins, two_two_classes)
 from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4,
@@ -66,8 +68,8 @@ def regenerated_groups(draw):
 def witnesses(grp):
     """The minimal-degree, p-cycle and 2^2-classifier witnesses."""
     out = [grp.minimal_degree_witness(), _find_p_cycle(grp, None)]
-    if grp.is_transitive() and \
-            any(map(is_two_two, grp.chain._small_supports(4, False))):
+    if grp.is_transitive() and any(map(
+            is_two_two, small_supports_by_collection(grp.chain, 4, False))):
         out.append(classify_22_group(grp).witness)
     return out
 
@@ -94,7 +96,8 @@ def two_two_groups(seed, count):
     shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (2, 5), (5, 2)]
     pool = (grp for grp in random_wreath_subgroups(random.Random(seed), shapes)
             if grp.is_transitive()
-            and any(map(is_two_two, grp.chain._small_supports(4, False))))
+            and any(map(is_two_two,
+                        small_supports_by_collection(grp.chain, 4, False))))
     return list(itertools.islice(pool, count))
 
 
@@ -140,7 +143,7 @@ class TestConstructors:
     def test_agl_d2_is_affine(self):
         # AGL3(2) contains all 8 translations as a regular normal subgroup
         grp = agl_d2(3)
-        translations = [g for g in grp.elements()
+        translations = [g for g in oracles.elements(grp)
                         if all((g(v) ^ g(0)) == v for v in range(8))]
         assert len(translations) == 8
 
@@ -236,7 +239,7 @@ class TestReferenceSubgroups:
         # every element of Sym(2) wr Sym(m) keeps the pairs, so
         # enumerate_small_subgroup_pairs reads a projection off each
         for m in (2, 3, 4):
-            elements = list(c2_wr_sym(m).elements())
+            elements = list(oracles.elements(c2_wr_sym(m)))
             assert len(elements) == 2 ** m * math.factorial(m)
             assert all(top_part(2, g) == pair_projection(m, g)
                        for g in elements)
@@ -330,7 +333,7 @@ class TestSharedReferences:
             assert shared is pair_references(m)
             assert [(name, ref) for name, ref, _ in shared] == \
                 [(make.__name__, make(m)) for make in PAIR_REFERENCES]
-            assert all(elems == frozenset(ref.elements())
+            assert all(elems == frozenset(oracles.elements(ref))
                        for _, ref, elems in shared)
 
     def test_classifiers_leave_the_references_intact(self):
@@ -358,7 +361,7 @@ class TestSharedReferences:
                     family_order(spec)
         assert [chain_snapshot(ref) for ref in refs] == snapshots
         assert [pair_references(m) for m in (2, 3)] == shared
-        assert all(elems == frozenset(ref.elements())
+        assert all(elems == frozenset(oracles.elements(ref))
                    for table in shared for _, ref, elems in table)
 
     @settings(max_examples=40, deadline=None)
@@ -670,8 +673,8 @@ class TestTwoTwoClassifier:
         rng = random.Random(5)
         with_size2 = 0
         for grp in two_two_groups(5, 150):
-            elems = sorted(filter(is_two_two,
-                                  grp.chain._small_supports(4, False)))
+            elems = sorted(filter(is_two_two, small_supports_by_collection(
+                grp.chain, 4, False)))
             for x in rng.sample(elems, min(3, len(elems))):
                 (a1, a2), _ = x.cycles()
                 pairs = _size2_blocks(grp, x)
@@ -828,7 +831,8 @@ def sandwich_cases(draw):
     cases = []
     if _find_p_cycle(group, None) is not None:
         cases.append((group, classify_p_cycle_group, ()))
-    if any(map(is_two_two, group.chain._small_supports(4, False))):
+    if any(map(is_two_two,
+               small_supports_by_collection(group.chain, 4, False))):
         cases.append((group, classify_22_group, ()))
     return cases
 
@@ -844,8 +848,8 @@ def witness_blocks(draw):
     else:
         group = draw(imprimitive_groups().filter(PermGroup.is_transitive))
     witnesses = [x for x in (_find_p_cycle(group, None), min(filter(
-        is_two_two, group.chain._small_supports(4, False)), default=None))
-                 if x is not None]
+        is_two_two, small_supports_by_collection(group.chain, 4, False)),
+        default=None)) if x is not None]
     assume(witnesses)
     x = draw(st.sampled_from(witnesses))
     return group, tuple(sorted(group._block_closure(x.support()))), x
@@ -972,7 +976,7 @@ def small_relabelled_subgroups(draw):
     while PermGroup(degree, gens).order() > 120:
         gens.pop()
     grp = relabelled(PermGroup(degree, gens), draw(st.integers(0, 2 ** 32)))
-    elements = list(grp.elements())
+    elements = list(oracles.elements(grp))
     draw(st.randoms(use_true_random=False)).shuffle(elements)
     return elements, degree
 
@@ -998,7 +1002,7 @@ class TestSubgroupLattice:
         (sym_group(3), 6), (dihedral_group(4), 10), (alt_group(4), 10),
         (C2_CUBED, 16)])
     def test_all_subgroups_match_subset_scan(self, grp, total):
-        elements = sorted(grp.elements())
+        elements = sorted(oracles.elements(grp))
         assert elements[0].is_identity()
         got = self.checked_subgroups(elements, grp.degree)
         assert len(got) == len(set(got)) == total
@@ -1008,7 +1012,7 @@ class TestSubgroupLattice:
         (c2_wr_sym(3), 98), (sym_group(4), 30), (alt_group(5), 59),
         (dihedral_group(6), 16), (agl1(5), 14)])
     def test_all_subgroups_match_cyclic_joins(self, grp, total):
-        elements = sorted(grp.elements())
+        elements = sorted(oracles.elements(grp))
         got = self.checked_subgroups(elements, grp.degree)
         assert len(got) == len(set(got)) == total
         assert set(got) == subgroups_by_cyclic_joins(elements, grp.degree)
@@ -1030,7 +1034,7 @@ class TestSubgroupLattice:
         order, and without its last step it is the kept sequence of the
         subgroup it generates: each subgroup has one parent in the walk,
         so it is built once."""
-        elements = sorted(grp.elements())
+        elements = sorted(oracles.elements(grp))
         if seed is not None:
             random.Random(seed).shuffle(elements)
         got = _all_subgroups(elements, grp.degree)
@@ -1044,7 +1048,7 @@ class TestSubgroupLattice:
     @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)],
                              ids=["no_identity", "not_closed"])
     def test_element_list_must_be_a_group(self, cut):
-        elements = sorted(sym_group(4).elements())[cut]
+        elements = sorted(oracles.elements(sym_group(4)))[cut]
         with pytest.raises(RuntimeError,
                            match="subgroup closure leaves the element set"):
             _all_subgroups(elements, 4)
@@ -1094,7 +1098,7 @@ class TestPairEnumeration:
             xs_of.setdefault(y_elems, []).append(x_elems)
         for y_elems, xs in xs_of.items():
             y = PermGroup(2 * m, sorted(y_elems))
-            closures = {frozenset(y.normal_closure(x).elements())
+            closures = {frozenset(oracles.elements(y.normal_closure(x)))
                         for x in y_elems if is_two_two(x) and
                         top_part(2, x).cycle_type() == (2,)}
             assert len(xs) == len(closures) and set(xs) == closures

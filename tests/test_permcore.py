@@ -9,16 +9,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (block_system_by_orbit, block_systems_all_beta, closure,
-                     count_base_changes,
+                     count_base_changes, elements,
                      imprimitive_groups, is_2_transitive,
                      is_invariant_partition, least_witnesses_by_scan,
                      minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
-                     random_element, reduce_generators)
+                     random_element, reduce_generators, relabel,
+                     small_supports_by_collection, witnesses_by_collection)
 from smallmotion import permcore
 from smallmotion.autengine import automorphism_group
+from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.graphcore import Graph
-from smallmotion.grouptables import (_find_p_cycle, agl1, agl_d2, alt_group,
+from smallmotion.grouptables import (_find_p_cycle, _two_two_classes, agl1,
+                                     agl_d2, alt_group,
                                      classify_22_group, cyclic_group,
                                      dihedral_group, pgl2, pgl3_2, psl2,
                                      sym_group)
@@ -186,9 +189,9 @@ class TestPermutation:
                 assert p == e and type(p.images) is tuple
             grp = PermGroup(n, [e])
             assert grp.order() == 1
-            assert list(grp.elements()) == [e]
+            assert list(elements(grp)) == [e]
             assert e in grp
-        assert list(PermGroup(1, []).chain_with_base([0]).elements()) == \
+        assert list(elements(PermGroup(1, []).chain_with_base([0]))) == \
             [Permutation([0])]
 
     def test_outside_input_is_validated(self):
@@ -256,7 +259,7 @@ class TestStabilizerChain:
         for _ in range(10):
             n = rng.randint(3, 6)
             grp = random_group(rng, n)
-            assert set(grp.elements()) == closure(n, grp.generators)
+            assert set(elements(grp)) == closure(n, grp.generators)
 
     @pytest.mark.parametrize("grp", [
         sym_group(5),
@@ -265,11 +268,11 @@ class TestStabilizerChain:
     ], ids=["S5", "S3wrS2", "AGL1(7)"])
     def test_elements_order_matches_product_loop(self, grp):
         want = list(reference_elements(grp.chain))
-        assert list(grp.elements()) == want
+        assert list(elements(grp)) == want
         assert len(want) == grp.order()
         chain = grp.chain_with_base([2])
         assert chain.base[0] == 2
-        assert list(chain.elements()) == list(reference_elements(chain))
+        assert list(elements(chain)) == list(reference_elements(chain))
 
     @settings(max_examples=60, deadline=None)
     @given(small_groups())
@@ -295,7 +298,7 @@ class TestStabilizerChain:
                             Permutation.from_cycles(7, [list(range(7))])])
         monkeypatch.setenv("SMALLMOTION_CAP", "100")
         with pytest.raises(CapExceededError):
-            list(grp.elements())
+            list(elements(grp))
 
 
 class TestOrbitsAndBlocks:
@@ -397,7 +400,7 @@ class TestOrbitsAndBlocks:
             if not grp.is_transitive():
                 continue
             tested += 1
-            elems = list(grp.elements())
+            elems = list(elements(grp))
             want = set()
             for size in range(2, n):
                 if n % size:
@@ -507,7 +510,7 @@ class TestStabilizers:
             elems = closure(n, grp.generators)
             pt = rng.randrange(n)
             want = sorted(e for e in elems if e(pt) == pt)
-            assert sorted(grp.pointwise_stabilizer([pt]).elements()) == want
+            assert sorted(elements(grp.pointwise_stabilizer([pt]))) == want
 
     def test_pointwise_stabilizer_oracle(self):
         rng = random.Random(13)
@@ -527,7 +530,7 @@ class TestStabilizers:
                 want = sorted(e for e in elems
                               if all(e(p) == p for p in pts))
                 stab = grp.pointwise_stabilizer(pts)
-                assert sorted(stab.elements()) == want
+                assert sorted(elements(stab)) == want
                 if all(g(p) == p for g in grp.generators for p in pts):
                     assert stab is grp
 
@@ -741,7 +744,7 @@ class TestStabilizers:
             pts = rng.sample(range(n), rng.randint(2, n - 1))
             if is_block(grp, pts):
                 stab = grp.block_stabilizer(pts)
-                assert sorted(stab.elements()) == \
+                assert sorted(elements(stab)) == \
                     reference_setwise_stabilizer(elems, pts)
             else:
                 with pytest.raises(ValueError):
@@ -759,7 +762,7 @@ class TestNormalClosure:
             grp = random_group(rng, n)
             elems = sorted(closure(n, grp.generators))
             x = elems[rng.randrange(len(elems))]
-            got = set(grp.normal_closure(x).elements())
+            got = set(elements(grp.normal_closure(x)))
             # oracle: close {x} under conjugation by all elements, then group
             conj = {x.conjugate(g) for g in elems}
             want = closure(n, sorted(conj))
@@ -779,7 +782,7 @@ class TestNormalClosure:
         kept += [grp.normal_closure(x) for x in extra[:2]]
         kept += block_stabilizers(grp)
         probes = extra + list(grp.generators) + \
-            list(itertools.islice(grp.elements(), 200))
+            list(itertools.islice(elements(grp), 200))
         for sub in kept:
             assert sub._chain is not None
             rebuilt = PermGroup(n, sub.generators)
@@ -824,15 +827,17 @@ class TestMinimalDegree:
     def test_small_support_elements_match_filtered_elements(self, sample,
                                                             bound):
         grp, _ = sample
-        want = sorted(g for g in grp.elements()
+        want = sorted(g for g in elements(grp)
                       if 0 < len(g.support()) <= bound)
-        assert grp.chain._small_supports(bound, False) == want
+        assert small_supports_by_collection(grp.chain, bound, False) == want
+        walked = [Permutation(h) for _, h in grp.chain._by_image([bound])]
+        assert walked == want
 
     def test_search_tables_are_built_once_per_chain(self, monkeypatch):
         """_find_p_cycle(p=None) tries the primes 2, 3, 5, 7 on C7 with one
         build of the search tables (one union-find forest, whose roots are
         the orbit ids); a chain that grows drops them, and a level's table
-        is built on first use."""
+        is built on first use, from the walk's descent root on."""
         c7 = PermGroup(7, [Permutation.from_cycles(7, [list(range(7))])])
         forests = []
         original = permcore._root
@@ -846,18 +851,20 @@ class TestMinimalDegree:
         assert _find_p_cycle(c7, None).cycle_type() == (7,)
         assert len(forests) == len(c7.chain.base) == 1
         tables = c7.chain._tables
-        assert c7.chain._small_supports(2, False) == []
+        assert list(c7._least_supports(2)) == []
         assert c7.chain._tables is tables and len(forests) == 1
         assert c7.chain.extend(Permutation.from_cycles(7, [[0, 1]]))
         assert c7.chain._tables is None
-        assert len(c7.chain._small_supports(2, False)) == 21   # Sym(7)
-        # a least-support search of a transitive group walks G_0 alone,
-        # so level 0's table is built only once a full search reads it
+        assert len(list(c7.chain._by_image([2]))) == 21   # Sym(7)
+        # the walk for bound 2 starts at the last level, whose orbit is
+        # the first of at most 2 points, so only its table is built until
+        # a walk from the root reads the others
         s5 = sym_group(5)
+        assert s5.chain.base == [0, 1, 2, 3]
         assert s5.minimal_degree() == 2
-        assert s5.chain._tables[0] is None
-        assert None not in s5.chain._tables[1:]
-        assert len(s5.chain._small_supports(2, False)) == 10
+        assert s5.chain._tables[:3] == [None] * 3
+        assert s5.chain._tables[3] is not None
+        assert len(list(s5.chain._by_image([2]))) == 10
         assert None not in s5.chain._tables
 
     @settings(max_examples=60, deadline=None)
@@ -887,9 +894,13 @@ class TestMinimalDegree:
                         n, chain._level_gens(d + 1)).orbits())
 
     def test_search_nodes_are_capped(self, monkeypatch):
-        monkeypatch.setenv("SMALLMOTION_CAP", "100")
-        with pytest.raises(CapExceededError, match="SMALLMOTION_CAP=100"):
-            sym_group(8).minimal_degree()
+        """AGL1(23) walks from its root, as every orbit has more points
+        than a strong generator moves; Sym(8) walks its last level only
+        and trips no cap."""
+        monkeypatch.setenv("SMALLMOTION_CAP", "10")
+        with pytest.raises(CapExceededError, match="SMALLMOTION_CAP=10"):
+            agl1(23).minimal_degree()
+        assert sym_group(8).minimal_degree() == 2
 
 
 PRIMITIVE_SAMPLES = [sym_group(5), alt_group(5), alt_group(6), agl1(5),
@@ -936,17 +947,17 @@ def searched_witnesses(grp):
     assert _find_p_cycle(grp, None) == \
         next((x for x in cycles if x is not None), None)
     out = [grp.minimal_degree_witness()] + cycles
-    if grp.is_transitive() and \
-            any(map(is_two_two, grp.chain._small_supports(4, False))):
+    if grp.is_transitive() and any(map(
+            is_two_two, small_supports_by_collection(grp.chain, 4, False))):
         out.append(classify_22_group(grp).witness)
     return out
 
 
 class TestPointStabilizerSearch:
-    """The minimal-support searches of a transitive group with a non-trivial
-    point stabilizer G_0 walk G_0 alone; each answer equals a scan of all
-    elements, on groups where the cut applies and on groups where it must
-    not (G_0 trivial, or the group intransitive)."""
+    """The minimal-support searches walk from the first level whose basic
+    orbit has at most the bound's points; each answer equals a scan of all
+    elements, on groups where that root is deep and on groups where it is
+    level 0 (G_0 trivial, or the group intransitive)."""
 
     @staticmethod
     def check(grp):
@@ -974,20 +985,145 @@ class TestPointStabilizerSearch:
         self.check(grp)
 
     def test_transitive_search_lists_only_the_stabilizer(self):
+        """PGL2(7) on 8 points has basic orbits of 8, 7 and 6 points, so
+        the walk for bound 4, 6, 7 and 8 starts at level 3, 2, 1 and 0:
+        it lists the elements of that level's stabilizer."""
         grp = relabelled(pgl2(7), 3)
-        assert grp.chain.base[0] == 0
-        for bound in (4, 6, 7):
-            assert grp._least_supports(bound) == [
-                g for g in grp.chain._small_supports(bound, False)
-                if g(0) == 0]
-        assert len(grp._least_supports(8)) == len(
-            grp.chain._small_supports(8, False)) == grp.order() - 1
+        base = grp.chain.base
+        assert [len(t) for t in grp.chain._transversal] == [8, 7, 6]
+        for bound, root in ((4, 3), (6, 2), (7, 1), (8, 0)):
+            assert list(grp._least_supports(bound)) == [
+                g for g in small_supports_by_collection(grp.chain, bound,
+                                                        False)
+                if all(g(b) == b for b in base[:root])]
+        assert len(list(grp._least_supports(8))) == grp.order() - 1
 
 
 def relabelled(grp, seed):
     rng = random.Random(seed)
     f = random_perm(rng, grp.degree)
     return PermGroup(grp.degree, [g.conjugate(f) for g in grp.generators])
+
+
+def mathieu_group(n):
+    """M11, M12, M23 or M24 on the generators of ROADMAP 2.2 (1-based)."""
+    cycles = {11: [[(3, 7, 11, 8), (4, 10, 5, 6)]],
+              12: [[(3, 7, 11, 8), (4, 10, 5, 6)],
+                   [(1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10)]],
+              23: [[(3, 17, 10, 7, 9), (4, 13, 14, 19, 5),
+                    (8, 18, 11, 12, 23), (15, 20, 22, 21, 16)]],
+              24: [[(3, 17, 10, 7, 9), (4, 13, 14, 19, 5),
+                    (8, 18, 11, 12, 23), (15, 20, 22, 21, 16)],
+                   [(1, 24), (2, 23), (3, 12), (4, 16), (5, 18), (6, 10),
+                    (7, 20), (8, 14), (9, 21), (11, 17), (13, 22),
+                    (15, 19)]]}[n]
+    long_cycle = [tuple(range(1, n - (n in (12, 24)) + 1))]
+    return PermGroup(n, [Permutation.from_cycles(
+        n, [[x - 1 for x in c] for c in gen]) for gen in [long_cycle] + cycles])
+
+
+@st.composite
+def walk_groups(draw):
+    """A relabelled imprimitive, primitive, wreath or intransitive group."""
+    kind = draw(st.sampled_from(["imprimitive", "primitive", "wreath",
+                                 "intransitive"]))
+    if kind == "imprimitive":
+        return draw(imprimitive_groups())
+    if kind == "primitive":
+        return draw(primitive_samples())
+    if kind == "intransitive":
+        return draw(intransitive_groups())
+    inner, k = draw(st.sampled_from([(cyclic_group(3), 2), (sym_group(3), 2),
+                                     (agl1(5), 2), (dihedral_group(4), 2),
+                                     (cyclic_group(2), 3), (sym_group(2), 4)]))
+    grp = wreath_product(inner, sym_group(k))
+    return conjugated(grp, draw(st.permutations(range(grp.degree))))
+
+
+class TestLeastFirstWalk:
+    """The walk on a lex-compatible chain meets elements in increasing
+    image tuple, and its readers give the answers of the collecting walk
+    over the whole group."""
+
+    @staticmethod
+    def assert_same_as_collection(grp):
+        if not grp.is_trivial():
+            assert [grp.minimal_degree_witness(), _find_p_cycle(grp, None),
+                    _two_two_classes(grp)] == witnesses_by_collection(grp)
+
+    @settings(max_examples=120, deadline=None)
+    @given(walk_groups())
+    def test_readers_match_the_collecting_walk(self, grp):
+        self.assert_same_as_collection(grp)
+
+    def test_relabelled_corpus_graphs_match_the_collecting_walk(self):
+        rng = random.Random(42)
+        spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
+                          inf_ms=(2,), lex_thetas=("complete:2",))
+        checked = 0
+        for _, graph in corpus_generators(spec):
+            group = automorphism_group(
+                relabel(graph, random_perm(rng, graph.n))).group
+            if group.order() <= 20_000:
+                self.assert_same_as_collection(group)
+                checked += 1
+        assert checked >= 25
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups())
+    def test_walk_from_the_root_is_in_image_order(self, sample):
+        grp, _ = sample
+        walked = [h for _, h in grp.chain._by_image([grp.degree], 0)]
+        assert all(a < b for a, b in zip(walked, walked[1:]))
+        assert walked == sorted(g.images for g in elements(grp)
+                                if not g.is_identity())
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups(), small_graphs())
+    def test_every_chain_is_lex_compatible(self, sample, graph):
+        """Chains of ``PermGroup.chain``, of normal closures, grown by
+        ``extend``, and of automorphism groups on their first path."""
+        grp, extra = sample
+        grown = StabilizerChain(grp.degree, [])
+        for g in list(grp.generators) + extra:
+            grown.extend(g)
+        chains = [grp.chain, grown, automorphism_group(graph).group.chain]
+        chains += [grp.normal_closure(x).chain for x in extra[:2]]
+        assert all(chain._lex_compatible() for chain in chains)
+
+    def test_other_prefixes_walk_a_lex_chain(self, monkeypatch):
+        """A chain on another prefix fails the check, and the walk runs
+        on a chain built from its strong generators with no prefix."""
+        grp = agl1(7)
+        other = PermGroup(7, grp.generators)
+        other._chain = grp.chain_with_base([3])
+        assert not other.chain._lex_compatible()
+        built = []
+        original = StabilizerChain.__init__
+
+        def recording(self, degree, generators, prefix=(), order=None):
+            original(self, degree, generators, prefix, order)
+            built.append((tuple(prefix), self._lex_compatible(), order))
+
+        monkeypatch.setattr(StabilizerChain, "__init__", recording)
+        assert other.minimal_degree_witness() == grp.minimal_degree_witness()
+        assert built == [((), True, 42)]
+
+    @pytest.mark.parametrize("make, want", [
+        *[(lambda m=m: sym_group(m), 2) for m in (2, 5, 9, 12)],
+        *[(lambda m=m: alt_group(m), 3) for m in (3, 6, 9, 12)],
+        *[(lambda p=p: agl1(p), p - 1) for p in (5, 13, 23)],
+        *[(lambda p=p: psl2(p), p - 1) for p in (5, 13, 23)],
+        *[(lambda p=p: pgl2(p), p - 1) for p in (5, 13, 23)],
+        *[(lambda d=d: agl_d2(d), 2 ** (d - 1)) for d in (2, 3, 4)],
+        *[(lambda n=n: mathieu_group(n), mindeg)
+          for n, mindeg in ((11, 8), (12, 8), (23, 16), (24, 16))]])
+    def test_closed_form_minimal_degrees(self, make, want):
+        assert make().minimal_degree() == want
+
+    def test_mathieu_orders(self):
+        assert [mathieu_group(n).order() for n in (11, 12, 23, 24)] == \
+            [7_920, 95_040, 10_200_960, 244_823_040]
 
 
 def regular_group(elements, multiply):
@@ -1018,7 +1154,7 @@ def assert_isomorphism(g1, g2, result):
         assert x.conjugate(f) == phi[x] and phi[x] in g2
 
 
-PAIR_AMBIENTS = [sorted(grp.elements()) for grp in (
+PAIR_AMBIENTS = [sorted(elements(grp)) for grp in (
     sym_group(4), agl1(7), wreath_product(sym_group(2), sym_group(3)),
     wreath_product(sym_group(3), sym_group(2)))]
 
@@ -1118,7 +1254,7 @@ class TestPermutationIsomorphic:
         c8c2 = PermGroup(16, [
             Permutation.from_cycles(16, [list(range(8)), list(range(8, 16))]),
             Permutation([(i + 8) % 16 for i in range(16)])])
-        d4 = regular_group(sorted(dihedral_group(4).elements()),
+        d4 = regular_group(sorted(elements(dihedral_group(4))),
                            lambda x, y: x * y)
         q8 = regular_group([(s, c) for s in (1, -1) for c in "1ijk"],
                            quaternion_product)
@@ -1141,14 +1277,14 @@ class TestCapVariable:
         sym4 = sym_group(4)
         monkeypatch.setenv("SMALLMOTION_CAP", "5")
         with pytest.raises(CapExceededError):
-            list(sym4.elements())
+            list(elements(sym4))
         monkeypatch.setenv("SMALLMOTION_CAP", "24")
-        assert len(list(sym4.elements())) == 24
+        assert len(list(elements(sym4))) == 24
 
     def test_element_cap_error_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("SMALLMOTION_CAP", "10")
         with pytest.raises(CapExceededError) as info:
-            list(sym_group(5).elements())
+            list(elements(sym_group(5)))
         assert str(info.value) == \
             "group order 120 exceeds cap SMALLMOTION_CAP=10"
 
@@ -1156,7 +1292,7 @@ class TestCapVariable:
         for bad in ("abc", "0", "-3", ""):
             monkeypatch.setenv("SMALLMOTION_CAP", bad)
             with pytest.raises(ValueError, match="SMALLMOTION_CAP"):
-                list(sym_group(3).elements())
+                list(elements(sym_group(3)))
 
 
 class TestTextFormats:
@@ -1175,5 +1311,5 @@ class TestTextFormats:
         for _ in range(10):
             n = rng.randint(3, 6)
             grp = random_group(rng, n, ngens=4)
-            reduced = reduce_generators(n, grp.elements())
+            reduced = reduce_generators(n, elements(grp))
             assert PermGroup(n, reduced.generators).order() == grp.order()
