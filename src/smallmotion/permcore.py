@@ -16,7 +16,7 @@ import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -238,17 +238,26 @@ class StabilizerChain:
     its pointwise stabilizer; one that fixes the prefix is filed at the
     least point it moves, which joins the base past the prefix in order,
     so chains with no prefix or the [0] of ``PermGroup.chain`` are
-    lex-compatible.  ``_transversal[l]`` maps each point x of the level-l
-    basic orbit to the images of an element sending base[l] to x, and
-    ``_inverses[l]`` to the images of its inverse, built from the inverse
-    each strong generator keeps in ``_gen_inverses`` from the time it is
-    filed.  The generators are closed by deterministic Schreier-Sims.
-    Given the group's ``order``, every level's transversal is computed
-    first and the closure stops once the basic orbits multiply to it
-    (Seress, Permutation Group Algorithms, section 4.3): that product never
-    passes the order of the group filed, so reaching it proves the chain
-    complete, and generators already strong for the base strip no Schreier
-    generator.  A closure that ends at another order raises RuntimeError.
+    lex-compatible.  Each level's basic orbit is searched breadth first
+    over the level's generators, and ``_orbits[l]`` is a dict keyed by it
+    in the order reached.  ``_composed(l)`` gives two dicts by its points
+    x: the images of the transversal element sending base[l] to x, and
+    those of its inverse, built from the inverse each strong generator
+    keeps in ``_gen_inverses`` from the time it is filed.  A level that
+    the closure of a chain not told its order reads has them composed by
+    its search; any other keeps only a Schreier vector in ``_vectors[l]``
+    (Seress, Permutation Group Algorithms, section 4.1): for each point
+    the point it was first reached from and the index of the generator
+    that reached it, among the generators of that search.  Its elements
+    are composed when a reader first scans the level, and kept;
+    ``_element`` walks the vector for one.
+    The generators are closed by deterministic Schreier-Sims.  Given the
+    group's ``order``, every level's orbit is searched first and the
+    closure stops once the basic orbits multiply to it (Seress, section
+    4.3): that product never passes the order of the group filed, so
+    reaching it proves the chain complete, and generators already strong
+    for the base strip no Schreier generator.  A closure that ends at
+    another order raises RuntimeError.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -258,8 +267,10 @@ class StabilizerChain:
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
         self._gen_inverses: list[list] = []     # _then of each inverse
-        self._transversal: list[dict[int, tuple]] = []
-        self._inverses: list[dict[int, tuple]] = []
+        self._transversal: list[Optional[dict[int, tuple]]] = []
+        self._inverses: list[Optional[dict[int, tuple]]] = []
+        self._vectors: list[Optional[tuple]] = []   # (tree, gens, left_inv)
+        self._orbits: list[dict] = []   # the vector's tree or _transversal
         self._tables: Optional[list] = None     # of _levels
         self._pinned = len(prefix)
         for point in prefix:
@@ -271,7 +282,7 @@ class StabilizerChain:
                 self._insert(g)
         if order is not None:       # the closure fills the deepest level
             for level in range(len(self.base) - 1):
-                self._recompute_transversal(level)
+                self._recompute_transversal(level, False)
         self._schreier_sims(len(self.base) - 1, order)
         if order is not None and self.order() != order:
             raise RuntimeError(f"chain of order {self.order()}, "
@@ -297,6 +308,8 @@ class StabilizerChain:
         self._gen_inverses.insert(at, [])
         self._transversal.insert(at, {})
         self._inverses.insert(at, {})
+        self._vectors.insert(at, None)
+        self._orbits.insert(at, {})
 
     def _insert(self, g: Permutation) -> int:
         """File g at the first pinned base point it moves, else at the least
@@ -324,12 +337,30 @@ class StabilizerChain:
     def _level_gens(self, level: int) -> list[Permutation]:
         return [g for lvl in range(level, len(self._gens)) for g in self._gens[lvl]]
 
-    def _recompute_transversal(self, level: int) -> None:
+    def _recompute_transversal(self, level: int, compose: bool) -> None:
+        """Search the level's basic orbit breadth first.  With ``compose``
+        each transversal element and its inverse are built as their point
+        is reached; else only the Schreier vector is kept: its tree maps
+        base[level] to None and each other point y to (x, k), y the image
+        of x under generator k of this search, in the order reached."""
         b = self.base[level]
         gens = [g.images for g in self._level_gens(level)]
         # (t * s)^-1 = s^-1 * t^-1
         left_inv = [f for lvl in range(level, len(self._gen_inverses))
                     for f in self._gen_inverses[lvl]]
+        if not compose:
+            tree = {b: None}
+            queue = [b]
+            for x in queue:
+                for k, s in enumerate(gens):
+                    y = s[x]
+                    if y not in tree:
+                        tree[y] = (x, k)
+                        queue.append(y)
+            self._vectors[level] = (tree, gens, left_inv)
+            self._transversal[level] = self._inverses[level] = None
+            self._orbits[level] = tree
+            return
         trans = {b: self._identity}
         inverses = {b: self._identity}
         frontier = [b]
@@ -345,8 +376,44 @@ class StabilizerChain:
                         inverses[y] = s_inv_then(inv_x)
                         nxt.append(y)
             frontier = nxt
-        self._transversal[level] = trans
+        self._transversal[level] = self._orbits[level] = trans
         self._inverses[level] = inverses
+        self._vectors[level] = None
+
+    def _composed(self, level: int) -> tuple[dict, dict]:
+        """The level's transversal and inverses by point, composed from its
+        Schreier vector in search order on first call and kept."""
+        if self._transversal[level] is None:
+            tree, gens, left_inv = self._vectors[level]
+            trans, inverses = {}, {}
+            parent = then_x = None
+            for y, step in tree.items():
+                if step is None:
+                    trans[y] = inverses[y] = self._identity
+                    continue
+                x, k = step
+                if x != parent:     # the children of x come together
+                    parent, then_x = x, _then(trans[x])
+                trans[y] = then_x(gens[k])
+                inverses[y] = left_inv[k](inverses[x])
+            self._transversal[level], self._inverses[level] = trans, inverses
+        return self._transversal[level], self._inverses[level]
+
+    def _element(self, level: int, x: int) -> tuple[tuple, tuple]:
+        """(t, t^-1) for the level's transversal element t sending
+        base[level] to x: read off a composed level, else composed along
+        the Schreier vector's path from base[level] to x."""
+        if self._transversal[level] is not None:
+            return self._transversal[level][x], self._inverses[level][x]
+        tree, gens, left_inv = self._vectors[level]
+        path = []
+        while tree[x] is not None:
+            x, k = tree[x]
+            path.append(k)
+        t = inv = self._identity
+        for k in reversed(path):
+            t, inv = _then(t)(gens[k]), left_inv[k](inv)
+        return t, inv
 
     def _strip(self, g: tuple, level: int) -> tuple:
         """The residue of the images g sifted through the levels from
@@ -355,7 +422,7 @@ class StabilizerChain:
         for i in range(level, len(base)):
             if g[base[i]] == base[i]:    # the transversal's identity entry
                 continue
-            t_inv = inverses[i].get(g[base[i]])
+            t_inv = (inverses[i] or self._composed(i)[1]).get(g[base[i]])
             if t_inv is None:
                 return g
             g = _then(g)(t_inv)
@@ -368,12 +435,12 @@ class StabilizerChain:
         multiply to it."""
         i = level
         while i >= 0:
-            self._recompute_transversal(i)
+            self._recompute_transversal(i, order is None)
             if self.order() == order:
                 return
             gens = [g.images for g in self._level_gens(i)]
             then_gens = [_then(s) for s in gens]
-            trans, inverses = self._transversal[i], self._inverses[i]
+            trans, inverses = self._composed(i)
             new_level = None
             for x in sorted(trans):
                 then_x = _then(trans[x])
@@ -392,10 +459,7 @@ class StabilizerChain:
                 i = new_level
 
     def order(self) -> int:
-        n = 1
-        for trans in self._transversal:
-            n *= len(trans)
-        return n
+        return prod(map(len, self._orbits))
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -417,7 +481,7 @@ class StabilizerChain:
         for d in reversed(range(first, len(self.base))):
             if self._tables[d] is None:
                 self._tables[d] = (
-                    {x: _then(t) for x, t in self._transversal[d].items()},
+                    {x: _then(t) for x, t in self._composed(d)[0].items()},
                     tuple(_root(parent, q) for q in range(self.degree)))
             for g in self._gens[d]:
                 for q, r in enumerate(g.images):
@@ -474,6 +538,7 @@ class StabilizerChain:
         def visit(u: tuple, d: int) -> bool:    # u[i] = h^-1(b_i)
             if u == src or d == len(levels):
                 return u == src                 # the identity of G_d
+            # _levels() composed every level
             inverses, oid, b = self._inverses[d], levels[d][1], self.base[d]
             for x in ([u[src.index(b)]] if b in src else inverses):
                 t_inv = inverses.get(x)
@@ -577,11 +642,10 @@ class PermGroup:
                                           self.generators)))
 
     def is_transitive(self) -> bool:
-        """Is the chain's level-0 transversal, the orbit of base[0], every
+        """Is the chain's level-0 basic orbit, that of base[0], every
         point?  A chain with no base belongs to a trivial group."""
         chain = self.chain
-        return self.degree == (len(chain._transversal[0]) if chain.base
-                               else 1)
+        return self.degree == (len(chain._orbits[0]) if chain.base else 1)
 
     # -- blocks -----------------------------------------------------------
 
@@ -640,9 +704,10 @@ class PermGroup:
 
     def mover(self, a: int, b: int) -> Permutation:
         """t_a^-1 * t_b, taking a to b: t_x is the element of the chain's
-        level-0 transversal taking base[0] to x."""
+        level-0 transversal taking base[0] to x, walked up the level's
+        Schreier vector unless the level is composed."""
         chain = self.chain
-        return _trusted(_then(chain._inverses[0][a])(chain._transversal[0][b]))
+        return _trusted(_then(chain._element(0, a)[1])(chain._element(0, b)[0]))
 
     def is_primitive(self) -> bool:
         """No block system; error on an intransitive group."""
@@ -672,13 +737,14 @@ class PermGroup:
             raise ValueError(f"{sorted(blk)} is not a block of the group")
         b0 = min(blk)
         chain = self.chain_with_base([b0])
-        trans = chain._transversal[0]
-        reached = [b for b in sorted(blk) if b in trans]    # b0 first
-        gens = chain._level_gens(1) + [_trusted(trans[b]) for b in reached[1:]]
+        orbit0 = chain._orbits[0]
+        reached = [b for b in sorted(blk) if b in orbit0]    # b0 first
+        gens = chain._level_gens(1) + [_trusted(chain._element(0, b)[0])
+                                       for b in reached[1:]]
         group = PermGroup(self.degree, gens)
         group._chain = StabilizerChain(
             self.degree, gens, chain.base,
-            order=self.order() // len(trans) * len(reached))
+            order=self.order() // len(orbit0) * len(reached))
         return group
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
@@ -729,8 +795,8 @@ class PermGroup:
         if not chain._lex_compatible():
             chain = StabilizerChain(self.degree, chain._level_gens(0),
                                     order=self.order())
-        root = next((lvl for lvl, trans in enumerate(chain._transversal)
-                     if len(trans) <= bound[0]), len(chain.base))
+        root = next((lvl for lvl, orbit in enumerate(chain._orbits)
+                     if len(orbit) <= bound[0]), len(chain.base))
         return chain._by_image(bound, root)
 
     def _least_supports(self, bound: int) -> Iterator[Permutation]:

@@ -10,8 +10,9 @@ search of the whole group, the decomposition that tries the lex forms
 before the paired-fibre form, the decomposition that proves every round
 trip by a search, the paired-fibre bits found by fibre searches, the
 block system as the orbit of a block, the lex and paired-fibre builds
-from edge lists, the minimal-support walk that collects and sorts, and
-the product-order enumeration of all elements."""
+from edge lists, the minimal-support walk that collects and sorts,
+the product-order enumeration of all elements, and the breadth-first search
+that composes every transversal element as it reaches its point."""
 
 import functools
 import itertools
@@ -245,8 +246,8 @@ def elements(group, cap=None):
     if cap is not None and chain.order() > cap:
         raise CapExceededError(f"group order {chain.order()} exceeds cap "
                                f"SMALLMOTION_CAP={cap}")
-    levels = [[trans[x] for x in sorted(trans)]
-              for trans in reversed(chain._transversal)]
+    levels = [[trans[x] for x in sorted(trans)] for trans, _ in
+              map(chain._composed, reversed(range(len(chain.base))))]
 
     def walk(prefix: tuple, depth: int):
         if depth == len(levels):
@@ -349,11 +350,34 @@ def reduce_generators(degree: int, elements) -> PermGroup:
     return group
 
 
+def transversal_by_bfs(chain: StabilizerChain, level: int) -> tuple:
+    """The level's transversal and inverses, each a dict by point in
+    search order, from a breadth-first search that composes each element
+    t_y = t_x * s, and inverts it, as it reaches y from x by generator s:
+    over the generators the level's Schreier vector was searched with, or
+    the level's own when the chain composed it as it searched."""
+    vector = chain._vectors[level]
+    gens = vector[1] if vector else [g.images
+                                     for g in chain._level_gens(level)]
+    b, ident = chain.base[level], chain._identity
+    trans, inverses = {b: ident}, {b: ident}
+    queue = [b]
+    for x in queue:
+        for s in gens:
+            y = s[x]
+            if y not in trans:
+                t = Permutation(trans[x]) * Permutation(s)
+                trans[y], inverses[y] = t.images, t.inverse().images
+                queue.append(y)
+    return trans, inverses
+
+
 def random_element(chain: StabilizerChain, rng) -> Permutation:
     """A uniform random element of the chain's group: one random entry of
     each transversal, multiplied up the levels."""
     g = chain._identity
-    for trans in chain._transversal:
+    for level in range(len(chain.base)):
+        trans = chain._composed(level)[0]
         g = _then(trans[rng.choice(list(trans))])(g)
     return _trusted(g)
 
@@ -1053,7 +1077,7 @@ def _block_transversal(group: PermGroup, bs: BlockSystem) -> list[Permutation]:
     at the block's least point in a's orbit, of the chain
     ``group.chain_with_base([a])`` that ``block_stabilizer`` reads too."""
     chain = group.chain_with_base([min(bs.blocks[0])])
-    inverses = chain._inverses[0]
+    inverses = chain._composed(0)[1]
     points = [next((x for x in blk if x in inverses), None) for blk in bs.blocks]
     if None in points:
         raise ValueError("group is not transitive on the blocks")

@@ -8,9 +8,14 @@ the per-criterion pass/fail listing.
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import smallmotion
 from oracles import (automorphism_group_brute, embed_imprimitive, has_edge,
                      inf_grid, inf_is_vertex_transitive_predicted,
                      inf_motion2_predicted, minimal_degree_full_scan, motion,
@@ -281,11 +286,28 @@ M24_CYCLES = ([tuple(range(1, 24))],
               [(1, 24), (2, 23), (3, 12), (4, 16), (5, 18), (6, 10), (7, 20),
                (8, 14), (9, 21), (11, 17), (13, 22), (15, 19)])
 
+# Aut chains with about n levels; a basic orbit of n - l points each
+DEEP_CHAIN_TOKENS = ("empty:450", "complete:300", "prism:300")
+
+
+def peak_rss_run(*args: str) -> dict:
+    """``tests/peak_rss.py`` on the CLI with args in a fresh interpreter:
+    its exit code, wall time and peak RSS, unmixed with this process's
+    other children."""
+    src = str(Path(smallmotion.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("peak_rss.py")), "--",
+         sys.executable, "-m", "smallmotion.cli", *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    return json.loads(proc.stdout)
+
 
 def test_criterion_11_desk_scale_motion():
     """Structured motion and classify of graphs with 120 to 480 vertices
     and |Aut| up to 2 * 100!, each within 10 s; M24's minimal degree
-    within 1 s."""
+    within 1 s; structured classify of graphs whose Aut chain has 300 to
+    450 levels, in a subprocess, within 10 s and under 200 MB peak RSS."""
     failures = []
     for token in DESK_SCALE_TOKENS:
         for command in ("motion", "classify"):
@@ -301,4 +323,8 @@ def test_criterion_11_desk_scale_motion():
         mindeg = m24.minimal_degree()
     if mindeg != 16:
         failures.append(f"M24 minimal degree {mindeg}")
+    for token in DEEP_CHAIN_TOKENS:
+        run = peak_rss_run("--format", "structured", "classify", token)
+        if run["exit"] or run["seconds"] >= 10 or run["peak_mb"] >= 200:
+            failures.append(f"classify {token}: {run}")
     report(11, not failures, ", ".join(failures))

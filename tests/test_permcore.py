@@ -15,10 +15,11 @@ from oracles import (block_system_by_orbit, block_systems_all_beta, closure,
                      minimal_degree_full_scan,
                      permutation_isomorphic_backtrack, power,
                      random_element, reduce_generators, relabel,
-                     small_supports_by_collection, witnesses_by_collection)
+                     small_supports_by_collection, transversal_by_bfs,
+                     witnesses_by_collection)
 from smallmotion import permcore
-from smallmotion.autengine import automorphism_group
-from smallmotion.classify import CorpusSpec, corpus_generators
+from smallmotion.autengine import automorphism_group, motion_witness
+from smallmotion.classify import CorpusSpec, corpus_generators, named_graph
 from smallmotion.graphcore import Graph
 from smallmotion.grouptables import (_find_p_cycle, _two_two_classes, agl1,
                                      agl_d2, alt_group,
@@ -57,7 +58,7 @@ def small_groups(draw):
 def reference_elements(chain):
     """Element order of the level-by-level product loop."""
     levels = [[Permutation(trans[x]) for x in sorted(trans)]
-              for trans in chain._transversal]
+              for trans, _ in map(chain._composed, range(len(chain.base)))]
     ident = Permutation.identity(chain.degree)
     for combo in itertools.product(*reversed(levels)):
         g = ident
@@ -349,12 +350,12 @@ class TestOrbitsAndBlocks:
         grp = random_group(rng, 6)
         for a in range(6):
             chain = grp.chain_with_base([a])
-            assert set(chain._transversal[0]) == \
-                set(permcore.orbit(a, grp.generators))
-            for b, images in chain._transversal[0].items():
+            trans, inverses = chain._composed(0)
+            assert set(trans) == set(permcore.orbit(a, grp.generators))
+            for b, images in trans.items():
                 t = Permutation(images)
                 assert t(a) == b and t in grp
-                assert Permutation(chain._inverses[0][b]) == t.inverse()
+                assert Permutation(inverses[b]) == t.inverse()
 
     @settings(max_examples=60, deadline=None)
     @given(small_groups(), small_graphs(), st.data())
@@ -364,7 +365,7 @@ class TestOrbitsAndBlocks:
         whose chain was set from outside."""
         for grp in (sample[0], automorphism_group(graph).group):
             assume(grp.chain.base)
-            orbit0 = sorted(grp.chain._transversal[0])
+            orbit0 = sorted(permcore.orbit(grp.chain.base[0], grp.generators))
             a, b = (data.draw(st.sampled_from(orbit0)) for _ in range(2))
             u = grp.mover(a, b)
             assert u(a) == b and u in grp
@@ -582,7 +583,8 @@ class TestStabilizers:
             monkeypatch.undo()
             assert sorted(inverted) == sorted(chain._level_gens(0))
             inverted.clear()
-            for trans, inverses in zip(chain._transversal, chain._inverses):
+            for level in range(len(chain.base)):
+                trans, inverses = chain._composed(level)
                 for x, images in trans.items():
                     assert Permutation(inverses[x]) == \
                         Permutation(images).inverse()
@@ -990,7 +992,7 @@ class TestPointStabilizerSearch:
         it lists the elements of that level's stabilizer."""
         grp = relabelled(pgl2(7), 3)
         base = grp.chain.base
-        assert [len(t) for t in grp.chain._transversal] == [8, 7, 6]
+        assert list(map(len, grp.chain._orbits)) == [8, 7, 6]
         for bound, root in ((4, 3), (6, 2), (7, 1), (8, 0)):
             assert list(grp._least_supports(bound)) == [
                 g for g in small_supports_by_collection(grp.chain, bound,
@@ -1124,6 +1126,96 @@ class TestLeastFirstWalk:
     def test_mathieu_orders(self):
         assert [mathieu_group(n).order() for n in (11, 12, 23, 24)] == \
             [7_920, 95_040, 10_200_960, 244_823_040]
+
+
+@st.composite
+def prefixed_chains(draw):
+    """A chain with a prefix: ``chain_with_base`` on random points, a block
+    stabilizer's or a pointwise stabilizer's, of a relabelled walk group."""
+    grp = draw(walk_groups())
+    kind = draw(st.sampled_from(["base", "block", "pointwise"]))
+    points = draw(st.permutations(range(grp.degree)))
+    points = points[:draw(st.integers(1, grp.degree))]
+    if kind == "base":
+        return grp.chain_with_base(points)
+    if kind == "block" and grp.is_transitive():
+        return grp.block_stabilizer(grp._block_closure(points[:2])).chain
+    return grp.pointwise_stabilizer(points).chain
+
+
+class TestSchreierVectors:
+    """A level's elements, composed when first read, equal those of a
+    breadth-first search that composes each as it reaches its point
+    (``oracles.transversal_by_bfs``): walked one at a time up the Schreier
+    vector of a level not yet composed, and scanned whole."""
+
+    @staticmethod
+    def assert_composed_as_searched(chain):
+        for level in range(len(chain.base)):
+            trans, inverses = transversal_by_bfs(chain, level)
+            if chain._transversal[level] is None:
+                assert {x: chain._element(level, x) for x in trans} == \
+                    {x: (trans[x], inverses[x]) for x in trans}
+            assert list(chain._orbits[level]) == list(trans)
+            composed = chain._composed(level)
+            assert [list(d.items()) for d in composed] == \
+                [list(trans.items()), list(inverses.items())]
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_groups())
+    def test_random_imprimitive_wreath_and_intransitive_groups(self, grp):
+        """``PermGroup.chain`` and the order-known chain on its strong
+        generators with no prefix that the walk builds."""
+        self.assert_composed_as_searched(grp.chain)
+        self.assert_composed_as_searched(StabilizerChain(
+            grp.degree, grp.chain._level_gens(0), order=grp.order()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_chains_grown_by_extend(self, sample):
+        grp, extra = sample
+        grown = StabilizerChain(grp.degree, [])
+        for g in list(grp.generators) + extra:
+            grown.extend(g)
+        self.assert_composed_as_searched(grown)
+        for x in extra[:2]:
+            self.assert_composed_as_searched(grp.normal_closure(x).chain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefixed_chains())
+    def test_prefixed_chains(self, chain):
+        self.assert_composed_as_searched(chain)
+
+    def test_relabelled_corpus_aut_chains(self):
+        rng = random.Random(44)
+        spec = CorpusSpec(circulant_max=8, inf_sigmas=("cycle:4", "cycle:6"),
+                          inf_ms=(2,), lex_thetas=("complete:2",))
+        for _, graph in corpus_generators(spec):
+            group = automorphism_group(
+                relabel(graph, random_perm(rng, graph.n))).group
+            self.assert_composed_as_searched(group.chain)
+
+    def test_motion_walk_leaves_level_0_uncomposed(self):
+        """The minimal-support walk on Aut(prism:20) starts below level 0,
+        whose 40 points keep only their Schreier vector."""
+        graph = named_graph("prism:20")
+        aut = automorphism_group(graph)
+        assert motion_witness(graph, aut)[0] == 4
+        chain = aut.group.chain
+        assert len(chain._orbits[0]) == 40
+        assert chain._transversal[0] is None and chain._inverses[0] is None
+        assert chain._transversal[-1] is not None
+
+    def test_wrong_claimed_order_raises(self):
+        """A chain told an order its generators do not close to raises,
+        whether they are strong for the base or not."""
+        grp = wreath_product(sym_group(3), sym_group(2))
+        for gens, prefix in ((grp.chain._level_gens(0), grp.chain.base),
+                             (grp.generators, [5, 2])):
+            for wrong in (grp.order() * 2, grp.order() + 1):
+                with pytest.raises(RuntimeError, match=f"chain of order "
+                                   f"{grp.order()}, claimed {wrong}$"):
+                    StabilizerChain(grp.degree, gens, prefix, order=wrong)
 
 
 def regular_group(elements, multiply):
