@@ -6,6 +6,12 @@ Product indexing is fixed so that identity (not merely isomorphism) tests
 are possible: lexicographic products are indexed major on the second
 factor (vertex = gamma*|VD| + delta), the fibre construction major on the
 base vertex (vertex = alpha*m + i).
+
+Only outside rows are checked: ``Graph(n, adj)`` checks that its rows are
+symmetric, loop-free and inside 0..n-1, and ``Graph.from_edges`` checks
+each edge.  The graph6 decoder and the constructions here write rows that
+are valid by construction, so they build them with the unchecked
+``Graph._rows``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -35,18 +42,23 @@ class Graph:
                 raise ValueError("loops are not allowed")
             if row >> n:
                 raise ValueError("adjacency bit out of range")
-        for v, row in enumerate(adj):
-            while row:
-                low = row & -row
-                if not adj[low.bit_length() - 1] >> v & 1:
-                    raise ValueError("adjacency must be symmetric")
-                row ^= low
-        self.n = n
-        self.adj = adj
-        self._nbrs = None
+        if any(not adj[w] >> v & 1 for v, row in enumerate(adj)
+               for w in _bits(row)):
+            raise ValueError("adjacency must be symmetric")
+        self.n, self.adj, self._nbrs = n, adj, None
+
+    @classmethod
+    def _rows(cls, n: int, adj: Sequence[int]) -> "Graph":
+        """Unchecked: the caller's rows are symmetric, loop-free and inside
+        0..n-1 by construction."""
+        graph = object.__new__(cls)
+        graph.n, graph.adj, graph._nbrs = n, tuple(adj), None
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError(f"graph order must be at least 0, got {n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -56,7 +68,7 @@ class Graph:
                 raise ValueError("loops are not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls._rows(n, adj)
 
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         """The sorted neighbours of every vertex, decoded on first use and
@@ -78,14 +90,18 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, [(~row & full) & ~(1 << v)
-                              for v, row in enumerate(self.adj)])
+        return Graph._rows(self.n, [(~row & full) & ~(1 << v)
+                                    for v, row in enumerate(self.adj)])
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         verts = tuple(sorted(vertices))
         pos = {v: i for i, v in enumerate(verts)}
-        return Graph(len(verts), [sum(1 << pos[w] for w in _bits(self.adj[v])
-                                      if w in pos) for v in verts]), verts
+        if (len(pos) < len(verts)
+                or verts and not 0 <= verts[0] <= verts[-1] < self.n):
+            raise ValueError(f"vertices must be distinct, in 0..{self.n - 1}")
+        return Graph._rows(len(verts), [
+            sum(1 << pos[w] for w in _bits(self.adj[v]) if w in pos)
+            for v in verts]), verts
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -140,17 +156,20 @@ def antipodal_matching(n: int) -> BlockSystem:
 # basic constructions
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
+    if n < 0:
+        raise ValueError(f"graph order must be at least 0, got {n}")
+    return Graph._rows(n, [0] * n)
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+    return empty_graph(n).complement()
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)])
+    return Graph._rows(n, [1 << (v + 1) % n | 1 << (v - 1) % n
+                           for v in range(n)])
 
 
 def canonical_connection_set(n: int, s: Iterable[int]) -> frozenset:
@@ -183,16 +202,16 @@ def lex_product(delta: Graph, theta: Graph) -> Graph:
     """
     nd, full = delta.n, (1 << delta.n) - 1
     joined = [sum(full << h * nd for h in _bits(row)) for row in theta.adj]
-    return Graph(nd * theta.n, [row << g * nd | joined[g] for g in
-                                range(theta.n) for row in delta.adj])
+    return Graph._rows(nd * theta.n, [row << g * nd | joined[g] for g in
+                                      range(theta.n) for row in delta.adj])
 
 
 def prism_graph(m: int) -> Graph:
     """K_m box K_2: two copies of K_m joined by a perfect matching; vertex
     i of copy c is c*m + i."""
     full = (1 << m) - 1
-    return Graph(2 * m, [(full ^ 1 << i) << c * m | 1 << (1 - c) * m + i
-                         for c in (0, 1) for i in range(m)])
+    return Graph._rows(2 * m, [(full ^ 1 << i) << c * m | 1 << (1 - c) * m + i
+                               for c in (0, 1) for i in range(m)])
 
 
 def quotient_graph(graph: Graph, partition: Sequence[Sequence[int]]) -> Graph:
@@ -203,8 +222,8 @@ def quotient_graph(graph: Graph, partition: Sequence[Sequence[int]]) -> Graph:
     masks = [sum(1 << v for v in p) for p in parts]
     reach = [functools.reduce(operator.or_, map(graph.adj.__getitem__, p), 0)
              & ~mask for p, mask in zip(parts, masks)]
-    return Graph(len(parts), [sum(1 << j for j, mask in enumerate(masks)
-                                  if mask & r) for r in reach])
+    return Graph._rows(len(parts), [sum(1 << j for j, mask in enumerate(masks)
+                                        if mask & r) for r in reach])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +264,7 @@ def inf_graph(params: InfParams, sigma: Graph, pairs: BlockSystem) -> Graph:
         rows += (joined | ((full ^ 1 << i) << alpha * m) * params.kap
                  | (1 << i if params.lam else full ^ 1 << i) << beta * m
                  for i in range(m))
-    return Graph(sigma.n * m, rows)
+    return Graph._rows(sigma.n * m, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +439,26 @@ def are_isomorphic(g1: Graph, g2: Graph,
 # ---------------------------------------------------------------------------
 # graph6 and edge-list I/O
 
+# graph6 in bits: a character c in ?..~ stands for the six bits of
+# ord(c) - 63, most significant first
+_G6_BITS = {63 + d: format(d, "06b") for d in range(64)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+_SIX = re.compile("[01]{6}")
+
+
 def to_graph6(graph: Graph) -> str:
     n = graph.n
-    if n <= 62:
-        header = chr(n + 63)
-    elif n <= 258047:
-        header = chr(126) + "".join(
-            chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    else:
+    if n > 258047:
         raise ValueError("graph too large for graph6")
-    # column j holds the edges (i, j), least i first
-    bits = "".join(format(graph.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
-                   for j in range(1, n))
+    # n > 62 takes "~" and n in 18 bits; column j holds the edges (i, j),
+    # least i first: bin() of its row below j with bit j set, reversed
+    # and cut before that bit
+    head, bits = (chr(n + 63), "") if n <= 62 else ("~", format(n, "018b"))
+    adj = graph.adj
+    bits += "".join([bin(adj[j] & ((1 << j) - 1) | 1 << j)[:2:-1]
+                     for j in range(1, n)])
     bits += "0" * (-len(bits) % 6)
-    return header + "".join(chr(int(bits[k:k + 6], 2) + 63)
-                            for k in range(0, len(bits), 6))
+    return head + "".join(map(_G6_CHARS.__getitem__, _SIX.findall(bits)))
 
 
 def from_graph6(text: str) -> Graph:
@@ -443,45 +467,53 @@ def from_graph6(text: str) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise ValueError("empty graph6 string")
-    data = [ord(c) - 63 for c in text]
-    if any(d < 0 or d > 63 for d in data):
+    bits = text.translate(_G6_BITS)   # any other character stays one
+    if len(bits) != 6 * len(text):
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        if len(data) < 4:
+    if text[0] == "~":
+        if len(text) < 4:
             raise ValueError("truncated graph6 header")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n, start = int(bits[6:24], 2), 24
     else:
-        n = data[0]
-        body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) != need:
+        n, start = ord(text[0]) - 63, 6
+    if len(bits) - start != 6 * ((n * (n - 1) // 2 + 5) // 6):
         raise ValueError("graph6 body length mismatch")
-    bits = "".join(format(d, "06b") for d in body)
     adj = [0] * n
     for j in range(1, n):    # column j holds the edges (i, j), least i first
-        start = j * (j - 1) // 2
         adj[j] = column = int(bits[start:start + j][::-1], 2)
-        for i in _bits(column):
-            adj[i] |= 1 << j
-    return Graph(n, adj)
+        start, bit = start + j, 1 << j
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
+    return Graph._rows(n, adj)
 
 
 def from_edge_list(text: str) -> Graph:
-    n = None
-    edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    """An ``n N`` header line, then one ``u v`` line per edge, vertices
+    numbered 1..N; an error names the line and the vertices as written."""
+    n, edges = None, []
+    for number, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
         if n is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError("expected 'n <count>' header")
-            n = int(parts[1])
+            if (len(fields) != 2 or fields[0] != "n"
+                    or not fields[1].isdecimal()):
+                raise ValueError(f"line {number}: expected 'n <count>' header")
+            n = int(fields[1])
             continue
-        u, v = (int(tok) - 1 for tok in line.split())
-        edges.append((u, v))
+        try:
+            u, v = map(int, fields)
+        except ValueError:
+            raise ValueError(f"line {number}: expected two vertices, got "
+                             f"{' '.join(fields)!r}") from None
+        for w in (u, v):
+            if not 1 <= w <= n:
+                raise ValueError(f"line {number}: vertex {w} outside 1..{n}")
+        if u == v:
+            raise ValueError(f"line {number}: loops are not allowed")
+        edges.append((u - 1, v - 1))
     if n is None:
         raise ValueError("empty edge list")
     return Graph.from_edges(n, edges)

@@ -11,8 +11,9 @@ before the paired-fibre form, the decomposition that proves every round
 trip by a search, the paired-fibre bits found by fibre searches, the
 block system as the orbit of a block, the lex and paired-fibre builds
 from edge lists, the minimal-support walk that collects and sorts,
-the product-order enumeration of all elements, and the breadth-first search
-that composes every transversal element as it reaches its point."""
+the product-order enumeration of all elements, the breadth-first search
+that composes every transversal element as it reaches its point, and the
+graph6 codec that walks one 6-bit group and one set bit at a time."""
 
 import functools
 import itertools
@@ -31,7 +32,7 @@ from smallmotion.classify import (ClassificationReport,
                                   NotVertexTransitiveError,
                                   _outside_classes, _try_lex_form,
                                   named_graph, sigma_matchings)
-from smallmotion.graphcore import (Graph, InfParams, _maps_onto,
+from smallmotion.graphcore import (Graph, InfParams, _bits, _maps_onto,
                                    _SourcePath, alternate_matching,
                                    are_isomorphic, complete_graph,
                                    cycle_graph, empty_graph, inf_graph,
@@ -956,6 +957,57 @@ def inf_graph_by_edges(params: InfParams, sigma: Graph,
                       for i, j in itertools.product(range(m), repeat=2)
                       if not paired or (i == j) == (params.lam == 1)]
     return Graph.from_edges(sigma.n * m, edges)
+
+
+def to_graph6_by_columns(graph: Graph) -> str:
+    """graph6 one 6-bit group at a time (oracle for the table-driven
+    ``graphcore.to_graph6``)."""
+    n = graph.n
+    if n <= 62:
+        header = chr(n + 63)
+    elif n <= 258047:
+        header = chr(126) + "".join(
+            chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    else:
+        raise ValueError("graph too large for graph6")
+    # column j holds the edges (i, j), least i first
+    bits = "".join(format(graph.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(int(bits[k:k + 6], 2) + 63)
+                            for k in range(0, len(bits), 6))
+
+
+def from_graph6_by_columns(text: str) -> Graph:
+    """graph6 decoded one character and one set bit at a time, into the
+    checking ``Graph(n, adj)`` (oracle for ``graphcore.from_graph6``)."""
+    text = text.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    if not text:
+        raise ValueError("empty graph6 string")
+    data = [ord(c) - 63 for c in text]
+    if any(d < 0 or d > 63 for d in data):
+        raise ValueError("invalid graph6 character")
+    if data[0] == 63:
+        if len(data) < 4:
+            raise ValueError("truncated graph6 header")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise ValueError("graph6 body length mismatch")
+    bits = "".join(format(d, "06b") for d in body)
+    adj = [0] * n
+    for j in range(1, n):    # column j holds the edges (i, j), least i first
+        start = j * (j - 1) // 2
+        adj[j] = column = int(bits[start:start + j][::-1], 2)
+        for i in _bits(column):
+            adj[i] |= 1 << j
+    return Graph(n, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ class TestMotion:
         assert code == EXIT_INVALID
         assert "outside" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 3\n1 4", "line 2: vertex 4 outside 1..3"),
+        ("n 3\n1 2 3", "line 2: expected two vertices, got '1 2 3'"),
+        ("n 3\n1 x", "line 2: expected two vertices, got '1 x'"),
+    ])
+    def test_edge_list_errors_use_the_input_numbering(self, capsys, text,
+                                                      message):
+        code, _, err = run(capsys, "motion", text)
+        assert code == EXIT_INVALID
+        assert err == f"error: {message}\n"
+
 
 def random_graph6(seed, n):
     rng = random.Random(seed)

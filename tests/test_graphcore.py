@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import (FullPassPath, cartesian_product, coloured_isomorphism,
-                     complete_bipartite, equitable_refinement, has_edge,
+                     complete_bipartite, equitable_refinement,
+                     from_graph6_by_columns, has_edge,
                      inf_graph_by_edges, is_automorphism,
                      is_invariant_partition, lex_product_by_edges,
                      matching_graph, neighbors, petersen_graph, px_graph,
                      refine_pass_sorted, relabel, seed_ids, spx_graph,
-                     to_edge_list, with_edge_removed)
+                     to_edge_list, to_graph6_by_columns, with_edge_removed)
 from smallmotion.autengine import automorphism_group
 from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.graphcore import (Graph, InfParams,
@@ -453,6 +454,180 @@ class TestSerialization:
         c5 = cycle_graph(5)
         assert parse_graph(to_graph6(c5)) == c5
         assert parse_graph(to_edge_list(c5)) == c5
+
+
+# the orders around graph6's one- and four-character headers
+G6_BOUNDARY_ORDERS = (0, 1, 2, 62, 63, 64)
+G6_ALPHABET = "".join(map(chr, range(63, 127)))
+NOT_G6_CHARACTERS = st.one_of(
+    st.characters(max_codepoint=62),                      # below "?"
+    st.characters(min_codepoint=127, max_codepoint=127),  # above "~"
+    st.characters(min_codepoint=128))                     # not ASCII
+
+
+@st.composite
+def codec_graphs(draw, orders=st.integers(0, 100)):
+    n = draw(orders)
+    p = draw(st.sampled_from([0, 0.1, 0.5, 0.9, 1]))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+@st.composite
+def mutated_graph6(draw):
+    """A valid graph6 string, or one with a character outside ?..~ put in
+    its header or body, a truncated long header, a body one character
+    short or long, the ">>graph6<<" prefix, surrounding whitespace, or
+    nothing left."""
+    text = to_graph6_by_columns(draw(codec_graphs(
+        st.sampled_from(G6_BOUNDARY_ORDERS) | st.integers(0, 70))))
+    head = 4 if text[0] == "~" else 1
+    kind = draw(st.sampled_from(["valid", "header", "body", "short header",
+                                 "short body", "long body", "empty"]))
+    if kind in ("header", "body"):
+        lo, hi = (0, head - 1) if kind == "header" else (head, len(text))
+        i, c = draw(st.integers(lo, hi)), draw(NOT_G6_CHARACTERS)
+        text = text[:i] + c + text[i + draw(st.integers(0, 1)):]
+    elif kind == "short header":
+        text = "~" + draw(st.text(G6_ALPHABET, max_size=2))
+    elif kind == "short body":
+        text = text[:-1]
+    elif kind == "long body":
+        text += draw(st.sampled_from(G6_ALPHABET))
+    elif kind == "empty":
+        text = ""
+    if draw(st.booleans()):
+        text = ">>graph6<<" + text
+    if draw(st.booleans()):
+        space = st.sampled_from([" ", "\t", "\n", "\r\n", "\x0b\x0c"])
+        text = draw(space) + text + draw(space)
+    return text
+
+
+def decoded(decode, text):
+    """The graph ``decode`` reads from text, or its ValueError's message."""
+    try:
+        return decode(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestGraph6Codec:
+    """The table-driven codec against the one that walks 6-bit groups and
+    set bits one at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(codec_graphs())
+    def test_encoders_agree(self, g):
+        assert to_graph6(g) == to_graph6_by_columns(g)
+
+    @pytest.mark.parametrize("n", G6_BOUNDARY_ORDERS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_encoders_agree_at_the_header_boundary(self, n, data):
+        g = data.draw(codec_graphs(st.just(n)))
+        assert to_graph6(g) == to_graph6_by_columns(g)
+        assert from_graph6(to_graph6(g)) == g
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_graph6())
+    def test_decoders_agree(self, text):
+        assert decoded(from_graph6, text) == \
+            decoded(from_graph6_by_columns, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 string"),
+        (" >>graph6<< ", "empty graph6 string"),
+        ("D\x7fc", "invalid graph6 character"),
+        ("D Qc", "invalid graph6 character"),
+        ("\u00e9Qc", "invalid graph6 character"),
+        ("~??", "truncated graph6 header"),
+        ("DQ", "graph6 body length mismatch"),
+        ("DQcc", "graph6 body length mismatch"),
+    ])
+    def test_rejections(self, text, message):
+        assert decoded(from_graph6, text) == f"ValueError: {message}"
+        assert decoded(from_graph6_by_columns, text) == \
+            f"ValueError: {message}"
+
+
+class TestUncheckedRows:
+    """Every construction that builds its rows unchecked, with
+    ``Graph._rows``, gives rows that the checking ``Graph(n, adj)``
+    accepts."""
+
+    @staticmethod
+    def assert_checked(g):
+        assert isinstance(g.adj, tuple)
+        assert Graph(g.n, g.adj) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(codec_graphs(st.integers(0, 70)))
+    def test_decoder_and_complement(self, g):
+        self.assert_checked(g)    # from_edges
+        self.assert_checked(from_graph6(to_graph6(g)))
+        self.assert_checked(g.complement())
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_subgraphs_and_quotients(self, g, data):
+        self.assert_checked(g.induced_subgraph(
+            data.draw(st.sets(st.integers(0, g.n - 1))))[0])
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n,
+                                    max_size=g.n))
+        self.assert_checked(quotient_graph(g, [
+            [v for v in range(g.n) if labels[v] == c]
+            for c in sorted(set(labels))]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(min_n=0, max_n=6), graphs(min_n=0, max_n=6), st.data())
+    def test_products_and_fibre_graphs(self, delta, theta, data):
+        self.assert_checked(lex_product(delta, theta))
+        k = data.draw(st.integers(1, 4))
+        sigma = data.draw(graphs(min_n=2 * k, max_n=2 * k))
+        order = data.draw(st.permutations(range(2 * k)))
+        pairs = BlockSystem.from_blocks(2 * k, zip(order[::2], order[1::2]))
+        params = InfParams(*(data.draw(st.integers(0, 1)) for _ in "lk"),
+                           data.draw(st.integers(2, 4)))
+        self.assert_checked(inf_graph(params, sigma, pairs))
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_named_families(self, n):
+        for g in (empty_graph(n), complete_graph(n), prism_graph(n)):
+            self.assert_checked(g)
+        if n >= 3:
+            self.assert_checked(cycle_graph(n))
+
+    @pytest.mark.parametrize("build", [
+        empty_graph, complete_graph,
+        lambda n: Graph.from_edges(n, [])])
+    def test_a_negative_order_is_rejected(self, build):
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            build(-1)
+
+    @pytest.mark.parametrize("verts", [[0, 0, 1], [-1, 2], [1, 5]])
+    def test_induced_subgraph_needs_distinct_vertices(self, verts):
+        with pytest.raises(ValueError, match="distinct, in 0..4"):
+            cycle_graph(5).induced_subgraph(verts)
+
+
+class TestEdgeListErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("n 3\n1 4", "line 2: vertex 4 outside 1..3"),
+        ("n 3\n# a comment\n\n0 2", "line 4: vertex 0 outside 1..3"),
+        ("n 3\n1 2 3", "line 2: expected two vertices, got '1 2 3'"),
+        ("n 3\n2", "line 2: expected two vertices, got '2'"),
+        ("n 3\n1 x", "line 2: expected two vertices, got '1 x'"),
+        ("n 3\n2 2", "line 2: loops are not allowed"),
+        ("n x\n1 2", "line 1: expected 'n <count>' header"),
+        ("n -1", "line 1: expected 'n <count>' header"),
+        ("\n1 2", "line 2: expected 'n <count>' header"),
+        ("# no header", "empty edge list"),
+    ])
+    def test_errors_name_the_line_and_the_vertices_as_written(self, text,
+                                                             message):
+        with pytest.raises(ValueError) as info:
+            from_edge_list(text)
+        assert str(info.value) == message
 
 
 class TestIsomorphism:
