@@ -255,8 +255,14 @@ def _take(fields: list[str], i: int, k: int) -> list[str]:
     return fields[i:i + k]
 
 
+def _int(field: str) -> int:
+    if not field.removeprefix("-").isdecimal():
+        raise ValueError(f"expected an integer, got {field!r}")
+    return int(field)
+
+
 def _multiplicity(field: str) -> int:
-    if not field.startswith("m"):
+    if not (field.startswith("m") and field[1:].isdecimal()):
         raise ValueError(f"expected m<size>, got {field!r}")
     return int(field[1:])
 
@@ -266,10 +272,10 @@ def _parse_graph(fields: list[str], i: int) -> tuple[Graph, int]:
     (name,) = _take(fields, i, 1)
     if name in _FAMILIES:
         (n,) = _take(fields, i + 1, 1)
-        return _FAMILIES[name](int(n)), i + 2
+        return _FAMILIES[name](_int(n)), i + 2
     if name == "circulant":
         n, conn = _take(fields, i + 1, 2)
-        return circulant_graph(int(n), [int(d) for d in conn.split("-")]
+        return circulant_graph(_int(n), [_int(d) for d in conn.split("-")]
                                if conn else []), i + 3
     if name == "lex":
         delta, j = _parse_graph(fields, i + 1)
@@ -277,11 +283,12 @@ def _parse_graph(fields: list[str], i: int) -> tuple[Graph, int]:
         return lex_product(delta, theta), j
     if name == "inf":
         bits, family, n, mname, mfield = _take(fields, i + 1, 5)
-        pairs = dict(sigma_matchings(family, int(n))).get(mname)
+        if bits not in ("00", "01", "10", "11"):
+            raise ValueError(f"expected two bits, got {bits!r}")
+        pairs = dict(sigma_matchings(family, _int(n))).get(mname)
         if pairs is None:
             raise ValueError(f"no matching {mname!r} for {family}:{n}")
-        lam, kap = map(int, bits)
-        params = InfParams(lam, kap, _multiplicity(mfield))
+        params = InfParams(int(bits[0]), int(bits[1]), _multiplicity(mfield))
         return inf_graph(params, _FAMILIES[family](int(n)), pairs), i + 6
     if name == "invariant":
         gname, mfield, index = _take(fields, i + 1, 3)
@@ -289,7 +296,7 @@ def _parse_graph(fields: list[str], i: int) -> tuple[Graph, int]:
             raise ValueError(f"unknown group {gname!r}")
         graphs = invariant_graphs_under(
             _INVARIANT_GROUPS[gname](_multiplicity(mfield)))
-        if not 0 <= int(index) < len(graphs):
+        if not 0 <= _int(index) < len(graphs):
             raise ValueError(f"index {index} outside 0..{len(graphs) - 1}")
         return graphs[int(index)], i + 4
     raise ValueError(f"unknown graph family {name!r}")

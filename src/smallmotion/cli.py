@@ -246,6 +246,9 @@ def main(argv=None) -> int:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
+        token = getattr(args, "graph", "")      # motion and classify input
+        if ":" in token and repr(token) not in str(exc):
+            exc = f"graph token {token!r}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

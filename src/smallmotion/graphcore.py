@@ -209,6 +209,8 @@ def lex_product(delta: Graph, theta: Graph) -> Graph:
 def prism_graph(m: int) -> Graph:
     """K_m box K_2: two copies of K_m joined by a perfect matching; vertex
     i of copy c is c*m + i."""
+    if m < 0:
+        raise ValueError(f"prism order must be at least 0, got {m}")
     full = (1 << m) - 1
     return Graph._rows(2 * m, [(full ^ 1 << i) << c * m | 1 << (1 - c) * m + i
                                for c in (0, 1) for i in range(m)])

@@ -239,18 +239,17 @@ class StabilizerChain:
     least point it moves, which joins the base past the prefix in order,
     so chains with no prefix or the [0] of ``PermGroup.chain`` are
     lex-compatible.  Each level's basic orbit is searched breadth first
-    over the level's generators, and ``_orbits[l]`` is a dict keyed by it
-    in the order reached.  ``_composed(l)`` gives two dicts by its points
-    x: the images of the transversal element sending base[l] to x, and
-    those of its inverse, built from the inverse each strong generator
-    keeps in ``_gen_inverses`` from the time it is filed.  A level that
-    the closure of a chain not told its order reads has them composed by
-    its search; any other keeps only a Schreier vector in ``_vectors[l]``
-    (Seress, Permutation Group Algorithms, section 4.1): for each point
-    the point it was first reached from and the index of the generator
-    that reached it, among the generators of that search.  Its elements
-    are composed when a reader first scans the level, and kept;
-    ``_element`` walks the vector for one.
+    over the level's generators, and kept as a Schreier vector in
+    ``_vectors[l]`` (Seress, Permutation Group Algorithms, section 4.1):
+    for each point the point it was first reached from and the index of
+    the generator that reached it, among the generators of that search;
+    ``_orbits[l]`` is its tree, a dict keyed by the orbit in the order
+    reached.  ``_composed(l)`` gives two dicts by its points x: the images
+    of the transversal element sending base[l] to x, and those of its
+    inverse, built from the inverse each strong generator keeps in
+    ``_gen_inverses`` from the time it is filed.  They are composed when
+    a reader first scans the level, and kept; ``_element`` walks the
+    vector for one.
     The generators are closed by deterministic Schreier-Sims.  Given the
     group's ``order``, every level's orbit is searched first and the
     closure stops once the basic orbits multiply to it (Seress, section
@@ -270,7 +269,7 @@ class StabilizerChain:
         self._transversal: list[Optional[dict[int, tuple]]] = []
         self._inverses: list[Optional[dict[int, tuple]]] = []
         self._vectors: list[Optional[tuple]] = []   # (tree, gens, left_inv)
-        self._orbits: list[dict] = []   # the vector's tree or _transversal
+        self._orbits: list[dict] = []   # the vector's tree
         self._tables: Optional[list] = None     # of _levels
         self._pinned = len(prefix)
         for point in prefix:
@@ -282,7 +281,7 @@ class StabilizerChain:
                 self._insert(g)
         if order is not None:       # the closure fills the deepest level
             for level in range(len(self.base) - 1):
-                self._recompute_transversal(level, False)
+                self._recompute_transversal(level)
         self._schreier_sims(len(self.base) - 1, order)
         if order is not None and self.order() != order:
             raise RuntimeError(f"chain of order {self.order()}, "
@@ -337,48 +336,28 @@ class StabilizerChain:
     def _level_gens(self, level: int) -> list[Permutation]:
         return [g for lvl in range(level, len(self._gens)) for g in self._gens[lvl]]
 
-    def _recompute_transversal(self, level: int, compose: bool) -> None:
-        """Search the level's basic orbit breadth first.  With ``compose``
-        each transversal element and its inverse are built as their point
-        is reached; else only the Schreier vector is kept: its tree maps
-        base[level] to None and each other point y to (x, k), y the image
-        of x under generator k of this search, in the order reached."""
+    def _recompute_transversal(self, level: int) -> None:
+        """Search the level's basic orbit breadth first and keep its
+        Schreier vector: the tree maps base[level] to None and each other
+        point y to (x, k), y the image of x under generator k of this
+        search, in the order reached.  Its elements are composed on first
+        read (``_composed``)."""
         b = self.base[level]
         gens = [g.images for g in self._level_gens(level)]
         # (t * s)^-1 = s^-1 * t^-1
         left_inv = [f for lvl in range(level, len(self._gen_inverses))
                     for f in self._gen_inverses[lvl]]
-        if not compose:
-            tree = {b: None}
-            queue = [b]
-            for x in queue:
-                for k, s in enumerate(gens):
-                    y = s[x]
-                    if y not in tree:
-                        tree[y] = (x, k)
-                        queue.append(y)
-            self._vectors[level] = (tree, gens, left_inv)
-            self._transversal[level] = self._inverses[level] = None
-            self._orbits[level] = tree
-            return
-        trans = {b: self._identity}
-        inverses = {b: self._identity}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                then_x = _then(trans[x])
-                inv_x = inverses[x]
-                for s, s_inv_then in zip(gens, left_inv):
-                    y = s[x]
-                    if y not in trans:
-                        trans[y] = then_x(s)
-                        inverses[y] = s_inv_then(inv_x)
-                        nxt.append(y)
-            frontier = nxt
-        self._transversal[level] = self._orbits[level] = trans
-        self._inverses[level] = inverses
-        self._vectors[level] = None
+        tree = {b: None}
+        queue = [b]
+        for x in queue:
+            for k, s in enumerate(gens):
+                y = s[x]
+                if y not in tree:
+                    tree[y] = (x, k)
+                    queue.append(y)
+        self._vectors[level] = (tree, gens, left_inv)
+        self._transversal[level] = self._inverses[level] = None
+        self._orbits[level] = tree
 
     def _composed(self, level: int) -> tuple[dict, dict]:
         """The level's transversal and inverses by point, composed from its
@@ -435,7 +414,7 @@ class StabilizerChain:
         multiply to it."""
         i = level
         while i >= 0:
-            self._recompute_transversal(i, order is None)
+            self._recompute_transversal(i)
             if self.order() == order:
                 return
             gens = [g.images for g in self._level_gens(i)]

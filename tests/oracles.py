@@ -354,12 +354,9 @@ def reduce_generators(degree: int, elements) -> PermGroup:
 def transversal_by_bfs(chain: StabilizerChain, level: int) -> tuple:
     """The level's transversal and inverses, each a dict by point in
     search order, from a breadth-first search that composes each element
-    t_y = t_x * s, and inverts it, as it reaches y from x by generator s:
-    over the generators the level's Schreier vector was searched with, or
-    the level's own when the chain composed it as it searched."""
-    vector = chain._vectors[level]
-    gens = vector[1] if vector else [g.images
-                                     for g in chain._level_gens(level)]
+    t_y = t_x * s, and inverts it, as it reaches y from x by generator s,
+    over the generators the level's Schreier vector was searched with."""
+    gens = chain._vectors[level][1]
     b, ident = chain.base[level], chain._identity
     trans, inverses = {b: ident}, {b: ident}
     queue = [b]

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import smallmotion
 from oracles import cartesian_product, path_graph
 from smallmotion import cli
+from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.cli import (EXIT_CAP, EXIT_FALSIFIED, EXIT_INTERNAL,
                              EXIT_INVALID, EXIT_OK, SCHEMA_VERSION, main)
 from smallmotion.graphcore import Graph, complete_graph, cycle_graph, to_graph6
@@ -75,6 +77,25 @@ class TestConstruct:
         assert code == EXIT_INVALID
         assert "fields" in err
 
+    @pytest.mark.parametrize("token, message", [
+        ("prism:-1", "prism order must be at least 0, got -1"),
+        ("inf:2:cycle:4:alternate:m2", "expected two bits, got '2'"),
+        ("inf:012:cycle:4:alternate:m2", "expected two bits, got '012'"),
+        ("inf::cycle:4:alternate:m2", "expected two bits, got ''"),
+        ("inf:0x:cycle:4:alternate:m2", "expected two bits, got '0x'"),
+        ("inf:00:cycle:4:alternate:mx", "expected m<size>, got 'mx'"),
+        ("cycle:x", "expected an integer, got 'x'"),
+        ("cycle:", "expected an integer, got ''"),
+        ("circulant:x:1", "expected an integer, got 'x'"),
+        ("circulant:3:1.5", "expected an integer, got '1.5'"),
+    ])
+    def test_bad_field_is_named_with_its_rule(self, capsys, token, message):
+        code, _, err = run(capsys, "construct", token)
+        assert code == EXIT_INVALID
+        assert f"graph token {token!r}: {message}" in err
+        for internal in ("unpack", "invalid literal", "shift count"):
+            assert internal not in err
+
     def test_circulant_without_order_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "construct", "circulant")
         assert code == EXIT_INVALID
@@ -116,6 +137,12 @@ class TestMotion:
         code, _, err = run(capsys, "motion", "cycle:200")
         assert code == EXIT_CAP
         assert "transporter search" in err and "SMALLMOTION_CAP=2" in err
+
+    def test_rigid_token_is_named(self, capsys):
+        code, _, err = run(capsys, "motion", "circulant:1:")
+        assert code == EXIT_INVALID
+        assert err == "error: graph token 'circulant:1:': trivial " \
+            "automorphism group: motion is undefined\n"
 
     def test_graph_above_64_vertices(self, capsys):
         code, out, _ = run(capsys, "--format", "structured", "motion",
@@ -210,6 +237,48 @@ class TestMotionFuzz:
         # a leading "-" would be read as an option or as stdin
         assume(not text.strip().startswith("-"))
         assert main(["motion", text]) in (EXIT_OK, EXIT_INVALID, EXIT_CAP)
+
+
+CORPUS_LABELS = [label for label, _ in corpus_generators(CorpusSpec())]
+
+
+@st.composite
+def mangled_tokens(draw):
+    """A CorpusSpec() label with a field dropped, repeated, swapped with
+    another or replaced by a bad value or a small integer, once or twice.
+    Every integer field stays at 12 or below, as no limit bounds the
+    graph's order, and at least two fields stay, so the text stays a
+    token rather than a graph6 or edge-list literal."""
+    fields = draw(st.sampled_from(CORPUS_LABELS)).split(":")
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(fields) - 1))
+        change = draw(st.sampled_from(["drop", "repeat", "swap", "replace"]))
+        if change == "drop" and len(fields) > 2:
+            del fields[i]
+        elif change == "repeat":
+            fields.insert(i, fields[i])
+        elif change == "swap":
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[i], fields[j] = fields[j], fields[i]
+        elif change == "replace":
+            fields[i] = draw(st.sampled_from(["", "x", "-1", "1.5"])
+                             | st.integers(0, 12).map(str))
+    return ":".join(fields)
+
+
+class TestTokenFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mangled_tokens())
+    def test_mangled_tokens_never_crash(self, token):
+        # a leading "-" would be read as an option
+        assume(not token.startswith("-"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["motion", token])
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_CAP)
+        if code == EXIT_INVALID:
+            assert repr(token) in err.getvalue()
 
 
 class TestExitCodes:
