@@ -25,7 +25,6 @@ at depth d fixes every vertex below v_d, so that chain is lex-compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .graphcore import Graph, _SourcePath
@@ -113,16 +112,15 @@ def _involution(graph: Graph, v: int, w: int) -> Optional[list[int]]:
 # ---------------------------------------------------------------------------
 # twins
 
-def find_twins(graph: Graph) -> list[tuple[int, int]]:
-    """The sorted pairs u < v whose transposition is an automorphism: equal
-    open neighbourhoods (false twins) or equal closed ones (true twins),
-    found by grouping rows; no pair shares both kinds of group."""
+def twin_classes(graph: Graph) -> list[list[int]]:
+    """Sorted classes of two or more vertices with equal open rows (false
+    twins) or closed rows (true twins); each pair's swap is an automorphism.
+    No u has false twin v and true twin w: w in N(u) = N(v) puts v in N[u]."""
     false, true = {}, {}
     for u, row in enumerate(graph.adj):
         false.setdefault(row, []).append(u)
         true.setdefault(row | 1 << u, []).append(u)
-    return sorted(pair for group in (*false.values(), *true.values())
-                  for pair in combinations(group, 2))
+    return sorted(c for c in (*false.values(), *true.values()) if len(c) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +130,11 @@ def motion_witness(graph: Graph, aut: Optional[AutResult] = None
                    ) -> tuple[int, Permutation]:
     """(motion, the least automorphism of prime order and minimal support
     by image tuple).  Twins decide motion 2 at once, with the least twin
-    transposition (u v): largest u, then smallest v.  Otherwise both come
-    from ``PermGroup.minimal_degree_witness`` of ``aut``, the graph's
-    ``automorphism_group`` result, computed here if not given."""
-    if twins := find_twins(graph):
-        u, v = max(twins, key=lambda pair: (pair[0], -pair[1]))
+    transposition: the largest of the classes' last two members.  Otherwise
+    both come from ``PermGroup.minimal_degree_witness`` of ``aut``, the
+    graph's ``automorphism_group`` result, computed here if not given."""
+    if classes := twin_classes(graph):
+        u, v = max(c[-2:] for c in classes)
         return 2, Permutation.from_cycles(graph.n, [(u, v)])
     if aut is None:
         aut = automorphism_group(graph)

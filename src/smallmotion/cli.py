@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .autengine import motion_witness, transitivity_aut
 from .classify import (CorpusSpec, NotVertexTransitiveError, decompose,
@@ -38,12 +39,20 @@ def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
-def _read_graphs(args) -> list[Graph]:
-    """Input graphs: a family token, a graph6/edge-list literal, or stdin."""
-    if args.graph == "-":
-        return [from_graph6(line) for line in map(str.strip, sys.stdin) if line]
-    token = args.graph
-    return [named_graph(token) if ":" in token else parse_graph(token)]
+def _read_graphs(args) -> Iterator[Graph]:
+    """Input graphs: a family token, a graph6/edge-list literal, or stdin,
+    one graph6 per non-blank line.  ``args.source`` names the one in use for
+    ``main``, bar an edge list of several lines, whose errors name a line."""
+    text = args.graph
+    if text != "-":
+        kind = "token" if ":" in text else "literal"
+        args.source = None if "\n" in text else f"graph {kind} {text!r}"
+        yield named_graph(text) if ":" in text else parse_graph(text)
+        return
+    for number, line in enumerate(sys.stdin.read().split("\n"), 1):
+        if line.strip():
+            args.source = f"stdin line {number} {line.strip()!r}"
+            yield from_graph6(line)
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +64,11 @@ def cmd_construct(args) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": "construct", "graph6": g6}
     lines = [g6]
     if args.describe:
-        doc["vertices"] = graph.n
-        doc["edges"] = graph.num_edges()
+        doc.update(vertices=graph.n, edges=graph.num_edges())
         doc["indexing"] = "vertices are 0-indexed internally, 1-indexed in "\
             "cycle notation; product and fibre indexing follow the library "\
             "conventions"
-        lines.append(f"vertices {graph.n}")
-        lines.append(f"edges {graph.num_edges()}")
+        lines += [f"vertices {graph.n}", f"edges {graph.num_edges()}"]
     _emit(doc, args.format, lines)
     return EXIT_OK
 
@@ -70,14 +77,12 @@ def cmd_construct(args) -> int:
 # motion
 
 def cmd_motion(args) -> int:
-    results = []
-    lines = []
+    results, lines = [], []
     for graph in _read_graphs(args):
         mu, witness = motion_witness(graph)
         results.append({"graph6": to_graph6(graph), "motion": mu,
                         "witness": format_cycles(witness)})
-        lines.append(f"motion {mu}")
-        lines.append(f"witness {format_cycles(witness)}")
+        lines += [f"motion {mu}", f"witness {format_cycles(witness)}"]
     doc = {"schema": SCHEMA_VERSION, "command": "motion", "results": results}
     _emit(doc, args.format, lines)
     return EXIT_OK
@@ -87,8 +92,7 @@ def cmd_motion(args) -> int:
 # classify
 
 def cmd_classify(args) -> int:
-    results = []
-    lines = []
+    results, lines = [], []
     for graph in _read_graphs(args):
         aut = transitivity_aut(graph)
         if aut is None:
@@ -102,9 +106,7 @@ def cmd_classify(args) -> int:
             lines.append(f"motion {mu} (no motion-2/4 form)")
             continue
         report = decompose(graph, witness=witness, aut=aut)
-        entry = report.as_dict()
-        entry["graph6"] = to_graph6(graph)
-        results.append(entry)
+        results.append({**report.as_dict(), "graph6": to_graph6(graph)})
         form = report.form + (f" m={report.m}" if report.m else "")
         lines.append(f"motion {mu} form {form} "
                      f"verified {str(report.verified).lower()}")
@@ -119,9 +121,7 @@ def cmd_classify(args) -> int:
 # verify
 
 def _verify_tables() -> tuple[dict, list[str], bool]:
-    rows = []
-    lines = []
-    ok = True
+    rows, lines, ok = [], [], True
     for table in (TABLE1, TABLE2):
         for row in table:
             name = f"table{row.table} row{row.index} ({row.x_desc}, {row.y_desc})"
@@ -246,9 +246,9 @@ def main(argv=None) -> int:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
-        token = getattr(args, "graph", "")      # motion and classify input
-        if ":" in token and repr(token) not in str(exc):
-            exc = f"graph token {token!r}: {exc}"
+        source = getattr(args, "source", None)  # motion and classify input
+        if source and source not in str(exc):
+            exc = f"{source}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

@@ -18,8 +18,8 @@ from functools import cache
 from math import factorial, gcd, prod
 from typing import Callable, Optional
 
-from .permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME, PermGroup,
-                       Permutation, is_two_two, orbit, orbits,
+from .permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME, BlockSystem,
+                       PermGroup, Permutation, is_two_two, orbit, orbits,
                        permutation_isomorphic, _is_prime, _then)
 from .wreath import (base_group_element, top_group_element, top_part,
                      wreath_product)
@@ -588,8 +588,8 @@ class TwoTwoReport:
 
 
 def _size2_blocks(group: PermGroup, x: Permutation) -> list:
-    """The size-2 blocks holding a1 for x = (a1,a2)(b1,b2), as (block,
-    kind): "crosswise" for {a1, b1} and {a1, b2}, "flips" for {a1, a2}.
+    """The size-2 systems for x = (a1,a2)(b1,b2), as (classes, kind), a1's
+    block first: "crosswise" for {a1, b1} and {a1, b2}, "flips" for {a1, a2}.
 
     These are the blocks of a1 in all the size-2 systems: x fixes every
     point off its support, so such a system pairs each support point with
@@ -598,9 +598,9 @@ def _size2_blocks(group: PermGroup, x: Permutation) -> list:
     is a block on which the group acts as the regular Klein four-group.
     """
     (a1, a2), (b1, b2) = x.cycles()
-    closures = [(group._block_closure((a1, c)), kind) for c, kind in
+    closures = [(group._closure_classes((a1, c)), kind) for c, kind in
                 ((b1, "crosswise"), (b2, "crosswise"), (a2, "flips"))]
-    return [(block, kind) for block, kind in closures if len(block) == 2]
+    return [(c, kind) for c, kind in closures if len(c[0]) == 2]
 
 
 def classify_22_group(group: PermGroup) -> TwoTwoReport:
@@ -610,13 +610,12 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
     them; or a smaller-minimal-degree witness."""
     if not group.is_transitive():
         raise ValueError("group must be transitive")
-    at_most_four = list(group._least_supports(4))  # conjugation-closed minima
-    x = min(filter(is_two_two, at_most_four), default=None)
+    # both sets are conjugation-closed, so each walk meets its least first
+    x = next(filter(is_two_two, group._least_supports(4)), None)
     if x is None:
         raise ValueError("no order-2 support-4 element found")
     # a transposition or 3-cycle witnesses minimal degree < 4
-    small = min((g for g in at_most_four if len(g.support()) < 4), default=None)
-    if small is not None:
+    if small := next(group._least_supports(3), None):
         return TwoTwoReport(tag="small_mindeg", witness=small,
                             notes=[f"support size {len(small.support())}"])
 
@@ -638,8 +637,8 @@ def classify_22_group(group: PermGroup) -> TwoTwoReport:
             "unresolved configuration reported verbatim"])
 
     # the paired-blocks case, on the system of the first size-2 block
-    pair_block, kind = pairs[0]
-    pair_bs = group.block_system_from(pair_block)
+    classes, kind = pairs[0]
+    pair_bs = BlockSystem.from_blocks(group.degree, classes)
     m = len(pair_bs.blocks)
     # f sends the point delta of block j to the wreath index 2*j + delta
     f = Permutation([v for blk in pair_bs.blocks for v in blk]).inverse()

@@ -26,8 +26,8 @@ from smallmotion import grouptables
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4, c2_wr_sym,
                                      even_flips_rtimes_sym, one_cross_sym,
                                      tau_cross_sym)
-from smallmotion.autengine import (automorphism_group, find_twins,
-                                   motion_witness, transitivity_aut)
+from smallmotion.autengine import (automorphism_group, motion_witness,
+                                   transitivity_aut, twin_classes)
 from smallmotion.classify import (ClassificationReport,
                                   NotVertexTransitiveError,
                                   _outside_classes, _try_lex_form,
@@ -175,9 +175,15 @@ class FullPassPath(_SourcePath):
 
 def find_twins_all_pairs(graph: Graph) -> list[tuple[int, int]]:
     """The pairs u < v whose neighbourhoods agree off {u, v}, by testing
-    every pair (oracle for ``autengine.find_twins``)."""
+    every pair (oracle for ``autengine.twin_classes``)."""
     return [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
             if graph.adj[u] & ~(1 << v) == graph.adj[v] & ~(1 << u)]
+
+
+def twin_pairs(graph: Graph) -> list[tuple[int, int]]:
+    """The sorted pairs u < v of each ``autengine.twin_classes`` class."""
+    return sorted(pair for c in twin_classes(graph)
+                  for pair in itertools.combinations(c, 2))
 
 
 def inf_grid(ms=(2, 3)):
@@ -552,7 +558,7 @@ def decompose_motion2_twins(graph):
     """The motion-2 decomposition over the twin classes, the orbits of the
     group the twin transpositions generate: complete fibres for true
     twins, edgeless ones for false twins, over the quotient."""
-    pairs = find_twins(graph)
+    pairs = twin_pairs(graph)
     group = PermGroup(graph.n, [Permutation.from_cycles(graph.n, [p])
                                 for p in pairs])
     classes = sorted(tuple(sorted(o)) for o in group.orbits())
@@ -663,6 +669,18 @@ def two_two_classes(y: PermGroup) -> list:
         classes.append(cls)
         remaining.difference_update(cls)
     return classes
+
+
+def two_two_witnesses_by_collection(group: PermGroup) -> tuple:
+    """(x, small): the least 2^2-element and the least non-identity element
+    moving at most 3 points, each None if there is none, as the minima of
+    the whole ``_least_supports(4)`` list (oracle for the first hits of
+    ``grouptables.classify_22_group``)."""
+    at_most_four = list(group._least_supports(4))
+    x = min(filter(is_two_two, at_most_four), default=None)
+    small = min((g for g in at_most_four if len(g.support()) < 4),
+                default=None)
+    return x, small
 
 
 def report_by_search(classify, group: PermGroup, *args):
@@ -1060,7 +1078,7 @@ def pair_transposition_in_aut(sigma: Graph, pairs: BlockSystem) -> bool:
     """Is some transposition of a pair an automorphism of sigma, that is,
     are the two vertices of some pair twins?  It fixes every other vertex,
     so it preserves the pair partition too."""
-    return not set(pairs.blocks).isdisjoint(find_twins(sigma))
+    return not set(pairs.blocks).isdisjoint(twin_pairs(sigma))
 
 
 def inf_motion2_predicted(params: InfParams, sigma: Graph,

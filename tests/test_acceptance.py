@@ -288,6 +288,8 @@ M24_CYCLES = ([tuple(range(1, 24))],
 
 # Aut chains with about n levels; a basic orbit of n - l points each
 DEEP_CHAIN_TOKENS = ("empty:450", "complete:300", "prism:300")
+# one twin class of n vertices, n(n-1)/2 twin pairs
+TWIN_CLASS_TOKENS = ("empty:4000", "complete:3000")
 
 
 def peak_rss_run(*args: str) -> dict:
@@ -307,7 +309,9 @@ def test_criterion_11_desk_scale_motion():
     """Structured motion and classify of graphs with 120 to 480 vertices
     and |Aut| up to 2 * 100!, each within 10 s; M24's minimal degree
     within 1 s; structured classify of graphs whose Aut chain has 300 to
-    450 levels, in a subprocess, within 10 s and under 200 MB peak RSS."""
+    450 levels, and structured motion of graphs with one twin class of
+    3,000 or 4,000 vertices, in a subprocess, within 10 s and under 200 MB
+    peak RSS."""
     failures = []
     for token in DESK_SCALE_TOKENS:
         for command in ("motion", "classify"):
@@ -323,8 +327,9 @@ def test_criterion_11_desk_scale_motion():
         mindeg = m24.minimal_degree()
     if mindeg != 16:
         failures.append(f"M24 minimal degree {mindeg}")
-    for token in DEEP_CHAIN_TOKENS:
-        run = peak_rss_run("--format", "structured", "classify", token)
+    for command, token in [("classify", t) for t in DEEP_CHAIN_TOKENS] + \
+            [("motion", t) for t in TWIN_CLASS_TOKENS]:
+        run = peak_rss_run("--format", "structured", command, token)
         if run["exit"] or run["seconds"] >= 10 or run["peak_mb"] >= 200:
-            failures.append(f"classify {token}: {run}")
+            failures.append(f"{command} {token}: {run}")
     report(11, not failures, ", ".join(failures))

@@ -20,10 +20,10 @@ from oracles import (aut_preserving_partition, automorphism_group_brute,
                      find_twins_all_pairs, has_edge,
                      is_automorphism, is_invariant_partition,
                      minimal_degree_full_scan, motion, path_graph,
-                     petersen_graph, random_element, spx_graph)
+                     petersen_graph, random_element, spx_graph, twin_pairs)
 from smallmotion.autengine import (_involution, automorphism_group,
-                                   find_twins, motion_witness,
-                                   transitivity_aut)
+                                   motion_witness, transitivity_aut,
+                                   twin_classes)
 from smallmotion.classify import (CorpusSpec, corpus_generators, named_graph,
                                   sigma_matchings)
 from smallmotion.graphcore import (Graph, _maps_onto, alternate_matching,
@@ -513,13 +513,17 @@ class TestInvolution:
 class TestTwins:
     def test_true_twins_in_complete(self):
         g = complete_graph(4)
-        pairs = find_twins(g)
+        assert twin_classes(g) == [[0, 1, 2, 3]]
+        pairs = twin_pairs(g)
         assert pairs == sorted(itertools.combinations(range(4), 2))
         assert all(has_edge(g, u, v) for u, v in pairs)
 
     def test_false_twins_in_bipartite(self):
         g = lex_product(empty_graph(3), cycle_graph(5))
-        pairs = find_twins(g)
+        classes = twin_classes(g)
+        assert classes == sorted(classes) and len(classes) == 5
+        assert all(len(c) == 3 for c in classes)
+        pairs = twin_pairs(g)
         assert pairs == sorted(pairs) and len(pairs) == 5 * 3
         assert not any(has_edge(g, u, v) for u, v in pairs)
 
@@ -527,17 +531,31 @@ class TestTwins:
     @given(st.one_of(twin_rich_graphs(),
                      coloured_graphs(max_n=12).map(lambda case: case[0])))
     def test_grouped_twins_match_all_pairs(self, g):
-        assert find_twins(g) == find_twins_all_pairs(g)
+        """The classes are sorted, disjoint, of two or more vertices each,
+        and their pairs are the twin pairs; the greatest last two members
+        of a class are the pair (u, v) with largest u, then smallest v,
+        the motion witness's transposition."""
+        classes, pairs = twin_classes(g), find_twins_all_pairs(g)
+        assert twin_pairs(g) == pairs
+        assert classes == sorted(classes)
+        assert all(c == sorted(c) and len(c) >= 2 for c in classes)
+        members = [v for c in classes for v in c]
+        assert len(members) == len(set(members))
+        if pairs:
+            u, v = max(pairs, key=lambda pair: (pair[0], -pair[1]))
+            assert max(c[-2:] for c in classes) == [u, v]
+            assert motion_witness(g) == \
+                (2, Permutation.from_cycles(g.n, [(u, v)]))
 
     def test_no_twins_in_cycle(self):
-        assert not find_twins(cycle_graph(5))
-        assert not find_twins(petersen_graph())
+        assert not twin_classes(cycle_graph(5))
+        assert not twin_classes(petersen_graph())
 
     def test_twin_transposition_is_automorphism(self):
         rng = random.Random(22)
         for _ in range(20):
             g = random_graph(rng, rng.randint(3, 8))
-            for u, v in find_twins(g):
+            for u, v in twin_pairs(g):
                 t = Permutation.from_cycles(g.n, [[u, v]])
                 assert is_automorphism(g, t)
 
@@ -548,7 +566,7 @@ class TestTwins:
             g = random_graph(rng, rng.randint(3, 8))
             if automorphism_group(g).order == 1:
                 continue
-            has_twins = bool(find_twins(g))
+            has_twins = bool(twin_classes(g))
             mu = motion(g)
             assert has_twins == (mu == 2)
             seen_two += has_twins
@@ -608,7 +626,7 @@ class TestMotion:
             want = min((len(h.support()), h) for h in auts
                        if not h.is_identity() and _is_prime(h.order()))
             assert motion_witness(g) == want
-            paths[bool(find_twins(g))] += 1
+            paths[bool(twin_classes(g))] += 1
         assert paths[True] >= 5 and paths[False] >= 5
 
     def test_rigid_graph_rejected(self):

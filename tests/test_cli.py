@@ -144,6 +144,29 @@ class TestMotion:
         assert err == "error: graph token 'circulant:1:': trivial " \
             "automorphism group: motion is undefined\n"
 
+    @pytest.mark.parametrize("stdin, message", [
+        ("Dhc\n@\nC~\n", "stdin line 2 '@': trivial automorphism group: "
+                         "motion is undefined"),
+        ("Dhc\n\n  !!  \nC~\n", "stdin line 3 '!!': invalid graph6 "
+                               "character"),
+    ])
+    def test_stdin_errors_name_the_line(self, capsys, monkeypatch, stdin,
+                                        message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, "--format", "structured", "motion", "-")
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("@", "graph literal '@': trivial automorphism group: motion is "
+              "undefined"),
+        ("D!c", "graph literal 'D!c': invalid graph6 character"),
+        ("n 1", "graph literal 'n 1': trivial automorphism group: motion "
+                "is undefined"),
+    ])
+    def test_literal_errors_name_the_literal(self, capsys, text, message):
+        code, out, err = run(capsys, "motion", text)
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
     def test_graph_above_64_vertices(self, capsys):
         code, out, _ = run(capsys, "--format", "structured", "motion",
                            "circulant:65:1-3")

@@ -1,6 +1,7 @@
 """Concrete group families, table data, and the two classifiers."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -18,8 +19,11 @@ from oracles import (TABLE3, block_system_containing_support,
                      is_2_transitive, match_table1_row, match_table2_row,
                      match_table4_row, pair_projection, report_by_search,
                      small_supports_by_collection,
-                     subgroups_by_cyclic_joins, two_two_classes)
+                     subgroups_by_cyclic_joins, two_two_classes,
+                     two_two_witnesses_by_collection)
 from smallmotion import grouptables
+from smallmotion.autengine import automorphism_group, motion_witness
+from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4,
                                      GroupSpec, PCycleReport,
                                      _all_subgroups, _candidate_specs,
@@ -38,7 +42,8 @@ from smallmotion.grouptables import (TABLE1, TABLE2, TABLE4,
                                      recognize_family,
                                      superflip, sym_group, tau_cross_sym)
 from smallmotion.permcore import (MAX_AGL_DIMENSION, MAX_FIELD_PRIME,
-                                  PermGroup, Permutation, _is_prime,
+                                  BlockSystem, PermGroup, Permutation,
+                                  _is_prime,
                                   is_two_two, permutation_isomorphic)
 from smallmotion.wreath import top_group_element, top_part, wreath_product
 
@@ -90,15 +95,44 @@ def random_wreath_subgroups(rng, shapes):
         yield PermGroup(n, [g.conjugate(relabel) for g in gens])
 
 
+WREATH_SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (2, 5),
+                 (5, 2)]
+
+
 def two_two_groups(seed, count):
     """count random transitive subgroups of Sym(a) wr Sym(b), degree <= 10,
     that hold a 2^2-element."""
-    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (2, 5), (5, 2)]
-    pool = (grp for grp in random_wreath_subgroups(random.Random(seed), shapes)
+    pool = (grp for grp in random_wreath_subgroups(random.Random(seed),
+                                                   WREATH_SHAPES)
             if grp.is_transitive()
             and any(map(is_two_two,
                         small_supports_by_collection(grp.chain, 4, False))))
     return list(itertools.islice(pool, count))
+
+
+def random_transitive_group(seed):
+    """The first transitive group of ``random_wreath_subgroups``."""
+    return next(grp for grp in random_wreath_subgroups(
+        random.Random(seed), WREATH_SHAPES) if grp.is_transitive())
+
+
+MOTION4_GRAPHS = {label: graph for label, graph in
+                  corpus_generators(CorpusSpec(circulant_max=16))
+                  if graph.n and motion_witness(graph)[0] == 4}
+MOTION4_LABELS = sorted(MOTION4_GRAPHS)
+
+
+@functools.cache
+def motion4_aut(label):
+    return automorphism_group(MOTION4_GRAPHS[label]).group
+
+
+def relabelled_motion4_aut(case):
+    """The Aut group of a motion-4 corpus graph, its points relabelled."""
+    label, rng = case
+    grp = motion4_aut(label)
+    f = Permutation(rng.sample(range(grp.degree), grp.degree))
+    return PermGroup(grp.degree, [g.conjugate(f) for g in grp.generators])
 
 
 class TestConstructors:
@@ -680,10 +714,14 @@ class TestTwoTwoClassifier:
                 pairs = _size2_blocks(grp, x)
                 want = {bs.blocks for bs in block_systems_all_beta(grp)
                         if len(bs.blocks[0]) == 2}
-                got = {grp.block_system_from(blk).blocks for blk, _ in pairs}
+                got = {BlockSystem.from_blocks(grp.degree, classes).blocks
+                       for classes, _ in pairs}
                 assert got == want
                 with_size2 += bool(want)
-                for blk, kind in pairs:
+                for classes, kind in pairs:
+                    blk = frozenset(classes[0])
+                    assert BlockSystem.from_blocks(grp.degree, classes) == \
+                        grp.block_system_from(blk)
                     (c,) = blk - {a1}
                     assert kind == ("flips" if c == a2 else "crosswise")
                     rest = tuple(sorted(x.support() - blk))
@@ -694,6 +732,47 @@ class TestTwoTwoClassifier:
                 if len(pairs) == 3:
                     assert grp._block_closure(x.support()) == x.support()
         assert with_size2 > 50
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(0, 2**32).map(random_transitive_group),
+                     st.tuples(st.sampled_from(MOTION4_LABELS),
+                               st.randoms(use_true_random=False))
+                     .map(relabelled_motion4_aut)))
+    def test_first_hits_match_collection(self, grp):
+        """x and small, the first 2^2-element of ``_least_supports(4)`` and
+        the first element of ``_least_supports(3)``, are the minima of the
+        whole bound-4 list (``two_two_witnesses_by_collection``) and of a
+        collection from the whole group; the report takes small when there
+        is one, else x, and there is no report without x."""
+        want = two_two_witnesses_by_collection(grp)
+        elems = small_supports_by_collection(grp.chain, 4, False)
+        assert want == (next(filter(is_two_two, elems), None),
+                        next((g for g in elems if len(g.support()) < 4),
+                             None))
+        x, small = want
+        assert (next(filter(is_two_two, grp._least_supports(4)), None),
+                next(grp._least_supports(3), None)) == want
+        if x is None:
+            with pytest.raises(ValueError, match="no order-2 support-4"):
+                classify_22_group(grp)
+            return
+        rep = classify_22_group(grp)
+        assert (rep.tag == "small_mindeg") == (small is not None)
+        assert rep.witness == (x if small is None else small)
+
+    def test_first_hits_on_motion4_aut_groups(self):
+        """On the Aut group of every motion-4 graph of
+        ``CorpusSpec(circulant_max=16)``, in its own labelling, the oracle
+        finds x and no smaller support, and the report's witness is x, the
+        graph's motion witness too."""
+        for label in MOTION4_LABELS:
+            grp = motion4_aut(label)
+            x, small = two_two_witnesses_by_collection(grp)
+            assert x is not None and small is None, label
+            rep = classify_22_group(grp)
+            assert rep.tag != "small_mindeg", label
+            assert rep.witness == x == \
+                motion_witness(MOTION4_GRAPHS[label])[1], label
 
     def test_witness_block_is_the_pair_scan_block(self):
         """The classifier branches as the first-proper-pair-closure scan
