@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graphcore import Graph, _SourcePath
-from .permcore import PermGroup, Permutation, StabilizerChain
+from .permcore import PermGroup, Permutation, StabilizerChain, _root
 
 
 @dataclass
@@ -57,12 +57,12 @@ def automorphism_group(graph: Graph,
     while (v := path.level(len(points))[2]) is not None:
         points.append(v)
     images: list[list[int]] = []   # of the generators, in the order found
+    parent = list(range(n))        # their orbits, in a union-find forest
     order, searches, involutions = 1, 0, 0
     for d in reversed(range(len(points))):
         _, cells, v, fresh = path.level(d)
-        reached = {v}   # all generators so far fix v; a find joins w's orbit
-        for w in range(n):
-            if w in reached or cells[w] != cells[v]:
+        for w in range(n):   # v's class: its orbit under the generators so far
+            if cells[w] != cells[v] or _root(parent, w) == _root(parent, v):
                 continue
             t = _involution(graph, v, w)
             if t is not None:
@@ -74,11 +74,10 @@ def automorphism_group(graph: Graph,
                 if t is None:
                     continue
             images.append(t)
-            new = {t[x] for x in reached} - reached
-            while new:     # the rest of reached is closed under images
-                reached |= new
-                new = {g[x] for x in new for g in images} - reached
-        order *= len(reached)
+            for q, r in enumerate(t):
+                if q != r:
+                    parent[_root(parent, r)] = _root(parent, q)
+        order *= [_root(parent, q) for q in range(n)].count(_root(parent, v))
     gens = [Permutation(t) for t in images]
     group = PermGroup(n, gens)
     group._chain = StabilizerChain(n, gens, points, order=order)

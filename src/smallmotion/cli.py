@@ -167,6 +167,8 @@ def _verify_graphs(args) -> tuple[dict, list[str], bool]:
                           inf_sigmas=("cycle:4", "cycle:6"),
                           inf_ms=(2,), lex_thetas=("complete:2",))
     summary = verify_corpus(spec, jobs=args.jobs)
+    if capped := [r.label for r in summary.records if "cap" in str(r.error)]:
+        raise CapExceededError("verifying " + ", ".join(capped))
     d = summary.as_dict()
     lines = [
         f"graphs {len(d['records'])}",

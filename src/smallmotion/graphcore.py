@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -445,7 +444,6 @@ def are_isomorphic(g1: Graph, g2: Graph,
 # ord(c) - 63, most significant first
 _G6_BITS = {63 + d: format(d, "06b") for d in range(64)}
 _G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
-_SIX = re.compile("[01]{6}")
 
 
 def to_graph6(graph: Graph) -> str:
@@ -460,7 +458,8 @@ def to_graph6(graph: Graph) -> str:
     bits += "".join([bin(adj[j] & ((1 << j) - 1) | 1 << j)[:2:-1]
                      for j in range(1, n)])
     bits += "0" * (-len(bits) % 6)
-    return head + "".join(map(_G6_CHARS.__getitem__, _SIX.findall(bits)))
+    return head + "".join([_G6_CHARS[bits[i:i + 6]]
+                           for i in range(0, len(bits), 6)])
 
 
 def from_graph6(text: str) -> Graph:

@@ -304,6 +304,18 @@ class TestSearchFilter:
         for graph in graphs:
             self.assert_same_as_reference(graph)
 
+    @pytest.mark.parametrize("token", ["empty:40", "complete:30", "prism:15",
+                                       "lex:empty:3:cycle:10"])
+    def test_deep_chains_match_reference(self, token):
+        """Chains of many levels, each level's orbit read off the orbits
+        of generators found at the levels below it, in the graph's own
+        labelling and relabelled."""
+        graph = named_graph(token)
+        rng = random.Random(f"deep {token}")
+        shuffled = Permutation(rng.sample(range(graph.n), graph.n))
+        for g in (graph, oracles.relabel(graph, shuffled)):
+            self.assert_same_as_reference(g)
+
     def test_quick_corpus_chains_match_schreier_sims(self):
         """The chain Aut files its generators into, against a full
         Schreier-Sims chain of them: order and membership."""

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import smallmotion
 from oracles import cartesian_product, path_graph
-from smallmotion import cli
+from smallmotion import classify, cli
 from smallmotion.classify import CorpusSpec, corpus_generators
 from smallmotion.cli import (EXIT_CAP, EXIT_FALSIFIED, EXIT_INTERNAL,
                              EXIT_INVALID, EXIT_OK, SCHEMA_VERSION, main)
 from smallmotion.graphcore import Graph, complete_graph, cycle_graph, to_graph6
 from smallmotion.grouptables import RowCheck
+from smallmotion.permcore import CapExceededError
 
 
 def run(capsys, *argv):
@@ -423,6 +424,24 @@ class TestVerify:
         assert f"m={missed}: " in out and "row1=False" in out
         assert out.splitlines()[-1] == "RESULT " + (
             "FALSIFIED" if code == EXIT_FALSIFIED else "ok")
+
+    def test_capped_record_exits_3_naming_its_label(self, capsys,
+                                                    monkeypatch):
+        """The corpus records a capped graph; the run then fails with the
+        cap's exit code, names the label and prints no document."""
+        witness, label = classify.motion_witness, "lex:cycle:5:complete:2"
+        g6 = to_graph6(classify.named_graph(label))
+
+        def capped(graph, **kwargs):
+            if to_graph6(graph) == g6:
+                raise CapExceededError("SMALLMOTION_CAP=5 reached")
+            return witness(graph, **kwargs)
+
+        monkeypatch.setattr(classify, "motion_witness", capped)
+        code, out, err = run(capsys, "verify", "graphs", "--quick")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == f"error: cap exceeded: verifying {label}\n"
 
     def test_quick_suite_matches_golden_output(self, capsys):
         # structured output changes only with a reason; refresh the file then
